@@ -40,7 +40,7 @@ from .patterns import (
     greedy_points,
     performance,
 )
-from .reduction import CrossingInstance, standalone_crossing
+from .reduction import CrossingInstance, rotated, standalone_crossing
 from .scaled import Scaled, exact_div, halve
 
 
@@ -51,17 +51,6 @@ class SolveReport:
     bound: Scaled
     branch: str
     pattern: Pattern
-
-    def as_dict(self) -> dict:
-        """JSON-ready form; all numeric values are exact rational strings."""
-        from .scaled import rational_str
-
-        return {
-            "branch": self.branch,
-            "dirs": list(self.z.dirs),
-            "performance": rational_str(self.perf),
-            "bound": rational_str(self.bound),
-        }
 
 
 def solution_from_pattern(pattern: Pattern) -> UnsplitRouting:
@@ -105,16 +94,6 @@ def ssw_three_halves(cross: CrossingInstance) -> SolveReport:
     return _report(pattern, 3 * halve(cross.D), "ssw")
 
 
-def _rotated(pairs, r):
-    """Node rotation by r: pairs shift right; wrapped entries swap u and v."""
-    m = len(pairs)
-    out = []
-    for j in range(m):
-        u, v = pairs[(j - r) % m]
-        out.append((v, u) if j < r else (u, v))
-    return tuple(out)
-
-
 def medium_demand_solve(
     cross: CrossingInstance, i: int, delta_d: Scaled
 ) -> SolveReport:
@@ -133,7 +112,7 @@ def medium_demand_solve(
         raise NotMedium(f"demand #{i} value outside [delta*D, (1-delta)*D]")
 
     r = (cross.m - 1 - i) % cross.m
-    pairs = _rotated(cross.pairs, r)
+    pairs = rotated(cross.pairs, r)
     u_m, v_m = pairs[-1]
     rest = standalone_crossing(pairs[:-1], D)
 
@@ -156,14 +135,21 @@ def medium_demand_solve(
             flag = CW if flag == CCW else CCW
         dirs[(j - r) % cross.m] = flag
     z = UnsplitRouting(tuple(dirs))
-    pattern = pattern_from_solution(cross, z, x=0)
-    perf = performance(pattern)
-    assert perf == performance(rotated_pattern), "rotation must preserve performance"
-    if perf > bound:
-        raise InternalGuaranteeViolation(
-            f"medium branch: performance {perf} exceeds bound {bound}"
-        )
-    return SolveReport(z, perf, bound, "medium", pattern)
+    return _report(pattern_from_solution(cross, z), bound, "medium")
+
+
+def widest_margin_demand(cross: CrossingInstance) -> tuple[int, Scaled] | None:
+    """The demand k maximizing min(d_k, D - d_k), with that margin.
+
+    The first such demand wins ties; None when m = 0.
+    """
+    best = None
+    for k in range(cross.m):
+        d = cross.demand_value(k)
+        margin = min(d, cross.D - d)
+        if best is None or margin > best[1]:
+            best = (k, margin)
+    return best
 
 
 def _small_big_bounds(D: Scaled) -> tuple[Scaled, Scaled]:
@@ -211,13 +197,8 @@ def small_big_solve(cross: CrossingInstance) -> SolveReport:
 
 def solve_19_14(cross: CrossingInstance) -> SolveReport:
     """Dispatcher: medium route when possible, small/big route otherwise."""
-    D = cross.D
-    small, big = _small_big_bounds(D)
-    best, best_margin = None, -1
-    for k in range(cross.m):
-        margin = min(cross.demand_value(k), D - cross.demand_value(k))
-        if margin > best_margin:
-            best, best_margin = k, margin
-    if best is not None and small <= cross.demand_value(best) <= big:
-        return medium_demand_solve(cross, best, best_margin)
+    small, big = _small_big_bounds(cross.D)
+    choice = widest_margin_demand(cross)
+    if choice is not None and small <= cross.demand_value(choice[0]) <= big:
+        return medium_demand_solve(cross, *choice)
     return small_big_solve(cross)

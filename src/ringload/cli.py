@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import approx, exact, fileio, instances, model, reduction, search
 from .errors import RingLoadingError
-from .scaled import from_int, parse_rational, rational_str
+from .scaled import from_int, rational_str
 
 
 def _read_instance(path: str, need_split: bool):
@@ -74,15 +74,11 @@ def _cmd_solve(args) -> int:
     elif args.alg == "smallbig":
         solved = approx.small_big_solve(cross)
     else:  # medium: strongest available margin
-        best, margin = None, -1
-        for k in range(cross.m):
-            d = cross.demand_value(k)
-            if min(d, cross.D - d) > margin:
-                best, margin = k, min(d, cross.D - d)
-        if best is None:
+        choice = approx.widest_margin_demand(cross)
+        if choice is None:
             solved = approx.ssw_three_halves(cross)
         else:
-            solved = approx.medium_demand_solve(cross, best, margin)
+            solved = approx.medium_demand_solve(cross, *choice)
     unsplit = reduction.lift_solution(cross, solved.z)
     report = _solve_report(
         inst, split, unsplit,
@@ -202,11 +198,24 @@ def _cmd_extend(args) -> int:
 
 def _parse_shard(text: str) -> tuple[int, int]:
     index, _, count = text.partition("/")
-    return int(index), int(count)
+    try:
+        return int(index), int(count)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers I/N, got {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def _cmd_search(args) -> int:
-    threshold = parse_rational(args.threshold)
+    threshold = from_int(args.threshold)
     if args.shard is None and not args.full:
         raise RingLoadingError(
             "a full family search takes hours; pass --full to run it anyway, "
@@ -215,14 +224,12 @@ def _cmd_search(args) -> int:
     if args.shard is not None:
         checkpoint = None
         if args.checkpoint_dir:
-            index, count = _parse_shard(args.shard)
+            index, count = args.shard
             checkpoint = Path(args.checkpoint_dir) / f"shard-{index}-of-{count}.txt"
             checkpoint.parent.mkdir(parents=True, exist_ok=True)
-        hits = search.search_lower_bound(
-            args.m, args.d, threshold, _parse_shard(args.shard), checkpoint
-        )
+        hits = search.search_lower_bound(args.m, args.d, threshold, args.shard, checkpoint)
     else:
-        shards = max(args.jobs * 16, 1)
+        shards = args.jobs * 16
         hits = search.search_parallel(args.m, args.d, threshold, shards, args.jobs)
     for hit in hits:
         record = {
@@ -282,11 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     search_cmd = sub.add_parser("search", help="scan the structured family for lower bounds")
     search_cmd.add_argument("--m", type=int, required=True)
     search_cmd.add_argument("--d", type=int, required=True)
-    search_cmd.add_argument("--threshold", required=True, help='exact rational, e.g. "11"')
-    search_cmd.add_argument("--shard", help="I/N: run slice I of N")
+    search_cmd.add_argument("--threshold", type=int, required=True, help="an integer, e.g. 11")
+    search_cmd.add_argument("--shard", type=_parse_shard, help="I/N: run slice I of N")
     search_cmd.add_argument("--full", action="store_true",
                             help="run the whole family (long-running)")
-    search_cmd.add_argument("--jobs", type=int, default=1)
+    search_cmd.add_argument("--jobs", type=_positive_int, default=1)
     search_cmd.add_argument("--checkpoint-dir")
     search_cmd.set_defaults(func=_cmd_search)
 

@@ -216,9 +216,15 @@ def dp_feasible(cross: CrossingInstance, t: Scaled, y: Scaled) -> UnsplitRouting
     return _dp_solution(pairs, t_int, y_int, masks)
 
 
-def _feasible_any_y(
-    pairs: list[tuple[int, int]], t: int, parities: set[int]
+def dp_feasible_any_y(
+    pairs: list[tuple[int, int]] | tuple[tuple[int, int], ...], t: int
 ) -> tuple[int, list[int]] | None:
+    """Smallest end point y and its DP masks for increase at most t, if any.
+
+    Takes plain-integer (u, v) pairs; an increase of at most t is
+    achievable exactly when this returns a value (never for t < 0).
+    """
+    parities = _reachable_parities(pairs)
     for y in range(-t, t + 1):
         if (y & 1) not in parities:
             continue
@@ -233,16 +239,15 @@ def dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, Scaled]:
     pairs = _integral_pairs(cross)
     if not pairs:
         return UnsplitRouting(()), 0
-    parities = _reachable_parities(pairs)
     D = unscale(cross.D)
     hi = (3 * D + 1) // 2  # feasible: the 3/2 * D guarantee
     lo = 0
-    assert _feasible_any_y(pairs, hi, parities) is not None
+    assert dp_feasible_any_y(pairs, hi) is not None
     while lo < hi:
         mid = (lo + hi) // 2
-        if _feasible_any_y(pairs, mid, parities) is not None:
+        if dp_feasible_any_y(pairs, mid) is not None:
             hi = mid
         else:
             lo = mid + 1
-    y, masks = _feasible_any_y(pairs, lo, parities)  # type: ignore[misc]
+    y, masks = dp_feasible_any_y(pairs, lo)  # type: ignore[misc]
     return _dp_solution(pairs, lo, y, masks), from_int(lo)

@@ -99,11 +99,6 @@ def validate_routing(inst: RingInstance, routing: UnsplitRouting) -> None:
         )
 
 
-def cw_edges(n: int, i: int, j: int) -> range:
-    """Edge indices (1-based) of the clockwise path i -> j."""
-    return range(i, j)
-
-
 def ccw_edge_set(n: int, i: int, j: int) -> frozenset[int]:
     """Edge indices (1-based) of the counterclockwise path i -> j."""
     return frozenset(range(1, i)) | frozenset(range(j, n + 1))
@@ -145,20 +140,3 @@ def additive_increase(
     before = edge_loads(inst, split)
     after = edge_loads(inst, unsplit)
     return max(a - b for a, b in zip(after, before))
-
-
-def split_as_unsplit(inst: RingInstance, split: SplitRouting) -> UnsplitRouting:
-    """Read an already-unsplittable split routing as direction flags.
-
-    Every cw amount must be 0 or d; zero-value demands count as clockwise.
-    """
-    validate_instance(inst, split)
-    dirs = []
-    for pos, (dem, cw) in enumerate(zip(inst.demands, split.cw)):
-        if cw == dem.d:
-            dirs.append(CW)
-        elif cw == 0:
-            dirs.append(CCW)
-        else:
-            raise SplitExceedsDemand(f"demand #{pos} is genuinely split")
-    return UnsplitRouting(tuple(dirs))

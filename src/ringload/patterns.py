@@ -165,13 +165,3 @@ def crossover(p1: Pattern, p2: Pattern, witness: ClosenessWitness) -> Pattern:
         p + shift for p in p2.points[k + 1 :]
     )
     return Pattern(p1.owner, points)
-
-
-def dump_pattern(pattern: Pattern) -> str:
-    """Plain-text (k, p(k)) table for fixture comparison."""
-    from .scaled import rational_str
-
-    lines = ["k\tp(k)"]
-    for k, point in enumerate(pattern.points):
-        lines.append(f"{k}\t{rational_str(point)}")
-    return "\n".join(lines)

@@ -96,6 +96,17 @@ def standalone_crossing(pairs: tuple[tuple[Scaled, Scaled], ...], D: Scaled | No
     return CrossingInstance(pairs=tuple(pairs), D=D)
 
 
+def rotated(pairs: tuple[tuple[int, int], ...], shift: int) -> tuple[tuple[int, int], ...]:
+    """Node rotation by `shift` (mod m); wrapped entries swap u and v.
+
+    Entry k moves to position k + shift; an entry that wraps past the ring
+    seam has its stored endpoint moved past the seam, so u and v swap.
+    """
+    m = len(pairs)
+    cut = m - shift % m if m else 0
+    return tuple((v, u) for u, v in pairs[cut:]) + tuple(pairs[:cut])
+
+
 def demands_cross(n: int, first: tuple[int, int], second: tuple[int, int]) -> bool:
     """True iff the two demands cross (no edge-disjoint path pair exists).
 

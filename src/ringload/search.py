@@ -35,22 +35,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InfeasibleParams
-from .exact import _dp_masks, dp_min_increase
-from .reduction import standalone_crossing
+from .exact import dp_feasible_any_y, dp_min_increase
+from .reduction import rotated, standalone_crossing
 from .scaled import Scaled, from_int, unscale
 
 Pairs = tuple[tuple[int, int], ...]  # plain-integer (u, v) sequences
-
-
-def _rotate(pairs: Pairs, shift: int) -> Pairs:
-    """Node rotation by `shift`; wrapped entries swap u and v."""
-    m = len(pairs)
-    shift %= m
-    out = []
-    for j in range(m):
-        u, v = pairs[(j - shift) % m]
-        out.append((v, u) if j < shift else (u, v))
-    return tuple(out)
 
 
 def _reflect(pairs: Pairs) -> Pairs:
@@ -70,9 +59,9 @@ def symmetry_orbit(pairs: Pairs) -> set[Pairs]:
     images = set()
     for base in (pairs, _reflect(pairs)):
         for shift in range(len(pairs)):
-            rotated = _rotate(base, shift)
-            images.add(rotated)
-            images.add(_swap(rotated))
+            image = rotated(base, shift)
+            images.add(image)
+            images.add(_swap(image))
     return images
 
 
@@ -194,7 +183,7 @@ def search_lower_bound(
     for index in range(start, stop):
         pairs = family.decode(index)
         if sum(u for u, _ in pairs) % 2 and _is_canonical(pairs, D):
-            if _passes_threshold(pairs, D, threshold_int):
+            if dp_feasible_any_y(pairs, threshold_int - 1) is None:
                 cross = standalone_crossing(
                     tuple((from_int(u), from_int(v)) for u, v in pairs), from_int(D)
                 )
@@ -208,20 +197,6 @@ def search_lower_bound(
         with checkpoint.open("a") as handle:
             handle.write(f"{stop - 1}\n")
     return hits
-
-
-def _passes_threshold(pairs: Pairs, D: int, threshold_int: int) -> bool:
-    """Exact screen: no routing achieves increase threshold - 1 or less."""
-    if threshold_int <= 0:
-        return True
-    t = threshold_int - 1
-    parity = sum(v for _, v in pairs) & 1
-    for y in range(-t, t + 1):
-        if (y & 1) != parity:
-            continue
-        if _dp_masks(pairs, t, y) is not None:
-            return False
-    return True
 
 
 def _run_shard(args: tuple[int, int, Scaled, int, int]) -> list[SearchHit]:

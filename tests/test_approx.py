@@ -64,12 +64,7 @@ def test_ssw_example():
     assert report.perf == 7 * S
     assert report.bound == 15 * S
     assert report.branch == "ssw"
-    assert report.as_dict() == {
-        "branch": "ssw",
-        "dirs": ["ccw", "cw"],
-        "performance": "7",
-        "bound": "15",
-    }
+    assert report.z.dirs == (CCW, CW)
 
 
 def test_ssw_empty_instance():

@@ -1,12 +1,16 @@
 """Command-line interface: reports, exit codes, output hygiene."""
 
 import json
+import random
 
 import pytest
 
+from conftest import random_ring
 from ringload.cli import main
 from ringload.fileio import write_instance
-from ringload.instances import builtin
+from ringload.instances import builtin, random_crossing
+from ringload.model import Demand, RingInstance, SplitRouting
+from ringload.scaled import from_int
 
 
 @pytest.fixture()
@@ -54,6 +58,38 @@ def test_solve_algorithms_run(capsys, tmp_path, alg):
     code, out, _ = run_cli(capsys, "solve", "--alg", alg, "-i", str(path))
     assert code == 0
     assert no_floats(json.loads(out))
+
+
+def test_solve_medium_matches_auto_whenever_auto_takes_medium(capsys, tmp_path):
+    rng = random.Random(33)
+    rings = [builtin(name) for name in ("fig2", "fig5", "fig6")]
+    rings += [random_crossing(m, 10, seed).to_ring() for m in (3, 6) for seed in range(1, 6)]
+    rings += [random_ring(rng, max_n=12, max_demands=8, max_d=10) for _ in range(30)]
+    rings = [(inst, split) for inst, split in rings if inst.demands]  # no demands: no split
+    took_medium = 0
+    for k, (inst, split) in enumerate(rings):
+        path = tmp_path / f"ring{k}.json"
+        path.write_bytes(write_instance(inst, split))
+        code, auto_out, _ = run_cli(capsys, "solve", "--alg", "auto", "-i", str(path))
+        assert code == 0
+        if json.loads(auto_out)["branch"] != "medium":
+            continue
+        took_medium += 1
+        code, medium_out, _ = run_cli(capsys, "solve", "--alg", "medium", "-i", str(path))
+        assert code == 0 and medium_out == auto_out, path
+    assert took_medium >= 10
+
+
+def test_solve_medium_without_split_demands_falls_back_to_ssw(capsys, tmp_path):
+    # Both demands are already unsplittable, so the crossing form has m = 0.
+    inst = RingInstance(5, (Demand(1, 3, from_int(4)), Demand(2, 5, from_int(1))))
+    path = tmp_path / "unsplit.json"
+    path.write_bytes(write_instance(inst, SplitRouting((from_int(4), 0))))
+    code, out, _ = run_cli(capsys, "solve", "--alg", "medium", "-i", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["branch"] == "ssw"
+    assert report["dirs"] == ["cw", "ccw"] and report["max_increase"] == "0"
 
 
 def test_solve_dp_equals_brute(capsys, fig2_file):
@@ -160,6 +196,28 @@ def test_search_requires_full_or_shard(capsys):
                            "--threshold", "11")
     assert code == 1
     assert "--full" in err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("--threshold", "1", "--shard", "abc"), 2),
+    (("--threshold", "1", "--shard", "1"), 2),
+    (("--threshold", "x", "--shard", "0/1"), 2),
+    (("--threshold", "1/3", "--shard", "0/1"), 2),
+    (("--threshold", "21/2", "--shard", "0/1"), 2),
+    (("--threshold", "7", "--full", "--jobs", "0"), 2),
+    (("--threshold", "7", "--full", "--jobs", "x"), 2),
+    (("--threshold", "1", "--shard", "0/0"), 1),
+])
+def test_search_argument_errors_exit_without_traceback(capsys, argv, expected):
+    try:
+        code = main(["search", "--m", "2", "--d", "4", *argv])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == expected
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("ringload search: error:" if expected == 2 else "error:")
 
 
 def test_search_shard_emits_json_lines(capsys):

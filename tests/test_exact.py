@@ -11,6 +11,7 @@ from ringload.exact import (
     brute_force_min_increase,
     brute_force_optimum_L,
     dp_feasible,
+    dp_feasible_any_y,
     dp_min_increase,
 )
 from ringload.instances import builtin, random_crossing
@@ -27,6 +28,7 @@ from ringload.model import (
 from ringload.patterns import performance
 from ringload.reduction import reduce_to_crossing, standalone_crossing
 from ringload.scaled import from_int
+from ringload.search import CanonicalForm, StructuredFamily
 
 S = from_int(1)
 
@@ -189,3 +191,25 @@ def test_dp_rejects_fractional_splits():
     cross = standalone_crossing(((14, 14),), from_int(1))  # half-integer splits
     with pytest.raises(ValueError):
         dp_min_increase(cross)
+
+
+def test_feasibility_screen_matches_full_dp_on_small_family():
+    # Every odd canonical member of the m=4, D=6 family, every threshold up
+    # to the 3/2 * D guarantee; the minimum is also checked by enumeration.
+    D = 6
+    family = StructuredFamily(4, D)
+    checked = 0
+    for index in range(family.size):
+        pairs = family.decode(index)
+        if sum(u for u, _ in pairs) % 2 == 0 or CanonicalForm.of(pairs, D).pairs != pairs:
+            continue
+        cross = standalone_crossing(
+            tuple((from_int(u), from_int(v)) for u, v in pairs), from_int(D)
+        )
+        _, value = dp_min_increase(cross)
+        assert brute_force_min_increase(*cross.to_ring())[1] == value
+        for t in range(1, 3 * D // 2 + 1):
+            screened_out = dp_feasible_any_y(pairs, t - 1) is not None
+            assert screened_out == (value < from_int(t)), (pairs, t)
+        checked += 1
+    assert checked == 124

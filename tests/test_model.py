@@ -21,7 +21,6 @@ from ringload.model import (
     UnsplitRouting,
     additive_increase,
     edge_loads,
-    split_as_unsplit,
     validate_instance,
 )
 from ringload.scaled import from_int
@@ -100,13 +99,7 @@ def test_additive_increase_identity():
     # A split that is already unsplittable, compared against itself.
     inst = RingInstance(5, (Demand(1, 3, from_int(4)), Demand(2, 5, from_int(1))))
     split = SplitRouting((from_int(4), 0))
-    assert additive_increase(inst, split, split_as_unsplit(inst, split)) == 0
-
-
-def test_split_as_unsplit_rejects_genuine_split():
-    inst, split = builtin("fig1")
-    with pytest.raises(SplitExceedsDemand):
-        split_as_unsplit(inst, split)
+    assert additive_increase(inst, split, UnsplitRouting((CW, CCW))) == 0
 
 
 def test_load_conservation_on_random_instances():

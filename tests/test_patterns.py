@@ -18,7 +18,6 @@ from ringload.patterns import (
     Pattern,
     backward_greedy,
     crossover,
-    dump_pattern,
     find_close,
     forward_greedy,
     greedy_points,
@@ -306,9 +305,3 @@ def test_greedy_pair_closeness_when_big_steps_diverge():
             elif q.points[k] >= p.points[k] and q.points[k + 1] >= p.points[k + 1]:
                 assert find_close(q, p, eps) is not None
                 exercised += 1
-
-
-def test_dump_pattern_table():
-    cross = cross_of([(3, 7)], 10)
-    text = dump_pattern(Pattern(cross, (5 * S, 2 * S)))
-    assert text.splitlines() == ["k\tp(k)", "0\t5", "1\t2"]

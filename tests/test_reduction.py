@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_ring
 from ringload.errors import LengthMismatch, NotParallel
@@ -24,6 +26,8 @@ from ringload.reduction import (
     demands_cross,
     lift_solution,
     reduce_to_crossing,
+    rotated,
+    standalone_crossing,
     uncross_pair,
 )
 from ringload.scaled import from_int
@@ -232,3 +236,48 @@ def test_lift_is_load_consistent_for_every_solution():
             assert additive_increase(inst, cross.uncrossed, lifted) == perf
             assert additive_increase(inst, split, lifted) <= perf
         checked += 1
+
+
+pair_sequences = st.lists(
+    st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=8
+).map(tuple)
+
+
+def swapped(pairs):
+    return tuple((v, u) for u, v in pairs)
+
+
+@given(pair_sequences, st.data())
+def test_rotation_by_r_then_m_minus_r_swaps_u_and_v(pairs, data):
+    m = len(pairs)
+    r = data.draw(st.integers(0, m - 1))
+    assert rotated(pairs, 0) == pairs
+    if r:
+        assert rotated(rotated(pairs, r), m - r) == swapped(pairs)
+
+
+@given(pair_sequences, st.data())
+def test_rotations_compose(pairs, data):
+    m = len(pairs)
+    a = data.draw(st.integers(0, m - 1))
+    b = data.draw(st.integers(0, m - 1))
+    # A full turn of m nodes is the half-turn of the 2m-node ring: u/v swap.
+    expected = rotated(pairs, a + b) if a + b < m else swapped(rotated(pairs, a + b - m))
+    assert rotated(rotated(pairs, a), b) == expected
+
+
+@given(pair_sequences, st.data())
+def test_rotating_instance_and_routing_preserves_performance(pairs, data):
+    m = len(pairs)
+    dirs = tuple(data.draw(st.lists(st.sampled_from((CW, CCW)), min_size=m, max_size=m)))
+    r = data.draw(st.integers(0, m - 1))
+    # Directions move with their demands; wrapping past the seam flips the
+    # direction just as it swaps u and v.
+    flip = {CW: CCW, CCW: CW}
+    moved = rotated(tuple((flag, flip[flag]) for flag in dirs), r)
+    before = pattern_from_solution(standalone_crossing(pairs), UnsplitRouting(dirs))
+    after = pattern_from_solution(
+        standalone_crossing(rotated(pairs, r)),
+        UnsplitRouting(tuple(flag for flag, _ in moved)),
+    )
+    assert performance(after) == performance(before)
