@@ -2,7 +2,8 @@
 
 Machine-readable JSON goes to stdout, a one-line human summary to stderr.
 Exit codes: 0 success, 1 validation or verification failure, 2 usage
-error.  Every numeric value in a report is an exact rational string.
+error (bad arguments, or a malformed RINGLOAD_BRUTE_CAP).  Every numeric
+value in a report is an exact rational string.
 
 Commands:
 
@@ -24,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import approx, exact, fileio, instances, model, reduction, search
-from .errors import RingLoadingError
+from .errors import InvalidSetting, RingLoadingError
 from .scaled import from_int, rational_str
 
 
@@ -310,7 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except RingLoadingError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InvalidSetting) else 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -83,6 +83,10 @@ class TooManyDemands(RingLoadingError):
     """Brute-force enumeration over 2^k routings exceeds the configured cap."""
 
 
+class InvalidSetting(RingLoadingError):
+    """An environment setting is malformed; the CLI treats it as a usage error."""
+
+
 class UnknownName(RingLoadingError):
     """No built-in instance with the requested name."""
 

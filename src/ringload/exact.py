@@ -26,7 +26,7 @@ import os
 
 import numpy as np
 
-from .errors import TooManyDemands
+from .errors import InvalidSetting, TooManyDemands
 from .model import (
     CCW,
     CW,
@@ -45,7 +45,13 @@ _CHUNK_BITS = 16
 
 def _brute_cap() -> int:
     value = os.environ.get("RINGLOAD_BRUTE_CAP")
-    return int(value) if value else DEFAULT_BRUTE_CAP
+    if not value:
+        return DEFAULT_BRUTE_CAP
+    if not (value.isascii() and value.isdigit()):
+        raise InvalidSetting(
+            f"RINGLOAD_BRUTE_CAP must be a non-negative integer, got {value!r}"
+        )
+    return int(value)
 
 
 def _path_loads(inst: RingInstance, active: list[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,8 @@ Instance document:
 "d" is an integer demand value; "cw" is the clockwise split amount, an
 integer or half-integer (e.g. 3 or 1.5).  Either every demand carries "cw"
 or none does; in the latter case the document describes an instance
-without a split routing.  Unknown keys are ignored.
+without a split routing.  An empty demand list carries the empty routing,
+which is both split and unsplittable.  Unknown keys are ignored.
 
 Routing report (produced, never parsed):
 
@@ -52,9 +53,9 @@ def _scaled_half_integer(value: object, where: str) -> Scaled:
 
 def parse_instance(data: bytes | str) -> tuple[RingInstance, SplitRouting | None]:
     """Parse and validate an instance document; the split section is optional."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
         doc = json.loads(data, parse_float=Fraction)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InstanceSyntaxError(str(exc)) from exc
@@ -83,7 +84,7 @@ def parse_instance(data: bytes | str) -> tuple[RingInstance, SplitRouting | None
         raise SchemaError("either every demand carries 'cw' or none does")
 
     inst = RingInstance(n, tuple(demands))
-    split = SplitRouting(tuple(cw_amounts)) if with_cw else None
+    split = SplitRouting(tuple(cw_amounts)) if with_cw or not demands else None
     validate_instance(inst, split)
     return inst, split
 

@@ -15,7 +15,9 @@ All types are immutable; all operations are pure functions.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (
     IndexMismatch,
@@ -99,38 +101,31 @@ def validate_routing(inst: RingInstance, routing: UnsplitRouting) -> None:
         )
 
 
-def ccw_edge_set(n: int, i: int, j: int) -> frozenset[int]:
-    """Edge indices (1-based) of the counterclockwise path i -> j."""
-    return frozenset(range(1, i)) | frozenset(range(j, n + 1))
+def path_loads(n: int, paths: Iterable[tuple[int, int, Scaled, Scaled]]) -> LoadVector:
+    """Per-edge loads of (i, j, cw_amount, ccw_amount) paths on an n-node ring.
 
-
-def _add_path(loads: list[Scaled], n: int, i: int, j: int, amount: Scaled, clockwise: bool) -> None:
-    if amount == 0:
-        return
-    if clockwise:
-        for k in range(i, j):
-            loads[k - 1] += amount
-    else:
-        for k in range(1, i):
-            loads[k - 1] += amount
-        for k in range(j, n + 1):
-            loads[k - 1] += amount
+    cw_amount covers edges i..j-1 and ccw_amount the rest: every edge gets
+    ccw_amount, and edges i..j-1 get cw_amount - ccw_amount on top, through
+    a difference array and one running sum, O(n + len(paths)).
+    """
+    diff = [0] * n
+    for i, j, cw, ccw in paths:
+        diff[0] += ccw
+        diff[i - 1] += cw - ccw
+        diff[j - 1] -= cw - ccw
+    return tuple(accumulate(diff))
 
 
 def edge_loads(inst: RingInstance, routing: SplitRouting | UnsplitRouting) -> LoadVector:
     """Per-edge loads induced by a split or unsplittable routing."""
-    loads: list[Scaled] = [0] * inst.n
     if isinstance(routing, SplitRouting):
         validate_instance(inst, routing)
-        for dem, cw in zip(inst.demands, routing.cw):
-            _add_path(loads, inst.n, dem.i, dem.j, cw, clockwise=True)
-            _add_path(loads, inst.n, dem.i, dem.j, dem.d - cw, clockwise=False)
+        cws = routing.cw
     else:
         validate_instance(inst)
         validate_routing(inst, routing)
-        for dem, flag in zip(inst.demands, routing.dirs):
-            _add_path(loads, inst.n, dem.i, dem.j, dem.d, clockwise=flag == CW)
-    return tuple(loads)
+        cws = tuple(dem.d if flag == CW else 0 for dem, flag in zip(inst.demands, routing.dirs))
+    return path_loads(inst.n, ((dem.i, dem.j, cw, dem.d - cw) for dem, cw in zip(inst.demands, cws)))
 
 
 def additive_increase(

@@ -29,11 +29,12 @@ from .model import (
     CCW,
     CW,
     Demand,
+    LoadVector,
     RingInstance,
     SplitRouting,
     UnsplitRouting,
-    ccw_edge_set,
     edge_loads,
+    path_loads,
     validate_instance,
 )
 from .scaled import Scaled
@@ -121,9 +122,26 @@ def demands_cross(n: int, first: tuple[int, int], second: tuple[int, int]) -> bo
     return inside_k != inside_l
 
 
-def _arcs(inst: RingInstance, dem: Demand) -> tuple[frozenset[int], frozenset[int]]:
-    cw = frozenset(range(dem.i, dem.j))
-    return cw, ccw_edge_set(inst.n, dem.i, dem.j)
+def _uncrossed_amounts(
+    dem_a: Demand, dem_b: Demand, cw_a: Scaled, cw_b: Scaled
+) -> tuple[Scaled, Scaled]:
+    """New clockwise amounts of a split parallel pair; no checks.
+
+    Flow min{x_b1, x_b2} moves onto the first edge-disjoint path pair in
+    the order cw/cw, cw_a/ccw_b, ccw_a/cw_b (a's clockwise arc first, for
+    determinism); two counterclockwise arcs always share edge n.
+    """
+    i, j, k, l = dem_a.i, dem_a.j, dem_b.i, dem_b.j
+    if j <= k or l <= i:
+        shift = min(dem_a.d - cw_a, dem_b.d - cw_b)
+        return cw_a + shift, cw_b + shift
+    if k <= i and j <= l:
+        shift = min(dem_a.d - cw_a, cw_b)
+        return cw_a + shift, cw_b - shift
+    if i <= k and l <= j:
+        shift = min(cw_a, dem_b.d - cw_b)
+        return cw_a - shift, cw_b + shift
+    raise NotParallel(f"demands ({i},{j}) and ({k},{l}) admit no edge-disjoint paths")
 
 
 def uncross_pair(
@@ -142,43 +160,29 @@ def uncross_pair(
     cw_a, cw_b = split.cw[a], split.cw[b]
     if cw_a in (0, dem_a.d) or cw_b in (0, dem_b.d):
         return split
-
-    arcs_a = _arcs(inst, dem_a)
-    arcs_b = _arcs(inst, dem_b)
-    # Disjoint path pair; a's clockwise arc is tried first for determinism.
-    for a_clockwise, path_a in ((True, arcs_a[0]), (False, arcs_a[1])):
-        for b_clockwise, path_b in ((True, arcs_b[0]), (False, arcs_b[1])):
-            if not (path_a & path_b):
-                flow_off_a = dem_a.d - cw_a if a_clockwise else cw_a
-                flow_off_b = dem_b.d - cw_b if b_clockwise else cw_b
-                shift = min(flow_off_a, flow_off_b)
-                new_cw = list(split.cw)
-                new_cw[a] = cw_a + shift if a_clockwise else cw_a - shift
-                new_cw[b] = cw_b + shift if b_clockwise else cw_b - shift
-                return SplitRouting(tuple(new_cw))
-    raise NotParallel(f"demands #{a} and #{b} admit no edge-disjoint paths")
+    new_cw = list(split.cw)
+    new_cw[a], new_cw[b] = _uncrossed_amounts(dem_a, dem_b, cw_a, cw_b)
+    return SplitRouting(tuple(new_cw))
 
 
 def _uncross_all(inst: RingInstance, split: SplitRouting) -> SplitRouting:
-    # Lexicographic pair scan, restarted after every change.
-    while True:
-        changed = False
-        for a in range(len(inst.demands)):
-            if split.cw[a] in (0, inst.demands[a].d):
+    # One lexicographic pair sweep.  Uncrossing (a, b) leaves a or b
+    # unsplit, an unsplit demand is never touched again and crossing is
+    # fixed, so every pair already skipped stays skipped: rescanning
+    # from the start after a change would find nothing new.
+    demands = inst.demands
+    cw = list(split.cw)
+    for a, dem_a in enumerate(demands):
+        for b in range(a + 1, len(demands)):
+            if cw[a] in (0, dem_a.d):
+                break
+            dem_b = demands[b]
+            if cw[b] in (0, dem_b.d) or demands_cross(
+                inst.n, (dem_a.i, dem_a.j), (dem_b.i, dem_b.j)
+            ):
                 continue
-            for b in range(a + 1, len(inst.demands)):
-                if split.cw[b] in (0, inst.demands[b].d):
-                    continue
-                dem_a, dem_b = inst.demands[a], inst.demands[b]
-                if demands_cross(inst.n, (dem_a.i, dem_a.j), (dem_b.i, dem_b.j)):
-                    continue
-                split = uncross_pair(inst, split, a, b)
-                changed = True
-                break
-            if changed:
-                break
-        if not changed:
-            return split
+            cw[a], cw[b] = _uncrossed_amounts(dem_a, dem_b, cw[a], cw[b])
+    return SplitRouting(tuple(cw))
 
 
 def reduce_to_crossing(
@@ -189,35 +193,18 @@ def reduce_to_crossing(
     uncrossed = _uncross_all(inst, split)
 
     fixed: list[tuple[int, str]] = []
+    fixed_paths: list[tuple[int, int, Scaled, Scaled]] = []
     remaining: list[int] = []
-    base = [0] * inst.n
     for idx, dem in enumerate(inst.demands):
         cw = uncrossed.cw[idx]
-        if cw == dem.d:
-            fixed.append((idx, CW))
-            for k in range(dem.i, dem.j):
-                base[k - 1] += dem.d
-        elif cw == 0:
-            fixed.append((idx, CCW))
-            for k in ccw_edge_set(inst.n, dem.i, dem.j):
-                base[k - 1] += dem.d
+        if cw in (0, dem.d):
+            fixed.append((idx, CW if cw == dem.d else CCW))
+            fixed_paths.append((dem.i, dem.j, cw, dem.d - cw))
         else:
             remaining.append(idx)
+    base = path_loads(inst.n, fixed_paths)
 
-    loads = edge_loads(inst, uncrossed)
     m = len(remaining)
-    if m == 0:
-        cross = CrossingInstance(
-            pairs=(),
-            D=inst.max_demand,
-            origin=inst,
-            uncrossed=uncrossed,
-            backmap=tuple((-1, load) for load in loads),
-            fixed=tuple(fixed),
-            demand_map=(),
-        )
-        return cross, SplitRouting(())
-
     endpoints: dict[int, int] = {}
     for idx in remaining:
         dem = inst.demands[idx]
@@ -267,23 +254,19 @@ def reduce_to_crossing(
     )
 
     # Contraction legality and exact load preservation.
+    loads = edge_loads(inst, uncrossed)
     reduced_loads = _crossing_split_loads(pairs)
     for k in range(inst.n):
         edge, base_load = cross.backmap[k]
-        assert loads[k] == base_load + reduced_loads[edge]
+        assert loads[k] == base_load + (reduced_loads[edge] if m else 0)
 
     return cross, SplitRouting(tuple(u for u, _ in pairs))
 
 
-def _crossing_split_loads(pairs: tuple[tuple[Scaled, Scaled], ...]) -> list[Scaled]:
+def _crossing_split_loads(pairs: tuple[tuple[Scaled, Scaled], ...]) -> LoadVector:
     """Split-routing loads on the 2m reduced edges (edge p = {p+1, p+2})."""
     m = len(pairs)
-    loads = [0] * (2 * m)
-    for k, (u, v) in enumerate(pairs):
-        for p in range(2 * m):
-            # demand k runs clockwise over edges k..k+m-1 (0-based)
-            loads[p] += u if (p - k) % (2 * m) < m else v
-    return loads
+    return path_loads(2 * m, ((k + 1, k + 1 + m, u, v) for k, (u, v) in enumerate(pairs)))
 
 
 def lift_solution(cross: CrossingInstance, z: UnsplitRouting) -> UnsplitRouting:

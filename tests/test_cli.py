@@ -21,6 +21,13 @@ def fig2_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def empty_ring_file(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"n": 5, "demands": []}')
+    return str(path)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -65,7 +72,6 @@ def test_solve_medium_matches_auto_whenever_auto_takes_medium(capsys, tmp_path):
     rings = [builtin(name) for name in ("fig2", "fig5", "fig6")]
     rings += [random_crossing(m, 10, seed).to_ring() for m in (3, 6) for seed in range(1, 6)]
     rings += [random_ring(rng, max_n=12, max_demands=8, max_d=10) for _ in range(30)]
-    rings = [(inst, split) for inst, split in rings if inst.demands]  # no demands: no split
     took_medium = 0
     for k, (inst, split) in enumerate(rings):
         path = tmp_path / f"ring{k}.json"
@@ -92,6 +98,24 @@ def test_solve_medium_without_split_demands_falls_back_to_ssw(capsys, tmp_path):
     assert report["dirs"] == ["cw", "ccw"] and report["max_increase"] == "0"
 
 
+@pytest.mark.parametrize("alg", ["ssw", "medium", "smallbig", "auto", "dp", "brute"])
+def test_solve_empty_ring(capsys, empty_ring_file, alg):
+    code, out, _ = run_cli(capsys, "solve", "--alg", alg, "-i", empty_ring_file)
+    assert code == 0
+    report = json.loads(out)
+    assert report["dirs"] == [] and report["max_increase"] == "0"
+    assert report["loads"] == ["0"] * 5
+
+
+def test_empty_ring_loads_optimum_and_extend(capsys, empty_ring_file):
+    code, out, _ = run_cli(capsys, "loads", "-i", empty_ring_file)
+    assert code == 0 and json.loads(out)["max"] == "0"
+    code, out, _ = run_cli(capsys, "optimum", "-i", empty_ring_file)
+    assert code == 0 and json.loads(out)["optimum_load"] == "0"
+    code, _, err = run_cli(capsys, "extend", "-i", empty_ring_file)
+    assert code == 0 and "added 0 demands" in err
+
+
 def test_solve_dp_equals_brute(capsys, fig2_file):
     code, out, _ = run_cli(capsys, "solve", "--alg", "dp", "-i", fig2_file)
     dp = json.loads(out)["max_increase"]
@@ -115,6 +139,14 @@ def test_solve_malformed_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "solve", "--alg", "dp", "-i", str(path))
     assert code == 1
     assert "SchemaError" in err
+
+
+def test_non_utf8_file_is_a_syntax_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 4, "demands": [], "note": "caf\xe9"}')
+    code, out, err = run_cli(capsys, "solve", "--alg", "auto", "-i", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: InstanceSyntaxError:") and len(err.splitlines()) == 1
 
 
 def test_usage_error_exit_code(capsys):
@@ -243,3 +275,16 @@ def test_brute_cap_env_override(capsys, monkeypatch, fig2_file):
     code, _, err = run_cli(capsys, "solve", "--alg", "brute", "-i", fig2_file)
     assert code == 1
     assert "TooManyDemands" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", "+4", " 4", "1e3"])
+@pytest.mark.parametrize("command", [("solve", "--alg", "brute"), ("optimum",)])
+def test_brute_cap_must_be_a_non_negative_integer(
+    capsys, monkeypatch, fig2_file, empty_ring_file, value, command
+):
+    # The empty ring too: no demand can exceed a cap, but the setting is still wrong.
+    monkeypatch.setenv("RINGLOAD_BRUTE_CAP", value)
+    for path in (fig2_file, empty_ring_file):
+        code, out, err = run_cli(capsys, *command, "-i", path)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "RINGLOAD_BRUTE_CAP" in err

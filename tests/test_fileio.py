@@ -9,7 +9,7 @@ from conftest import random_ring
 from ringload.errors import InstanceSyntaxError, NodeOutOfRange, SchemaError
 from ringload.fileio import parse_instance, routing_report, write_instance
 from ringload.instances import builtin
-from ringload.model import UnsplitRouting
+from ringload.model import RingInstance, SplitRouting, UnsplitRouting
 from ringload.scaled import from_int
 
 
@@ -26,10 +26,16 @@ def test_round_trip_random_instances():
     rng = random.Random(21)
     for _ in range(100):
         inst, split = random_ring(rng)
-        # An empty demand list cannot carry a split section at all.
-        expected = split if inst.demands else None
-        assert parse_instance(write_instance(inst, split)) == (inst, expected)
-        assert parse_instance(write_instance(inst)) == (inst, None)
+        assert parse_instance(write_instance(inst, split)) == (inst, split)
+        # An empty demand list always carries the empty routing.
+        expected = None if inst.demands else SplitRouting(())
+        assert parse_instance(write_instance(inst)) == (inst, expected)
+
+
+def test_empty_demand_list_round_trips_with_the_empty_routing():
+    inst = RingInstance(5, ())
+    for split in (SplitRouting(()), None):
+        assert parse_instance(write_instance(inst, split)) == (inst, SplitRouting(()))
 
 
 def test_half_integer_cw_round_trips():
@@ -48,6 +54,8 @@ def test_cw_absent_gives_instance_without_split():
 def test_malformed_json_is_a_syntax_error():
     with pytest.raises(InstanceSyntaxError):
         parse_instance(b'{"n": 4, "demands": [')
+    with pytest.raises(InstanceSyntaxError):
+        parse_instance(b'{"n": 4, "demands": [], "note": "caf\xe9"}')  # not UTF-8
 
 
 @pytest.mark.parametrize(

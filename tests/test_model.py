@@ -23,6 +23,7 @@ from ringload.model import (
     edge_loads,
     validate_instance,
 )
+from ringload.reduction import _crossing_split_loads, reduce_to_crossing
 from ringload.scaled import from_int
 
 
@@ -148,3 +149,41 @@ def test_opposite_edge_changes_cancel_on_crossing_instances():
 def test_direction_flags_are_checked():
     with pytest.raises(ValueError):
         UnsplitRouting(("clockwise",))
+
+
+def per_edge_loads(inst, cws):
+    """Reference loads: for each edge, sum the amounts of the paths covering it."""
+    loads = []
+    for e in range(1, inst.n + 1):
+        load = 0
+        for dem, cw in zip(inst.demands, cws):
+            load += cw if dem.i <= e < dem.j else dem.d - cw
+        loads.append(load)
+    return tuple(loads)
+
+
+def test_edge_loads_match_per_edge_sums():
+    # Split and unsplit routings, zero amounts, and (1, n) demands whose
+    # counterclockwise path is edge n alone.
+    rng = random.Random(14)
+    for trial in range(300):
+        inst, split = random_ring(rng, max_n=12, max_demands=10)
+        if trial % 3 == 0:
+            n = inst.n
+            inst = RingInstance(n, inst.demands + (Demand(1, n, from_int(3)), Demand(1, n, 0)))
+            split = SplitRouting(split.cw + (rng.choice((0, 42, from_int(3))), 0))
+        assert edge_loads(inst, split) == per_edge_loads(inst, split.cw)
+        dirs = tuple(rng.choice((CW, CCW)) for _ in inst.demands)
+        cws = [dem.d if flag == CW else 0 for dem, flag in zip(inst.demands, dirs)]
+        assert edge_loads(inst, UnsplitRouting(dirs)) == per_edge_loads(inst, cws)
+
+
+def test_crossing_split_loads_match_the_ring_form():
+    rng = random.Random(15)
+    checked = 0
+    for _ in range(300):
+        cross, _ = reduce_to_crossing(*random_ring(rng, max_n=12, max_demands=10))
+        if cross.m >= 2:
+            assert _crossing_split_loads(cross.pairs) == edge_loads(*cross.to_ring())
+            checked += 1
+    assert checked >= 20

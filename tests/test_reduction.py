@@ -238,6 +238,115 @@ def test_lift_is_load_consistent_for_every_solution():
         checked += 1
 
 
+def reference_uncross_pair(inst, split, a, b):
+    """Uncrossing with arcs as edge sets: the first disjoint arc pair wins."""
+    dem_a, dem_b = inst.demands[a], inst.demands[b]
+    cw_a, cw_b = split.cw[a], split.cw[b]
+
+    def arcs(dem):
+        cw = frozenset(range(dem.i, dem.j))
+        return cw, frozenset(range(1, inst.n + 1)) - cw
+
+    for a_clockwise, path_a in zip((True, False), arcs(dem_a)):
+        for b_clockwise, path_b in zip((True, False), arcs(dem_b)):
+            if not (path_a & path_b):
+                off_a = dem_a.d - cw_a if a_clockwise else cw_a
+                off_b = dem_b.d - cw_b if b_clockwise else cw_b
+                shift = min(off_a, off_b)
+                new_cw = list(split.cw)
+                new_cw[a] = cw_a + shift if a_clockwise else cw_a - shift
+                new_cw[b] = cw_b + shift if b_clockwise else cw_b - shift
+                return SplitRouting(tuple(new_cw))
+    raise AssertionError(f"demands #{a} and #{b} admit no edge-disjoint paths")
+
+
+def reference_uncross_all(inst, split):
+    """Lexicographic pair scan, restarted from the first pair after every change."""
+    while True:
+        for a, b in itertools.combinations(range(len(inst.demands)), 2):
+            dem_a, dem_b = inst.demands[a], inst.demands[b]
+            if split.cw[a] in (0, dem_a.d) or split.cw[b] in (0, dem_b.d):
+                continue
+            if demands_cross(inst.n, (dem_a.i, dem_a.j), (dem_b.i, dem_b.j)):
+                continue
+            split = reference_uncross_pair(inst, split, a, b)
+            break
+        else:
+            return split
+
+
+def reference_crossing_form(inst, uncrossed):
+    """fixed, demand_map, pairs and backmap of an uncrossed split, edge by edge."""
+    fixed, still_split = [], []
+    for idx, (dem, cw) in enumerate(zip(inst.demands, uncrossed.cw)):
+        if cw in (0, dem.d):
+            fixed.append((idx, CW if cw == dem.d else CCW))
+        else:
+            still_split.append(idx)
+    m = len(still_split)
+    demand_map = sorted(still_split, key=lambda idx: inst.demands[idx].i)
+    pairs = tuple(
+        (uncrossed.cw[idx], inst.demands[idx].d - uncrossed.cw[idx]) for idx in demand_map
+    )
+    nodes = [node for idx in still_split for node in (inst.demands[idx].i, inst.demands[idx].j)]
+    backmap = []
+    for e in range(1, inst.n + 1):
+        base = 0
+        for idx, flag in fixed:
+            dem = inst.demands[idx]
+            if (dem.i <= e < dem.j) == (flag == CW):
+                base += dem.d
+        # Edge e belongs to the reduced edge of the last endpoint at or
+        # before node e, and to the wrap edge 2m - 1 before the first one.
+        reduced = sum(1 for node in nodes if node <= e) - 1
+        backmap.append((reduced % (2 * m) if m else -1, base))
+    return tuple(fixed), tuple(demand_map), pairs, tuple(backmap)
+
+
+def assert_reduction_matches_reference(inst, split):
+    cross, reduced = reduce_to_crossing(inst, split)
+    uncrossed = reference_uncross_all(inst, split)
+    assert cross.uncrossed == uncrossed
+    assert (cross.fixed, cross.demand_map, cross.pairs, cross.backmap) == (
+        reference_crossing_form(inst, uncrossed)
+    )
+    assert reduced.cw == tuple(u for u, _ in cross.pairs)
+    for a, b in itertools.permutations(range(len(inst.demands)), 2):
+        dem_a, dem_b = inst.demands[a], inst.demands[b]
+        if split.cw[a] in (0, dem_a.d) or split.cw[b] in (0, dem_b.d):
+            continue
+        if not demands_cross(inst.n, (dem_a.i, dem_a.j), (dem_b.i, dem_b.j)):
+            assert uncross_pair(inst, split, a, b) == reference_uncross_pair(inst, split, a, b)
+
+
+def test_reduction_matches_restart_scan_reference_on_random_rings():
+    rng = random.Random(36)
+    for trial in range(300):
+        inst, split = random_ring(rng, max_n=5 + trial % 8, max_demands=12)
+        assert_reduction_matches_reference(inst, split)
+
+
+@st.composite
+def split_rings(draw):
+    """Small rings: shared endpoints, identical and zero demands, half-integer splits."""
+    n = draw(st.integers(3, 9))
+    demands, cw = [], []
+    for _ in range(draw(st.integers(0, 10))):
+        if demands and draw(st.booleans()):
+            dem = draw(st.sampled_from(demands))
+        else:
+            i = draw(st.integers(1, n - 1))
+            dem = Demand(i, draw(st.integers(i + 1, n)), from_int(draw(st.integers(0, 6))))
+        demands.append(dem)
+        cw.append(draw(st.integers(0, 2 * dem.d // 28)) * 14)  # multiples of one half
+    return RingInstance(n, tuple(demands)), SplitRouting(tuple(cw))
+
+
+@given(split_rings())
+def test_reduction_matches_restart_scan_reference(ring):
+    assert_reduction_matches_reference(*ring)
+
+
 pair_sequences = st.lists(
     st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=8
 ).map(tuple)
