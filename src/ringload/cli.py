@@ -43,8 +43,10 @@ def _emit(report: dict, summary: str) -> None:
 
 
 def _solve_report(inst, split, unsplit, extra: dict) -> dict:
-    increase = model.additive_increase(inst, split, unsplit)
-    report = fileio.routing_report(unsplit, increase, model.edge_loads(inst, unsplit))
+    before = model.edge_loads(inst, split)
+    after = model.edge_loads(inst, unsplit)
+    increase = model.load_increase(before, after)
+    report = fileio.routing_report(unsplit, increase, after)
     report.update(extra)
     return report
 

@@ -153,14 +153,21 @@ def _reachable_parities(pairs: list[tuple[int, int]]) -> set[int]:
     return {base}
 
 
+def _window(t, y):
+    """The window [lo, hi] = [ceil((y-t)/2), floor((y+t)/2)] for points p(k), k >= 1.
+
+    Works elementwise when t or y is a numpy array.
+    """
+    return -((t - y) // 2), (y + t) // 2
+
+
 def _dp_masks(pairs: list[tuple[int, int]], t: int, y: int) -> list[int] | None:
     """Reachable-point bitmasks per level, or None when p(m) = y is unreachable.
 
     Level k >= 1 points are confined to [ceil((y-t)/2), floor((y+t)/2)];
     bit b of masks[k] stands for point lo + b.  p(0) = 0 is unconstrained.
     """
-    lo = -((t - y) // 2)  # ceil((y - t) / 2)
-    hi = (y + t) // 2
+    lo, hi = _window(t, y)
     if lo > hi:
         return None
     width = hi - lo + 1
@@ -189,8 +196,7 @@ def _dp_solution(
 ) -> UnsplitRouting:
     """Walk the masks backward from p(m) = y, preferring clockwise steps."""
     m = len(pairs)
-    lo = -((t - y) // 2)
-    hi = (y + t) // 2
+    lo, hi = _window(t, y)
     dirs = [CW] * m
     point = y
     for k in range(m, 0, -1):
@@ -238,6 +244,35 @@ def dp_feasible_any_y(
         if masks is not None:
             return y, masks
     return None
+
+
+def dp_feasible_block(U: np.ndarray, V: np.ndarray, t: int) -> np.ndarray:
+    """Row-wise `dp_feasible_any_y(pairs, t) is not None` for (rows, m) arrays.
+
+    Row r stands for the pairs (U[r, k], V[r, k]).  All end points y in
+    [-t, t] run at once as columns; a row is feasible when the mask of some
+    y of a reachable parity has bit y - lo set.  The masks are int64 while
+    every shifted bit stays below the sign bit (a window of at most t + 1
+    bits, shifted left by at most max V) and Python ints otherwise.
+    """
+    rows, m = U.shape
+    if m == 0:
+        return np.full(rows, t >= 0)
+    dtype = np.int64 if t + 1 + int(V.max(initial=0)) <= 62 else object
+    ys = np.arange(-t, t + 1)
+    lo, hi = _window(t, ys)
+    full = np.array([(1 << int(w)) - 1 for w in hi - lo + 1], dtype=dtype)
+    mask = np.zeros((rows, len(ys)), dtype=dtype)
+    for cand in (V[:, :1], -U[:, :1]):
+        inside = (lo <= cand) & (cand <= hi)
+        shift = np.where(inside, cand - lo, 0).astype(dtype)
+        mask |= np.where(inside, 1 << shift, 0).astype(dtype)
+    for k in range(1, m):
+        mask = ((mask << V[:, k : k + 1]) | (mask >> U[:, k : k + 1])) & full
+    end = ((mask >> (ys - lo).astype(dtype)) & 1) == 1
+    parity = V.sum(axis=1, keepdims=True) & 1
+    reach = ((U + V) & 1).any(axis=1, keepdims=True) | (parity == (ys & 1))
+    return (end & reach).any(axis=1)
 
 
 def dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, Scaled]:

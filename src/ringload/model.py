@@ -132,6 +132,9 @@ def additive_increase(
     inst: RingInstance, split: SplitRouting, unsplit: UnsplitRouting
 ) -> Scaled:
     """Maximum over edges of (load under unsplit) - (load under split)."""
-    before = edge_loads(inst, split)
-    after = edge_loads(inst, unsplit)
+    return load_increase(edge_loads(inst, split), edge_loads(inst, unsplit))
+
+
+def load_increase(before: LoadVector, after: LoadVector) -> Scaled:
+    """Maximum over edges of after - before."""
     return max(a - b for a, b in zip(after, before))

@@ -15,31 +15,47 @@ the other.  The symmetries acting on sequences are generated by
   * the half-turn, which is rotation by m nodes and swaps u and v
     everywhere.
 
-Only alignment-preserving group elements (value-D demands stay at odd
-positions) are used for canonicalization; the canonical form is the
-lexicographically smallest aligned image.  A shard (index, count) covers
+Only aligned images (value-D demands at every odd position) count for
+canonicalization; the canonical form is the lexicographically smallest
+aligned image.  Alignment is a property of the image, not of the group
+element: an element that moves odd positions onto even ones (an odd
+rotation, or a reflection) still gives an aligned image of a member
+whose free positions all carry value D.  A shard (index, count) covers
 a contiguous slice of the mixed-radix index space, evaluates exactly the
 canonical members inside it, and reports those whose minimum possible
 increase reaches the threshold; the union over all shards is exhaustive
 and duplicate-free.
 
-Screening is exact: a member is discarded once a routing with increase
-at most threshold - 1 exists (one DP feasibility check); survivors get a
-full minimum-increase computation.
+A shard is scanned in blocks of _BLOCK indices, each handled in numpy:
+decode_block decodes the block into (rows, m) arrays U and V; rows with
+an even clockwise total drop out; canonical_mask keeps the canonical
+rows by comparing packed lexicographic keys of all images at once; and
+exact.dp_feasible_block screens out every row with a routing of
+increase at most threshold - 1.  Only the survivors get a full
+minimum-increase computation (exact.dp_min_increase).  Every step falls
+back from int64 to Python ints where int64 could overflow, so the block
+path is exact for any m and D.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
+import numpy as np
+
 from .errors import InfeasibleParams
-from .exact import dp_feasible_any_y, dp_min_increase
+from .exact import dp_feasible_block, dp_min_increase
 from .reduction import rotated, standalone_crossing
 from .scaled import Scaled, from_int, unscale
 
 Pairs = tuple[tuple[int, int], ...]  # plain-integer (u, v) sequences
+
+# Indices per numpy block.  A shard is never held whole, and 2048 runs as
+# fast as 4096 while holding half the memory (about 1 MB at m=8, D=10).
+_BLOCK = 2048
 
 
 def _reflect(pairs: Pairs) -> Pairs:
@@ -77,11 +93,47 @@ class CanonicalForm:
         return cls(best)
 
 
-def _is_canonical(pairs: Pairs, D: int) -> bool:
-    for image in symmetry_orbit(pairs):
-        if _aligned(image, D) and image < pairs:
-            return False
-    return True
+@cache
+def _symmetries(m: int, D: int) -> tuple[np.ndarray, np.ndarray]:
+    """Key weights and odd-position sources of every symmetry, per (m, D).
+
+    The images of the labels ((k, m + k) for k) under symmetry_orbit show
+    where image position j takes its pair from: a first label k is source
+    position k as is, a first label m + k is source position k with u and
+    v swapped.  Column g of the (2m, G) weight matrix puts B^(2(m-1-j)),
+    B = D + 1, on that source's column of [U B + V | V B + U], so one
+    matrix product packs all G images into keys whose order is
+    lexicographic order; column 0 is the identity.  The (G, m/2) array
+    holds the source positions of the odd image positions.  Weights are
+    int64 when B^(2m) < 2^63 and Python ints otherwise.
+    """
+    labels = tuple((k, m + k) for k in range(m))
+    images = [labels] + sorted(symmetry_orbit(labels) - {labels})
+    base = D + 1
+    dtype = np.int64 if base ** (2 * m) < 2**63 else object
+    weights = np.zeros((2 * m, len(images)), dtype=dtype)
+    for g, image in enumerate(images):
+        for j, (first, _) in enumerate(image):
+            weights[first, g] = base ** (2 * (m - 1 - j))
+    odd_sources = np.array([[first % m for first, _ in image[1::2]] for image in images])
+    weights.setflags(write=False)
+    odd_sources.setflags(write=False)
+    return weights, odd_sources
+
+
+def canonical_mask(U: np.ndarray, V: np.ndarray, D: int) -> np.ndarray:
+    """Row-wise "no aligned symmetry image is lexicographically smaller".
+
+    Row r stands for the pairs (U[r, k], V[r, k]) with entries in 0..D.
+    An image counts only where it is aligned, that is where every source
+    position feeding an odd image position carries value D.
+    """
+    weights, odd_sources = _symmetries(U.shape[1], D)
+    base = D + 1
+    packed = np.concatenate([U * base + V, V * base + U], axis=1)
+    keys = packed.astype(weights.dtype, copy=False) @ weights
+    counted = (U + V == D)[:, odd_sources].all(axis=2)
+    return ((keys >= keys[:, :1]) | ~counted).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -117,6 +169,22 @@ class StructuredFamily:
                 index, code = divmod(index, self.free_choices)
                 pairs.append(self._free_pair(code))
         return tuple(pairs)
+
+    def decode_block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """decode(index) for lo <= index < hi, as (rows, m) arrays U and V."""
+        index = np.arange(lo, hi, dtype=np.int64 if self.size < 2**63 else object)
+        free = np.array([self._free_pair(code) for code in range(self.free_choices)])
+        U = np.empty((hi - lo, self.m), dtype=np.int64)
+        V = np.empty_like(U)
+        for pos in range(self.m):
+            radix = self.pinned_choices if pos % 2 else self.free_choices
+            code = (index % radix).astype(np.int64)
+            index = index // radix
+            if pos % 2:
+                U[:, pos], V[:, pos] = code + 1, self.D - code - 1
+            else:
+                U[:, pos], V[:, pos] = free[code, 0], free[code, 1]
+        return U, V
 
     def _free_pair(self, code: int) -> tuple[int, int]:
         # pairs ordered by d = 2, 4, ..., D then u = 1..d-1; the block for
@@ -180,19 +248,26 @@ def search_lower_bound(
             start = max(start, int(lines[-1]) + 1)
 
     hits = []
-    for index in range(start, stop):
-        pairs = family.decode(index)
-        if sum(u for u, _ in pairs) % 2 and _is_canonical(pairs, D):
-            if dp_feasible_any_y(pairs, threshold_int - 1) is None:
-                cross = standalone_crossing(
-                    tuple((from_int(u), from_int(v)) for u, v in pairs), from_int(D)
-                )
-                _, value = dp_min_increase(cross)
-                if value >= threshold:
-                    hits.append(SearchHit(CanonicalForm(pairs), value))
-        if checkpoint is not None and (index + 1 - start) % checkpoint_step == 0:
-            with checkpoint.open("a") as handle:
-                handle.write(f"{index}\n")
+    for lo in range(start, stop, _BLOCK):
+        hi = min(lo + _BLOCK, stop)
+        U, V = family.decode_block(lo, hi)
+        rows = np.flatnonzero(U.sum(axis=1) & 1)
+        rows = rows[canonical_mask(U[rows], V[rows], D)]
+        rows = rows[~dp_feasible_block(U[rows], V[rows], threshold_int - 1)]
+        for row in rows:
+            pairs = tuple(zip(U[row].tolist(), V[row].tolist()))
+            cross = standalone_crossing(
+                tuple((from_int(u), from_int(v)) for u, v in pairs), from_int(D)
+            )
+            _, value = dp_min_increase(cross)
+            if value >= threshold:
+                hits.append(SearchHit(CanonicalForm(pairs), value))
+        if checkpoint is not None:
+            # every index c in the block with (c + 1 - start) % checkpoint_step == 0
+            marks = range(lo + (start - 1 - lo) % checkpoint_step, hi, checkpoint_step)
+            if marks:
+                with checkpoint.open("a") as handle:
+                    handle.write("".join(f"{index}\n" for index in marks))
     if checkpoint is not None:
         with checkpoint.open("a") as handle:
             handle.write(f"{stop - 1}\n")

@@ -2,21 +2,29 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from ringload.errors import InfeasibleParams
-from ringload.exact import dp_min_increase
+from ringload.exact import dp_feasible_any_y, dp_feasible_block, dp_min_increase
 from ringload.instances import _FIG2_VU, _FIG6_VU
 from ringload.reduction import standalone_crossing
-from ringload.scaled import from_int
+from ringload.scaled import from_int, unscale
 from ringload.search import (
     CanonicalForm,
+    SearchHit,
     StructuredFamily,
+    _BLOCK,
+    _aligned,
+    canonical_mask,
     search_lower_bound,
     search_parallel,
     shard_range,
     symmetry_orbit,
 )
+
+# Families small enough to canonicalize whole with the scalar oracle.
+SMALL_FAMILIES = ((2, 4), (2, 6), (4, 4), (4, 6), (6, 4), (4, 8), (6, 6))
 
 
 def dp_of(pairs, D):
@@ -24,6 +32,68 @@ def dp_of(pairs, D):
         tuple((from_int(u), from_int(v)) for u, v in pairs), from_int(D)
     )
     return dp_min_increase(cross)[1]
+
+
+def _is_canonical(pairs, D):
+    """Scalar canonicity oracle: no aligned image is smaller."""
+    for image in symmetry_orbit(pairs):
+        if _aligned(image, D) and image < pairs:
+            return False
+    return True
+
+
+def scalar_search(m, D, threshold, shard=(0, 1), checkpoint=None, checkpoint_step=1 << 20):
+    """The per-index scan that the block path replaced, kept as its reference."""
+    family = StructuredFamily(m, D)
+    threshold_int = unscale(threshold)
+    start, stop = shard_range(family.size, shard)
+    if checkpoint is not None and checkpoint.exists():
+        lines = checkpoint.read_text().split()
+        if lines:
+            start = max(start, int(lines[-1]) + 1)
+    hits = []
+    for index in range(start, stop):
+        pairs = family.decode(index)
+        if sum(u for u, _ in pairs) % 2 and _is_canonical(pairs, D):
+            if dp_feasible_any_y(pairs, threshold_int - 1) is None:
+                value = dp_of(pairs, D)
+                if value >= threshold:
+                    hits.append(SearchHit(CanonicalForm(pairs), value))
+        if checkpoint is not None and (index + 1 - start) % checkpoint_step == 0:
+            with checkpoint.open("a") as handle:
+                handle.write(f"{index}\n")
+    if checkpoint is not None:
+        with checkpoint.open("a") as handle:
+            handle.write(f"{stop - 1}\n")
+    return hits
+
+
+def rows_of(U, V):
+    return [tuple(zip(u, v)) for u, v in zip(U.tolist(), V.tolist())]
+
+
+def assert_block_matches_decode(family, lo, hi):
+    U, V = family.decode_block(lo, hi)
+    assert U.shape == V.shape == (hi - lo, family.m)
+    assert rows_of(U, V) == [family.decode(index) for index in range(lo, hi)]
+    return U, V
+
+
+def decode_indices(family, indices):
+    blocks = [family.decode_block(index, index + 1) for index in indices]
+    return np.concatenate([U for U, _ in blocks]), np.concatenate([V for _, V in blocks])
+
+
+def assert_canonical_mask_matches_oracle(U, V, D):
+    expected = [_is_canonical(pairs, D) for pairs in rows_of(U, V)]
+    assert canonical_mask(U, V, D).tolist() == expected
+    return expected
+
+
+def assert_screen_matches_oracle(U, V, t):
+    expected = [dp_feasible_any_y(pairs, t) is not None for pairs in rows_of(U, V)]
+    assert dp_feasible_block(U, V, t).tolist() == expected
+    return expected
 
 
 def test_symmetry_images_preserve_min_increase():
@@ -131,3 +201,140 @@ def test_parallel_search_matches_serial():
     serial = search_lower_bound(2, 4, threshold)
     parallel = search_parallel(2, 4, threshold, shards=5, jobs=2)
     assert sorted(h.form.pairs for h in serial) == sorted(h.form.pairs for h in parallel)
+
+
+@pytest.mark.parametrize("m, D", SMALL_FAMILIES)
+def test_block_decode_and_canonical_mask_on_whole_families(m, D):
+    family = StructuredFamily(m, D)
+    U, V = assert_block_matches_decode(family, 0, family.size)
+    expected = assert_canonical_mask_matches_oracle(U, V, D)
+    # Rows whose free positions all carry value D: there the misaligned
+    # group elements give aligned images and must be counted.
+    value_d = (U + V == D).all(axis=1)
+    assert value_d.any()
+    assert not all(expected[row] for row in np.flatnonzero(value_d))
+
+
+def test_block_path_on_slices_of_the_m8_family():
+    family = StructuredFamily(8, 10)
+    rng = random.Random(84)
+    for _ in range(6):
+        lo = rng.randrange(family.size - 300)
+        U, V = assert_block_matches_decode(family, lo, lo + 300)
+        assert_canonical_mask_matches_oracle(U, V, 10)
+        for t in (9, 10, 11):
+            assert_screen_matches_oracle(U, V, t)
+
+
+@pytest.mark.parametrize("m, D", [(2, 4), (2, 6), (4, 4), (4, 6), (6, 4)])
+def test_block_screen_matches_scalar_screen_on_whole_families(m, D):
+    family = StructuredFamily(m, D)
+    U, V = family.decode_block(0, family.size)
+    outcomes = set()
+    for t in range(-1, 3 * D // 2 + 2):
+        outcomes.update(assert_screen_matches_oracle(U, V, t))
+    assert outcomes == {True, False}
+
+
+def test_block_screen_matches_scalar_screen_off_the_family():
+    # Odd u + v, zero entries and m = 0 or 1 reach both parities and the
+    # edge cases of the first step.
+    rng = np.random.default_rng(85)
+    for m in range(0, 7):
+        U = rng.integers(0, 7, size=(60, m))
+        V = rng.integers(0, 7, size=(60, m))
+        for t in range(-1, 11):
+            assert_screen_matches_oracle(U, V, t)
+
+
+def test_block_screen_on_python_ints_when_the_shifts_overflow_int64():
+    family = StructuredFamily(4, 70)
+    rng = random.Random(86)
+    U, V = decode_indices(family, [rng.randrange(family.size) for _ in range(300)])
+    outcomes = set()
+    for t in (20, 70, 100):
+        assert t + 1 + V.max() > 62
+        outcomes.update(assert_screen_matches_oracle(U, V, t))
+    assert outcomes == {True, False}
+
+
+def test_canonical_mask_on_python_ints_when_the_keys_overflow_int64():
+    family = StructuredFamily(6, 38)
+    assert (family.D + 1) ** (2 * family.m) >= 2**63
+    rng = random.Random(87)
+    expected = []
+    for _ in range(4):
+        lo = rng.randrange(family.size - 200)
+        U, V = assert_block_matches_decode(family, lo, lo + 200)
+        expected += assert_canonical_mask_matches_oracle(U, V, 38)
+    # Members whose free positions all carry value D, and their canonical forms.
+    members = [
+        tuple((u, 38 - u) for u in (rng.randrange(1, 38) for _ in range(6)))
+        for _ in range(200)
+    ]
+    members += [CanonicalForm.of(pairs, 38).pairs for pairs in members[:50]]
+    U, V = decode_indices(family, [family.encode(pairs) for pairs in members])
+    expected += assert_canonical_mask_matches_oracle(U, V, 38)
+    assert set(expected) == {True, False}
+
+
+def test_block_path_on_a_family_larger_than_int64():
+    family = StructuredFamily(18, 10)
+    assert family.size >= 2**63
+    top = assert_block_matches_decode(family, family.size - 2000, family.size)
+    assert_canonical_mask_matches_oracle(*top, 10)
+    # A slice near the top that holds canonical members with increase 9.
+    count = family.size // 2000
+    shard = (count - 55434, count)
+    lo, hi = shard_range(family.size, shard)
+    assert lo >= 2**63 and hi - lo >= 2000
+    U, V = assert_block_matches_decode(family, lo, hi)
+    assert any(assert_canonical_mask_matches_oracle(U, V, 10))
+    found = {}
+    for threshold in (9, 10):
+        found[threshold] = search_lower_bound(18, 10, from_int(threshold), shard=shard)
+        assert found[threshold] == scalar_search(18, 10, from_int(threshold), shard=shard)
+    assert found[9] and not found[10]
+
+
+@pytest.mark.parametrize("shard", [(46568, 200000), (77770, 200000)])
+def test_block_search_matches_scalar_search_on_m8_sub_shards(shard):
+    threshold = from_int(11)
+    hits = search_lower_bound(8, 10, threshold, shard=shard)
+    assert hits == scalar_search(8, 10, threshold, shard=shard)
+
+
+def test_block_search_matches_scalar_search_on_small_families():
+    for m, D in SMALL_FAMILIES[:-1]:
+        for threshold in range(0, 3 * D // 2 + 2):
+            for shard in ((0, 1), (2, 3)):
+                expected = scalar_search(m, D, from_int(threshold), shard=shard)
+                assert search_lower_bound(m, D, from_int(threshold), shard=shard) == expected
+
+
+@pytest.mark.parametrize("step", [1, 5, 7, 3000, 4096])
+def test_checkpoint_file_matches_scalar_scan(tmp_path, step):
+    # (4, 8) has 12544 members, several blocks; shard 1/3 starts inside one.
+    threshold = from_int(7)
+    block_file, scalar_file = tmp_path / "block.txt", tmp_path / "scalar.txt"
+    for shard in ((0, 1), (1, 3)):
+        hits = search_lower_bound(4, 8, threshold, shard, block_file, step)
+        assert hits == scalar_search(4, 8, threshold, shard, scalar_file, step)
+        assert hits
+        assert block_file.read_bytes() == scalar_file.read_bytes()
+        block_file.unlink()
+        scalar_file.unlink()
+
+
+@pytest.mark.parametrize("resume_after", [0, _BLOCK - 1, _BLOCK, 5000, 12542, 12543])
+def test_checkpoint_resume_from_the_middle_of_a_shard(tmp_path, resume_after):
+    threshold = from_int(7)
+    block_file, scalar_file = tmp_path / "block.txt", tmp_path / "scalar.txt"
+    for path in (block_file, scalar_file):
+        path.write_text(f"{resume_after}\n")
+    hits = search_lower_bound(4, 8, threshold, checkpoint=block_file, checkpoint_step=7)
+    assert hits == scalar_search(4, 8, threshold, checkpoint=scalar_file, checkpoint_step=7)
+    assert block_file.read_bytes() == scalar_file.read_bytes()
+    full = search_lower_bound(4, 8, threshold)
+    family = StructuredFamily(4, 8)
+    assert hits == [hit for hit in full if family.encode(hit.form.pairs) > resume_after]
