@@ -54,17 +54,12 @@ class SolveReport:
 
 
 def solution_from_pattern(pattern: Pattern) -> UnsplitRouting:
-    """Read direction flags off the pattern's steps."""
-    dirs = []
-    for k, (u, v) in enumerate(pattern.owner.pairs):
-        step = pattern.points[k + 1] - pattern.points[k]
-        if step == v:
-            dirs.append(CW)
-        elif step == -u:
-            dirs.append(CCW)
-        else:
-            raise StepMismatch(f"step #{k} matches neither +v nor -u")
-    return UnsplitRouting(tuple(dirs))
+    """Read direction flags off the pattern's steps (Pattern admits only +v or -u)."""
+    points = pattern.points
+    return UnsplitRouting(tuple(
+        CW if points[k + 1] - points[k] == v else CCW
+        for k, (_, v) in enumerate(pattern.owner.pairs)
+    ))
 
 
 def pattern_from_solution(

@@ -2,8 +2,9 @@
 
 Machine-readable JSON goes to stdout, a one-line human summary to stderr.
 Exit codes: 0 success, 1 validation or verification failure, 2 usage
-error (bad arguments, or a malformed RINGLOAD_BRUTE_CAP).  Every numeric
-value in a report is an exact rational string.
+error (bad arguments, conflicting search options, or a malformed
+RINGLOAD_BRUTE_CAP).  Every numeric value in a report is an exact
+rational string.
 
 Commands:
 
@@ -12,8 +13,8 @@ Commands:
   verify {fig1|fig2|fig5|fig6|fig7|fig8|all}
   gen --m M --d D --seed S [--structured]
   extend -i FILE
-  search --m M --d D --threshold T [--shard I/N] [--full] [--jobs J]
-         [--checkpoint-dir DIR]
+  search --m M --d D --threshold T (--shard I/N [--checkpoint-dir DIR]
+         | --full [--jobs J])
   optimum -i FILE
 """
 
@@ -219,10 +220,15 @@ def _positive_int(text: str) -> int:
 
 def _cmd_search(args) -> int:
     threshold = from_int(args.threshold)
+    if args.shard is not None and args.full:
+        raise InvalidSetting("--shard and --full exclude each other; pass one of them")
+    if args.full and args.checkpoint_dir:
+        raise InvalidSetting("--checkpoint-dir needs --shard; --full keeps no checkpoints")
     if args.shard is None and not args.full:
+        size = search.StructuredFamily(args.m, args.d).size
         raise RingLoadingError(
-            "a full family search takes hours; pass --full to run it anyway, "
-            "or --shard I/N for one slice"
+            f"the m={args.m}, D={args.d} family has {size} members; pass --full "
+            "to scan them all, or --shard I/N for one slice"
         )
     if args.shard is not None:
         checkpoint = None

@@ -84,7 +84,10 @@ class TooManyDemands(RingLoadingError):
 
 
 class InvalidSetting(RingLoadingError):
-    """An environment setting is malformed; the CLI treats it as a usage error."""
+    """An environment setting or a combination of options is invalid.
+
+    The CLI treats it as a usage error (exit 2).
+    """
 
 
 class UnknownName(RingLoadingError):

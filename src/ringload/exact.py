@@ -1,27 +1,32 @@
 """Exact solvers: enumeration over all routings and a pseudo-polynomial DP.
 
-Brute force enumerates all 2^k direction vectors for the k nonzero
-demands, evaluating loads for chunks of routings at once (a bit matrix
-times a per-demand load-delta matrix).  The arithmetic runs in float64,
-which is exact here: every entry is an integer far below 2^53, and this
-is asserted before enumeration.  Direction vectors are ordered
-lexicographically with demand 0 as the most significant position and
-clockwise before counterclockwise, so ties resolve to the
-lexicographically smallest vector.
+Brute force is a subset-sum enumeration over all 2^k direction vectors
+for the k nonzero demands.  Loads are kept per segment between
+consecutive demand endpoints (at most 2k+1 columns, whatever n is), and
+each routing's loads are a row sum of two subset-sum tables of
+per-demand load deltas.  The arithmetic is exact integer arithmetic:
+int64 while no sum can reach 2^63, numpy object arrays of Python ints
+otherwise.  Direction vectors are ordered lexicographically with demand
+0 as the most significant position and clockwise before
+counterclockwise, so ties resolve to the lexicographically smallest
+vector.
 
-The DP decides, for a crossing instance with integer data and a target
-increase t, whether a pattern with p(0) = 0 and p(m) = y exists whose
-every point k >= 1 satisfies (y-t)/2 <= p(k) <= (y+t)/2; this window
-condition is exactly max_k |2 p(k) - y| <= t, the additive performance
-for x = 0.  Reachable point sets per level are bitmasks over the integer
-window, and predecessor choices are rebuilt by walking the masks
-backward.  The minimum increase is found by binary search on t (the
-window only grows with t), scanning y over integers in [-t, t] whose
-parity the step vectors can reach.
+The DP runs in the grid unit g = gcd(SCALE, D, every u and v), in which
+all crossing data are integers (g = SCALE for integer splits, SCALE/2
+for half-integer ones).  For a target increase t it decides whether a
+pattern with p(0) = 0 and p(m) = y exists whose every point k >= 1
+satisfies (y-t)/2 <= p(k) <= (y+t)/2; this window condition is exactly
+max_k |2 p(k) - y| <= t, the additive performance for x = 0.  Reachable
+point sets per level are bitmasks over the integer window, and
+predecessor choices are rebuilt by walking the masks backward.  The
+minimum increase is found by binary search on t (the window only grows
+with t), scanning y over integers in [-t, t] whose parity the step
+vectors can reach.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -30,14 +35,16 @@ from .errors import InvalidSetting, TooManyDemands
 from .model import (
     CCW,
     CW,
+    LoadVector,
     RingInstance,
     SplitRouting,
     UnsplitRouting,
     edge_loads,
+    path_loads,
     validate_instance,
 )
 from .reduction import CrossingInstance
-from .scaled import SCALE, Scaled, from_int, unscale
+from .scaled import SCALE, Scaled, exact_div
 
 DEFAULT_BRUTE_CAP = 26
 _CHUNK_BITS = 16
@@ -54,57 +61,50 @@ def _brute_cap() -> int:
     return int(value)
 
 
-def _path_loads(inst: RingInstance, active: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-demand load vectors: rows for clockwise and counterclockwise."""
-    cw = np.zeros((len(active), inst.n), dtype=np.int64)
-    ccw = np.zeros((len(active), inst.n), dtype=np.int64)
-    for row, idx in enumerate(active):
-        dem = inst.demands[idx]
-        cw[row, dem.i - 1 : dem.j - 1] = dem.d
-        ccw[row, : dem.i - 1] = dem.d
-        ccw[row, dem.j - 1 :] = dem.d
-    return cw, ccw
+def _subset_sums(rows: np.ndarray) -> np.ndarray:
+    """Row x is the sum of rows[p] over the set bits len(rows)-1-p of x."""
+    table = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
+    for row in rows[::-1]:
+        table = np.concatenate([table, table + row])
+    return table
 
 
 def _enumerate_min(
-    delta: np.ndarray, base: np.ndarray, offset: np.ndarray
-) -> tuple[int, Scaled]:
-    """Minimize max(base + bits@delta - offset) over all bit vectors.
+    inst: RingInstance, active: list[int], offset: LoadVector
+) -> tuple[UnsplitRouting, Scaled]:
+    """Minimize max over edges of (loads of the routing - offset).
 
-    Returns the first (lexicographically smallest) minimizing index; bit
-    k-1-i of the index is demand i's flag (1 = counterclockwise).
+    Edges between consecutive endpoints of active demands carry equal
+    loads under every routing, so one column per such segment suffices.
+    Row sums of subset-sum tables give every routing's column loads: a
+    high table over the leading demands, a low table over the last
+    _CHUNK_BITS, and one (2^_CHUNK_BITS, columns) block per high row.  The
+    first (lexicographically smallest) minimizer wins; bit k-1-i of its
+    index is demand i's flag (1 = counterclockwise).
     """
-    k = delta.shape[0]
-    magnitude = np.abs(delta).sum() + np.abs(base).sum() + np.abs(offset).sum()
-    assert magnitude < 2**52, "float64 enumeration would lose exactness"
-    delta_f = np.ascontiguousarray(delta, dtype=np.float64)
-    rest = (base - offset).astype(np.float64)
+    dems = [inst.demands[idx] for idx in active]
+    cols = sorted({0}.union(*((dem.i - 1, dem.j - 1) for dem in dems)))
+    base = path_loads(inst.n, ((dem.i, dem.j, dem.d, 0) for dem in dems))
+    rest = [base[c] - offset[c] for c in cols]
+    delta = [[-dem.d if dem.i - 1 <= c < dem.j - 1 else dem.d for c in cols] for dem in dems]
+    exact_in_int64 = max(map(abs, rest)) + sum(dem.d for dem in dems) < 2**63
+    dtype = np.int64 if exact_in_int64 else object
+    rows = np.array(delta, dtype=dtype).reshape(len(dems), len(cols))
+    split = max(len(dems) - _CHUNK_BITS, 0)
+    low = _subset_sums(rows[split:])
+    high = _subset_sums(rows[:split]) + np.array(rest, dtype=dtype)
 
     best_value, best_index = None, -1
-    shifts = np.arange(k - 1, -1, -1, dtype=np.int64)
-    chunk = 1 << min(_CHUNK_BITS, k)
-    for start in range(0, 1 << k, chunk):
-        idx = np.arange(start, start + chunk, dtype=np.int64)
-        bits = ((idx[:, None] >> shifts) & 1).astype(np.float64)
-        objective = (bits @ delta_f + rest).max(axis=1)
+    for h, high_row in enumerate(high):
+        objective = (low + high_row).max(axis=1)
         pos = int(np.argmin(objective))
-        value = objective[pos]
-        if best_value is None or value < best_value:
-            best_value = value
-            best_index = start + pos
-    assert best_value is not None and best_value == int(best_value)
-    return best_index, int(best_value)
-
-
-def _routing_from_index(
-    inst: RingInstance, active: list[int], index: int
-) -> UnsplitRouting:
+        if best_value is None or objective[pos] < best_value:
+            best_value, best_index = objective[pos], h * len(low) + pos
     dirs = [CW] * len(inst.demands)
-    k = len(active)
     for row, idx in enumerate(active):
-        if (index >> (k - 1 - row)) & 1:
+        if (best_index >> (len(active) - 1 - row)) & 1:
             dirs[idx] = CCW
-    return UnsplitRouting(tuple(dirs))
+    return UnsplitRouting(tuple(dirs)), int(best_value)
 
 
 def _active_demands(inst: RingInstance) -> list[int]:
@@ -120,30 +120,19 @@ def brute_force_min_increase(
 ) -> tuple[UnsplitRouting, Scaled]:
     """Minimizer of the additive increase over all 2^k direction vectors."""
     validate_instance(inst, split)
-    active = _active_demands(inst)
-    cw, ccw = _path_loads(inst, active)
-    split_loads = np.array(edge_loads(inst, split), dtype=np.int64)
-    index, value = _enumerate_min(ccw - cw, cw.sum(axis=0), split_loads)
-    return _routing_from_index(inst, active, index), value
+    return _enumerate_min(inst, _active_demands(inst), edge_loads(inst, split))
 
 
 def brute_force_optimum_L(inst: RingInstance) -> tuple[UnsplitRouting, Scaled]:
     """Minimum over all routings of the maximum edge load (the value L)."""
     validate_instance(inst)
-    active = _active_demands(inst)
-    cw, ccw = _path_loads(inst, active)
-    zero = np.zeros(inst.n, dtype=np.int64)
-    index, value = _enumerate_min(ccw - cw, cw.sum(axis=0), zero)
-    return _routing_from_index(inst, active, index), value
+    return _enumerate_min(inst, _active_demands(inst), (0,) * inst.n)
 
 
-def _integral_pairs(cross: CrossingInstance) -> list[tuple[int, int]]:
-    pairs = []
-    for u, v in cross.pairs:
-        if u % SCALE or v % SCALE:
-            raise ValueError("DP requires integer demand splits")
-        pairs.append((unscale(u), unscale(v)))
-    return pairs
+def _unit_pairs(cross: CrossingInstance) -> tuple[int, list[tuple[int, int]]]:
+    """The grid unit g = gcd(SCALE, D, every u and v) and the pairs in units of g."""
+    g = math.gcd(SCALE, cross.D, *(x for pair in cross.pairs for x in pair))
+    return g, [(u // g, v // g) for u, v in cross.pairs]
 
 
 def _reachable_parities(pairs: list[tuple[int, int]]) -> set[int]:
@@ -218,14 +207,14 @@ def _dp_solution(
 
 def dp_feasible(cross: CrossingInstance, t: Scaled, y: Scaled) -> UnsplitRouting | None:
     """A solution with p(0)=0, p(m)=y and increase at most t, if one exists."""
-    pairs = _integral_pairs(cross)
-    t_int, y_int = unscale(t), unscale(y)
-    if abs(y_int) > t_int:
+    g, pairs = _unit_pairs(cross)
+    t_g, y_g = exact_div(t, g), exact_div(y, g)
+    if abs(y_g) > t_g:
         return None
-    masks = _dp_masks(pairs, t_int, y_int)
+    masks = _dp_masks(pairs, t_g, y_g)
     if masks is None:
         return None
-    return _dp_solution(pairs, t_int, y_int, masks)
+    return _dp_solution(pairs, t_g, y_g, masks)
 
 
 def dp_feasible_any_y(
@@ -277,10 +266,10 @@ def dp_feasible_block(U: np.ndarray, V: np.ndarray, t: int) -> np.ndarray:
 
 def dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, Scaled]:
     """Minimum possible additive increase, by binary search over t."""
-    pairs = _integral_pairs(cross)
+    g, pairs = _unit_pairs(cross)
     if not pairs:
         return UnsplitRouting(()), 0
-    D = unscale(cross.D)
+    D = cross.D // g
     hi = (3 * D + 1) // 2  # feasible: the 3/2 * D guarantee
     lo = 0
     assert dp_feasible_any_y(pairs, hi) is not None
@@ -291,4 +280,4 @@ def dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, Scaled]:
         else:
             lo = mid + 1
     y, masks = dp_feasible_any_y(pairs, lo)  # type: ignore[misc]
-    return _dp_solution(pairs, lo, y, masks), from_int(lo)
+    return _dp_solution(pairs, lo, y, masks), lo * g

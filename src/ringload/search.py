@@ -282,18 +282,11 @@ def _run_shard(args: tuple[int, int, Scaled, int, int]) -> list[SearchHit]:
 def search_parallel(
     m: int, D: int, threshold: Scaled, shards: int, jobs: int
 ) -> list[SearchHit]:
-    """Run all shards on a local process pool and merge the results."""
+    """Run all shards on a local process pool; hits come in shard order."""
     tasks = [(m, D, threshold, index, shards) for index in range(shards)]
     if jobs <= 1:
         results = [_run_shard(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_shard, tasks))
-    merged: list[SearchHit] = []
-    seen = set()
-    for chunk in results:
-        for hit in chunk:
-            if hit.form.pairs not in seen:
-                seen.add(hit.form.pairs)
-                merged.append(hit)
-    return merged
+    return [hit for chunk in results for hit in chunk]

@@ -9,6 +9,8 @@ from __future__ import annotations
 import random
 import re
 
+from hypothesis import strategies as st
+
 from ringload.model import Demand, RingInstance, SplitRouting
 from ringload.reduction import CrossingInstance, standalone_crossing
 from ringload.scaled import from_int
@@ -25,6 +27,22 @@ def random_ring(rng: random.Random, max_n: int = 10, max_demands: int = 6,
         d = rng.randint(0, max_d)
         demands.append(Demand(i, j, from_int(d)))
         cw.append(rng.randint(0, 2 * d) * 14)  # multiples of one half
+    return RingInstance(n, tuple(demands)), SplitRouting(tuple(cw))
+
+
+@st.composite
+def split_rings(draw):
+    """Small rings: shared endpoints, identical and zero demands, half-integer splits."""
+    n = draw(st.integers(3, 9))
+    demands, cw = [], []
+    for _ in range(draw(st.integers(0, 10))):
+        if demands and draw(st.booleans()):
+            dem = draw(st.sampled_from(demands))
+        else:
+            i = draw(st.integers(1, n - 1))
+            dem = Demand(i, draw(st.integers(i + 1, n)), from_int(draw(st.integers(0, 6))))
+        demands.append(dem)
+        cw.append(draw(st.integers(0, 2 * dem.d // 28)) * 14)  # multiples of one half
     return RingInstance(n, tuple(demands)), SplitRouting(tuple(cw))
 
 

@@ -228,6 +228,20 @@ def test_search_requires_full_or_shard(capsys):
                            "--threshold", "11")
     assert code == 1
     assert "--full" in err
+    assert "2562890625 members" in err and "hours" not in err
+
+
+@pytest.mark.parametrize("options", [
+    ("--shard", "0/3", "--full"),
+    ("--full", "--jobs", "2", "--checkpoint-dir", "ckpt"),
+])
+def test_search_conflicting_options_are_usage_errors(capsys, tmp_path, monkeypatch, options):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "search", "--m", "2", "--d", "4",
+                             "--threshold", "1", *options)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: InvalidSetting:")
+    assert not (tmp_path / "ckpt").exists()
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -268,6 +282,35 @@ def test_search_full_small_family(capsys):
                            "--threshold", "7", "--full")
     assert code == 0
     assert out.strip() == ""
+
+
+def test_brute_force_and_optimum_beyond_int64(capsys, tmp_path):
+    # Scaled by 28, d = 10^21 is far beyond int64; the sums stay exact.
+    big = 10**21
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 4, "demands": [
+        {"i": 1, "j": 3, "d": big, "cw": big // 2},
+        {"i": 2, "j": 4, "d": 2, "cw": 1},
+    ]}))
+    code, out, err = run_cli(capsys, "solve", "--alg", "brute", "-i", str(path))
+    assert code == 0 and "Traceback" not in err
+    report = json.loads(out)
+    assert report["max_increase"] == str(big // 2 + 1)
+    assert max(map(int, report["loads"])) == big + 2
+    code, out, err = run_cli(capsys, "optimum", "-i", str(path))
+    assert code == 0 and "Traceback" not in err
+    assert json.loads(out)["optimum_load"] == str(big + 2)
+
+
+def test_optimum_matches_its_own_loads_near_the_int64_limit(capsys, tmp_path):
+    path = tmp_path / "near.json"
+    path.write_text('{"n": 4, "demands": [{"i": 1, "j": 3, "d": 100000000000000000},'
+                    ' {"i": 2, "j": 4, "d": 2}]}')
+    code, out, _ = run_cli(capsys, "optimum", "-i", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["optimum_load"] == "100000000000000002"
+    assert report["optimum_load"] == max(report["loads"], key=int)
 
 
 def test_brute_cap_env_override(capsys, monkeypatch, fig2_file):

@@ -4,7 +4,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import random_ring, split_rings
+from ringload import exact
 from ringload.approx import pattern_from_solution, solve_19_14, ssw_three_halves
 from ringload.errors import TooManyDemands
 from ringload.exact import (
@@ -187,10 +191,37 @@ def test_sandwich_dp_below_approximations():
         assert 14 * report.perf <= 19 * cross.D
 
 
-def test_dp_rejects_fractional_splits():
+def test_dp_accepts_fractional_splits():
     cross = standalone_crossing(((14, 14),), from_int(1))  # half-integer splits
-    with pytest.raises(ValueError):
-        dp_min_increase(cross)
+    z, value = dp_min_increase(cross)
+    assert value == enumerate_min_increase(cross) == S // 2
+    assert crossing_increase(cross, z) == value
+    cross = standalone_crossing(((14, 14), (42, 14)), from_int(2))
+    z, value = dp_min_increase(cross)
+    assert value == brute_force_min_increase(*cross.to_ring())[1]
+    assert crossing_increase(cross, z) == value
+
+
+@st.composite
+def half_integer_crossings(draw):
+    """Crossing instances with k <= 12 and splits on the half-integer grid."""
+    D = draw(st.integers(1, 12))
+    pairs = []
+    for _ in range(draw(st.integers(0, 12))):
+        d = draw(st.integers(1, D))
+        u = draw(st.integers(1, 2 * d - 1))  # halves strictly inside (0, d)
+        pairs.append((u * 14, 2 * d * 14 - u * 14))
+    return standalone_crossing(tuple(pairs), from_int(D))
+
+
+@given(half_integer_crossings())
+def test_dp_matches_brute_force_on_half_integer_crossings(cross):
+    z, value = dp_min_increase(cross)
+    assert crossing_increase(cross, z) == value
+    if cross.m >= 2:  # a ring needs at least 3 nodes
+        assert value == brute_force_min_increase(*cross.to_ring())[1]
+    else:
+        assert value == enumerate_min_increase(cross)
 
 
 def test_feasibility_screen_matches_full_dp_on_small_family():
@@ -213,3 +244,91 @@ def test_feasibility_screen_matches_full_dp_on_small_family():
             assert screened_out == (value < from_int(t)), (pairs, t)
         checked += 1
     assert checked == 124
+
+
+def per_edge_loads(inst, amounts):
+    """Plain per-edge sums: amounts[p] = (clockwise, counterclockwise) of demand p."""
+    loads = [0] * inst.n
+    for dem, (cw, ccw) in zip(inst.demands, amounts):
+        for e in range(inst.n):
+            loads[e] += cw if dem.i - 1 <= e < dem.j - 1 else ccw
+    return loads
+
+
+def product_oracle(inst, offset):
+    """First minimizer of max(loads - offset) in itertools.product order."""
+    active = [p for p, dem in enumerate(inst.demands) if dem.d > 0]
+    best = None
+    for flags in itertools.product((CW, CCW), repeat=len(active)):
+        dirs = [CW] * len(inst.demands)
+        for p, flag in zip(active, flags):
+            dirs[p] = flag
+        amounts = [(dem.d, 0) if flag == CW else (0, dem.d)
+                   for dem, flag in zip(inst.demands, dirs)]
+        value = max(a - b for a, b in zip(per_edge_loads(inst, amounts), offset))
+        if best is None or value < best[1]:
+            best = (UnsplitRouting(tuple(dirs)), value)
+    return best
+
+
+def assert_brute_force_matches_oracle(inst, split):
+    split_loads = per_edge_loads(inst, [(cw, dem.d - cw) for dem, cw in zip(inst.demands, split.cw)])
+    assert brute_force_min_increase(inst, split) == product_oracle(inst, split_loads)
+    assert brute_force_optimum_L(inst) == product_oracle(inst, [0] * inst.n)
+
+
+@pytest.mark.parametrize("chunk_bits", [16, 3, 0])
+def test_brute_force_matches_product_oracle_on_random_rings(monkeypatch, chunk_bits):
+    # Small chunks spread the routings over many high-table rows.
+    monkeypatch.setattr(exact, "_CHUNK_BITS", chunk_bits)
+    rng = random.Random(66)
+    for trial in range(120):
+        inst, split = random_ring(rng, max_n=4 + trial % 8, max_demands=10)
+        if trial % 10 == 0:  # far beyond int64: Python-int arithmetic
+            inst = RingInstance(inst.n, tuple(
+                Demand(dem.i, dem.j, dem.d * 10**20) for dem in inst.demands
+            ))
+            split = SplitRouting(tuple(cw * 10**20 for cw in split.cw))
+        assert_brute_force_matches_oracle(inst, split)
+
+
+@given(split_rings())
+def test_brute_force_matches_product_oracle(ring):
+    assert_brute_force_matches_oracle(*ring)
+
+
+def test_optimum_L_is_exact_near_the_int64_limit():
+    big = 10**17
+    inst = RingInstance(4, (Demand(1, 3, from_int(big)), Demand(2, 4, from_int(2))))
+    routing, L = brute_force_optimum_L(inst)
+    assert L == from_int(big + 2)
+    assert max(edge_loads(inst, routing)) == L
+    assert (routing, L) == product_oracle(inst, [0] * inst.n)
+
+
+def test_brute_force_on_a_long_ring_keeps_one_column_per_segment():
+    # n = 200000: only the 2k+1 segments between endpoints are enumerated.
+    # The same demands on the ring of their endpoints alone give the same
+    # answer, and the value is the routing's true per-edge maximum.
+    rng = random.Random(67)
+    n, k = 200_000, 20
+    ends = []
+    for _ in range(k):
+        i, j = sorted(rng.sample(range(1, n + 1), 2))
+        ends.append((i, j))
+    demands = tuple(Demand(i, j, from_int(rng.randint(1, 9))) for i, j in ends)
+    inst = RingInstance(n, demands)
+    split = SplitRouting(tuple(rng.randint(0, 2 * dem.d // S) * (S // 2) for dem in demands))
+    routing, value = brute_force_min_increase(inst, split)
+    assert additive_increase(inst, split, routing) == value
+    routing_L, L = brute_force_optimum_L(inst)
+    assert max(edge_loads(inst, routing_L)) == L
+
+    nodes = sorted({node for pair in ends for node in pair} | {1})
+    rank = {node: r + 1 for r, node in enumerate(nodes)}
+    small = RingInstance(
+        max(len(nodes), 3),
+        tuple(Demand(rank[dem.i], rank[dem.j], dem.d) for dem in demands),
+    )
+    assert brute_force_min_increase(small, split) == (routing, value)
+    assert brute_force_optimum_L(small) == (routing_L, L)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_ring
+from conftest import random_ring, split_rings
 from ringload.errors import LengthMismatch, NotParallel
 from ringload.instances import builtin
 from ringload.model import (
@@ -324,22 +324,6 @@ def test_reduction_matches_restart_scan_reference_on_random_rings():
     for trial in range(300):
         inst, split = random_ring(rng, max_n=5 + trial % 8, max_demands=12)
         assert_reduction_matches_reference(inst, split)
-
-
-@st.composite
-def split_rings(draw):
-    """Small rings: shared endpoints, identical and zero demands, half-integer splits."""
-    n = draw(st.integers(3, 9))
-    demands, cw = [], []
-    for _ in range(draw(st.integers(0, 10))):
-        if demands and draw(st.booleans()):
-            dem = draw(st.sampled_from(demands))
-        else:
-            i = draw(st.integers(1, n - 1))
-            dem = Demand(i, draw(st.integers(i + 1, n)), from_int(draw(st.integers(0, 6))))
-        demands.append(dem)
-        cw.append(draw(st.integers(0, 2 * dem.d // 28)) * 14)  # multiples of one half
-    return RingInstance(n, tuple(demands)), SplitRouting(tuple(cw))
 
 
 @given(split_rings())
