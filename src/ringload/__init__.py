@@ -2,7 +2,7 @@
 
 Turn any split routing into an unsplittable one with a certified additive
 load increase of at most 19/14 times the maximum demand, compute exact
-optima by dynamic programming or enumeration, and search the structured
+optima by dynamic programming or branch and bound, and search the structured
 instance family for lower-bound examples.  All arithmetic is exact
 fixed-point on the 1/28 grid.
 """

@@ -224,6 +224,8 @@ def _cmd_search(args) -> int:
         raise InvalidSetting("--shard and --full exclude each other; pass one of them")
     if args.full and args.checkpoint_dir:
         raise InvalidSetting("--checkpoint-dir needs --shard; --full keeps no checkpoints")
+    if args.shard is not None and args.jobs is not None:
+        raise InvalidSetting("--jobs needs --full; a shard runs in one process")
     if args.shard is None and not args.full:
         size = search.StructuredFamily(args.m, args.d).size
         raise RingLoadingError(
@@ -238,8 +240,8 @@ def _cmd_search(args) -> int:
             checkpoint.parent.mkdir(parents=True, exist_ok=True)
         hits = search.search_lower_bound(args.m, args.d, threshold, args.shard, checkpoint)
     else:
-        shards = args.jobs * 16
-        hits = search.search_parallel(args.m, args.d, threshold, shards, args.jobs)
+        jobs = args.jobs or 1
+        hits = search.search_parallel(args.m, args.d, threshold, jobs * 16, jobs)
     for hit in hits:
         record = {
             "pairs": [[v, u] for u, v in hit.form.pairs],
@@ -302,11 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
     search_cmd.add_argument("--shard", type=_parse_shard, help="I/N: run slice I of N")
     search_cmd.add_argument("--full", action="store_true",
                             help="run the whole family (long-running)")
-    search_cmd.add_argument("--jobs", type=_positive_int, default=1)
+    search_cmd.add_argument("--jobs", type=_positive_int,
+                            help="worker processes for --full (default 1)")
     search_cmd.add_argument("--checkpoint-dir")
     search_cmd.set_defaults(func=_cmd_search)
 
-    optimum = sub.add_parser("optimum", help="optimum unsplittable load by enumeration")
+    optimum = sub.add_parser("optimum", help="optimum unsplittable load, exact, by branch and bound")
     optimum.add_argument("-i", "--instance", required=True)
     optimum.set_defaults(func=_cmd_optimum)
     return parser

@@ -80,7 +80,7 @@ class InternalGuaranteeViolation(RingLoadingError):
 
 
 class TooManyDemands(RingLoadingError):
-    """Brute-force enumeration over 2^k routings exceeds the configured cap."""
+    """Brute force over 2^k routings exceeds the configured cap of demands."""
 
 
 class InvalidSetting(RingLoadingError):

@@ -1,15 +1,25 @@
-"""Exact solvers: enumeration over all routings and a pseudo-polynomial DP.
+"""Exact solvers: branch and bound over all routings and a pseudo-polynomial DP.
 
-Brute force is a subset-sum enumeration over all 2^k direction vectors
-for the k nonzero demands.  Loads are kept per segment between
-consecutive demand endpoints (at most 2k+1 columns, whatever n is), and
-each routing's loads are a row sum of two subset-sum tables of
-per-demand load deltas.  The arithmetic is exact integer arithmetic:
-int64 while no sum can reach 2^63, numpy object arrays of Python ints
-otherwise.  Direction vectors are ordered lexicographically with demand
-0 as the most significant position and clockwise before
-counterclockwise, so ties resolve to the lexicographically smallest
-vector.
+Brute force minimizes over all 2^k direction vectors for the k nonzero
+demands by a depth-first branch and bound with subset-sum table leaves.
+Loads are kept per segment between consecutive demand endpoints (at
+most 2k+1 columns, whatever n is).  The search branches on all but the
+last _CHUNK_BITS demands of its order; a leaf holds the loads of every
+routing of those last demands as row sums of per-demand load deltas, so
+a ring of at most _CHUNK_BITS demands is one table.  Nodes are cut by
+the two-column cut bound: a demand that separates columns e and f loads
+exactly one of them whichever way it is routed, so with cur the loads
+placed so far, some column ends at ceil((cur_e + cur_f + R_ef) / 2) or
+more, where R_ef sums the unplaced demands separating e and f (the cut
+condition of Okamura and Seymour, JCTB 1981).  A value pass takes the
+demands by decreasing value and cuts nodes that cannot beat the best
+routing found; a witness pass in the original order, clockwise first,
+stops at the first leaf that reaches that value.  Direction vectors are
+ordered lexicographically with demand 0 as the most significant
+position and clockwise before counterclockwise, so ties resolve to the
+lexicographically smallest vector.  The arithmetic is exact integer
+arithmetic: int64 while every bound sum stays below 2^63 (2 max|offset|
++ 3 sum(d) + 1 < 2^63), numpy object arrays of Python ints otherwise.
 
 The DP runs in the grid unit g = gcd(SCALE, D, every u and v), in which
 all crossing data are integers (g = SCALE for integer splits, SCALE/2
@@ -40,14 +50,13 @@ from .model import (
     SplitRouting,
     UnsplitRouting,
     edge_loads,
-    path_loads,
     validate_instance,
 )
 from .reduction import CrossingInstance
 from .scaled import SCALE, Scaled, exact_div
 
 DEFAULT_BRUTE_CAP = 26
-_CHUNK_BITS = 16
+_CHUNK_BITS = 12
 
 
 def _brute_cap() -> int:
@@ -61,12 +70,106 @@ def _brute_cap() -> int:
     return int(value)
 
 
-def _subset_sums(rows: np.ndarray) -> np.ndarray:
-    """Row x is the sum of rows[p] over the set bits len(rows)-1-p of x."""
-    table = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
-    for row in rows[::-1]:
-        table = np.concatenate([table, table + row])
+def _subset_sums(start: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Row x is start plus the sum of rows[p] over the set bits len(rows)-1-p of x."""
+    table = np.empty((1 << len(rows), len(start)), dtype=rows.dtype)
+    table[0] = start
+    for bit, row in enumerate(rows[::-1]):
+        np.add(table[: 1 << bit], row, out=table[1 << bit : 2 << bit])
     return table
+
+
+def _cut_bound(cur: np.ndarray, sep: np.ndarray) -> int:
+    """Lower bound on the objective of every completion of a search node.
+
+    cur holds the column loads of the placed demands minus the offset, and
+    sep[e, f] the total value of the unplaced demands that separate columns
+    e and f.  Each of those loads exactly one of e and f, whichever way it
+    is routed, so one of the two ends at (cur_e + cur_f + sep_ef) / 2 or
+    more: the cut condition on a ring.  The diagonal, where sep is 0, is
+    the single-column bound.
+    """
+    return int(-(-(cur[:, None] + cur[None, :] + sep).max() // 2))
+
+
+class _Plan:
+    """One search order: a branching prefix and a subset-sum table leaf.
+
+    The first len(order) - _CHUNK_BITS demands of order are branched on,
+    choices[t] holding the column loads of the demand at position t routed
+    clockwise (bit 0) and counterclockwise (bit 1).  The rest form the
+    leaf table, whose row x routes leaf demand r counterclockwise when bit
+    leaf_bits-1-r of x is set.  remaining[t] sums the separation matrices
+    of the demands from position t of order on; a plan without branching
+    needs none.
+    """
+
+    def __init__(self, order: list[int], d: np.ndarray, inside: np.ndarray):
+        depth = max(len(order) - _CHUNK_BITS, 0)
+        d, inside = d[order, None], inside[order]
+        cw = np.where(inside, d, 0)
+        ccw = d - cw
+        self.choices = list(zip(cw[:depth], ccw[:depth]))
+        self.leaf_bits = len(order) - depth
+        self.leaf = _subset_sums(cw[depth:].sum(axis=0), ccw[depth:] - cw[depth:])
+        self.remaining = None
+        if depth:
+            sep = np.where(inside[:, :, None] != inside[:, None, :], d[:, :, None], 0)
+            suffix = np.cumsum(sep[::-1], axis=0)[::-1]
+            self.remaining = np.concatenate([suffix, np.zeros_like(sep[:1])])[: depth + 1]
+
+
+def _least_value(plan: _Plan, root: np.ndarray, best: int) -> int:
+    """The least objective below best over all routings, or best if none is.
+
+    Depth first, the child with the smaller bound first, so the first leaf
+    reached is a greedy routing; a node is cut once its bound reaches the
+    best value found so far.
+    """
+
+    def visit(t: int, cur: np.ndarray) -> None:
+        nonlocal best
+        if t == len(plan.choices):
+            best = min(best, int((plan.leaf + cur).max(axis=1).min()))
+            return
+        children = [(_cut_bound(child, plan.remaining[t + 1]), child)
+                    for child in (cur + row for row in plan.choices[t])]
+        if children[1][0] < children[0][0]:
+            children.reverse()
+        for bound, child in children:
+            if bound < best:
+                visit(t + 1, child)
+
+    if _cut_bound(root, plan.remaining[0]) < best:
+        visit(0, root)
+    return best
+
+
+def _first_at_most(plan: _Plan, root: np.ndarray, value: int | None) -> tuple[int, int]:
+    """The first routing in plan order whose objective is at most value.
+
+    Returns its objective and its index (bit k-1-t is the flag of the
+    demand at position t of the order).  Depth first, clockwise first,
+    cutting nodes whose bound exceeds value; within a leaf the first
+    argmin wins.  value may be None only when the root is the leaf.
+    """
+
+    def visit(t: int, cur: np.ndarray, prefix: int) -> tuple[int, int] | None:
+        if t == len(plan.choices):
+            objective = (plan.leaf + cur).max(axis=1)
+            pos = int(np.argmin(objective))
+            if value is None or objective[pos] <= value:
+                return int(objective[pos]), prefix << plan.leaf_bits | pos
+            return None
+        for bit, row in enumerate(plan.choices[t]):
+            child = cur + row
+            if _cut_bound(child, plan.remaining[t + 1]) <= value:
+                found = visit(t + 1, child, 2 * prefix + bit)
+                if found is not None:
+                    return found
+        return None
+
+    return visit(0, root, 0)
 
 
 def _enumerate_min(
@@ -76,35 +179,33 @@ def _enumerate_min(
 
     Edges between consecutive endpoints of active demands carry equal
     loads under every routing, so one column per such segment suffices.
-    Row sums of subset-sum tables give every routing's column loads: a
-    high table over the leading demands, a low table over the last
-    _CHUNK_BITS, and one (2^_CHUNK_BITS, columns) block per high row.  The
-    first (lexicographically smallest) minimizer wins; bit k-1-i of its
-    index is demand i's flag (1 = counterclockwise).
+    Rings of at most _CHUNK_BITS demands are one subset-sum table.  Larger
+    ones are searched twice: for the optimal value with demands by
+    decreasing value, then for the lexicographically smallest routing
+    that reaches it, in the original order.
     """
     dems = [inst.demands[idx] for idx in active]
     cols = sorted({0}.union(*((dem.i - 1, dem.j - 1) for dem in dems)))
-    base = path_loads(inst.n, ((dem.i, dem.j, dem.d, 0) for dem in dems))
-    rest = [base[c] - offset[c] for c in cols]
-    delta = [[-dem.d if dem.i - 1 <= c < dem.j - 1 else dem.d for c in cols] for dem in dems]
-    exact_in_int64 = max(map(abs, rest)) + sum(dem.d for dem in dems) < 2**63
+    total = sum(dem.d for dem in dems)
+    exact_in_int64 = 2 * max(abs(offset[c]) for c in cols) + 3 * total + 1 < 2**63
     dtype = np.int64 if exact_in_int64 else object
-    rows = np.array(delta, dtype=dtype).reshape(len(dems), len(cols))
-    split = max(len(dems) - _CHUNK_BITS, 0)
-    low = _subset_sums(rows[split:])
-    high = _subset_sums(rows[:split]) + np.array(rest, dtype=dtype)
+    d = np.array([dem.d for dem in dems], dtype=dtype)
+    inside = np.array(
+        [[dem.i - 1 <= c < dem.j - 1 for c in cols] for dem in dems], dtype=bool
+    ).reshape(len(dems), len(cols))
+    root = np.array([-offset[c] for c in cols], dtype=dtype)
 
-    best_value, best_index = None, -1
-    for h, high_row in enumerate(high):
-        objective = (low + high_row).max(axis=1)
-        pos = int(np.argmin(objective))
-        if best_value is None or objective[pos] < best_value:
-            best_value, best_index = objective[pos], h * len(low) + pos
+    value = None
+    if len(dems) > _CHUNK_BITS:
+        by_value = sorted(range(len(dems)), key=lambda p: -dems[p].d)
+        all_cw = int((np.where(inside, d[:, None], 0).sum(axis=0) + root).max())
+        value = _least_value(_Plan(by_value, d, inside), root, all_cw)
+    value, index = _first_at_most(_Plan(list(range(len(dems))), d, inside), root, value)
     dirs = [CW] * len(inst.demands)
     for row, idx in enumerate(active):
-        if (best_index >> (len(active) - 1 - row)) & 1:
+        if (index >> (len(active) - 1 - row)) & 1:
             dirs[idx] = CCW
-    return UnsplitRouting(tuple(dirs)), int(best_value)
+    return UnsplitRouting(tuple(dirs)), value
 
 
 def _active_demands(inst: RingInstance) -> list[int]:

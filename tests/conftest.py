@@ -11,6 +11,7 @@ import re
 
 from hypothesis import strategies as st
 
+from ringload.instances import random_crossing
 from ringload.model import Demand, RingInstance, SplitRouting
 from ringload.reduction import CrossingInstance, standalone_crossing
 from ringload.scaled import from_int
@@ -31,11 +32,11 @@ def random_ring(rng: random.Random, max_n: int = 10, max_demands: int = 6,
 
 
 @st.composite
-def split_rings(draw):
+def split_rings(draw, max_demands=10):
     """Small rings: shared endpoints, identical and zero demands, half-integer splits."""
     n = draw(st.integers(3, 9))
     demands, cw = [], []
-    for _ in range(draw(st.integers(0, 10))):
+    for _ in range(draw(st.integers(0, max_demands))):
         if demands and draw(st.booleans()):
             dem = draw(st.sampled_from(demands))
         else:
@@ -44,6 +45,17 @@ def split_rings(draw):
         demands.append(dem)
         cw.append(draw(st.integers(0, 2 * dem.d // 28)) * 14)  # multiples of one half
     return RingInstance(n, tuple(demands)), SplitRouting(tuple(cw))
+
+
+def criterion_8_crossings() -> list[CrossingInstance]:
+    """The 500 crossing rings of criterion 8, m = 2..12 and D = 2..50."""
+    rng = random.Random(8000)
+    rings = []
+    for trial in range(500):
+        m = rng.randint(2, 12)
+        D = rng.randint(2, 50)
+        rings.append(random_crossing(m, D, seed=10_000 + trial))
+    return rings
 
 
 def random_small_big(rng: random.Random, m: int, D: int) -> CrossingInstance:

@@ -9,9 +9,10 @@ Criterion 5 note: the optimum unsplittable load of fig7, the equalized
 L* + 9, not the 47 recorded earlier.  The test proves it three ways
 that share no code: a witness routing of load 46 evaluated by plain
 per-edge sums, a pruned pure-Python search that finds no routing of
-load 45 or less, and the 2^22 enumeration.  Holding the added demands
-on their own edges gives 48 = 37 + 11 instead.  Whether the paper's own
-Figure 7 equalizes fig2 the same way is not checked here.
+load 45 or less, and the exact branch and bound over 2^22 routings.
+Holding the added demands on their own edges gives 48 = 37 + 11
+instead.  Whether the paper's own Figure 7 equalizes fig2 the same way
+is not checked here.
 """
 
 import itertools
@@ -21,7 +22,7 @@ import time
 
 import pytest
 
-from conftest import random_small_big
+from conftest import criterion_8_crossings, random_small_big
 from ringload.approx import (
     medium_demand_solve,
     solve_19_14,
@@ -183,7 +184,7 @@ def test_criterion_05_fig7_equalized_extension():
     assert set(edge_loads(result.instance, result.split)) == {37 * S}
     assert result.all_within_max_demand
     assert certified == 37 * S
-    # L = 46 = L* + 9, three ways: a witness, no routing at 45, enumeration.
+    # L = 46 = L* + 9, three ways: a witness, no routing at 45, brute force.
     assert _plain_max_load(result.instance, _FIG7_WITNESS) == 46 * S
     assert _plain_search(result.instance, 46 * S)[0]
     assert _plain_search(result.instance, 45 * S) == (False, 528)
@@ -213,18 +214,8 @@ def _criterion_7_instances():
     return instances
 
 
-def _criterion_8_instances():
-    rng = random.Random(8000)
-    instances = []
-    for trial in range(500):
-        m = rng.randint(2, 12)
-        D = rng.randint(2, 50)
-        instances.append(random_crossing(m, D, seed=10_000 + trial))
-    return instances
-
-
 SUITE_7 = _criterion_7_instances()
-SUITE_8 = _criterion_8_instances()
+SUITE_8 = criterion_8_crossings()
 
 
 def test_criterion_07_guarantee_suite():

@@ -234,6 +234,7 @@ def test_search_requires_full_or_shard(capsys):
 @pytest.mark.parametrize("options", [
     ("--shard", "0/3", "--full"),
     ("--full", "--jobs", "2", "--checkpoint-dir", "ckpt"),
+    ("--shard", "0/3", "--jobs", "2"),
 ])
 def test_search_conflicting_options_are_usage_errors(capsys, tmp_path, monkeypatch, options):
     monkeypatch.chdir(tmp_path)

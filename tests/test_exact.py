@@ -1,14 +1,16 @@
-"""Exact solvers: enumeration, DP feasibility, DP optimum, cross-checks."""
+"""Exact solvers: branch and bound against its oracles, DP feasibility, DP optimum."""
 
 import itertools
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_ring, split_rings
+from conftest import criterion_8_crossings, random_ring, split_rings
 from ringload import exact
+from ringload.cli import main
 from ringload.approx import pattern_from_solution, solve_19_14, ssw_three_halves
 from ringload.errors import TooManyDemands
 from ringload.exact import (
@@ -18,7 +20,8 @@ from ringload.exact import (
     dp_feasible_any_y,
     dp_min_increase,
 )
-from ringload.instances import builtin, random_crossing
+from ringload.fileio import write_instance
+from ringload.instances import BUILTIN_NAMES, builtin, random_crossing
 from ringload.model import (
     CCW,
     CW,
@@ -28,6 +31,7 @@ from ringload.model import (
     UnsplitRouting,
     additive_increase,
     edge_loads,
+    path_loads,
 )
 from ringload.patterns import performance
 from ringload.reduction import reduce_to_crossing, standalone_crossing
@@ -271,10 +275,58 @@ def product_oracle(inst, offset):
     return best
 
 
-def assert_brute_force_matches_oracle(inst, split):
+def subset_sums(rows):
+    """Row x is the sum of rows[p] over the set bits len(rows)-1-p of x."""
+    table = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
+    for row in rows[::-1]:
+        table = np.concatenate([table, table + row])
+    return table
+
+
+def table_oracle(inst, offset, low_bits=12):
+    """First minimizer of max(loads - offset) over all 2^k routings, one table row at a time.
+
+    Every routing's segment loads are a row sum of a high subset-sum table
+    over the leading demands and a low one over the last low_bits; the
+    high rows are scanned in order and only a strictly smaller value
+    replaces the best.  int64 while max|loads - offset| + sum(d) < 2^63,
+    Python ints otherwise.
+    """
+    active = [p for p, dem in enumerate(inst.demands) if dem.d > 0]
+    dems = [inst.demands[p] for p in active]
+    cols = sorted({0}.union(*((dem.i - 1, dem.j - 1) for dem in dems)))
+    base = path_loads(inst.n, ((dem.i, dem.j, dem.d, 0) for dem in dems))
+    rest = [base[c] - offset[c] for c in cols]
+    delta = [[-dem.d if dem.i - 1 <= c < dem.j - 1 else dem.d for c in cols] for dem in dems]
+    exact_in_int64 = max(map(abs, rest)) + sum(dem.d for dem in dems) < 2**63
+    dtype = np.int64 if exact_in_int64 else object
+    rows = np.array(delta, dtype=dtype).reshape(len(dems), len(cols))
+    split = max(len(dems) - low_bits, 0)
+    low = subset_sums(rows[split:])
+    high = subset_sums(rows[:split]) + np.array(rest, dtype=dtype)
+    best_value, best_index = None, -1
+    for h, high_row in enumerate(high):
+        objective = (low + high_row).max(axis=1)
+        pos = int(np.argmin(objective))
+        if best_value is None or objective[pos] < best_value:
+            best_value, best_index = objective[pos], h * len(low) + pos
+    dirs = [CW] * len(inst.demands)
+    for row, p in enumerate(active):
+        if (best_index >> (len(active) - 1 - row)) & 1:
+            dirs[p] = CCW
+    return UnsplitRouting(tuple(dirs)), int(best_value)
+
+
+def assert_brute_force_matches_oracle(inst, split, product=True):
+    """Branch and bound == table oracle (== product oracle when product) on value and routing,
+    with the offset at the split loads and at zero."""
     split_loads = per_edge_loads(inst, [(cw, dem.d - cw) for dem, cw in zip(inst.demands, split.cw)])
-    assert brute_force_min_increase(inst, split) == product_oracle(inst, split_loads)
-    assert brute_force_optimum_L(inst) == product_oracle(inst, [0] * inst.n)
+    for got, offset in ((brute_force_min_increase(inst, split), split_loads),
+                        (brute_force_optimum_L(inst), [0] * inst.n)):
+        expected = table_oracle(inst, offset)
+        assert got == expected
+        if product:
+            assert expected == product_oracle(inst, offset)
 
 
 @pytest.mark.parametrize("chunk_bits", [16, 3, 0])
@@ -297,6 +349,70 @@ def test_brute_force_matches_product_oracle(ring):
     assert_brute_force_matches_oracle(*ring)
 
 
+@settings(deadline=None)
+@given(split_rings(max_demands=18))
+def test_branch_and_bound_matches_table_oracle(ring):
+    # Up to 18 demands: the search branches on up to 6 of them.  The
+    # product oracle is too slow beyond 10 demands.
+    inst, split = ring
+    assert_brute_force_matches_oracle(inst, split, product=len(inst.demands) <= 10)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_branch_and_bound_matches_oracles_on_builtins(name):
+    inst, split = builtin(name)
+    assert_brute_force_matches_oracle(inst, split, product=len(inst.demands) <= 10)
+
+
+@pytest.mark.parametrize("chunk_bits", [None, 4])
+def test_branch_and_bound_matches_oracles_on_criterion_8_rings(monkeypatch, chunk_bits):
+    # With m <= 12 every ring is one table at the default leaf size; with
+    # 4-demand leaves the search branches on up to 8 demands.  The product
+    # oracle takes seconds per ring beyond m = 10; there the table oracle,
+    # checked against it on the smaller rings, stands alone.
+    if chunk_bits is not None:
+        monkeypatch.setattr(exact, "_CHUNK_BITS", chunk_bits)
+    for cross in criterion_8_crossings():
+        inst, split = cross.to_ring()
+        assert_brute_force_matches_oracle(inst, split, product=cross.m <= 10)
+
+
+@pytest.mark.parametrize("m", [30, 40])
+def test_brute_force_beyond_the_cap_matches_dp(monkeypatch, m):
+    monkeypatch.setenv("RINGLOAD_BRUTE_CAP", "40")
+    for D in (10, 100):
+        for seed in range(3):
+            cross = random_crossing(m, D, seed)
+            inst, split = cross.to_ring()
+            routing, value = brute_force_min_increase(inst, split)
+            assert value == dp_min_increase(cross)[1]
+            assert additive_increase(inst, split, routing) == value
+
+
+@pytest.mark.parametrize("argv, ceiling", [
+    (("optimum", "-i", "fig7.json"), 160),  # 144 nodes
+    (("verify", "fig8"), 85),  # 75 nodes
+])
+def test_cut_bound_node_ceiling(monkeypatch, tmp_path, capsys, argv, ceiling):
+    # Every search node is one call of the bound; a weaker bound visits
+    # more nodes (the single-column bound alone: 386 and 143).
+    inst, split = builtin("fig7")
+    (tmp_path / "fig7.json").write_bytes(write_instance(inst, split))
+    monkeypatch.chdir(tmp_path)
+    nodes = 0
+    bound = exact._cut_bound
+
+    def counted(cur, sep):
+        nonlocal nodes
+        nodes += 1
+        return bound(cur, sep)
+
+    monkeypatch.setattr(exact, "_cut_bound", counted)
+    assert main(list(argv)) == 0
+    capsys.readouterr()
+    assert 0 < nodes <= ceiling
+
+
 def test_optimum_L_is_exact_near_the_int64_limit():
     big = 10**17
     inst = RingInstance(4, (Demand(1, 3, from_int(big)), Demand(2, 4, from_int(2))))
@@ -304,6 +420,34 @@ def test_optimum_L_is_exact_near_the_int64_limit():
     assert L == from_int(big + 2)
     assert max(edge_loads(inst, routing)) == L
     assert (routing, L) == product_oracle(inst, [0] * inst.n)
+
+
+def test_bound_sums_beyond_int64_take_python_ints(monkeypatch):
+    # sum(d) is about 1.4 * 2^61: the table oracle's sums fit int64, but
+    # the bound sums (up to 3 sum(d)) do not, so the search runs on Python
+    # ints.
+    rng = random.Random(68)
+    n, k = 6, 13
+    unit = 2**61 * 14 // (10 * k * 28)
+    demands, cw = [], []
+    for _ in range(k):
+        i = rng.randint(1, n - 1)
+        d = rng.randint(unit - 1000, unit)
+        demands.append(Demand(i, rng.randint(i + 1, n), from_int(d)))
+        cw.append(from_int(rng.randint(0, d)))
+    inst, split = RingInstance(n, tuple(demands)), SplitRouting(tuple(cw))
+    total = sum(dem.d for dem in demands)
+    assert 3 * total >= 2**63 > 2 * total
+    dtypes = set()
+    bound = exact._cut_bound
+
+    def recorded(cur, sep):
+        dtypes.add(cur.dtype)
+        return bound(cur, sep)
+
+    monkeypatch.setattr(exact, "_cut_bound", recorded)
+    assert_brute_force_matches_oracle(inst, split)
+    assert dtypes == {np.dtype(object)}
 
 
 def test_brute_force_on_a_long_ring_keeps_one_column_per_segment():

@@ -4,8 +4,9 @@ import json
 import random
 
 import pytest
+from hypothesis import given
 
-from conftest import random_ring
+from conftest import random_ring, split_rings
 from ringload.errors import InstanceSyntaxError, NodeOutOfRange, SchemaError
 from ringload.fileio import parse_instance, routing_report, write_instance
 from ringload.instances import builtin
@@ -30,6 +31,15 @@ def test_round_trip_random_instances():
         # An empty demand list always carries the empty routing.
         expected = None if inst.demands else SplitRouting(())
         assert parse_instance(write_instance(inst)) == (inst, expected)
+
+
+@given(split_rings())
+def test_round_trip_split_rings(ring):
+    # Empty rings, zero and identical demands, half-integer splits.
+    inst, split = ring
+    assert parse_instance(write_instance(inst, split)) == (inst, split)
+    expected = None if inst.demands else SplitRouting(())
+    assert parse_instance(write_instance(inst)) == (inst, expected)
 
 
 def test_empty_demand_list_round_trips_with_the_empty_routing():

@@ -238,6 +238,18 @@ def test_lift_is_load_consistent_for_every_solution():
         checked += 1
 
 
+@given(split_rings(), st.data())
+def test_lift_is_load_consistent(ring, data):
+    inst, split = ring
+    cross, _ = reduce_to_crossing(inst, split)
+    flags = data.draw(st.lists(st.sampled_from((CW, CCW)), min_size=cross.m, max_size=cross.m))
+    z = UnsplitRouting(tuple(flags))
+    lifted = lift_solution(cross, z)
+    perf = performance(pattern_from_solution(cross, z))
+    assert additive_increase(inst, cross.uncrossed, lifted) == perf
+    assert additive_increase(inst, split, lifted) <= perf
+
+
 def reference_uncross_pair(inst, split, a, b):
     """Uncrossing with arcs as edge sets: the first disjoint arc pair wins."""
     dem_a, dem_b = inst.demands[a], inst.demands[b]
