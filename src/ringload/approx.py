@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 from .errors import (
     InternalGuaranteeViolation,
+    LengthMismatch,
     MediumDemandPresent,
     NotMedium,
-    StepMismatch,
 )
 from .model import CCW, CW, UnsplitRouting
 from .patterns import (
@@ -67,7 +67,7 @@ def pattern_from_solution(
 ) -> Pattern:
     """Prefix sums of the solution's steps, started at x."""
     if len(z.dirs) != cross.m:
-        raise StepMismatch(f"z has {len(z.dirs)} entries for m={cross.m}")
+        raise LengthMismatch(f"z has {len(z.dirs)} entries for m={cross.m}")
     points = [x]
     for (u, v), flag in zip(cross.pairs, z.dirs):
         points.append(points[-1] + (v if flag == CW else -u))

@@ -36,7 +36,7 @@ class InstanceSyntaxError(RingLoadingError):
 
 
 class SchemaError(RingLoadingError):
-    """The instance document parses but has missing or ill-typed fields."""
+    """An instance document or search checkpoint has missing or ill-typed fields."""
 
 
 class NotParallel(RingLoadingError):
@@ -96,7 +96,3 @@ class UnknownName(RingLoadingError):
 
 class InfeasibleParams(RingLoadingError):
     """Generator or search parameters admit no instance."""
-
-
-class StepMismatch(RingLoadingError):
-    """A point difference matches neither +v_k nor -u_k."""

@@ -26,18 +26,25 @@ all crossing data are integers (g = SCALE for integer splits, SCALE/2
 for half-integer ones).  For a target increase t it decides whether a
 pattern with p(0) = 0 and p(m) = y exists whose every point k >= 1
 satisfies (y-t)/2 <= p(k) <= (y+t)/2; this window condition is exactly
-max_k |2 p(k) - y| <= t, the additive performance for x = 0.  Reachable
-point sets per level are bitmasks over the integer window, and
-predecessor choices are rebuilt by walking the masks backward.  The
-minimum increase is found by binary search on t (the window only grows
-with t), scanning y over integers in [-t, t] whose parity the step
-vectors can reach.
+max_k |2 p(k) - y| <= t, the additive performance for x = 0.  One mask
+recurrence serves every caller: _level_masks yields, level by level, the
+reachable points of a block of rows (pairs sequences) and end points ys
+at once, as bitmasks over each integer window, starting from p(0) = 0,
+which lies in the window whenever |y| <= t.  p(m) = y is reachable
+exactly when bit y - lo of the last mask is set, so no parity rule is
+needed.  dp_feasible_block (the search screen) runs every y in [-t, t]
+for many rows; dp_feasible runs one row and one y and rebuilds the
+predecessor choices by walking its masks backward.  dp_min_increase
+binary-searches t on one row (the window only grows with t); each probe
+after a feasible one tests only the end points found feasible there,
+and the routing is the walk back from the smallest feasible y.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -57,6 +64,9 @@ from .scaled import SCALE, Scaled, exact_div
 
 DEFAULT_BRUTE_CAP = 26
 _CHUNK_BITS = 12
+# Bits in one array of DP masks.  All 2t+1 end points of a probe take about
+# 2t^2 bits, gigabytes at D = 10^5, so wider probes run in column chunks.
+_MASK_BITS = 1 << 24
 
 
 def _brute_cap() -> int:
@@ -236,72 +246,84 @@ def _unit_pairs(cross: CrossingInstance) -> tuple[int, list[tuple[int, int]]]:
     return g, [(u // g, v // g) for u, v in cross.pairs]
 
 
-def _reachable_parities(pairs: list[tuple[int, int]]) -> set[int]:
-    base = sum(v for _, v in pairs) & 1
-    if any((u + v) & 1 for u, v in pairs):
-        return {0, 1}
-    return {base}
-
-
 def _window(t, y):
-    """The window [lo, hi] = [ceil((y-t)/2), floor((y+t)/2)] for points p(k), k >= 1.
+    """The window [lo, hi] = [ceil((y-t)/2), floor((y+t)/2)] of the points p(k).
 
     Works elementwise when t or y is a numpy array.
     """
     return -((t - y) // 2), (y + t) // 2
 
 
-def _dp_masks(pairs: list[tuple[int, int]], t: int, y: int) -> list[int] | None:
-    """Reachable-point bitmasks per level, or None when p(m) = y is unreachable.
+def _level_masks(
+    U: np.ndarray, V: np.ndarray, t: int, ys: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Reachable-point masks of levels 0..m, each a (rows, len(ys)) array.
 
-    Level k >= 1 points are confined to [ceil((y-t)/2), floor((y+t)/2)];
-    bit b of masks[k] stands for point lo + b.  p(0) = 0 is unconstrained.
+    Row r stands for the pairs (U[r, k], V[r, k]) and column c for the end
+    point y = ys[c], every |y| <= t.  Points are confined to the window
+    [lo, hi] of (t, y), which holds p(0) = 0 whenever |y| <= t; bit b of a
+    mask stands for point lo + b.  The masks are int64 while every shifted
+    bit stays below the sign bit (a window of at most t + 1 bits, shifted
+    left by at most max V) and Python ints otherwise.
     """
+    dtype = np.int64 if t + 1 + int(V.max(initial=0)) <= 62 else object
+    lo, hi = _window(t, ys)
+    one = np.ones(len(ys), dtype=dtype)
+    full = (one << (hi - lo + 1).astype(dtype)) - one
+    mask = np.broadcast_to(one << (-lo).astype(dtype), (len(U), len(ys)))
+    yield mask
+    for k in range(U.shape[1]):
+        # in place, so that Python-int masks of at most three levels live at once
+        step = mask << V[:, k : k + 1]
+        step |= mask >> U[:, k : k + 1]
+        step &= full
+        mask = step
+        yield mask
+
+
+def _reaches(U: np.ndarray, V: np.ndarray, t: int, ys: np.ndarray) -> np.ndarray:
+    """(rows, len(ys)) booleans: row r has a pattern with p(m) = ys[c] and increase <= t.
+
+    The end points run in column chunks of at most _MASK_BITS mask bits.
+    """
+    chunk = max(1, _MASK_BITS // max(1, len(U) * (t + 1 + int(V.max(initial=0)))))
+    if len(ys) > chunk:
+        parts = [_reaches(U, V, t, ys[c : c + chunk]) for c in range(0, len(ys), chunk)]
+        return np.concatenate(parts, axis=1)
+    for mask in _level_masks(U, V, t, ys):
+        pass
+    lo, _ = _window(t, ys)
+    return ((mask >> (ys - lo).astype(mask.dtype)) & 1) == 1
+
+
+def _one_row(pairs: list[tuple[int, int]]) -> np.ndarray:
+    """The pairs as one-row arrays U and V of shape (1, m)."""
+    return np.array(pairs).reshape(-1, 2).T[:, None, :]
+
+
+def _walk_back(pairs: list[tuple[int, int]], t: int, y: int) -> UnsplitRouting | None:
+    """The routing to p(m) = y with increase at most t, clockwise steps first, if any.
+
+    Needs |y| <= t.  Walks the masks of the single end point y backward.
+    """
+    U, V = _one_row(pairs)
+    masks = [int(mask[0, 0]) for mask in _level_masks(U, V, t, np.array([y]))]
     lo, hi = _window(t, y)
-    if lo > hi:
+
+    def reached(k: int, point: int) -> bool:
+        return lo <= point <= hi and bool((masks[k] >> (point - lo)) & 1)
+
+    if not reached(len(pairs), y):
         return None
-    width = hi - lo + 1
-    full = (1 << width) - 1
-    masks = [0] * (len(pairs) + 1)
-    if not pairs:
-        return masks if y == 0 else None
-
-    u0, v0 = pairs[0]
-    first = 0
-    for cand in (v0, -u0):
-        if lo <= cand <= hi:
-            first |= 1 << (cand - lo)
-    masks[1] = first
-    for k in range(1, len(pairs)):
-        u, v = pairs[k]
-        prev = masks[k]
-        masks[k + 1] = ((prev << v) | (prev >> u)) & full
-    if not (masks[len(pairs)] >> (y - lo)) & 1:
-        return None
-    return masks
-
-
-def _dp_solution(
-    pairs: list[tuple[int, int]], t: int, y: int, masks: list[int]
-) -> UnsplitRouting:
-    """Walk the masks backward from p(m) = y, preferring clockwise steps."""
-    m = len(pairs)
-    lo, hi = _window(t, y)
-    dirs = [CW] * m
+    dirs = [CW] * len(pairs)
     point = y
-    for k in range(m, 0, -1):
+    for k in range(len(pairs), 0, -1):
         u, v = pairs[k - 1]
-        prev_cw = point - v
-        if k == 1:
-            reachable_cw = prev_cw == 0
-        else:
-            reachable_cw = lo <= prev_cw <= hi and (masks[k - 1] >> (prev_cw - lo)) & 1
-        if reachable_cw:
-            dirs[k - 1] = CW
-            point = prev_cw
+        if reached(k - 1, point - v):
+            point -= v
         else:
             dirs[k - 1] = CCW
-            point = point + u
+            point += u
     assert point == 0
     return UnsplitRouting(tuple(dirs))
 
@@ -312,73 +334,42 @@ def dp_feasible(cross: CrossingInstance, t: Scaled, y: Scaled) -> UnsplitRouting
     t_g, y_g = exact_div(t, g), exact_div(y, g)
     if abs(y_g) > t_g:
         return None
-    masks = _dp_masks(pairs, t_g, y_g)
-    if masks is None:
-        return None
-    return _dp_solution(pairs, t_g, y_g, masks)
-
-
-def dp_feasible_any_y(
-    pairs: list[tuple[int, int]] | tuple[tuple[int, int], ...], t: int
-) -> tuple[int, list[int]] | None:
-    """Smallest end point y and its DP masks for increase at most t, if any.
-
-    Takes plain-integer (u, v) pairs; an increase of at most t is
-    achievable exactly when this returns a value (never for t < 0).
-    """
-    parities = _reachable_parities(pairs)
-    for y in range(-t, t + 1):
-        if (y & 1) not in parities:
-            continue
-        masks = _dp_masks(pairs, t, y)
-        if masks is not None:
-            return y, masks
-    return None
+    return _walk_back(pairs, t_g, y_g)
 
 
 def dp_feasible_block(U: np.ndarray, V: np.ndarray, t: int) -> np.ndarray:
-    """Row-wise `dp_feasible_any_y(pairs, t) is not None` for (rows, m) arrays.
+    """Row-wise "some routing has increase at most t" for (rows, m) arrays.
 
-    Row r stands for the pairs (U[r, k], V[r, k]).  All end points y in
-    [-t, t] run at once as columns; a row is feasible when the mask of some
-    y of a reachable parity has bit y - lo set.  The masks are int64 while
-    every shifted bit stays below the sign bit (a window of at most t + 1
-    bits, shifted left by at most max V) and Python ints otherwise.
+    Row r stands for the pairs (U[r, k], V[r, k]); all end points y in
+    [-t, t] run at once as columns (none for t < 0).
     """
-    rows, m = U.shape
-    if m == 0:
-        return np.full(rows, t >= 0)
-    dtype = np.int64 if t + 1 + int(V.max(initial=0)) <= 62 else object
-    ys = np.arange(-t, t + 1)
-    lo, hi = _window(t, ys)
-    full = np.array([(1 << int(w)) - 1 for w in hi - lo + 1], dtype=dtype)
-    mask = np.zeros((rows, len(ys)), dtype=dtype)
-    for cand in (V[:, :1], -U[:, :1]):
-        inside = (lo <= cand) & (cand <= hi)
-        shift = np.where(inside, cand - lo, 0).astype(dtype)
-        mask |= np.where(inside, 1 << shift, 0).astype(dtype)
-    for k in range(1, m):
-        mask = ((mask << V[:, k : k + 1]) | (mask >> U[:, k : k + 1])) & full
-    end = ((mask >> (ys - lo).astype(dtype)) & 1) == 1
-    parity = V.sum(axis=1, keepdims=True) & 1
-    reach = ((U + V) & 1).any(axis=1, keepdims=True) | (parity == (ys & 1))
-    return (end & reach).any(axis=1)
+    return _reaches(U, V, t, np.arange(-t, t + 1)).any(axis=1)
 
 
 def dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, Scaled]:
-    """Minimum possible additive increase, by binary search over t."""
+    """Minimum possible additive increase, by binary search over t.
+
+    Feasibility only grows with t, and so does the set of feasible end
+    points, so once a probe is feasible the smaller probes after it test
+    only the end points found feasible there.  The routing is the walk
+    back from the smallest feasible end point at the minimum t.
+    """
     g, pairs = _unit_pairs(cross)
     if not pairs:
         return UnsplitRouting(()), 0
-    D = cross.D // g
-    hi = (3 * D + 1) // 2  # feasible: the 3/2 * D guarantee
-    lo = 0
-    assert dp_feasible_any_y(pairs, hi) is not None
+    U, V = _one_row(pairs)
+    lo, hi = 0, (3 * (cross.D // g) + 1) // 2  # feasible: the 3/2 * D guarantee
+    ys = None  # end points feasible at t = hi, once a probe has found some
     while lo < hi:
         mid = (lo + hi) // 2
-        if dp_feasible_any_y(pairs, mid) is not None:
-            hi = mid
+        probe = np.arange(-mid, mid + 1) if ys is None else ys[np.abs(ys) <= mid]
+        found = probe[_reaches(U, V, mid, probe)[0]]
+        if found.size:
+            hi, ys = mid, found
         else:
             lo = mid + 1
-    y, masks = dp_feasible_any_y(pairs, lo)  # type: ignore[misc]
-    return _dp_solution(pairs, lo, y, masks), lo * g
+    if ys is None:
+        ys = np.arange(-hi, hi + 1)
+        ys = ys[_reaches(U, V, hi, ys)[0]]
+        assert ys.size, "the 3/2 * D guarantee failed"
+    return _walk_back(pairs, lo, int(ys[0])), lo * g

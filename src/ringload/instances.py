@@ -60,15 +60,6 @@ _FIG8_DEMANDS = (
 BUILTIN_NAMES = ("fig1", "fig2", "fig5", "fig6", "fig7", "fig8")
 
 
-def _from_crossing_pairs(vu_pairs) -> tuple[RingInstance, SplitRouting]:
-    m = len(vu_pairs)
-    demands = tuple(
-        Demand(k + 1, k + 1 + m, from_int(v + u)) for k, (v, u) in enumerate(vu_pairs)
-    )
-    split = SplitRouting(tuple(from_int(u) for _, u in vu_pairs))
-    return RingInstance(2 * m, demands), split
-
-
 @dataclass(frozen=True)
 class ExtensionResult:
     instance: RingInstance
@@ -151,19 +142,25 @@ def _builtin_checked(name: str) -> tuple[RingInstance, SplitRouting]:
         _check(set(edge_loads(inst, split)) == {from_int(2)}, name, "loads uniform 2")
         return inst, split
     if name == "fig2":
-        inst, split = _from_crossing_pairs(_FIG2_VU)
+        inst, split = standalone_crossing(
+            tuple((from_int(u), from_int(v)) for v, u in _FIG2_VU)
+        ).to_ring()
         loads = edge_loads(inst, split)
         peak = from_int(37)
         at = tuple(k + 1 for k, load in enumerate(loads) if load == peak)
         _check(max(loads) == peak and at == (2, 3), name, "max load 37 at edges {2,3},{3,4}")
         return inst, split
     if name == "fig5":
-        inst, split = _from_crossing_pairs(_FIG5_VU)
+        inst, split = standalone_crossing(
+            tuple((from_int(u), from_int(v)) for v, u in _FIG5_VU)
+        ).to_ring()
         _check(sum(u for _, u in _FIG5_VU) == 575, name, "sum of u odd (575)")
         _check(all((u + v) % 2 == 0 for v, u in _FIG5_VU), name, "u+v even")
         return inst, split
     if name == "fig6":
-        inst, split = _from_crossing_pairs(_FIG6_VU)
+        inst, split = standalone_crossing(
+            tuple((from_int(u), from_int(v)) for v, u in _FIG6_VU)
+        ).to_ring()
         _, increase = brute_force_min_increase(inst, split)
         _check(increase == from_int(11), name, "minimum increase 11 over 256 routings")
         return inst, split

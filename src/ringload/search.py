@@ -46,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InfeasibleParams
+from .errors import InfeasibleParams, SchemaError
 from .exact import dp_feasible_block, dp_min_increase
 from .reduction import rotated, standalone_crossing
 from .scaled import Scaled, from_int, unscale
@@ -243,9 +243,14 @@ def search_lower_bound(
     threshold_int = unscale(threshold)
     start, stop = shard_range(family.size, shard)
     if checkpoint is not None and checkpoint.exists():
-        lines = checkpoint.read_text().split()
-        if lines:
-            start = max(start, int(lines[-1]) + 1)
+        try:
+            lines = checkpoint.read_text().split()
+            if lines:
+                start = max(start, int(lines[-1]) + 1)
+        except ValueError:
+            raise SchemaError(
+                f"{checkpoint}: the last line is not a plain integer index"
+            ) from None
 
     hits = []
     for lo in range(start, stop, _BLOCK):
@@ -260,8 +265,8 @@ def search_lower_bound(
                 tuple((from_int(u), from_int(v)) for u, v in pairs), from_int(D)
             )
             _, value = dp_min_increase(cross)
-            if value >= threshold:
-                hits.append(SearchHit(CanonicalForm(pairs), value))
+            assert value >= threshold, f"the screen kept {pairs} of minimum increase {value}"
+            hits.append(SearchHit(CanonicalForm(pairs), value))
         if checkpoint is not None:
             # every index c in the block with (c + 1 - start) % checkpoint_step == 0
             marks = range(lo + (start - 1 - lo) % checkpoint_step, hi, checkpoint_step)

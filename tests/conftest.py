@@ -6,15 +6,16 @@ so a plain `pytest` run always shows the per-criterion outcome.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 
 from hypothesis import strategies as st
 
 from ringload.instances import random_crossing
-from ringload.model import Demand, RingInstance, SplitRouting
+from ringload.model import CCW, CW, Demand, RingInstance, SplitRouting, UnsplitRouting
 from ringload.reduction import CrossingInstance, standalone_crossing
-from ringload.scaled import from_int
+from ringload.scaled import SCALE, exact_div, from_int
 
 
 def random_ring(rng: random.Random, max_n: int = 10, max_demands: int = 6,
@@ -71,6 +72,106 @@ def random_small_big(rng: random.Random, m: int, D: int) -> CrossingInstance:
         u = rng.randint(1, d - 1)
         pairs.append((from_int(u), from_int(d - u)))
     return standalone_crossing(tuple(pairs), from_int(D))
+
+
+# The scalar DP: one end point y at a time, in plain Python ints, with
+# the parity filter on y.  It is the oracle that exact's block mask
+# recurrence (dp_feasible_block, dp_feasible, dp_min_increase) is compared
+# against.
+
+
+def scalar_unit_pairs(cross: CrossingInstance) -> tuple[int, list[tuple[int, int]]]:
+    g = math.gcd(SCALE, cross.D, *(x for pair in cross.pairs for x in pair))
+    return g, [(u // g, v // g) for u, v in cross.pairs]
+
+
+def _reachable_parities(pairs) -> set[int]:
+    base = sum(v for _, v in pairs) & 1
+    if any((u + v) & 1 for u, v in pairs):
+        return {0, 1}
+    return {base}
+
+
+def scalar_masks(pairs, t: int, y: int) -> list[int] | None:
+    """Reachable-point bitmasks per level, or None when p(m) = y is unreachable.
+
+    Level k >= 1 points are confined to [ceil((y-t)/2), floor((y+t)/2)];
+    bit b of masks[k] stands for point lo + b.  p(0) = 0 is unconstrained.
+    """
+    lo, hi = -((t - y) // 2), (y + t) // 2
+    if lo > hi:
+        return None
+    full = (1 << (hi - lo + 1)) - 1
+    masks = [0] * (len(pairs) + 1)
+    if not pairs:
+        return masks if y == 0 else None
+    u0, v0 = pairs[0]
+    for cand in (v0, -u0):
+        if lo <= cand <= hi:
+            masks[1] |= 1 << (cand - lo)
+    for k in range(1, len(pairs)):
+        u, v = pairs[k]
+        masks[k + 1] = ((masks[k] << v) | (masks[k] >> u)) & full
+    if not (masks[len(pairs)] >> (y - lo)) & 1:
+        return None
+    return masks
+
+
+def scalar_feasible_any_y(pairs, t: int) -> tuple[int, list[int]] | None:
+    """Smallest end point y and its masks for increase at most t, if any."""
+    parities = _reachable_parities(pairs)
+    for y in range(-t, t + 1):
+        if (y & 1) not in parities:
+            continue
+        masks = scalar_masks(pairs, t, y)
+        if masks is not None:
+            return y, masks
+    return None
+
+
+def scalar_solution(pairs, t: int, y: int, masks: list[int]) -> UnsplitRouting:
+    """Walk the masks backward from p(m) = y, preferring clockwise steps."""
+    lo, hi = -((t - y) // 2), (y + t) // 2
+    dirs = [CW] * len(pairs)
+    point = y
+    for k in range(len(pairs), 0, -1):
+        u, v = pairs[k - 1]
+        prev_cw = point - v
+        if k == 1:
+            reachable_cw = prev_cw == 0
+        else:
+            reachable_cw = lo <= prev_cw <= hi and (masks[k - 1] >> (prev_cw - lo)) & 1
+        if reachable_cw:
+            point = prev_cw
+        else:
+            dirs[k - 1] = CCW
+            point = point + u
+    assert point == 0
+    return UnsplitRouting(tuple(dirs))
+
+
+def scalar_dp_feasible(cross: CrossingInstance, t: int, y: int) -> UnsplitRouting | None:
+    g, pairs = scalar_unit_pairs(cross)
+    t_g, y_g = exact_div(t, g), exact_div(y, g)
+    masks = scalar_masks(pairs, t_g, y_g) if abs(y_g) <= t_g else None
+    return None if masks is None else scalar_solution(pairs, t_g, y_g, masks)
+
+
+def scalar_dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, int]:
+    """Binary search on t over the full per-y scan of every probe."""
+    g, pairs = scalar_unit_pairs(cross)
+    if not pairs:
+        return UnsplitRouting(()), 0
+    lo, hi = 0, (3 * (cross.D // g) + 1) // 2
+    assert scalar_feasible_any_y(pairs, hi) is not None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if scalar_feasible_any_y(pairs, mid) is not None:
+            hi = mid
+        else:
+            lo = mid + 1
+    y, masks = scalar_feasible_any_y(pairs, lo)
+    return scalar_solution(pairs, lo, y, masks), lo * g
 
 
 _CRITERION = re.compile(r"test_criterion_(\d+)_(\w+)")

@@ -14,7 +14,7 @@ from ringload.approx import (
     solve_19_14,
     ssw_three_halves,
 )
-from ringload.errors import MediumDemandPresent, NotMedium, StepMismatch
+from ringload.errors import LengthMismatch, MediumDemandPresent, NotMedium
 from ringload.instances import builtin, random_crossing
 from ringload.model import CCW, CW, UnsplitRouting, additive_increase
 from ringload.patterns import Pattern, performance
@@ -54,7 +54,7 @@ def test_pattern_solution_round_trip():
 
 def test_pattern_from_solution_length_check():
     cross = cross_of([(1, 1)], 2)
-    with pytest.raises(StepMismatch):
+    with pytest.raises(LengthMismatch):
         pattern_from_solution(cross, UnsplitRouting((CW, CW)), 0)
 
 

@@ -267,6 +267,17 @@ def test_search_argument_errors_exit_without_traceback(capsys, argv, expected):
     assert last.startswith("ringload search: error:" if expected == 2 else "error:")
 
 
+@pytest.mark.parametrize("content", [b"12\nab", b"12\n\xff\xfe\n"])
+def test_search_corrupt_checkpoint_is_a_one_line_error(capsys, tmp_path, content):
+    checkpoint = tmp_path / "shard-0-of-4000000.txt"
+    checkpoint.write_bytes(content)
+    code, out, err = run_cli(capsys, "search", "--m", "8", "--d", "10", "--threshold", "11",
+                             "--shard", "0/4000000", "--checkpoint-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: SchemaError:")
+    assert checkpoint.read_bytes() == content
+
+
 def test_search_shard_emits_json_lines(capsys):
     code, out, _ = run_cli(capsys, "search", "--m", "2", "--d", "4",
                            "--threshold", "1", "--shard", "0/1")

@@ -2,13 +2,21 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import criterion_8_crossings, random_ring, split_rings
+from conftest import (
+    criterion_8_crossings,
+    random_ring,
+    scalar_dp_feasible,
+    scalar_dp_min_increase,
+    scalar_feasible_any_y,
+    split_rings,
+)
 from ringload import exact
 from ringload.cli import main
 from ringload.approx import pattern_from_solution, solve_19_14, ssw_three_halves
@@ -17,7 +25,7 @@ from ringload.exact import (
     brute_force_min_increase,
     brute_force_optimum_L,
     dp_feasible,
-    dp_feasible_any_y,
+    dp_feasible_block,
     dp_min_increase,
 )
 from ringload.fileio import write_instance
@@ -228,6 +236,103 @@ def test_dp_matches_brute_force_on_half_integer_crossings(cross):
         assert value == enumerate_min_increase(cross)
 
 
+def test_dp_min_increase_matches_scalar_oracle_on_d1000_rings(monkeypatch):
+    # At D = 1000 the masks are Python ints, and every probe after the first
+    # feasible one tests only the end points found feasible there.
+    probes = []
+    reaches = exact._reaches
+
+    def recorded(U, V, t, ys):
+        probes.append((t, len(ys)))
+        return reaches(U, V, t, ys)
+
+    monkeypatch.setattr(exact, "_reaches", recorded)
+    for seed in range(6):
+        cross = random_crossing(50, 1000, seed)
+        probes.clear()
+        assert dp_min_increase(cross) == scalar_dp_min_increase(cross)
+        assert probes[0] == (750, 2 * 750 + 1)
+        assert any(width < 2 * t + 1 for t, width in probes[1:])
+
+
+def half_integer_crossing(rng, m, D):
+    pairs = []
+    for _ in range(m):
+        d = rng.randint(1, D)
+        u = rng.randint(1, 2 * d - 1)
+        pairs.append((u * 14, (2 * d - u) * 14))
+    return standalone_crossing(tuple(pairs), from_int(D))
+
+
+def test_dp_matches_scalar_oracle_on_small_rings():
+    # dp_feasible at every (t, y), and dp_min_increase value and routing.
+    rng = random.Random(66)
+    crosses = [random_crossing(rng.randint(1, 7), rng.randint(2, 9), seed=trial)
+               for trial in range(30)]
+    crosses += [half_integer_crossing(rng, rng.randint(1, 7), rng.randint(1, 5))
+                for _ in range(30)]
+    outcomes = set()
+    for cross in crosses:
+        assert dp_min_increase(cross) == scalar_dp_min_increase(cross), cross
+        g = 14 if any(u % 28 for u, _ in cross.pairs) else 28
+        for t in range(-1, 3 * cross.D // g // 2 + 2):
+            for y in range(-t - 1, t + 2):
+                routing = dp_feasible(cross, t * g, y * g)
+                assert routing == scalar_dp_feasible(cross, t * g, y * g), (cross, t, y)
+                outcomes.add(routing is None)
+    assert outcomes == {True, False}
+
+
+def test_dp_kernel_edge_cases():
+    # t = -1 leaves no end point to test; m = 0 reaches exactly y = 0.
+    U, V = np.array([[1, 3], [2, 2]]), np.array([[3, 1], [2, 2]])
+    assert exact._reaches(U, V, -1, np.arange(1, 0)).shape == (2, 0)
+    assert dp_feasible_block(U, V, -1).tolist() == [False, False]
+    empty = np.zeros((3, 0), dtype=np.int64)
+    assert dp_feasible_block(empty, empty, -1).tolist() == [False] * 3
+    assert dp_feasible_block(empty, empty, 0).tolist() == [True] * 3
+    ys = np.arange(-2, 3)
+    assert exact._reaches(empty, empty, 2, ys).tolist() == [[False, False, True, False, False]] * 3
+    cross = standalone_crossing((), 0)
+    assert dp_min_increase(cross) == scalar_dp_min_increase(cross) == (UnsplitRouting(()), 0)
+    for t in range(-1, 3):
+        for y in range(-2, 3):
+            routing = dp_feasible(cross, t * S, y * S)
+            assert routing == scalar_dp_feasible(cross, t * S, y * S)
+            assert (routing is not None) == (t >= 0 and y == 0)
+    cross = standalone_crossing(((S, S),), 2 * S)
+    assert dp_feasible(cross, -S, 0) is None
+
+
+def test_dp_in_column_chunks_matches_scalar_oracle(monkeypatch):
+    monkeypatch.setattr(exact, "_MASK_BITS", 40)
+    rng = random.Random(67)
+    for trial in range(40):
+        cross = random_crossing(rng.randint(1, 8), rng.randint(2, 30), seed=trial)
+        assert dp_min_increase(cross) == scalar_dp_min_increase(cross)
+    family = StructuredFamily(4, 8)
+    U, V = family.decode_block(0, 500)
+    for t in range(-1, 13):
+        expected = [scalar_feasible_any_y(tuple(zip(u, v)), t) is not None
+                    for u, v in zip(U.tolist(), V.tolist())]
+        assert dp_feasible_block(U, V, t).tolist() == expected
+    empty = np.zeros((0, 4), dtype=np.int64)
+    assert dp_feasible_block(empty, empty, 3).tolist() == []
+
+
+def test_dp_memory_stays_bounded_at_large_d():
+    # All 2t+1 end points of the first probe would hold about 40 MB of
+    # masks at D = 10^4; in column chunks the peak stays a few megabytes.
+    cross = random_crossing(6, 10_000, seed=1)
+    tracemalloc.start()
+    try:
+        dp_min_increase(cross)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 def test_feasibility_screen_matches_full_dp_on_small_family():
     # Every odd canonical member of the m=4, D=6 family, every threshold up
     # to the 3/2 * D guarantee; the minimum is also checked by enumeration.
@@ -244,7 +349,7 @@ def test_feasibility_screen_matches_full_dp_on_small_family():
         _, value = dp_min_increase(cross)
         assert brute_force_min_increase(*cross.to_ring())[1] == value
         for t in range(1, 3 * D // 2 + 1):
-            screened_out = dp_feasible_any_y(pairs, t - 1) is not None
+            screened_out = scalar_feasible_any_y(pairs, t - 1) is not None
             assert screened_out == (value < from_int(t)), (pairs, t)
         checked += 1
     assert checked == 124

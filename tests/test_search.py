@@ -5,8 +5,9 @@ import random
 import numpy as np
 import pytest
 
+from conftest import scalar_feasible_any_y
 from ringload.errors import InfeasibleParams
-from ringload.exact import dp_feasible_any_y, dp_feasible_block, dp_min_increase
+from ringload.exact import dp_feasible_block, dp_min_increase
 from ringload.instances import _FIG2_VU, _FIG6_VU
 from ringload.reduction import standalone_crossing
 from ringload.scaled import from_int, unscale
@@ -55,7 +56,7 @@ def scalar_search(m, D, threshold, shard=(0, 1), checkpoint=None, checkpoint_ste
     for index in range(start, stop):
         pairs = family.decode(index)
         if sum(u for u, _ in pairs) % 2 and _is_canonical(pairs, D):
-            if dp_feasible_any_y(pairs, threshold_int - 1) is None:
+            if scalar_feasible_any_y(pairs, threshold_int - 1) is None:
                 value = dp_of(pairs, D)
                 if value >= threshold:
                     hits.append(SearchHit(CanonicalForm(pairs), value))
@@ -91,7 +92,7 @@ def assert_canonical_mask_matches_oracle(U, V, D):
 
 
 def assert_screen_matches_oracle(U, V, t):
-    expected = [dp_feasible_any_y(pairs, t) is not None for pairs in rows_of(U, V)]
+    expected = [scalar_feasible_any_y(pairs, t) is not None for pairs in rows_of(U, V)]
     assert dp_feasible_block(U, V, t).tolist() == expected
     return expected
 
