@@ -83,6 +83,10 @@ class TooManyDemands(RingLoadingError):
     """Brute force over 2^k routings exceeds the configured cap of demands."""
 
 
+class TooLargeForDP(RingLoadingError):
+    """The DP's start bound, in grid units, exceeds the end points it can probe."""
+
+
 class InvalidSetting(RingLoadingError):
     """An environment setting or a combination of options is invalid.
 

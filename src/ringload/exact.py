@@ -48,7 +48,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import InvalidSetting, TooManyDemands
+from .errors import InvalidSetting, TooLargeForDP, TooManyDemands
 from .model import (
     CCW,
     CW,
@@ -67,6 +67,10 @@ _CHUNK_BITS = 12
 # Bits in one array of DP masks.  All 2t+1 end points of a probe take about
 # 2t^2 bits, gigabytes at D = 10^5, so wider probes run in column chunks.
 _MASK_BITS = 1 << 24
+# Largest start bound t, in grid units, of dp_min_increase.  Its first
+# probe has about t end-point columns of about t mask bits each; D = 10^5
+# starts at t = 1.5 * 10^5.
+_MAX_DP_BOUND = 1 << 24
 
 
 def _brute_cap() -> int:
@@ -359,6 +363,10 @@ def dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, Scaled]:
         return UnsplitRouting(()), 0
     U, V = _one_row(pairs)
     lo, hi = 0, (3 * (cross.D // g) + 1) // 2  # feasible: the 3/2 * D guarantee
+    if hi > _MAX_DP_BOUND:
+        raise TooLargeForDP(
+            f"the DP's start bound of {hi} grid units exceeds its limit of {_MAX_DP_BOUND}"
+        )
     ys = None  # end points feasible at t = hi, once a probe has found some
     while lo < hi:
         mid = (lo + hi) // 2

@@ -5,7 +5,9 @@ nodes k and k+m, every pair of demands crossing, and every demand strictly
 split (u_k clockwise, v_k counterclockwise, both positive).  The reduction
 
   1. uncrosses parallel demand pairs (rerouting flow so that one of the
-     two becomes unsplittable, never increasing any edge load),
+     two becomes unsplittable, never increasing any edge load; a suffix
+     of demands that already cross pairwise is skipped, since none of its
+     pairs can ever be uncrossed),
   2. freezes every unsplittably routed demand into per-edge base loads,
   3. contracts nodes that are no endpoint of a remaining demand (their two
      incident edges carry equal remaining load), and
@@ -22,6 +24,7 @@ uncrossing never raises a load.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .errors import LengthMismatch, NotParallel
@@ -165,14 +168,41 @@ def uncross_pair(
     return SplitRouting(tuple(new_cw))
 
 
+def _crossing_suffix(demands: tuple[Demand, ...], cw: list[Scaled]) -> int:
+    """Smallest s such that the demands split from index s on cross pairwise.
+
+    Walks down from the last demand with the sorted endpoints of the
+    family so far.  The endpoints of t pairwise-crossing chords run
+    x1..xt x1..xt around the ring, so an arc holding t of them holds one
+    end of each chord: a new chord sharing no endpoint crosses them all
+    exactly when its open arc (i, j) holds t endpoints.
+    """
+    ends: list[int] = []
+    for s in range(len(demands) - 1, -1, -1):
+        dem = demands[s]
+        if cw[s] in (0, dem.d):
+            continue
+        lo, hi = bisect_left(ends, dem.i), bisect_left(ends, dem.j)
+        shared = ends[lo : lo + 1] == [dem.i] or ends[hi : hi + 1] == [dem.j]
+        if shared or 2 * (hi - lo) != len(ends):
+            return s + 1
+        insort(ends, dem.i)
+        insort(ends, dem.j)
+    return 0
+
+
 def _uncross_all(inst: RingInstance, split: SplitRouting) -> SplitRouting:
     # One lexicographic pair sweep.  Uncrossing (a, b) leaves a or b
     # unsplit, an unsplit demand is never touched again and crossing is
     # fixed, so every pair already skipped stays skipped: rescanning
-    # from the start after a change would find nothing new.
+    # from the start after a change would find nothing new.  Rows from
+    # the crossing suffix on are skipped too: a demand only goes from
+    # split to unsplit, so at such a row every split b > a still belongs
+    # to the pairwise-crossing suffix and crosses a.
     demands = inst.demands
     cw = list(split.cw)
-    for a, dem_a in enumerate(demands):
+    for a in range(_crossing_suffix(demands, cw)):
+        dem_a = demands[a]
         for b in range(a + 1, len(demands)):
             if cw[a] in (0, dem_a.d):
                 break

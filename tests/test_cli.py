@@ -314,6 +314,19 @@ def test_brute_force_and_optimum_beyond_int64(capsys, tmp_path):
     assert json.loads(out)["optimum_load"] == str(big + 2)
 
 
+def test_dp_beyond_its_limit_is_a_one_line_error(capsys, tmp_path):
+    big = 10**21
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 4, "demands": [
+        {"i": 1, "j": 3, "d": big, "cw": big // 2},
+        {"i": 2, "j": 4, "d": 2, "cw": 1},
+    ]}))
+    code, out, err = run_cli(capsys, "solve", "--alg", "dp", "-i", str(path))
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error: TooLargeForDP: ")
+
+
 def test_optimum_matches_its_own_loads_near_the_int64_limit(capsys, tmp_path):
     path = tmp_path / "near.json"
     path.write_text('{"n": 4, "demands": [{"i": 1, "j": 3, "d": 100000000000000000},'

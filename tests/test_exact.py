@@ -20,7 +20,7 @@ from conftest import (
 from ringload import exact
 from ringload.cli import main
 from ringload.approx import pattern_from_solution, solve_19_14, ssw_three_halves
-from ringload.errors import TooManyDemands
+from ringload.errors import TooLargeForDP, TooManyDemands
 from ringload.exact import (
     brute_force_min_increase,
     brute_force_optimum_L,
@@ -331,6 +331,18 @@ def test_dp_memory_stays_bounded_at_large_d():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def test_dp_refuses_a_start_bound_beyond_its_limit(monkeypatch):
+    # Half-integer splits at D = 10^5 start at t = 3 * 10^5 half units.
+    assert exact._MAX_DP_BOUND >= 3 * 10**5
+    cross = standalone_crossing(((from_int(1), from_int(1)), (from_int(1), from_int(2))))
+    hi = (3 * 3 + 1) // 2  # the start bound at D = 3, in whole units
+    monkeypatch.setattr(exact, "_MAX_DP_BOUND", hi)
+    assert dp_min_increase(cross)[1] == brute_force_min_increase(*cross.to_ring())[1]
+    monkeypatch.setattr(exact, "_MAX_DP_BOUND", hi - 1)
+    with pytest.raises(TooLargeForDP):
+        dp_min_increase(cross)
 
 
 def test_feasibility_screen_matches_full_dp_on_small_family():

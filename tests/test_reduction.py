@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import random_ring, split_rings
 from ringload.errors import LengthMismatch, NotParallel
-from ringload.instances import builtin
+from ringload import reduction
+from ringload.instances import builtin, random_crossing
 from ringload.model import (
     CCW,
     CW,
@@ -23,6 +24,8 @@ from ringload.model import (
 from ringload.approx import pattern_from_solution
 from ringload.patterns import performance
 from ringload.reduction import (
+    _crossing_suffix,
+    _uncross_all,
     demands_cross,
     lift_solution,
     reduce_to_crossing,
@@ -30,7 +33,7 @@ from ringload.reduction import (
     standalone_crossing,
     uncross_pair,
 )
-from ringload.scaled import from_int
+from ringload.scaled import SCALE, from_int
 
 
 def test_demands_cross_basic():
@@ -287,6 +290,27 @@ def reference_uncross_all(inst, split):
             return split
 
 
+def sweep_uncross_all(inst, split):
+    """One lexicographic pair sweep over every row, crossing suffix included."""
+    # One lexicographic pair sweep.  Uncrossing (a, b) leaves a or b
+    # unsplit, an unsplit demand is never touched again and crossing is
+    # fixed, so every pair already skipped stays skipped: rescanning
+    # from the start after a change would find nothing new.
+    demands = inst.demands
+    cw = list(split.cw)
+    for a, dem_a in enumerate(demands):
+        for b in range(a + 1, len(demands)):
+            if cw[a] in (0, dem_a.d):
+                break
+            dem_b = demands[b]
+            if cw[b] in (0, dem_b.d) or demands_cross(
+                inst.n, (dem_a.i, dem_a.j), (dem_b.i, dem_b.j)
+            ):
+                continue
+            cw[a], cw[b] = reduction._uncrossed_amounts(dem_a, dem_b, cw[a], cw[b])
+    return SplitRouting(tuple(cw))
+
+
 def reference_crossing_form(inst, uncrossed):
     """fixed, demand_map, pairs and backmap of an uncrossed split, edge by edge."""
     fixed, still_split = [], []
@@ -319,6 +343,7 @@ def assert_reduction_matches_reference(inst, split):
     cross, reduced = reduce_to_crossing(inst, split)
     uncrossed = reference_uncross_all(inst, split)
     assert cross.uncrossed == uncrossed
+    assert _uncross_all(inst, split) == sweep_uncross_all(inst, split) == uncrossed
     assert (cross.fixed, cross.demand_map, cross.pairs, cross.backmap) == (
         reference_crossing_form(inst, uncrossed)
     )
@@ -341,6 +366,104 @@ def test_reduction_matches_restart_scan_reference_on_random_rings():
 @given(split_rings())
 def test_reduction_matches_restart_scan_reference(ring):
     assert_reduction_matches_reference(*ring)
+
+
+def assert_reduction_matches_sweep(inst, split):
+    uncrossed = sweep_uncross_all(inst, split)
+    assert _uncross_all(inst, split) == uncrossed
+    cross, _ = reduce_to_crossing(inst, split)
+    assert cross.uncrossed == uncrossed
+    assert (cross.fixed, cross.demand_map, cross.pairs, cross.backmap) == (
+        reference_crossing_form(inst, uncrossed)
+    )
+
+
+def with_extra_demands(inst, split, rng, count):
+    """Insert count zero, unsplit or split demands at random indices.
+
+    Every node of a crossing ring is an endpoint, so each new demand shares
+    its endpoints with crossing demands.
+    """
+    demands, cw = list(inst.demands), list(split.cw)
+    for _ in range(count):
+        kind = rng.choice(("zero", "unsplit", "split"))
+        i = rng.randint(1, inst.n - 1)
+        j = rng.randint(i + 1, inst.n)
+        d = 0 if kind == "zero" else from_int(rng.randint(1, 6))
+        half_units = rng.randint(0, 2 * d // SCALE)
+        x = rng.choice((0, d)) if kind == "unsplit" else half_units * SCALE // 2
+        pos = rng.randint(0, len(demands))
+        demands.insert(pos, Demand(i, j, d))
+        cw.insert(pos, x)
+    return RingInstance(inst.n, tuple(demands)), SplitRouting(tuple(cw))
+
+
+def test_uncross_all_matches_sweep_on_perturbed_crossing_rings():
+    rng = random.Random(37)
+    suffix_ended_early = 0
+    for trial in range(60):
+        m = rng.randint(2, 300)
+        inst, split = random_crossing(m, rng.randint(2, 20), seed=trial).to_ring()
+        inst, split = with_extra_demands(inst, split, rng, trial % 4)
+        suffix_ended_early += _crossing_suffix(inst.demands, list(split.cw)) > 0
+        assert_reduction_matches_sweep(inst, split)
+    assert suffix_ended_early >= 10
+
+
+def test_uncross_all_matches_sweep_on_large_random_rings():
+    # k demands on k/2 nodes, strictly split in half units, as the benchmark's
+    # random rings.
+    rng = random.Random(38)
+    for k in (20, 100, 300):
+        n = k // 2
+        demands, cw = [], []
+        for _ in range(k):
+            i, j = sorted(rng.sample(range(1, n + 1), 2))
+            d = rng.randint(1, 20)
+            demands.append(Demand(i, j, d * SCALE))
+            cw.append(rng.randint(1, 2 * d - 1) * SCALE // 2)
+        assert_reduction_matches_sweep(RingInstance(n, tuple(demands)), SplitRouting(tuple(cw)))
+
+
+def count_crossing_tests(monkeypatch):
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return demands_cross(*args)
+
+    monkeypatch.setattr(reduction, "demands_cross", counted)
+    return calls
+
+
+@pytest.mark.parametrize("m", [1000, 20000])
+def test_reducing_a_crossing_ring_tests_no_pair(monkeypatch, m):
+    direct = random_crossing(m, 20, seed=m)
+    inst, split = direct.to_ring()
+    calls = count_crossing_tests(monkeypatch)
+    cross, _ = reduce_to_crossing(inst, split)
+    assert calls[0] == 0
+    assert cross.pairs == direct.pairs
+    assert cross.backmap == tuple((e, 0) for e in range(2 * m))
+    assert cross.demand_map == tuple(range(m))
+
+
+def test_a_parallel_demand_ends_the_crossing_suffix(monkeypatch):
+    # A short chord inside the first arc crosses no demand; rows up to its
+    # index still scan, the rows after it do not.
+    m = 1000
+    inst, split = random_crossing(m, 20, seed=1).to_ring()
+    demands, cw = list(inst.demands), list(split.cw)
+    demands.insert(m // 2, Demand(1, 2, from_int(2)))
+    cw.insert(m // 2, from_int(1))
+    inst, split = RingInstance(inst.n, tuple(demands)), SplitRouting(tuple(cw))
+    assert _crossing_suffix(inst.demands, cw) == m // 2 + 1
+    calls = count_crossing_tests(monkeypatch)
+    uncrossed = _uncross_all(inst, split)
+    k = len(demands)
+    assert 0 < calls[0] < k * k // 2
+    monkeypatch.undo()
+    assert uncrossed == sweep_uncross_all(inst, split)
 
 
 pair_sequences = st.lists(
