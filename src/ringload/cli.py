@@ -236,7 +236,8 @@ def _cmd_search(args) -> int:
         checkpoint = None
         if args.checkpoint_dir:
             index, count = args.shard
-            checkpoint = Path(args.checkpoint_dir) / f"shard-{index}-of-{count}.txt"
+            name = f"m{args.m}-d{args.d}-t{args.threshold}-shard-{index}-of-{count}.txt"
+            checkpoint = Path(args.checkpoint_dir) / name
             checkpoint.parent.mkdir(parents=True, exist_ok=True)
         hits = search.search_lower_bound(args.m, args.d, threshold, args.shard, checkpoint)
     else:

@@ -240,7 +240,6 @@ def brute_force_min_increase(
 
 def brute_force_optimum_L(inst: RingInstance) -> tuple[UnsplitRouting, Scaled]:
     """Minimum over all routings of the maximum edge load (the value L)."""
-    validate_instance(inst)
     return _enumerate_min(inst, _active_demands(inst), (0,) * inst.n)
 
 

@@ -15,7 +15,8 @@ Routing report (produced, never parsed):
     {"dirs": ["cw"|"ccw", ...], "max_increase": "p/q", "loads": ["p/q", ...]}
 
 All numeric report values are exact rational strings; no floating point
-appears in any output.
+appears in any output.  A document's ring checks itself on construction;
+its split is checked once, where it enters (parse_instance, write_instance).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 from .errors import InstanceSyntaxError, SchemaError
 from .model import Demand, RingInstance, SplitRouting, UnsplitRouting, validate_instance
-from .scaled import SCALE, Scaled, from_int, rational_str, to_fraction
+from .scaled import SCALE, Scaled, from_int, rational_str, unscale
 
 
 def _require_int(obj: dict, key: str, where: str) -> int:
@@ -85,28 +86,31 @@ def parse_instance(data: bytes | str) -> tuple[RingInstance, SplitRouting | None
 
     inst = RingInstance(n, tuple(demands))
     split = SplitRouting(tuple(cw_amounts)) if with_cw or not demands else None
-    validate_instance(inst, split)
+    if split is not None:
+        validate_instance(inst, split)
     return inst, split
 
 
-def _cw_json_value(scaled: Scaled) -> int | float:
-    frac = to_fraction(scaled)
-    if frac.denominator == 1:
-        return int(frac)
-    return float(frac)  # exact: denominator is 2
+def _cw_text(scaled: Scaled) -> str:
+    """Exact decimal text of an integer or half-integer amount, e.g. 3 or 1.5."""
+    whole, rest = divmod(scaled, SCALE)
+    return f"{whole}.5" if 2 * rest == SCALE else str(unscale(scaled))
 
 
 def write_instance(inst: RingInstance, split: SplitRouting | None = None) -> bytes:
-    """Serialize; write_instance / parse_instance round-trip exactly."""
-    validate_instance(inst, split)
-    demands = []
+    """Serialize in the layout of json.dumps(doc, indent=1); round-trips exactly.
+
+    Written by hand so that a half-integer "cw" is exact text at any size.
+    """
+    if split is not None:
+        validate_instance(inst, split)
+    entries = []
     for pos, dem in enumerate(inst.demands):
-        entry: dict[str, object] = {"i": dem.i, "j": dem.j, "d": dem.d // SCALE}
-        if split is not None:
-            entry["cw"] = _cw_json_value(split.cw[pos])
-        demands.append(entry)
-    doc = {"n": inst.n, "demands": demands}
-    return (json.dumps(doc, indent=1) + "\n").encode("utf-8")
+        cw = "" if split is None else f',\n   "cw": {_cw_text(split.cw[pos])}'
+        fields = f'"i": {dem.i},\n   "j": {dem.j},\n   "d": {unscale(dem.d)}{cw}'
+        entries.append(f"  {{\n   {fields}\n  }}")
+    demands = "[\n" + ",\n".join(entries) + "\n ]" if entries else "[]"
+    return f'{{\n "n": {inst.n},\n "demands": {demands}\n}}\n'.encode("utf-8")
 
 
 def routing_report(

@@ -10,7 +10,9 @@ Conventions (used throughout the package):
     edges i..j-1; the counterclockwise path covers the complement.
   * All quantities are scaled integers on the 1/28 grid (see scaled.py).
 
-All types are immutable; all operations are pure functions.
+All types are immutable; all operations are pure functions.  Rings check
+themselves on construction (n >= 3; 1 <= i < j <= n and d >= 0 per
+demand); a split is checked once, by validate_instance, where it enters.
 """
 
 from __future__ import annotations
@@ -46,6 +48,17 @@ class RingInstance:
     n: int
     demands: tuple[Demand, ...]
 
+    def __post_init__(self) -> None:
+        if self.n < 3:
+            raise NodeOutOfRange(f"ring must have at least 3 nodes, got n={self.n}")
+        for pos, dem in enumerate(self.demands):
+            if not (1 <= dem.i < dem.j <= self.n):
+                raise NodeOutOfRange(
+                    f"demand #{pos} endpoints ({dem.i},{dem.j}) violate 1 <= i < j <= {self.n}"
+                )
+            if dem.d < 0:
+                raise NegativeDemand(f"demand #{pos} has negative value")
+
     @property
     def max_demand(self) -> Scaled:
         """D, the maximum demand value (0 for an empty demand list)."""
@@ -71,34 +84,13 @@ class UnsplitRouting:
                 raise ValueError(f"direction must be {CW!r} or {CCW!r}, got {flag!r}")
 
 
-def validate_instance(inst: RingInstance, split: SplitRouting | None = None) -> None:
-    """Check all structural invariants; raises the first violation found."""
-    if inst.n < 3:
-        raise NodeOutOfRange(f"ring must have at least 3 nodes, got n={inst.n}")
-    for pos, dem in enumerate(inst.demands):
-        if not (1 <= dem.i < dem.j <= inst.n):
-            raise NodeOutOfRange(
-                f"demand #{pos} endpoints ({dem.i},{dem.j}) violate 1 <= i < j <= {inst.n}"
-            )
-        if dem.d < 0:
-            raise NegativeDemand(f"demand #{pos} has negative value")
-    if split is not None:
-        if len(split.cw) != len(inst.demands):
-            raise IndexMismatch(
-                f"split has {len(split.cw)} entries for {len(inst.demands)} demands"
-            )
-        for pos, (dem, cw) in enumerate(zip(inst.demands, split.cw)):
-            if not (0 <= cw <= dem.d):
-                raise SplitExceedsDemand(
-                    f"demand #{pos}: clockwise amount outside [0, d]"
-                )
-
-
-def validate_routing(inst: RingInstance, routing: UnsplitRouting) -> None:
-    if len(routing.dirs) != len(inst.demands):
-        raise IndexMismatch(
-            f"routing has {len(routing.dirs)} entries for {len(inst.demands)} demands"
-        )
+def validate_instance(inst: RingInstance, split: SplitRouting) -> None:
+    """Check a caller's split (one amount in [0, d] per demand), once at entry."""
+    if len(split.cw) != len(inst.demands):
+        raise IndexMismatch(f"split has {len(split.cw)} entries for {len(inst.demands)} demands")
+    for pos, (dem, cw) in enumerate(zip(inst.demands, split.cw)):
+        if not (0 <= cw <= dem.d):
+            raise SplitExceedsDemand(f"demand #{pos}: clockwise amount outside [0, d]")
 
 
 def path_loads(n: int, paths: Iterable[tuple[int, int, Scaled, Scaled]]) -> LoadVector:
@@ -117,14 +109,14 @@ def path_loads(n: int, paths: Iterable[tuple[int, int, Scaled, Scaled]]) -> Load
 
 
 def edge_loads(inst: RingInstance, routing: SplitRouting | UnsplitRouting) -> LoadVector:
-    """Per-edge loads induced by a split or unsplittable routing."""
-    if isinstance(routing, SplitRouting):
-        validate_instance(inst, routing)
-        cws = routing.cw
-    else:
-        validate_instance(inst)
-        validate_routing(inst, routing)
-        cws = tuple(dem.d if flag == CW else 0 for dem, flag in zip(inst.demands, routing.dirs))
+    """Per-edge loads of a routing; split amounts are taken as given."""
+    is_split = isinstance(routing, SplitRouting)
+    entries = routing.cw if is_split else routing.dirs
+    if len(entries) != len(inst.demands):
+        raise IndexMismatch(f"routing has {len(entries)} entries for {len(inst.demands)} demands")
+    cws = entries if is_split else [
+        dem.d if flag == CW else 0 for dem, flag in zip(inst.demands, entries)
+    ]
     return path_loads(inst.n, ((dem.i, dem.j, cw, dem.d - cw) for dem, cw in zip(inst.demands, cws)))
 
 

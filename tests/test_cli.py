@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -269,7 +270,7 @@ def test_search_argument_errors_exit_without_traceback(capsys, argv, expected):
 
 @pytest.mark.parametrize("content", [b"12\nab", b"12\n\xff\xfe\n"])
 def test_search_corrupt_checkpoint_is_a_one_line_error(capsys, tmp_path, content):
-    checkpoint = tmp_path / "shard-0-of-4000000.txt"
+    checkpoint = tmp_path / "m8-d10-t11-shard-0-of-4000000.txt"
     checkpoint.write_bytes(content)
     code, out, err = run_cli(capsys, "search", "--m", "8", "--d", "10", "--threshold", "11",
                              "--shard", "0/4000000", "--checkpoint-dir", str(tmp_path))
@@ -287,6 +288,47 @@ def test_search_shard_emits_json_lines(capsys):
     for record in records:
         assert set(record) == {"pairs", "min_increase"}
         assert no_floats(record)
+
+
+def test_a_checkpoint_is_resumed_only_by_its_own_search(capsys, tmp_path):
+    shard = ("--threshold", "1", "--shard", "0/1", "--checkpoint-dir", str(tmp_path / "ck"))
+    code, _, _ = run_cli(capsys, "search", "--m", "2", "--d", "4", *shard)
+    assert code == 0
+    code, out, err = run_cli(capsys, "search", "--m", "2", "--d", "6", *shard)
+    assert code == 0
+    _, fresh, fresh_err = run_cli(capsys, "search", "--m", "2", "--d", "6",
+                                  "--threshold", "1", "--shard", "0/1")
+    assert (out, err) == (fresh, fresh_err)
+    assert err.startswith("6 sequence(s)")
+
+
+@pytest.mark.parametrize("argv, checks", [
+    (("solve", "--alg", "auto"), 2),
+    (("solve", "--alg", "brute"), 2),
+    (("loads",), 1),
+])
+def test_a_command_checks_its_split_where_it_enters(capsys, tmp_path, monkeypatch,
+                                                     argv, checks):
+    # Once in parse_instance, and once more at a solver's entry.
+    inst, split = random_ring(random.Random(0))
+    assert len(inst.demands) == 6
+    path = tmp_path / "ring.json"
+    path.write_bytes(write_instance(inst, split))
+    calls = []
+
+    def counted(check):
+        def wrapper(*args):
+            calls.append(args)
+            return check(*args)
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ringload" and hasattr(module, "validate_instance"):
+            monkeypatch.setattr(module, "validate_instance", counted(module.validate_instance))
+    code, _, _ = run_cli(capsys, *argv, "-i", str(path))
+    assert code == 0
+    assert len(calls) == checks
+    assert all(args == (inst, split) for args in calls)
 
 
 def test_search_full_small_family(capsys):

@@ -10,7 +10,7 @@ from conftest import random_ring, split_rings
 from ringload.errors import InstanceSyntaxError, NodeOutOfRange, SchemaError
 from ringload.fileio import parse_instance, routing_report, write_instance
 from ringload.instances import builtin
-from ringload.model import RingInstance, SplitRouting, UnsplitRouting
+from ringload.model import Demand, RingInstance, SplitRouting, UnsplitRouting
 from ringload.scaled import from_int
 
 
@@ -53,6 +53,21 @@ def test_half_integer_cw_round_trips():
     inst, split = parse_instance(doc)
     assert split is not None and split.cw == (42,)  # 1.5 * 28
     assert parse_instance(write_instance(inst, split)) == (inst, split)
+    # Beyond 2^52 a half-integer has no exact float; it is written as text.
+    doc = b'{"n": 4, "demands": [{"i":1,"j":3,"d":1000000000000000000001,' \
+          b'"cw":500000000000000000000.5}]}'
+    inst, split = parse_instance(doc)
+    written = write_instance(inst, split)
+    assert b'"cw": 500000000000000000000.5' in written
+    assert parse_instance(written) == (inst, split)
+
+
+def test_writer_refuses_values_the_format_cannot_hold():
+    # "d" is an integer and "cw" an integer or half-integer; nothing is rounded.
+    with pytest.raises(ValueError):
+        write_instance(RingInstance(4, (Demand(1, 3, 42),)))  # d = 3/2
+    with pytest.raises(ValueError):
+        write_instance(RingInstance(4, (Demand(1, 3, from_int(1)),)), SplitRouting((7,)))
 
 
 def test_cw_absent_gives_instance_without_split():

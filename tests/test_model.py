@@ -33,19 +33,20 @@ def test_validate_accepts_fig1():
 
 
 def test_validate_rejects_bad_node():
-    inst = RingInstance(4, (Demand(1, 5, from_int(2)),))
-    with pytest.raises(NodeOutOfRange):
-        validate_instance(inst)
+    with pytest.raises(NodeOutOfRange, match=r"\(1,5\) violate 1 <= i < j <= 4"):
+        RingInstance(4, (Demand(1, 5, from_int(2)),))
+    with pytest.raises(NodeOutOfRange, match="at least 3 nodes, got n=2"):
+        RingInstance(2, ())
 
 
 def test_validate_rejects_unordered_endpoints():
     with pytest.raises(NodeOutOfRange):
-        validate_instance(RingInstance(6, (Demand(4, 2, from_int(1)),)))
+        RingInstance(6, (Demand(4, 2, from_int(1)),))
 
 
 def test_validate_rejects_negative_demand():
-    with pytest.raises(NegativeDemand):
-        validate_instance(RingInstance(4, (Demand(1, 2, -from_int(1)),)))
+    with pytest.raises(NegativeDemand, match="demand #0 has negative value"):
+        RingInstance(4, (Demand(1, 2, -from_int(1)),))
 
 
 def test_validate_rejects_split_exceeding_demand():
@@ -58,6 +59,14 @@ def test_validate_rejects_index_mismatch():
     inst = RingInstance(4, (Demand(1, 3, from_int(2)),))
     with pytest.raises(IndexMismatch):
         validate_instance(inst, SplitRouting((from_int(1), from_int(1))))
+
+
+def test_edge_loads_check_the_routing_length():
+    inst, split = builtin("fig1")
+    with pytest.raises(IndexMismatch):
+        edge_loads(inst, SplitRouting(split.cw[:1]))
+    with pytest.raises(IndexMismatch):
+        edge_loads(inst, UnsplitRouting((CW, CCW, CW)))
 
 
 def test_fig1_split_loads_uniform():

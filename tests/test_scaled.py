@@ -1,7 +1,10 @@
+import tokenize
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ringload
 from ringload.scaled import (
     SCALE,
     exact_div,
@@ -44,3 +47,15 @@ def test_exactness_violations_raise():
         exact_div(from_int(10), 3)
     with pytest.raises(ValueError):
         unscale(SCALE + 1)
+
+
+def test_no_float_in_the_package_source():
+    # Exact code takes no float detour: the name `float` appears nowhere
+    # in the package's code (strings and comments are not name tokens).
+    found = []
+    for path in sorted(Path(ringload.__file__).parent.glob("*.py")):
+        with path.open("rb") as handle:
+            for token in tokenize.tokenize(handle.readline):
+                if token.type == tokenize.NAME and token.string == "float":
+                    found.append(f"{path.name}:{token.start[0]}")
+    assert found == []
