@@ -13,8 +13,8 @@ Commands:
   verify {fig1|fig2|fig5|fig6|fig7|fig8|all}
   gen --m M --d D --seed S [--structured]
   extend -i FILE
-  search --m M --d D --threshold T (--shard I/N [--checkpoint-dir DIR]
-         | --full [--jobs J])
+  search --m M --d D --threshold T (--shard I/N | --full [--jobs J])
+         [--checkpoint-dir DIR]
   optimum -i FILE
 """
 
@@ -219,11 +219,8 @@ def _positive_int(text: str) -> int:
 
 
 def _cmd_search(args) -> int:
-    threshold = from_int(args.threshold)
     if args.shard is not None and args.full:
         raise InvalidSetting("--shard and --full exclude each other; pass one of them")
-    if args.full and args.checkpoint_dir:
-        raise InvalidSetting("--checkpoint-dir needs --shard; --full keeps no checkpoints")
     if args.shard is not None and args.jobs is not None:
         raise InvalidSetting("--jobs needs --full; a shard runs in one process")
     if args.shard is None and not args.full:
@@ -232,23 +229,12 @@ def _cmd_search(args) -> int:
             f"the m={args.m}, D={args.d} family has {size} members; pass --full "
             "to scan them all, or --shard I/N for one slice"
         )
-    if args.shard is not None:
-        checkpoint = None
-        if args.checkpoint_dir:
-            index, count = args.shard
-            name = f"m{args.m}-d{args.d}-t{args.threshold}-shard-{index}-of-{count}.txt"
-            checkpoint = Path(args.checkpoint_dir) / name
-            checkpoint.parent.mkdir(parents=True, exist_ok=True)
-        hits = search.search_lower_bound(args.m, args.d, threshold, args.shard, checkpoint)
+    m, d, threshold = args.m, args.d, from_int(args.threshold)
+    if args.full:
+        hits = search.search_parallel(m, d, threshold, args.jobs or 1, args.checkpoint_dir)
     else:
-        jobs = args.jobs or 1
-        hits = search.search_parallel(args.m, args.d, threshold, jobs * 16, jobs)
-    for hit in hits:
-        record = {
-            "pairs": [[v, u] for u, v in hit.form.pairs],
-            "min_increase": rational_str(hit.min_increase),
-        }
-        sys.stdout.write(json.dumps(record) + "\n")
+        hits = search.search_lower_bound(m, d, threshold, args.shard, args.checkpoint_dir)
+    sys.stdout.write("".join(search.hit_record(hit) + "\n" for hit in hits))
     print(f"{len(hits)} sequence(s) at threshold >= {args.threshold}", file=sys.stderr)
     return 0
 

@@ -36,7 +36,8 @@ class InstanceSyntaxError(RingLoadingError):
 
 
 class SchemaError(RingLoadingError):
-    """An instance document or search checkpoint has missing or ill-typed fields."""
+    """An instance document has missing, ill-typed or overlong fields, or a
+    search checkpoint is not hit records of its run followed by an index."""
 
 
 class NotParallel(RingLoadingError):

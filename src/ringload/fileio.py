@@ -5,7 +5,9 @@ Instance document:
     {"n": int, "demands": [{"i": int, "j": int, "d": int, "cw": number?}, ...]}
 
 "d" is an integer demand value; "cw" is the clockwise split amount, an
-integer or half-integer (e.g. 3 or 1.5).  Either every demand carries "cw"
+integer or half-integer (e.g. 3 or 1.5), read exactly from its decimal
+text.  A number of more digits than int() reads (sys.get_int_max_str_digits(),
+4300 by default) is a SchemaError.  Either every demand carries "cw"
 or none does; in the latter case the document describes an instance
 without a split routing.  An empty demand list carries the empty routing,
 which is both split and unsplittable.  Unknown keys are ignored.
@@ -22,7 +24,8 @@ its split is checked once, where it enters (parse_instance, write_instance).
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+import sys
+from typing import NamedTuple
 
 from .errors import InstanceSyntaxError, SchemaError
 from .model import Demand, RingInstance, SplitRouting, UnsplitRouting, validate_instance
@@ -38,16 +41,34 @@ def _require_int(obj: dict, key: str, where: str) -> int:
     return value
 
 
-def _scaled_half_integer(value: object, where: str) -> Scaled:
-    # json parse hook turns every literal with a '.' or exponent into Fraction
+class _Decimal(NamedTuple):
+    """A JSON number with a '.' or an exponent: mantissa * 10**shift, exactly."""
+
+    mantissa: int
+    shift: int
+
+
+def _decimal(text: str) -> _Decimal:
+    mantissa, _, exponent = text.lower().partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    return _Decimal(int(whole + fraction), int(exponent or 0) - len(fraction))
+
+
+def _scaled_half_integer(value: object, d: int, where: str) -> Scaled:
     if isinstance(value, bool):
         raise SchemaError(f"{where}: field 'cw' must be a number")
     if isinstance(value, int):
         return from_int(value)
-    if isinstance(value, Fraction):
-        scaled = value * SCALE
-        if scaled.denominator == 1 and value.denominator in (1, 2):
-            return int(scaled)
+    if isinstance(value, _Decimal):
+        # Clamping the shift keeps the outcome without a power of ten as long
+        # as the exponent: past d's digits an integer stays above d, and past
+        # the mantissa's digits 2 * value stays a non-integer.
+        mantissa, shift = value
+        shift = max(-len(str(mantissa)) - 1, min(shift, len(str(d)) + 1))
+        if shift >= 0:
+            return from_int(mantissa * 10**shift)
+        if 2 * mantissa % 10**-shift == 0:
+            return mantissa * SCALE // 10**-shift
         raise SchemaError(f"{where}: 'cw' must be an integer or half-integer")
     raise SchemaError(f"{where}: field 'cw' must be a number")
 
@@ -57,9 +78,11 @@ def parse_instance(data: bytes | str) -> tuple[RingInstance, SplitRouting | None
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
-        doc = json.loads(data, parse_float=Fraction)
+        doc = json.loads(data, parse_float=_decimal)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InstanceSyntaxError(str(exc)) from exc
+    except ValueError:  # int() refuses a number of more digits than this
+        raise SchemaError(f"a number has more than {sys.get_int_max_str_digits()} digits") from None
     if not isinstance(doc, dict):
         raise SchemaError("top-level value must be an object")
     n = _require_int(doc, "n", "instance")
@@ -80,7 +103,7 @@ def parse_instance(data: bytes | str) -> tuple[RingInstance, SplitRouting | None
         demands.append(Demand(i, j, from_int(d)))
         if "cw" in entry:
             with_cw += 1
-            cw_amounts.append(_scaled_half_integer(entry["cw"], where))
+            cw_amounts.append(_scaled_half_integer(entry["cw"], d, where))
     if with_cw not in (0, len(demands)):
         raise SchemaError("either every demand carries 'cw' or none does")
 

@@ -37,10 +37,6 @@ def from_fraction(value: Fraction) -> Scaled:
     return int(scaled)
 
 
-def to_fraction(scaled: Scaled) -> Fraction:
-    return Fraction(scaled, SCALE)
-
-
 def rational_str(scaled: Scaled) -> str:
     """Exact "p" or "p/q" rendering, e.g. 37, 19/14, -3/2."""
     frac = Fraction(scaled, SCALE)

@@ -35,13 +35,19 @@ increase at most threshold - 1.  Only the survivors get a full
 minimum-increase computation (exact.dp_min_increase).  Every step falls
 back from int64 to Python ints where int64 could overflow, so the block
 path is exact for any m and D.
+
+Given a directory, a shard keeps its hit records (hit_record) and then its
+last finished index in mM-dD-tT-shard-I-of-N.txt there, replaced atomically
+as the scan goes on; a rerun restores the hits and resumes after the index.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -49,13 +55,15 @@ import numpy as np
 from .errors import InfeasibleParams, SchemaError
 from .exact import dp_feasible_block, dp_min_increase
 from .reduction import rotated, standalone_crossing
-from .scaled import Scaled, from_int, unscale
+from .scaled import Scaled, from_int, rational_str, unscale
 
 Pairs = tuple[tuple[int, int], ...]  # plain-integer (u, v) sequences
 
 # Indices per numpy block.  A shard is never held whole, and 2048 runs as
 # fast as 4096 while holding half the memory (about 1 MB at m=8, D=10).
 _BLOCK = 2048
+_SHARDS = 64  # of search_parallel; fixed, so checkpoint names do not depend on jobs
+_CHECKPOINT_STEP = 1 << 24  # indices between saves; a save waits for its block's end
 
 
 def _reflect(pairs: Pairs) -> Pairs:
@@ -225,35 +233,52 @@ def shard_range(total: int, shard: tuple[int, int]) -> tuple[int, int]:
     return total * index // count, total * (index + 1) // count
 
 
+def hit_record(hit: SearchHit) -> str:
+    """The JSON line that `ringload search` prints for a hit and checkpoints keep."""
+    pairs = [[v, u] for u, v in hit.form.pairs]
+    return json.dumps({"pairs": pairs, "min_increase": rational_str(hit.min_increase)})
+
+
+def _resume(
+    checkpoint: Path, family: StructuredFamily, threshold: int, start: int, stop: int
+) -> tuple[list[SearchHit], int]:
+    """The kept hits and the next index; SchemaError if the shard did not save them."""
+    try:
+        *records, last = checkpoint.read_text().splitlines() or [str(start - 1)]
+        cursor, hits = int(last), []
+        for line in records:
+            *vu, value = map(int, re.findall(r"-?\d+", line))
+            index = family.encode(tuple(zip(vu[1::2], vu[::2])))
+            hit = SearchHit(CanonicalForm(family.decode(index)), from_int(value))
+            if hit_record(hit) != line or not start <= index <= cursor or value < threshold:
+                raise ValueError(line)
+            hits.append(hit)
+        if not start - 1 <= cursor < stop:
+            raise ValueError(last)
+    except (ValueError, IndexError, InfeasibleParams):  # a line no save of the shard writes
+        raise SchemaError(f"{checkpoint}: not hit records of this run, then an index") from None
+    return hits, cursor + 1
+
+
 def search_lower_bound(
     m: int,
     D: int,
     threshold: Scaled,
     shard: tuple[int, int] = (0, 1),
-    checkpoint: Path | None = None,
-    checkpoint_step: int = 1 << 20,
+    checkpoint_dir: str | Path | None = None,
 ) -> list[SearchHit]:
-    """Canonical family members in the shard with min increase >= threshold.
-
-    A checkpoint file, when given, receives the last finished index (one
-    plain integer per appended line) every checkpoint_step indices; a
-    restart resumes after the recorded index.
-    """
+    """Canonical members of the shard with min increase >= threshold, kept hits too."""
     family = StructuredFamily(m, D)
     threshold_int = unscale(threshold)
     start, stop = shard_range(family.size, shard)
-    if checkpoint is not None and checkpoint.exists():
-        try:
-            lines = checkpoint.read_text().split()
-            if lines:
-                start = max(start, int(lines[-1]) + 1)
-        except ValueError:
-            raise SchemaError(
-                f"{checkpoint}: the last line is not a plain integer index"
-            ) from None
-
-    hits = []
-    for lo in range(start, stop, _BLOCK):
+    hits, first, checkpoint = [], start, None
+    if checkpoint_dir is not None:
+        name = f"m{m}-d{D}-t{threshold_int}-shard-{shard[0]}-of-{shard[1]}.txt"
+        checkpoint = Path(checkpoint_dir) / name
+        checkpoint.parent.mkdir(parents=True, exist_ok=True)
+        if checkpoint.exists():
+            hits, first = _resume(checkpoint, family, threshold_int, start, stop)
+    for lo in range(first, stop, _BLOCK):
         hi = min(lo + _BLOCK, stop)
         U, V = family.decode_block(lo, hi)
         rows = np.flatnonzero(U.sum(axis=1) & 1)
@@ -267,31 +292,20 @@ def search_lower_bound(
             _, value = dp_min_increase(cross)
             assert value >= threshold, f"the screen kept {pairs} of minimum increase {value}"
             hits.append(SearchHit(CanonicalForm(pairs), value))
-        if checkpoint is not None:
-            # every index c in the block with (c + 1 - start) % checkpoint_step == 0
-            marks = range(lo + (start - 1 - lo) % checkpoint_step, hi, checkpoint_step)
-            if marks:
-                with checkpoint.open("a") as handle:
-                    handle.write("".join(f"{index}\n" for index in marks))
-    if checkpoint is not None:
-        with checkpoint.open("a") as handle:
-            handle.write(f"{stop - 1}\n")
+        if checkpoint is not None and (hi == stop or (hi - first) % _CHECKPOINT_STEP < _BLOCK):
+            temporary = checkpoint.with_name(name + ".partial")
+            temporary.write_text("".join(hit_record(hit) + "\n" for hit in hits) + f"{hi - 1}\n")
+            temporary.replace(checkpoint)  # atomic: a crash leaves the old file or the new
     return hits
 
 
-def _run_shard(args: tuple[int, int, Scaled, int, int]) -> list[SearchHit]:
-    m, D, threshold, index, count = args
-    return search_lower_bound(m, D, threshold, shard=(index, count))
-
-
 def search_parallel(
-    m: int, D: int, threshold: Scaled, shards: int, jobs: int
+    m: int, D: int, threshold: Scaled, jobs: int, checkpoint_dir: str | Path | None = None
 ) -> list[SearchHit]:
-    """Run all shards on a local process pool; hits come in shard order."""
-    tasks = [(m, D, threshold, index, shards) for index in range(shards)]
+    """search_lower_bound over _SHARDS shards on local processes, in shard order."""
+    scan = partial(search_lower_bound, m, D, threshold, checkpoint_dir=checkpoint_dir)
+    shards = [(index, _SHARDS) for index in range(_SHARDS)]
     if jobs <= 1:
-        results = [_run_shard(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_shard, tasks))
-    return [hit for chunk in results for hit in chunk]
+        return [hit for shard in shards for hit in scan(shard)]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return [hit for hits in pool.map(scan, shards) for hit in hits]

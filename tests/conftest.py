@@ -12,6 +12,8 @@ import re
 
 from hypothesis import strategies as st
 
+from ringload import search
+from ringload.exact import dp_min_increase
 from ringload.instances import random_crossing
 from ringload.model import CCW, CW, Demand, RingInstance, SplitRouting, UnsplitRouting
 from ringload.reduction import CrossingInstance, standalone_crossing
@@ -175,6 +177,27 @@ def scalar_dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, int
 
 
 _CRITERION = re.compile(r"test_criterion_(\d+)_(\w+)")
+
+
+class Interrupted(Exception):
+    """Stands for a crash in the middle of a search."""
+
+
+def fail_after(monkeypatch, calls: int) -> list:
+    """Make search's full DP raise Interrupted once it has run `calls` times.
+
+    Returns the list of the DP's successful calls.
+    """
+    done = []
+
+    def counted(cross):
+        if len(done) == calls:
+            raise Interrupted
+        done.append(cross)
+        return dp_min_increase(cross)
+
+    monkeypatch.setattr(search, "dp_min_increase", counted)
+    return done
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -3,10 +3,12 @@
 import json
 import random
 import sys
+import time
 
 import pytest
 
-from conftest import random_ring
+from conftest import Interrupted, fail_after, random_ring
+from ringload import search
 from ringload.cli import main
 from ringload.fileio import write_instance
 from ringload.instances import builtin, random_crossing
@@ -150,6 +152,30 @@ def test_non_utf8_file_is_a_syntax_error(capsys, tmp_path):
     assert err.startswith("error: InstanceSyntaxError:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("d, cw, expected", [
+    ("1" * 5000, "1", "error: SchemaError: a number has more than 4300 digits"),
+    ("2", "1e" + "1" * 5000, "error: SchemaError: a number has more than 4300 digits"),
+    ("2", "0e50000000", "2"),
+    ("2", "5" + "0" * 4000 + "e-4001", "3/2"),
+    ("2", "1e-50000000", "error: SchemaError: demand #0: 'cw' must be an integer or half-integer"),
+    ("2", "1e5000000", "error: SplitExceedsDemand:"),
+    ("2", "1e50000000", "error: SplitExceedsDemand:"),
+    ("2", "-1.5e50000000", "error: SplitExceedsDemand:"),
+], ids=["long-d", "long-exponent", "zero", "half", "tiny", "huge", "huger", "negative"])
+def test_number_literals_are_decided_at_once(capsys, tmp_path, d, cw, expected):
+    # A power of ten as long as an exponent would take seconds to build.
+    path = tmp_path / "ring.json"
+    path.write_text(f'{{"n": 4, "demands": [{{"i": 1, "j": 3, "d": {d}, "cw": {cw}}}]}}')
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "loads", "-i", str(path))
+    assert time.perf_counter() - started < 1.0
+    if expected.startswith("error:"):
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(expected)
+    else:
+        assert code == 0 and json.loads(out)["max"] == expected
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["solve"])  # missing -i
@@ -234,7 +260,7 @@ def test_search_requires_full_or_shard(capsys):
 
 @pytest.mark.parametrize("options", [
     ("--shard", "0/3", "--full"),
-    ("--full", "--jobs", "2", "--checkpoint-dir", "ckpt"),
+    ("--shard", "0/3", "--full", "--checkpoint-dir", "ckpt"),
     ("--shard", "0/3", "--jobs", "2"),
 ])
 def test_search_conflicting_options_are_usage_errors(capsys, tmp_path, monkeypatch, options):
@@ -277,6 +303,70 @@ def test_search_corrupt_checkpoint_is_a_one_line_error(capsys, tmp_path, content
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: SchemaError:")
     assert checkpoint.read_bytes() == content
+
+
+# Hit records of the m=4, D=8 family at threshold 5: the first two of shard 1/2
+# (indices 6272 and 6273, where the shard starts) and one of shard 0/2.
+FIRST = '{"pairs": [[1, 1], [7, 1], [1, 5], [4, 4]], "min_increase": "5"}'
+SECOND = '{"pairs": [[3, 1], [7, 1], [1, 5], [4, 4]], "min_increase": "5"}'
+OTHER = '{"pairs": [[3, 1], [5, 3], [2, 2], [7, 1]], "min_increase": "5"}'
+BELOW = FIRST.replace('"5"', '"4"')  # under the threshold
+
+
+@pytest.mark.parametrize("content", [
+    f"{FIRST}\nnot a record\n6300\n",
+    f"{FIRST.replace(', ', ',')}\n6300\n",
+    f"{FIRST.replace('[4, 4]', '[4, 4], [4, 4]')}\n6300\n",
+    f"{FIRST.replace(', [4, 4]', '')}\n6300\n",
+    f"{FIRST.replace('[7, 1]', '[07, 1]')}\n6300\n",
+    f"{OTHER}\n6300\n",
+    f"{FIRST}\n{SECOND}\n6272\n",
+    f"{BELOW}\n6300\n",
+    f"{FIRST}\n12544\n",
+    f"{FIRST}\n6270\n",
+], ids=["garbage", "no-spaces", "extra-pair", "short", "leading-zero", "other-shard",
+        "past-cursor", "below-threshold", "cursor-past-shard", "cursor-before-shard"])
+def test_search_checkpoint_records_are_checked(capsys, tmp_path, content):
+    search_args = ("search", "--m", "4", "--d", "8", "--threshold", "5", "--shard", "1/2")
+    checkpoint = tmp_path / "m4-d8-t5-shard-1-of-2.txt"
+    checkpoint.write_text(content)
+    code, out, err = run_cli(capsys, *search_args, "--checkpoint-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: SchemaError:")
+    assert checkpoint.read_text() == content
+    # The two records with the index of the second resume the shard.
+    checkpoint.write_text(f"{FIRST}\n{SECOND}\n6273\n")
+    resumed = run_cli(capsys, *search_args, "--checkpoint-dir", str(tmp_path))
+    assert resumed == run_cli(capsys, *search_args)
+    assert resumed[1].startswith(f"{FIRST}\n{SECOND}\n")
+
+
+@pytest.mark.parametrize("scan", [("--shard", "0/1"), ("--full",)])
+def test_an_interrupted_search_prints_every_hit_on_resume(capsys, tmp_path, monkeypatch, scan):
+    search_args = ("search", "--m", "4", "--d", "8", "--threshold", "5", *scan)
+    fresh = run_cli(capsys, *search_args)
+    assert fresh[2].startswith("661 sequence(s)")
+    # Every full DP of this family is a hit; fail after half of them.
+    monkeypatch.setattr(search, "_CHECKPOINT_STEP", 4096)
+    fail_after(monkeypatch, 330)
+    with pytest.raises(Interrupted):
+        main([*search_args, "--checkpoint-dir", str(tmp_path)])
+    capsys.readouterr()
+    kept = sum(len(path.read_text().splitlines()) - 1 for path in tmp_path.iterdir())
+    assert 0 < kept <= 330
+    resumed = fail_after(monkeypatch, 661)
+    assert run_cli(capsys, *search_args, "--checkpoint-dir", str(tmp_path)) == fresh
+    assert len(resumed) == 661 - kept
+
+
+def test_full_search_with_jobs_keeps_checkpoints(capsys, tmp_path):
+    search_args = ("search", "--m", "4", "--d", "6", "--threshold", "4", "--full")
+    fresh = run_cli(capsys, *search_args)
+    assert fresh[1]
+    for _ in range(2):  # the second run resumes finished shards
+        with_jobs = run_cli(capsys, *search_args, "--jobs", "2", "--checkpoint-dir", str(tmp_path))
+        assert with_jobs == fresh
+    assert len(list(tmp_path.glob("m4-d6-t4-shard-*-of-*.txt"))) == search._SHARDS
 
 
 def test_search_shard_emits_json_lines(capsys):

@@ -13,7 +13,6 @@ from ringload.scaled import (
     halve,
     parse_rational,
     rational_str,
-    to_fraction,
     unscale,
 )
 
@@ -26,7 +25,7 @@ def test_scale_covers_the_algorithm_constants():
 
 def test_round_trips():
     assert unscale(from_int(37)) == 37
-    assert to_fraction(from_fraction(Fraction(19, 14))) == Fraction(19, 14)
+    assert Fraction(from_fraction(Fraction(19, 14)), SCALE) == Fraction(19, 14)
     assert parse_rational("19/14") == from_fraction(Fraction(19, 14))
     assert parse_rational("-3/2") == -from_int(3) // 2
 

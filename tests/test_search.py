@@ -1,16 +1,18 @@
 """Structured-family search: canonicalization, sharding, thresholds."""
 
+import json
 import random
 
 import numpy as np
 import pytest
 
-from conftest import scalar_feasible_any_y
+from conftest import Interrupted, fail_after, scalar_feasible_any_y
+from ringload import search
 from ringload.errors import InfeasibleParams
 from ringload.exact import dp_feasible_block, dp_min_increase
 from ringload.instances import _FIG2_VU, _FIG6_VU
 from ringload.reduction import standalone_crossing
-from ringload.scaled import from_int, unscale
+from ringload.scaled import from_int, parse_rational, rational_str, unscale
 from ringload.search import (
     CanonicalForm,
     SearchHit,
@@ -43,16 +45,24 @@ def _is_canonical(pairs, D):
     return True
 
 
-def scalar_search(m, D, threshold, shard=(0, 1), checkpoint=None, checkpoint_step=1 << 20):
-    """The per-index scan that the block path replaced, kept as its reference."""
+def scalar_search(m, D, threshold, shard=(0, 1), checkpoint=None):
+    """The per-index scan that the block path replaced, kept as its reference.
+
+    A checkpoint file, when given, is resumed from (its JSON hit records,
+    then the last finished index) and rewritten at the end the same way;
+    the saves in between are not modelled.
+    """
     family = StructuredFamily(m, D)
     threshold_int = unscale(threshold)
     start, stop = shard_range(family.size, shard)
-    if checkpoint is not None and checkpoint.exists():
-        lines = checkpoint.read_text().split()
-        if lines:
-            start = max(start, int(lines[-1]) + 1)
     hits = []
+    if checkpoint is not None and checkpoint.exists():
+        *records, last = checkpoint.read_text().splitlines()
+        for line in records:
+            record = json.loads(line)
+            pairs = tuple((u, v) for v, u in record["pairs"])
+            hits.append(SearchHit(CanonicalForm(pairs), parse_rational(record["min_increase"])))
+        start = int(last) + 1
     for index in range(start, stop):
         pairs = family.decode(index)
         if sum(u for u, _ in pairs) % 2 and _is_canonical(pairs, D):
@@ -60,13 +70,18 @@ def scalar_search(m, D, threshold, shard=(0, 1), checkpoint=None, checkpoint_ste
                 value = dp_of(pairs, D)
                 if value >= threshold:
                     hits.append(SearchHit(CanonicalForm(pairs), value))
-        if checkpoint is not None and (index + 1 - start) % checkpoint_step == 0:
-            with checkpoint.open("a") as handle:
-                handle.write(f"{index}\n")
     if checkpoint is not None:
-        with checkpoint.open("a") as handle:
-            handle.write(f"{stop - 1}\n")
+        records = [
+            json.dumps({"pairs": [[v, u] for u, v in hit.form.pairs],
+                        "min_increase": rational_str(hit.min_increase)}) + "\n"
+            for hit in hits
+        ]
+        checkpoint.write_text("".join(records) + f"{stop - 1}\n")
     return hits
+
+
+def checkpoint_file(directory, m, D, threshold, shard=(0, 1)):
+    return directory / f"m{m}-d{D}-t{threshold}-shard-{shard[0]}-of-{shard[1]}.txt"
 
 
 def rows_of(U, V):
@@ -187,14 +202,15 @@ def test_fig2_and_fig6_canonical_forms_hit_threshold_11():
 
 
 def test_checkpoint_resume(tmp_path):
-    checkpoint = tmp_path / "shard-0-of-1.txt"
+    # The family is far shorter than _CHECKPOINT_STEP: only the end saves.
     threshold = from_int(1)
     full = search_lower_bound(2, 4, threshold)
-    first = search_lower_bound(2, 4, threshold, checkpoint=checkpoint, checkpoint_step=5)
+    first = search_lower_bound(2, 4, threshold, checkpoint_dir=tmp_path)
     assert [hit.form for hit in first] == [hit.form for hit in full]
+    checkpoint = checkpoint_file(tmp_path, 2, 4, 1)
     assert checkpoint.read_text().split()[-1] == str(StructuredFamily(2, 4).size - 1)
-    # A finished checkpoint makes the rerun a no-op.
-    assert search_lower_bound(2, 4, threshold, checkpoint=checkpoint) == []
+    # A finished checkpoint makes the rerun scan nothing and return the kept hits.
+    assert search_lower_bound(2, 4, threshold, checkpoint_dir=tmp_path) == full
 
 
 def test_parallel_search_matches_serial():
@@ -204,7 +220,7 @@ def test_parallel_search_matches_serial():
     # Shards are disjoint, consecutive index ranges: the concatenation in
     # shard order is the serial scan, pairs and values, in order.
     for jobs in (1, 2):
-        assert search_parallel(2, 4, threshold, shards=5, jobs=jobs) == serial
+        assert search_parallel(2, 4, threshold, jobs=jobs) == serial
 
 
 @pytest.mark.parametrize("m, D", SMALL_FAMILIES)
@@ -317,28 +333,54 @@ def test_block_search_matches_scalar_search_on_small_families():
 
 
 @pytest.mark.parametrize("step", [1, 5, 7, 3000, 4096])
-def test_checkpoint_file_matches_scalar_scan(tmp_path, step):
+def test_checkpoint_file_matches_scalar_scan(tmp_path, monkeypatch, step):
     # (4, 8) has 12544 members, several blocks; shard 1/3 starts inside one.
+    monkeypatch.setattr(search, "_CHECKPOINT_STEP", step)
     threshold = from_int(7)
-    block_file, scalar_file = tmp_path / "block.txt", tmp_path / "scalar.txt"
+    scalar_file = tmp_path / "scalar.txt"
     for shard in ((0, 1), (1, 3)):
-        hits = search_lower_bound(4, 8, threshold, shard, block_file, step)
-        assert hits == scalar_search(4, 8, threshold, shard, scalar_file, step)
+        hits = search_lower_bound(4, 8, threshold, shard, tmp_path / "block")
+        assert hits == scalar_search(4, 8, threshold, shard, scalar_file)
         assert hits
+        block_file = checkpoint_file(tmp_path / "block", 4, 8, 7, shard)
         assert block_file.read_bytes() == scalar_file.read_bytes()
         block_file.unlink()
         scalar_file.unlink()
 
 
-@pytest.mark.parametrize("resume_after", [0, _BLOCK - 1, _BLOCK, 5000, 12542, 12543])
+# 8447 leaves two whole blocks, so with no save in between only the end saves.
+@pytest.mark.parametrize("resume_after", [0, _BLOCK - 1, _BLOCK, 5000, 8447, 12542, 12543])
 def test_checkpoint_resume_from_the_middle_of_a_shard(tmp_path, resume_after):
     threshold = from_int(7)
-    block_file, scalar_file = tmp_path / "block.txt", tmp_path / "scalar.txt"
+    block_file, scalar_file = checkpoint_file(tmp_path, 4, 8, 7), tmp_path / "scalar.txt"
     for path in (block_file, scalar_file):
         path.write_text(f"{resume_after}\n")
-    hits = search_lower_bound(4, 8, threshold, checkpoint=block_file, checkpoint_step=7)
-    assert hits == scalar_search(4, 8, threshold, checkpoint=scalar_file, checkpoint_step=7)
+    hits = search_lower_bound(4, 8, threshold, checkpoint_dir=tmp_path)
+    assert hits == scalar_search(4, 8, threshold, checkpoint=scalar_file)
     assert block_file.read_bytes() == scalar_file.read_bytes()
     full = search_lower_bound(4, 8, threshold)
     family = StructuredFamily(4, 8)
     assert hits == [hit for hit in full if family.encode(hit.form.pairs) > resume_after]
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_an_interrupted_search_resumes_with_every_hit(tmp_path, monkeypatch, parallel):
+    # Every full DP of this family is a hit, so the DP fails after half of them.
+    monkeypatch.setattr(search, "_CHECKPOINT_STEP", 4096)
+    threshold = from_int(5)
+
+    def scan():
+        if parallel:
+            return search_parallel(4, 8, threshold, jobs=1, checkpoint_dir=tmp_path)
+        return search_lower_bound(4, 8, threshold, checkpoint_dir=tmp_path)
+
+    full = search_lower_bound(4, 8, threshold)
+    assert len(full) == 661
+    fail_after(monkeypatch, len(full) // 2)
+    with pytest.raises(Interrupted):
+        scan()
+    kept = sum(len(path.read_text().splitlines()) - 1 for path in tmp_path.iterdir())
+    assert 0 < kept <= len(full) // 2
+    resumed = fail_after(monkeypatch, len(full))
+    assert scan() == full
+    assert len(resumed) == len(full) - kept
