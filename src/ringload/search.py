@@ -27,13 +27,19 @@ increase reaches the threshold; the union over all shards is exhaustive
 and duplicate-free.
 
 A shard is scanned in blocks of _BLOCK indices, each handled in numpy:
-decode_block decodes the block into (rows, m) arrays U and V; rows with
-an even clockwise total drop out; canonical_mask keeps the canonical
-rows by comparing packed lexicographic keys of all images at once; and
-exact.dp_feasible_block screens out every row with a routing of
-increase at most threshold - 1.  Only the survivors get a full
-minimum-increase computation (exact.dp_min_increase).  Every step falls
-back from int64 to Python ints where int64 could overflow, so the block
+decode_block decodes the block into (rows, m) arrays U and V, one % and
+one // and a table lookup per (free, pinned) position pair; rows with an
+even clockwise total drop out; canonical_mask keeps the canonical rows,
+cheapest test first.  The images that are aligned on every member start
+with an even position's pair, so a row whose first pair is above one of
+those is out at once (about three rows in four at m=8, D=10); the rest
+compare packed lexicographic keys of all images at once, in two halves,
+the low half only for rows where some aligned image ties the identity on
+the high half.  exact.dp_feasible_block then screens out every row with
+a routing of increase at most threshold - 1.  Only the survivors get a
+full minimum-increase computation (exact.dp_min_increase).  Every step
+falls back from int64 to Python ints where int64 could overflow (half
+keys at (D+1)^m >= 2^63, indices at a family size >= 2^63), so the block
 path is exact for any m and D.
 
 Given a directory, a shard keeps its hit records (hit_record) and then its
@@ -44,6 +50,7 @@ as the scan goes on; a rerun restores the hits and resumes after the index.
 from __future__ import annotations
 
 import json
+import math
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -64,6 +71,7 @@ Pairs = tuple[tuple[int, int], ...]  # plain-integer (u, v) sequences
 _BLOCK = 2048
 _SHARDS = 64  # of search_parallel; fixed, so checkpoint names do not depend on jobs
 _CHECKPOINT_STEP = 1 << 24  # indices between saves; a save waits for its block's end
+_TABLE_ROWS = 1 << 17  # most rows of one decode table, about 4 MB
 
 
 def _reflect(pairs: Pairs) -> Pairs:
@@ -102,46 +110,107 @@ class CanonicalForm:
 
 
 @cache
-def _symmetries(m: int, D: int) -> tuple[np.ndarray, np.ndarray]:
-    """Key weights and odd-position sources of every symmetry, per (m, D).
+def _symmetries(m: int, D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """Half-key weights, alignment sources and first-pair columns, per (m, D).
 
     The images of the labels ((k, m + k) for k) under symmetry_orbit show
     where image position j takes its pair from: a first label k is source
     position k as is, a first label m + k is source position k with u and
-    v swapped.  Column g of the (2m, G) weight matrix puts B^(2(m-1-j)),
-    B = D + 1, on that source's column of [U B + V | V B + U], so one
-    matrix product packs all G images into keys whose order is
-    lexicographic order; column 0 is the identity.  The (G, m/2) array
-    holds the source positions of the odd image positions.  Weights are
-    int64 when B^(2m) < 2^63 and Python ints otherwise.
+    v swapped.  Column g of the (2m, G) high weight matrix puts
+    B^(2(h-1-j)), B = D + 1, h = m/2, on that source's column of
+    [U B + V | V B + U] for the image positions j < h, and the low matrix
+    puts B^(2(m-1-j)) there for j >= h, so two matrix products pack all G
+    images into a high and a low key, and (high, low) order is
+    lexicographic order; column 0 is the identity.  Weights are int64 when
+    B^(2h) < 2^63 and Python ints otherwise.
+
+    The (G, m/2) array holds the source positions of the odd image
+    positions.  The images whose odd positions all read odd source
+    positions are aligned on every family member; firsts holds their
+    first-pair columns, the even source positions in both orientations,
+    for the prefilter of canonical_mask.
     """
     labels = tuple((k, m + k) for k in range(m))
     images = [labels] + sorted(symmetry_orbit(labels) - {labels})
-    base = D + 1
-    dtype = np.int64 if base ** (2 * m) < 2**63 else object
-    weights = np.zeros((2 * m, len(images)), dtype=dtype)
+    base, half = D + 1, m // 2
+    dtype = np.int64 if base ** (2 * half) < 2**63 else object
+    high = np.zeros((2 * m, len(images)), dtype=dtype)
+    low = np.zeros_like(high)
     for g, image in enumerate(images):
         for j, (first, _) in enumerate(image):
-            weights[first, g] = base ** (2 * (m - 1 - j))
+            if j < half:
+                high[first, g] = base ** (2 * (half - 1 - j))
+            else:
+                low[first, g] = base ** (2 * (m - 1 - j))
     odd_sources = np.array([[first % m for first, _ in image[1::2]] for image in images])
-    weights.setflags(write=False)
-    odd_sources.setflags(write=False)
-    return weights, odd_sources
+    always = (odd_sources % 2).all(axis=1)
+    firsts = sorted({image[0][0] for image, aligned in zip(images, always) if aligned})
+    for array in (high, low, odd_sources):
+        array.setflags(write=False)
+    return high, low, odd_sources, firsts
 
 
 def canonical_mask(U: np.ndarray, V: np.ndarray, D: int) -> np.ndarray:
     """Row-wise "no aligned symmetry image is lexicographically smaller".
 
-    Row r stands for the pairs (U[r, k], V[r, k]) with entries in 0..D.
-    An image counts only where it is aligned, that is where every source
-    position feeding an odd image position carries value D.
+    Row r is a family member, the pairs (U[r, k], V[r, k]) with entries in
+    0..D and value D at every odd position.  An image counts only where it
+    is aligned, that is where every source position feeding an odd image
+    position carries value D.  Cheap tests come first: a row whose first
+    pair is above the first pair of an always-aligned image is out; the
+    rest compare high keys, and only rows where some aligned image ties
+    the identity on the high key compare low keys.
     """
-    weights, odd_sources = _symmetries(U.shape[1], D)
+    high, low, odd_sources, firsts = _symmetries(U.shape[1], D)
     base = D + 1
     packed = np.concatenate([U * base + V, V * base + U], axis=1)
-    keys = packed.astype(weights.dtype, copy=False) @ weights
-    counted = (U + V == D)[:, odd_sources].all(axis=2)
-    return ((keys >= keys[:, :1]) | ~counted).all(axis=1)
+    rows = np.flatnonzero(packed[:, 0] <= packed[:, firsts].min(axis=1))
+    packed = packed[rows].astype(high.dtype, copy=False)
+    keys = packed @ high
+    counted = (U[rows] + V[rows] == D)[:, odd_sources].all(axis=2)
+    smaller = (keys < keys[:, :1]) & counted
+    tied = (keys == keys[:, :1]) & counted
+    tied[:, 0] = False
+    ties = np.flatnonzero(tied.any(axis=1))
+    keys = packed[ties] @ low
+    smaller[ties] |= (keys < keys[:, :1]) & tied[ties]
+    mask = np.zeros(len(U), dtype=bool)
+    mask[rows] = ~smaller.any(axis=1)
+    return mask
+
+
+def _free_pair(code: int) -> tuple[int, int]:
+    # pairs ordered by d = 2, 4, ..., D then u = 1..d-1; the block for
+    # d = 2h starts at (h-1)^2 since 1 + 3 + ... + (2h-3) = (h-1)^2.
+    h = math.isqrt(code) + 1
+    u = code - (h - 1) * (h - 1) + 1
+    return (u, 2 * h - u)
+
+
+@cache
+def _decode_tables(m: int, D: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:
+    """Mixed-radix digit groups of decode_block, lowest first, and their value tables.
+
+    A group is a (free, pinned) position pair of radix R = (D/2)^2 (D-1),
+    decoded by one % and one //: row c of the (R, 2) tables U and V holds
+    the pair at digit c.  Where R would exceed _TABLE_ROWS (D > 80), each
+    position is a group of its own, and the (1-column) tables hold the free
+    rows and then the pinned rows.  Each group is (radix, first table row).
+    """
+    free_u, free_v = np.array([_free_pair(code) for code in range((D // 2) ** 2)]).T
+    pinned_u = np.arange(1, D)
+    F, P = len(free_u), len(pinned_u)
+    if F * P > _TABLE_ROWS:
+        groups = ((F, 0), (P, F)) * (m // 2)
+        U = np.concatenate([free_u, pinned_u])[:, None]
+        V = np.concatenate([free_v, D - pinned_u])[:, None]
+    else:
+        groups = ((F * P, 0),) * (m // 2)
+        U = np.stack([np.tile(free_u, P), np.repeat(pinned_u, F)], axis=1)
+        V = np.stack([np.tile(free_v, P), np.repeat(D - pinned_u, F)], axis=1)
+    U.setflags(write=False)
+    V.setflags(write=False)
+    return groups, U, V
 
 
 @dataclass(frozen=True)
@@ -175,41 +244,28 @@ class StructuredFamily:
                 pairs.append((code + 1, self.D - code - 1))
             else:
                 index, code = divmod(index, self.free_choices)
-                pairs.append(self._free_pair(code))
+                pairs.append(_free_pair(code))
         return tuple(pairs)
 
     def decode_block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """decode(index) for lo <= index < hi, as (rows, m) arrays U and V."""
         index = np.arange(lo, hi, dtype=np.int64 if self.size < 2**63 else object)
-        free = np.array([self._free_pair(code) for code in range(self.free_choices)])
-        U = np.empty((hi - lo, self.m), dtype=np.int64)
-        V = np.empty_like(U)
-        for pos in range(self.m):
-            radix = self.pinned_choices if pos % 2 else self.free_choices
-            code = (index % radix).astype(np.int64)
+        groups, U, V = _decode_tables(self.m, self.D)
+        codes = np.empty((hi - lo, len(groups)), dtype=np.int64)
+        for g, (radix, first) in enumerate(groups):
+            codes[:, g] = index % radix + first
             index = index // radix
-            if pos % 2:
-                U[:, pos], V[:, pos] = code + 1, self.D - code - 1
-            else:
-                U[:, pos], V[:, pos] = free[code, 0], free[code, 1]
-        return U, V
+        shape = (hi - lo, self.m)
+        return U.take(codes, axis=0).reshape(shape), V.take(codes, axis=0).reshape(shape)
 
-    def _free_pair(self, code: int) -> tuple[int, int]:
-        # pairs ordered by d = 2, 4, ..., D then u = 1..d-1; the block for
-        # d = 2h starts at (h-1)^2 since 1 + 3 + ... + (2h-3) = (h-1)^2.
-        h = 1
-        while h * h <= code:
-            h += 1
-        u = code - (h - 1) * (h - 1) + 1
-        return (u, 2 * h - u)
 
     def encode(self, pairs: Pairs) -> int:
         index = 0
         for pos in range(self.m - 1, -1, -1):
             u, v = pairs[pos]
             if pos % 2:
-                if u + v != self.D:
-                    raise InfeasibleParams("pinned position must carry value D")
+                if u + v != self.D or not 1 <= u < self.D:
+                    raise InfeasibleParams("pinned position must be (u, D - u), 1 <= u < D")
                 index = index * self.pinned_choices + (u - 1)
             else:
                 d = u + v

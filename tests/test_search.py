@@ -37,12 +37,13 @@ def dp_of(pairs, D):
     return dp_min_increase(cross)[1]
 
 
+def smaller_aligned_images(pairs, D):
+    return [image for image in symmetry_orbit(pairs) if _aligned(image, D) and image < pairs]
+
+
 def _is_canonical(pairs, D):
     """Scalar canonicity oracle: no aligned image is smaller."""
-    for image in symmetry_orbit(pairs):
-        if _aligned(image, D) and image < pairs:
-            return False
-    return True
+    return not smaller_aligned_images(pairs, D)
 
 
 def scalar_search(m, D, threshold, shard=(0, 1), checkpoint=None):
@@ -150,6 +151,13 @@ def test_family_rejects_bad_parameters():
     for m, D in ((3, 10), (8, 9), (0, 10), (2, 0)):
         with pytest.raises(InfeasibleParams):
             StructuredFamily(m, D)
+
+
+def test_encode_rejects_pinned_pairs_with_a_zero_entry():
+    family = StructuredFamily(4, 8)
+    for pinned in ((0, 8), (8, 0)):
+        with pytest.raises(InfeasibleParams):
+            family.encode(((1, 1), pinned, (1, 1), (1, 7)))
 
 
 def test_shard_range_partitions():
@@ -279,23 +287,85 @@ def test_block_screen_on_python_ints_when_the_shifts_overflow_int64():
 
 
 def test_canonical_mask_on_python_ints_when_the_keys_overflow_int64():
-    family = StructuredFamily(6, 38)
-    assert (family.D + 1) ** (2 * family.m) >= 2**63
+    family = StructuredFamily(6, 1448)
+    D = family.D
+    assert (D + 1) ** family.m >= 2**63  # B^(2 (m/2)): a half-key overflows int64
+    assert search._symmetries(family.m, D)[0].dtype == object
     rng = random.Random(87)
     expected = []
     for _ in range(4):
         lo = rng.randrange(family.size - 200)
         U, V = assert_block_matches_decode(family, lo, lo + 200)
-        expected += assert_canonical_mask_matches_oracle(U, V, 38)
+        expected += assert_canonical_mask_matches_oracle(U, V, D)
     # Members whose free positions all carry value D, and their canonical forms.
     members = [
-        tuple((u, 38 - u) for u in (rng.randrange(1, 38) for _ in range(6)))
+        tuple((u, D - u) for u in (rng.randrange(1, D) for _ in range(6)))
         for _ in range(200)
     ]
-    members += [CanonicalForm.of(pairs, 38).pairs for pairs in members[:50]]
+    members += [CanonicalForm.of(pairs, D).pairs for pairs in members[:50]]
     U, V = decode_indices(family, [family.encode(pairs) for pairs in members])
-    expected += assert_canonical_mask_matches_oracle(U, V, 38)
+    expected += assert_canonical_mask_matches_oracle(U, V, D)
     assert set(expected) == {True, False}
+
+
+@pytest.mark.parametrize("D, dtype", [(8, np.int64), (10, np.int64), (76, np.int64), (78, object)])
+def test_half_keys_of_m10_are_int64_up_to_d76(D, dtype):
+    high, low, _, _ = search._symmetries(10, D)
+    assert high.dtype == low.dtype == dtype
+    assert (D + 1) ** 20 >= 2**63  # one whole-image key would overflow
+
+
+# D = 76 is the largest D whose half-keys are int64 at m = 10.
+@pytest.mark.parametrize("D", [8, 10, 76])
+def test_canonical_mask_on_m10_slices(D):
+    family = StructuredFamily(10, D)
+    rng = random.Random(88 + D)
+    for _ in range(3):
+        lo = rng.randrange(family.size - 300)
+        U, V = assert_block_matches_decode(family, lo, lo + 300)
+        assert_canonical_mask_matches_oracle(U, V, D)
+    # Members whose free positions all carry value D, so the misaligned group
+    # elements give aligned images, and their canonical forms.
+    value_d = [
+        tuple((u, D - u) for u in (rng.randrange(1, D) for _ in range(10)))
+        for _ in range(150)
+    ]
+    value_d += [CanonicalForm.of(pairs, D).pairs for pairs in value_d[:50]]
+    # Members of period two over positions 0..6: a rotation by two ties the
+    # identity on the high half (positions 0..4), so the low half decides.
+    # The repeated free pair is not above any free pair in either
+    # orientation, so no image is smaller on the high half already.
+    tied = []
+    for _ in range(150):
+        head = family.decode(rng.randrange(family.size))
+        seventh, eighth, ninth = family.decode(rng.randrange(family.size))[7:]
+        free = min(head[0], head[0][::-1])
+        if min(eighth, eighth[::-1]) < free:
+            eighth = free
+        tied.append((free, head[1]) * 3 + (free, seventh, eighth, ninth))
+    tied += [CanonicalForm.of(pairs, D).pairs for pairs in tied[:50]]
+    decided_low = [
+        bool(images) and all(image[:5] == pairs[:5] for image in images)
+        for pairs, images in ((pairs, smaller_aligned_images(pairs, D)) for pairs in tied)
+    ]
+    assert sum(decided_low) >= 5
+    for members in (value_d, tied):
+        U, V = decode_indices(family, [family.encode(pairs) for pairs in members])
+        assert set(assert_canonical_mask_matches_oracle(U, V, D)) == {True, False}
+
+
+@pytest.mark.parametrize("m, D", [(8, 10), (18, 10), (4, 80), (4, 82)])
+def test_block_decode_carries_through_every_position_pair(m, D):
+    family = StructuredFamily(m, D)
+    groups, _, _ = search._decode_tables(m, D)
+    assert len(groups) == (m if D > 80 else m // 2)  # beyond D = 80 a pair table is too large
+    radix = family.free_choices * family.pinned_choices
+    top = radix ** (m // 2 - 1)
+    # At a multiple of top every pair below the last one carries; the ranges
+    # start mid-way through the lowest pair's radix.
+    for carry in (top, (radix - 1) * top):
+        assert_block_matches_decode(family, carry - 337, carry + 263)
+    assert (family.size >= 2**63) == (m == 18)
 
 
 def test_block_path_on_a_family_larger_than_int64():
