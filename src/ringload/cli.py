@@ -43,60 +43,44 @@ def _emit(report: dict, summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
-def _solve_report(inst, split, unsplit, extra: dict) -> dict:
-    before = model.edge_loads(inst, split)
-    after = model.edge_loads(inst, unsplit)
-    increase = model.load_increase(before, after)
-    report = fileio.routing_report(unsplit, increase, after)
-    report.update(extra)
-    return report
-
-
 def _cmd_solve(args) -> int:
     inst, split = _read_instance(args.instance, need_split=True)
+    note = ""
     if args.alg == "brute":
-        unsplit, value = exact.brute_force_min_increase(inst, split)
-        report = _solve_report(inst, split, unsplit, {"branch": "brute"})
-        _emit(report, f"brute force: max increase {report['max_increase']}")
-        return 0
-
-    cross, _ = reduction.reduce_to_crossing(inst, split)
-    if args.alg == "dp":
-        z, value = exact.dp_min_increase(cross)
-        unsplit = reduction.lift_solution(cross, z)
-        report = _solve_report(
-            inst, split, unsplit,
-            {"branch": "dp", "crossing_performance": rational_str(value)},
-        )
-        _emit(report, f"dp optimum: max increase {report['max_increase']}")
-        return 0
-
-    if args.alg == "auto":
-        solved = approx.solve_19_14(cross)
-    elif args.alg == "ssw":
-        solved = approx.ssw_three_halves(cross)
-    elif args.alg == "smallbig":
-        solved = approx.small_big_solve(cross)
-    else:  # medium: strongest available margin
-        choice = approx.widest_margin_demand(cross)
-        if choice is None:
-            solved = approx.ssw_three_halves(cross)
+        unsplit, _ = exact.brute_force_min_increase(inst, split)
+        label, extra = "brute force", {"branch": "brute"}
+    else:
+        cross, _ = reduction.reduce_to_crossing(inst, split)
+        if args.alg == "dp":
+            z, value = exact.dp_min_increase(cross)
+            label = "dp optimum"
+            extra = {"branch": "dp", "crossing_performance": rational_str(value)}
         else:
-            solved = approx.medium_demand_solve(cross, *choice)
-    unsplit = reduction.lift_solution(cross, solved.z)
-    report = _solve_report(
-        inst, split, unsplit,
-        {
-            "branch": solved.branch,
-            "crossing_performance": rational_str(solved.perf),
-            "bound": rational_str(solved.bound),
-        },
-    )
-    _emit(
-        report,
-        f"{solved.branch}: max increase {report['max_increase']}"
-        f" (certified bound {report['bound']})",
-    )
+            if args.alg == "auto":
+                solved = approx.solve_19_14(cross)
+            elif args.alg == "ssw":
+                solved = approx.ssw_three_halves(cross)
+            elif args.alg == "smallbig":
+                solved = approx.small_big_solve(cross)
+            else:  # medium: strongest available margin
+                choice = approx.widest_margin_demand(cross)
+                if choice is None:
+                    solved = approx.ssw_three_halves(cross)
+                else:
+                    solved = approx.medium_demand_solve(cross, *choice)
+            z, label = solved.z, solved.branch
+            extra = {
+                "branch": solved.branch,
+                "crossing_performance": rational_str(solved.perf),
+                "bound": rational_str(solved.bound),
+            }
+            note = f" (certified bound {extra['bound']})"
+        unsplit = reduction.lift_solution(cross, z)
+    before = model.edge_loads(inst, split)
+    after = model.edge_loads(inst, unsplit)
+    report = fileio.routing_report(unsplit, model.load_increase(before, after), after)
+    report.update(extra)
+    _emit(report, f"{label}: max increase {report['max_increase']}{note}")
     return 0
 
 

@@ -135,7 +135,8 @@ def _check(condition: bool, name: str, what: str) -> None:
 
 
 @lru_cache(maxsize=None)
-def _builtin_checked(name: str) -> tuple[RingInstance, SplitRouting]:
+def builtin(name: str) -> tuple[RingInstance, SplitRouting]:
+    """A built-in reference instance with its split routing, self-checked."""
     if name == "fig1":
         inst = RingInstance(4, (Demand(1, 3, from_int(2)), Demand(2, 4, from_int(2))))
         split = SplitRouting((from_int(1), from_int(1)))
@@ -165,7 +166,7 @@ def _builtin_checked(name: str) -> tuple[RingInstance, SplitRouting]:
         _check(increase == from_int(11), name, "minimum increase 11 over 256 routings")
         return inst, split
     if name == "fig7":
-        base_inst, base_split = _builtin_checked("fig2")
+        base_inst, base_split = builtin("fig2")
         ext = equalize_extension(base_inst, base_split)
         _check(
             set(edge_loads(ext.instance, ext.split)) == {from_int(37)},
@@ -185,13 +186,6 @@ def _builtin_checked(name: str) -> tuple[RingInstance, SplitRouting]:
         )
         return inst, split
     raise UnknownName(f"no built-in instance named {name!r}")
-
-
-def builtin(name: str) -> tuple[RingInstance, SplitRouting]:
-    """A built-in reference instance with its split routing, self-checked."""
-    if name not in BUILTIN_NAMES:
-        raise UnknownName(f"no built-in instance named {name!r}")
-    return _builtin_checked(name)
 
 
 def random_crossing(m: int, D: int, seed: int, structured: bool = False) -> CrossingInstance:

@@ -8,23 +8,23 @@ split (u_k clockwise, v_k counterclockwise, both positive).  The reduction
      two becomes unsplittable, never increasing any edge load; a suffix
      of demands that already cross pairwise is skipped, since none of its
      pairs can ever be uncrossed),
-  2. freezes every unsplittably routed demand into per-edge base loads,
+  2. fixes every unsplittably routed demand in its direction,
   3. contracts nodes that are no endpoint of a remaining demand (their two
      incident edges carry equal remaining load), and
   4. relabels nodes so demand k connects k and k+m.
 
-The CrossingInstance remembers enough of this (backmap, fixed directions,
-demand relabeling, the post-uncrossing split) to lift any crossing-form
+The CrossingInstance remembers what lifting needs (fixed directions, the
+demand relabeling, the post-uncrossing split) to take any crossing-form
 solution back to the original ring.  Lifted solutions increase an original
-edge exactly as much as the crossing-form solution increases the mapped
-reduced edge, measured against the post-uncrossing split; against the
-routing originally given the increase can only be smaller, since
-uncrossing never raises a load.
+edge exactly as much as the crossing-form solution increases the reduced
+edge it was contracted into, measured against the post-uncrossing split;
+against the routing originally given the increase can only be smaller,
+since uncrossing never raises a load.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 from .errors import LengthMismatch, NotParallel
@@ -36,7 +36,6 @@ from .model import (
     RingInstance,
     SplitRouting,
     UnsplitRouting,
-    edge_loads,
     path_loads,
     validate_instance,
 )
@@ -49,10 +48,9 @@ class CrossingInstance:
 
     pairs[k] = (u_k, v_k), both positive scaled values, d_k = u_k + v_k <= D.
     D is the maximum demand of the *original* instance.  For reduced
-    instances, backmap maps each original edge (0-based) to its reduced
-    edge (0-based, -1 when m = 0) plus the base load contributed by fixed
-    demands; fixed records (original demand index, direction); demand_map
-    lists the original demand index behind each crossing demand; uncrossed
+    instances, fixed records (original demand index, direction) of each
+    demand left unsplit by uncrossing; demand_map lists the original demand
+    index behind each crossing demand, in order of its endpoint i; uncrossed
     is the original-ring split after uncrossing.
     """
 
@@ -60,7 +58,6 @@ class CrossingInstance:
     D: Scaled
     origin: RingInstance | None = None
     uncrossed: SplitRouting | None = None
-    backmap: tuple[tuple[int, Scaled], ...] | None = None
     fixed: tuple[tuple[int, str], ...] | None = None
     demand_map: tuple[int, ...] | None = None
 
@@ -223,74 +220,46 @@ def reduce_to_crossing(
     uncrossed = _uncross_all(inst, split)
 
     fixed: list[tuple[int, str]] = []
-    fixed_paths: list[tuple[int, int, Scaled, Scaled]] = []
     remaining: list[int] = []
-    for idx, dem in enumerate(inst.demands):
-        cw = uncrossed.cw[idx]
+    for idx, (dem, cw) in enumerate(zip(inst.demands, uncrossed.cw)):
         if cw in (0, dem.d):
             fixed.append((idx, CW if cw == dem.d else CCW))
-            fixed_paths.append((dem.i, dem.j, cw, dem.d - cw))
         else:
             remaining.append(idx)
-    base = path_loads(inst.n, fixed_paths)
 
-    m = len(remaining)
-    endpoints: dict[int, int] = {}
-    for idx in remaining:
-        dem = inst.demands[idx]
-        for node in (dem.i, dem.j):
-            assert node not in endpoints, "crossing demands cannot share endpoints"
-            endpoints[node] = idx
-    nodes = sorted(endpoints)  # reduced ring nodes in clockwise order
-
-    # Relabel: first-seen endpoint order assigns crossing indices; since
-    # demands are stored i < j and the walk starts at the smallest
-    # endpoint, the first-seen endpoint is always i, so cw stays cw.
-    demand_map: list[int] = []
-    position: dict[int, int] = {}
-    for pos, node in enumerate(nodes):
-        idx = endpoints[node]
-        if idx not in position:
-            position[idx] = pos
-            demand_map.append(idx)
-    for pos, node in enumerate(nodes):
-        idx = endpoints[node]
-        if node != inst.demands[idx].i:
-            assert pos == position[idx] + m, "demands do not interleave"
-
+    # Crossing index k goes to the k-th smallest endpoint i.  Split demands
+    # that cross pairwise, sharing no endpoint, have endpoints running
+    # i_0 < ... < i_{m-1} < j_0 < ... < j_{m-1}: the reduced ring's nodes
+    # in clockwise order, demand k from node k to node k + m, cw still cw.
+    demand_map = sorted(remaining, key=lambda idx: inst.demands[idx].i)
+    m = len(demand_map)
+    still_split = [inst.demands[idx] for idx in demand_map]
+    nodes = [dem.i for dem in still_split] + [dem.j for dem in still_split]
+    assert all(a < b for a, b in zip(nodes, nodes[1:])), "split demands must cross pairwise"
     pairs = tuple(
-        (uncrossed.cw[idx], inst.demands[idx].d - uncrossed.cw[idx])
-        for idx in demand_map
+        (uncrossed.cw[idx], dem.d - uncrossed.cw[idx])
+        for idx, dem in zip(demand_map, still_split)
     )
 
-    # Original edge e lies between consecutive reduced nodes; walk once.
-    backmap: list[tuple[int, Scaled]] = []
-    reduced_edge = 2 * m - 1  # edges before nodes[0] belong to the wrap edge
-    next_pos = 0
-    for k in range(1, inst.n + 1):
-        if next_pos < len(nodes) and k == nodes[next_pos]:
-            reduced_edge = next_pos
-            next_pos += 1
-        backmap.append((reduced_edge, base[k - 1]))
+    # Contraction legality: original edge k, from node k to k + 1, carries
+    # the split load of the reduced edge of the last node at or before k
+    # (the wrap edge 2m - 1 before the first node).
+    if m:
+        reduced = _crossing_split_loads(pairs)
+        loads = path_loads(
+            inst.n, ((dem.i, dem.j, u, v) for dem, (u, v) in zip(still_split, pairs))
+        )
+        for k, load in enumerate(loads, 1):
+            assert load == reduced[(bisect_right(nodes, k) - 1) % (2 * m)]
 
-    cross = CrossingInstance(
+    return CrossingInstance(
         pairs=pairs,
         D=inst.max_demand,
         origin=inst,
         uncrossed=uncrossed,
-        backmap=tuple(backmap),
         fixed=tuple(fixed),
         demand_map=tuple(demand_map),
-    )
-
-    # Contraction legality and exact load preservation.
-    loads = edge_loads(inst, uncrossed)
-    reduced_loads = _crossing_split_loads(pairs)
-    for k in range(inst.n):
-        edge, base_load = cross.backmap[k]
-        assert loads[k] == base_load + (reduced_loads[edge] if m else 0)
-
-    return cross, SplitRouting(tuple(u for u, _ in pairs))
+    ), SplitRouting(tuple(u for u, _ in pairs))
 
 
 def _crossing_split_loads(pairs: tuple[tuple[Scaled, Scaled], ...]) -> LoadVector:

@@ -12,7 +12,8 @@ from ringload import search
 from ringload.cli import main
 from ringload.fileio import write_instance
 from ringload.instances import builtin, random_crossing
-from ringload.model import Demand, RingInstance, SplitRouting
+from ringload.model import Demand, RingInstance, SplitRouting, path_loads
+from ringload.reduction import reduce_to_crossing
 from ringload.scaled import from_int
 
 
@@ -419,6 +420,30 @@ def test_a_command_checks_its_split_where_it_enters(capsys, tmp_path, monkeypatc
     assert code == 0
     assert len(calls) == checks
     assert all(args == (inst, split) for args in calls)
+
+
+def test_solve_sums_all_demands_in_two_load_passes(capsys, tmp_path, monkeypatch):
+    # The report's split and unsplit loads; the reduction sums only the m
+    # demands still split after uncrossing.
+    inst, split = random_ring(random.Random(0))
+    k, m = len(inst.demands), reduce_to_crossing(inst, split)[0].m
+    assert m < k
+    path = tmp_path / "ring.json"
+    path.write_bytes(write_instance(inst, split))
+    counts = []
+
+    def counted(n, paths):
+        paths = list(paths)
+        counts.append(len(paths))
+        return path_loads(n, paths)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ringload" and hasattr(module, "path_loads"):
+            monkeypatch.setattr(module, "path_loads", counted)
+    code, _, _ = run_cli(capsys, "solve", "--alg", "auto", "-i", str(path))
+    assert code == 0
+    assert counts.count(k) == 2
+    assert all(count <= m for count in counts if count != k)
 
 
 def test_search_full_small_family(capsys):

@@ -24,6 +24,7 @@ from ringload.model import (
 from ringload.approx import pattern_from_solution
 from ringload.patterns import performance
 from ringload.reduction import (
+    _crossing_split_loads,
     _crossing_suffix,
     _uncross_all,
     demands_cross,
@@ -119,7 +120,9 @@ def test_reduce_fig1_is_already_crossing():
     assert cross.pairs == ((from_int(1), from_int(1)), (from_int(1), from_int(1)))
     assert cross.fixed == ()
     assert reduced_split.cw == (from_int(1), from_int(1))
-    assert cross.backmap == tuple((k, 0) for k in range(4))
+    backmap = reference_crossing_form(inst, cross.uncrossed)[3]
+    assert backmap == tuple((k, 0) for k in range(4))
+    assert_loads_through_backmap(inst, cross, backmap)
 
 
 def test_reduce_contracts_idle_nodes():
@@ -130,7 +133,9 @@ def test_reduce_contracts_idle_nodes():
     assert cross.m == 2
     assert cross.pairs == ((from_int(1), from_int(1)), (from_int(1), from_int(1)))
     # Edges {2,3} and {3,4} merged; {5,6} and {6,1} merged.
-    assert [edge for edge, _ in cross.backmap] == [0, 1, 1, 2, 3, 3]
+    backmap = reference_crossing_form(inst, cross.uncrossed)[3]
+    assert [edge for edge, _ in backmap] == [0, 1, 1, 2, 3, 3]
+    assert_loads_through_backmap(inst, cross, backmap)
 
 
 def test_reduce_fig7_recovers_fig2_crossing_form():
@@ -156,18 +161,11 @@ def test_reduce_moves_unsplittable_demands_to_fixed():
 
 def test_reduce_preserves_loads_through_backmap():
     rng = random.Random(33)
-    from ringload.reduction import _crossing_split_loads
-
     for _ in range(200):
         inst, split = random_ring(rng)
         cross, _ = reduce_to_crossing(inst, split)
         assert cross.uncrossed is not None
-        loads = edge_loads(inst, cross.uncrossed)
-        reduced = _crossing_split_loads(cross.pairs)
-        for k in range(inst.n):
-            edge, base = cross.backmap[k]
-            part = reduced[edge] if edge >= 0 else 0
-            assert loads[k] == base + part
+        assert_loads_through_backmap(inst, cross, reference_crossing_form(inst, cross.uncrossed)[3])
 
 
 def test_reduction_output_is_canonical():
@@ -312,7 +310,11 @@ def sweep_uncross_all(inst, split):
 
 
 def reference_crossing_form(inst, uncrossed):
-    """fixed, demand_map, pairs and backmap of an uncrossed split, edge by edge."""
+    """fixed, demand_map, pairs and backmap of an uncrossed split, edge by edge.
+
+    backmap maps each original edge (0-based) to its reduced edge (-1 when
+    m = 0) and the base load of the fixed demands on it.
+    """
     fixed, still_split = [], []
     for idx, (dem, cw) in enumerate(zip(inst.demands, uncrossed.cw)):
         if cw in (0, dem.d):
@@ -339,14 +341,26 @@ def reference_crossing_form(inst, uncrossed):
     return tuple(fixed), tuple(demand_map), pairs, tuple(backmap)
 
 
+def assert_loads_through_backmap(inst, cross, backmap):
+    """Each original edge carries its base load plus its reduced edge's split load."""
+    loads = edge_loads(inst, cross.uncrossed)
+    reduced = _crossing_split_loads(cross.pairs)
+    for load, (edge, base) in zip(loads, backmap, strict=True):
+        assert load == base + (reduced[edge] if edge >= 0 else 0)
+
+
+def assert_matches_crossing_form(inst, cross, uncrossed):
+    fixed, demand_map, pairs, backmap = reference_crossing_form(inst, uncrossed)
+    assert (cross.fixed, cross.demand_map, cross.pairs) == (fixed, demand_map, pairs)
+    assert_loads_through_backmap(inst, cross, backmap)
+
+
 def assert_reduction_matches_reference(inst, split):
     cross, reduced = reduce_to_crossing(inst, split)
     uncrossed = reference_uncross_all(inst, split)
     assert cross.uncrossed == uncrossed
     assert _uncross_all(inst, split) == sweep_uncross_all(inst, split) == uncrossed
-    assert (cross.fixed, cross.demand_map, cross.pairs, cross.backmap) == (
-        reference_crossing_form(inst, uncrossed)
-    )
+    assert_matches_crossing_form(inst, cross, uncrossed)
     assert reduced.cw == tuple(u for u, _ in cross.pairs)
     for a, b in itertools.permutations(range(len(inst.demands)), 2):
         dem_a, dem_b = inst.demands[a], inst.demands[b]
@@ -373,9 +387,7 @@ def assert_reduction_matches_sweep(inst, split):
     assert _uncross_all(inst, split) == uncrossed
     cross, _ = reduce_to_crossing(inst, split)
     assert cross.uncrossed == uncrossed
-    assert (cross.fixed, cross.demand_map, cross.pairs, cross.backmap) == (
-        reference_crossing_form(inst, uncrossed)
-    )
+    assert_matches_crossing_form(inst, cross, uncrossed)
 
 
 def with_extra_demands(inst, split, rng, count):
@@ -444,8 +456,10 @@ def test_reducing_a_crossing_ring_tests_no_pair(monkeypatch, m):
     cross, _ = reduce_to_crossing(inst, split)
     assert calls[0] == 0
     assert cross.pairs == direct.pairs
-    assert cross.backmap == tuple((e, 0) for e in range(2 * m))
     assert cross.demand_map == tuple(range(m))
+    # Every node is an endpoint and nothing is fixed, so the backmap is the
+    # identity with base 0 (the oracle's O(n m) walk is too slow here).
+    assert edge_loads(inst, cross.uncrossed) == _crossing_split_loads(cross.pairs)
 
 
 def test_a_parallel_demand_ends_the_crossing_suffix(monkeypatch):
@@ -464,6 +478,19 @@ def test_a_parallel_demand_ends_the_crossing_suffix(monkeypatch):
     assert 0 < calls[0] < k * k // 2
     monkeypatch.undo()
     assert uncrossed == sweep_uncross_all(inst, split)
+
+
+@pytest.mark.parametrize("demands", [
+    (Demand(1, 2, from_int(2)), Demand(3, 4, from_int(2))),
+    (Demand(1, 3, from_int(2)), Demand(1, 4, from_int(2))),
+])
+def test_a_split_parallel_pair_fails_the_crossing_check(monkeypatch, demands):
+    # With uncrossing switched off, the pair stays split and cannot be relabeled.
+    inst = RingInstance(5, demands)
+    split = SplitRouting((from_int(1), from_int(1)))
+    monkeypatch.setattr(reduction, "_uncross_all", lambda inst, split: split)
+    with pytest.raises(AssertionError, match="cross pairwise"):
+        reduce_to_crossing(inst, split)
 
 
 pair_sequences = st.lists(
