@@ -26,21 +26,27 @@ canonical members inside it, and reports those whose minimum possible
 increase reaches the threshold; the union over all shards is exhaustive
 and duplicate-free.
 
-A shard is scanned in blocks of _BLOCK indices, each handled in numpy:
-decode_block decodes the block into (rows, m) arrays U and V, one % and
-one // and a table lookup per (free, pinned) position pair; rows with an
-even clockwise total drop out; canonical_mask keeps the canonical rows,
-cheapest test first.  The images that are aligned on every member start
-with an even position's pair, so a row whose first pair is above one of
-those is out at once (about three rows in four at m=8, D=10); the rest
-compare packed lexicographic keys of all images at once, in two halves,
-the low half only for rows where some aligned image ties the identity on
-the high half.  exact.dp_feasible_block then screens out every row with
-a routing of increase at most threshold - 1.  Only the survivors get a
-full minimum-increase computation (exact.dp_min_increase).  Every step
-falls back from int64 to Python ints where int64 could overflow (half
-keys at (D+1)^m >= 2^63, indices at a family size >= 2^63), so the block
-path is exact for any m and D.
+A shard is scanned in numpy blocks of whole parts.  An index splits into
+its lead, the lowest digit group (positions 0 and 1, or position 0 alone
+beyond D=80), and its part, the rest (index // the lead's radix).  Each
+part is decoded once, one % and one // and a table lookup per group, and
+only the leads that can pass two cheap tests are built: the part's
+clockwise total fixes the parity of the lead's, and the images that are
+aligned on every member start with an even position's pair, so the lead's
+first pair (u0, v0) needs u0 <= v0 and a key u0 (D+1) + v0 no larger than
+the part's smallest such pair key.  The leads of each parity class are
+cached sorted by that key, so a part's leads are a prefix found by one
+binary search; at m=8, D=10 about one index in ten becomes a row.
+_canonical then keeps the canonical rows by comparing packed
+lexicographic keys of all images at once, in two halves: a high key is
+the lead's term plus the part's, computed once per part, and only rows
+where some aligned image ties the identity on the high half compare low
+halves.  exact.dp_feasible_block screens out every row with a routing of
+increase at most threshold - 1.  Only the survivors get a full
+minimum-increase computation (exact.dp_min_increase).  Every step falls
+back from int64 to Python ints where int64 could overflow (half keys at
+(D+1)^m >= 2^63, quotients of indices at or above 2^63), so the scan is
+exact for any m and D.
 
 Given a directory, a shard keeps its hit records (hit_record) and then its
 last finished index in mM-dD-tT-shard-I-of-N.txt there, replaced atomically
@@ -52,10 +58,12 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,11 +74,12 @@ from .scaled import Scaled, from_int, rational_str, unscale
 
 Pairs = tuple[tuple[int, int], ...]  # plain-integer (u, v) sequences
 
-# Indices per numpy block.  A shard is never held whole, and 2048 runs as
-# fast as 4096 while holding half the memory (about 1 MB at m=8, D=10).
-_BLOCK = 2048
+# Indices per numpy block, in whole parts.  A shard is never held whole:
+# at m=8, D=10 a block makes about 900 rows and peaks near 0.2 MB, and it
+# runs 1.5 (m=8) to 2.8 (m=10) times as fast as blocks of 2048.
+_BLOCK = 8192
 _SHARDS = 64  # of search_parallel; fixed, so checkpoint names do not depend on jobs
-_CHECKPOINT_STEP = 1 << 24  # indices between saves; a save waits for its block's end
+_CHECKPOINT_STEP = 1 << 24  # indices between saves; a block that reaches one ends there
 _TABLE_ROWS = 1 << 17  # most rows of one decode table, about 4 MB
 
 
@@ -128,7 +137,7 @@ def _symmetries(m: int, D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, lis
     positions.  The images whose odd positions all read odd source
     positions are aligned on every family member; firsts holds their
     first-pair columns, the even source positions in both orientations,
-    for the prefilter of canonical_mask.
+    for the first-pair prefilter (_leads).
     """
     labels = tuple((k, m + k) for k in range(m))
     images = [labels] + sorted(symmetry_orbit(labels) - {labels})
@@ -150,35 +159,6 @@ def _symmetries(m: int, D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, lis
     return high, low, odd_sources, firsts
 
 
-def canonical_mask(U: np.ndarray, V: np.ndarray, D: int) -> np.ndarray:
-    """Row-wise "no aligned symmetry image is lexicographically smaller".
-
-    Row r is a family member, the pairs (U[r, k], V[r, k]) with entries in
-    0..D and value D at every odd position.  An image counts only where it
-    is aligned, that is where every source position feeding an odd image
-    position carries value D.  Cheap tests come first: a row whose first
-    pair is above the first pair of an always-aligned image is out; the
-    rest compare high keys, and only rows where some aligned image ties
-    the identity on the high key compare low keys.
-    """
-    high, low, odd_sources, firsts = _symmetries(U.shape[1], D)
-    base = D + 1
-    packed = np.concatenate([U * base + V, V * base + U], axis=1)
-    rows = np.flatnonzero(packed[:, 0] <= packed[:, firsts].min(axis=1))
-    packed = packed[rows].astype(high.dtype, copy=False)
-    keys = packed @ high
-    counted = (U[rows] + V[rows] == D)[:, odd_sources].all(axis=2)
-    smaller = (keys < keys[:, :1]) & counted
-    tied = (keys == keys[:, :1]) & counted
-    tied[:, 0] = False
-    ties = np.flatnonzero(tied.any(axis=1))
-    keys = packed[ties] @ low
-    smaller[ties] |= (keys < keys[:, :1]) & tied[ties]
-    mask = np.zeros(len(U), dtype=bool)
-    mask[rows] = ~smaller.any(axis=1)
-    return mask
-
-
 def _free_pair(code: int) -> tuple[int, int]:
     # pairs ordered by d = 2, 4, ..., D then u = 1..d-1; the block for
     # d = 2h starts at (h-1)^2 since 1 + 3 + ... + (2h-3) = (h-1)^2.
@@ -189,7 +169,7 @@ def _free_pair(code: int) -> tuple[int, int]:
 
 @cache
 def _decode_tables(m: int, D: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:
-    """Mixed-radix digit groups of decode_block, lowest first, and their value tables.
+    """Mixed-radix digit groups of an index, lowest first, and their value tables.
 
     A group is a (free, pinned) position pair of radix R = (D/2)^2 (D-1),
     decoded by one % and one //: row c of the (R, 2) tables U and V holds
@@ -211,6 +191,162 @@ def _decode_tables(m: int, D: int) -> tuple[tuple[tuple[int, int], ...], np.ndar
     U.setflags(write=False)
     V.setflags(write=False)
     return groups, U, V
+
+
+def _decode(
+    lo: int, hi: int, groups: tuple[tuple[int, int], ...], U: np.ndarray, V: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of the digit groups of lo..hi-1 (lowest first), as (hi - lo, positions) arrays.
+
+    groups and the tables U and V are as in _decode_tables.  The quotients
+    are Python ints only while they can reach 2^63.
+    """
+    index = np.arange(lo, hi, dtype=np.int64 if hi <= 2**63 else object)
+    top = hi - 1
+    codes = np.empty((hi - lo, len(groups)), dtype=np.int64)
+    for g, (radix, first) in enumerate(groups):
+        if index.dtype == object and top < 2**63:
+            index = index.astype(np.int64)
+        codes[:, g] = index % radix + first
+        index = index // radix
+        top //= radix
+    shape = (hi - lo, len(groups) * U.shape[1])
+    return U.take(codes, axis=0).reshape(shape), V.take(codes, axis=0).reshape(shape)
+
+
+class _Leads(NamedTuple):
+    """An index as its lead, digit group 0 of _decode_tables, and its part, the rest.
+
+    The lead is position 0, and position 1 too where positions are decoded
+    in pairs; part = index // radix holds the other positions.  The lead
+    codes that the first-pair prefilter can keep (u0 <= v0: the half-turn
+    starts with (v0, u0)) come in two parity classes, by the sum of their
+    u's mod 2: codes holds the even class and then, from odd on, the odd
+    class, each sorted by the first-pair key u0 (D + 1) + v0; keys holds
+    those keys, the odd class's raised by (D + 1)^2 so that the whole
+    array is sorted.
+
+    part_firsts are the columns of [U B + V | V B + U] over a part's
+    positions that start an always-aligned image (see _symmetries), and
+    always[g] says that image g is one; lead and part weights are the rows
+    of the high weight matrix over the lead's and the part's columns.
+    """
+
+    radix: int
+    codes: np.ndarray
+    keys: np.ndarray
+    odd: int
+    part_firsts: list[int]
+    always: np.ndarray
+    lead_weights: np.ndarray
+    part_weights: np.ndarray
+
+
+@cache
+def _leads(m: int, D: int) -> _Leads:
+    groups, U, V = _decode_tables(m, D)
+    high, _, odd_sources, firsts = _symmetries(m, D)
+    radix, width, base = groups[0][0], U.shape[1], D + 1
+    u, v = U[:radix], V[:radix]
+    lead = [f for f in range(2 * m) if f % m < width]
+    part = [f for f in range(2 * m) if f % m >= width]
+    packed = np.concatenate([u * base + v, v * base + u], axis=1)
+    kept = packed[:, 0] <= packed[:, [lead.index(f) for f in firsts if f in lead]].min(axis=1)
+    parity = u.sum(axis=1) & 1
+    classes = [np.flatnonzero(kept & (parity == q)) for q in (0, 1)]
+    classes = [codes[np.argsort(packed[codes, 0], kind="stable")] for codes in classes]
+    codes = np.concatenate(classes)
+    keys = packed[codes, 0] + np.repeat([0, base * base], [len(c) for c in classes])
+    always = (odd_sources % 2).all(axis=1)
+    for array in (codes, keys, always):
+        array.setflags(write=False)
+    return _Leads(
+        radix, codes, keys, len(classes[0]), [part.index(f) for f in firsts if f in part],
+        always, high[lead], high[part],
+    )
+
+
+class _Rows(NamedTuple):
+    """Family members as lead pairs (lead_u, lead_v) before the pairs of a part.
+
+    Row r is (lead_u[r], lead_v[r]) followed by row part[r] of the arrays
+    part_u and part_v, one row per part.
+    """
+
+    part_u: np.ndarray
+    part_v: np.ndarray
+    part: np.ndarray
+    lead_u: np.ndarray
+    lead_v: np.ndarray
+
+    def select(self, rows: np.ndarray) -> "_Rows":
+        return _Rows(self.part_u, self.part_v, self.part[rows], self.lead_u[rows], self.lead_v[rows])
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows as (rows, m) arrays U and V."""
+        return (
+            np.concatenate([self.lead_u, self.part_u[self.part]], axis=1),
+            np.concatenate([self.lead_v, self.part_v[self.part]], axis=1),
+        )
+
+
+def _candidates(m: int, D: int, lo: int, hi: int) -> _Rows:
+    """The members lo..hi-1 with an odd clockwise total that pass the first-pair prefilter.
+
+    The parts are decoded once each.  A part's odd total fixes the parity
+    class of its lead, and its smallest first-pair key over the part's
+    columns in part_firsts bounds the lead's key, so its leads are a
+    prefix of that class in _Leads.codes.  Rows come in index order.
+    """
+    leads = _leads(m, D)
+    groups, U, V = _decode_tables(m, D)
+    radix, base = leads.radix, D + 1
+    first = lo // radix
+    part_u, part_v = _decode(first, (hi - 1) // radix + 1, groups[1:], U, V)
+    packed = np.concatenate([part_u * base + part_v, part_v * base + part_u], axis=1)
+    bound = packed[:, leads.part_firsts].min(axis=1, initial=base * base - 1)
+    parity = 1 - (part_u.sum(axis=1) & 1)  # the lead's, for an odd total
+    begin = parity * leads.odd
+    count = np.searchsorted(leads.keys, bound + parity * base * base, side="right") - begin
+    part = np.repeat(np.arange(len(count)), count)
+    take = np.arange(len(part)) + np.repeat(begin - np.cumsum(count) + count, count)
+    local = np.sort(part * radix + leads.codes[take])
+    offset = lo - first * radix
+    local = local[np.searchsorted(local, offset) : np.searchsorted(local, offset + hi - lo)]
+    part, code = np.divmod(local, radix)
+    return _Rows(part_u, part_v, part, U[code], V[code])
+
+
+def _canonical(rows: _Rows, D: int) -> np.ndarray:
+    """Row-wise "no aligned symmetry image is lexicographically smaller".
+
+    The rows pass the first-pair prefilter.  An image counts where it is
+    aligned: always-aligned images on every row, the others on rows whose
+    free positions all carry value D (their odd positions read exactly the
+    free positions).  A high key is the lead's term plus its part's, which
+    is computed once per part; only rows where some counted image ties the
+    identity on the high key compare low keys.
+    """
+    m = rows.part_u.shape[1] + rows.lead_u.shape[1]
+    high, low, _, _ = _symmetries(m, D)
+    leads = _leads(m, D)
+    base = D + 1
+
+    def pack(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        return np.concatenate([U * base + V, V * base + U], axis=1).astype(high.dtype, copy=False)
+
+    keys = (pack(rows.part_u, rows.part_v) @ leads.part_weights)[rows.part]
+    keys += pack(rows.lead_u, rows.lead_v) @ leads.lead_weights
+    value_d = (rows.part_u + rows.part_v == D).all(axis=1)[rows.part]
+    value_d &= (rows.lead_u + rows.lead_v == D).all(axis=1)
+    counted = leads.always | value_d[:, None]
+    smaller = (keys < keys[:, :1]) & counted
+    tied = (keys == keys[:, :1]) & counted
+    tied[:, 0] = False
+    ties = np.flatnonzero(tied.any(axis=1))
+    keys = pack(*rows.select(ties).pairs()) @ low
+    smaller[ties] |= (keys < keys[:, :1]) & tied[ties]
+    return ~smaller.any(axis=1)
 
 
 @dataclass(frozen=True)
@@ -246,18 +382,6 @@ class StructuredFamily:
                 index, code = divmod(index, self.free_choices)
                 pairs.append(_free_pair(code))
         return tuple(pairs)
-
-    def decode_block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """decode(index) for lo <= index < hi, as (rows, m) arrays U and V."""
-        index = np.arange(lo, hi, dtype=np.int64 if self.size < 2**63 else object)
-        groups, U, V = _decode_tables(self.m, self.D)
-        codes = np.empty((hi - lo, len(groups)), dtype=np.int64)
-        for g, (radix, first) in enumerate(groups):
-            codes[:, g] = index % radix + first
-            index = index // radix
-        shape = (hi - lo, self.m)
-        return U.take(codes, axis=0).reshape(shape), V.take(codes, axis=0).reshape(shape)
-
 
     def encode(self, pairs: Pairs) -> int:
         index = 0
@@ -316,6 +440,23 @@ def _resume(
     return hits, cursor + 1
 
 
+def _blocks(first: int, stop: int, radix: int) -> Iterator[tuple[int, int]]:
+    """The blocks (lo, hi) of a scan of first..stop-1.
+
+    A block is about _BLOCK indices of whole parts (of radix indices each),
+    or one part where that is longer.  A block that reaches a save point,
+    first plus a multiple of _CHECKPOINT_STEP, ends at the last one it
+    reaches, so each save's index is the end of a block.
+    """
+    lo = first
+    while lo < stop:
+        hi = min(max((lo + _BLOCK) // radix, lo // radix + 1) * radix, stop)
+        save = hi - (hi - first) % _CHECKPOINT_STEP
+        hi = save if save > lo else hi
+        yield lo, hi
+        lo = hi
+
+
 def search_lower_bound(
     m: int,
     D: int,
@@ -334,21 +475,21 @@ def search_lower_bound(
         checkpoint.parent.mkdir(parents=True, exist_ok=True)
         if checkpoint.exists():
             hits, first = _resume(checkpoint, family, threshold_int, start, stop)
-    for lo in range(first, stop, _BLOCK):
-        hi = min(lo + _BLOCK, stop)
-        U, V = family.decode_block(lo, hi)
-        rows = np.flatnonzero(U.sum(axis=1) & 1)
-        rows = rows[canonical_mask(U[rows], V[rows], D)]
-        rows = rows[~dp_feasible_block(U[rows], V[rows], threshold_int - 1)]
-        for row in rows:
-            pairs = tuple(zip(U[row].tolist(), V[row].tolist()))
+    t = threshold_int - 1
+    for lo, hi in _blocks(first, stop, _leads(m, D).radix):
+        rows = _candidates(m, D, lo, hi)
+        rows = rows.select(_canonical(rows, D))
+        U, V = rows.pairs()
+        screened = ~dp_feasible_block(U, V, t)
+        for u_row, v_row in zip(U[screened].tolist(), V[screened].tolist()):
+            pairs = tuple(zip(u_row, v_row))
             cross = standalone_crossing(
                 tuple((from_int(u), from_int(v)) for u, v in pairs), from_int(D)
             )
             _, value = dp_min_increase(cross)
             assert value >= threshold, f"the screen kept {pairs} of minimum increase {value}"
             hits.append(SearchHit(CanonicalForm(pairs), value))
-        if checkpoint is not None and (hi == stop or (hi - first) % _CHECKPOINT_STEP < _BLOCK):
+        if checkpoint is not None and (hi == stop or (hi - first) % _CHECKPOINT_STEP == 0):
             temporary = checkpoint.with_name(name + ".partial")
             temporary.write_text("".join(hit_record(hit) + "\n" for hit in hits) + f"{hi - 1}\n")
             temporary.replace(checkpoint)  # atomic: a crash leaves the old file or the new
@@ -363,5 +504,5 @@ def search_parallel(
     shards = [(index, _SHARDS) for index in range(_SHARDS)]
     if jobs <= 1:
         return [hit for shard in shards for hit in scan(shard)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, _SHARDS)) as pool:
         return [hit for hits in pool.map(scan, shards) for hit in hits]

@@ -10,6 +10,7 @@ import math
 import random
 import re
 
+import numpy as np
 from hypothesis import strategies as st
 
 from ringload import search
@@ -174,6 +175,49 @@ def scalar_dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, int
             lo = mid + 1
     y, masks = scalar_feasible_any_y(pairs, lo)
     return scalar_solution(pairs, lo, y, masks), lo * g
+
+
+# The block path that search's part-wise scan replaced: decode every index
+# of a range, then test each row.  It is the oracle that search._candidates
+# and search._canonical are compared against.
+
+
+def decode_block(family: search.StructuredFamily, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """family.decode(index) for lo <= index < hi, as (rows, m) arrays U and V."""
+    index = np.arange(lo, hi, dtype=np.int64 if family.size < 2**63 else object)
+    groups, U, V = search._decode_tables(family.m, family.D)
+    codes = np.empty((hi - lo, len(groups)), dtype=np.int64)
+    for g, (radix, first) in enumerate(groups):
+        codes[:, g] = index % radix + first
+        index = index // radix
+    shape = (hi - lo, family.m)
+    return U.take(codes, axis=0).reshape(shape), V.take(codes, axis=0).reshape(shape)
+
+
+def canonical_mask(U: np.ndarray, V: np.ndarray, D: int) -> np.ndarray:
+    """Row-wise "no aligned symmetry image is lexicographically smaller".
+
+    Row r is a family member.  A row whose first pair is above the first
+    pair of an always-aligned image is out; the rest compare high keys, and
+    rows where some aligned image ties the identity on the high key
+    compare low keys.
+    """
+    high, low, odd_sources, firsts = search._symmetries(U.shape[1], D)
+    base = D + 1
+    packed = np.concatenate([U * base + V, V * base + U], axis=1)
+    rows = np.flatnonzero(packed[:, 0] <= packed[:, firsts].min(axis=1))
+    packed = packed[rows].astype(high.dtype, copy=False)
+    keys = packed @ high
+    counted = (U[rows] + V[rows] == D)[:, odd_sources].all(axis=2)
+    smaller = (keys < keys[:, :1]) & counted
+    tied = (keys == keys[:, :1]) & counted
+    tied[:, 0] = False
+    ties = np.flatnonzero(tied.any(axis=1))
+    keys = packed[ties] @ low
+    smaller[ties] |= (keys < keys[:, :1]) & tied[ties]
+    mask = np.zeros(len(U), dtype=bool)
+    mask[rows] = ~smaller.any(axis=1)
+    return mask
 
 
 _CRITERION = re.compile(r"test_criterion_(\d+)_(\w+)")

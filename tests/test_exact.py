@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     criterion_8_crossings,
+    decode_block,
     random_ring,
     scalar_dp_feasible,
     scalar_dp_min_increase,
@@ -304,6 +305,20 @@ def test_dp_kernel_edge_cases():
     assert dp_feasible(cross, -S, 0) is None
 
 
+@settings(deadline=None)
+@given(st.data())
+def test_dp_screen_is_invariant_under_reversing_the_sequence(data):
+    # A pattern read backward, p'(k) = p(m) - p(m - k), takes the same steps
+    # in reverse order, ends at the same y and keeps max |2 p(k) - y|.
+    m = data.draw(st.integers(0, 10))
+    rows = data.draw(st.integers(0, 8))
+    values = st.lists(st.integers(0, 12), min_size=rows * m, max_size=rows * m)
+    U = np.array(data.draw(values), dtype=np.int64).reshape(rows, m)
+    V = np.array(data.draw(values), dtype=np.int64).reshape(rows, m)
+    t = data.draw(st.integers(-1, 18))
+    assert dp_feasible_block(U, V, t).tolist() == dp_feasible_block(U[:, ::-1], V[:, ::-1], t).tolist()
+
+
 def test_dp_in_column_chunks_matches_scalar_oracle(monkeypatch):
     monkeypatch.setattr(exact, "_MASK_BITS", 40)
     rng = random.Random(67)
@@ -311,7 +326,7 @@ def test_dp_in_column_chunks_matches_scalar_oracle(monkeypatch):
         cross = random_crossing(rng.randint(1, 8), rng.randint(2, 30), seed=trial)
         assert dp_min_increase(cross) == scalar_dp_min_increase(cross)
     family = StructuredFamily(4, 8)
-    U, V = family.decode_block(0, 500)
+    U, V = decode_block(family, 0, 500)
     for t in range(-1, 13):
         expected = [scalar_feasible_any_y(tuple(zip(u, v)), t) is not None
                     for u, v in zip(U.tolist(), V.tolist())]

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import Interrupted, fail_after, scalar_feasible_any_y
+from conftest import Interrupted, canonical_mask, decode_block, fail_after, scalar_feasible_any_y
 from ringload import search
 from ringload.errors import InfeasibleParams
 from ringload.exact import dp_feasible_block, dp_min_increase
@@ -19,7 +19,6 @@ from ringload.search import (
     StructuredFamily,
     _BLOCK,
     _aligned,
-    canonical_mask,
     search_lower_bound,
     search_parallel,
     shard_range,
@@ -90,14 +89,16 @@ def rows_of(U, V):
 
 
 def assert_block_matches_decode(family, lo, hi):
-    U, V = family.decode_block(lo, hi)
+    U, V = decode_block(family, lo, hi)
     assert U.shape == V.shape == (hi - lo, family.m)
     assert rows_of(U, V) == [family.decode(index) for index in range(lo, hi)]
+    groups, tables_u, tables_v = search._decode_tables(family.m, family.D)
+    assert rows_of(*search._decode(lo, hi, groups, tables_u, tables_v)) == rows_of(U, V)
     return U, V
 
 
 def decode_indices(family, indices):
-    blocks = [family.decode_block(index, index + 1) for index in indices]
+    blocks = [decode_block(family, index, index + 1) for index in indices]
     return np.concatenate([U for U, _ in blocks]), np.concatenate([V for _, V in blocks])
 
 
@@ -105,6 +106,30 @@ def assert_canonical_mask_matches_oracle(U, V, D):
     expected = [_is_canonical(pairs, D) for pairs in rows_of(U, V)]
     assert canonical_mask(U, V, D).tolist() == expected
     return expected
+
+
+def decode_path_rows(family, lo, hi):
+    """The canonical rows of lo..hi-1 by the decode path: every index, parity, canonical_mask."""
+    U, V = decode_block(family, lo, hi)
+    odd = np.flatnonzero(U.sum(axis=1) & 1)
+    rows = odd[canonical_mask(U[odd], V[odd], family.D)]
+    return U[rows], V[rows]
+
+
+def assert_canonical_rows_match_decode_path(family, lo, hi):
+    """search builds and keeps the rows of the decode path, in index order."""
+    expected = rows_of(*decode_path_rows(family, lo, hi))
+    rows = search._candidates(family.m, family.D, lo, hi)
+    assert rows_of(*rows.select(search._canonical(rows, family.D)).pairs()) == expected
+    return expected
+
+
+def decode_path_search(m, D, threshold, shard):
+    """The decode-path scan of a shard: canonical rows, the DP screen, then the full DP."""
+    family = StructuredFamily(m, D)
+    U, V = decode_path_rows(family, *shard_range(family.size, shard))
+    kept = ~dp_feasible_block(U, V, unscale(threshold) - 1)
+    return [SearchHit(CanonicalForm(pairs), dp_of(pairs, D)) for pairs in rows_of(U[kept], V[kept])]
 
 
 def assert_screen_matches_oracle(U, V, t):
@@ -257,7 +282,7 @@ def test_block_path_on_slices_of_the_m8_family():
 @pytest.mark.parametrize("m, D", [(2, 4), (2, 6), (4, 4), (4, 6), (6, 4)])
 def test_block_screen_matches_scalar_screen_on_whole_families(m, D):
     family = StructuredFamily(m, D)
-    U, V = family.decode_block(0, family.size)
+    U, V = decode_block(family, 0, family.size)
     outcomes = set()
     for t in range(-1, 3 * D // 2 + 2):
         outcomes.update(assert_screen_matches_oracle(U, V, t))
@@ -324,6 +349,7 @@ def test_canonical_mask_on_m10_slices(D):
         lo = rng.randrange(family.size - 300)
         U, V = assert_block_matches_decode(family, lo, lo + 300)
         assert_canonical_mask_matches_oracle(U, V, D)
+        assert_canonical_rows_match_decode_path(family, lo, lo + 300)
     # Members whose free positions all carry value D, so the misaligned group
     # elements give aligned images, and their canonical forms.
     value_d = [
@@ -350,8 +376,12 @@ def test_canonical_mask_on_m10_slices(D):
     ]
     assert sum(decided_low) >= 5
     for members in (value_d, tied):
-        U, V = decode_indices(family, [family.encode(pairs) for pairs in members])
+        indices = [family.encode(pairs) for pairs in members]
+        U, V = decode_indices(family, indices)
         assert set(assert_canonical_mask_matches_oracle(U, V, D)) == {True, False}
+        kept = [bool(assert_canonical_rows_match_decode_path(family, index, index + 1))
+                for index in indices if sum(family.decode(index)[k][0] for k in range(10)) % 2]
+        assert set(kept) == {True, False}
 
 
 @pytest.mark.parametrize("m, D", [(8, 10), (18, 10), (4, 80), (4, 82)])
@@ -454,3 +484,149 @@ def test_an_interrupted_search_resumes_with_every_hit(tmp_path, monkeypatch, par
     resumed = fail_after(monkeypatch, len(full))
     assert scan() == full
     assert len(resumed) == len(full) - kept
+
+
+@pytest.mark.parametrize("m, D", SMALL_FAMILIES)
+def test_canonical_rows_match_the_decode_path_on_whole_families(m, D):
+    family = StructuredFamily(m, D)
+    assert_canonical_rows_match_decode_path(family, 0, family.size)
+    radix = search._leads(m, D).radix
+    rng = random.Random(89)
+    for _ in range(25):
+        index = rng.randrange(family.size)
+        assert_canonical_rows_match_decode_path(family, index, index + 1)
+        part = index - index % radix  # a range that starts and stops inside one part
+        lo = rng.randrange(part, part + radix)
+        assert_canonical_rows_match_decode_path(family, lo, rng.randrange(lo, part + radix) + 1)
+        lo = rng.randrange(family.size)
+        assert_canonical_rows_match_decode_path(family, lo, rng.randrange(lo, family.size) + 1)
+
+
+@pytest.mark.parametrize("m, D", [(18, 10), (20, 10), (12, 40), (10, 82), (4, 82)])
+def test_canonical_rows_match_the_decode_path_on_large_families(m, D):
+    # All but m=4 index above 2^63, and all but m=18 have parts above 2^63
+    # too; m=20, m=12 at D=40 and m=10 at D=82 pack keys in Python ints;
+    # beyond D=80 the lead is position 0.
+    family = StructuredFamily(m, D)
+    assert (family.size >= 2**63) == (m > 4)
+    assert (family.size // search._leads(m, D).radix >= 2**63) == (m not in (4, 18))
+    assert (search._symmetries(m, D)[0].dtype == object) == (m in (12, 10, 20))
+    assert search._leads(m, D).radix == (D // 2) ** 2 * (1 if D > 80 else D - 1)
+    rng = random.Random(90 + m)
+    starts = [family.size - 3000, 2**63 - 1500] if m > 4 else [family.size - 3000]
+    for _ in range(3):  # slices around canonical forms, which are rare at random
+        pairs = family.decode(rng.randrange(family.size))
+        starts.append(family.encode(CanonicalForm.of(pairs, D).pairs) - rng.randrange(3000))
+    kept = []
+    for lo in starts:
+        kept += assert_canonical_rows_match_decode_path(family, lo, lo + rng.randrange(1, 3000))
+    assert kept
+
+
+def test_decode_peels_python_ints_only_down_to_2_63():
+    # Ranges that end at, cross and start at 2^63 (m=18), and parts of m=20
+    # that are themselves above 2^63.
+    family = StructuredFamily(18, 10)
+    for lo, hi in ((2**63 - 5, 2**63), (2**63 - 5, 2**63 + 3), (2**63, 2**63 + 2)):
+        assert_block_matches_decode(family, lo, hi)
+    family = StructuredFamily(20, 10)
+    groups, U, V = search._decode_tables(20, 10)
+    top = family.size // search._leads(20, 10).radix
+    assert top >= 2**63
+    part_u, _ = search._decode(top - 40, top, groups[1:], U, V)
+    assert part_u.tolist() == [[u for u, _ in family.decode(part * 225)[2:]]
+                               for part in range(top - 40, top)]
+
+
+# Hit counts of the decode path: perfbench's fig6 shard and its throughput
+# shard, m=10 slices at D = 8, 10 and 76, one table per position at m=4,
+# D=82, a slice above 2^63, and shards of one index or of three indices
+# inside one part.
+M18_SLICES = StructuredFamily(18, 10).size // 2000
+
+
+@pytest.mark.parametrize("m, D, threshold, shard, count", [
+    (8, 10, 11, (46568, 200000), 1),
+    (8, 10, 11, (77770, 200000), 0),
+    (8, 10, 11, (465681, 2000000), 1),
+    (10, 8, 7, (2142828, 5874472), 77),
+    (10, 10, 9, (53388946, 192216796), 92),
+    (10, 76, 60, (2801316916277516120243, 4966163668818810000000), 2),
+    (4, 82, 60, (1736944, 6179939), 6),
+    (18, 10, 9, (M18_SLICES - 55434, M18_SLICES), 5),
+    (4, 8, 5, (257, 12544), 1),
+    (4, 8, 5, (258, 12544), 0),
+    (6, 6, 5, (1956, 30000), 1),
+])
+def test_search_matches_the_decode_path(m, D, threshold, shard, count):
+    hits = search_lower_bound(m, D, from_int(threshold), shard=shard)
+    assert hits == decode_path_search(m, D, from_int(threshold), shard)
+    assert len(hits) == count
+
+
+def test_small_shards_start_and_stop_inside_one_part():
+    for m, D, shard in ((4, 8, (257, 12544)), (6, 6, (1956, 30000))):
+        lo, hi = shard_range(StructuredFamily(m, D).size, shard)
+        radix = search._leads(m, D).radix
+        assert lo % radix and hi % radix and lo // radix == hi // radix
+
+
+@pytest.mark.parametrize("shard", [(46568, 200000), (77770, 200000)])
+def test_the_canonical_test_sees_about_one_index_in_ten(monkeypatch, shard):
+    # Decoding every index would give the canonical test half of them.
+    seen = []
+    canonical = search._canonical
+
+    def counted(rows, D):
+        seen.append(len(rows.part))
+        return canonical(rows, D)
+
+    monkeypatch.setattr(search, "_canonical", counted)
+    search_lower_bound(8, 10, from_int(11), shard=shard)
+    lo, hi = shard_range(StructuredFamily(8, 10).size, shard)
+    assert 0 < sum(seen) <= 0.15 * (hi - lo)
+
+
+def test_blocks_cover_the_scan_and_end_at_save_points(monkeypatch):
+    rng = random.Random(91)
+    for _ in range(300):
+        radix = rng.choice([1, 7, 112, 225, 3000, 20000])
+        step = rng.choice([1, 5, 4096, _BLOCK + 3, 1 << 24])
+        monkeypatch.setattr(search, "_CHECKPOINT_STEP", step)
+        first = rng.randrange(10**6)
+        stop = first + rng.randrange(1, 60000)
+        blocks = list(search._blocks(first, stop, radix))
+        assert [lo for lo, _ in blocks] == [first] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == stop
+        for lo, hi in blocks:
+            # whole parts, cut at the shard's ends and at save points
+            assert hi - lo <= max(_BLOCK, radix)
+            assert hi == stop or hi % radix == 0 or (hi - first) % step == 0
+            saves = [i for i in range(lo + 1, hi + 1) if (i - first) % step == 0]
+            assert not saves or hi == saves[-1]
+        if step >= max(_BLOCK, radix):  # then every save point ends a block
+            ends = {hi for _, hi in blocks}
+            assert all(first + k * step in ends for k in range(1, (stop - first) // step + 1))
+
+
+@pytest.mark.parametrize("jobs", [2, 100_000])
+def test_a_parallel_search_starts_at_most_one_process_per_shard(monkeypatch, jobs):
+    started = []
+
+    class Pool:  # records the pool size and maps in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", Pool)
+    threshold = from_int(1)
+    assert search_parallel(2, 4, threshold, jobs=jobs) == search_lower_bound(2, 4, threshold)
+    assert started == [min(jobs, search._SHARDS)]
