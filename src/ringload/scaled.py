@@ -16,6 +16,7 @@ raise instead of rounding; they indicate a bug, never a data problem.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 SCALE = 28
@@ -39,10 +40,10 @@ def from_fraction(value: Fraction) -> Scaled:
 
 def rational_str(scaled: Scaled) -> str:
     """Exact "p" or "p/q" rendering, e.g. 37, 19/14, -3/2."""
-    frac = Fraction(scaled, SCALE)
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"
+    g = math.gcd(scaled, SCALE)
+    if g == SCALE:
+        return str(scaled // SCALE)
+    return f"{scaled // g}/{SCALE // g}"
 
 
 def parse_rational(text: str) -> Scaled:

@@ -34,9 +34,10 @@ only the leads that can pass two cheap tests are built: the part's
 clockwise total fixes the parity of the lead's, and the images that are
 aligned on every member start with an even position's pair, so the lead's
 first pair (u0, v0) needs u0 <= v0 and a key u0 (D+1) + v0 no larger than
-the part's smallest such pair key.  The leads of each parity class are
-cached sorted by that key, so a part's leads are a prefix found by one
-binary search; at m=8, D=10 about one index in ten becomes a row.
+the part's smallest such pair key.  A lead is its code, its row of the
+decode tables; the key and parity of every code are cached, and one mask
+over parts x codes selects the rows of a block in index order; at m=8,
+D=10 about one index in ten becomes a row.
 _canonical then keeps the canonical rows by comparing packed
 lexicographic keys of all images at once, in two halves: a high key is
 the lead's term plus the part's, computed once per part, and only rows
@@ -214,17 +215,22 @@ def _decode(
     return U.take(codes, axis=0).reshape(shape), V.take(codes, axis=0).reshape(shape)
 
 
+def _pack(U: np.ndarray, V: np.ndarray, D: int) -> np.ndarray:
+    """The pair keys [U (D+1) + V | V (D+1) + U], the columns the weight matrices act on."""
+    base = D + 1
+    return np.concatenate([U * base + V, V * base + U], axis=1)
+
+
 class _Leads(NamedTuple):
     """An index as its lead, digit group 0 of _decode_tables, and its part, the rest.
 
     The lead is position 0, and position 1 too where positions are decoded
-    in pairs; part = index // radix holds the other positions.  The lead
-    codes that the first-pair prefilter can keep (u0 <= v0: the half-turn
-    starts with (v0, u0)) come in two parity classes, by the sum of their
-    u's mod 2: codes holds the even class and then, from odd on, the odd
-    class, each sorted by the first-pair key u0 (D + 1) + v0; keys holds
-    those keys, the odd class's raised by (D + 1)^2 so that the whole
-    array is sorted.
+    in pairs; its code, index % radix, is its row of the tables, and
+    part = index // radix holds the other positions.  keys[c] is lead c's
+    first-pair key u0 (D + 1) + v0, or (D + 1)^2 where the first-pair
+    prefilter drops the lead (u0 > v0, as the half-turn starts with
+    (v0, u0), or another first pair of its own is smaller); parity[c] is
+    the parity of the sum of its u's.  Both are int64.
 
     part_firsts are the columns of [U B + V | V B + U] over a part's
     positions that start an always-aligned image (see _symmetries), and
@@ -233,9 +239,8 @@ class _Leads(NamedTuple):
     """
 
     radix: int
-    codes: np.ndarray
     keys: np.ndarray
-    odd: int
+    parity: np.ndarray
     part_firsts: list[int]
     always: np.ndarray
     lead_weights: np.ndarray
@@ -246,47 +251,44 @@ class _Leads(NamedTuple):
 def _leads(m: int, D: int) -> _Leads:
     groups, U, V = _decode_tables(m, D)
     high, _, odd_sources, firsts = _symmetries(m, D)
-    radix, width, base = groups[0][0], U.shape[1], D + 1
-    u, v = U[:radix], V[:radix]
+    radix, width = groups[0][0], U.shape[1]
     lead = [f for f in range(2 * m) if f % m < width]
     part = [f for f in range(2 * m) if f % m >= width]
-    packed = np.concatenate([u * base + v, v * base + u], axis=1)
+    packed = _pack(U[:radix], V[:radix], D)
     kept = packed[:, 0] <= packed[:, [lead.index(f) for f in firsts if f in lead]].min(axis=1)
-    parity = u.sum(axis=1) & 1
-    classes = [np.flatnonzero(kept & (parity == q)) for q in (0, 1)]
-    classes = [codes[np.argsort(packed[codes, 0], kind="stable")] for codes in classes]
-    codes = np.concatenate(classes)
-    keys = packed[codes, 0] + np.repeat([0, base * base], [len(c) for c in classes])
+    keys = np.where(kept, packed[:, 0], (D + 1) ** 2)
+    parity = U[:radix].sum(axis=1) & 1
     always = (odd_sources % 2).all(axis=1)
-    for array in (codes, keys, always):
+    for array in (keys, parity, always):
         array.setflags(write=False)
     return _Leads(
-        radix, codes, keys, len(classes[0]), [part.index(f) for f in firsts if f in part],
+        radix, keys, parity, [part.index(f) for f in firsts if f in part],
         always, high[lead], high[part],
     )
 
 
 class _Rows(NamedTuple):
-    """Family members as lead pairs (lead_u, lead_v) before the pairs of a part.
+    """Family members as lead codes before the pairs of a part.
 
-    Row r is (lead_u[r], lead_v[r]) followed by row part[r] of the arrays
-    part_u and part_v, one row per part.
+    Row r is row code[r] of the tables of _decode_tables, the lead's pairs,
+    followed by row part[r] of the arrays part_u and part_v, one row per
+    part.
     """
 
     part_u: np.ndarray
     part_v: np.ndarray
     part: np.ndarray
-    lead_u: np.ndarray
-    lead_v: np.ndarray
+    code: np.ndarray
 
     def select(self, rows: np.ndarray) -> "_Rows":
-        return _Rows(self.part_u, self.part_v, self.part[rows], self.lead_u[rows], self.lead_v[rows])
+        return _Rows(self.part_u, self.part_v, self.part[rows], self.code[rows])
 
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows as (rows, m) arrays U and V."""
+    def pairs(self, m: int, D: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of the (m, D) family as (rows, m) arrays U and V."""
+        _, U, V = _decode_tables(m, D)
         return (
-            np.concatenate([self.lead_u, self.part_u[self.part]], axis=1),
-            np.concatenate([self.lead_v, self.part_v[self.part]], axis=1),
+            np.concatenate([U[self.code], self.part_u[self.part]], axis=1),
+            np.concatenate([V[self.code], self.part_v[self.part]], axis=1),
         )
 
 
@@ -294,30 +296,24 @@ def _candidates(m: int, D: int, lo: int, hi: int) -> _Rows:
     """The members lo..hi-1 with an odd clockwise total that pass the first-pair prefilter.
 
     The parts are decoded once each.  A part's odd total fixes the parity
-    class of its lead, and its smallest first-pair key over the part's
-    columns in part_firsts bounds the lead's key, so its leads are a
-    prefix of that class in _Leads.codes.  Rows come in index order.
+    of its lead, and its smallest first-pair key over the part's columns
+    in part_firsts bounds the lead's key; one mask over parts x lead codes
+    selects the leads, in index order.
     """
     leads = _leads(m, D)
     groups, U, V = _decode_tables(m, D)
-    radix, base = leads.radix, D + 1
-    first = lo // radix
-    part_u, part_v = _decode(first, (hi - 1) // radix + 1, groups[1:], U, V)
-    packed = np.concatenate([part_u * base + part_v, part_v * base + part_u], axis=1)
-    bound = packed[:, leads.part_firsts].min(axis=1, initial=base * base - 1)
-    parity = 1 - (part_u.sum(axis=1) & 1)  # the lead's, for an odd total
-    begin = parity * leads.odd
-    count = np.searchsorted(leads.keys, bound + parity * base * base, side="right") - begin
-    part = np.repeat(np.arange(len(count)), count)
-    take = np.arange(len(part)) + np.repeat(begin - np.cumsum(count) + count, count)
-    local = np.sort(part * radix + leads.codes[take])
-    offset = lo - first * radix
-    local = local[np.searchsorted(local, offset) : np.searchsorted(local, offset + hi - lo)]
-    part, code = np.divmod(local, radix)
-    return _Rows(part_u, part_v, part, U[code], V[code])
+    first = lo // leads.radix
+    part_u, part_v = _decode(first, (hi - 1) // leads.radix + 1, groups[1:], U, V)
+    bound = _pack(part_u, part_v, D)[:, leads.part_firsts].min(axis=1, initial=(D + 1) ** 2 - 1)
+    need = 1 - (part_u.sum(axis=1) & 1)  # the lead's parity, for an odd total
+    mask = (leads.keys <= bound[:, None]) & (leads.parity == need[:, None])
+    offset = lo - first * leads.radix
+    local = np.flatnonzero(mask.ravel()[offset : offset + hi - lo]) + offset
+    part, code = np.divmod(local, leads.radix)
+    return _Rows(part_u, part_v, part, code)
 
 
-def _canonical(rows: _Rows, D: int) -> np.ndarray:
+def _canonical(rows: _Rows, m: int, D: int) -> np.ndarray:
     """Row-wise "no aligned symmetry image is lexicographically smaller".
 
     The rows pass the first-pair prefilter.  An image counts where it is
@@ -325,26 +321,23 @@ def _canonical(rows: _Rows, D: int) -> np.ndarray:
     free positions all carry value D (their odd positions read exactly the
     free positions).  A high key is the lead's term plus its part's, which
     is computed once per part; only rows where some counted image ties the
-    identity on the high key compare low keys.
+    identity on the high key compare low keys.  The products are int64 or
+    Python ints, as the weights are.
     """
-    m = rows.part_u.shape[1] + rows.lead_u.shape[1]
     high, low, _, _ = _symmetries(m, D)
     leads = _leads(m, D)
-    base = D + 1
-
-    def pack(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-        return np.concatenate([U * base + V, V * base + U], axis=1).astype(high.dtype, copy=False)
-
-    keys = (pack(rows.part_u, rows.part_v) @ leads.part_weights)[rows.part]
-    keys += pack(rows.lead_u, rows.lead_v) @ leads.lead_weights
+    _, U, V = _decode_tables(m, D)
+    lead_u, lead_v = U[rows.code], V[rows.code]
+    keys = (_pack(rows.part_u, rows.part_v, D) @ leads.part_weights)[rows.part]
+    keys += _pack(lead_u, lead_v, D) @ leads.lead_weights
     value_d = (rows.part_u + rows.part_v == D).all(axis=1)[rows.part]
-    value_d &= (rows.lead_u + rows.lead_v == D).all(axis=1)
+    value_d &= (lead_u + lead_v == D).all(axis=1)
     counted = leads.always | value_d[:, None]
     smaller = (keys < keys[:, :1]) & counted
     tied = (keys == keys[:, :1]) & counted
     tied[:, 0] = False
     ties = np.flatnonzero(tied.any(axis=1))
-    keys = pack(*rows.select(ties).pairs()) @ low
+    keys = _pack(*rows.select(ties).pairs(m, D), D) @ low
     smaller[ties] |= (keys < keys[:, :1]) & tied[ties]
     return ~smaller.any(axis=1)
 
@@ -475,11 +468,11 @@ def search_lower_bound(
         checkpoint.parent.mkdir(parents=True, exist_ok=True)
         if checkpoint.exists():
             hits, first = _resume(checkpoint, family, threshold_int, start, stop)
-    t = threshold_int - 1
+    t = min(threshold_int - 1, 3 * D // 2)  # 3D/2 bounds every minimum increase
     for lo, hi in _blocks(first, stop, _leads(m, D).radix):
         rows = _candidates(m, D, lo, hi)
-        rows = rows.select(_canonical(rows, D))
-        U, V = rows.pairs()
+        rows = rows.select(_canonical(rows, m, D))
+        U, V = rows.pairs(m, D)
         screened = ~dp_feasible_block(U, V, t)
         for u_row, v_row in zip(U[screened].tolist(), V[screened].tolist()):
             pairs = tuple(zip(u_row, v_row))

@@ -453,6 +453,14 @@ def test_search_full_small_family(capsys):
     assert out.strip() == ""
 
 
+def test_search_with_a_huge_threshold_finds_nothing_at_once(capsys):
+    code, out, err = run_cli(capsys, "search", "--m", "2", "--d", "4",
+                             "--threshold", "99999999999999999999", "--shard", "0/1")
+    assert code == 0
+    assert out == ""
+    assert err.startswith("0 sequence(s)") and "Traceback" not in err
+
+
 def test_brute_force_and_optimum_beyond_int64(capsys, tmp_path):
     # Scaled by 28, d = 10^21 is far beyond int64; the sums stay exact.
     big = 10**21

@@ -35,6 +35,10 @@ def test_rational_str():
     assert rational_str(from_fraction(Fraction(19, 14))) == "19/14"
     assert rational_str(halve(from_int(-3))) == "-3/2"
     assert rational_str(0) == "0"
+    for scaled in (*range(-3 * SCALE, 3 * SCALE + 1), 10**21 + 1, -(10**21) - 14):
+        value = Fraction(scaled, SCALE)
+        expected = str(value.numerator) if value.denominator == 1 else str(value)
+        assert rational_str(scaled) == expected
 
 
 def test_exactness_violations_raise():

@@ -120,7 +120,8 @@ def assert_canonical_rows_match_decode_path(family, lo, hi):
     """search builds and keeps the rows of the decode path, in index order."""
     expected = rows_of(*decode_path_rows(family, lo, hi))
     rows = search._candidates(family.m, family.D, lo, hi)
-    assert rows_of(*rows.select(search._canonical(rows, family.D)).pairs()) == expected
+    kept = rows.select(search._canonical(rows, family.m, family.D))
+    assert rows_of(*kept.pairs(family.m, family.D)) == expected
     return expected
 
 
@@ -211,6 +212,7 @@ def test_threshold_above_universal_bound_is_empty():
     # 3/2 * D bounds every minimum increase, so 3D/2 + 1 finds nothing.
     assert search_lower_bound(2, 4, from_int(7)) == []
     assert search_lower_bound(4, 4, from_int(7), shard=(1, 3)) == []
+    assert search_lower_bound(2, 4, from_int(10**20)) == []
 
 
 def test_search_finds_fig6_in_its_slice():
@@ -448,8 +450,13 @@ def test_checkpoint_file_matches_scalar_scan(tmp_path, monkeypatch, step):
         scalar_file.unlink()
 
 
-# 8447 leaves two whole blocks, so with no save in between only the end saves.
-@pytest.mark.parametrize("resume_after", [0, _BLOCK - 1, _BLOCK, 5000, 8447, 12542, 12543])
+# A whole scan of the 12544 members of (4, 8) ends its first block at EDGE,
+# so EDGE - 1 resumes on a block boundary and EDGE inside a part; after
+# 8447 the rest is one block, so with no save in between only the end saves.
+EDGE = next(search._blocks(0, 12544, search._leads(4, 8).radix))[1]
+
+
+@pytest.mark.parametrize("resume_after", [0, EDGE - 1, EDGE, 5000, 8447, 12542, 12543])
 def test_checkpoint_resume_from_the_middle_of_a_shard(tmp_path, resume_after):
     threshold = from_int(7)
     block_file, scalar_file = checkpoint_file(tmp_path, 4, 8, 7), tmp_path / "scalar.txt"
@@ -577,9 +584,9 @@ def test_the_canonical_test_sees_about_one_index_in_ten(monkeypatch, shard):
     seen = []
     canonical = search._canonical
 
-    def counted(rows, D):
+    def counted(rows, m, D):
         seen.append(len(rows.part))
-        return canonical(rows, D)
+        return canonical(rows, m, D)
 
     monkeypatch.setattr(search, "_canonical", counted)
     search_lower_bound(8, 10, from_int(11), shard=shard)
