@@ -121,15 +121,10 @@ def medium_demand_solve(
     rotated_pattern = Pattern(standalone_crossing(pairs, D), points)
     bound = 3 * halve(D) - halve(delta_d)
 
-    # Undo the rotation: new position j held old demand (j - r) % m, with
-    # clockwise and counterclockwise swapped on the r wrapped positions.
-    z_rot = solution_from_pattern(rotated_pattern)
-    dirs: list[str] = [CW] * cross.m
-    for j, flag in enumerate(z_rot.dirs):
-        if j < r:
-            flag = CW if flag == CCW else CCW
-        dirs[(j - r) % cross.m] = flag
-    z = UnsplitRouting(tuple(dirs))
+    # Undo the rotation: old demands 0..m-r-1 sit at positions r.., the
+    # last r old demands at positions 0..r-1 with their directions swapped.
+    z_rot = solution_from_pattern(rotated_pattern).dirs
+    z = UnsplitRouting(z_rot[r:] + tuple(CW if flag == CCW else CCW for flag in z_rot[:r]))
     return _report(pattern_from_solution(cross, z), bound, "medium")
 
 
@@ -138,13 +133,8 @@ def widest_margin_demand(cross: CrossingInstance) -> tuple[int, Scaled] | None:
 
     The first such demand wins ties; None when m = 0.
     """
-    best = None
-    for k in range(cross.m):
-        d = cross.demand_value(k)
-        margin = min(d, cross.D - d)
-        if best is None or margin > best[1]:
-            best = (k, margin)
-    return best
+    margins = ((k, min(u + v, cross.D - u - v)) for k, (u, v) in enumerate(cross.pairs))
+    return max(margins, key=lambda choice: choice[1], default=None)
 
 
 def _small_big_bounds(D: Scaled) -> tuple[Scaled, Scaled]:

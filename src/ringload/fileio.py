@@ -81,6 +81,8 @@ def parse_instance(data: bytes | str) -> tuple[RingInstance, SplitRouting | None
         doc = json.loads(data, parse_float=_decimal)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InstanceSyntaxError(str(exc)) from exc
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise InstanceSyntaxError("values nested too deeply to parse") from None
     except ValueError:  # int() refuses a number of more digits than this
         raise SchemaError(f"a number has more than {sys.get_int_max_str_digits()} digits") from None
     if not isinstance(doc, dict):

@@ -11,12 +11,14 @@ Conventions (used throughout the package):
   * All quantities are scaled integers on the 1/28 grid (see scaled.py).
 
 All types are immutable; all operations are pure functions.  Rings check
-themselves on construction (n >= 3; 1 <= i < j <= n and d >= 0 per
-demand); a split is checked once, by validate_instance, where it enters.
+themselves on construction (3 <= n <= sys.maxsize; 1 <= i < j <= n and
+d >= 0 per demand); a split is checked once, by validate_instance, where
+it enters.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate
@@ -51,6 +53,8 @@ class RingInstance:
     def __post_init__(self) -> None:
         if self.n < 3:
             raise NodeOutOfRange(f"ring must have at least 3 nodes, got n={self.n}")
+        if self.n > sys.maxsize:  # edge loads are indexed by edge
+            raise NodeOutOfRange(f"ring must have at most sys.maxsize = {sys.maxsize} nodes")
         for pos, dem in enumerate(self.demands):
             if not (1 <= dem.i < dem.j <= self.n):
                 raise NodeOutOfRange(

@@ -83,15 +83,6 @@ def margin_interval(D: Scaled) -> tuple[Scaled, Scaled]:
     return lo, D - lo
 
 
-def _nearer_to_mid(candidates: list[Scaled], mid2: Scaled) -> Scaled:
-    # mid2 = 2 * (D/2) = D; compare |2c - D|.  Ties keep list order.
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if abs(2 * cand - mid2) < abs(2 * best - mid2):
-            best = cand
-    return best
-
-
 def greedy_points(
     cross: CrossingInstance, point: Scaled, forward: bool = True
 ) -> tuple[Scaled, ...]:
@@ -114,7 +105,8 @@ def greedy_points(
             preferred, other = here - v, here + u
         candidates = [c for c in (preferred, other) if 0 <= c <= D]
         assert candidates, "d_k <= D guarantees a feasible step"
-        points.append(_nearer_to_mid(candidates, D))
+        # Nearer to D/2 means smaller |2c - D|; min keeps the preferred step on ties.
+        points.append(min(candidates, key=lambda c: abs(2 * c - D)))
     if not forward:
         points.reverse()
     return tuple(points)

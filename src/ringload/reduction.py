@@ -13,13 +13,15 @@ split (u_k clockwise, v_k counterclockwise, both positive).  The reduction
      incident edges carry equal remaining load), and
   4. relabels nodes so demand k connects k and k+m.
 
-The CrossingInstance remembers what lifting needs (fixed directions, the
-demand relabeling, the post-uncrossing split) to take any crossing-form
-solution back to the original ring.  Lifted solutions increase an original
-edge exactly as much as the crossing-form solution increases the reduced
-edge it was contracted into, measured against the post-uncrossing split;
-against the routing originally given the increase can only be smaller,
-since uncrossing never raises a load.
+The CrossingInstance remembers what lifting needs to take any
+crossing-form solution back to the original ring: the ring (origin), its
+post-uncrossing split (uncrossed) and the demand relabeling (demand_map).
+A demand left unsplit keeps the direction uncrossed gives it, a crossing
+demand takes its solution's direction.  Lifted solutions increase an
+original edge exactly as much as the crossing-form solution increases the
+reduced edge it was contracted into, measured against the post-uncrossing
+split; against the routing originally given the increase can only be
+smaller, since uncrossing never raises a load.
 """
 
 from __future__ import annotations
@@ -48,17 +50,16 @@ class CrossingInstance:
 
     pairs[k] = (u_k, v_k), both positive scaled values, d_k = u_k + v_k <= D.
     D is the maximum demand of the *original* instance.  For reduced
-    instances, fixed records (original demand index, direction) of each
-    demand left unsplit by uncrossing; demand_map lists the original demand
-    index behind each crossing demand, in order of its endpoint i; uncrossed
-    is the original-ring split after uncrossing.
+    instances, origin is the original ring, uncrossed its split after
+    uncrossing (whose unsplit demands keep their direction when lifted),
+    and demand_map lists the original demand index behind each crossing
+    demand, in order of its endpoint i.
     """
 
     pairs: tuple[tuple[Scaled, Scaled], ...]
     D: Scaled
     origin: RingInstance | None = None
     uncrossed: SplitRouting | None = None
-    fixed: tuple[tuple[int, str], ...] | None = None
     demand_map: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -219,13 +220,11 @@ def reduce_to_crossing(
     validate_instance(inst, split)
     uncrossed = _uncross_all(inst, split)
 
-    fixed: list[tuple[int, str]] = []
-    remaining: list[int] = []
-    for idx, (dem, cw) in enumerate(zip(inst.demands, uncrossed.cw)):
-        if cw in (0, dem.d):
-            fixed.append((idx, CW if cw == dem.d else CCW))
-        else:
-            remaining.append(idx)
+    remaining = [
+        idx
+        for idx, (dem, cw) in enumerate(zip(inst.demands, uncrossed.cw))
+        if cw not in (0, dem.d)
+    ]
 
     # Crossing index k goes to the k-th smallest endpoint i.  Split demands
     # that cross pairwise, sharing no endpoint, have endpoints running
@@ -257,7 +256,6 @@ def reduce_to_crossing(
         D=inst.max_demand,
         origin=inst,
         uncrossed=uncrossed,
-        fixed=tuple(fixed),
         demand_map=tuple(demand_map),
     ), SplitRouting(tuple(u for u, _ in pairs))
 
@@ -274,11 +272,8 @@ def lift_solution(cross: CrossingInstance, z: UnsplitRouting) -> UnsplitRouting:
         raise LengthMismatch(f"z has {len(z.dirs)} entries for m={cross.m}")
     if cross.origin is None:
         return z
-    assert cross.fixed is not None and cross.demand_map is not None
-    dirs: list[str | None] = [None] * len(cross.origin.demands)
-    for idx, direction in cross.fixed:
-        dirs[idx] = direction
-    for k, idx in enumerate(cross.demand_map):
-        dirs[idx] = z.dirs[k]
-    assert all(flag is not None for flag in dirs)
-    return UnsplitRouting(tuple(dirs))  # type: ignore[arg-type]
+    assert cross.uncrossed is not None and cross.demand_map is not None
+    dirs = [CW if cw == dem.d else CCW for dem, cw in zip(cross.origin.demands, cross.uncrossed.cw)]
+    for idx, flag in zip(cross.demand_map, z.dirs):
+        dirs[idx] = flag
+    return UnsplitRouting(tuple(dirs))

@@ -377,6 +377,8 @@ class StructuredFamily:
         return tuple(pairs)
 
     def encode(self, pairs: Pairs) -> int:
+        if len(pairs) != self.m:
+            raise InfeasibleParams(f"members have {self.m} pairs, not {len(pairs)}")
         index = 0
         for pos in range(self.m - 1, -1, -1):
             u, v = pairs[pos]
@@ -421,8 +423,9 @@ def _resume(
         cursor, hits = int(last), []
         for line in records:
             *vu, value = map(int, re.findall(r"-?\d+", line))
-            index = family.encode(tuple(zip(vu[1::2], vu[::2])))
-            hit = SearchHit(CanonicalForm(family.decode(index)), from_int(value))
+            pairs = tuple(zip(vu[1::2], vu[::2]))
+            index = family.encode(pairs)
+            hit = SearchHit(CanonicalForm(pairs), from_int(value))
             if hit_record(hit) != line or not start <= index <= cursor or value < threshold:
                 raise ValueError(line)
             hits.append(hit)

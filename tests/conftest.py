@@ -17,7 +17,7 @@ from ringload import search
 from ringload.exact import dp_min_increase
 from ringload.instances import random_crossing
 from ringload.model import CCW, CW, Demand, RingInstance, SplitRouting, UnsplitRouting
-from ringload.reduction import CrossingInstance, standalone_crossing
+from ringload.reduction import CrossingInstance, lift_solution, standalone_crossing
 from ringload.scaled import SCALE, exact_div, from_int
 
 
@@ -49,6 +49,21 @@ def split_rings(draw, max_demands=10):
         demands.append(dem)
         cw.append(draw(st.integers(0, 2 * dem.d // 28)) * 14)  # multiples of one half
     return RingInstance(n, tuple(demands)), SplitRouting(tuple(cw))
+
+
+def lifted_unsplit(cross: CrossingInstance) -> tuple[tuple[int, str], ...]:
+    """(index, direction) of each demand outside demand_map, as lifting routes it.
+
+    Those are the demands uncrossing left unsplit; their lifted direction
+    must not depend on the crossing-form solution, so the all-clockwise and
+    the all-counterclockwise solutions must lift them alike.
+    """
+    all_cw, all_ccw = (
+        lift_solution(cross, UnsplitRouting((flag,) * cross.m)).dirs for flag in (CW, CCW)
+    )
+    unsplit = tuple((idx, flag) for idx, flag in enumerate(all_cw) if idx not in cross.demand_map)
+    assert unsplit == tuple((idx, all_ccw[idx]) for idx, _ in unsplit)
+    return unsplit
 
 
 def criterion_8_crossings() -> list[CrossingInstance]:

@@ -153,6 +153,19 @@ def test_non_utf8_file_is_a_syntax_error(capsys, tmp_path):
     assert err.startswith("error: InstanceSyntaxError:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "loads", "optimum"])
+@pytest.mark.parametrize("text, expected", [
+    ("[" * 100_000 + "]" * 100_000, "error: InstanceSyntaxError: values nested too deeply"),
+    ('{"n": 100000000000000000000, "demands": []}', "error: NodeOutOfRange: ring must have at most"),
+], ids=["deep-nesting", "huge-n"])
+def test_oversized_documents_are_a_one_line_error(capsys, tmp_path, command, text, expected):
+    path = tmp_path / "ring.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command, "-i", str(path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(expected)
+
+
 @pytest.mark.parametrize("d, cw, expected", [
     ("1" * 5000, "1", "error: SchemaError: a number has more than 4300 digits"),
     ("2", "1e" + "1" * 5000, "error: SchemaError: a number has more than 4300 digits"),

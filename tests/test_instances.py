@@ -77,7 +77,7 @@ def test_equalize_extension_fig5_exceeds_demand_bound():
 
 
 def test_equalize_extension_reduces_back_to_input_crossing_form():
-    from conftest import random_ring
+    from conftest import lifted_unsplit, random_ring
 
     rng = random.Random(71)
     for _ in range(100):
@@ -88,7 +88,7 @@ def test_equalize_extension_reduces_back_to_input_crossing_form():
         cross_after, _ = reduce_to_crossing(result.instance, result.split)
         assert cross_after.pairs == cross_before.pairs
         added_indices = set(range(len(inst.demands), len(result.instance.demands)))
-        assert added_indices <= {idx for idx, _ in cross_after.fixed}
+        assert added_indices <= {idx for idx, _ in lifted_unsplit(cross_after)}
 
 
 def test_certify_fig7():

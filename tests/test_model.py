@@ -1,6 +1,7 @@
 """Core types: validation, exact loads, additive increase."""
 
 import random
+import sys
 
 import pytest
 
@@ -37,6 +38,12 @@ def test_validate_rejects_bad_node():
         RingInstance(4, (Demand(1, 5, from_int(2)),))
     with pytest.raises(NodeOutOfRange, match="at least 3 nodes, got n=2"):
         RingInstance(2, ())
+
+
+def test_ring_size_is_bounded_by_the_index_range():
+    assert RingInstance(sys.maxsize, (Demand(1, sys.maxsize, from_int(1)),)).n == sys.maxsize
+    with pytest.raises(NodeOutOfRange, match="at most sys.maxsize"):
+        RingInstance(sys.maxsize + 1, ())
 
 
 def test_validate_rejects_unordered_endpoints():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_ring, split_rings
+from conftest import lifted_unsplit, random_ring, split_rings
 from ringload.errors import LengthMismatch, NotParallel
 from ringload import reduction
 from ringload.instances import builtin, random_crossing
@@ -118,7 +118,7 @@ def test_reduce_fig1_is_already_crossing():
     inst, split = builtin("fig1")
     cross, reduced_split = reduce_to_crossing(inst, split)
     assert cross.pairs == ((from_int(1), from_int(1)), (from_int(1), from_int(1)))
-    assert cross.fixed == ()
+    assert lifted_unsplit(cross) == ()
     assert reduced_split.cw == (from_int(1), from_int(1))
     backmap = reference_crossing_form(inst, cross.uncrossed)[3]
     assert backmap == tuple((k, 0) for k in range(4))
@@ -144,8 +144,9 @@ def test_reduce_fig7_recovers_fig2_crossing_form():
     cross7, _ = reduce_to_crossing(inst7, split7)
     cross2, _ = reduce_to_crossing(inst2, split2)
     assert cross7.pairs == cross2.pairs
-    assert len(cross7.fixed) == 14  # one per deficient edge
-    assert {idx for idx, _ in cross7.fixed} == set(range(8, 22))
+    unsplit = lifted_unsplit(cross7)
+    assert len(unsplit) == 14  # one per deficient edge
+    assert {idx for idx, _ in unsplit} == set(range(8, 22))
 
 
 def test_reduce_moves_unsplittable_demands_to_fixed():
@@ -154,7 +155,7 @@ def test_reduce_moves_unsplittable_demands_to_fixed():
     )
     split = SplitRouting((from_int(4), from_int(1), 0))
     cross, _ = reduce_to_crossing(inst, split)
-    assert cross.fixed == ((0, CW), (2, CW))
+    assert lifted_unsplit(cross) == ((0, CW), (2, CW))
     assert cross.m == 1
     assert cross.D == from_int(4)  # D of the original instance
 
@@ -208,7 +209,9 @@ def test_lift_keeps_fixed_directions():
     cross7, _ = reduce_to_crossing(inst7, split7)
     lifted = lift_solution(cross7, UnsplitRouting((CW,) * 8))
     # The 14 short demands keep riding their own edges.
-    for idx, direction in cross7.fixed:
+    fixed = reference_crossing_form(inst7, cross7.uncrossed)[0]
+    assert len(fixed) == 14
+    for idx, direction in fixed:
         assert lifted.dirs[idx] == direction
 
 
@@ -351,7 +354,7 @@ def assert_loads_through_backmap(inst, cross, backmap):
 
 def assert_matches_crossing_form(inst, cross, uncrossed):
     fixed, demand_map, pairs, backmap = reference_crossing_form(inst, uncrossed)
-    assert (cross.fixed, cross.demand_map, cross.pairs) == (fixed, demand_map, pairs)
+    assert (lifted_unsplit(cross), cross.demand_map, cross.pairs) == (fixed, demand_map, pairs)
     assert_loads_through_backmap(inst, cross, backmap)
 
 

@@ -1,5 +1,6 @@
 """Structured-family search: canonicalization, sharding, thresholds."""
 
+import itertools
 import json
 import random
 
@@ -11,7 +12,7 @@ from ringload import search
 from ringload.errors import InfeasibleParams
 from ringload.exact import dp_feasible_block, dp_min_increase
 from ringload.instances import _FIG2_VU, _FIG6_VU
-from ringload.reduction import standalone_crossing
+from ringload.reduction import rotated, standalone_crossing
 from ringload.scaled import from_int, parse_rational, rational_str, unscale
 from ringload.search import (
     CanonicalForm,
@@ -173,6 +174,43 @@ def test_family_size_and_codec():
         assert all(2 <= u + v <= 10 and (u + v) % 2 == 0 for u, v in pairs[0::2])
 
 
+def burnside_orbit_count(m, D):
+    """Orbits of the 4m ring symmetries on the family's sequences, by Burnside's lemma.
+
+    The symmetries map a member onto odd-total sequences pinned at the odd
+    or at the even positions, and that set is closed under them.  Each
+    orbit holds one canonical member, and the number of orbits is the
+    average number of sequences that a symmetry fixes, which is the sum of
+    every sequence's stabilizer size over 4m.
+    """
+    free = [(u, d - u) for d in range(2, D + 1, 2) for u in range(1, d)]
+    pinned = [(u, D - u) for u in range(1, D)]
+    sequences = set()
+    for pin in (0, 1):
+        choices = [pinned if pos % 2 == pin else free for pos in range(m)]
+        sequences.update(p for p in itertools.product(*choices) if sum(u for u, _ in p) % 2)
+
+    def images(pairs):
+        for base in (pairs, pairs[::-1]):
+            for shift in range(m):
+                image = rotated(base, shift)
+                yield image
+                yield tuple((v, u) for u, v in image)
+
+    fixed = sum(image == pairs for pairs in sequences for image in images(pairs))
+    orbits, rest = divmod(fixed, 4 * m)
+    assert rest == 0
+    return orbits
+
+
+@pytest.mark.parametrize("m, D, orbits", [
+    (2, 4, 2), (2, 6, 6), (4, 4, 10), (4, 6, 124), (6, 4, 71), (4, 8, 774),
+])
+def test_canonical_members_are_the_symmetry_orbits(m, D, orbits):
+    assert burnside_orbit_count(m, D) == orbits
+    assert len(search_lower_bound(m, D, 0)) == orbits
+
+
 def test_family_rejects_bad_parameters():
     for m, D in ((3, 10), (8, 9), (0, 10), (2, 0)):
         with pytest.raises(InfeasibleParams):
@@ -184,6 +222,14 @@ def test_encode_rejects_pinned_pairs_with_a_zero_entry():
     for pinned in ((0, 8), (8, 0)):
         with pytest.raises(InfeasibleParams):
             family.encode(((1, 1), pinned, (1, 1), (1, 7)))
+
+
+def test_encode_rejects_sequences_of_another_length():
+    family = StructuredFamily(4, 8)
+    member = family.decode(0)
+    for pairs in (member[:3], member + ((1, 1),)):
+        with pytest.raises(InfeasibleParams):
+            family.encode(pairs)
 
 
 def test_shard_range_partitions():
