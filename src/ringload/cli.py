@@ -297,6 +297,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a ring too large for memory, though within the index range
+        print(f"error: MemoryError: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -26,18 +26,25 @@ all crossing data are integers (g = SCALE for integer splits, SCALE/2
 for half-integer ones).  For a target increase t it decides whether a
 pattern with p(0) = 0 and p(m) = y exists whose every point k >= 1
 satisfies (y-t)/2 <= p(k) <= (y+t)/2; this window condition is exactly
-max_k |2 p(k) - y| <= t, the additive performance for x = 0.  One mask
-recurrence serves every caller: _level_masks yields, level by level, the
-reachable points of a block of rows (pairs sequences) and end points ys
-at once, as bitmasks over each integer window, starting from p(0) = 0,
-which lies in the window whenever |y| <= t.  p(m) = y is reachable
-exactly when bit y - lo of the last mask is set, so no parity rule is
-needed.  dp_feasible_block (the search screen) runs every y in [-t, t]
-for many rows; dp_feasible runs one row and one y and rebuilds the
-predecessor choices by walking its masks backward.  dp_min_increase
-binary-searches t on one row (the window only grows with t); each probe
-after a feasible one tests only the end points found feasible there,
-and the routing is the walk back from the smallest feasible y.
+max_k |2 p(k) - y| <= t, the additive performance for x = 0.  Two
+layouts of the same shift-or recurrence serve the callers.  Column-major,
+_level_masks yields, level by level, the reachable points of a block of
+rows (pairs sequences) and end points ys at once, one bitmask over each
+integer window per (row, y), starting from p(0) = 0, which lies in the
+window whenever |y| <= t; p(m) = y is reachable exactly when bit y - lo
+of the last mask is set, so no parity rule is needed.  Every row has its
+own steps, so each mask shifts on its own: int64 while the window and
+its shift fit 62 bits, Python ints beyond.  dp_feasible_block (the
+search screen) runs every y in [-t, t] for many rows of small t this
+way, and dp_feasible runs one row and one y and rebuilds the predecessor
+choices by walking its masks backward.  Position-major, _probe tests
+many end points of one row: points are array rows and end points are
+bits of uint64 words, and as all end points of one parity share the
+window width and every step, a level is two slice-ORs at any D.
+dp_min_increase binary-searches t on one row with _probe (the window
+only grows with t); each probe after a feasible one tests only the end
+points found feasible there, and the routing is the walk back from the
+smallest feasible y.
 """
 
 from __future__ import annotations
@@ -64,12 +71,14 @@ from .scaled import SCALE, Scaled, exact_div
 
 DEFAULT_BRUTE_CAP = 26
 _CHUNK_BITS = 12
-# Bits in one array of DP masks.  All 2t+1 end points of a probe take about
-# 2t^2 bits, gigabytes at D = 10^5, so wider probes run in column chunks.
+# Bits in one array of DP masks, in either layout.  All 2t+1 end points of
+# a probe take about 2t^2 bits, gigabytes at D = 10^5, so wider probes run
+# in column chunks (of at least 64 end points in the position-major one).
 _MASK_BITS = 1 << 24
 # Largest start bound t, in grid units, of dp_min_increase.  Its first
-# probe has about t end-point columns of about t mask bits each; D = 10^5
-# starts at t = 1.5 * 10^5.
+# probe has about 2t end points over windows of about t points, in uint64
+# words; D = 10^5 starts at t = 1.5 * 10^5, and at t = 1 << 24 a chunk of
+# 64 end points takes two 128 MB arrays.
 _MAX_DP_BOUND = 1 << 24
 
 
@@ -284,19 +293,39 @@ def _level_masks(
         yield mask
 
 
-def _reaches(U: np.ndarray, V: np.ndarray, t: int, ys: np.ndarray) -> np.ndarray:
-    """(rows, len(ys)) booleans: row r has a pattern with p(m) = ys[c] and increase <= t.
+def _probe(pairs: list[tuple[int, int]], t: int, ys: np.ndarray) -> np.ndarray:
+    """Booleans over ys (each |y| <= t): some pattern of pairs has p(m) = y and increase <= t.
 
-    The end points run in column chunks of at most _MASK_BITS mask bits.
+    Position-major: in window coordinates q = p - lo the columns of one
+    parity of y share the box [0, w], w = t or t - 1, and every step is
+    the same pair of shifts for all of them.  Row q of a (w + 1, words)
+    uint64 array holds, in bit j, whether column j can be at q, so a
+    level is two slice-ORs.  Columns run in chunks of at most _MASK_BITS
+    bits per array and at least 64 columns.
     """
-    chunk = max(1, _MASK_BITS // max(1, len(U) * (t + 1 + int(V.max(initial=0)))))
-    if len(ys) > chunk:
-        parts = [_reaches(U, V, t, ys[c : c + chunk]) for c in range(0, len(ys), chunk)]
-        return np.concatenate(parts, axis=1)
-    for mask in _level_masks(U, V, t, ys):
-        pass
-    lo, _ = _window(t, ys)
-    return ((mask >> (ys - lo).astype(mask.dtype)) & 1) == 1
+    found = np.zeros(len(ys), dtype=bool)
+    lo, hi = _window(t, ys)
+    for w in (t, t - 1):
+        group = np.flatnonzero(hi - lo == w)
+        if not group.size:  # also w < 0, which no |y| <= t has
+            continue
+        chunk = max(64, _MASK_BITS // (w + 1) // 64 * 64)
+        for c in range(0, len(group), chunk):
+            cols = group[c : c + chunk]
+            word, shift = np.divmod(np.arange(len(cols)), 64)
+            bit = np.uint64(1) << shift.astype(np.uint64)
+            R = np.zeros((w + 1, -(-len(cols) // 64)), dtype=np.uint64)
+            R[-lo[cols], word] = bit  # the starts p(0) = 0 are distinct in a group
+            S = np.empty_like(R)
+            for u, v in pairs:
+                S[: min(v, w + 1)] = 0
+                if v <= w:
+                    S[v:] = R[: w + 1 - v]
+                if u <= w:
+                    S[: w + 1 - u] |= R[u:]
+                R, S = S, R
+            found[cols] = (R[(ys - lo)[cols], word] & bit) != 0
+    return found
 
 
 def _one_row(pairs: list[tuple[int, int]]) -> np.ndarray:
@@ -344,9 +373,19 @@ def dp_feasible_block(U: np.ndarray, V: np.ndarray, t: int) -> np.ndarray:
     """Row-wise "some routing has increase at most t" for (rows, m) arrays.
 
     Row r stands for the pairs (U[r, k], V[r, k]); all end points y in
-    [-t, t] run at once as columns (none for t < 0).
+    [-t, t] run as columns (none for t < 0), in chunks of at most
+    _MASK_BITS mask bits.
     """
-    return _reaches(U, V, t, np.arange(-t, t + 1)).any(axis=1)
+    ys = np.arange(-t, t + 1)
+    chunk = max(1, _MASK_BITS // max(1, len(U) * (t + 1 + int(V.max(initial=0)))))
+    feasible = np.zeros(len(U), dtype=bool)
+    for c in range(0, len(ys), chunk):
+        part = ys[c : c + chunk]
+        for mask in _level_masks(U, V, t, part):
+            pass
+        lo, _ = _window(t, part)
+        feasible |= (((mask >> (part - lo).astype(mask.dtype)) & 1) == 1).any(axis=1)
+    return feasible
 
 
 def dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, Scaled]:
@@ -354,13 +393,15 @@ def dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, Scaled]:
 
     Feasibility only grows with t, and so does the set of feasible end
     points, so once a probe is feasible the smaller probes after it test
-    only the end points found feasible there.  The routing is the walk
-    back from the smallest feasible end point at the minimum t.
+    only the end points found feasible there.  Probes run position-major
+    (_probe): one row tests hundreds to thousands of end points, which
+    column-major masks would hold as Python ints beyond 62 bits.  The
+    routing is the walk back from the smallest feasible end point at the
+    minimum t, on the column-major masks of that one end point.
     """
     g, pairs = _unit_pairs(cross)
     if not pairs:
         return UnsplitRouting(()), 0
-    U, V = _one_row(pairs)
     lo, hi = 0, (3 * (cross.D // g) + 1) // 2  # feasible: the 3/2 * D guarantee
     if hi > _MAX_DP_BOUND:
         raise TooLargeForDP(
@@ -370,13 +411,13 @@ def dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, Scaled]:
     while lo < hi:
         mid = (lo + hi) // 2
         probe = np.arange(-mid, mid + 1) if ys is None else ys[np.abs(ys) <= mid]
-        found = probe[_reaches(U, V, mid, probe)[0]]
+        found = probe[_probe(pairs, mid, probe)]
         if found.size:
             hi, ys = mid, found
         else:
             lo = mid + 1
     if ys is None:
         ys = np.arange(-hi, hi + 1)
-        ys = ys[_reaches(U, V, hi, ys)[0]]
+        ys = ys[_probe(pairs, hi, ys)]
         assert ys.size, "the 3/2 * D guarantee failed"
     return _walk_back(pairs, lo, int(ys[0])), lo * g

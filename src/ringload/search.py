@@ -51,13 +51,14 @@ exact for any m and D.
 
 Given a directory, a shard keeps its hit records (hit_record) and then its
 last finished index in mM-dD-tT-shard-I-of-N.txt there, replaced atomically
-as the scan goes on; a rerun restores the hits and resumes after the index.
+(fsync, then rename) as the scan goes on; a rerun restores the hits and resumes after the index.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
@@ -487,7 +488,10 @@ def search_lower_bound(
             hits.append(SearchHit(CanonicalForm(pairs), value))
         if checkpoint is not None and (hi == stop or (hi - first) % _CHECKPOINT_STEP == 0):
             temporary = checkpoint.with_name(name + ".partial")
-            temporary.write_text("".join(hit_record(hit) + "\n" for hit in hits) + f"{hi - 1}\n")
+            with temporary.open("w") as out:
+                out.write("".join(hit_record(hit) + "\n" for hit in hits) + f"{hi - 1}\n")
+                out.flush()
+                os.fsync(out.fileno())  # on disk before the rename can be
             temporary.replace(checkpoint)  # atomic: a crash leaves the old file or the new
     return hits
 

@@ -157,7 +157,8 @@ def test_non_utf8_file_is_a_syntax_error(capsys, tmp_path):
 @pytest.mark.parametrize("text, expected", [
     ("[" * 100_000 + "]" * 100_000, "error: InstanceSyntaxError: values nested too deeply"),
     ('{"n": 100000000000000000000, "demands": []}', "error: NodeOutOfRange: ring must have at most"),
-], ids=["deep-nesting", "huge-n"])
+    ('{"n": 1000000000000000, "demands": []}', "error: MemoryError: out of memory"),
+], ids=["deep-nesting", "huge-n", "n-beyond-memory"])
 def test_oversized_documents_are_a_one_line_error(capsys, tmp_path, command, text, expected):
     path = tmp_path / "ring.json"
     path.write_text(text)

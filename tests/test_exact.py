@@ -238,16 +238,16 @@ def test_dp_matches_brute_force_on_half_integer_crossings(cross):
 
 
 def test_dp_min_increase_matches_scalar_oracle_on_d1000_rings(monkeypatch):
-    # At D = 1000 the masks are Python ints, and every probe after the first
-    # feasible one tests only the end points found feasible there.
+    # Every probe after the first feasible one tests only the end points
+    # found feasible there.
     probes = []
-    reaches = exact._reaches
+    probe = exact._probe
 
-    def recorded(U, V, t, ys):
+    def recorded(pairs, t, ys):
         probes.append((t, len(ys)))
-        return reaches(U, V, t, ys)
+        return probe(pairs, t, ys)
 
-    monkeypatch.setattr(exact, "_reaches", recorded)
+    monkeypatch.setattr(exact, "_probe", recorded)
     for seed in range(6):
         cross = random_crossing(50, 1000, seed)
         probes.clear()
@@ -287,13 +287,14 @@ def test_dp_matches_scalar_oracle_on_small_rings():
 def test_dp_kernel_edge_cases():
     # t = -1 leaves no end point to test; m = 0 reaches exactly y = 0.
     U, V = np.array([[1, 3], [2, 2]]), np.array([[3, 1], [2, 2]])
-    assert exact._reaches(U, V, -1, np.arange(1, 0)).shape == (2, 0)
+    assert exact._probe([(1, 3), (3, 1)], 0, np.arange(1, 0)).shape == (0,)
     assert dp_feasible_block(U, V, -1).tolist() == [False, False]
     empty = np.zeros((3, 0), dtype=np.int64)
     assert dp_feasible_block(empty, empty, -1).tolist() == [False] * 3
     assert dp_feasible_block(empty, empty, 0).tolist() == [True] * 3
     ys = np.arange(-2, 3)
-    assert exact._reaches(empty, empty, 2, ys).tolist() == [[False, False, True, False, False]] * 3
+    assert exact._probe([], 2, ys).tolist() == [False, False, True, False, False]
+    assert exact._probe([], 0, np.array([0])).tolist() == [True]
     cross = standalone_crossing((), 0)
     assert dp_min_increase(cross) == scalar_dp_min_increase(cross) == (UnsplitRouting(()), 0)
     for t in range(-1, 3):
@@ -303,6 +304,57 @@ def test_dp_kernel_edge_cases():
             assert (routing is not None) == (t >= 0 and y == 0)
     cross = standalone_crossing(((S, S),), 2 * S)
     assert dp_feasible(cross, -S, 0) is None
+
+
+def assert_probe_matches_scalar_oracle(cross, ts):
+    """exact._probe over all of [-t, t] against the scalar DP, one y at a time."""
+    g, pairs = exact._unit_pairs(cross)
+    for t in ts:
+        ys = np.arange(-t, t + 1)
+        expected = [scalar_dp_feasible(cross, t * g, y * g) is not None for y in ys.tolist()]
+        assert exact._probe(pairs, t, ys).tolist() == expected, (cross, t)
+
+
+def test_probe_matches_scalar_oracle_per_end_point():
+    # Every t from 0 up to the 3/2 * D start bound, on integer and
+    # half-integer rings; t = 0 has the single end point 0.
+    rng = random.Random(68)
+    crosses = [random_crossing(rng.randint(1, 9), rng.randint(2, 14), seed=trial)
+               for trial in range(40)]
+    crosses += [half_integer_crossing(rng, rng.randint(1, 9), rng.randint(1, 7))
+                for _ in range(40)]
+    for cross in crosses:
+        g, _ = exact._unit_pairs(cross)
+        assert_probe_matches_scalar_oracle(cross, range(3 * cross.D // g // 2 + 1))
+
+
+def test_probe_skips_steps_wider_than_the_window():
+    # At t = 4 the windows are 4 or 3 wide: the steps of 5 and 6 fall
+    # outside them in one direction, the steps of 9 in both.
+    cross = standalone_crossing(((S, 5 * S), (6 * S, S), (2 * S, 2 * S)), 7 * S)
+    assert_probe_matches_scalar_oracle(cross, range(10))
+    cross = standalone_crossing(((9 * S, 9 * S),), 18 * S)
+    assert_probe_matches_scalar_oracle(cross, range(10))
+    assert not exact._probe([(9, 9)], 4, np.arange(-4, 5)).any()
+
+
+def test_probe_in_column_chunks_matches_scalar_oracle(monkeypatch):
+    # With _MASK_BITS below one row, every chunk holds 64 columns; at
+    # t = 150 each parity group of about 150 columns takes three.
+    monkeypatch.setattr(exact, "_MASK_BITS", 40)
+    for seed in range(3):
+        cross = random_crossing(6, 200, seed)
+        assert_probe_matches_scalar_oracle(cross, (63, 64, 129, 150))
+        assert dp_min_increase(cross) == scalar_dp_min_increase(cross)
+    cross = half_integer_crossing(random.Random(69), 5, 60)
+    assert_probe_matches_scalar_oracle(cross, (130,))
+    # Many short steps reach most end points, so every chunk has feasible ones.
+    rng = random.Random(70)
+    dense = standalone_crossing(
+        tuple((rng.randint(1, 3) * S, rng.randint(1, 3) * S) for _ in range(160)), 6 * S
+    )
+    assert_probe_matches_scalar_oracle(dense, (63, 64, 129, 150))
+    assert exact._probe(exact._unit_pairs(dense)[1], 150, np.arange(-150, 151)).sum() > 200
 
 
 @settings(deadline=None)

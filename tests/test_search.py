@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import os
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -494,6 +496,31 @@ def test_checkpoint_file_matches_scalar_scan(tmp_path, monkeypatch, step):
         assert block_file.read_bytes() == scalar_file.read_bytes()
         block_file.unlink()
         scalar_file.unlink()
+
+
+def test_checkpoints_are_on_disk_before_they_replace_the_old(tmp_path, monkeypatch):
+    # Each save fsyncs the whole .partial file, then renames that same file.
+    monkeypatch.setattr(search, "_CHECKPOINT_STEP", 4096)
+    events = []
+    fsync, replace = os.fsync, Path.replace
+
+    def recorded_fsync(fd):
+        stat = os.fstat(fd)
+        events.append(("fsync", stat.st_ino, stat.st_size))
+        return fsync(fd)
+
+    def recorded_replace(self, target):
+        stat = self.stat()
+        events.append(("replace", stat.st_ino, stat.st_size))
+        return replace(self, target)
+
+    monkeypatch.setattr(os, "fsync", recorded_fsync)
+    monkeypatch.setattr(Path, "replace", recorded_replace)
+    search_lower_bound(4, 8, from_int(7), checkpoint_dir=tmp_path)
+    assert [event[0] for event in events] == ["fsync", "replace"] * 4  # 3 steps and the end
+    for synced, renamed in zip(events[::2], events[1::2]):
+        assert synced[1:] == renamed[1:]
+    assert events[-1][2] == checkpoint_file(tmp_path, 4, 8, 7).stat().st_size
 
 
 # A whole scan of the 12544 members of (4, 8) ends its first block at EDGE,
