@@ -36,12 +36,14 @@ of the last mask is set, so no parity rule is needed.  Every row has its
 own steps, so each mask shifts on its own: int64 while the window and
 its shift fit 62 bits, Python ints beyond.  dp_feasible_block (the
 search screen) runs every y in [-t, t] for many rows of small t this
-way, and dp_feasible runs one row and one y and rebuilds the predecessor
-choices by walking its masks backward.  Position-major, _probe tests
-many end points of one row: points are array rows and end points are
-bits of uint64 words, and as all end points of one parity share the
-window width and every step, a level is two slice-ORs at any D.
-dp_min_increase binary-searches t on one row with _probe (the window
+way; rows that share a prefix of pairs (the search's lead) can start
+from that prefix's last masks instead of p(0) = 0 and run only the
+levels after it.  dp_feasible runs one row and one y and rebuilds the
+predecessor choices by walking its masks backward.  Position-major,
+_probe tests many end points of one row: points are array rows and end
+points are bits of uint64 words, and as all end points of one parity
+share the window width and every step, a level is two slice-ORs at any
+D.  dp_min_increase binary-searches t on one row with _probe (the window
 only grows with t); each probe after a feasible one tests only the end
 points found feasible there, and the routing is the walk back from the
 smallest feasible y.
@@ -266,23 +268,35 @@ def _window(t, y):
     return -((t - y) // 2), (y + t) // 2
 
 
-def _level_masks(
-    U: np.ndarray, V: np.ndarray, t: int, ys: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Reachable-point masks of levels 0..m, each a (rows, len(ys)) array.
+def _mask_dtype(t: int, top: int) -> type:
+    """int64 while a window of at most t + 1 bits shifted left by top stays below the sign bit."""
+    return np.int64 if t + 1 + top <= 62 else object
 
-    Row r stands for the pairs (U[r, k], V[r, k]) and column c for the end
-    point y = ys[c], every |y| <= t.  Points are confined to the window
-    [lo, hi] of (t, y), which holds p(0) = 0 whenever |y| <= t; bit b of a
-    mask stands for point lo + b.  The masks are int64 while every shifted
-    bit stays below the sign bit (a window of at most t + 1 bits, shifted
-    left by at most max V) and Python ints otherwise.
+
+def _level_masks(
+    U: np.ndarray, V: np.ndarray, t: int, ys: np.ndarray, start: np.ndarray | None = None
+) -> Iterator[np.ndarray]:
+    """Reachable-point masks of the start level and of one level per column of U.
+
+    Each is a (rows, len(ys)) array.  Row r stands for the pairs (U[r, k],
+    V[r, k]) and column c for the end point y = ys[c], every |y| <= t.
+    Points are confined to the window [lo, hi] of (t, y), which holds
+    p(0) = 0 whenever |y| <= t; bit b of a mask stands for point lo + b.
+    The start level is level 0, the single point p(0) = 0, unless start
+    gives it: masks of the same (t, ys) that earlier levels reached, so
+    that rows sharing a prefix of pairs run only the levels after it.  The
+    masks are int64 while every shifted bit stays below the sign bit (a
+    window of at most t + 1 bits, shifted left by at most max V) and
+    Python ints otherwise, whichever start is.
     """
-    dtype = np.int64 if t + 1 + int(V.max(initial=0)) <= 62 else object
+    dtype = _mask_dtype(t, int(V.max(initial=0)))
     lo, hi = _window(t, ys)
     one = np.ones(len(ys), dtype=dtype)
     full = (one << (hi - lo + 1).astype(dtype)) - one
-    mask = np.broadcast_to(one << (-lo).astype(dtype), (len(U), len(ys)))
+    if start is None:
+        mask = np.broadcast_to(one << (-lo).astype(dtype), (len(U), len(ys)))
+    else:
+        mask = start.astype(dtype, copy=False)
     yield mask
     for k in range(U.shape[1]):
         # in place, so that Python-int masks of at most three levels live at once
@@ -369,19 +383,28 @@ def dp_feasible(cross: CrossingInstance, t: Scaled, y: Scaled) -> UnsplitRouting
     return _walk_back(pairs, t_g, y_g)
 
 
-def dp_feasible_block(U: np.ndarray, V: np.ndarray, t: int) -> np.ndarray:
+def dp_feasible_block(
+    U: np.ndarray,
+    V: np.ndarray,
+    t: int,
+    start: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Row-wise "some routing has increase at most t" for (rows, m) arrays.
 
     Row r stands for the pairs (U[r, k], V[r, k]); all end points y in
     [-t, t] run as columns (none for t < 0), in chunks of at most
-    _MASK_BITS mask bits.
+    _MASK_BITS mask bits.  Every row starts at p(0) = 0, unless start =
+    (masks, codes) is given: then row r continues the pairs of a prefix
+    from masks[codes[r]], whose column y + t is the prefix's last level
+    for end point y (as _level_masks yields it at t).
     """
     ys = np.arange(-t, t + 1)
     chunk = max(1, _MASK_BITS // max(1, len(U) * (t + 1 + int(V.max(initial=0)))))
     feasible = np.zeros(len(U), dtype=bool)
     for c in range(0, len(ys), chunk):
         part = ys[c : c + chunk]
-        for mask in _level_masks(U, V, t, part):
+        first = None if start is None else start[0][:, c : c + chunk].take(start[1], axis=0)
+        for mask in _level_masks(U, V, t, part, first):
             pass
         lo, _ = _window(t, part)
         feasible |= (((mask >> (part - lo).astype(mask.dtype)) & 1) == 1).any(axis=1)

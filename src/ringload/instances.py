@@ -188,6 +188,15 @@ def builtin(name: str) -> tuple[RingInstance, SplitRouting]:
     raise UnknownName(f"no built-in instance named {name!r}")
 
 
+def _pair_list(m: int) -> list[tuple[int, int]]:
+    """A list of m pairs to fill, allocated at once.
+
+    Where m pairs are beyond memory this raises MemoryError before any
+    work, instead of a loop growing a list until the system runs out.
+    """
+    return [(0, 0)] * m
+
+
 def random_crossing(m: int, D: int, seed: int, structured: bool = False) -> CrossingInstance:
     """Deterministic random crossing instance.
 
@@ -201,11 +210,11 @@ def random_crossing(m: int, D: int, seed: int, structured: bool = False) -> Cros
     if structured:
         pairs = structured_member(m, D, rng)
     else:
-        pairs = []
-        for _ in range(m):
+        pairs = _pair_list(m)
+        for pos in range(m):
             d = rng.randint(2, D)
             u = rng.randint(1, d - 1)
-            pairs.append((u, d - u))
+            pairs[pos] = (u, d - u)
         pin = rng.randrange(m)
         u = rng.randint(1, D - 1)
         pairs[pin] = (u, D - u)
@@ -222,15 +231,15 @@ def structured_member(m: int, D: int, rng: random.Random) -> list[tuple[int, int
     """
     if m % 2 or D % 2:
         raise InfeasibleParams("structured family needs even m and even D")
-    pairs = []
+    pairs = _pair_list(m)
     for pos in range(m):
         if pos % 2:
             u = rng.randint(1, D - 1)
-            pairs.append((u, D - u))
+            pairs[pos] = (u, D - u)
         else:
             d = 2 * rng.randint(1, D // 2)
             u = rng.randint(1, d - 1)
-            pairs.append((u, d - u))
+            pairs[pos] = (u, d - u)
     if sum(u for u, _ in pairs) % 2 == 0:
         for pos, (u, v) in enumerate(pairs):
             if u + 1 <= u + v - 1:

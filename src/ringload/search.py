@@ -35,19 +35,26 @@ clockwise total fixes the parity of the lead's, and the images that are
 aligned on every member start with an even position's pair, so the lead's
 first pair (u0, v0) needs u0 <= v0 and a key u0 (D+1) + v0 no larger than
 the part's smallest such pair key.  A lead is its code, its row of the
-decode tables; the key and parity of every code are cached, and one mask
-over parts x codes selects the rows of a block in index order; at m=8,
-D=10 about one index in ten becomes a row.
+decode tables; the key, parity and value-D flag of every code are
+cached, and one mask over parts x codes selects the rows of a block in
+index order; at m=8, D=10 about one index in ten becomes a row.
 _canonical then keeps the canonical rows by comparing packed
 lexicographic keys of all images at once, in two halves: a high key is
-the lead's term plus the part's, computed once per part, and only rows
-where some aligned image ties the identity on the high half compare low
-halves.  exact.dp_feasible_block screens out every row with a routing of
-increase at most threshold - 1.  Only the survivors get a full
-minimum-increase computation (exact.dp_min_increase).  Every step falls
-back from int64 to Python ints where int64 could overflow (half keys at
-(D+1)^m >= 2^63, quotients of indices at or above 2^63), so the scan is
-exact for any m and D.
+the lead's term plus the part's.  The part's is computed once per part;
+the lead's is gathered by code from two cached tables, one over position
+0's free pair and one over the rest of the lead, since a key is a sum
+over positions.  Only rows where some aligned image ties the identity on
+the high half compare low halves.  The DP screen (exact.dp_feasible_block)
+drops every row with a routing of increase at most threshold - 1: each
+row starts from its lead's masks, built once per scan for every code and
+end point, and runs its part's levels only.  Only the survivors are
+assembled into whole pair sequences and get a full minimum-increase
+computation (exact.dp_min_increase).  A lead table is kept only within
+_LEAD_TABLE_BYTES; past that (large D or m, Python-int masks at large t)
+the rows pack their own leads or the screen starts at level 0.  Every
+step falls back from int64 to Python ints where int64 could overflow
+(half keys at (D+1)^m >= 2^63, quotients of indices at or above 2^63), so
+the scan is exact for any m and D.
 
 Given a directory, a shard keeps its hit records (hit_record) and then its
 last finished index in mM-dD-tT-shard-I-of-N.txt there, replaced atomically
@@ -60,6 +67,7 @@ import json
 import math
 import os
 import re
+import sys
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -70,7 +78,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleParams, SchemaError
-from .exact import dp_feasible_block, dp_min_increase
+from .exact import _level_masks, _mask_dtype, dp_feasible_block, dp_min_increase
 from .reduction import rotated, standalone_crossing
 from .scaled import Scaled, from_int, rational_str, unscale
 
@@ -83,6 +91,7 @@ _BLOCK = 8192
 _SHARDS = 64  # of search_parallel; fixed, so checkpoint names do not depend on jobs
 _CHECKPOINT_STEP = 1 << 24  # indices between saves; a block that reaches one ends there
 _TABLE_ROWS = 1 << 17  # most rows of one decode table, about 4 MB
+_LEAD_TABLE_BYTES = 1 << 22  # most bytes of one per-lead table; larger ones are not built
 
 
 def _reflect(pairs: Pairs) -> Pairs:
@@ -222,6 +231,12 @@ def _pack(U: np.ndarray, V: np.ndarray, D: int) -> np.ndarray:
     return np.concatenate([U * base + V, V * base + U], axis=1)
 
 
+def _fits(shape: tuple[int, ...], dtype: type, top: int) -> bool:
+    """Whether a table of shape, of int64 or of Python ints below top, fits _LEAD_TABLE_BYTES."""
+    entry = 8 if dtype != object else 8 + sys.getsizeof(top)
+    return math.prod(shape) * entry <= _LEAD_TABLE_BYTES
+
+
 class _Leads(NamedTuple):
     """An index as its lead, digit group 0 of _decode_tables, and its part, the rest.
 
@@ -231,21 +246,31 @@ class _Leads(NamedTuple):
     first-pair key u0 (D + 1) + v0, or (D + 1)^2 where the first-pair
     prefilter drops the lead (u0 > v0, as the half-turn starts with
     (v0, u0), or another first pair of its own is smaller); parity[c] is
-    the parity of the sum of its u's.  Both are int64.
+    the parity of the sum of its u's.  Both are int64.  value_d[c] says
+    that the lead's positions all carry value D.
 
     part_firsts are the columns of [U B + V | V B + U] over a part's
     positions that start an always-aligned image (see _symmetries), and
     always[g] says that image g is one; lead and part weights are the rows
     of the high weight matrix over the lead's and the part's columns.
+
+    terms caches the lead's share of the high keys, _pack(U, V, D) @
+    lead_weights over the lead codes, as the sum of two tables: a code is
+    c = r F + f, F = (D/2)^2, with f its free pair at position 0 and r
+    the rest, its pinned pair where there is one and 0 beyond D = 80.  Row
+    c of that product is first[f] + rest[r].  terms is None where the
+    tables would exceed _LEAD_TABLE_BYTES.
     """
 
     radix: int
     keys: np.ndarray
     parity: np.ndarray
+    value_d: np.ndarray
     part_firsts: list[int]
     always: np.ndarray
     lead_weights: np.ndarray
     part_weights: np.ndarray
+    terms: tuple[np.ndarray, np.ndarray] | None
 
 
 @cache
@@ -259,13 +284,39 @@ def _leads(m: int, D: int) -> _Leads:
     kept = packed[:, 0] <= packed[:, [lead.index(f) for f in firsts if f in lead]].min(axis=1)
     keys = np.where(kept, packed[:, 0], (D + 1) ** 2)
     parity = U[:radix].sum(axis=1) & 1
+    value_d = (U[:radix] + V[:radix] == D).all(axis=1)
     always = (odd_sources % 2).all(axis=1)
-    for array in (keys, parity, always):
+    tables = [keys, parity, value_d, always]
+    F, terms = (D // 2) ** 2, None
+    if _fits((F + radix // F, high.shape[1]), high.dtype, (D + 1) ** m):
+        terms = (
+            _pack(U[:F, :1], V[:F, :1], D) @ high[[0, m]],
+            _pack(U[:radix:F, 1:], V[:radix:F, 1:], D) @ high[[f for f in lead if f % m]],
+        )
+        tables += terms
+    for array in tables:
         array.setflags(write=False)
     return _Leads(
-        radix, keys, parity, [part.index(f) for f in firsts if f in part],
-        always, high[lead], high[part],
+        radix, keys, parity, value_d, [part.index(f) for f in firsts if f in part],
+        always, high[lead], high[part], terms,
     )
+
+
+def _lead_masks(m: int, D: int, t: int) -> np.ndarray | None:
+    """The DP screen's masks after each lead, or None beyond _LEAD_TABLE_BYTES.
+
+    Row c, column y + t is the mask of end point y in [-t, t] that
+    exact._level_masks reaches after lead c's positions, for
+    dp_feasible_block's start.  The leads reach v = D - 1, the family's
+    largest, so the dtype _level_masks picks for them suits every part.
+    """
+    groups, U, V = _decode_tables(m, D)
+    radix = groups[0][0]
+    ys = np.arange(-t, t + 1)
+    if not _fits((radix, len(ys)), _mask_dtype(t, D - 1), 1 << max(t + 1, 0)):
+        return None
+    *_, masks = _level_masks(U[:radix], V[:radix], t, ys)
+    return masks
 
 
 class _Rows(NamedTuple):
@@ -320,19 +371,26 @@ def _canonical(rows: _Rows, m: int, D: int) -> np.ndarray:
     The rows pass the first-pair prefilter.  An image counts where it is
     aligned: always-aligned images on every row, the others on rows whose
     free positions all carry value D (their odd positions read exactly the
-    free positions).  A high key is the lead's term plus its part's, which
-    is computed once per part; only rows where some counted image ties the
-    identity on the high key compare low keys.  The products are int64 or
-    Python ints, as the weights are.
+    free positions).  A high key is its part's term, computed once per
+    part, plus its lead's, gathered by code from the cached terms (packed
+    row by row where they are not kept), and value-D flags are the part's
+    and the code's; only rows where some counted image ties the identity
+    on the high key compare low keys.  The products are int64 or Python
+    ints, as the weights are.
     """
-    high, low, _, _ = _symmetries(m, D)
+    _, low, _, _ = _symmetries(m, D)
     leads = _leads(m, D)
-    _, U, V = _decode_tables(m, D)
-    lead_u, lead_v = U[rows.code], V[rows.code]
-    keys = (_pack(rows.part_u, rows.part_v, D) @ leads.part_weights)[rows.part]
-    keys += _pack(lead_u, lead_v, D) @ leads.lead_weights
+    keys = (_pack(rows.part_u, rows.part_v, D) @ leads.part_weights).take(rows.part, axis=0)
+    if leads.terms is None:
+        _, U, V = _decode_tables(m, D)
+        keys += _pack(U[rows.code], V[rows.code], D) @ leads.lead_weights
+    else:
+        first, rest = leads.terms
+        r, f = np.divmod(rows.code, len(first))
+        keys += first.take(f, axis=0)
+        keys += rest.take(r, axis=0)
     value_d = (rows.part_u + rows.part_v == D).all(axis=1)[rows.part]
-    value_d &= (lead_u + lead_v == D).all(axis=1)
+    value_d &= leads.value_d[rows.code]
     counted = leads.always | value_d[:, None]
     smaller = (keys < keys[:, :1]) & counted
     tied = (keys == keys[:, :1]) & counted
@@ -341,6 +399,19 @@ def _canonical(rows: _Rows, m: int, D: int) -> np.ndarray:
     keys = _pack(*rows.select(ties).pairs(m, D), D) @ low
     smaller[ties] |= (keys < keys[:, :1]) & tied[ties]
     return ~smaller.any(axis=1)
+
+
+def _screen(rows: _Rows, m: int, D: int, t: int, masks: np.ndarray | None) -> np.ndarray:
+    """Row-wise "some routing has increase at most t" (exact.dp_feasible_block).
+
+    masks are the rows' lead masks of _lead_masks(m, D, t): each row starts
+    from its code's row and runs its part's levels only.  Without them the
+    rows run from level 0.
+    """
+    if masks is None:
+        return dp_feasible_block(*rows.pairs(m, D), t)
+    U, V = rows.part_u.take(rows.part, axis=0), rows.part_v.take(rows.part, axis=0)
+    return dp_feasible_block(U, V, t, start=(masks, rows.code))
 
 
 @dataclass(frozen=True)
@@ -473,12 +544,12 @@ def search_lower_bound(
         if checkpoint.exists():
             hits, first = _resume(checkpoint, family, threshold_int, start, stop)
     t = min(threshold_int - 1, 3 * D // 2)  # 3D/2 bounds every minimum increase
+    masks = _lead_masks(m, D, t)
     for lo, hi in _blocks(first, stop, _leads(m, D).radix):
         rows = _candidates(m, D, lo, hi)
         rows = rows.select(_canonical(rows, m, D))
-        U, V = rows.pairs(m, D)
-        screened = ~dp_feasible_block(U, V, t)
-        for u_row, v_row in zip(U[screened].tolist(), V[screened].tolist()):
+        U, V = rows.select(~_screen(rows, m, D, t, masks)).pairs(m, D)
+        for u_row, v_row in zip(U.tolist(), V.tolist()):
             pairs = tuple(zip(u_row, v_row))
             cross = standalone_crossing(
                 tuple((from_int(u), from_int(v)) for u, v in pairs), from_int(D)

@@ -305,8 +305,8 @@ def test_criterion_11_restricted_search_finds_fig6():
 
 @pytest.mark.skipif(
     not os.environ.get("RINGLOAD_FULL_SEARCH"),
-    reason="full family scan of 2.56e9 members takes about a minute and a half "
-    "(95 s in one process on a 2-vCPU AMD EPYC); set RINGLOAD_FULL_SEARCH=1",
+    reason="full family scan of 2.56e9 members takes about a minute "
+    "(59-67 s in one process on a 2-vCPU AMD EPYC); set RINGLOAD_FULL_SEARCH=1",
 )
 def test_criterion_11_full_family_search_long_running():
     hits = search_lower_bound(8, 10, from_int(11))

@@ -244,6 +244,15 @@ def test_gen_structured_round_trips(capsys):
     assert out2 == out  # deterministic in the seed
 
 
+@pytest.mark.parametrize("flags", [(), ("--structured",)], ids=["random", "structured"])
+def test_gen_beyond_memory_is_a_one_line_error(capsys, flags):
+    # The m pairs are allocated at once, so the allocation fails before any work.
+    code, out, err = run_cli(capsys, "gen", "--m", "1000000000000000", "--d", "4",
+                             "--seed", "1", *flags)
+    assert code == 1 and out == ""
+    assert err == "error: MemoryError: out of memory\n"
+
+
 def test_extend_command(capsys, fig2_file):
     code, out, err = run_cli(capsys, "extend", "-i", fig2_file)
     assert code == 0

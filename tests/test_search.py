@@ -4,15 +4,16 @@ import itertools
 import json
 import os
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import Interrupted, canonical_mask, decode_block, fail_after, scalar_feasible_any_y
-from ringload import search
+from ringload import exact, search
 from ringload.errors import InfeasibleParams
-from ringload.exact import dp_feasible_block, dp_min_increase
+from ringload.exact import _level_masks, dp_feasible_block, dp_min_increase
 from ringload.instances import _FIG2_VU, _FIG6_VU
 from ringload.reduction import rotated, standalone_crossing
 from ringload.scaled import from_int, parse_rational, rational_str, unscale
@@ -142,6 +143,33 @@ def assert_screen_matches_oracle(U, V, t):
     return expected
 
 
+def odd_rows(family, lo, hi):
+    """Every odd-total member lo..hi-1 as search rows, lead code and part, in index order."""
+    m, D = family.m, family.D
+    groups, U, V = search._decode_tables(m, D)
+    radix = groups[0][0]
+    first = lo // radix
+    part_u, part_v = search._decode(first, (hi - 1) // radix + 1, groups[1:], U, V)
+    part, code = np.divmod(np.arange(hi - lo) + (lo - first * radix), radix)
+    rows = search._Rows(part_u, part_v, part, code)
+    return rows.select(np.flatnonzero(rows.pairs(m, D)[0].sum(axis=1) & 1))
+
+
+def prefix_masks(U, V, t):
+    """The last of _level_masks over every y in [-t, t]: the start masks after the pairs U, V."""
+    *_, masks = _level_masks(U, V, t, np.arange(-t, t + 1))
+    return masks
+
+
+def assert_lead_screen_matches_block_screen(rows, m, D, t, cached):
+    """The search screen, from the lead table or not as cached says, is dp_feasible_block."""
+    masks = search._lead_masks(m, D, t)
+    assert (masks is not None) == cached
+    expected = dp_feasible_block(*rows.pairs(m, D), t).tolist()
+    assert search._screen(rows, m, D, t, masks).tolist() == expected
+    return expected
+
+
 def test_symmetry_images_preserve_min_increase():
     rng = random.Random(81)
     for _ in range(10):
@@ -207,6 +235,7 @@ def burnside_orbit_count(m, D):
 
 @pytest.mark.parametrize("m, D, orbits", [
     (2, 4, 2), (2, 6, 6), (4, 4, 10), (4, 6, 124), (6, 4, 71), (4, 8, 774),
+    (4, 10, 3110), (6, 6, 3574), (2, 82, 17220),  # beyond D = 80 the lead is position 0
 ])
 def test_canonical_members_are_the_symmetry_orbits(m, D, orbits):
     assert burnside_orbit_count(m, D) == orbits
@@ -359,6 +388,146 @@ def test_block_screen_on_python_ints_when_the_shifts_overflow_int64():
         assert t + 1 + V.max() > 62
         outcomes.update(assert_screen_matches_oracle(U, V, t))
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("m, D", SMALL_FAMILIES)
+def test_lead_screen_matches_block_screen_on_whole_families(m, D):
+    # Every odd-total member, canonical or not, at every t the scan can use.
+    family = StructuredFamily(m, D)
+    rows = odd_rows(family, 0, family.size)
+    outcomes = set()
+    for t in range(-1, 3 * D // 2 + 1):
+        outcomes.update(assert_lead_screen_matches_block_screen(rows, m, D, t, cached=True))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("m, D, ts", [
+    (4, 82, {20: True, 30: True, 31: False, 59: False}),
+    (10, 76, {30: False, 59: False, 100: False}),
+])
+def test_lead_screen_on_python_int_masks(m, D, ts):
+    # The masks are Python ints at these t.  The lead table is built where
+    # it fits _LEAD_TABLE_BYTES (D = 82, t <= 30: 1681 leads of position 0
+    # alone); elsewhere the rows run from level 0.  Start masks gathered for
+    # the rows' own leads continue them as the table would.
+    family = StructuredFamily(m, D)
+    rng = random.Random(92 + D)
+    _, U, V = search._decode_tables(m, D)
+    width = U.shape[1]
+    outcomes = set()
+    for _ in range(2):
+        lo = rng.randrange(family.size - 1500)
+        rows = odd_rows(family, lo, lo + 1500)
+        leads, inverse = np.unique(rows.code, return_inverse=True)
+        full_u, full_v = rows.pairs(m, D)
+        for t, cached in ts.items():
+            assert t + D > 62  # beyond int64 masks
+            expected = assert_lead_screen_matches_block_screen(rows, m, D, t, cached)
+            start = (prefix_masks(U[leads], V[leads], t), inverse)
+            assert start[0].dtype == object
+            part_u, part_v = full_u[:, width:], full_v[:, width:]
+            assert dp_feasible_block(part_u, part_v, t, start).tolist() == expected
+            outcomes.update(expected)
+    assert outcomes == {True, False}
+
+
+def test_block_screen_continues_a_prefix_from_its_masks():
+    # Any split of any rows: the masks after the first k pairs, shared by
+    # code, and the remaining pairs decide as the whole rows do.  V up to
+    # 70 makes the masks Python ints at every t; odd u + v and zeros reach
+    # both parities and the edge cases of the first step.
+    rng = np.random.default_rng(93)
+    for m in range(0, 7):
+        for top in (7, 70):
+            U = rng.integers(0, top, size=(40, m))
+            V = rng.integers(0, top, size=(40, m))
+            U[20:], V[20:] = U[:20], V[:20]
+            for k in range(m + 1):
+                heads, codes = np.unique(np.concatenate([U[:, :k], V[:, :k]], axis=1),
+                                         axis=0, return_inverse=True)
+                for t in (-1, 0, 3, 10):
+                    start = (prefix_masks(heads[:, :k], heads[:, k:], t), codes.ravel())
+                    expected = dp_feasible_block(U, V, t).tolist()
+                    assert dp_feasible_block(U[:, k:], V[:, k:], t, start).tolist() == expected
+
+
+def test_lead_screen_in_column_chunks(monkeypatch):
+    # A _MASK_BITS of 600 lets about one end point per chunk through at
+    # (4, 8), so each chunk takes its own columns of the lead table.
+    family = StructuredFamily(4, 8)
+    rows = odd_rows(family, 0, family.size)
+    rows = rows.select(np.arange(0, len(rows.code), 97))
+    expected = {t: dp_feasible_block(*rows.pairs(4, 8), t).tolist() for t in (3, 5, 12)}
+    assert set(expected[3]) == set(expected[5]) == {True, False}
+    chunks = []
+    level_masks = exact._level_masks
+
+    def recorded(U, V, t, ys, start=None):
+        chunks.append(len(ys))
+        return level_masks(U, V, t, ys, start)
+
+    monkeypatch.setattr(exact, "_MASK_BITS", 600)
+    monkeypatch.setattr(exact, "_level_masks", recorded)
+    for t, feasible in expected.items():
+        masks = search._lead_masks(4, 8, t)
+        chunks.clear()
+        assert search._screen(rows, 4, 8, t, masks).tolist() == feasible
+        assert len(chunks) > 1 and sum(chunks) == 2 * t + 1
+
+
+@pytest.mark.parametrize("m, D", [
+    (2, 4), (8, 10), (10, 10), (10, 76), (12, 40), (20, 10), (4, 82), (10, 82),
+])
+def test_lead_key_terms_and_flags_code_by_code(m, D):
+    # m=12 at D=40, m=20 and m=10 at D=82 pack keys in Python ints.
+    leads = search._leads(m, D)
+    _, U, V = search._decode_tables(m, D)
+    U, V = U[: leads.radix], V[: leads.radix]
+    high = search._symmetries(m, D)[0]
+    first, rest = leads.terms
+    assert first.dtype == rest.dtype == high.dtype
+    assert len(first) == (D // 2) ** 2 and len(rest) == (1 if D > 80 else D - 1)
+    rest_code, first_code = np.divmod(np.arange(leads.radix), len(first))
+    expected = search._pack(U, V, D) @ leads.lead_weights
+    assert (first[first_code] + rest[rest_code] == expected).all()
+    assert leads.value_d.tolist() == (U + V == D).all(axis=1).tolist()
+    assert leads.value_d.any() and not leads.value_d.all()
+
+
+@pytest.mark.parametrize("m, D, t", [
+    (10, 76, 59), (4, 82, 59), (4, 82, 30), (4, 82, 123), (2, 46, 16), (12, 40, 21),
+])
+def test_lead_tables_stay_small(m, D, t):
+    # All that _leads and _lead_masks keep, Python ints too, traced after
+    # the decode tables and weights they start from.
+    search._decode_tables(m, D)
+    search._symmetries(m, D)
+    search._leads.cache_clear()
+    tracemalloc.start()
+    try:
+        tables = search._leads(m, D), search._lead_masks(m, D, t)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tables[0].radix > 1000
+    assert size < 16 * 2**20
+
+
+@pytest.mark.parametrize("m, D, threshold", [(2, 1000, 700), (10, 200, 150)])
+def test_the_scan_without_lead_tables_matches_the_decode_path(m, D, threshold):
+    # Past _LEAD_TABLE_BYTES neither the key terms nor the lead masks are
+    # built; the rows pack their own leads and screen from level 0.  The
+    # shard of about 2000 indices holds a canonical form.
+    t = threshold - 1
+    assert search._leads(m, D).terms is None and search._lead_masks(m, D, t) is None
+    family = StructuredFamily(m, D)
+    pairs = family.decode(random.Random(94 + m).randrange(family.size))
+    count = family.size // 2000
+    shard = (family.encode(CanonicalForm.of(pairs, D).pairs) * count // family.size, count)
+    kept = assert_canonical_rows_match_decode_path(family, *shard_range(family.size, shard))
+    hits = search_lower_bound(m, D, from_int(threshold), shard=shard)
+    assert hits == decode_path_search(m, D, from_int(threshold), shard)
+    assert 0 < len(hits) < len(kept)  # the screen keeps some rows and drops others
 
 
 def test_canonical_mask_on_python_ints_when_the_keys_overflow_int64():
