@@ -4,7 +4,9 @@ Machine-readable JSON goes to stdout, a one-line human summary to stderr.
 Exit codes: 0 success, 1 validation or verification failure, 2 usage
 error (bad arguments, conflicting search options, or a malformed
 RINGLOAD_BRUTE_CAP).  Every numeric value in a report is an exact
-rational string.
+rational string.  The parser is built once per process (build_parser is
+cached), so callers that run main many times in one process, as the tests
+and the benchmark do, only parse their arguments.
 
 Commands:
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import approx, exact, fileio, instances, model, reduction, search
@@ -236,6 +239,7 @@ def _cmd_optimum(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ringload",
@@ -287,8 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except RingLoadingError as exc:

@@ -144,57 +144,55 @@ class _Plan:
             self.remaining = np.concatenate([suffix, np.zeros_like(sep[:1])])[: depth + 1]
 
 
-def _least_value(plan: _Plan, root: np.ndarray, best: int) -> int:
-    """The least objective below best over all routings, or best if none is.
+def _least_value(plan: _Plan, cur: np.ndarray, best: int, t: int = 0) -> int:
+    """The least objective below best over all completions of the node cur, or best if none is.
 
-    Depth first, the child with the smaller bound first, so the first leaf
-    reached is a greedy routing; a node is cut once its bound reaches the
-    best value found so far.
+    The node holds the demands before position t of plan's order placed;
+    the root is t = 0.  Depth first, the child with the smaller bound
+    first, so the first leaf reached is a greedy routing; a child is cut
+    once its bound reaches the best value found so far (a child's bound is
+    never below its parent's, so the root needs no test of its own).  The
+    recursion is a module-level function, not a closure, so that no
+    reference cycle keeps the plan's tables alive after the search returns.
     """
-
-    def visit(t: int, cur: np.ndarray) -> None:
-        nonlocal best
-        if t == len(plan.choices):
-            best = min(best, int((plan.leaf + cur).max(axis=1).min()))
-            return
-        children = [(_cut_bound(child, plan.remaining[t + 1]), child)
-                    for child in (cur + row for row in plan.choices[t])]
-        if children[1][0] < children[0][0]:
-            children.reverse()
-        for bound, child in children:
-            if bound < best:
-                visit(t + 1, child)
-
-    if _cut_bound(root, plan.remaining[0]) < best:
-        visit(0, root)
+    if t == len(plan.choices):
+        return min(best, int((plan.leaf + cur).max(axis=1).min()))
+    children = [(_cut_bound(child, plan.remaining[t + 1]), child)
+                for child in (cur + row for row in plan.choices[t])]
+    if children[1][0] < children[0][0]:
+        children.reverse()
+    for bound, child in children:
+        if bound < best:
+            best = _least_value(plan, child, best, t + 1)
     return best
 
 
-def _first_at_most(plan: _Plan, root: np.ndarray, value: int | None) -> tuple[int, int]:
-    """The first routing in plan order whose objective is at most value.
+def _first_at_most(
+    plan: _Plan, cur: np.ndarray, value: int | None, t: int = 0, prefix: int = 0
+) -> tuple[int, int] | None:
+    """The first completion of the node cur in plan order whose objective is at most value.
 
     Returns its objective and its index (bit k-1-t is the flag of the
-    demand at position t of the order).  Depth first, clockwise first,
-    cutting nodes whose bound exceeds value; within a leaf the first
-    argmin wins.  value may be None only when the root is the leaf.
+    demand at position t of the order), or None if there is none.  The
+    node holds the demands before position t placed, by the flags of
+    prefix; the root is t = 0, prefix = 0, and every routing is a
+    completion of it.  Depth first, clockwise first, cutting nodes whose
+    bound exceeds value; within a leaf the first argmin wins.  value may
+    be None only when the root is the leaf.
     """
-
-    def visit(t: int, cur: np.ndarray, prefix: int) -> tuple[int, int] | None:
-        if t == len(plan.choices):
-            objective = (plan.leaf + cur).max(axis=1)
-            pos = int(np.argmin(objective))
-            if value is None or objective[pos] <= value:
-                return int(objective[pos]), prefix << plan.leaf_bits | pos
-            return None
-        for bit, row in enumerate(plan.choices[t]):
-            child = cur + row
-            if _cut_bound(child, plan.remaining[t + 1]) <= value:
-                found = visit(t + 1, child, 2 * prefix + bit)
-                if found is not None:
-                    return found
+    if t == len(plan.choices):
+        objective = (plan.leaf + cur).max(axis=1)
+        pos = int(np.argmin(objective))
+        if value is None or objective[pos] <= value:
+            return int(objective[pos]), prefix << plan.leaf_bits | pos
         return None
-
-    return visit(0, root, 0)
+    for bit, row in enumerate(plan.choices[t]):
+        child = cur + row
+        if _cut_bound(child, plan.remaining[t + 1]) <= value:
+            found = _first_at_most(plan, child, value, t + 1, 2 * prefix + bit)
+            if found is not None:
+                return found
+    return None
 
 
 def _enumerate_min(

@@ -46,15 +46,15 @@ the lead's is gathered by code from two cached tables, one over position
 over positions.  Only rows where some aligned image ties the identity on
 the high half compare low halves.  The DP screen (exact.dp_feasible_block)
 drops every row with a routing of increase at most threshold - 1: each
-row starts from its lead's masks, built once per scan for every code and
-end point, and runs its part's levels only.  Only the survivors are
-assembled into whole pair sequences and get a full minimum-increase
-computation (exact.dp_min_increase).  A lead table is kept only within
-_LEAD_TABLE_BYTES; past that (large D or m, Python-int masks at large t)
-the rows pack their own leads or the screen starts at level 0.  Every
-step falls back from int64 to Python ints where int64 could overflow
-(half keys at (D+1)^m >= 2^63, quotients of indices at or above 2^63), so
-the scan is exact for any m and D.
+row starts from its lead's masks, built for every code and end point and
+kept for the latest (m, D, t), and runs its part's levels only.  Only the
+survivors are assembled into whole pair sequences and get a full
+minimum-increase computation (exact.dp_min_increase).  A lead table is
+kept only within _LEAD_TABLE_BYTES; past that (large D or m, Python-int
+masks at large t) the rows pack their own leads or the screen starts at
+level 0.  Every step falls back from int64 to Python ints where int64
+could overflow (half keys at (D+1)^m >= 2^63, quotients of indices at or
+above 2^63), so the scan is exact for any m and D.
 
 Given a directory, a shard keeps its hit records (hit_record) and then its
 last finished index in mM-dD-tT-shard-I-of-N.txt there, replaced atomically
@@ -69,9 +69,8 @@ import os
 import re
 import sys
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -302,6 +301,7 @@ def _leads(m: int, D: int) -> _Leads:
     )
 
 
+@lru_cache(maxsize=1)
 def _lead_masks(m: int, D: int, t: int) -> np.ndarray | None:
     """The DP screen's masks after each lead, or None beyond _LEAD_TABLE_BYTES.
 
@@ -309,6 +309,8 @@ def _lead_masks(m: int, D: int, t: int) -> np.ndarray | None:
     exact._level_masks reaches after lead c's positions, for
     dp_feasible_block's start.  The leads reach v = D - 1, the family's
     largest, so the dtype _level_masks picks for them suits every part.
+    Only the latest (m, D, t) table is kept, read-only: a scan uses one t,
+    and a process that sweeps t holds one table at a time.
     """
     groups, U, V = _decode_tables(m, D)
     radix = groups[0][0]
@@ -316,6 +318,7 @@ def _lead_masks(m: int, D: int, t: int) -> np.ndarray | None:
     if not _fits((radix, len(ys)), _mask_dtype(t, D - 1), 1 << max(t + 1, 0)):
         return None
     *_, masks = _level_masks(U[:radix], V[:radix], t, ys)
+    masks.setflags(write=False)
     return masks
 
 
@@ -575,5 +578,8 @@ def search_parallel(
     shards = [(index, _SHARDS) for index in range(_SHARDS)]
     if jobs <= 1:
         return [hit for shard in shards for hit in scan(shard)]
+    # imported here, so that importing ringload does not import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, _SHARDS)) as pool:
         return [hit for hits in pool.map(scan, shards) for hit in hits]

@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, output hygiene."""
 
+import argparse
 import json
 import random
 import sys
@@ -8,7 +9,7 @@ import time
 import pytest
 
 from conftest import Interrupted, fail_after, random_ring
-from ringload import search
+from ringload import cli, search
 from ringload.cli import main
 from ringload.fileio import write_instance
 from ringload.instances import builtin, random_crossing
@@ -195,6 +196,55 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["solve"])  # missing -i
     assert excinfo.value.code == 2
+
+
+def run_main(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # usage errors and --help
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+SEARCH_2_4 = ("search", "--m", "2", "--d", "4", "--threshold", "1")
+ONE_PROCESS_COMMANDS = [
+    ("solve",),  # missing -i
+    ("verify", "fig6"),
+    (*SEARCH_2_4, "--shard", "0/1"),
+    (*SEARCH_2_4, "--full", "--jobs", "1"),  # --shard from the call before must not stay
+    (*SEARCH_2_4, "--shard", "0/1"),  # nor --full and --jobs
+    (*SEARCH_2_4, "--full", "--jobs", "0"),
+    ("search", "--help"),
+    ("gen", "--m", "3", "--d", "4", "--seed", "5"),
+]
+
+
+def test_the_cached_parser_answers_as_a_fresh_one(capsys, monkeypatch):
+    cached = [run_main(capsys, argv) for argv in ONE_PROCESS_COMMANDS]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run_main(capsys, argv) for argv in ONE_PROCESS_COMMANDS]
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [2, 0, 0, 0, 0, 2, 0, 0]
+    assert "the following arguments are required: -i/--instance" in cached[0][2]
+    assert cached[2][1] and cached[3][1] == cached[2][1] == cached[4][1]
+
+
+def test_main_builds_the_parser_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    run_main(capsys, ("verify", "fig6"))
+    first = len(built)
+    for argv in ONE_PROCESS_COMMANDS:
+        run_main(capsys, argv)
+    assert built.count("ringload") == 1 and len(built) == first
 
 
 def test_loads_command(capsys, fig2_file):

@@ -1,5 +1,6 @@
 """Exact solvers: branch and bound against its oracles, DP feasibility, DP optimum."""
 
+import gc
 import itertools
 import random
 import tracemalloc
@@ -595,6 +596,20 @@ def test_cut_bound_node_ceiling(monkeypatch, tmp_path, capsys, argv, ceiling):
     assert main(list(argv)) == 0
     capsys.readouterr()
     assert 0 < nodes <= ceiling
+
+
+def test_branch_and_bound_leaves_no_reference_cycles():
+    # Its tables are freed on return, not when the cyclic collector runs.
+    fig7, _ = builtin("fig7")
+    inst, split = random_crossing(21, 10, seed=0).to_ring()
+    gc.collect()
+    gc.disable()
+    try:
+        brute_force_optimum_L(fig7)
+        brute_force_min_increase(inst, split)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_optimum_L_is_exact_near_the_int64_limit():

@@ -1,9 +1,12 @@
 """Structured-family search: canonicalization, sharding, thresholds."""
 
+import concurrent.futures
 import itertools
 import json
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -503,6 +506,7 @@ def test_lead_tables_stay_small(m, D, t):
     search._decode_tables(m, D)
     search._symmetries(m, D)
     search._leads.cache_clear()
+    search._lead_masks.cache_clear()
     tracemalloc.start()
     try:
         tables = search._leads(m, D), search._lead_masks(m, D, t)
@@ -511,6 +515,15 @@ def test_lead_tables_stay_small(m, D, t):
         tracemalloc.stop()
     assert tables[0].radix > 1000
     assert size < 16 * 2**20
+
+
+def test_lead_masks_keep_the_latest_table_read_only():
+    masks = search._lead_masks(8, 10, 10)
+    assert search._lead_masks(8, 10, 10) is masks
+    assert not masks.flags.writeable
+    search._lead_masks(8, 10, 9)  # a scan at another t replaces the table
+    assert search._lead_masks.cache_info().currsize == 1
+    assert search._lead_masks(8, 10, 10) is not masks
 
 
 @pytest.mark.parametrize("m, D, threshold", [(2, 1000, 700), (10, 200, 150)])
@@ -875,7 +888,16 @@ def test_a_parallel_search_starts_at_most_one_process_per_shard(monkeypatch, job
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     threshold = from_int(1)
     assert search_parallel(2, 4, threshold, jobs=jobs) == search_lower_bound(2, 4, threshold)
     assert started == [min(jobs, search._SHARDS)]
+
+
+def test_importing_ringload_leaves_out_the_process_pool():
+    # search_parallel imports the pool itself, for --full --jobs J > 1 only.
+    code = "import sys, ringload; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=os.environ | {"PYTHONPATH": str(Path(search.__file__).parents[1])},
+                         check=True)
+    assert out.stdout.strip() == "False"
