@@ -210,10 +210,10 @@ def _cmd_search(args) -> int:
         raise InvalidSetting("--shard and --full exclude each other; pass one of them")
     if args.shard is not None and args.jobs is not None:
         raise InvalidSetting("--jobs needs --full; a shard runs in one process")
+    family = search.StructuredFamily(args.m, args.d)  # checks m and D before any scan
     if args.shard is None and not args.full:
-        size = search.StructuredFamily(args.m, args.d).size
         raise RingLoadingError(
-            f"the m={args.m}, D={args.d} family has {size} members; pass --full "
+            f"the m={args.m}, D={args.d} family has {family.size} members; pass --full "
             "to scan them all, or --shard I/N for one slice"
         )
     m, d, threshold = args.m, args.d, from_int(args.threshold)

@@ -29,24 +29,22 @@ satisfies (y-t)/2 <= p(k) <= (y+t)/2; this window condition is exactly
 max_k |2 p(k) - y| <= t, the additive performance for x = 0.  Two
 layouts of the same shift-or recurrence serve the callers.  Column-major,
 _level_masks yields, level by level, the reachable points of a block of
-rows (pairs sequences) and end points ys at once, one bitmask over each
-integer window per (row, y), starting from p(0) = 0, which lies in the
-window whenever |y| <= t; p(m) = y is reachable exactly when bit y - lo
-of the last mask is set, so no parity rule is needed.  Every row has its
-own steps, so each mask shifts on its own: int64 while the window and
-its shift fit 62 bits, Python ints beyond.  dp_feasible_block (the
-search screen) runs every y in [-t, t] for many rows of small t this
-way; rows that share a prefix of pairs (the search's lead) can start
-from that prefix's last masks instead of p(0) = 0 and run only the
-levels after it.  dp_feasible runs one row and one y and rebuilds the
-predecessor choices by walking its masks backward.  Position-major,
-_probe tests many end points of one row: points are array rows and end
-points are bits of uint64 words, and as all end points of one parity
-share the window width and every step, a level is two slice-ORs at any
-D.  dp_min_increase binary-searches t on one row with _probe (the window
-only grows with t); each probe after a feasible one tests only the end
-points found feasible there, and the routing is the walk back from the
-smallest feasible y.
+rows (pairs sequences) and end points ys at once, one int64 bitmask over
+each integer window per (row, y), starting from p(0) = 0, which lies in
+the window whenever |y| <= t; p(m) = y is reachable exactly when bit
+y - lo of the last mask is set, so no parity rule is needed.  Every row
+has its own steps, so each mask shifts on its own, within int64 while
+t + 1 + max v <= 62.  Position-major, _probe tests many end points of
+one row: points are array rows and end points are bits of uint64 words,
+and as all end points of one parity share the window width and every
+step, a level is two slice-ORs at any D.  dp_feasible_block (the search
+screen) runs every y in [-t, t] for many rows column-major, rows that
+share a prefix of pairs (the search's lead) starting from its last masks,
+and rows past 62 bits one at a time on _probe.  dp_min_increase
+binary-searches t on one row with _probe (the window only grows with t);
+each probe after a feasible one tests only the end points found feasible
+there.  The routing (dp_feasible, dp_min_increase) is the walk back over
+one end point's masks, shifted in Python ints.
 """
 
 from __future__ import annotations
@@ -77,6 +75,8 @@ _CHUNK_BITS = 12
 # a probe take about 2t^2 bits, gigabytes at D = 10^5, so wider probes run
 # in column chunks (of at least 64 end points in the position-major one).
 _MASK_BITS = 1 << 24
+# Bits of an int64 mask that a shifted window may reach, below the sign bit.
+_INT64_MASK_BITS = 62
 # Largest start bound t, in grid units, of dp_min_increase.  Its first
 # probe has about 2t end points over windows of about t points, in uint64
 # words; D = 10^5 starts at t = 1.5 * 10^5, and at t = 1 << 24 a chunk of
@@ -266,38 +266,26 @@ def _window(t, y):
     return -((t - y) // 2), (y + t) // 2
 
 
-def _mask_dtype(t: int, top: int) -> type:
-    """int64 while a window of at most t + 1 bits shifted left by top stays below the sign bit."""
-    return np.int64 if t + 1 + top <= 62 else object
-
-
 def _level_masks(
     U: np.ndarray, V: np.ndarray, t: int, ys: np.ndarray, start: np.ndarray | None = None
 ) -> Iterator[np.ndarray]:
     """Reachable-point masks of the start level and of one level per column of U.
 
-    Each is a (rows, len(ys)) array.  Row r stands for the pairs (U[r, k],
-    V[r, k]) and column c for the end point y = ys[c], every |y| <= t.
-    Points are confined to the window [lo, hi] of (t, y), which holds
-    p(0) = 0 whenever |y| <= t; bit b of a mask stands for point lo + b.
-    The start level is level 0, the single point p(0) = 0, unless start
-    gives it: masks of the same (t, ys) that earlier levels reached, so
-    that rows sharing a prefix of pairs run only the levels after it.  The
-    masks are int64 while every shifted bit stays below the sign bit (a
-    window of at most t + 1 bits, shifted left by at most max V) and
-    Python ints otherwise, whichever start is.
+    Each is a (rows, len(ys)) int64 array.  Row r stands for the pairs
+    (U[r, k], V[r, k]) and column c for the end point y = ys[c], every
+    |y| <= t.  Points are confined to the window [lo, hi] of (t, y), which
+    holds p(0) = 0 whenever |y| <= t; bit b of a mask stands for point
+    lo + b.  The start level is level 0, the single point p(0) = 0, unless
+    start gives it: masks of the same (t, ys) that earlier levels reached,
+    so that rows sharing a prefix of pairs run only the levels after it.
+    The caller keeps t + 1 + max V within _INT64_MASK_BITS.
     """
-    dtype = _mask_dtype(t, int(V.max(initial=0)))
+    assert t + 1 + int(V.max(initial=0)) <= _INT64_MASK_BITS, "the masks would overflow int64"
     lo, hi = _window(t, ys)
-    one = np.ones(len(ys), dtype=dtype)
-    full = (one << (hi - lo + 1).astype(dtype)) - one
-    if start is None:
-        mask = np.broadcast_to(one << (-lo).astype(dtype), (len(U), len(ys)))
-    else:
-        mask = start.astype(dtype, copy=False)
+    full = (1 << (hi - lo + 1)) - 1
+    mask = np.broadcast_to(1 << -lo, (len(U), len(ys))) if start is None else start
     yield mask
     for k in range(U.shape[1]):
-        # in place, so that Python-int masks of at most three levels live at once
         step = mask << V[:, k : k + 1]
         step |= mask >> U[:, k : k + 1]
         step &= full
@@ -340,19 +328,17 @@ def _probe(pairs: list[tuple[int, int]], t: int, ys: np.ndarray) -> np.ndarray:
     return found
 
 
-def _one_row(pairs: list[tuple[int, int]]) -> np.ndarray:
-    """The pairs as one-row arrays U and V of shape (1, m)."""
-    return np.array(pairs).reshape(-1, 2).T[:, None, :]
-
-
 def _walk_back(pairs: list[tuple[int, int]], t: int, y: int) -> UnsplitRouting | None:
     """The routing to p(m) = y with increase at most t, clockwise steps first, if any.
 
-    Needs |y| <= t.  Walks the masks of the single end point y backward.
+    Needs |y| <= t.  Shift-ors the masks of the single end point y forward
+    in Python ints, then walks them backward.
     """
-    U, V = _one_row(pairs)
-    masks = [int(mask[0, 0]) for mask in _level_masks(U, V, t, np.array([y]))]
     lo, hi = _window(t, y)
+    full = (1 << (hi - lo + 1)) - 1
+    masks = [1 << -lo]
+    for u, v in pairs:
+        masks.append((masks[-1] << v | masks[-1] >> u) & full)
 
     def reached(k: int, point: int) -> bool:
         return lo <= point <= hi and bool((masks[k] >> (point - lo)) & 1)
@@ -394,10 +380,20 @@ def dp_feasible_block(
     _MASK_BITS mask bits.  Every row starts at p(0) = 0, unless start =
     (masks, codes) is given: then row r continues the pairs of a prefix
     from masks[codes[r]], whose column y + t is the prefix's last level
-    for end point y (as _level_masks yields it at t).
+    for end point y (as _level_masks yields it at t).  Where the masks
+    would pass int64 (t + 1 + max V > 62) the rows run one at a time on
+    _probe, and start is an error there.
     """
     ys = np.arange(-t, t + 1)
-    chunk = max(1, _MASK_BITS // max(1, len(U) * (t + 1 + int(V.max(initial=0)))))
+    bits = t + 1 + int(V.max(initial=0))
+    if bits > _INT64_MASK_BITS:
+        if start is not None:
+            raise ValueError(f"start masks are int64; t + 1 + max V = {bits} > {_INT64_MASK_BITS}")
+        return np.array(
+            [_probe(list(zip(u, v)), t, ys).any() for u, v in zip(U.tolist(), V.tolist())],
+            dtype=bool,
+        )
+    chunk = max(1, _MASK_BITS // max(1, len(U) * bits))
     feasible = np.zeros(len(U), dtype=bool)
     for c in range(0, len(ys), chunk):
         part = ys[c : c + chunk]
@@ -405,7 +401,7 @@ def dp_feasible_block(
         for mask in _level_masks(U, V, t, part, first):
             pass
         lo, _ = _window(t, part)
-        feasible |= (((mask >> (part - lo).astype(mask.dtype)) & 1) == 1).any(axis=1)
+        feasible |= (mask >> (part - lo) & 1).any(axis=1)
     return feasible
 
 
@@ -415,10 +411,9 @@ def dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, Scaled]:
     Feasibility only grows with t, and so does the set of feasible end
     points, so once a probe is feasible the smaller probes after it test
     only the end points found feasible there.  Probes run position-major
-    (_probe): one row tests hundreds to thousands of end points, which
-    column-major masks would hold as Python ints beyond 62 bits.  The
-    routing is the walk back from the smallest feasible end point at the
-    minimum t, on the column-major masks of that one end point.
+    (_probe): one row tests hundreds to thousands of end points, whose
+    windows pass 62 bits at moderate D.  The routing is the walk back from
+    the smallest feasible end point at the minimum t.
     """
     g, pairs = _unit_pairs(cross)
     if not pairs:

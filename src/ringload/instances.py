@@ -23,6 +23,7 @@ the enumeration result, so the data cannot drift silently.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -192,8 +193,11 @@ def _pair_list(m: int) -> list[tuple[int, int]]:
     """A list of m pairs to fill, allocated at once.
 
     Where m pairs are beyond memory this raises MemoryError before any
-    work, instead of a loop growing a list until the system runs out.
+    work, instead of a loop growing a list until the system runs out; a
+    list holds at most sys.maxsize items.
     """
+    if m > sys.maxsize:
+        raise InfeasibleParams(f"need m <= sys.maxsize = {sys.maxsize}")
     return [(0, 0)] * m
 
 

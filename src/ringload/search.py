@@ -41,20 +41,19 @@ index order; at m=8, D=10 about one index in ten becomes a row.
 _canonical then keeps the canonical rows by comparing packed
 lexicographic keys of all images at once, in two halves: a high key is
 the lead's term plus the part's.  The part's is computed once per part;
-the lead's is gathered by code from two cached tables, one over position
-0's free pair and one over the rest of the lead, since a key is a sum
-over positions.  Only rows where some aligned image ties the identity on
-the high half compare low halves.  The DP screen (exact.dp_feasible_block)
+the lead's is gathered by code from one cached table, since a key is a
+sum over positions.  Only rows where some aligned image ties the identity
+on the high half compare low halves.  The DP screen (exact.dp_feasible_block)
 drops every row with a routing of increase at most threshold - 1: each
 row starts from its lead's masks, built for every code and end point and
 kept for the latest (m, D, t), and runs its part's levels only.  Only the
 survivors are assembled into whole pair sequences and get a full
-minimum-increase computation (exact.dp_min_increase).  A lead table is
-kept only within _LEAD_TABLE_BYTES; past that (large D or m, Python-int
-masks at large t) the rows pack their own leads or the screen starts at
-level 0.  Every step falls back from int64 to Python ints where int64
-could overflow (half keys at (D+1)^m >= 2^63, quotients of indices at or
-above 2^63), so the scan is exact for any m and D.
+minimum-increase computation (exact.dp_min_increase).  A table is cached
+only if it is int64 and within _LEAD_TABLE_BYTES; past that (large D or
+m, masks past 62 bits at large t + D) the rows pack their own leads or
+screen from level 0, on exact._probe past 62 bits.  Half keys at (D+1)^m
+>= 2^63 and index quotients at or above 2^63 are Python ints, so the
+scan is exact for any m and D.
 
 Given a directory, a shard keeps its hit records (hit_record) and then its
 last finished index in mM-dD-tT-shard-I-of-N.txt there, replaced atomically
@@ -67,7 +66,6 @@ import json
 import math
 import os
 import re
-import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
@@ -77,7 +75,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleParams, SchemaError
-from .exact import _level_masks, _mask_dtype, dp_feasible_block, dp_min_increase
+from .exact import _INT64_MASK_BITS, _level_masks, dp_feasible_block, dp_min_increase
 from .reduction import rotated, standalone_crossing
 from .scaled import Scaled, from_int, rational_str, unscale
 
@@ -89,8 +87,7 @@ Pairs = tuple[tuple[int, int], ...]  # plain-integer (u, v) sequences
 _BLOCK = 8192
 _SHARDS = 64  # of search_parallel; fixed, so checkpoint names do not depend on jobs
 _CHECKPOINT_STEP = 1 << 24  # indices between saves; a block that reaches one ends there
-_TABLE_ROWS = 1 << 17  # most rows of one decode table, about 4 MB
-_LEAD_TABLE_BYTES = 1 << 22  # most bytes of one per-lead table; larger ones are not built
+_LEAD_TABLE_BYTES = 1 << 22  # most bytes of one cached table; larger ones are not built
 
 
 def _reflect(pairs: Pairs) -> Pairs:
@@ -183,14 +180,14 @@ def _decode_tables(m: int, D: int) -> tuple[tuple[tuple[int, int], ...], np.ndar
 
     A group is a (free, pinned) position pair of radix R = (D/2)^2 (D-1),
     decoded by one % and one //: row c of the (R, 2) tables U and V holds
-    the pair at digit c.  Where R would exceed _TABLE_ROWS (D > 80), each
+    the pair at digit c.  Where the two tables would not _fit (D > 80), each
     position is a group of its own, and the (1-column) tables hold the free
     rows and then the pinned rows.  Each group is (radix, first table row).
     """
     free_u, free_v = np.array([_free_pair(code) for code in range((D // 2) ** 2)]).T
     pinned_u = np.arange(1, D)
     F, P = len(free_u), len(pinned_u)
-    if F * P > _TABLE_ROWS:
+    if not _fits((F * P, 4), np.int64):
         groups = ((F, 0), (P, F)) * (m // 2)
         U = np.concatenate([free_u, pinned_u])[:, None]
         V = np.concatenate([free_v, D - pinned_u])[:, None]
@@ -230,10 +227,9 @@ def _pack(U: np.ndarray, V: np.ndarray, D: int) -> np.ndarray:
     return np.concatenate([U * base + V, V * base + U], axis=1)
 
 
-def _fits(shape: tuple[int, ...], dtype: type, top: int) -> bool:
-    """Whether a table of shape, of int64 or of Python ints below top, fits _LEAD_TABLE_BYTES."""
-    entry = 8 if dtype != object else 8 + sys.getsizeof(top)
-    return math.prod(shape) * entry <= _LEAD_TABLE_BYTES
+def _fits(shape: tuple[int, ...], dtype: type) -> bool:
+    """Whether a table of shape and dtype may be cached: int64, within _LEAD_TABLE_BYTES."""
+    return dtype == np.int64 and math.prod(shape) * 8 <= _LEAD_TABLE_BYTES
 
 
 class _Leads(NamedTuple):
@@ -253,12 +249,9 @@ class _Leads(NamedTuple):
     always[g] says that image g is one; lead and part weights are the rows
     of the high weight matrix over the lead's and the part's columns.
 
-    terms caches the lead's share of the high keys, _pack(U, V, D) @
-    lead_weights over the lead codes, as the sum of two tables: a code is
-    c = r F + f, F = (D/2)^2, with f its free pair at position 0 and r
-    the rest, its pinned pair where there is one and 0 beyond D = 80.  Row
-    c of that product is first[f] + rest[r].  terms is None where the
-    tables would exceed _LEAD_TABLE_BYTES.
+    terms caches the lead's share of the high keys, row c of the (radix,
+    G) table _pack(U, V, D) @ lead_weights over the lead codes; it is None
+    where that table does not _fit.
     """
 
     radix: int
@@ -269,7 +262,7 @@ class _Leads(NamedTuple):
     always: np.ndarray
     lead_weights: np.ndarray
     part_weights: np.ndarray
-    terms: tuple[np.ndarray, np.ndarray] | None
+    terms: np.ndarray | None
 
 
 @cache
@@ -285,16 +278,10 @@ def _leads(m: int, D: int) -> _Leads:
     parity = U[:radix].sum(axis=1) & 1
     value_d = (U[:radix] + V[:radix] == D).all(axis=1)
     always = (odd_sources % 2).all(axis=1)
-    tables = [keys, parity, value_d, always]
-    F, terms = (D // 2) ** 2, None
-    if _fits((F + radix // F, high.shape[1]), high.dtype, (D + 1) ** m):
-        terms = (
-            _pack(U[:F, :1], V[:F, :1], D) @ high[[0, m]],
-            _pack(U[:radix:F, 1:], V[:radix:F, 1:], D) @ high[[f for f in lead if f % m]],
-        )
-        tables += terms
-    for array in tables:
-        array.setflags(write=False)
+    terms = packed @ high[lead] if _fits((radix, high.shape[1]), high.dtype) else None
+    for array in (keys, parity, value_d, always, terms):
+        if array is not None:
+            array.setflags(write=False)
     return _Leads(
         radix, keys, parity, value_d, [part.index(f) for f in firsts if f in part],
         always, high[lead], high[part], terms,
@@ -303,19 +290,19 @@ def _leads(m: int, D: int) -> _Leads:
 
 @lru_cache(maxsize=1)
 def _lead_masks(m: int, D: int, t: int) -> np.ndarray | None:
-    """The DP screen's masks after each lead, or None beyond _LEAD_TABLE_BYTES.
+    """The DP screen's masks after each lead, or None where the table does not _fit.
 
     Row c, column y + t is the mask of end point y in [-t, t] that
     exact._level_masks reaches after lead c's positions, for
-    dp_feasible_block's start.  The leads reach v = D - 1, the family's
-    largest, so the dtype _level_masks picks for them suits every part.
+    dp_feasible_block's start.  They are int64 only while t + D <= 62: the
+    leads reach v = D - 1, the family's largest, so every part fits then.
     Only the latest (m, D, t) table is kept, read-only: a scan uses one t,
     and a process that sweeps t holds one table at a time.
     """
     groups, U, V = _decode_tables(m, D)
     radix = groups[0][0]
     ys = np.arange(-t, t + 1)
-    if not _fits((radix, len(ys)), _mask_dtype(t, D - 1), 1 << max(t + 1, 0)):
+    if t + D > _INT64_MASK_BITS or not _fits((radix, len(ys)), np.int64):
         return None
     *_, masks = _level_masks(U[:radix], V[:radix], t, ys)
     masks.setflags(write=False)
@@ -376,7 +363,7 @@ def _canonical(rows: _Rows, m: int, D: int) -> np.ndarray:
     free positions all carry value D (their odd positions read exactly the
     free positions).  A high key is its part's term, computed once per
     part, plus its lead's, gathered by code from the cached terms (packed
-    row by row where they are not kept), and value-D flags are the part's
+    row by row where they are not cached), and value-D flags are the part's
     and the code's; only rows where some counted image ties the identity
     on the high key compare low keys.  The products are int64 or Python
     ints, as the weights are.
@@ -388,10 +375,7 @@ def _canonical(rows: _Rows, m: int, D: int) -> np.ndarray:
         _, U, V = _decode_tables(m, D)
         keys += _pack(U[rows.code], V[rows.code], D) @ leads.lead_weights
     else:
-        first, rest = leads.terms
-        r, f = np.divmod(rows.code, len(first))
-        keys += first.take(f, axis=0)
-        keys += rest.take(r, axis=0)
+        keys += leads.terms.take(rows.code, axis=0)
     value_d = (rows.part_u + rows.part_v == D).all(axis=1)[rows.part]
     value_d &= leads.value_d[rows.code]
     counted = leads.always | value_d[:, None]
@@ -427,6 +411,11 @@ class StructuredFamily:
             raise InfeasibleParams(
                 "structured family needs even m >= 2 and even D >= 2"
             )
+        # At most 4300 digits, Python's limit for printing an int, so that every
+        # index prints; checked on logarithms, as the size can take hours.
+        choices = self.free_choices * self.pinned_choices
+        if choices > 1 and self.m // 2 >= 4300 / math.log10(choices):
+            raise InfeasibleParams(f"the m={self.m}, D={self.D} family has 10^4300 members or more")
 
     @property
     def free_choices(self) -> int:

@@ -5,6 +5,7 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -303,6 +304,21 @@ def test_gen_beyond_memory_is_a_one_line_error(capsys, flags):
     assert err == "error: MemoryError: out of memory\n"
 
 
+@pytest.mark.parametrize("flags", [(), ("--structured",)], ids=["random", "structured"])
+def test_gen_beyond_sys_maxsize_is_a_one_line_error(capsys, flags):
+    # m is checked before the m pairs are allocated.
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "gen", "--m", str(sys.maxsize + 1), "--d", "4",
+                                 "--seed", "1", *flags)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err == f"error: InfeasibleParams: need m <= sys.maxsize = {sys.maxsize}\n"
+    assert peak < 2**20
+
+
 def test_extend_command(capsys, fig2_file):
     code, out, err = run_cli(capsys, "extend", "-i", fig2_file)
     assert code == 0
@@ -330,6 +346,29 @@ def test_search_requires_full_or_shard(capsys):
     assert code == 1
     assert "--full" in err
     assert "2562890625 members" in err and "hours" not in err
+
+
+@pytest.mark.parametrize("m, scan", [
+    ("20000", ()),  # the size, 12^10000, has 10793 digits
+    ("100000000000000000000", ("--shard", "0/1")),  # 12^(5 10^19) would take hours
+])
+def test_search_beyond_the_size_bound_is_a_one_line_error(capsys, monkeypatch, m, scan):
+    # The bound is checked on logarithms, before the size is computed.
+    def size(family):
+        raise AssertionError("the size was computed")
+
+    monkeypatch.setattr(search.StructuredFamily, "size", property(size))
+    code, out, err = run_cli(capsys, "search", "--m", m, "--d", "4", "--threshold", "3", *scan)
+    assert code == 1 and out == ""
+    assert err == f"error: InfeasibleParams: the m={m}, D=4 family has 10^4300 members or more\n"
+
+
+def test_search_family_sizes_print_up_to_the_bound(capsys):
+    # 12^3984 has 4300 digits, 12^3985 has 4301.
+    code, _, err = run_cli(capsys, "search", "--m", "7968", "--d", "4", "--threshold", "3")
+    assert code == 1 and f"has {12**3984} members" in err
+    code, _, err = run_cli(capsys, "search", "--m", "7970", "--d", "4", "--threshold", "3")
+    assert code == 1 and "10^4300 members or more" in err
 
 
 @pytest.mark.parametrize("options", [

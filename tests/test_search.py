@@ -382,14 +382,31 @@ def test_block_screen_matches_scalar_screen_off_the_family():
             assert_screen_matches_oracle(U, V, t)
 
 
-def test_block_screen_on_python_ints_when_the_shifts_overflow_int64():
+def test_block_screen_on_probes_when_the_shifts_overflow_int64(monkeypatch):
+    # Past 62 mask bits every row runs on exact._probe, never on int64 masks.
     family = StructuredFamily(4, 70)
     rng = random.Random(86)
     U, V = decode_indices(family, [rng.randrange(family.size) for _ in range(300)])
+    monkeypatch.setattr(exact, "_level_masks", None)
     outcomes = set()
     for t in (20, 70, 100):
         assert t + 1 + V.max() > 62
         outcomes.update(assert_screen_matches_oracle(U, V, t))
+    assert outcomes == {True, False}
+
+
+def test_block_screen_past_62_bits_matches_scalar_oracle(monkeypatch):
+    # V up to 70 puts every block past 62 mask bits, from t = -1 on; odd
+    # u + v and zeros reach both parities and the edge cases of a step.
+    rng = np.random.default_rng(95)
+    monkeypatch.setattr(exact, "_level_masks", None)
+    outcomes = set()
+    for m in range(1, 6):
+        U = rng.integers(0, 71, size=(30, m))
+        V = rng.integers(0, 71, size=(30, m))
+        V[0, 0] = 70
+        for t in (-1, 0, 5, 40, 80):
+            outcomes.update(assert_screen_matches_oracle(U, V, t))
     assert outcomes == {True, False}
 
 
@@ -405,31 +422,27 @@ def test_lead_screen_matches_block_screen_on_whole_families(m, D):
 
 
 @pytest.mark.parametrize("m, D, ts", [
-    (4, 82, {20: True, 30: True, 31: False, 59: False}),
-    (10, 76, {30: False, 59: False, 100: False}),
+    (4, 82, (20, 30, 31, 59)),
+    (10, 76, (30, 59, 100)),
 ])
-def test_lead_screen_on_python_int_masks(m, D, ts):
-    # The masks are Python ints at these t.  The lead table is built where
-    # it fits _LEAD_TABLE_BYTES (D = 82, t <= 30: 1681 leads of position 0
-    # alone); elsewhere the rows run from level 0.  Start masks gathered for
-    # the rows' own leads continue them as the table would.
+def test_lead_screen_beyond_int64_masks(m, D, ts):
+    # The masks would pass int64 at these t, so no lead table is built, not
+    # even where one would fit _LEAD_TABLE_BYTES (D = 82: 1681 leads of
+    # position 0 alone), and the rows run from level 0 on exact._probe.
+    # Every 50th row is checked against the scalar DP too.
     family = StructuredFamily(m, D)
     rng = random.Random(92 + D)
-    _, U, V = search._decode_tables(m, D)
-    width = U.shape[1]
     outcomes = set()
     for _ in range(2):
         lo = rng.randrange(family.size - 1500)
         rows = odd_rows(family, lo, lo + 1500)
-        leads, inverse = np.unique(rows.code, return_inverse=True)
-        full_u, full_v = rows.pairs(m, D)
-        for t, cached in ts.items():
+        for t in ts:
             assert t + D > 62  # beyond int64 masks
-            expected = assert_lead_screen_matches_block_screen(rows, m, D, t, cached)
-            start = (prefix_masks(U[leads], V[leads], t), inverse)
-            assert start[0].dtype == object
-            part_u, part_v = full_u[:, width:], full_v[:, width:]
-            assert dp_feasible_block(part_u, part_v, t, start).tolist() == expected
+            expected = assert_lead_screen_matches_block_screen(rows, m, D, t, cached=False)
+            sample = rows.select(np.arange(0, len(rows.code), 50))
+            oracle = [scalar_feasible_any_y(pairs, t) is not None
+                      for pairs in rows_of(*sample.pairs(m, D))]
+            assert oracle == expected[::50]
             outcomes.update(expected)
     assert outcomes == {True, False}
 
@@ -437,11 +450,12 @@ def test_lead_screen_on_python_int_masks(m, D, ts):
 def test_block_screen_continues_a_prefix_from_its_masks():
     # Any split of any rows: the masks after the first k pairs, shared by
     # code, and the remaining pairs decide as the whole rows do.  V up to
-    # 70 makes the masks Python ints at every t; odd u + v and zeros reach
-    # both parities and the edge cases of the first step.
+    # 51 fills all 62 int64 mask bits at t = 10; odd u + v and zeros reach
+    # both parities and the edge cases of the first step.  Start masks
+    # past int64 are an error.
     rng = np.random.default_rng(93)
     for m in range(0, 7):
-        for top in (7, 70):
+        for top in (7, 52):
             U = rng.integers(0, top, size=(40, m))
             V = rng.integers(0, top, size=(40, m))
             U[20:], V[20:] = U[:20], V[:20]
@@ -452,6 +466,9 @@ def test_block_screen_continues_a_prefix_from_its_masks():
                     start = (prefix_masks(heads[:, :k], heads[:, k:], t), codes.ravel())
                     expected = dp_feasible_block(U, V, t).tolist()
                     assert dp_feasible_block(U[:, k:], V[:, k:], t, start).tolist() == expected
+    start = (prefix_masks(U[:, :1], V[:, :1], 10), np.arange(len(U)))
+    with pytest.raises(ValueError, match="int64"):
+        dp_feasible_block(U[:, 1:], V[:, 1:] + 52, 10, start)
 
 
 def test_lead_screen_in_column_chunks(monkeypatch):
@@ -482,17 +499,20 @@ def test_lead_screen_in_column_chunks(monkeypatch):
     (2, 4), (8, 10), (10, 10), (10, 76), (12, 40), (20, 10), (4, 82), (10, 82),
 ])
 def test_lead_key_terms_and_flags_code_by_code(m, D):
-    # m=12 at D=40, m=20 and m=10 at D=82 pack keys in Python ints.
+    # The terms are cached where their (radix, G) table is int64 and fits
+    # _LEAD_TABLE_BYTES: not at m=12, D=40, at m=20 or at m=10, D=82, which
+    # pack keys in Python ints, nor at m=10, D=76 (35 MB).
     leads = search._leads(m, D)
     _, U, V = search._decode_tables(m, D)
     U, V = U[: leads.radix], V[: leads.radix]
-    high = search._symmetries(m, D)[0]
-    first, rest = leads.terms
-    assert first.dtype == rest.dtype == high.dtype
-    assert len(first) == (D // 2) ** 2 and len(rest) == (1 if D > 80 else D - 1)
-    rest_code, first_code = np.divmod(np.arange(leads.radix), len(first))
     expected = search._pack(U, V, D) @ leads.lead_weights
-    assert (first[first_code] + rest[rest_code] == expected).all()
+    cached = expected.dtype == np.int64 and expected.nbytes <= search._LEAD_TABLE_BYTES
+    assert cached == ((m, D) in {(2, 4), (8, 10), (10, 10), (4, 82)})
+    if cached:
+        assert leads.terms.dtype == np.int64
+        assert (leads.terms == expected).all()
+    else:
+        assert leads.terms is None
     assert leads.value_d.tolist() == (U + V == D).all(axis=1).tolist()
     assert leads.value_d.any() and not leads.value_d.all()
 
@@ -501,7 +521,7 @@ def test_lead_key_terms_and_flags_code_by_code(m, D):
     (10, 76, 59), (4, 82, 59), (4, 82, 30), (4, 82, 123), (2, 46, 16), (12, 40, 21),
 ])
 def test_lead_tables_stay_small(m, D, t):
-    # All that _leads and _lead_masks keep, Python ints too, traced after
+    # All that _leads and _lead_masks keep, traced after
     # the decode tables and weights they start from.
     search._decode_tables(m, D)
     search._symmetries(m, D)
@@ -628,6 +648,18 @@ def test_block_decode_carries_through_every_position_pair(m, D):
     for carry in (top, (radix - 1) * top):
         assert_block_matches_decode(family, carry - 337, carry + 263)
     assert (family.size >= 2**63) == (m == 18)
+
+
+@pytest.mark.parametrize("D, width", [(80, 2), (82, 1)])
+def test_decode_tables_pair_positions_up_to_d80(D, width):
+    # Paired tables U and V have (D/2)^2 (D-1) rows of two int64 columns
+    # each: 126400 rows (3.9 MB) at D = 80, and 136161, past
+    # _LEAD_TABLE_BYTES, at D = 82, where each position is a group.
+    groups, U, V = search._decode_tables(4, D)
+    F, P = (D // 2) ** 2, D - 1
+    assert U.shape == V.shape == (F * P if width == 2 else F + P, width)
+    assert groups == (((F * P, 0),) * 2 if width == 2 else ((F, 0), (P, F)) * 2)
+    assert (F * P * 4 * 8 <= search._LEAD_TABLE_BYTES) == (width == 2)
 
 
 def test_block_path_on_a_family_larger_than_int64():
