@@ -25,6 +25,7 @@ InternalGuaranteeViolation (a bug, never an input problem).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (
     InternalGuaranteeViolation,
@@ -39,8 +40,9 @@ from .patterns import (
     find_close,
     greedy_points,
     performance,
+    walk_points,
 )
-from .reduction import CrossingInstance, rotated, standalone_crossing
+from .reduction import CrossingInstance, rotated
 from .scaled import Scaled, exact_div, halve
 
 
@@ -74,13 +76,18 @@ def pattern_from_solution(
     return Pattern(cross, tuple(points))
 
 
-def _report(pattern: Pattern, bound: Scaled, branch: str) -> SolveReport:
+def _report(
+    pattern: Pattern, bound: Scaled, branch: str, z: UnsplitRouting | None = None
+) -> SolveReport:
+    """Recheck the bound; z, when given, must be the pattern's directions."""
     perf = performance(pattern)
     if perf > bound:
         raise InternalGuaranteeViolation(
             f"branch {branch}: performance {perf} exceeds certified bound {bound}"
         )
-    return SolveReport(solution_from_pattern(pattern), perf, bound, branch, pattern)
+    if z is None:
+        z = solution_from_pattern(pattern)
+    return SolveReport(z, perf, bound, branch, pattern)
 
 
 def ssw_three_halves(cross: CrossingInstance) -> SolveReport:
@@ -109,23 +116,21 @@ def medium_demand_solve(
     r = (cross.m - 1 - i) % cross.m
     pairs = rotated(cross.pairs, r)
     u_m, v_m = pairs[-1]
-    rest = standalone_crossing(pairs[:-1], D)
 
-    target = halve(D + d_i) - v_m  # in [0, D] since d_i <= D and v_m <= d_i
-    prefix = greedy_points(rest, target, forward=False)
-    x = prefix[0]
-    if 2 * x <= D:
-        points = prefix + (target + v_m,)
-    else:
-        points = prefix + (target - u_m,)
-    rotated_pattern = Pattern(standalone_crossing(pairs, D), points)
+    target = halve(D + d_i) - v_m
+    assert 0 <= target <= D, "d_i <= D and v_m <= d_i keep the target in [0, D]"
+    points = walk_points(pairs[:-1], D, target, forward=False)
+    last = target + v_m if 2 * points[0] <= D else target - u_m
+    steps = [b - a for a, b in zip(points, points[1:])] + [last - target]
     bound = 3 * halve(D) - halve(delta_d)
 
     # Undo the rotation: old demands 0..m-r-1 sit at positions r.., the
-    # last r old demands at positions 0..r-1 with their directions swapped.
-    z_rot = solution_from_pattern(rotated_pattern).dirs
-    z = UnsplitRouting(z_rot[r:] + tuple(CW if flag == CCW else CCW for flag in z_rot[:r]))
-    return _report(pattern_from_solution(cross, z), bound, "medium")
+    # last r old demands at positions 0..r-1 with u and v swapped, so
+    # their steps change sign.  Steps +v are positive, steps -u negative.
+    steps = steps[r:] + [-step for step in steps[:r]]
+    pattern = Pattern(cross, tuple(accumulate(steps, initial=0)))
+    z = UnsplitRouting(tuple(CW if step > 0 else CCW for step in steps))
+    return _report(pattern, bound, "medium", z)
 
 
 def widest_margin_demand(cross: CrossingInstance) -> tuple[int, Scaled] | None:
@@ -133,8 +138,12 @@ def widest_margin_demand(cross: CrossingInstance) -> tuple[int, Scaled] | None:
 
     The first such demand wins ties; None when m = 0.
     """
-    margins = ((k, min(u + v, cross.D - u - v)) for k, (u, v) in enumerate(cross.pairs))
-    return max(margins, key=lambda choice: choice[1], default=None)
+    D = cross.D
+    margins = [d if 2 * d <= D else D - d for d in map(sum, cross.pairs)]
+    if not margins:
+        return None
+    widest = max(margins)
+    return margins.index(widest), widest
 
 
 def _small_big_bounds(D: Scaled) -> tuple[Scaled, Scaled]:

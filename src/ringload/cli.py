@@ -23,7 +23,6 @@ Commands:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 from pathlib import Path
@@ -41,8 +40,9 @@ def _read_instance(path: str, need_split: bool):
 
 
 def _emit(report: dict, summary: str) -> None:
-    json.dump(report, sys.stdout, indent=1)
-    sys.stdout.write("\n")
+    """Write the report as json.dumps(report, indent=1) and a newline, in one
+    write call, and the one-line summary to stderr."""
+    sys.stdout.write(fileio.report_text(report) + "\n")
     print(summary, file=sys.stderr)
 
 

@@ -17,15 +17,17 @@ Routing report (produced, never parsed):
     {"dirs": ["cw"|"ccw", ...], "max_increase": "p/q", "loads": ["p/q", ...]}
 
 All numeric report values are exact rational strings; no floating point
-appears in any output.  A document's ring checks itself on construction;
-its split is checked once, where it enters (parse_instance, write_instance).
+appears in any output.  report_text renders any report the CLI emits in
+the layout of json.dumps(report, indent=1), in one pass.  A document's
+ring checks itself on construction; its split is checked once, where it
+enters (parse_instance, write_instance).
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from typing import NamedTuple
+from json.encoder import encode_basestring_ascii as _quoted
 
 from .errors import InstanceSyntaxError, SchemaError
 from .model import Demand, RingInstance, SplitRouting, UnsplitRouting, validate_instance
@@ -41,40 +43,54 @@ def _require_int(obj: dict, key: str, where: str) -> int:
     return value
 
 
-class _Decimal(NamedTuple):
-    """A JSON number with a '.' or an exponent: mantissa * 10**shift, exactly."""
-
-    mantissa: int
-    shift: int
+class _Decimal(tuple):
+    """A JSON number with a '.' or an exponent: (mantissa, shift), exactly
+    mantissa * 10**shift; a bare tuple, made without a Python-level __new__."""
 
 
 def _decimal(text: str) -> _Decimal:
     mantissa, _, exponent = text.lower().partition("e")
     whole, _, fraction = mantissa.partition(".")
-    return _Decimal(int(whole + fraction), int(exponent or 0) - len(fraction))
+    return _Decimal((int(whole + fraction), int(exponent or 0) - len(fraction)))
 
 
-def _scaled_half_integer(value: object, d: int, where: str) -> Scaled:
-    if isinstance(value, bool):
-        raise SchemaError(f"{where}: field 'cw' must be a number")
-    if isinstance(value, int):
-        return from_int(value)
-    if isinstance(value, _Decimal):
-        # Clamping the shift keeps the outcome without a power of ten as long
-        # as the exponent: past d's digits an integer stays above d, and past
-        # the mantissa's digits 2 * value stays a non-integer.
-        mantissa, shift = value
+def _scaled_half_integer(value: object, d: int, pos: int) -> Scaled:
+    """A 'cw' that is not a plain int: exact on the half-integer grid, or an error."""
+    if not isinstance(value, _Decimal):
+        raise SchemaError(f"demand #{pos}: field 'cw' must be a number")
+    # Clamping the shift keeps the outcome without a power of ten as long
+    # as the exponent: past d's digits an integer stays above d, and past
+    # the mantissa's digits 2 * value stays a non-integer.  A shift in
+    # [-2, 2] is inside the clamp whatever the digits.
+    mantissa, shift = value
+    if not -2 <= shift <= 2:
         shift = max(-len(str(mantissa)) - 1, min(shift, len(str(d)) + 1))
-        if shift >= 0:
-            return from_int(mantissa * 10**shift)
-        if 2 * mantissa % 10**-shift == 0:
-            return mantissa * SCALE // 10**-shift
-        raise SchemaError(f"{where}: 'cw' must be an integer or half-integer")
-    raise SchemaError(f"{where}: field 'cw' must be a number")
+    if shift >= 0:
+        return from_int(mantissa * 10**shift)
+    if 2 * mantissa % 10**-shift == 0:
+        return mantissa * SCALE // 10**-shift
+    raise SchemaError(f"demand #{pos}: 'cw' must be an integer or half-integer")
+
+
+def _entry_ints(entry: object, pos: int) -> tuple[int, int, int]:
+    """The entry's i, j and d; words the error of the first one missing or wrong."""
+    where = f"demand #{pos}"
+    if not isinstance(entry, dict):
+        raise SchemaError(f"{where}: must be an object")
+    return (
+        _require_int(entry, "i", where),
+        _require_int(entry, "j", where),
+        _require_int(entry, "d", where),
+    )
 
 
 def parse_instance(data: bytes | str) -> tuple[RingInstance, SplitRouting | None]:
-    """Parse and validate an instance document; the split section is optional."""
+    """Parse and validate an instance document; the split section is optional.
+
+    An entry whose i, j and d are all integers, as they are in any legal
+    document, is read in one step; only one that is not goes through the
+    field-by-field checks that word the error.
+    """
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
@@ -94,23 +110,23 @@ def parse_instance(data: bytes | str) -> tuple[RingInstance, SplitRouting | None
 
     demands: list[Demand] = []
     cw_amounts: list[Scaled] = []
-    with_cw = 0
     for pos, entry in enumerate(raw_demands):
-        where = f"demand #{pos}"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{where}: must be an object")
-        i = _require_int(entry, "i", where)
-        j = _require_int(entry, "j", where)
-        d = _require_int(entry, "d", where)
-        demands.append(Demand(i, j, from_int(d)))
+        try:  # json.loads makes no int subclass but bool
+            i, j, d = entry["i"], entry["j"], entry["d"]
+            plain = type(i) is int and type(j) is int and type(d) is int
+        except (KeyError, TypeError):
+            plain = False
+        if not plain:
+            i, j, d = _entry_ints(entry, pos)
+        demands.append(Demand(i, j, d * SCALE))
         if "cw" in entry:
-            with_cw += 1
-            cw_amounts.append(_scaled_half_integer(entry["cw"], d, where))
-    if with_cw not in (0, len(demands)):
+            cw = entry["cw"]
+            cw_amounts.append(cw * SCALE if type(cw) is int else _scaled_half_integer(cw, d, pos))
+    if len(cw_amounts) not in (0, len(demands)):
         raise SchemaError("either every demand carries 'cw' or none does")
 
     inst = RingInstance(n, tuple(demands))
-    split = SplitRouting(tuple(cw_amounts)) if with_cw or not demands else None
+    split = SplitRouting(tuple(cw_amounts)) if cw_amounts or not demands else None
     if split is not None:
         validate_instance(inst, split)
     return inst, split
@@ -142,8 +158,35 @@ def routing_report(
     dirs: UnsplitRouting, max_increase: Scaled, loads: tuple[Scaled, ...]
 ) -> dict:
     """Routing output document with exact rational strings."""
+    texts = {load: rational_str(load) for load in set(loads)}  # loads repeat; render each once
     return {
         "dirs": list(dirs.dirs),
         "max_increase": rational_str(max_increase),
-        "loads": [rational_str(load) for load in loads],
+        "loads": [texts[load] for load in loads],
     }
+
+
+def report_text(report: object, indent: str = "") -> str:
+    """The text of json.dumps(report, indent=1), built in one pass.
+
+    Strings are quoted by the encoder json.dumps uses (ASCII only), a list
+    of strings with one join; numbers, booleans and None go to json.dumps.
+    indent is the nesting of the value's own line.
+    """
+    inner = indent + " "
+    if isinstance(report, dict):
+        brackets = "{}"
+        items = [f"{_quoted(key)}: {report_text(value, inner)}" for key, value in report.items()]
+    elif isinstance(report, (list, tuple)):
+        brackets = "[]"
+        if set(map(type, report)) <= {str}:
+            items = list(map(_quoted, report))
+        else:
+            items = [report_text(value, inner) for value in report]
+    elif isinstance(report, str):
+        return _quoted(report)
+    else:
+        return json.dumps(report)
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"

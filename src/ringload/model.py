@@ -22,6 +22,7 @@ import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import sub
 
 from .errors import (
     IndexMismatch,
@@ -118,10 +119,14 @@ def edge_loads(inst: RingInstance, routing: SplitRouting | UnsplitRouting) -> Lo
     entries = routing.cw if is_split else routing.dirs
     if len(entries) != len(inst.demands):
         raise IndexMismatch(f"routing has {len(entries)} entries for {len(inst.demands)} demands")
-    cws = entries if is_split else [
-        dem.d if flag == CW else 0 for dem, flag in zip(inst.demands, entries)
-    ]
-    return path_loads(inst.n, ((dem.i, dem.j, cw, dem.d - cw) for dem, cw in zip(inst.demands, cws)))
+    if is_split:
+        paths = ((dem.i, dem.j, cw, dem.d - cw) for dem, cw in zip(inst.demands, entries))
+    else:
+        paths = (
+            (dem.i, dem.j, dem.d, 0) if flag == CW else (dem.i, dem.j, 0, dem.d)
+            for dem, flag in zip(inst.demands, entries)
+        )
+    return path_loads(inst.n, paths)
 
 
 def additive_increase(
@@ -133,4 +138,4 @@ def additive_increase(
 
 def load_increase(before: LoadVector, after: LoadVector) -> Scaled:
     """Maximum over edges of after - before."""
-    return max(a - b for a, b in zip(after, before))
+    return max(map(sub, after, before))

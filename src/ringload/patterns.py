@@ -38,8 +38,9 @@ class Pattern:
     def __post_init__(self) -> None:
         if len(self.points) != self.owner.m + 1:
             raise ValueError(f"pattern needs m+1 = {self.owner.m + 1} points")
+        points = self.points
         for k, (u, v) in enumerate(self.owner.pairs):
-            step = self.points[k + 1] - self.points[k]
+            step = points[k + 1] - points[k]
             if step != v and step != -u:
                 raise ValueError(f"step #{k} is {step}, admissible: {v} or {-u}")
 
@@ -89,25 +90,44 @@ def greedy_points(
     """Greedy walk inside [0, D] from any admissible point in [0, D].
 
     Forward: point = p(0), steps k = 1..m.  Backward: point = p(m),
-    steps k = m..1 with p(k-1) = p(k) - z_k.  Ties prefer z_k = +v_k.
+    steps k = m..1 with p(k-1) = p(k) - z_k.  Each step takes whichever
+    of its two candidates inside [0, D] is nearer to D/2, and z_k = +v_k
+    on ties; walk_points decides that by one direct comparison per step.
     """
-    D = cross.D
-    if not 0 <= point <= D:
+    if not 0 <= point <= cross.D:
         raise ValueError("greedy walks live on [0, D]")
-    points = [point]
-    order = range(cross.m) if forward else range(cross.m - 1, -1, -1)
-    for k in order:
-        u, v = cross.pairs[k]
-        here = points[-1]
-        if forward:
-            preferred, other = here + v, here - u
-        else:
-            preferred, other = here - v, here + u
-        candidates = [c for c in (preferred, other) if 0 <= c <= D]
-        assert candidates, "d_k <= D guarantees a feasible step"
-        # Nearer to D/2 means smaller |2c - D|; min keeps the preferred step on ties.
-        points.append(min(candidates, key=lambda c: abs(2 * c - D)))
-    if not forward:
+    return walk_points(cross.pairs, cross.D, point, forward)
+
+
+def walk_points(
+    pairs: tuple[tuple[Scaled, Scaled], ...], D: Scaled, point: Scaled, forward: bool
+) -> tuple[Scaled, ...]:
+    """greedy_points on bare pairs (u, v > 0, u + v <= D) from point in [0, D].
+
+    Each step compares its two candidates directly.  Forward, +v_k lands
+    above -u_k, so it is at least as near to D/2 exactly when the two
+    average at most D/2, and it is taken when it also stays at or below D;
+    backward mirrors this.  Otherwise the other step is taken, and it must
+    stay inside [0, D] (d_k <= D guarantees that one step does).
+    """
+    here = point
+    points = [here]
+    if forward:
+        for u, v in pairs:
+            if here + v <= D and 2 * here + v - u <= D:
+                here += v
+            else:
+                here -= u
+                assert here >= 0, "d_k <= D guarantees a feasible step"
+            points.append(here)
+    else:
+        for u, v in reversed(pairs):
+            if here >= v and 2 * here + u - v >= D:
+                here -= v
+            else:
+                here += u
+                assert here <= D, "d_k <= D guarantees a feasible step"
+            points.append(here)
         points.reverse()
     return tuple(points)
 

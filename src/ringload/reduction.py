@@ -26,7 +26,7 @@ smaller, since uncrossing never raises a load.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import LengthMismatch, NotParallel
@@ -116,11 +116,9 @@ def demands_cross(n: int, first: tuple[int, int], second: tuple[int, int]) -> bo
     """
     i, j = first
     k, l = second
-    if {i, j} & {k, l}:
+    if i == k or i == l or j == k or j == l:
         return False
-    inside_k = i < k < j
-    inside_l = i < l < j
-    return inside_k != inside_l
+    return (i < k < j) != (i < l < j)
 
 
 def _uncrossed_amounts(
@@ -169,23 +167,31 @@ def uncross_pair(
 def _crossing_suffix(demands: tuple[Demand, ...], cw: list[Scaled]) -> int:
     """Smallest s such that the demands split from index s on cross pairwise.
 
-    Walks down from the last demand with the sorted endpoints of the
-    family so far.  The endpoints of t pairwise-crossing chords run
-    x1..xt x1..xt around the ring, so an arc holding t of them holds one
-    end of each chord: a new chord sharing no endpoint crosses them all
-    exactly when its open arc (i, j) holds t endpoints.
+    Walks down from the last demand.  The endpoints of t pairwise-crossing
+    chords, sorted by i, run i_1 < ... < i_t < j_1 < ... < j_t, so a new
+    chord (i, j) sharing no endpoint crosses them all exactly when it
+    takes the same place p among the i's as among the j's, with i < j_1
+    where p = t and j > i_t where p = 0.  lows and highs hold the -i and
+    the -j ascending: one bisect pair per chord finds its places, and the
+    usual new chord, below all found so far, is appended.
     """
-    ends: list[int] = []
+    lows: list[int] = []
+    highs: list[int] = []
     for s in range(len(demands) - 1, -1, -1):
         dem = demands[s]
-        if cw[s] in (0, dem.d):
+        if cw[s] == 0 or cw[s] == dem.d:
             continue
-        lo, hi = bisect_left(ends, dem.i), bisect_left(ends, dem.j)
-        shared = ends[lo : lo + 1] == [dem.i] or ends[hi : hi + 1] == [dem.j]
-        if shared or 2 * (hi - lo) != len(ends):
+        low, high, t = -dem.i, -dem.j, len(lows)
+        above = bisect_left(lows, low)  # the i's above i
+        if t and (
+            above != bisect_left(highs, high)
+            or (above < t and (lows[above] == low or highs[above] == high))
+            or (above == 0 and low <= highs[-1])
+            or (above == t and high >= lows[0])
+        ):
             return s + 1
-        insort(ends, dem.i)
-        insort(ends, dem.j)
+        lows.insert(above, low)
+        highs.insert(above, high)
     return 0
 
 
@@ -199,17 +205,22 @@ def _uncross_all(inst: RingInstance, split: SplitRouting) -> SplitRouting:
     # to the pairwise-crossing suffix and crosses a.
     demands = inst.demands
     cw = list(split.cw)
+    ends = [(dem.i, dem.j) for dem in demands]
+    values = [dem.d for dem in demands]
+    n, k = inst.n, len(demands)
     for a in range(_crossing_suffix(demands, cw)):
-        dem_a = demands[a]
-        for b in range(a + 1, len(demands)):
-            if cw[a] in (0, dem_a.d):
-                break
-            dem_b = demands[b]
-            if cw[b] in (0, dem_b.d) or demands_cross(
-                inst.n, (dem_a.i, dem_a.j), (dem_b.i, dem_b.j)
-            ):
+        x_a, d_a = cw[a], values[a]
+        if x_a == 0 or x_a == d_a:
+            continue
+        ends_a = ends[a]
+        for b in range(a + 1, k):
+            x_b = cw[b]
+            if x_b == 0 or x_b == values[b] or demands_cross(n, ends_a, ends[b]):
                 continue
-            cw[a], cw[b] = _uncrossed_amounts(dem_a, dem_b, cw[a], cw[b])
+            x_a, cw[b] = _uncrossed_amounts(demands[a], demands[b], x_a, x_b)
+            if x_a == 0 or x_a == d_a:
+                break
+        cw[a] = x_a
     return SplitRouting(tuple(cw))
 
 
@@ -220,21 +231,19 @@ def reduce_to_crossing(
     validate_instance(inst, split)
     uncrossed = _uncross_all(inst, split)
 
-    remaining = [
-        idx
-        for idx, (dem, cw) in enumerate(zip(inst.demands, uncrossed.cw))
-        if cw not in (0, dem.d)
-    ]
-
     # Crossing index k goes to the k-th smallest endpoint i.  Split demands
     # that cross pairwise, sharing no endpoint, have endpoints running
     # i_0 < ... < i_{m-1} < j_0 < ... < j_{m-1}: the reduced ring's nodes
     # in clockwise order, demand k from node k to node k + m, cw still cw.
-    demand_map = sorted(remaining, key=lambda idx: inst.demands[idx].i)
+    demands = inst.demands
+    demand_map = sorted(
+        (idx for idx, (dem, cw) in enumerate(zip(demands, uncrossed.cw)) if cw not in (0, dem.d)),
+        key=lambda idx: demands[idx].i,
+    )
     m = len(demand_map)
-    still_split = [inst.demands[idx] for idx in demand_map]
+    still_split = [demands[idx] for idx in demand_map]
     nodes = [dem.i for dem in still_split] + [dem.j for dem in still_split]
-    assert all(a < b for a, b in zip(nodes, nodes[1:])), "split demands must cross pairwise"
+    assert nodes == sorted(set(nodes)), "split demands must cross pairwise"
     pairs = tuple(
         (uncrossed.cw[idx], dem.d - uncrossed.cw[idx])
         for idx, dem in zip(demand_map, still_split)
@@ -242,14 +251,19 @@ def reduce_to_crossing(
 
     # Contraction legality: original edge k, from node k to k + 1, carries
     # the split load of the reduced edge of the last node at or before k
-    # (the wrap edge 2m - 1 before the first node).
+    # (the wrap edge 2m - 1, index -1, before the first node).  One merge
+    # walk over nodes follows that edge.
     if m:
         reduced = _crossing_split_loads(pairs)
         loads = path_loads(
             inst.n, ((dem.i, dem.j, u, v) for dem, (u, v) in zip(still_split, pairs))
         )
+        edge, later = -1, iter(nodes)
+        node = next(later)
         for k, load in enumerate(loads, 1):
-            assert load == reduced[(bisect_right(nodes, k) - 1) % (2 * m)]
+            if k == node:
+                edge, node = edge + 1, next(later, 0)
+            assert load == reduced[edge]
 
     return CrossingInstance(
         pairs=pairs,

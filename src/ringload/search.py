@@ -53,7 +53,9 @@ only if it is int64 and within _LEAD_TABLE_BYTES; past that (large D or
 m, masks past 62 bits at large t + D) the rows pack their own leads or
 screen from level 0, on exact._probe past 62 bits.  Half keys at (D+1)^m
 >= 2^63 and index quotients at or above 2^63 are Python ints, so the
-scan is exact for any m and D.
+scan is exact for any D.  A scan needs m <= 256: _symmetries' two weight
+matrices have (2m, 4m) entries, and a larger m, whose matrices would not
+_fit, is refused before any table is built (_check_scan).
 
 Given a directory, a shard keeps its hit records (hit_record) and then its
 last finished index in mM-dD-tT-shard-I-of-N.txt there, replaced atomically
@@ -230,6 +232,20 @@ def _pack(U: np.ndarray, V: np.ndarray, D: int) -> np.ndarray:
 def _fits(shape: tuple[int, ...], dtype: type) -> bool:
     """Whether a table of shape and dtype may be cached: int64, within _LEAD_TABLE_BYTES."""
     return dtype == np.int64 and math.prod(shape) * 8 <= _LEAD_TABLE_BYTES
+
+
+def _check_scan(m: int) -> None:
+    """Refuse an m whose (2m, 4m) symmetry weight matrices would not _fit.
+
+    Their size grows as m^2 whatever D is, and a D=2 family has one member
+    at any m, so no family-size bound stops them.
+    """
+    if not _fits((2 * m, 4 * m), np.int64):
+        limit = math.isqrt(_LEAD_TABLE_BYTES // 64)
+        raise InfeasibleParams(
+            f"a scan needs m <= {limit}: at m={m} each of its two symmetry tables "
+            f"would take {64 * m * m} bytes"
+        )
 
 
 class _Leads(NamedTuple):
@@ -526,6 +542,7 @@ def search_lower_bound(
 ) -> list[SearchHit]:
     """Canonical members of the shard with min increase >= threshold, kept hits too."""
     family = StructuredFamily(m, D)
+    _check_scan(m)
     threshold_int = unscale(threshold)
     start, stop = shard_range(family.size, shard)
     hits, first, checkpoint = [], start, None
@@ -563,6 +580,8 @@ def search_parallel(
     m: int, D: int, threshold: Scaled, jobs: int, checkpoint_dir: str | Path | None = None
 ) -> list[SearchHit]:
     """search_lower_bound over _SHARDS shards on local processes, in shard order."""
+    StructuredFamily(m, D)  # m and D, then the table bound, before any worker starts
+    _check_scan(m)
     scan = partial(search_lower_bound, m, D, threshold, checkpoint_dir=checkpoint_dir)
     shards = [(index, _SHARDS) for index in range(_SHARDS)]
     if jobs <= 1:

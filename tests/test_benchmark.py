@@ -5,11 +5,18 @@ dp_feasible, CanonicalForm.of and StructuredFamily.decode), so a change
 that breaks those calls fails here and not only when the benchmark runs.
 """
 
+import hashlib
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
 
+import ringload
+from ringload import cli
+
 ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_benchmark_smoke():
@@ -19,3 +26,23 @@ def test_benchmark_smoke():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.splitlines()[-1] == "smoke: all ok"
+
+
+def test_large_solves_match_the_recorded_digests(capsys, tmp_path, monkeypatch):
+    # The solve-large inputs at the benchmark's default seed, written by its
+    # own generator; every report must hash to the digest recorded in
+    # perfbench/digests.json, so large solves stay byte-identical here too.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    recorded = json.loads((PERFBENCH / "digests.json").read_text())["solve-large"]
+    assert recorded["seed"] == workloads.DEFAULT_SEED
+    workloads.write_inputs(ringload, "solve-large", workloads.DEFAULT_SEED, tmp_path)
+    commands = workloads.commands("solve-large", tmp_path)
+    assert sorted(cmd.label for cmd in commands) == sorted(recorded["commands"])
+    for cmd in commands:
+        assert cli.main(list(cmd.argv)) == 0, cmd.label
+        out = capsys.readouterr().out
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == recorded["commands"][cmd.label]["stdout_sha256"], cmd.label

@@ -12,6 +12,7 @@ import pytest
 from conftest import Interrupted, fail_after, random_ring
 from ringload import cli, search
 from ringload.cli import main
+from ringload.errors import InfeasibleParams
 from ringload.fileio import write_instance
 from ringload.instances import builtin, random_crossing
 from ringload.model import Demand, RingInstance, SplitRouting, path_loads
@@ -371,6 +372,36 @@ def test_search_family_sizes_print_up_to_the_bound(capsys):
     assert code == 1 and "10^4300 members or more" in err
 
 
+@pytest.mark.parametrize("m, scan", [
+    ("258", ("--shard", "0/1")),
+    ("100000000000000000000", ("--shard", "0/1")),
+    ("100000000000000000000", ("--full", "--jobs", "2")),
+], ids=["past-the-bound", "huge-shard", "huge-full"])
+def test_search_beyond_the_table_bound_is_a_one_line_error(capsys, monkeypatch, m, scan):
+    # A D=2 family has one member at any m, so no size bound stops it; the
+    # (2m, 4m) symmetry tables must be refused before they are built.
+    def built(*args):
+        raise AssertionError("the symmetry tables were built")
+
+    monkeypatch.setattr(search, "_symmetries", built)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "search", "--m", m, "--d", "2", "--threshold", "3", *scan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: InfeasibleParams: a scan needs m <= 256: at m={m} ")
+    assert peak < 1 << 20
+
+
+def test_search_table_bound_admits_m_256():
+    search._check_scan(256)
+    with pytest.raises(InfeasibleParams):
+        search._check_scan(258)
+
+
 @pytest.mark.parametrize("options", [
     ("--shard", "0/3", "--full"),
     ("--shard", "0/3", "--full", "--checkpoint-dir", "ckpt"),
@@ -571,6 +602,42 @@ def test_search_with_a_huge_threshold_finds_nothing_at_once(capsys):
     assert code == 0
     assert out == ""
     assert err.startswith("0 sequence(s)") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    *(("solve", "--alg", alg, "-i", ring)
+      for alg in ("ssw", "medium", "smallbig", "auto", "dp", "brute")
+      for ring in ("fig1", "empty")),
+    *(("solve", "--alg", alg, "-i", "half") for alg in ("ssw", "medium", "auto", "dp", "brute")),
+    ("loads", "-i", "half"),
+    ("loads", "-i", "empty"),
+    ("optimum", "-i", "half"),
+    ("optimum", "-i", "empty"),
+    ("verify", "all"),
+    ("verify", "fig2"),
+], ids=lambda argv: "-".join(argv))
+def test_reports_are_written_as_json_dumps_writes_them(capsys, tmp_path, monkeypatch, argv):
+    # Every report, nested dicts, booleans, int lists and empty lists
+    # included, is byte for byte json.dumps(report, indent=1) and a newline.
+    rings = {
+        "fig1": builtin("fig1"),
+        "empty": (RingInstance(5, ()), SplitRouting(())),
+        "half": random_ring(random.Random(11), max_demands=8),  # loads in halves
+    }
+    for name, (inst, split) in rings.items():
+        (tmp_path / f"{name}.json").write_bytes(write_instance(inst, split))
+    argv = [str(tmp_path / f"{arg}.json") if arg in rings else arg for arg in argv]
+    reports = []
+    emit = cli._emit
+
+    def recorded(report, summary):
+        reports.append(json.dumps(report, indent=1) + "\n")
+        emit(report, summary)
+
+    monkeypatch.setattr(cli, "_emit", recorded)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(reports) == 1
+    assert out == reports[0]
 
 
 def test_brute_force_and_optimum_beyond_int64(capsys, tmp_path):

@@ -175,6 +175,22 @@ def test_greedy_matches_reference():
         forward = rng.random() < 0.5
         expected, _ = _reference_greedy(cross.pairs, cross.D, point, forward, True)
         assert greedy_points(cross, point, forward=forward) == expected
+    # Long walks, m up to 1000 and D up to 1000, from anywhere in [0, D].
+    # A tie needs 2 p + v - u = D, so the start, and with it every point,
+    # is a multiple of 14 (half a unit) in half the walks; D is even.
+    ties = 0
+    for trial in range(60):
+        m = rng.choice((50, 200, 1000))
+        D = 2 * rng.randint(1, 500)
+        cross = random_crossing(m, D, seed=trial + 5000)
+        point = rng.randint(0, cross.D)
+        if trial % 2:
+            point -= point % 14
+        forward = trial % 4 < 2
+        expected, had_tie = _reference_greedy(cross.pairs, cross.D, point, forward, True)
+        assert greedy_points(cross, point, forward=forward) == expected
+        ties += had_tie
+    assert ties >= 10
 
 
 def test_backward_is_reversed_forward_on_reversed_instance():

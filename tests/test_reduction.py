@@ -440,6 +440,47 @@ def test_uncross_all_matches_sweep_on_large_random_rings():
         assert_reduction_matches_sweep(RingInstance(n, tuple(demands)), SplitRouting(tuple(cw)))
 
 
+def test_uncross_all_matches_sweep_on_random_half_integer_rings():
+    # Up to 300 demands on rings of 3 to 600 nodes: zero, unsplit and split
+    # demands in half units, shared endpoints and crossing suffixes of any
+    # length.
+    rng = random.Random(39)
+    for trial in range(40):
+        inst, split = random_ring(rng, max_n=(8, 40, 200, 600)[trial % 4], max_demands=300)
+        assert _uncross_all(inst, split) == sweep_uncross_all(inst, split)
+
+
+def pairwise_crossing_suffix(demands, cw):
+    """Smallest s such that every two demands split from index s on cross."""
+    for s in range(len(demands) + 1):
+        split = [dem for dem, x in zip(demands[s:], cw[s:]) if x not in (0, dem.d)]
+        if all(demands_cross(0, (a.i, a.j), (b.i, b.j))
+               for a, b in itertools.combinations(split, 2)):
+            return s
+
+
+def test_crossing_suffix_matches_pairwise_definition():
+    # A pairwise-crossing family in random order, with a few random chords
+    # and unsplit demands mixed in.
+    rng = random.Random(40)
+    long_suffixes = 0
+    for trial in range(3000):
+        n = rng.randint(4, 16)
+        t = rng.randint(1, n // 2)
+        ends = sorted(rng.sample(range(1, n + 1), 2 * t))
+        chords = [(ends[p], ends[p + t]) for p in range(t)]
+        rng.shuffle(chords)
+        for _ in range(rng.randint(0, 3)):
+            chord = tuple(sorted(rng.sample(range(1, n + 1), 2)))
+            chords.insert(rng.randint(0, len(chords)), chord)
+        demands = tuple(Demand(i, j, from_int(2)) for i, j in chords)
+        cw = [from_int(rng.choice((1, 1, 1, 0, 2))) for _ in chords]
+        expected = pairwise_crossing_suffix(demands, cw)
+        assert _crossing_suffix(demands, cw) == expected
+        long_suffixes += len(chords) - expected >= 4
+    assert long_suffixes >= 300
+
+
 def count_crossing_tests(monkeypatch):
     calls = [0]
 
