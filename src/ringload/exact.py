@@ -28,16 +28,16 @@ pattern with p(0) = 0 and p(m) = y exists whose every point k >= 1
 satisfies (y-t)/2 <= p(k) <= (y+t)/2; this window condition is exactly
 max_k |2 p(k) - y| <= t, the additive performance for x = 0.  Two
 layouts of the same shift-or recurrence serve the callers.  Column-major,
-_level_masks yields, level by level, the reachable points of a block of
+_level_masks runs, level by level, the reachable points of a block of
 rows (pairs sequences) and end points ys at once, one int64 bitmask over
 each integer window per (row, y), starting from p(0) = 0, which lies in
-the window whenever |y| <= t; p(m) = y is reachable exactly when bit
-y - lo of the last mask is set, so no parity rule is needed.  Every row
-has its own steps, so each mask shifts on its own, within int64 while
-t + 1 + max v <= 62.  Position-major, _probe tests many end points of
-one row: points are array rows and end points are bits of uint64 words,
-and as all end points of one parity share the window width and every
-step, a level is two slice-ORs at any D.  dp_feasible_block (the search
+the window whenever |y| <= t, and returns the last level's masks; p(m) = y
+is reachable exactly when bit y - lo of them is set, so no parity rule is
+needed.  Every row has its own steps, so each mask shifts on its own,
+within int64 while t + 1 + max v <= 62.  Position-major, _probe tests
+many end points of one row: points are array rows and end points are
+bits of uint64 words, and as all end points of one parity share the
+window width and every step, a level is two slice-ORs at any D.  dp_feasible_block (the search
 screen) runs every y in [-t, t] for many rows column-major, rows that
 share a prefix of pairs (the search's lead) starting from its last masks,
 and rows past 62 bits one at a time on _probe.  dp_min_increase
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -268,10 +267,10 @@ def _window(t, y):
 
 def _level_masks(
     U: np.ndarray, V: np.ndarray, t: int, ys: np.ndarray, start: np.ndarray | None = None
-) -> Iterator[np.ndarray]:
-    """Reachable-point masks of the start level and of one level per column of U.
+) -> np.ndarray:
+    """Reachable-point masks after one level per column of U, from the start level.
 
-    Each is a (rows, len(ys)) int64 array.  Row r stands for the pairs
+    They are a (rows, len(ys)) int64 array.  Row r stands for the pairs
     (U[r, k], V[r, k]) and column c for the end point y = ys[c], every
     |y| <= t.  Points are confined to the window [lo, hi] of (t, y), which
     holds p(0) = 0 whenever |y| <= t; bit b of a mask stands for point
@@ -284,13 +283,12 @@ def _level_masks(
     lo, hi = _window(t, ys)
     full = (1 << (hi - lo + 1)) - 1
     mask = np.broadcast_to(1 << -lo, (len(U), len(ys))) if start is None else start
-    yield mask
     for k in range(U.shape[1]):
         step = mask << V[:, k : k + 1]
         step |= mask >> U[:, k : k + 1]
         step &= full
         mask = step
-        yield mask
+    return mask
 
 
 def _probe(pairs: list[tuple[int, int]], t: int, ys: np.ndarray) -> np.ndarray:
@@ -398,8 +396,7 @@ def dp_feasible_block(
     for c in range(0, len(ys), chunk):
         part = ys[c : c + chunk]
         first = None if start is None else start[0][:, c : c + chunk].take(start[1], axis=0)
-        for mask in _level_masks(U, V, t, part, first):
-            pass
+        mask = _level_masks(U, V, t, part, first)
         lo, _ = _window(t, part)
         feasible |= (mask >> (part - lo) & 1).any(axis=1)
     return feasible

@@ -26,6 +26,10 @@ canonical members inside it, and reports those whose minimum possible
 increase reaches the threshold; the union over all shards is exhaustive
 and duplicate-free.
 
+A scan's tables are one _Scan per (m, D), built once per process by
+_scan, and the scan's stages are its methods; its constructor refuses
+m > 256 and D > 1448 before it builds any table.
+
 A shard is scanned in numpy blocks of whole parts.  An index splits into
 its lead, the lowest digit group (positions 0 and 1, or position 0 alone
 beyond D=80), and its part, the rest (index // the lead's radix).  Each
@@ -35,27 +39,26 @@ clockwise total fixes the parity of the lead's, and the images that are
 aligned on every member start with an even position's pair, so the lead's
 first pair (u0, v0) needs u0 <= v0 and a key u0 (D+1) + v0 no larger than
 the part's smallest such pair key.  A lead is its code, its row of the
-decode tables; the key, parity and value-D flag of every code are
-cached, and one mask over parts x codes selects the rows of a block in
+decode tables; the scan holds the key, parity and value-D flag of every
+code, and one mask over parts x codes selects the rows of a block in
 index order; at m=8, D=10 about one index in ten becomes a row.
-_canonical then keeps the canonical rows by comparing packed
+_Scan.canonical then keeps the canonical rows by comparing packed
 lexicographic keys of all images at once, in two halves: a high key is
 the lead's term plus the part's.  The part's is computed once per part;
-the lead's is gathered by code from one cached table, since a key is a
-sum over positions.  Only rows where some aligned image ties the identity
-on the high half compare low halves.  The DP screen (exact.dp_feasible_block)
+the lead's is gathered by code from one table, since a key is a sum over
+positions.  Only rows where some aligned image ties the identity on the
+high half compare low halves.  The DP screen (exact.dp_feasible_block)
 drops every row with a routing of increase at most threshold - 1: each
 row starts from its lead's masks, built for every code and end point and
-kept for the latest (m, D, t), and runs its part's levels only.  Only the
-survivors are assembled into whole pair sequences and get a full
-minimum-increase computation (exact.dp_min_increase).  A table is cached
+kept on the scan for the latest t, and runs its part's levels only.  Only
+the survivors are assembled into whole pair sequences and get a full
+minimum-increase computation (exact.dp_min_increase).  A table is kept
 only if it is int64 and within _LEAD_TABLE_BYTES; past that (large D or
 m, masks past 62 bits at large t + D) the rows pack their own leads or
-screen from level 0, on exact._probe past 62 bits.  Half keys at (D+1)^m
->= 2^63 and index quotients at or above 2^63 are Python ints, so the
-scan is exact for any D.  A scan needs m <= 256: _symmetries' two weight
-matrices have (2m, 4m) entries, and a larger m, whose matrices would not
-_fit, is refused before any table is built (_check_scan).
+screen from level 0, on exact._probe past 62 bits.  Half keys at
+(D+1)^m >= 2^63 are Python ints, and a block's first index is peeled as a
+Python int with int64 offsets from it, so the scan is exact at any
+index size.
 
 Given a directory, a shard keeps its hit records (hit_record) and then its
 last finished index in mM-dD-tT-shard-I-of-N.txt there, replaced atomically
@@ -70,7 +73,7 @@ import os
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -127,47 +130,6 @@ class CanonicalForm:
         return cls(best)
 
 
-@cache
-def _symmetries(m: int, D: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """Half-key weights, alignment sources and first-pair columns, per (m, D).
-
-    The images of the labels ((k, m + k) for k) under symmetry_orbit show
-    where image position j takes its pair from: a first label k is source
-    position k as is, a first label m + k is source position k with u and
-    v swapped.  Column g of the (2m, G) high weight matrix puts
-    B^(2(h-1-j)), B = D + 1, h = m/2, on that source's column of
-    [U B + V | V B + U] for the image positions j < h, and the low matrix
-    puts B^(2(m-1-j)) there for j >= h, so two matrix products pack all G
-    images into a high and a low key, and (high, low) order is
-    lexicographic order; column 0 is the identity.  Weights are int64 when
-    B^(2h) < 2^63 and Python ints otherwise.
-
-    The (G, m/2) array holds the source positions of the odd image
-    positions.  The images whose odd positions all read odd source
-    positions are aligned on every family member; firsts holds their
-    first-pair columns, the even source positions in both orientations,
-    for the first-pair prefilter (_leads).
-    """
-    labels = tuple((k, m + k) for k in range(m))
-    images = [labels] + sorted(symmetry_orbit(labels) - {labels})
-    base, half = D + 1, m // 2
-    dtype = np.int64 if base ** (2 * half) < 2**63 else object
-    high = np.zeros((2 * m, len(images)), dtype=dtype)
-    low = np.zeros_like(high)
-    for g, image in enumerate(images):
-        for j, (first, _) in enumerate(image):
-            if j < half:
-                high[first, g] = base ** (2 * (half - 1 - j))
-            else:
-                low[first, g] = base ** (2 * (m - 1 - j))
-    odd_sources = np.array([[first % m for first, _ in image[1::2]] for image in images])
-    always = (odd_sources % 2).all(axis=1)
-    firsts = sorted({image[0][0] for image, aligned in zip(images, always) if aligned})
-    for array in (high, low, odd_sources):
-        array.setflags(write=False)
-    return high, low, odd_sources, firsts
-
-
 def _free_pair(code: int) -> tuple[int, int]:
     # pairs ordered by d = 2, 4, ..., D then u = 1..d-1; the block for
     # d = 2h starts at (h-1)^2 since 1 + 3 + ... + (2h-3) = (h-1)^2.
@@ -176,50 +138,23 @@ def _free_pair(code: int) -> tuple[int, int]:
     return (u, 2 * h - u)
 
 
-@cache
-def _decode_tables(m: int, D: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:
-    """Mixed-radix digit groups of an index, lowest first, and their value tables.
-
-    A group is a (free, pinned) position pair of radix R = (D/2)^2 (D-1),
-    decoded by one % and one //: row c of the (R, 2) tables U and V holds
-    the pair at digit c.  Where the two tables would not _fit (D > 80), each
-    position is a group of its own, and the (1-column) tables hold the free
-    rows and then the pinned rows.  Each group is (radix, first table row).
-    """
-    free_u, free_v = np.array([_free_pair(code) for code in range((D // 2) ** 2)]).T
-    pinned_u = np.arange(1, D)
-    F, P = len(free_u), len(pinned_u)
-    if not _fits((F * P, 4), np.int64):
-        groups = ((F, 0), (P, F)) * (m // 2)
-        U = np.concatenate([free_u, pinned_u])[:, None]
-        V = np.concatenate([free_v, D - pinned_u])[:, None]
-    else:
-        groups = ((F * P, 0),) * (m // 2)
-        U = np.stack([np.tile(free_u, P), np.repeat(pinned_u, F)], axis=1)
-        V = np.stack([np.tile(free_v, P), np.repeat(D - pinned_u, F)], axis=1)
-    U.setflags(write=False)
-    V.setflags(write=False)
-    return groups, U, V
-
-
 def _decode(
     lo: int, hi: int, groups: tuple[tuple[int, int], ...], U: np.ndarray, V: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The pairs of the digit groups of lo..hi-1 (lowest first), as (hi - lo, positions) arrays.
 
-    groups and the tables U and V are as in _decode_tables.  The quotients
-    are Python ints only while they can reach 2^63.
+    groups and the tables U and V are a _Scan's.  lo is peeled as a Python
+    int and the offsets from it stay int64, so any index size decodes.
     """
-    index = np.arange(lo, hi, dtype=np.int64 if hi <= 2**63 else object)
-    top = hi - 1
-    codes = np.empty((hi - lo, len(groups)), dtype=np.int64)
+    n = hi - lo
+    offset = np.arange(n, dtype=np.int64)
+    codes = np.empty((n, len(groups)), dtype=np.int64)
     for g, (radix, first) in enumerate(groups):
-        if index.dtype == object and top < 2**63:
-            index = index.astype(np.int64)
-        codes[:, g] = index % radix + first
-        index = index // radix
-        top //= radix
-    shape = (hi - lo, len(groups) * U.shape[1])
+        lo, rest = divmod(lo, radix)
+        offset += rest
+        codes[:, g] = offset % radix + first
+        offset //= radix
+    shape = (n, len(groups) * U.shape[1])
     return U.take(codes, axis=0).reshape(shape), V.take(codes, axis=0).reshape(shape)
 
 
@@ -230,105 +165,14 @@ def _pack(U: np.ndarray, V: np.ndarray, D: int) -> np.ndarray:
 
 
 def _fits(shape: tuple[int, ...], dtype: type) -> bool:
-    """Whether a table of shape and dtype may be cached: int64, within _LEAD_TABLE_BYTES."""
+    """Whether a table of shape and dtype may be kept: int64, within _LEAD_TABLE_BYTES."""
     return dtype == np.int64 and math.prod(shape) * 8 <= _LEAD_TABLE_BYTES
-
-
-def _check_scan(m: int) -> None:
-    """Refuse an m whose (2m, 4m) symmetry weight matrices would not _fit.
-
-    Their size grows as m^2 whatever D is, and a D=2 family has one member
-    at any m, so no family-size bound stops them.
-    """
-    if not _fits((2 * m, 4 * m), np.int64):
-        limit = math.isqrt(_LEAD_TABLE_BYTES // 64)
-        raise InfeasibleParams(
-            f"a scan needs m <= {limit}: at m={m} each of its two symmetry tables "
-            f"would take {64 * m * m} bytes"
-        )
-
-
-class _Leads(NamedTuple):
-    """An index as its lead, digit group 0 of _decode_tables, and its part, the rest.
-
-    The lead is position 0, and position 1 too where positions are decoded
-    in pairs; its code, index % radix, is its row of the tables, and
-    part = index // radix holds the other positions.  keys[c] is lead c's
-    first-pair key u0 (D + 1) + v0, or (D + 1)^2 where the first-pair
-    prefilter drops the lead (u0 > v0, as the half-turn starts with
-    (v0, u0), or another first pair of its own is smaller); parity[c] is
-    the parity of the sum of its u's.  Both are int64.  value_d[c] says
-    that the lead's positions all carry value D.
-
-    part_firsts are the columns of [U B + V | V B + U] over a part's
-    positions that start an always-aligned image (see _symmetries), and
-    always[g] says that image g is one; lead and part weights are the rows
-    of the high weight matrix over the lead's and the part's columns.
-
-    terms caches the lead's share of the high keys, row c of the (radix,
-    G) table _pack(U, V, D) @ lead_weights over the lead codes; it is None
-    where that table does not _fit.
-    """
-
-    radix: int
-    keys: np.ndarray
-    parity: np.ndarray
-    value_d: np.ndarray
-    part_firsts: list[int]
-    always: np.ndarray
-    lead_weights: np.ndarray
-    part_weights: np.ndarray
-    terms: np.ndarray | None
-
-
-@cache
-def _leads(m: int, D: int) -> _Leads:
-    groups, U, V = _decode_tables(m, D)
-    high, _, odd_sources, firsts = _symmetries(m, D)
-    radix, width = groups[0][0], U.shape[1]
-    lead = [f for f in range(2 * m) if f % m < width]
-    part = [f for f in range(2 * m) if f % m >= width]
-    packed = _pack(U[:radix], V[:radix], D)
-    kept = packed[:, 0] <= packed[:, [lead.index(f) for f in firsts if f in lead]].min(axis=1)
-    keys = np.where(kept, packed[:, 0], (D + 1) ** 2)
-    parity = U[:radix].sum(axis=1) & 1
-    value_d = (U[:radix] + V[:radix] == D).all(axis=1)
-    always = (odd_sources % 2).all(axis=1)
-    terms = packed @ high[lead] if _fits((radix, high.shape[1]), high.dtype) else None
-    for array in (keys, parity, value_d, always, terms):
-        if array is not None:
-            array.setflags(write=False)
-    return _Leads(
-        radix, keys, parity, value_d, [part.index(f) for f in firsts if f in part],
-        always, high[lead], high[part], terms,
-    )
-
-
-@lru_cache(maxsize=1)
-def _lead_masks(m: int, D: int, t: int) -> np.ndarray | None:
-    """The DP screen's masks after each lead, or None where the table does not _fit.
-
-    Row c, column y + t is the mask of end point y in [-t, t] that
-    exact._level_masks reaches after lead c's positions, for
-    dp_feasible_block's start.  They are int64 only while t + D <= 62: the
-    leads reach v = D - 1, the family's largest, so every part fits then.
-    Only the latest (m, D, t) table is kept, read-only: a scan uses one t,
-    and a process that sweeps t holds one table at a time.
-    """
-    groups, U, V = _decode_tables(m, D)
-    radix = groups[0][0]
-    ys = np.arange(-t, t + 1)
-    if t + D > _INT64_MASK_BITS or not _fits((radix, len(ys)), np.int64):
-        return None
-    *_, masks = _level_masks(U[:radix], V[:radix], t, ys)
-    masks.setflags(write=False)
-    return masks
 
 
 class _Rows(NamedTuple):
     """Family members as lead codes before the pairs of a part.
 
-    Row r is row code[r] of the tables of _decode_tables, the lead's pairs,
+    Row r is row code[r] of a _Scan's tables U and V, the lead's pairs,
     followed by row part[r] of the arrays part_u and part_v, one row per
     part.
     """
@@ -341,80 +185,203 @@ class _Rows(NamedTuple):
     def select(self, rows: np.ndarray) -> "_Rows":
         return _Rows(self.part_u, self.part_v, self.part[rows], self.code[rows])
 
-    def pairs(self, m: int, D: int) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of the (m, D) family as (rows, m) arrays U and V."""
-        _, U, V = _decode_tables(m, D)
+
+class _Scan:
+    """The tables of the (m, D) family's scan, and the scan's stages.
+
+    The constructor refuses a family whose tables would not _fit before it
+    builds any: the (2m, 4m) symmetry weight matrices, whose size grows as
+    m^2 whatever D is (a D=2 family has one member at any m, so no family
+    size bound stops them), and the free-pair table of (D/2)^2 rows.
+
+    Decode tables.  An index's mixed-radix digit groups, lowest first, are
+    groups, each (radix, first table row), decoded by one % and one //.  A
+    group is a (free, pinned) position pair of radix R = (D/2)^2 (D-1):
+    row c of the (R, 2) tables U and V holds the pair at digit c.  Where
+    the two tables would not _fit (D > 80), each position is a group of its
+    own, and the (1-column) tables hold the free rows and then the pinned
+    rows.
+
+    Symmetry weights.  The images of the labels ((k, m + k) for k) under
+    symmetry_orbit show where image position j takes its pair from: a
+    first label k is source position k as is, a first label m + k is
+    source position k with u and v swapped.  Column g of the (2m, G) high
+    weight matrix puts B^(2(h-1-j)), B = D + 1, h = m/2, on that source's
+    column of [U B + V | V B + U] for the image positions j < h, and low
+    puts B^(2(m-1-j)) there for j >= h, so two matrix products pack all G
+    images into a high and a low key, and (high, low) order is
+    lexicographic order; column 0 is the identity.  Weights are int64 when
+    B^(2h) < 2^63 and Python ints otherwise.  always[g] says that image g's
+    odd positions read odd source positions, so it is aligned on every
+    member; the first pairs of those images (even source positions, in both
+    orientations) drive the first-pair prefilter.
+
+    Lead tables.  The lead of an index is digit group 0, position 0 and
+    position 1 too where positions are decoded in pairs; its code, index %
+    radix, is its row of U and V, and part = index // radix holds the other
+    positions.  keys[c] is lead c's first-pair key u0 (D + 1) + v0, or
+    (D + 1)^2 where the first-pair prefilter drops the lead (u0 > v0, as the
+    half-turn starts with (v0, u0), or another first pair of its own is
+    smaller); parity[c] is the parity of the sum of its u's; value_d[c]
+    says that the lead's positions all carry value D.  part_firsts are the
+    columns over a part's positions that start an always-aligned image, and
+    the lead and part weights are the rows of high over the lead's and the
+    part's columns.  terms caches the lead's share of the high keys, row c
+    of _pack(U, V, D) @ lead_weights over the lead codes; it is None where
+    that table does not _fit.  Every table is read-only.
+    """
+
+    def __init__(self, m: int, D: int) -> None:
+        if not _fits((2 * m, 4 * m), np.int64):
+            raise InfeasibleParams(
+                f"a scan needs m <= {math.isqrt(_LEAD_TABLE_BYTES // 64)}: at m={m} each of its "
+                f"two symmetry tables would take {64 * m * m} bytes"
+            )
+        F, P = (D // 2) ** 2, D - 1
+        if not _fits((F,), np.int64):
+            raise InfeasibleParams(
+                f"a scan needs D <= {2 * math.isqrt(_LEAD_TABLE_BYTES // 8)}: at D={D} its "
+                f"free-pair table would take {8 * F} bytes"
+            )
+        self.D = D
+        base, half = D + 1, m // 2
+
+        labels = tuple((k, m + k) for k in range(m))
+        images = [labels] + sorted(symmetry_orbit(labels) - {labels})
+        dtype = np.int64 if base ** (2 * half) < 2**63 else object
+        self.high = np.zeros((2 * m, len(images)), dtype=dtype)
+        self.low = np.zeros_like(self.high)
+        for g, image in enumerate(images):
+            for j, (first, _) in enumerate(image):
+                if j < half:
+                    self.high[first, g] = base ** (2 * (half - 1 - j))
+                else:
+                    self.low[first, g] = base ** (2 * (m - 1 - j))
+        odd_sources = np.array([[first % m for first, _ in image[1::2]] for image in images])
+        self.always = (odd_sources % 2).all(axis=1)
+        firsts = sorted({image[0][0] for image, aligned in zip(images, self.always) if aligned})
+
+        evens = np.arange(2, D + 1, 2)
+        free_u = np.concatenate([np.arange(1, d) for d in evens])  # the order of _free_pair
+        free_v = np.repeat(evens, evens - 1) - free_u
+        pinned_u = np.arange(1, D)
+        if _fits((F * P, 4), np.int64):
+            self.groups = ((F * P, 0),) * half
+            self.U = np.stack([np.tile(free_u, P), np.repeat(pinned_u, F)], axis=1)
+            self.V = np.stack([np.tile(free_v, P), np.repeat(D - pinned_u, F)], axis=1)
+        else:
+            self.groups = ((F, 0), (P, F)) * half
+            self.U = np.concatenate([free_u, pinned_u])[:, None]
+            self.V = np.concatenate([free_v, D - pinned_u])[:, None]
+
+        self.radix, width = self.groups[0][0], self.U.shape[1]
+        lead = [f for f in range(2 * m) if f % m < width]
+        part = [f for f in range(2 * m) if f % m >= width]
+        U, V = self.U[: self.radix], self.V[: self.radix]
+        packed = _pack(U, V, D)
+        kept = packed[:, 0] <= packed[:, [lead.index(f) for f in firsts if f in lead]].min(axis=1)
+        self.keys = np.where(kept, packed[:, 0], base**2)
+        self.parity = U.sum(axis=1) & 1
+        self.value_d = (U + V == D).all(axis=1)
+        self.part_firsts = [part.index(f) for f in firsts if f in part]
+        self.lead_weights, self.part_weights = self.high[lead], self.high[part]
+        self.terms = packed @ self.lead_weights if _fits((self.radix, len(images)), dtype) else None
+        for table in vars(self).values():
+            if isinstance(table, np.ndarray):
+                table.setflags(write=False)
+        self._masks: tuple[int | None, np.ndarray | None] = (None, None)
+
+    def pairs(self, rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
+        """The rows as (rows, m) arrays U and V."""
         return (
-            np.concatenate([U[self.code], self.part_u[self.part]], axis=1),
-            np.concatenate([V[self.code], self.part_v[self.part]], axis=1),
+            np.concatenate([self.U[rows.code], rows.part_u[rows.part]], axis=1),
+            np.concatenate([self.V[rows.code], rows.part_v[rows.part]], axis=1),
         )
 
+    def candidates(self, lo: int, hi: int) -> _Rows:
+        """The members lo..hi-1 with an odd clockwise total that pass the first-pair prefilter.
 
-def _candidates(m: int, D: int, lo: int, hi: int) -> _Rows:
-    """The members lo..hi-1 with an odd clockwise total that pass the first-pair prefilter.
+        The parts are decoded once each.  A part's odd total fixes the
+        parity of its lead, and its smallest first-pair key over the part's
+        columns in part_firsts bounds the lead's key; one mask over parts x
+        lead codes selects the leads, in index order.
+        """
+        radix, D = self.radix, self.D
+        first = lo // radix
+        part_u, part_v = _decode(first, (hi - 1) // radix + 1, self.groups[1:], self.U, self.V)
+        bound = _pack(part_u, part_v, D)[:, self.part_firsts].min(axis=1, initial=(D + 1) ** 2 - 1)
+        need = 1 - (part_u.sum(axis=1) & 1)  # the lead's parity, for an odd total
+        mask = (self.keys <= bound[:, None]) & (self.parity == need[:, None])
+        offset = lo - first * radix
+        local = np.flatnonzero(mask.ravel()[offset : offset + hi - lo]) + offset
+        part, code = np.divmod(local, radix)
+        return _Rows(part_u, part_v, part, code)
 
-    The parts are decoded once each.  A part's odd total fixes the parity
-    of its lead, and its smallest first-pair key over the part's columns
-    in part_firsts bounds the lead's key; one mask over parts x lead codes
-    selects the leads, in index order.
-    """
-    leads = _leads(m, D)
-    groups, U, V = _decode_tables(m, D)
-    first = lo // leads.radix
-    part_u, part_v = _decode(first, (hi - 1) // leads.radix + 1, groups[1:], U, V)
-    bound = _pack(part_u, part_v, D)[:, leads.part_firsts].min(axis=1, initial=(D + 1) ** 2 - 1)
-    need = 1 - (part_u.sum(axis=1) & 1)  # the lead's parity, for an odd total
-    mask = (leads.keys <= bound[:, None]) & (leads.parity == need[:, None])
-    offset = lo - first * leads.radix
-    local = np.flatnonzero(mask.ravel()[offset : offset + hi - lo]) + offset
-    part, code = np.divmod(local, leads.radix)
-    return _Rows(part_u, part_v, part, code)
+    def canonical(self, rows: _Rows) -> np.ndarray:
+        """Row-wise "no aligned symmetry image is lexicographically smaller".
+
+        The rows pass the first-pair prefilter.  An image counts where it is
+        aligned: always-aligned images on every row, the others on rows
+        whose free positions all carry value D (their odd positions read
+        exactly the free positions).  A high key is its part's term,
+        computed once per part, plus its lead's, gathered by code from terms
+        (packed row by row where they are not kept), and value-D flags are
+        the part's and the code's; only rows where some counted image ties
+        the identity on the high key compare low keys.  The products are
+        int64 or Python ints, as the weights are.
+        """
+        D = self.D
+        keys = (_pack(rows.part_u, rows.part_v, D) @ self.part_weights).take(rows.part, axis=0)
+        if self.terms is None:
+            keys += _pack(self.U[rows.code], self.V[rows.code], D) @ self.lead_weights
+        else:
+            keys += self.terms.take(rows.code, axis=0)
+        value_d = (rows.part_u + rows.part_v == D).all(axis=1)[rows.part]
+        value_d &= self.value_d[rows.code]
+        counted = self.always | value_d[:, None]
+        smaller = (keys < keys[:, :1]) & counted
+        tied = (keys == keys[:, :1]) & counted
+        tied[:, 0] = False
+        ties = np.flatnonzero(tied.any(axis=1))
+        keys = _pack(*self.pairs(rows.select(ties)), D) @ self.low
+        smaller[ties] |= (keys < keys[:, :1]) & tied[ties]
+        return ~smaller.any(axis=1)
+
+    def lead_masks(self, t: int) -> np.ndarray | None:
+        """The DP screen's masks after each lead, or None where the table does not _fit.
+
+        Row c, column y + t is the mask of end point y in [-t, t] that
+        exact._level_masks reaches after lead c's positions, for
+        dp_feasible_block's start.  They are int64 only while t + D <= 62:
+        the leads reach v = D - 1, the family's largest, so every part fits
+        then.  Only the latest t's table is kept, read-only: a scan uses one
+        t, and a process that sweeps t holds one table per family.
+        """
+        if self._masks[0] != t:
+            ys, masks = np.arange(-t, t + 1), None
+            if t + self.D <= _INT64_MASK_BITS and _fits((self.radix, len(ys)), np.int64):
+                masks = _level_masks(self.U[: self.radix], self.V[: self.radix], t, ys)
+                masks.setflags(write=False)
+            self._masks = (t, masks)
+        return self._masks[1]
+
+    def screen(self, rows: _Rows, t: int) -> np.ndarray:
+        """Row-wise "some routing has increase at most t" (exact.dp_feasible_block).
+
+        Each row starts from its code's row of lead_masks(t) and runs its
+        part's levels only; without those masks the rows run from level 0.
+        """
+        masks = self.lead_masks(t)
+        if masks is None:
+            return dp_feasible_block(*self.pairs(rows), t)
+        U, V = rows.part_u.take(rows.part, axis=0), rows.part_v.take(rows.part, axis=0)
+        return dp_feasible_block(U, V, t, start=(masks, rows.code))
 
 
-def _canonical(rows: _Rows, m: int, D: int) -> np.ndarray:
-    """Row-wise "no aligned symmetry image is lexicographically smaller".
-
-    The rows pass the first-pair prefilter.  An image counts where it is
-    aligned: always-aligned images on every row, the others on rows whose
-    free positions all carry value D (their odd positions read exactly the
-    free positions).  A high key is its part's term, computed once per
-    part, plus its lead's, gathered by code from the cached terms (packed
-    row by row where they are not cached), and value-D flags are the part's
-    and the code's; only rows where some counted image ties the identity
-    on the high key compare low keys.  The products are int64 or Python
-    ints, as the weights are.
-    """
-    _, low, _, _ = _symmetries(m, D)
-    leads = _leads(m, D)
-    keys = (_pack(rows.part_u, rows.part_v, D) @ leads.part_weights).take(rows.part, axis=0)
-    if leads.terms is None:
-        _, U, V = _decode_tables(m, D)
-        keys += _pack(U[rows.code], V[rows.code], D) @ leads.lead_weights
-    else:
-        keys += leads.terms.take(rows.code, axis=0)
-    value_d = (rows.part_u + rows.part_v == D).all(axis=1)[rows.part]
-    value_d &= leads.value_d[rows.code]
-    counted = leads.always | value_d[:, None]
-    smaller = (keys < keys[:, :1]) & counted
-    tied = (keys == keys[:, :1]) & counted
-    tied[:, 0] = False
-    ties = np.flatnonzero(tied.any(axis=1))
-    keys = _pack(*rows.select(ties).pairs(m, D), D) @ low
-    smaller[ties] |= (keys < keys[:, :1]) & tied[ties]
-    return ~smaller.any(axis=1)
-
-
-def _screen(rows: _Rows, m: int, D: int, t: int, masks: np.ndarray | None) -> np.ndarray:
-    """Row-wise "some routing has increase at most t" (exact.dp_feasible_block).
-
-    masks are the rows' lead masks of _lead_masks(m, D, t): each row starts
-    from its code's row and runs its part's levels only.  Without them the
-    rows run from level 0.
-    """
-    if masks is None:
-        return dp_feasible_block(*rows.pairs(m, D), t)
-    U, V = rows.part_u.take(rows.part, axis=0), rows.part_v.take(rows.part, axis=0)
-    return dp_feasible_block(U, V, t, start=(masks, rows.code))
+@cache
+def _scan(m: int, D: int) -> _Scan:
+    """The (m, D) family's scan, built once per process."""
+    return _Scan(m, D)
 
 
 @dataclass(frozen=True)
@@ -542,7 +509,7 @@ def search_lower_bound(
 ) -> list[SearchHit]:
     """Canonical members of the shard with min increase >= threshold, kept hits too."""
     family = StructuredFamily(m, D)
-    _check_scan(m)
+    scan = _scan(m, D)
     threshold_int = unscale(threshold)
     start, stop = shard_range(family.size, shard)
     hits, first, checkpoint = [], start, None
@@ -553,11 +520,10 @@ def search_lower_bound(
         if checkpoint.exists():
             hits, first = _resume(checkpoint, family, threshold_int, start, stop)
     t = min(threshold_int - 1, 3 * D // 2)  # 3D/2 bounds every minimum increase
-    masks = _lead_masks(m, D, t)
-    for lo, hi in _blocks(first, stop, _leads(m, D).radix):
-        rows = _candidates(m, D, lo, hi)
-        rows = rows.select(_canonical(rows, m, D))
-        U, V = rows.select(~_screen(rows, m, D, t, masks)).pairs(m, D)
+    for lo, hi in _blocks(first, stop, scan.radix):
+        rows = scan.candidates(lo, hi)
+        rows = rows.select(scan.canonical(rows))
+        U, V = scan.pairs(rows.select(~scan.screen(rows, t)))
         for u_row, v_row in zip(U.tolist(), V.tolist()):
             pairs = tuple(zip(u_row, v_row))
             cross = standalone_crossing(
@@ -580,8 +546,8 @@ def search_parallel(
     m: int, D: int, threshold: Scaled, jobs: int, checkpoint_dir: str | Path | None = None
 ) -> list[SearchHit]:
     """search_lower_bound over _SHARDS shards on local processes, in shard order."""
-    StructuredFamily(m, D)  # m and D, then the table bound, before any worker starts
-    _check_scan(m)
+    StructuredFamily(m, D)  # m and D, then the table bounds, before any worker starts
+    _scan(m, D)
     scan = partial(search_lower_bound, m, D, threshold, checkpoint_dir=checkpoint_dir)
     shards = [(index, _SHARDS) for index in range(_SHARDS)]
     if jobs <= 1:

@@ -193,14 +193,15 @@ def scalar_dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, int
 
 
 # The block path that search's part-wise scan replaced: decode every index
-# of a range, then test each row.  It is the oracle that search._candidates
-# and search._canonical are compared against.
+# of a range, then test each row.  It is the oracle that the candidates and
+# canonical stages of search._Scan are compared against.
 
 
 def decode_block(family: search.StructuredFamily, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """family.decode(index) for lo <= index < hi, as (rows, m) arrays U and V."""
     index = np.arange(lo, hi, dtype=np.int64 if family.size < 2**63 else object)
-    groups, U, V = search._decode_tables(family.m, family.D)
+    scan = search._scan(family.m, family.D)
+    groups, U, V = scan.groups, scan.U, scan.V
     codes = np.empty((hi - lo, len(groups)), dtype=np.int64)
     for g, (radix, first) in enumerate(groups):
         codes[:, g] = index % radix + first
@@ -212,27 +213,29 @@ def decode_block(family: search.StructuredFamily, lo: int, hi: int) -> tuple[np.
 def canonical_mask(U: np.ndarray, V: np.ndarray, D: int) -> np.ndarray:
     """Row-wise "no aligned symmetry image is lexicographically smaller".
 
-    Row r is a family member.  A row whose first pair is above the first
-    pair of an always-aligned image is out; the rest compare high keys, and
-    rows where some aligned image ties the identity on the high key
-    compare low keys.
+    Row r is a family member.  Every row compares the high keys of the
+    scan's weights, and rows where some aligned image ties the identity on
+    the high key compare low keys.  An image is aligned on a row where the
+    source positions of its odd positions all carry value D there; the
+    images are in the weights' column order.
     """
-    high, low, odd_sources, firsts = search._symmetries(U.shape[1], D)
+    m = U.shape[1]
+    scan = search._scan(m, D)
+    labels = tuple((k, m + k) for k in range(m))
+    images = [labels] + sorted(search.symmetry_orbit(labels) - {labels})
+    odd_sources = np.array([[first % m for first, _ in image[1::2]] for image in images])
     base = D + 1
     packed = np.concatenate([U * base + V, V * base + U], axis=1)
-    rows = np.flatnonzero(packed[:, 0] <= packed[:, firsts].min(axis=1))
-    packed = packed[rows].astype(high.dtype, copy=False)
-    keys = packed @ high
-    counted = (U[rows] + V[rows] == D)[:, odd_sources].all(axis=2)
+    packed = packed.astype(scan.high.dtype, copy=False)
+    keys = packed @ scan.high
+    counted = (U + V == D)[:, odd_sources].all(axis=2)
     smaller = (keys < keys[:, :1]) & counted
     tied = (keys == keys[:, :1]) & counted
     tied[:, 0] = False
     ties = np.flatnonzero(tied.any(axis=1))
-    keys = packed[ties] @ low
+    keys = packed[ties] @ scan.low
     smaller[ties] |= (keys < keys[:, :1]) & tied[ties]
-    mask = np.zeros(len(U), dtype=bool)
-    mask[rows] = ~smaller.any(axis=1)
-    return mask
+    return ~smaller.any(axis=1)
 
 
 _CRITERION = re.compile(r"test_criterion_(\d+)_(\w+)")

@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ringload
 from ringload import cli
 
@@ -28,18 +30,20 @@ def test_benchmark_smoke():
     assert done.stdout.splitlines()[-1] == "smoke: all ok"
 
 
-def test_large_solves_match_the_recorded_digests(capsys, tmp_path, monkeypatch):
-    # The solve-large inputs at the benchmark's default seed, written by its
-    # own generator; every report must hash to the digest recorded in
-    # perfbench/digests.json, so large solves stay byte-identical here too.
+@pytest.mark.parametrize("workload", ["solve-large", "search-shard"])
+def test_outputs_match_the_recorded_digests(capsys, tmp_path, monkeypatch, workload):
+    # The workload's commands on the inputs its own generator writes at the
+    # benchmark's default seed (search-shard has none and records no seed);
+    # every stdout must hash to the digest recorded in perfbench/digests.json,
+    # so large solves and the search's hit lists stay byte-identical here too.
     spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
     spec.loader.exec_module(workloads)
-    recorded = json.loads((PERFBENCH / "digests.json").read_text())["solve-large"]
-    assert recorded["seed"] == workloads.DEFAULT_SEED
-    workloads.write_inputs(ringload, "solve-large", workloads.DEFAULT_SEED, tmp_path)
-    commands = workloads.commands("solve-large", tmp_path)
+    recorded = json.loads((PERFBENCH / "digests.json").read_text())[workload]
+    assert recorded["seed"] == (None if workload == "search-shard" else workloads.DEFAULT_SEED)
+    workloads.write_inputs(ringload, workload, workloads.DEFAULT_SEED, tmp_path)
+    commands = workloads.commands(workload, tmp_path)
     assert sorted(cmd.label for cmd in commands) == sorted(recorded["commands"])
     for cmd in commands:
         assert cli.main(list(cmd.argv)) == 0, cmd.label

@@ -383,7 +383,7 @@ def test_search_beyond_the_table_bound_is_a_one_line_error(capsys, monkeypatch, 
     def built(*args):
         raise AssertionError("the symmetry tables were built")
 
-    monkeypatch.setattr(search, "_symmetries", built)
+    monkeypatch.setattr(search, "symmetry_orbit", built)
     tracemalloc.start()
     try:
         code, out, err = run_cli(capsys, "search", "--m", m, "--d", "2", "--threshold", "3", *scan)
@@ -396,10 +396,36 @@ def test_search_beyond_the_table_bound_is_a_one_line_error(capsys, monkeypatch, 
     assert peak < 1 << 20
 
 
-def test_search_table_bound_admits_m_256():
-    search._check_scan(256)
-    with pytest.raises(InfeasibleParams):
-        search._check_scan(258)
+@pytest.mark.parametrize("full", [False, True], ids=["shard", "full"])
+def test_search_past_the_d_limit_is_a_one_line_error(capsys, full):
+    # The free-pair table has (D/2)^2 rows: 2.5e11 at D = 10^6.
+    scan = ("--full",) if full else ("--shard", "0/1000000")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "search", "--m", "2", "--d", "1000000",
+                                 "--threshold", "3", *scan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: InfeasibleParams: a scan needs D <= 1448: at D=1000000 ")
+    assert peak < 1 << 20
+
+
+def test_search_table_bound_admits_m_256(monkeypatch):
+    # Past the bounds the constructor refuses; within them it goes on to
+    # build the symmetry tables, here stopped at their first step.
+    def built(*args):
+        raise AssertionError("the symmetry tables were built")
+
+    monkeypatch.setattr(search, "symmetry_orbit", built)
+    for m, D in ((256, 2), (2, 1448)):
+        with pytest.raises(AssertionError, match="were built"):
+            search._Scan(m, D)
+    for m, D in ((258, 2), (2, 1450)):
+        with pytest.raises(InfeasibleParams):
+            search._Scan(m, D)
 
 
 @pytest.mark.parametrize("options", [

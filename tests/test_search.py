@@ -99,8 +99,8 @@ def assert_block_matches_decode(family, lo, hi):
     U, V = decode_block(family, lo, hi)
     assert U.shape == V.shape == (hi - lo, family.m)
     assert rows_of(U, V) == [family.decode(index) for index in range(lo, hi)]
-    groups, tables_u, tables_v = search._decode_tables(family.m, family.D)
-    assert rows_of(*search._decode(lo, hi, groups, tables_u, tables_v)) == rows_of(U, V)
+    scan = search._scan(family.m, family.D)
+    assert rows_of(*search._decode(lo, hi, scan.groups, scan.U, scan.V)) == rows_of(U, V)
     return U, V
 
 
@@ -126,9 +126,9 @@ def decode_path_rows(family, lo, hi):
 def assert_canonical_rows_match_decode_path(family, lo, hi):
     """search builds and keeps the rows of the decode path, in index order."""
     expected = rows_of(*decode_path_rows(family, lo, hi))
-    rows = search._candidates(family.m, family.D, lo, hi)
-    kept = rows.select(search._canonical(rows, family.m, family.D))
-    assert rows_of(*kept.pairs(family.m, family.D)) == expected
+    scan = search._scan(family.m, family.D)
+    rows = scan.candidates(lo, hi)
+    assert rows_of(*scan.pairs(rows.select(scan.canonical(rows)))) == expected
     return expected
 
 
@@ -148,28 +148,26 @@ def assert_screen_matches_oracle(U, V, t):
 
 def odd_rows(family, lo, hi):
     """Every odd-total member lo..hi-1 as search rows, lead code and part, in index order."""
-    m, D = family.m, family.D
-    groups, U, V = search._decode_tables(m, D)
-    radix = groups[0][0]
+    scan = search._scan(family.m, family.D)
+    radix = scan.radix
     first = lo // radix
-    part_u, part_v = search._decode(first, (hi - 1) // radix + 1, groups[1:], U, V)
+    part_u, part_v = search._decode(first, (hi - 1) // radix + 1, scan.groups[1:], scan.U, scan.V)
     part, code = np.divmod(np.arange(hi - lo) + (lo - first * radix), radix)
     rows = search._Rows(part_u, part_v, part, code)
-    return rows.select(np.flatnonzero(rows.pairs(m, D)[0].sum(axis=1) & 1))
+    return rows.select(np.flatnonzero(scan.pairs(rows)[0].sum(axis=1) & 1))
 
 
 def prefix_masks(U, V, t):
-    """The last of _level_masks over every y in [-t, t]: the start masks after the pairs U, V."""
-    *_, masks = _level_masks(U, V, t, np.arange(-t, t + 1))
-    return masks
+    """_level_masks over every y in [-t, t]: the start masks after the pairs U, V."""
+    return _level_masks(U, V, t, np.arange(-t, t + 1))
 
 
 def assert_lead_screen_matches_block_screen(rows, m, D, t, cached):
     """The search screen, from the lead table or not as cached says, is dp_feasible_block."""
-    masks = search._lead_masks(m, D, t)
-    assert (masks is not None) == cached
-    expected = dp_feasible_block(*rows.pairs(m, D), t).tolist()
-    assert search._screen(rows, m, D, t, masks).tolist() == expected
+    scan = search._scan(m, D)
+    assert (scan.lead_masks(t) is not None) == cached
+    expected = dp_feasible_block(*scan.pairs(rows), t).tolist()
+    assert scan.screen(rows, t).tolist() == expected
     return expected
 
 
@@ -441,7 +439,7 @@ def test_lead_screen_beyond_int64_masks(m, D, ts):
             expected = assert_lead_screen_matches_block_screen(rows, m, D, t, cached=False)
             sample = rows.select(np.arange(0, len(rows.code), 50))
             oracle = [scalar_feasible_any_y(pairs, t) is not None
-                      for pairs in rows_of(*sample.pairs(m, D))]
+                      for pairs in rows_of(*search._scan(m, D).pairs(sample))]
             assert oracle == expected[::50]
             outcomes.update(expected)
     assert outcomes == {True, False}
@@ -475,9 +473,10 @@ def test_lead_screen_in_column_chunks(monkeypatch):
     # A _MASK_BITS of 600 lets about one end point per chunk through at
     # (4, 8), so each chunk takes its own columns of the lead table.
     family = StructuredFamily(4, 8)
+    scan = search._scan(4, 8)
     rows = odd_rows(family, 0, family.size)
     rows = rows.select(np.arange(0, len(rows.code), 97))
-    expected = {t: dp_feasible_block(*rows.pairs(4, 8), t).tolist() for t in (3, 5, 12)}
+    expected = {t: dp_feasible_block(*scan.pairs(rows), t).tolist() for t in (3, 5, 12)}
     assert set(expected[3]) == set(expected[5]) == {True, False}
     chunks = []
     level_masks = exact._level_masks
@@ -489,9 +488,9 @@ def test_lead_screen_in_column_chunks(monkeypatch):
     monkeypatch.setattr(exact, "_MASK_BITS", 600)
     monkeypatch.setattr(exact, "_level_masks", recorded)
     for t, feasible in expected.items():
-        masks = search._lead_masks(4, 8, t)
+        scan.lead_masks(t)  # built before the screen's chunks are counted
         chunks.clear()
-        assert search._screen(rows, 4, 8, t, masks).tolist() == feasible
+        assert scan.screen(rows, t).tolist() == feasible
         assert len(chunks) > 1 and sum(chunks) == 2 * t + 1
 
 
@@ -502,48 +501,47 @@ def test_lead_key_terms_and_flags_code_by_code(m, D):
     # The terms are cached where their (radix, G) table is int64 and fits
     # _LEAD_TABLE_BYTES: not at m=12, D=40, at m=20 or at m=10, D=82, which
     # pack keys in Python ints, nor at m=10, D=76 (35 MB).
-    leads = search._leads(m, D)
-    _, U, V = search._decode_tables(m, D)
-    U, V = U[: leads.radix], V[: leads.radix]
-    expected = search._pack(U, V, D) @ leads.lead_weights
+    scan = search._scan(m, D)
+    U, V = scan.U[: scan.radix], scan.V[: scan.radix]
+    expected = search._pack(U, V, D) @ scan.lead_weights
     cached = expected.dtype == np.int64 and expected.nbytes <= search._LEAD_TABLE_BYTES
     assert cached == ((m, D) in {(2, 4), (8, 10), (10, 10), (4, 82)})
     if cached:
-        assert leads.terms.dtype == np.int64
-        assert (leads.terms == expected).all()
+        assert scan.terms.dtype == np.int64
+        assert (scan.terms == expected).all()
     else:
-        assert leads.terms is None
-    assert leads.value_d.tolist() == (U + V == D).all(axis=1).tolist()
-    assert leads.value_d.any() and not leads.value_d.all()
+        assert scan.terms is None
+    assert scan.value_d.tolist() == (U + V == D).all(axis=1).tolist()
+    assert scan.value_d.any() and not scan.value_d.all()
 
 
 @pytest.mark.parametrize("m, D, t", [
     (10, 76, 59), (4, 82, 59), (4, 82, 30), (4, 82, 123), (2, 46, 16), (12, 40, 21),
 ])
 def test_lead_tables_stay_small(m, D, t):
-    # All that _leads and _lead_masks keep, traced after
-    # the decode tables and weights they start from.
-    search._decode_tables(m, D)
-    search._symmetries(m, D)
-    search._leads.cache_clear()
-    search._lead_masks.cache_clear()
+    # All that a scan keeps, its decode tables, weights and lead tables and
+    # the lead masks at t, traced from an empty start.
     tracemalloc.start()
     try:
-        tables = search._leads(m, D), search._lead_masks(m, D, t)
+        scan = search._Scan(m, D)
+        scan.lead_masks(t)
         size, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert tables[0].radix > 1000
+    assert scan.radix > 1000
     assert size < 16 * 2**20
 
 
 def test_lead_masks_keep_the_latest_table_read_only():
-    masks = search._lead_masks(8, 10, 10)
-    assert search._lead_masks(8, 10, 10) is masks
+    scan = search._scan(8, 10)
+    assert search._scan(8, 10) is scan
+    masks = scan.lead_masks(10)
+    assert scan.lead_masks(10) is masks
     assert not masks.flags.writeable
-    search._lead_masks(8, 10, 9)  # a scan at another t replaces the table
-    assert search._lead_masks.cache_info().currsize == 1
-    assert search._lead_masks(8, 10, 10) is not masks
+    assert not any(table.flags.writeable for table in vars(scan).values()
+                   if isinstance(table, np.ndarray))
+    scan.lead_masks(9)  # a scan at another t replaces the table
+    assert scan.lead_masks(10) is not masks
 
 
 @pytest.mark.parametrize("m, D, threshold", [(2, 1000, 700), (10, 200, 150)])
@@ -552,7 +550,8 @@ def test_the_scan_without_lead_tables_matches_the_decode_path(m, D, threshold):
     # built; the rows pack their own leads and screen from level 0.  The
     # shard of about 2000 indices holds a canonical form.
     t = threshold - 1
-    assert search._leads(m, D).terms is None and search._lead_masks(m, D, t) is None
+    scan = search._scan(m, D)
+    assert scan.terms is None and scan.lead_masks(t) is None
     family = StructuredFamily(m, D)
     pairs = family.decode(random.Random(94 + m).randrange(family.size))
     count = family.size // 2000
@@ -567,7 +566,7 @@ def test_canonical_mask_on_python_ints_when_the_keys_overflow_int64():
     family = StructuredFamily(6, 1448)
     D = family.D
     assert (D + 1) ** family.m >= 2**63  # B^(2 (m/2)): a half-key overflows int64
-    assert search._symmetries(family.m, D)[0].dtype == object
+    assert search._scan(family.m, D).high.dtype == object
     rng = random.Random(87)
     expected = []
     for _ in range(4):
@@ -587,8 +586,8 @@ def test_canonical_mask_on_python_ints_when_the_keys_overflow_int64():
 
 @pytest.mark.parametrize("D, dtype", [(8, np.int64), (10, np.int64), (76, np.int64), (78, object)])
 def test_half_keys_of_m10_are_int64_up_to_d76(D, dtype):
-    high, low, _, _ = search._symmetries(10, D)
-    assert high.dtype == low.dtype == dtype
+    scan = search._scan(10, D)
+    assert scan.high.dtype == scan.low.dtype == dtype
     assert (D + 1) ** 20 >= 2**63  # one whole-image key would overflow
 
 
@@ -639,7 +638,7 @@ def test_canonical_mask_on_m10_slices(D):
 @pytest.mark.parametrize("m, D", [(8, 10), (18, 10), (4, 80), (4, 82)])
 def test_block_decode_carries_through_every_position_pair(m, D):
     family = StructuredFamily(m, D)
-    groups, _, _ = search._decode_tables(m, D)
+    groups = search._scan(m, D).groups
     assert len(groups) == (m if D > 80 else m // 2)  # beyond D = 80 a pair table is too large
     radix = family.free_choices * family.pinned_choices
     top = radix ** (m // 2 - 1)
@@ -655,7 +654,8 @@ def test_decode_tables_pair_positions_up_to_d80(D, width):
     # Paired tables U and V have (D/2)^2 (D-1) rows of two int64 columns
     # each: 126400 rows (3.9 MB) at D = 80, and 136161, past
     # _LEAD_TABLE_BYTES, at D = 82, where each position is a group.
-    groups, U, V = search._decode_tables(4, D)
+    scan = search._scan(4, D)
+    groups, U, V = scan.groups, scan.U, scan.V
     F, P = (D // 2) ** 2, D - 1
     assert U.shape == V.shape == (F * P if width == 2 else F + P, width)
     assert groups == (((F * P, 0),) * 2 if width == 2 else ((F, 0), (P, F)) * 2)
@@ -740,7 +740,7 @@ def test_checkpoints_are_on_disk_before_they_replace_the_old(tmp_path, monkeypat
 # A whole scan of the 12544 members of (4, 8) ends its first block at EDGE,
 # so EDGE - 1 resumes on a block boundary and EDGE inside a part; after
 # 8447 the rest is one block, so with no save in between only the end saves.
-EDGE = next(search._blocks(0, 12544, search._leads(4, 8).radix))[1]
+EDGE = next(search._blocks(0, 12544, search._scan(4, 8).radix))[1]
 
 
 @pytest.mark.parametrize("resume_after", [0, EDGE - 1, EDGE, 5000, 8447, 12542, 12543])
@@ -784,7 +784,7 @@ def test_an_interrupted_search_resumes_with_every_hit(tmp_path, monkeypatch, par
 def test_canonical_rows_match_the_decode_path_on_whole_families(m, D):
     family = StructuredFamily(m, D)
     assert_canonical_rows_match_decode_path(family, 0, family.size)
-    radix = search._leads(m, D).radix
+    radix = search._scan(m, D).radix
     rng = random.Random(89)
     for _ in range(25):
         index = rng.randrange(family.size)
@@ -802,10 +802,11 @@ def test_canonical_rows_match_the_decode_path_on_large_families(m, D):
     # too; m=20, m=12 at D=40 and m=10 at D=82 pack keys in Python ints;
     # beyond D=80 the lead is position 0.
     family = StructuredFamily(m, D)
+    scan = search._scan(m, D)
     assert (family.size >= 2**63) == (m > 4)
-    assert (family.size // search._leads(m, D).radix >= 2**63) == (m not in (4, 18))
-    assert (search._symmetries(m, D)[0].dtype == object) == (m in (12, 10, 20))
-    assert search._leads(m, D).radix == (D // 2) ** 2 * (1 if D > 80 else D - 1)
+    assert (family.size // scan.radix >= 2**63) == (m not in (4, 18))
+    assert (scan.high.dtype == object) == (m in (12, 10, 20))
+    assert scan.radix == (D // 2) ** 2 * (1 if D > 80 else D - 1)
     rng = random.Random(90 + m)
     starts = [family.size - 3000, 2**63 - 1500] if m > 4 else [family.size - 3000]
     for _ in range(3):  # slices around canonical forms, which are rare at random
@@ -823,11 +824,17 @@ def test_decode_peels_python_ints_only_down_to_2_63():
     family = StructuredFamily(18, 10)
     for lo, hi in ((2**63 - 5, 2**63), (2**63 - 5, 2**63 + 3), (2**63, 2**63 + 2)):
         assert_block_matches_decode(family, lo, hi)
+    # Blocks at the bottom, the top and across 2^63 of families paired and
+    # unpaired, with int64 and Python-int sizes.
+    for m, D in ((8, 10), (20, 10), (10, 82), (4, 82), (12, 40)):
+        family = StructuredFamily(m, D)
+        for lo in {0, family.size - 2000, min(2**63 - 1000, family.size - 2000)}:
+            assert_block_matches_decode(family, lo, lo + 2000)
     family = StructuredFamily(20, 10)
-    groups, U, V = search._decode_tables(20, 10)
-    top = family.size // search._leads(20, 10).radix
+    scan = search._scan(20, 10)
+    top = family.size // scan.radix
     assert top >= 2**63
-    part_u, _ = search._decode(top - 40, top, groups[1:], U, V)
+    part_u, _ = search._decode(top - 40, top, scan.groups[1:], scan.U, scan.V)
     assert part_u.tolist() == [[u for u, _ in family.decode(part * 225)[2:]]
                                for part in range(top - 40, top)]
 
@@ -861,7 +868,7 @@ def test_search_matches_the_decode_path(m, D, threshold, shard, count):
 def test_small_shards_start_and_stop_inside_one_part():
     for m, D, shard in ((4, 8, (257, 12544)), (6, 6, (1956, 30000))):
         lo, hi = shard_range(StructuredFamily(m, D).size, shard)
-        radix = search._leads(m, D).radix
+        radix = search._scan(m, D).radix
         assert lo % radix and hi % radix and lo // radix == hi // radix
 
 
@@ -869,13 +876,13 @@ def test_small_shards_start_and_stop_inside_one_part():
 def test_the_canonical_test_sees_about_one_index_in_ten(monkeypatch, shard):
     # Decoding every index would give the canonical test half of them.
     seen = []
-    canonical = search._canonical
+    canonical = search._Scan.canonical
 
-    def counted(rows, m, D):
+    def counted(scan, rows):
         seen.append(len(rows.part))
-        return canonical(rows, m, D)
+        return canonical(scan, rows)
 
-    monkeypatch.setattr(search, "_canonical", counted)
+    monkeypatch.setattr(search._Scan, "canonical", counted)
     search_lower_bound(8, 10, from_int(11), shard=shard)
     lo, hi = shard_range(StructuredFamily(8, 10).size, shard)
     assert 0 < sum(seen) <= 0.15 * (hi - lo)
