@@ -13,9 +13,11 @@ Three routes from a crossing instance to an unsplittable solution:
     5D/14, backward to 3D/7, forward from 11D/14) directly or through a
     crossover at a D/7-closeness witness; guarantee 19/14 * D.
 
-solve_19_14 dispatches: any demand in [2D/7, 5D/7] goes the medium route
-with the largest available margin, otherwise the small/big route; the
-resulting bound never exceeds 19/14 * D.
+solve_19_14 dispatches: a widest margin min(d, D - d) of at least 2D/7
+goes the medium route with that margin, otherwise the small/big route; the
+bound never exceeds 19/14 * D.  medium_solve takes the widest margin at any
+size, or ssw when there is no demand.  ROUTES maps each `solve --alg` name
+of these routes (ssw, medium, smallbig, auto) to its function.
 
 Every report carries the exact performance and the a-priori bound; the
 bound is rechecked against the exact value, and a failure raises
@@ -36,9 +38,10 @@ from .errors import (
 from .model import CCW, CW, UnsplitRouting
 from .patterns import (
     Pattern,
+    backward_greedy,
     crossover,
     find_close,
-    greedy_points,
+    forward_greedy,
     performance,
     walk_points,
 )
@@ -56,12 +59,9 @@ class SolveReport:
 
 
 def solution_from_pattern(pattern: Pattern) -> UnsplitRouting:
-    """Read direction flags off the pattern's steps (Pattern admits only +v or -u)."""
+    """CW where the pattern steps up: a step is +v > 0 or -u < 0."""
     points = pattern.points
-    return UnsplitRouting(tuple(
-        CW if points[k + 1] - points[k] == v else CCW
-        for k, (_, v) in enumerate(pattern.owner.pairs)
-    ))
+    return UnsplitRouting(tuple(CW if b > a else CCW for a, b in zip(points, points[1:])))
 
 
 def pattern_from_solution(
@@ -76,23 +76,19 @@ def pattern_from_solution(
     return Pattern(cross, tuple(points))
 
 
-def _report(
-    pattern: Pattern, bound: Scaled, branch: str, z: UnsplitRouting | None = None
-) -> SolveReport:
-    """Recheck the bound; z, when given, must be the pattern's directions."""
+def _report(pattern: Pattern, bound: Scaled, branch: str) -> SolveReport:
+    """Recheck the bound and read the directions off the pattern."""
     perf = performance(pattern)
     if perf > bound:
         raise InternalGuaranteeViolation(
             f"branch {branch}: performance {perf} exceeds certified bound {bound}"
         )
-    if z is None:
-        z = solution_from_pattern(pattern)
-    return SolveReport(z, perf, bound, branch, pattern)
+    return SolveReport(solution_from_pattern(pattern), perf, bound, branch, pattern)
 
 
 def ssw_three_halves(cross: CrossingInstance) -> SolveReport:
     """Forward greedy from D/2; additive performance at most 3/2 * D."""
-    pattern = Pattern(cross, greedy_points(cross, halve(cross.D), forward=True))
+    pattern = Pattern(cross, walk_points(cross.pairs, cross.D, halve(cross.D), True))
     return _report(pattern, 3 * halve(cross.D), "ssw")
 
 
@@ -126,11 +122,10 @@ def medium_demand_solve(
 
     # Undo the rotation: old demands 0..m-r-1 sit at positions r.., the
     # last r old demands at positions 0..r-1 with u and v swapped, so
-    # their steps change sign.  Steps +v are positive, steps -u negative.
+    # their steps change sign.
     steps = steps[r:] + [-step for step in steps[:r]]
     pattern = Pattern(cross, tuple(accumulate(steps, initial=0)))
-    z = UnsplitRouting(tuple(CW if step > 0 else CCW for step in steps))
-    return _report(pattern, bound, "medium", z)
+    return _report(pattern, bound, "medium")
 
 
 def widest_margin_demand(cross: CrossingInstance) -> tuple[int, Scaled] | None:
@@ -163,18 +158,18 @@ def small_big_solve(cross: CrossingInstance) -> SolveReport:
     bound = exact_div(19 * D, 14)
     eps = exact_div(2 * D, 14)  # D/7-closeness enables the crossover
 
-    pattern_a = Pattern(cross, greedy_points(cross, exact_div(5 * D, 14)))
+    pattern_a = forward_greedy(cross, exact_div(5 * D, 14))
     if pattern_a.end >= exact_div(4 * D, 14):
         return _report(pattern_a, bound, "smallbig-a")
 
-    pattern_b = Pattern(cross, greedy_points(cross, exact_div(6 * D, 14), forward=False))
+    pattern_b = backward_greedy(cross, exact_div(6 * D, 14))
     witness_ab = find_close(pattern_a, pattern_b, eps)
     if witness_ab is not None:
         return _report(crossover(pattern_a, pattern_b, witness_ab), bound, "smallbig-crossAB")
     if pattern_b.start > exact_div(3 * D, 14):
         return _report(pattern_b, bound, "smallbig-b")
 
-    pattern_c = Pattern(cross, greedy_points(cross, exact_div(11 * D, 14)))
+    pattern_c = forward_greedy(cross, exact_div(11 * D, 14))
     if pattern_c.end <= exact_div(8 * D, 14):
         return _report(pattern_c, bound, "smallbig-c")
 
@@ -189,10 +184,20 @@ def small_big_solve(cross: CrossingInstance) -> SolveReport:
     raise InternalGuaranteeViolation("no close pair among the three greedy walks")
 
 
-def solve_19_14(cross: CrossingInstance) -> SolveReport:
-    """Dispatcher: medium route when possible, small/big route otherwise."""
-    small, big = _small_big_bounds(cross.D)
+def medium_solve(cross: CrossingInstance) -> SolveReport:
+    """The medium route with the widest margin; ssw when there is no demand."""
     choice = widest_margin_demand(cross)
-    if choice is not None and small <= cross.demand_value(choice[0]) <= big:
+    return ssw_three_halves(cross) if choice is None else medium_demand_solve(cross, *choice)
+
+
+def solve_19_14(cross: CrossingInstance) -> SolveReport:
+    """Dispatcher: medium route when the widest margin reaches 2D/7, small/big otherwise."""
+    small, _ = _small_big_bounds(cross.D)
+    choice = widest_margin_demand(cross)
+    if choice is not None and choice[1] >= small:
         return medium_demand_solve(cross, *choice)
     return small_big_solve(cross)
+
+
+ROUTES = {"ssw": ssw_three_halves, "medium": medium_solve,
+          "smallbig": small_big_solve, "auto": solve_19_14}

@@ -59,18 +59,7 @@ def _cmd_solve(args) -> int:
             label = "dp optimum"
             extra = {"branch": "dp", "crossing_performance": rational_str(value)}
         else:
-            if args.alg == "auto":
-                solved = approx.solve_19_14(cross)
-            elif args.alg == "ssw":
-                solved = approx.ssw_three_halves(cross)
-            elif args.alg == "smallbig":
-                solved = approx.small_big_solve(cross)
-            else:  # medium: strongest available margin
-                choice = approx.widest_margin_demand(cross)
-                if choice is None:
-                    solved = approx.ssw_three_halves(cross)
-                else:
-                    solved = approx.medium_demand_solve(cross, *choice)
+            solved = approx.ROUTES[args.alg](cross)
             z, label = solved.z, solved.branch
             extra = {
                 "branch": solved.branch,
@@ -91,7 +80,7 @@ def _cmd_loads(args) -> int:
     inst, split = _read_instance(args.instance, need_split=True)
     loads = model.edge_loads(inst, split)
     report = {
-        "loads": [rational_str(load) for load in loads],
+        "loads": fileio.load_texts(loads),
         "max": rational_str(max(loads)),
     }
     _emit(report, f"max edge load {report['max']}")
@@ -233,7 +222,7 @@ def _cmd_optimum(args) -> int:
     report = {
         "dirs": list(unsplit.dirs),
         "optimum_load": rational_str(L),
-        "loads": [rational_str(load) for load in loads],
+        "loads": fileio.load_texts(loads),
     }
     _emit(report, f"optimum unsplittable load {report['optimum_load']}")
     return 0
@@ -248,8 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="turn a split routing into an unsplittable one")
-    solve.add_argument("--alg", choices=("ssw", "medium", "smallbig", "auto", "dp", "brute"),
-                       default="auto")
+    solve.add_argument("--alg", choices=(*approx.ROUTES, "dp", "brute"), default="auto")
     solve.add_argument("-i", "--instance", required=True)
     solve.set_defaults(func=_cmd_solve)
 

@@ -16,9 +16,10 @@ Routing report (produced, never parsed):
 
     {"dirs": ["cw"|"ccw", ...], "max_increase": "p/q", "loads": ["p/q", ...]}
 
-All numeric report values are exact rational strings; no floating point
-appears in any output.  report_text renders any report the CLI emits in
-the layout of json.dumps(report, indent=1), in one pass.  A document's
+All numeric report values are exact rational strings at any size; no
+floating point appears in any output.  Every report's loads are rendered
+by load_texts.  report_text renders any report the CLI emits in the
+layout of json.dumps(report, indent=1), in one pass.  A document's
 ring checks itself on construction; its split is checked once, where it
 enters (parse_instance, write_instance).
 """
@@ -31,7 +32,7 @@ from json.encoder import encode_basestring_ascii as _quoted
 
 from .errors import InstanceSyntaxError, SchemaError
 from .model import Demand, RingInstance, SplitRouting, UnsplitRouting, validate_instance
-from .scaled import SCALE, Scaled, from_int, rational_str, unscale
+from .scaled import SCALE, Scaled, from_int, int_text, rational_str, unscale
 
 
 def _require_int(obj: dict, key: str, where: str) -> int:
@@ -135,7 +136,7 @@ def parse_instance(data: bytes | str) -> tuple[RingInstance, SplitRouting | None
 def _cw_text(scaled: Scaled) -> str:
     """Exact decimal text of an integer or half-integer amount, e.g. 3 or 1.5."""
     whole, rest = divmod(scaled, SCALE)
-    return f"{whole}.5" if 2 * rest == SCALE else str(unscale(scaled))
+    return f"{int_text(whole)}.5" if 2 * rest == SCALE else int_text(unscale(scaled))
 
 
 def write_instance(inst: RingInstance, split: SplitRouting | None = None) -> bytes:
@@ -148,21 +149,26 @@ def write_instance(inst: RingInstance, split: SplitRouting | None = None) -> byt
     entries = []
     for pos, dem in enumerate(inst.demands):
         cw = "" if split is None else f',\n   "cw": {_cw_text(split.cw[pos])}'
-        fields = f'"i": {dem.i},\n   "j": {dem.j},\n   "d": {unscale(dem.d)}{cw}'
+        fields = f'"i": {dem.i},\n   "j": {dem.j},\n   "d": {int_text(unscale(dem.d))}{cw}'
         entries.append(f"  {{\n   {fields}\n  }}")
     demands = "[\n" + ",\n".join(entries) + "\n ]" if entries else "[]"
     return f'{{\n "n": {inst.n},\n "demands": {demands}\n}}\n'.encode("utf-8")
+
+
+def load_texts(loads: tuple[Scaled, ...]) -> list[str]:
+    """The loads as exact rational strings, each distinct value rendered once."""
+    texts = {load: rational_str(load) for load in set(loads)}
+    return [texts[load] for load in loads]
 
 
 def routing_report(
     dirs: UnsplitRouting, max_increase: Scaled, loads: tuple[Scaled, ...]
 ) -> dict:
     """Routing output document with exact rational strings."""
-    texts = {load: rational_str(load) for load in set(loads)}  # loads repeat; render each once
     return {
         "dirs": list(dirs.dirs),
         "max_increase": rational_str(max_increase),
-        "loads": [texts[load] for load in loads],
+        "loads": load_texts(loads),
     }
 
 

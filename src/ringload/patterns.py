@@ -7,12 +7,12 @@ encoded solution is exactly
 
     max{2b - x - y, x + y - 2a}  =  (b - a) + |y - (a + b - x)|.
 
-Greedy constructions keep all points inside [0, D] and, where both steps
-stay inside, take the one nearer to D/2, breaking ties toward +v_k.  Their
-start (forward) or end (backward) point must keep a margin of D/14 from
-the strip boundary; that margin (a quarter of the small/big demand split
-at 2/7) is what the closeness guarantees of the small/big analysis rely
-on.  Construction helpers used internally accept any point in [0, D].
+The greedy walk, walk_points, keeps all points inside [0, D] and, where
+both steps stay inside, takes the one nearer to D/2, breaking ties toward
++v_k.  forward_greedy and backward_greedy make a Pattern of it whose start
+(forward) or end (backward) point keeps a margin of D/14 from the strip
+boundary; that margin (a quarter of the small/big demand split at 2/7) is
+what the closeness guarantees of the small/big analysis rely on.
 """
 
 from __future__ import annotations
@@ -84,31 +84,19 @@ def margin_interval(D: Scaled) -> tuple[Scaled, Scaled]:
     return lo, D - lo
 
 
-def greedy_points(
-    cross: CrossingInstance, point: Scaled, forward: bool = True
+def walk_points(
+    pairs: tuple[tuple[Scaled, Scaled], ...], D: Scaled, point: Scaled, forward: bool
 ) -> tuple[Scaled, ...]:
-    """Greedy walk inside [0, D] from any admissible point in [0, D].
+    """Greedy walk on bare pairs (u, v > 0, u + v <= D) from point in [0, D].
 
     Forward: point = p(0), steps k = 1..m.  Backward: point = p(m),
     steps k = m..1 with p(k-1) = p(k) - z_k.  Each step takes whichever
     of its two candidates inside [0, D] is nearer to D/2, and z_k = +v_k
-    on ties; walk_points decides that by one direct comparison per step.
-    """
-    if not 0 <= point <= cross.D:
-        raise ValueError("greedy walks live on [0, D]")
-    return walk_points(cross.pairs, cross.D, point, forward)
-
-
-def walk_points(
-    pairs: tuple[tuple[Scaled, Scaled], ...], D: Scaled, point: Scaled, forward: bool
-) -> tuple[Scaled, ...]:
-    """greedy_points on bare pairs (u, v > 0, u + v <= D) from point in [0, D].
-
-    Each step compares its two candidates directly.  Forward, +v_k lands
-    above -u_k, so it is at least as near to D/2 exactly when the two
-    average at most D/2, and it is taken when it also stays at or below D;
-    backward mirrors this.  Otherwise the other step is taken, and it must
-    stay inside [0, D] (d_k <= D guarantees that one step does).
+    on ties, by one direct comparison: forward, +v_k lands above -u_k, so
+    it is at least as near to D/2 exactly when the two average at most
+    D/2, and it is taken when it also stays at or below D; backward
+    mirrors this.  Otherwise the other step is taken, and it must stay
+    inside [0, D] (d_k <= D guarantees that one step does).
     """
     here = point
     points = [here]
@@ -136,14 +124,14 @@ def forward_greedy(cross: CrossingInstance, x: Scaled) -> Pattern:
     lo, hi = margin_interval(cross.D)
     if not lo <= x <= hi:
         raise StartOutOfRange(f"start must lie in [D/14, 13D/14] = [{lo}, {hi}]")
-    return Pattern(cross, greedy_points(cross, x, forward=True))
+    return Pattern(cross, walk_points(cross.pairs, cross.D, x, True))
 
 
 def backward_greedy(cross: CrossingInstance, y: Scaled) -> Pattern:
     lo, hi = margin_interval(cross.D)
     if not lo <= y <= hi:
         raise EndOutOfRange(f"end must lie in [D/14, 13D/14] = [{lo}, {hi}]")
-    return Pattern(cross, greedy_points(cross, y, forward=False))
+    return Pattern(cross, walk_points(cross.pairs, cross.D, y, False))
 
 
 def find_close(p1: Pattern, p2: Pattern, eps: Scaled) -> ClosenessWitness | None:

@@ -109,7 +109,7 @@ def rotated(pairs: tuple[tuple[int, int], ...], shift: int) -> tuple[tuple[int, 
     return tuple((v, u) for u, v in pairs[cut:]) + tuple(pairs[:cut])
 
 
-def demands_cross(n: int, first: tuple[int, int], second: tuple[int, int]) -> bool:
+def demands_cross(first: tuple[int, int], second: tuple[int, int]) -> bool:
     """True iff the two demands cross (no edge-disjoint path pair exists).
 
     Demands sharing an endpoint are parallel: disjoint paths always exist.
@@ -154,7 +154,7 @@ def uncross_pair(
     """
     validate_instance(inst, split)
     dem_a, dem_b = inst.demands[a], inst.demands[b]
-    if demands_cross(inst.n, (dem_a.i, dem_a.j), (dem_b.i, dem_b.j)):
+    if demands_cross((dem_a.i, dem_a.j), (dem_b.i, dem_b.j)):
         raise NotParallel(f"demands #{a} and #{b} cross")
     cw_a, cw_b = split.cw[a], split.cw[b]
     if cw_a in (0, dem_a.d) or cw_b in (0, dem_b.d):
@@ -207,7 +207,7 @@ def _uncross_all(inst: RingInstance, split: SplitRouting) -> SplitRouting:
     cw = list(split.cw)
     ends = [(dem.i, dem.j) for dem in demands]
     values = [dem.d for dem in demands]
-    n, k = inst.n, len(demands)
+    k = len(demands)
     for a in range(_crossing_suffix(demands, cw)):
         x_a, d_a = cw[a], values[a]
         if x_a == 0 or x_a == d_a:
@@ -215,7 +215,7 @@ def _uncross_all(inst: RingInstance, split: SplitRouting) -> SplitRouting:
         ends_a = ends[a]
         for b in range(a + 1, k):
             x_b = cw[b]
-            if x_b == 0 or x_b == values[b] or demands_cross(n, ends_a, ends[b]):
+            if x_b == 0 or x_b == values[b] or demands_cross(ends_a, ends[b]):
                 continue
             x_a, cw[b] = _uncrossed_amounts(demands[a], demands[b], x_a, x_b)
             if x_a == 0 or x_a == d_a:

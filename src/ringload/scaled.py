@@ -17,6 +17,7 @@ raise instead of rounding; they indicate a bug, never a data problem.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 SCALE = 28
@@ -38,12 +39,20 @@ def from_fraction(value: Fraction) -> Scaled:
     return int(scaled)
 
 
+def int_text(value: int) -> str:
+    """str(value) at any size: past int's str digit limit, by way of Decimal."""
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
+
+
 def rational_str(scaled: Scaled) -> str:
     """Exact "p" or "p/q" rendering, e.g. 37, 19/14, -3/2."""
     g = math.gcd(scaled, SCALE)
     if g == SCALE:
-        return str(scaled // SCALE)
-    return f"{scaled // g}/{SCALE // g}"
+        return int_text(scaled // SCALE)
+    return f"{int_text(scaled // g)}/{SCALE // g}"
 
 
 def parse_rational(text: str) -> Scaled:

@@ -476,7 +476,7 @@ def _resume(
             if hit_record(hit) != line or not start <= index <= cursor or value < threshold:
                 raise ValueError(line)
             hits.append(hit)
-        if not start - 1 <= cursor < stop:
+        if last != str(cursor) or not start - 1 <= cursor < stop:
             raise ValueError(last)
     except (ValueError, IndexError, InfeasibleParams):  # a line no save of the shard writes
         raise SchemaError(f"{checkpoint}: not hit records of this run, then an index") from None

@@ -194,6 +194,25 @@ def test_number_literals_are_decided_at_once(capsys, tmp_path, d, cw, expected):
         assert code == 0 and json.loads(out)["max"] == expected
 
 
+@pytest.mark.parametrize("argv", [("loads",), ("solve", "--alg", "auto"),
+                                  ("solve", "--alg", "brute"), ("extend",)],
+                         ids=["loads", "auto", "brute", "extend"])
+def test_outputs_past_the_digit_limit_are_exact(capsys, tmp_path, argv):
+    # Two 4300-digit demands, the longest the parser reads, put twice that,
+    # 2 * (10^4300 - 1), a number of 4301 digits, on edges 1 and 2.
+    nines, twice = "9" * 4300, "1" + "9" * 4299 + "8"
+    demand = f'{{"i": 1, "j": 3, "d": {nines}, "cw": {nines}}}'
+    path = tmp_path / "ring.json"
+    path.write_text(f'{{"n": 4, "demands": [{demand}, {demand}]}}')
+    code, out, err = run_cli(capsys, *argv, "-i", str(path))
+    assert code == 0 and len(err.splitlines()) == 1
+    if argv[0] == "extend":
+        assert f'"d": {twice},\n   "cw": {twice}\n' in out
+        assert f'"d": {twice},\n   "cw": 0\n' in out
+    else:
+        assert f'"{twice}",\n  "{twice}",\n  "0",\n  "0"\n' in out
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["solve"])  # missing -i
@@ -494,8 +513,12 @@ BELOW = FIRST.replace('"5"', '"4"')  # under the threshold
     f"{BELOW}\n6300\n",
     f"{FIRST}\n12544\n",
     f"{FIRST}\n6270\n",
+    *(f"{FIRST}\n{SECOND}\n{index}\n"
+      for index in ("+6273", " 6273", "06273", "6_273", "0_6_2_7_3")),
 ], ids=["garbage", "no-spaces", "extra-pair", "short", "leading-zero", "other-shard",
-        "past-cursor", "below-threshold", "cursor-past-shard", "cursor-before-shard"])
+        "past-cursor", "below-threshold", "cursor-past-shard", "cursor-before-shard",
+        "index-plus", "index-space", "index-leading-zero", "index-underscore",
+        "index-underscores"])
 def test_search_checkpoint_records_are_checked(capsys, tmp_path, content):
     search_args = ("search", "--m", "4", "--d", "8", "--threshold", "5", "--shard", "1/2")
     checkpoint = tmp_path / "m4-d8-t5-shard-1-of-2.txt"

@@ -20,9 +20,9 @@ from ringload.patterns import (
     crossover,
     find_close,
     forward_greedy,
-    greedy_points,
     margin_interval,
     performance,
+    walk_points,
 )
 from ringload.reduction import standalone_crossing
 from ringload.scaled import from_int
@@ -174,7 +174,7 @@ def test_greedy_matches_reference():
         point = rng.randrange(lo, hi + 1)
         forward = rng.random() < 0.5
         expected, _ = _reference_greedy(cross.pairs, cross.D, point, forward, True)
-        assert greedy_points(cross, point, forward=forward) == expected
+        assert walk_points(cross.pairs, cross.D, point, forward) == expected
     # Long walks, m up to 1000 and D up to 1000, from anywhere in [0, D].
     # A tie needs 2 p + v - u = D, so the start, and with it every point,
     # is a multiple of 14 (half a unit) in half the walks; D is even.
@@ -188,7 +188,7 @@ def test_greedy_matches_reference():
             point -= point % 14
         forward = trial % 4 < 2
         expected, had_tie = _reference_greedy(cross.pairs, cross.D, point, forward, True)
-        assert greedy_points(cross, point, forward=forward) == expected
+        assert walk_points(cross.pairs, cross.D, point, forward) == expected
         ties += had_tie
     assert ties >= 10
 
@@ -210,7 +210,7 @@ def test_backward_is_reversed_forward_on_reversed_instance():
             tuple((v, u) for u, v in reversed(cross.pairs)), cross.D
         )
         backward = backward_greedy(cross, point).points
-        forward = greedy_points(reversed_swapped, point, forward=True)
+        forward = walk_points(reversed_swapped.pairs, reversed_swapped.D, point, True)
         assert backward == tuple(reversed(forward))
         exercised += 1
 

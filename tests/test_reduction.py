@@ -38,14 +38,14 @@ from ringload.scaled import SCALE, from_int
 
 
 def test_demands_cross_basic():
-    assert demands_cross(4, (1, 3), (2, 4))
-    assert not demands_cross(4, (1, 2), (3, 4))
+    assert demands_cross((1, 3), (2, 4))
+    assert not demands_cross((1, 2), (3, 4))
 
 
 def test_shared_endpoint_is_parallel():
     # Edge-disjoint paths exist: 1->3 clockwise and 1->4 counterclockwise.
-    assert not demands_cross(5, (1, 3), (1, 4))
-    assert not demands_cross(5, (1, 4), (1, 3))
+    assert not demands_cross((1, 3), (1, 4))
+    assert not demands_cross((1, 4), (1, 3))
 
 
 def test_demands_cross_is_symmetric():
@@ -56,7 +56,7 @@ def test_demands_cross_is_symmetric():
         j = rng.randint(i + 1, n)
         k = rng.randint(1, n - 1)
         l = rng.randint(k + 1, n)
-        assert demands_cross(n, (i, j), (k, l)) == demands_cross(n, (k, l), (i, j))
+        assert demands_cross((i, j), (k, l)) == demands_cross((k, l), (i, j))
 
 
 def test_uncross_pair_square():
@@ -99,7 +99,6 @@ def test_uncross_never_increases_loads():
             for a in range(len(inst.demands))
             for b in range(a + 1, len(inst.demands))
             if not demands_cross(
-                inst.n,
                 (inst.demands[a].i, inst.demands[a].j),
                 (inst.demands[b].i, inst.demands[b].j),
             )
@@ -180,7 +179,6 @@ def test_reduction_output_is_canonical():
             ring, _ = cross.to_ring()
             for a, b in itertools.combinations(range(cross.m), 2):
                 assert demands_cross(
-                    ring.n,
                     (ring.demands[a].i, ring.demands[a].j),
                     (ring.demands[b].i, ring.demands[b].j),
                 )
@@ -283,7 +281,7 @@ def reference_uncross_all(inst, split):
             dem_a, dem_b = inst.demands[a], inst.demands[b]
             if split.cw[a] in (0, dem_a.d) or split.cw[b] in (0, dem_b.d):
                 continue
-            if demands_cross(inst.n, (dem_a.i, dem_a.j), (dem_b.i, dem_b.j)):
+            if demands_cross((dem_a.i, dem_a.j), (dem_b.i, dem_b.j)):
                 continue
             split = reference_uncross_pair(inst, split, a, b)
             break
@@ -304,9 +302,7 @@ def sweep_uncross_all(inst, split):
             if cw[a] in (0, dem_a.d):
                 break
             dem_b = demands[b]
-            if cw[b] in (0, dem_b.d) or demands_cross(
-                inst.n, (dem_a.i, dem_a.j), (dem_b.i, dem_b.j)
-            ):
+            if cw[b] in (0, dem_b.d) or demands_cross((dem_a.i, dem_a.j), (dem_b.i, dem_b.j)):
                 continue
             cw[a], cw[b] = reduction._uncrossed_amounts(dem_a, dem_b, cw[a], cw[b])
     return SplitRouting(tuple(cw))
@@ -369,7 +365,7 @@ def assert_reduction_matches_reference(inst, split):
         dem_a, dem_b = inst.demands[a], inst.demands[b]
         if split.cw[a] in (0, dem_a.d) or split.cw[b] in (0, dem_b.d):
             continue
-        if not demands_cross(inst.n, (dem_a.i, dem_a.j), (dem_b.i, dem_b.j)):
+        if not demands_cross((dem_a.i, dem_a.j), (dem_b.i, dem_b.j)):
             assert uncross_pair(inst, split, a, b) == reference_uncross_pair(inst, split, a, b)
 
 
@@ -454,7 +450,7 @@ def pairwise_crossing_suffix(demands, cw):
     """Smallest s such that every two demands split from index s on cross."""
     for s in range(len(demands) + 1):
         split = [dem for dem, x in zip(demands[s:], cw[s:]) if x not in (0, dem.d)]
-        if all(demands_cross(0, (a.i, a.j), (b.i, b.j))
+        if all(demands_cross((a.i, a.j), (b.i, b.j))
                for a, b in itertools.combinations(split, 2)):
             return s
 
