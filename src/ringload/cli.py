@@ -151,8 +151,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.m < 2:
-        raise RingLoadingError("the instance file format needs m >= 2")
     cross = instances.random_crossing(args.m, args.d, args.seed, args.structured)
     inst, split = cross.to_ring()
     sys.stdout.write(fileio.write_instance(inst, split).decode())
@@ -199,7 +197,7 @@ def _cmd_search(args) -> int:
         raise InvalidSetting("--shard and --full exclude each other; pass one of them")
     if args.shard is not None and args.jobs is not None:
         raise InvalidSetting("--jobs needs --full; a shard runs in one process")
-    family = search.StructuredFamily(args.m, args.d)  # checks m and D before any scan
+    family = search.StructuredFamily(args.m, args.d)  # m, D and the scan bounds, before any scan
     if args.shard is None and not args.full:
         raise RingLoadingError(
             f"the m={args.m}, D={args.d} family has {family.size} members; pass --full "

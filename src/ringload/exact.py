@@ -66,7 +66,7 @@ from .model import (
     validate_instance,
 )
 from .reduction import CrossingInstance
-from .scaled import SCALE, Scaled, exact_div
+from .scaled import SCALE, Scaled, exact_div, int_text
 
 DEFAULT_BRUTE_CAP = 26
 _CHUNK_BITS = 12
@@ -418,7 +418,7 @@ def dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, Scaled]:
     lo, hi = 0, (3 * (cross.D // g) + 1) // 2  # feasible: the 3/2 * D guarantee
     if hi > _MAX_DP_BOUND:
         raise TooLargeForDP(
-            f"the DP's start bound of {hi} grid units exceeds its limit of {_MAX_DP_BOUND}"
+            f"the DP's start bound of {int_text(hi)} grid units exceeds its limit of {_MAX_DP_BOUND}"
         )
     ys = None  # end points feasible at t = hi, once a probe has found some
     while lo < hi:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .errors import LengthMismatch, NotParallel
+from .errors import InfeasibleParams, LengthMismatch, NotParallel
 from .model import (
     CCW,
     CW,
@@ -82,7 +82,7 @@ class CrossingInstance:
     def to_ring(self) -> tuple[RingInstance, SplitRouting]:
         """The crossing instance as a plain ring instance with its split."""
         if self.m < 2:
-            raise ValueError("a ring needs at least 3 nodes; m must be >= 2")
+            raise InfeasibleParams("a ring needs at least 3 nodes; m must be >= 2")
         demands = tuple(
             Demand(k + 1, k + 1 + self.m, u + v) for k, (u, v) in enumerate(self.pairs)
         )

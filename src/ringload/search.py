@@ -26,9 +26,9 @@ canonical members inside it, and reports those whose minimum possible
 increase reaches the threshold; the union over all shards is exhaustive
 and duplicate-free.
 
-A scan's tables are one _Scan per (m, D), built once per process by
-_scan, and the scan's stages are its methods; its constructor refuses
-m > 256 and D > 1448 before it builds any table.
+StructuredFamily checks a family once, the scan bounds m <= 256 and
+D <= 1448 included; _scan builds the family's _Scan from it once per
+process, and the scan's stages are its methods.
 
 A shard is scanned in numpy blocks of whole parts.  An index splits into
 its lead, the lowest digit group (positions 0 and 1, or position 0 alone
@@ -82,7 +82,7 @@ import numpy as np
 from .errors import InfeasibleParams, SchemaError
 from .exact import _INT64_MASK_BITS, _level_masks, dp_feasible_block, dp_min_increase
 from .reduction import rotated, standalone_crossing
-from .scaled import Scaled, from_int, rational_str, unscale
+from .scaled import Scaled, from_int, int_text, rational_str, unscale
 
 Pairs = tuple[tuple[int, int], ...]  # plain-integer (u, v) sequences
 
@@ -187,12 +187,10 @@ class _Rows(NamedTuple):
 
 
 class _Scan:
-    """The tables of the (m, D) family's scan, and the scan's stages.
+    """The tables of a family's scan, and the scan's stages.
 
-    The constructor refuses a family whose tables would not _fit before it
-    builds any: the (2m, 4m) symmetry weight matrices, whose size grows as
-    m^2 whatever D is (a D=2 family has one member at any m, so no family
-    size bound stops them), and the free-pair table of (D/2)^2 rows.
+    A scan is built from its StructuredFamily, which has checked that the
+    tables _fit; m, D and the free and pinned radices are the family's.
 
     Decode tables.  An index's mixed-radix digit groups, lowest first, are
     groups, each (radix, first table row), decoded by one % and one //.  A
@@ -231,19 +229,10 @@ class _Scan:
     that table does not _fit.  Every table is read-only.
     """
 
-    def __init__(self, m: int, D: int) -> None:
-        if not _fits((2 * m, 4 * m), np.int64):
-            raise InfeasibleParams(
-                f"a scan needs m <= {math.isqrt(_LEAD_TABLE_BYTES // 64)}: at m={m} each of its "
-                f"two symmetry tables would take {64 * m * m} bytes"
-            )
-        F, P = (D // 2) ** 2, D - 1
-        if not _fits((F,), np.int64):
-            raise InfeasibleParams(
-                f"a scan needs D <= {2 * math.isqrt(_LEAD_TABLE_BYTES // 8)}: at D={D} its "
-                f"free-pair table would take {8 * F} bytes"
-            )
-        self.D = D
+    def __init__(self, family: StructuredFamily) -> None:
+        self.family = family
+        m, D = family.m, family.D
+        F, P = family.free_choices, family.pinned_choices
         base, half = D + 1, m // 2
 
         labels = tuple((k, m + k) for k in range(m))
@@ -306,7 +295,7 @@ class _Scan:
         columns in part_firsts bounds the lead's key; one mask over parts x
         lead codes selects the leads, in index order.
         """
-        radix, D = self.radix, self.D
+        radix, D = self.radix, self.family.D
         first = lo // radix
         part_u, part_v = _decode(first, (hi - 1) // radix + 1, self.groups[1:], self.U, self.V)
         bound = _pack(part_u, part_v, D)[:, self.part_firsts].min(axis=1, initial=(D + 1) ** 2 - 1)
@@ -330,7 +319,7 @@ class _Scan:
         the identity on the high key compare low keys.  The products are
         int64 or Python ints, as the weights are.
         """
-        D = self.D
+        D = self.family.D
         keys = (_pack(rows.part_u, rows.part_v, D) @ self.part_weights).take(rows.part, axis=0)
         if self.terms is None:
             keys += _pack(self.U[rows.code], self.V[rows.code], D) @ self.lead_weights
@@ -359,7 +348,7 @@ class _Scan:
         """
         if self._masks[0] != t:
             ys, masks = np.arange(-t, t + 1), None
-            if t + self.D <= _INT64_MASK_BITS and _fits((self.radix, len(ys)), np.int64):
+            if t + self.family.D <= _INT64_MASK_BITS and _fits((self.radix, len(ys)), np.int64):
                 masks = _level_masks(self.U[: self.radix], self.V[: self.radix], t, ys)
                 masks.setflags(write=False)
             self._masks = (t, masks)
@@ -381,24 +370,36 @@ class _Scan:
 @cache
 def _scan(m: int, D: int) -> _Scan:
     """The (m, D) family's scan, built once per process."""
-    return _Scan(m, D)
+    return _Scan(StructuredFamily(m, D))
 
 
 @dataclass(frozen=True)
 class StructuredFamily:
+    """The (m, D) family, checked once for all that a scan of it needs.
+
+    Even m, D >= 2, and scan tables that _fit: the (2m, 4m) symmetry
+    weights grow as m^2 at any D, the free-pair table as (D/2)^2.  So
+    m <= 256, D <= 1448, and at most (724^2 1447)^128 members, 1137
+    digits: every index and size prints.
+    """
+
     m: int
     D: int
 
     def __post_init__(self) -> None:
-        if self.m < 2 or self.m % 2 or self.D < 2 or self.D % 2:
+        m, D = self.m, self.D
+        if m < 2 or m % 2 or D < 2 or D % 2:
+            raise InfeasibleParams("structured family needs even m >= 2 and even D >= 2")
+        if not _fits((2 * m, 4 * m), np.int64):
             raise InfeasibleParams(
-                "structured family needs even m >= 2 and even D >= 2"
+                f"a scan needs m <= {math.isqrt(_LEAD_TABLE_BYTES // 64)}: at m={int_text(m)} each "
+                f"of its two symmetry tables would take {int_text(64 * m * m)} bytes"
             )
-        # At most 4300 digits, Python's limit for printing an int, so that every
-        # index prints; checked on logarithms, as the size can take hours.
-        choices = self.free_choices * self.pinned_choices
-        if choices > 1 and self.m // 2 >= 4300 / math.log10(choices):
-            raise InfeasibleParams(f"the m={self.m}, D={self.D} family has 10^4300 members or more")
+        if not _fits((self.free_choices,), np.int64):
+            raise InfeasibleParams(
+                f"a scan needs D <= {2 * math.isqrt(_LEAD_TABLE_BYTES // 8)}: at D={int_text(D)} "
+                f"its free-pair table would take {int_text(8 * self.free_choices)} bytes"
+            )
 
     @property
     def free_choices(self) -> int:
@@ -508,17 +509,16 @@ def search_lower_bound(
     checkpoint_dir: str | Path | None = None,
 ) -> list[SearchHit]:
     """Canonical members of the shard with min increase >= threshold, kept hits too."""
-    family = StructuredFamily(m, D)
     scan = _scan(m, D)
     threshold_int = unscale(threshold)
-    start, stop = shard_range(family.size, shard)
+    start, stop = shard_range(scan.family.size, shard)
     hits, first, checkpoint = [], start, None
     if checkpoint_dir is not None:
         name = f"m{m}-d{D}-t{threshold_int}-shard-{shard[0]}-of-{shard[1]}.txt"
         checkpoint = Path(checkpoint_dir) / name
         checkpoint.parent.mkdir(parents=True, exist_ok=True)
         if checkpoint.exists():
-            hits, first = _resume(checkpoint, family, threshold_int, start, stop)
+            hits, first = _resume(checkpoint, scan.family, threshold_int, start, stop)
     t = min(threshold_int - 1, 3 * D // 2)  # 3D/2 bounds every minimum increase
     for lo, hi in _blocks(first, stop, scan.radix):
         rows = scan.candidates(lo, hi)
@@ -546,8 +546,7 @@ def search_parallel(
     m: int, D: int, threshold: Scaled, jobs: int, checkpoint_dir: str | Path | None = None
 ) -> list[SearchHit]:
     """search_lower_bound over _SHARDS shards on local processes, in shard order."""
-    StructuredFamily(m, D)  # m and D, then the table bounds, before any worker starts
-    _scan(m, D)
+    _scan(m, D)  # the family's checks, and its tables, before any worker starts
     scan = partial(search_lower_bound, m, D, threshold, checkpoint_dir=checkpoint_dir)
     shards = [(index, _SHARDS) for index in range(_SHARDS)]
     if jobs <= 1:

@@ -131,6 +131,23 @@ def test_solve_dp_equals_brute(capsys, fig2_file):
     assert dp == brute == "11"
 
 
+@pytest.mark.parametrize("entry", ["5", '"abc"', "null"])
+def test_a_demand_that_is_not_an_object_is_a_schema_error(capsys, tmp_path, entry):
+    path = tmp_path / "ring.json"
+    path.write_text(f'{{"n": 4, "demands": [{entry}]}}')
+    code, out, err = run_cli(capsys, "loads", "-i", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: SchemaError: demand #0: must be an object\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "loads", "extend", "optimum"])
+def test_an_unreadable_instance_path_is_a_one_line_error(capsys, tmp_path, command):
+    for path in (tmp_path / "missing.json", tmp_path):  # no file, and a directory
+        code, out, err = run_cli(capsys, command, "-i", str(path))
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: [Errno ")
+
+
 def test_solve_requires_split(capsys, tmp_path):
     inst, _ = builtin("fig2")
     path = tmp_path / "nosplit.json"
@@ -315,6 +332,16 @@ def test_gen_structured_round_trips(capsys):
     assert out2 == out  # deterministic in the seed
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("--m", "1", "--d", "4"), "a ring needs at least 3 nodes; m must be >= 2"),
+    (("--m", "2", "--d", "2", "--structured"), "cannot reach an odd clockwise total"),
+], ids=["one-pair", "no-odd-total"])
+def test_gen_without_an_instance_is_a_one_line_error(capsys, argv, expected):
+    code, out, err = run_cli(capsys, "gen", "--seed", "1", *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: InfeasibleParams: {expected}\n"
+
+
 @pytest.mark.parametrize("flags", [(), ("--structured",)], ids=["random", "structured"])
 def test_gen_beyond_memory_is_a_one_line_error(capsys, flags):
     # The m pairs are allocated at once, so the allocation fails before any work.
@@ -368,57 +395,58 @@ def test_search_requires_full_or_shard(capsys):
     assert "2562890625 members" in err and "hours" not in err
 
 
-@pytest.mark.parametrize("m, scan", [
-    ("20000", ()),  # the size, 12^10000, has 10793 digits
-    ("100000000000000000000", ("--shard", "0/1")),  # 12^(5 10^19) would take hours
-])
-def test_search_beyond_the_size_bound_is_a_one_line_error(capsys, monkeypatch, m, scan):
-    # The bound is checked on logarithms, before the size is computed.
-    def size(family):
-        raise AssertionError("the size was computed")
-
-    monkeypatch.setattr(search.StructuredFamily, "size", property(size))
-    code, out, err = run_cli(capsys, "search", "--m", m, "--d", "4", "--threshold", "3", *scan)
-    assert code == 1 and out == ""
-    assert err == f"error: InfeasibleParams: the m={m}, D=4 family has 10^4300 members or more\n"
-
-
 def test_search_family_sizes_print_up_to_the_bound(capsys):
-    # 12^3984 has 4300 digits, 12^3985 has 4301.
-    code, _, err = run_cli(capsys, "search", "--m", "7968", "--d", "4", "--threshold", "3")
-    assert code == 1 and f"has {12**3984} members" in err
-    code, _, err = run_cli(capsys, "search", "--m", "7970", "--d", "4", "--threshold", "3")
-    assert code == 1 and "10^4300 members or more" in err
+    # Every family a scan accepts has a size that prints: 12^128 at m=256,
+    # D=4, and (724^2 1447)^128, of 1137 digits, at the bounds.
+    code, _, err = run_cli(capsys, "search", "--m", "256", "--d", "4", "--threshold", "3")
+    assert code == 1 and f"has {12**128} members" in err
+    largest = (724**2 * 1447) ** 128
+    code, _, err = run_cli(capsys, "search", "--m", "256", "--d", "1448", "--threshold", "3")
+    assert code == 1 and f"has {largest} members" in err and len(str(largest)) == 1137
 
 
-@pytest.mark.parametrize("m, scan", [
-    ("258", ("--shard", "0/1")),
-    ("100000000000000000000", ("--shard", "0/1")),
-    ("100000000000000000000", ("--full", "--jobs", "2")),
-], ids=["past-the-bound", "huge-shard", "huge-full"])
-def test_search_beyond_the_table_bound_is_a_one_line_error(capsys, monkeypatch, m, scan):
-    # A D=2 family has one member at any m, so no size bound stops it; the
-    # (2m, 4m) symmetry tables must be refused before they are built.
+GIANT_M = "2" * 2200  # 64 m^2, in the message, has more digits than str prints
+
+
+@pytest.mark.parametrize("m, d, scan", [
+    ("258", "2", ("--shard", "0/1")),
+    ("100000000000000000000", "2", ("--shard", "0/1")),
+    ("100000000000000000000", "2", ("--full", "--jobs", "2")),
+    (GIANT_M, "2", ("--shard", "0/1")),
+    (GIANT_M, "2", ("--full", "--jobs", "2")),
+    ("20000", "4", ()),
+    ("100000000000000000000", "4", ("--shard", "0/1")),
+], ids=["past-the-bound", "huge-shard", "huge-full", "giant-shard", "giant-full",
+        "size-message", "huge-family-shard"])
+def test_search_beyond_the_table_bound_is_a_one_line_error(capsys, monkeypatch, m, d, scan):
+    # A D=2 family has one member at any m, yet its (2m, 4m) symmetry
+    # tables grow as m^2: they must be refused before they are built, and
+    # the family's size, 12^(5 10^19) at m=10^20, D=4, is never computed.
     def built(*args):
         raise AssertionError("the symmetry tables were built")
 
+    def size(family):
+        raise AssertionError("the size was computed")
+
     monkeypatch.setattr(search, "symmetry_orbit", built)
+    monkeypatch.setattr(search.StructuredFamily, "size", property(size))
     tracemalloc.start()
     try:
-        code, out, err = run_cli(capsys, "search", "--m", m, "--d", "2", "--threshold", "3", *scan)
+        code, out, err = run_cli(capsys, "search", "--m", m, "--d", d, "--threshold", "3", *scan)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 1 and out == ""
-    assert len(err.splitlines()) == 1
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith(f"error: InfeasibleParams: a scan needs m <= 256: at m={m} ")
+    assert err.endswith(" bytes\n")
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("full", [False, True], ids=["shard", "full"])
-def test_search_past_the_d_limit_is_a_one_line_error(capsys, full):
+@pytest.mark.parametrize("scan", [("--shard", "0/1000000"), ("--full",), ()],
+                         ids=["shard", "full", "size-message"])
+def test_search_past_the_d_limit_is_a_one_line_error(capsys, scan):
     # The free-pair table has (D/2)^2 rows: 2.5e11 at D = 10^6.
-    scan = ("--full",) if full else ("--shard", "0/1000000")
     tracemalloc.start()
     try:
         code, out, err = run_cli(capsys, "search", "--m", "2", "--d", "1000000",
@@ -433,7 +461,7 @@ def test_search_past_the_d_limit_is_a_one_line_error(capsys, full):
 
 
 def test_search_table_bound_admits_m_256(monkeypatch):
-    # Past the bounds the constructor refuses; within them it goes on to
+    # Past the bounds the family refuses; within them _scan goes on to
     # build the symmetry tables, here stopped at their first step.
     def built(*args):
         raise AssertionError("the symmetry tables were built")
@@ -441,10 +469,15 @@ def test_search_table_bound_admits_m_256(monkeypatch):
     monkeypatch.setattr(search, "symmetry_orbit", built)
     for m, D in ((256, 2), (2, 1448)):
         with pytest.raises(AssertionError, match="were built"):
-            search._Scan(m, D)
-    for m, D in ((258, 2), (2, 1450)):
-        with pytest.raises(InfeasibleParams):
-            search._Scan(m, D)
+            search._scan(m, D)
+    for m, D, message in (
+        (258, 2, "a scan needs m <= 256: at m=258 each of its two symmetry tables would take "
+                 "4260096 bytes"),
+        (2, 1450, "a scan needs D <= 1448: at D=1450 its free-pair table would take 4205000 bytes"),
+    ):
+        with pytest.raises(InfeasibleParams) as refused:
+            search._scan(m, D)
+        assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("options", [
@@ -508,6 +541,8 @@ BELOW = FIRST.replace('"5"', '"4"')  # under the threshold
     f"{FIRST.replace('[4, 4]', '[4, 4], [4, 4]')}\n6300\n",
     f"{FIRST.replace(', [4, 4]', '')}\n6300\n",
     f"{FIRST.replace('[7, 1]', '[07, 1]')}\n6300\n",
+    f"{FIRST.replace('[[1, 1]', '[[2, 1]')}\n6300\n",
+    f"{FIRST.replace('[1, 5]', '[5, 5]')}\n6300\n",
     f"{OTHER}\n6300\n",
     f"{FIRST}\n{SECOND}\n6272\n",
     f"{BELOW}\n6300\n",
@@ -515,7 +550,8 @@ BELOW = FIRST.replace('"5"', '"4"')  # under the threshold
     f"{FIRST}\n6270\n",
     *(f"{FIRST}\n{SECOND}\n{index}\n"
       for index in ("+6273", " 6273", "06273", "6_273", "0_6_2_7_3")),
-], ids=["garbage", "no-spaces", "extra-pair", "short", "leading-zero", "other-shard",
+], ids=["garbage", "no-spaces", "extra-pair", "short", "leading-zero", "odd-free-pair",
+        "free-pair-past-D", "other-shard",
         "past-cursor", "below-threshold", "cursor-past-shard", "cursor-before-shard",
         "index-plus", "index-space", "index-leading-zero", "index-underscore",
         "index-underscores"])
@@ -708,16 +744,17 @@ def test_brute_force_and_optimum_beyond_int64(capsys, tmp_path):
 
 
 def test_dp_beyond_its_limit_is_a_one_line_error(capsys, tmp_path):
-    big = 10**21
+    # The second ring's start bound, 3 (10^4300 - 1) / 2 rounded up, has
+    # 4301 digits, more than str prints.
     path = tmp_path / "big.json"
-    path.write_text(json.dumps({"n": 4, "demands": [
-        {"i": 1, "j": 3, "d": big, "cw": big // 2},
-        {"i": 2, "j": 4, "d": 2, "cw": 1},
-    ]}))
-    code, out, err = run_cli(capsys, "solve", "--alg", "dp", "-i", str(path))
-    assert code == 1 and out == ""
-    assert "Traceback" not in err
-    assert err.count("\n") == 1 and err.startswith("error: TooLargeForDP: ")
+    for big, cw in ((10**21, 10**21 // 2), ("9" * 4300, 1)):
+        path.write_text(f'{{"n": 4, "demands": [{{"i": 1, "j": 3, "d": {big}, "cw": {cw}}},'
+                        ' {"i": 2, "j": 4, "d": 2, "cw": 1}]}')
+        code, out, err = run_cli(capsys, "solve", "--alg", "dp", "-i", str(path))
+        assert code == 1 and out == ""
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("error: TooLargeForDP: ")
+    assert f"start bound of 14{'9' * 4299} grid units" in err
 
 
 def test_optimum_matches_its_own_loads_near_the_int64_limit(capsys, tmp_path):

@@ -256,6 +256,13 @@ def test_encode_rejects_pinned_pairs_with_a_zero_entry():
             family.encode(((1, 1), pinned, (1, 1), (1, 7)))
 
 
+def test_encode_rejects_free_pairs_of_odd_value_or_past_d():
+    family = StructuredFamily(4, 8)
+    for free in ((1, 2), (5, 5)):
+        with pytest.raises(InfeasibleParams, match="free position"):
+            family.encode((free, (1, 7), (1, 1), (1, 7)))
+
+
 def test_encode_rejects_sequences_of_another_length():
     family = StructuredFamily(4, 8)
     member = family.decode(0)
@@ -523,7 +530,7 @@ def test_lead_tables_stay_small(m, D, t):
     # the lead masks at t, traced from an empty start.
     tracemalloc.start()
     try:
-        scan = search._Scan(m, D)
+        scan = search._Scan(StructuredFamily(m, D))
         scan.lead_masks(t)
         size, _ = tracemalloc.get_traced_memory()
     finally:
