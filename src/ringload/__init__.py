@@ -44,7 +44,6 @@ from .model import (
     validate_instance,
 )
 from .patterns import (
-    ClosenessWitness,
     Pattern,
     backward_greedy,
     crossover,

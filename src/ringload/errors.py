@@ -65,7 +65,7 @@ class OddEpsilon(RingLoadingError):
 
 
 class InvalidWitness(RingLoadingError):
-    """A closeness witness does not match the patterns it claims to relate."""
+    """A closeness witness index lies outside the patterns."""
 
 
 class NotMedium(RingLoadingError):

@@ -39,7 +39,7 @@ many end points of one row: points are array rows and end points are
 bits of uint64 words, and as all end points of one parity share the
 window width and every step, a level is two slice-ORs at any D.  dp_feasible_block (the search
 screen) runs every y in [-t, t] for many rows column-major, rows that
-share a prefix of pairs (the search's lead) starting from its last masks,
+share a prefix of pairs (the search's lead) starting from dp_start_masks,
 and rows past 62 bits one at a time on _probe.  dp_min_increase
 binary-searches t on one row with _probe (the window only grows with t);
 each probe after a feasible one tests only the end points found feasible
@@ -378,7 +378,7 @@ def dp_feasible_block(
     _MASK_BITS mask bits.  Every row starts at p(0) = 0, unless start =
     (masks, codes) is given: then row r continues the pairs of a prefix
     from masks[codes[r]], whose column y + t is the prefix's last level
-    for end point y (as _level_masks yields it at t).  Where the masks
+    for end point y (as dp_start_masks yields it at t).  Where the masks
     would pass int64 (t + 1 + max V > 62) the rows run one at a time on
     _probe, and start is an error there.
     """
@@ -400,6 +400,17 @@ def dp_feasible_block(
         lo, _ = _window(t, part)
         feasible |= (mask >> (part - lo) & 1).any(axis=1)
     return feasible
+
+
+def dp_start_masks(U: np.ndarray, V: np.ndarray, t: int) -> np.ndarray | None:
+    """dp_feasible_block's start masks after each row's pairs, or None past int64.
+
+    Row r, column y + t is the last level of end point y in [-t, t]; the
+    masks pass int64 where t + 1 + max V > 62.
+    """
+    if t + 1 + int(V.max(initial=0)) > _INT64_MASK_BITS:
+        return None
+    return _level_masks(U, V, t, np.arange(-t, t + 1))
 
 
 def dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, Scaled]:

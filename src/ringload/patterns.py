@@ -56,20 +56,6 @@ class Pattern:
     def strip(self) -> tuple[Scaled, Scaled]:
         return min(self.points), max(self.points)
 
-    @property
-    def width(self) -> Scaled:
-        lo, hi = self.strip
-        return hi - lo
-
-    def shifted(self, offset: Scaled) -> "Pattern":
-        return Pattern(self.owner, tuple(p + offset for p in self.points))
-
-
-@dataclass(frozen=True)
-class ClosenessWitness:
-    index: int
-    eps_prime: Scaled  # p1(index) - p2(index)
-
 
 def performance(pattern: Pattern) -> Scaled:
     """max{2b - x - y, x + y - 2a}; shift-invariant, 0 for empty patterns."""
@@ -134,33 +120,31 @@ def backward_greedy(cross: CrossingInstance, y: Scaled) -> Pattern:
     return Pattern(cross, walk_points(cross.pairs, cross.D, y, False))
 
 
-def find_close(p1: Pattern, p2: Pattern, eps: Scaled) -> ClosenessWitness | None:
-    """Smallest index where the patterns differ by at most eps, else None."""
+def find_close(p1: Pattern, p2: Pattern, eps: Scaled) -> int | None:
+    """Smallest index k with |p1(k) - p2(k)| <= eps, the closeness witness, else None."""
     if p1.owner != p2.owner:
         raise OwnerMismatch("patterns belong to different instances")
     for k, (a, b) in enumerate(zip(p1.points, p2.points)):
         if abs(a - b) <= eps:
-            return ClosenessWitness(k, a - b)
+            return k
     return None
 
 
-def crossover(p1: Pattern, p2: Pattern, witness: ClosenessWitness) -> Pattern:
-    """Splice p1's steps up to the witness with p2's steps after it.
+def crossover(p1: Pattern, p2: Pattern, k: int) -> Pattern:
+    """Splice p1's steps up to index k with p2's steps after it.
 
-    The result starts at x1 - eps'/2, ends at y2 + eps'/2, and lives on a
-    sub-strip of [min(a1,a2) - |eps'|/2, max(b1,b2) + |eps'|/2]; its
-    start plus end equals p1.start + p2.end exactly.
+    With eps' = p1(k) - p2(k) it starts at x1 - eps'/2, ends at y2 + eps'/2,
+    and lives on a sub-strip of [min(a1,a2) - |eps'|/2, max(b1,b2) +
+    |eps'|/2]; its start plus end equals p1.start + p2.end exactly.
     """
     if p1.owner != p2.owner:
         raise OwnerMismatch("patterns belong to different instances")
-    k = witness.index
     if not 0 <= k <= p1.owner.m:
         raise InvalidWitness(f"witness index {k} out of range")
-    if p1.points[k] - p2.points[k] != witness.eps_prime:
-        raise InvalidWitness("witness does not match the pattern gap")
-    if witness.eps_prime % 2:
+    eps_prime = p1.points[k] - p2.points[k]
+    if eps_prime % 2:
         raise OddEpsilon("half of an odd gap is not on the 1/28 grid")
-    shift = halve(witness.eps_prime)
+    shift = halve(eps_prime)
     points = tuple(p - shift for p in p1.points[: k + 1]) + tuple(
         p + shift for p in p2.points[k + 1 :]
     )

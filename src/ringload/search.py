@@ -49,8 +49,8 @@ the lead's is gathered by code from one table, since a key is a sum over
 positions.  Only rows where some aligned image ties the identity on the
 high half compare low halves.  The DP screen (exact.dp_feasible_block)
 drops every row with a routing of increase at most threshold - 1: each
-row starts from its lead's masks, built for every code and end point and
-kept on the scan for the latest t, and runs its part's levels only.  Only
+row starts from its lead's masks (exact.dp_start_masks of every code,
+kept on the scan for the latest t) and runs its part's levels only.  Only
 the survivors are assembled into whole pair sequences and get a full
 minimum-increase computation (exact.dp_min_increase).  A table is kept
 only if it is int64 and within _LEAD_TABLE_BYTES; past that (large D or
@@ -80,7 +80,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleParams, SchemaError
-from .exact import _INT64_MASK_BITS, _level_masks, dp_feasible_block, dp_min_increase
+from .exact import dp_feasible_block, dp_min_increase, dp_start_masks
 from .reduction import rotated, standalone_crossing
 from .scaled import Scaled, from_int, int_text, rational_str, unscale
 
@@ -337,19 +337,17 @@ class _Scan:
         return ~smaller.any(axis=1)
 
     def lead_masks(self, t: int) -> np.ndarray | None:
-        """The DP screen's masks after each lead, or None where the table does not _fit.
+        """exact.dp_start_masks of the leads, or None where it is or the table does not _fit.
 
-        Row c, column y + t is the mask of end point y in [-t, t] that
-        exact._level_masks reaches after lead c's positions, for
-        dp_feasible_block's start.  They are int64 only while t + D <= 62:
-        the leads reach v = D - 1, the family's largest, so every part fits
-        then.  Only the latest t's table is kept, read-only: a scan uses one
-        t, and a process that sweeps t holds one table per family.
+        The leads reach v = D - 1, the family's largest, so every part stays
+        within int64 where they do.  Only the latest t's table is kept,
+        read-only: a scan uses one t, and a process that sweeps t holds one
+        table per family.
         """
         if self._masks[0] != t:
-            ys, masks = np.arange(-t, t + 1), None
-            if t + self.family.D <= _INT64_MASK_BITS and _fits((self.radix, len(ys)), np.int64):
-                masks = _level_masks(self.U[: self.radix], self.V[: self.radix], t, ys)
+            fits = _fits((self.radix, 2 * t + 1), np.int64)
+            masks = dp_start_masks(self.U[: self.radix], self.V[: self.radix], t) if fits else None
+            if masks is not None:
                 masks.setflags(write=False)
             self._masks = (t, masks)
         return self._masks[1]
@@ -463,20 +461,27 @@ def hit_record(hit: SearchHit) -> str:
 
 
 def _resume(
-    checkpoint: Path, family: StructuredFamily, threshold: int, start: int, stop: int
+    checkpoint: Path, scan: _Scan, threshold: int, start: int, stop: int
 ) -> tuple[list[SearchHit], int]:
     """The kept hits and the next index; SchemaError if the shard did not save them."""
     try:
         *records, last = checkpoint.read_text().splitlines() or [str(start - 1)]
-        cursor, hits = int(last), []
+        cursor, hits, previous = int(last), [], start - 1
         for line in records:
             *vu, value = map(int, re.findall(r"-?\d+", line))
             pairs = tuple(zip(vu[1::2], vu[::2]))
-            index = family.encode(pairs)
+            index = scan.family.encode(pairs)
             hit = SearchHit(CanonicalForm(pairs), from_int(value))
-            if hit_record(hit) != line or not start <= index <= cursor or value < threshold:
+            rows = scan.candidates(index, index + 1)
+            if hit_record(hit) != line or not previous < index <= cursor or len(rows.code) != 1:
+                raise ValueError(line)
+            if not (scan.canonical(rows)[0] and threshold <= value <= 3 * scan.family.D // 2):
+                raise ValueError(line)
+            below, at = (dp_feasible_block(*scan.pairs(rows), t)[0] for t in (value - 1, value))
+            if below or not at:
                 raise ValueError(line)
             hits.append(hit)
+            previous = index
         if last != str(cursor) or not start - 1 <= cursor < stop:
             raise ValueError(last)
     except (ValueError, IndexError, InfeasibleParams):  # a line no save of the shard writes
@@ -518,7 +523,7 @@ def search_lower_bound(
         checkpoint = Path(checkpoint_dir) / name
         checkpoint.parent.mkdir(parents=True, exist_ok=True)
         if checkpoint.exists():
-            hits, first = _resume(checkpoint, scan.family, threshold_int, start, stop)
+            hits, first = _resume(checkpoint, scan, threshold_int, start, stop)
     t = min(threshold_int - 1, 3 * D // 2)  # 3D/2 bounds every minimum increase
     for lo, hi in _blocks(first, stop, scan.radix):
         rows = scan.candidates(lo, hi)

@@ -533,9 +533,12 @@ FIRST = '{"pairs": [[1, 1], [7, 1], [1, 5], [4, 4]], "min_increase": "5"}'
 SECOND = '{"pairs": [[3, 1], [7, 1], [1, 5], [4, 4]], "min_increase": "5"}'
 OTHER = '{"pairs": [[3, 1], [5, 3], [2, 2], [7, 1]], "min_increase": "5"}'
 BELOW = FIRST.replace('"5"', '"4"')  # under the threshold
+ABOVE = OTHER.replace('"5"', '"12"')  # above its minimum increase, 5
+EVEN = '{"pairs": [[1, 1], [7, 1], [1, 1], [7, 1]], "min_increase": "7"}'  # not a member
+IMAGE = '{"pairs": [[3, 1], [1, 7], [2, 2], [3, 5]], "min_increase": "5"}'  # OTHER's, index 7489
 
 
-@pytest.mark.parametrize("content", [
+@pytest.mark.parametrize("shard, content", [*(("1/2", content) for content in [
     f"{FIRST}\nnot a record\n6300\n",
     f"{FIRST.replace(', ', ',')}\n6300\n",
     f"{FIRST.replace('[4, 4]', '[4, 4], [4, 4]')}\n6300\n",
@@ -550,20 +553,28 @@ BELOW = FIRST.replace('"5"', '"4"')  # under the threshold
     f"{FIRST}\n6270\n",
     *(f"{FIRST}\n{SECOND}\n{index}\n"
       for index in ("+6273", " 6273", "06273", "6_273", "0_6_2_7_3")),
+]), ("0/2", f"{EVEN}\n100\n"),
+    ("0/1", f"{IMAGE}\n7489\n"),
+    ("0/2", f"{OTHER}\n{OTHER}\n257\n"),
+    ("0/2", f"{ABOVE}\n257\n"),
 ], ids=["garbage", "no-spaces", "extra-pair", "short", "leading-zero", "odd-free-pair",
         "free-pair-past-D", "other-shard",
         "past-cursor", "below-threshold", "cursor-past-shard", "cursor-before-shard",
         "index-plus", "index-space", "index-leading-zero", "index-underscore",
-        "index-underscores"])
-def test_search_checkpoint_records_are_checked(capsys, tmp_path, content):
-    search_args = ("search", "--m", "4", "--d", "8", "--threshold", "5", "--shard", "1/2")
-    checkpoint = tmp_path / "m4-d8-t5-shard-1-of-2.txt"
+        "index-underscores", "even-total", "noncanonical-image", "repeated-record",
+        "above-minimum"])
+def test_search_checkpoint_records_are_checked(capsys, tmp_path, shard, content):
+    # Each content is one that no scan of the shard writes.
+    search_args = ("search", "--m", "4", "--d", "8", "--threshold", "5", "--shard")
+    checkpoint = tmp_path / f"m4-d8-t5-shard-{shard.replace('/', '-of-')}.txt"
     checkpoint.write_text(content)
-    code, out, err = run_cli(capsys, *search_args, "--checkpoint-dir", str(tmp_path))
+    code, out, err = run_cli(capsys, *search_args, shard, "--checkpoint-dir", str(tmp_path))
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: SchemaError:")
     assert checkpoint.read_text() == content
-    # The two records with the index of the second resume the shard.
+    # The two records with the index of the second resume the shard 1/2.
+    search_args += ("1/2",)
+    checkpoint = tmp_path / "m4-d8-t5-shard-1-of-2.txt"
     checkpoint.write_text(f"{FIRST}\n{SECOND}\n6273\n")
     resumed = run_cli(capsys, *search_args, "--checkpoint-dir", str(tmp_path))
     assert resumed == run_cli(capsys, *search_args)

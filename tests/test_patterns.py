@@ -14,7 +14,6 @@ from ringload.errors import (
 )
 from ringload.instances import random_crossing
 from ringload.patterns import (
-    ClosenessWitness,
     Pattern,
     backward_greedy,
     crossover,
@@ -67,7 +66,7 @@ def test_performance_is_shift_invariant_and_matches_direct_formula():
         )  # |sum_{i<=k} z_i - sum_{i>k} z_i| via prefix sums
         assert performance(pattern) == direct
         shift = rng.randrange(-5 * S, 5 * S)
-        assert performance(pattern.shifted(shift)) == direct
+        assert performance(Pattern(cross, tuple(p + shift for p in points))) == direct
 
 
 def test_performance_equals_width_plus_end_offset():
@@ -82,8 +81,8 @@ def test_performance_equals_width_plus_end_offset():
         pattern = Pattern(cross, tuple(points))
         lo, hi = pattern.strip
         excess = abs(pattern.end - (lo + hi - pattern.start))
-        assert performance(pattern) == pattern.width + excess
-        assert performance(pattern) >= pattern.width
+        assert performance(pattern) == hi - lo + excess
+        assert performance(pattern) >= hi - lo
 
 
 def test_forward_greedy_forced_choices():
@@ -219,10 +218,10 @@ def test_find_close_examples():
     cross = cross_of([(3, 7), (6, 4)], 10)
     p1 = Pattern(cross, (5 * S, 2 * S, 6 * S))
     p2 = Pattern(cross, (1 * S, 8 * S, 2 * S))
-    witness = find_close(p1, p2, 4 * S)
-    assert witness == ClosenessWitness(0, 4 * S)
+    assert find_close(p1, p2, 4 * S) == 0
     assert find_close(p1, p2, 3 * S) is None
-    assert find_close(p1, p1, 0) == ClosenessWitness(0, 0)
+    assert find_close(p1, p1, 0) == 0
+    assert find_close(p1, Pattern(cross, (13 * S, 10 * S, 4 * S)), 2 * S) == 2
 
 
 def test_find_close_owner_mismatch():
@@ -236,7 +235,7 @@ def test_crossover_example():
     cross = cross_of([(3, 7), (6, 4)], 10)
     p1 = Pattern(cross, (5 * S, 2 * S, 6 * S))
     p2 = Pattern(cross, (1 * S, 8 * S, 2 * S))
-    spliced = crossover(p1, p2, ClosenessWitness(0, 4 * S))
+    spliced = crossover(p1, p2, 0)
     assert spliced.points == (3 * S, 10 * S, 4 * S)
     assert spliced.start + spliced.end == p1.start + p2.end
 
@@ -244,14 +243,14 @@ def test_crossover_example():
 def test_crossover_with_zero_gap_is_identity():
     cross = cross_of([(3, 7), (6, 4)], 10)
     p1 = Pattern(cross, (5 * S, 2 * S, 6 * S))
-    assert crossover(p1, p1, ClosenessWitness(1, 0)).points == p1.points
+    assert crossover(p1, p1, 1).points == p1.points
 
 
 def test_crossover_late_witness_keeps_first_pattern_steps():
     cross = cross_of([(3, 7), (6, 4)], 10)
     p1 = Pattern(cross, (5 * S, 2 * S, 6 * S))
     p2 = Pattern(cross, (1 * S, 8 * S, 2 * S))
-    spliced = crossover(p1, p2, ClosenessWitness(2, 4 * S))
+    spliced = crossover(p1, p2, 2)
     assert spliced.points == (3 * S, 0, 4 * S)
     assert spliced.start + spliced.end == 7 * S
 
@@ -265,12 +264,13 @@ def test_crossover_strip_containment():
         p2 = backward_greedy(cross, rng.randrange(lo, hi + 1))
         witness = find_close(p1, p2, 2 * cross.D)
         assert witness is not None  # both live on [0, D]
-        if witness.eps_prime % 2:
+        eps_prime = p1.points[witness] - p2.points[witness]
+        if eps_prime % 2:
             continue
         spliced = crossover(p1, p2, witness)
         a1, b1 = p1.strip
         a2, b2 = p2.strip
-        half = abs(witness.eps_prime) // 2
+        half = abs(eps_prime) // 2
         lo_bound = min(a1, a2) - half
         hi_bound = max(b1, b2) + half
         assert lo_bound <= min(spliced.points) <= max(spliced.points) <= hi_bound
@@ -281,11 +281,12 @@ def test_crossover_rejects_odd_gap_and_bad_witness():
     cross = cross_of([(1, 2), (2, 1)], 3)
     p1 = Pattern(cross, (0, 2 * S, 0))
     p2 = Pattern(cross, (S, 3 * S, S))
-    with pytest.raises(InvalidWitness):
-        crossover(p1, p2, ClosenessWitness(0, 4))
+    for index in (-1, 3):
+        with pytest.raises(InvalidWitness):
+            crossover(p1, p2, index)
     odd = Pattern(cross, (1, 2 * S + 1, 1))
     with pytest.raises(OddEpsilon):
-        crossover(p1, odd, ClosenessWitness(0, -1))
+        crossover(p1, odd, 0)
 
 
 def test_greedy_pair_closeness_when_big_steps_diverge():

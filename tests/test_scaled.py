@@ -1,3 +1,4 @@
+import ast
 import tokenize
 from fractions import Fraction
 from pathlib import Path
@@ -63,4 +64,16 @@ def test_no_float_in_the_package_source():
             for token in tokenize.tokenize(handle.readline):
                 if token.type == tokenize.NAME and token.string in floats:
                     found.append(f"{path.name}:{token.start[0]}")
+    assert found == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # A module's underscore names are its own: no relative import in the
+    # package names one of a sibling module.
+    found = []
+    for path in sorted(Path(ringload.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level >= 1:
+                found += [f"{path.name}:{node.lineno} {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
     assert found == []

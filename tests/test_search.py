@@ -16,7 +16,7 @@ import pytest
 from conftest import Interrupted, canonical_mask, decode_block, fail_after, scalar_feasible_any_y
 from ringload import exact, search
 from ringload.errors import InfeasibleParams
-from ringload.exact import _level_masks, dp_feasible_block, dp_min_increase
+from ringload.exact import _level_masks, dp_feasible_block, dp_min_increase, dp_start_masks
 from ringload.instances import _FIG2_VU, _FIG6_VU
 from ringload.reduction import rotated, standalone_crossing
 from ringload.scaled import from_int, parse_rational, rational_str, unscale
@@ -549,6 +549,25 @@ def test_lead_masks_keep_the_latest_table_read_only():
                    if isinstance(table, np.ndarray))
     scan.lead_masks(9)  # a scan at another t replaces the table
     assert scan.lead_masks(10) is not masks
+
+
+def test_lead_masks_at_the_int64_edge():
+    # At m=4, D=30 the lead table fits _LEAD_TABLE_BYTES at t = 32 and 33,
+    # and the leads reach v = 29: their masks take t + 1 + 29 bits, 62 at
+    # t = 32 and one past int64's at t = 33, where rows screen from level 0.
+    family = StructuredFamily(4, 30)
+    scan = search._scan(4, 30)
+    U, V = scan.U[: scan.radix], scan.V[: scan.radix]
+    assert scan.radix == 6525 and V.max() == 29
+    rows = odd_rows(family, 2000 * scan.radix, 2001 * scan.radix)
+    rows = rows.select(np.arange(0, len(rows.code), 13))
+    for t, cached in ((32, True), (33, False)):
+        assert search._fits((scan.radix, 2 * t + 1), np.int64)
+        masks = dp_start_masks(U, V, t)
+        assert (masks is not None) == cached
+        if cached:
+            assert (masks == prefix_masks(U, V, t)).all()
+        assert_lead_screen_matches_block_screen(rows, 4, 30, t, cached)
 
 
 @pytest.mark.parametrize("m, D, threshold", [(2, 1000, 700), (10, 200, 150)])
