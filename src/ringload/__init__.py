@@ -10,7 +10,6 @@ fixed-point on the 1/28 grid.
 from .approx import (
     SolveReport,
     medium_demand_solve,
-    pattern_from_solution,
     small_big_solve,
     solution_from_pattern,
     solve_19_14,
@@ -57,7 +56,6 @@ from .reduction import (
     lift_solution,
     reduce_to_crossing,
     standalone_crossing,
-    uncross_pair,
 )
 from .scaled import SCALE, Scaled, rational_str
 from .search import CanonicalForm, SearchHit, StructuredFamily, search_lower_bound

@@ -31,7 +31,6 @@ from itertools import accumulate
 
 from .errors import (
     InternalGuaranteeViolation,
-    LengthMismatch,
     MediumDemandPresent,
     NotMedium,
 )
@@ -62,18 +61,6 @@ def solution_from_pattern(pattern: Pattern) -> UnsplitRouting:
     """CW where the pattern steps up: a step is +v > 0 or -u < 0."""
     points = pattern.points
     return UnsplitRouting(tuple(CW if b > a else CCW for a, b in zip(points, points[1:])))
-
-
-def pattern_from_solution(
-    cross: CrossingInstance, z: UnsplitRouting, x: Scaled = 0
-) -> Pattern:
-    """Prefix sums of the solution's steps, started at x."""
-    if len(z.dirs) != cross.m:
-        raise LengthMismatch(f"z has {len(z.dirs)} entries for m={cross.m}")
-    points = [x]
-    for (u, v), flag in zip(cross.pairs, z.dirs):
-        points.append(points[-1] + (v if flag == CW else -u))
-    return Pattern(cross, tuple(points))
 
 
 def _report(pattern: Pattern, bound: Scaled, branch: str) -> SolveReport:

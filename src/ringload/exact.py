@@ -37,10 +37,14 @@ needed.  Every row has its own steps, so each mask shifts on its own,
 within int64 while t + 1 + max v <= 62.  Position-major, _probe tests
 many end points of one row: points are array rows and end points are
 bits of uint64 words, and as all end points of one parity share the
-window width and every step, a level is two slice-ORs at any D.  dp_feasible_block (the search
-screen) runs every y in [-t, t] for many rows column-major, rows that
-share a prefix of pairs (the search's lead) starting from dp_start_masks,
-and rows past 62 bits one at a time on _probe.  dp_min_increase
+window width and every step, a level is two slice-ORs at any D.
+dp_feasible_block runs every y in [-t, t] for many rows column-major
+from level 0, and rows past 62 bits one at a time on _probe.  The search
+screen meets in the middle instead (Horowitz and Sahni, J. ACM 1974):
+dp_start_masks gives the points that a prefix of pairs (the search's
+lead) reaches, dp_end_masks the points from which a suffix (its part)
+reaches each end point, the same recurrence run backwards, and a row is
+feasible where the two share a point in some column.  dp_min_increase
 binary-searches t on one row with _probe (the window only grows with t);
 each probe after a feasible one tests only the end points found feasible
 there.  The routing (dp_feasible, dp_min_increase) is the walk back over
@@ -274,9 +278,9 @@ def _level_masks(
     (U[r, k], V[r, k]) and column c for the end point y = ys[c], every
     |y| <= t.  Points are confined to the window [lo, hi] of (t, y), which
     holds p(0) = 0 whenever |y| <= t; bit b of a mask stands for point
-    lo + b.  The start level is level 0, the single point p(0) = 0, unless
-    start gives it: masks of the same (t, ys) that earlier levels reached,
-    so that rows sharing a prefix of pairs run only the levels after it.
+    lo + b.  A level steps up by V and down by U.  The start level is
+    level 0, the single point p(0) = 0, unless start gives other masks
+    over the same (t, ys) windows, one per column or per (row, column).
     The caller keeps t + 1 + max V within _INT64_MASK_BITS.
     """
     assert t + 1 + int(V.max(initial=0)) <= _INT64_MASK_BITS, "the masks would overflow int64"
@@ -365,28 +369,17 @@ def dp_feasible(cross: CrossingInstance, t: Scaled, y: Scaled) -> UnsplitRouting
     return _walk_back(pairs, t_g, y_g)
 
 
-def dp_feasible_block(
-    U: np.ndarray,
-    V: np.ndarray,
-    t: int,
-    start: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
+def dp_feasible_block(U: np.ndarray, V: np.ndarray, t: int) -> np.ndarray:
     """Row-wise "some routing has increase at most t" for (rows, m) arrays.
 
     Row r stands for the pairs (U[r, k], V[r, k]); all end points y in
     [-t, t] run as columns (none for t < 0), in chunks of at most
-    _MASK_BITS mask bits.  Every row starts at p(0) = 0, unless start =
-    (masks, codes) is given: then row r continues the pairs of a prefix
-    from masks[codes[r]], whose column y + t is the prefix's last level
-    for end point y (as dp_start_masks yields it at t).  Where the masks
-    would pass int64 (t + 1 + max V > 62) the rows run one at a time on
-    _probe, and start is an error there.
+    _MASK_BITS mask bits, every row from p(0) = 0.  Where the masks would
+    pass int64 (t + 1 + max V > 62) the rows run one at a time on _probe.
     """
     ys = np.arange(-t, t + 1)
     bits = t + 1 + int(V.max(initial=0))
     if bits > _INT64_MASK_BITS:
-        if start is not None:
-            raise ValueError(f"start masks are int64; t + 1 + max V = {bits} > {_INT64_MASK_BITS}")
         return np.array(
             [_probe(list(zip(u, v)), t, ys).any() for u, v in zip(U.tolist(), V.tolist())],
             dtype=bool,
@@ -395,22 +388,47 @@ def dp_feasible_block(
     feasible = np.zeros(len(U), dtype=bool)
     for c in range(0, len(ys), chunk):
         part = ys[c : c + chunk]
-        first = None if start is None else start[0][:, c : c + chunk].take(start[1], axis=0)
-        mask = _level_masks(U, V, t, part, first)
+        mask = _level_masks(U, V, t, part)
         lo, _ = _window(t, part)
         feasible |= (mask >> (part - lo) & 1).any(axis=1)
     return feasible
 
 
 def dp_start_masks(U: np.ndarray, V: np.ndarray, t: int) -> np.ndarray | None:
-    """dp_feasible_block's start masks after each row's pairs, or None past int64.
+    """The points that each row's pairs reach from p(0) = 0, or None past int64.
 
-    Row r, column y + t is the last level of end point y in [-t, t]; the
-    masks pass int64 where t + 1 + max V > 62.
+    Row r, column y + t is the mask over the window of end point y in
+    [-t, t] after the row's last pair; the masks pass int64 where
+    t + 1 + max V > 62.
     """
     if t + 1 + int(V.max(initial=0)) > _INT64_MASK_BITS:
         return None
     return _level_masks(U, V, t, np.arange(-t, t + 1))
+
+
+def dp_end_masks(U: np.ndarray, V: np.ndarray, t: int) -> np.ndarray | None:
+    """The points from which each row's pairs reach their end point, or None past int64.
+
+    Row r, column y + t is the mask over the window of end point y in
+    [-t, t] of the points p from which the row's pairs reach y with every
+    point in the window.  So rows whose pairs follow a prefix are
+    feasible at t exactly where some column of the prefix's
+    dp_start_masks shares a bit with the same column here.  It is
+    _level_masks run backwards, over the reversed columns with u and v
+    swapped, from bit y - lo, in column chunks of at most _MASK_BITS mask
+    bits; the masks pass int64 where t + 1 + max U > 62.
+    """
+    ys = np.arange(-t, t + 1)
+    bits = t + 1 + int(U.max(initial=0))
+    if bits > _INT64_MASK_BITS:
+        return None
+    masks = np.empty((len(U), len(ys)), dtype=np.int64)
+    chunk = max(1, _MASK_BITS // max(1, len(U) * bits))
+    for c in range(0, len(ys), chunk):
+        part = ys[c : c + chunk]
+        lo, _ = _window(t, part)
+        masks[:, c : c + chunk] = _level_masks(V[:, ::-1], U[:, ::-1], t, part, 1 << (part - lo))
+    return masks
 
 
 def dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, Scaled]:

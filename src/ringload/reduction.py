@@ -143,27 +143,6 @@ def _uncrossed_amounts(
     raise NotParallel(f"demands ({i},{j}) and ({k},{l}) admit no edge-disjoint paths")
 
 
-def uncross_pair(
-    inst: RingInstance, split: SplitRouting, a: int, b: int
-) -> SplitRouting:
-    """Reroute a parallel pair so at least one demand becomes unsplittable.
-
-    Flow min{x_b1, x_b2} moves from the non-disjoint path pair onto the
-    edge-disjoint pair; no edge load increases.  A no-op when either
-    demand is already unsplittable.
-    """
-    validate_instance(inst, split)
-    dem_a, dem_b = inst.demands[a], inst.demands[b]
-    if demands_cross((dem_a.i, dem_a.j), (dem_b.i, dem_b.j)):
-        raise NotParallel(f"demands #{a} and #{b} cross")
-    cw_a, cw_b = split.cw[a], split.cw[b]
-    if cw_a in (0, dem_a.d) or cw_b in (0, dem_b.d):
-        return split
-    new_cw = list(split.cw)
-    new_cw[a], new_cw[b] = _uncrossed_amounts(dem_a, dem_b, cw_a, cw_b)
-    return SplitRouting(tuple(new_cw))
-
-
 def _crossing_suffix(demands: tuple[Demand, ...], cw: list[Scaled]) -> int:
     """Smallest s such that the demands split from index s on cross pairwise.
 

@@ -43,26 +43,34 @@ decode tables; the scan holds the key, parity and value-D flag of every
 code, and one mask over parts x codes selects the rows of a block in
 index order; at m=8, D=10 about one index in ten becomes a row.
 _Scan.canonical then keeps the canonical rows by comparing packed
-lexicographic keys of all images at once, in two halves: a high key is
-the lead's term plus the part's.  The part's is computed once per part;
-the lead's is gathered by code from one table, since a key is a sum over
-positions.  Only rows where some aligned image ties the identity on the
-high half compare low halves.  The DP screen (exact.dp_feasible_block)
-drops every row with a routing of increase at most threshold - 1: each
-row starts from its lead's masks (exact.dp_start_masks of every code,
-kept on the scan for the latest t) and runs its part's levels only.  Only
-the survivors are assembled into whole pair sequences and get a full
-minimum-increase computation (exact.dp_min_increase).  A table is kept
-only if it is int64 and within _LEAD_TABLE_BYTES; past that (large D or
-m, masks past 62 bits at large t + D) the rows pack their own leads or
-screen from level 0, on exact._probe past 62 bits.  Half keys at
+lexicographic keys of the images, in two halves.  It takes the high keys
+of the always-aligned images first, the only ones that count on a row
+whose free positions do not all carry value D: a high key is the lead's
+term plus the part's.  The part's is computed once per part; the lead's
+is gathered by code from one table, since a key is a sum over positions.
+One minimum over the other images' keys decides a row against the
+identity's; only value-D rows and rows where some key ties the
+identity's (0.6% of the benchmark's m=8, D=10 rows) go through the full
+comparison of every counted image on both halves.  The DP screen drops
+every row with a routing of increase at most threshold - 1.  It meets in
+the middle: a row is feasible where, for some end point y, the points
+its lead reaches from p(0) = 0 (exact.dp_start_masks of every code, kept
+on the scan for the latest t) meet the points from which its part
+reaches y (exact.dp_end_masks, once per part of a block), so no row runs
+a level of its own.  Only the survivors are assembled into whole pair
+sequences and get a full minimum-increase computation
+(exact.dp_min_increase).  A table is kept only if it is int64 and within
+_LEAD_TABLE_BYTES; past that (large D or m, masks past 62 bits at large
+t + D) the rows pack their own leads or screen from level 0
+(exact.dp_feasible_block), on exact._probe past 62 bits.  Half keys at
 (D+1)^m >= 2^63 are Python ints, and a block's first index is peeled as a
 Python int with int64 offsets from it, so the scan is exact at any
 index size.
 
 Given a directory, a shard keeps its hit records (hit_record) and then its
 last finished index in mM-dD-tT-shard-I-of-N.txt there, replaced atomically
-(fsync, then rename) as the scan goes on; a rerun restores the hits and resumes after the index.
+(fsync, then rename) as the scan goes on; a rerun checks the kept records
+as one block of rows, restores the hits and resumes after the index.
 """
 
 from __future__ import annotations
@@ -80,7 +88,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleParams, SchemaError
-from .exact import dp_feasible_block, dp_min_increase, dp_start_masks
+from .exact import dp_end_masks, dp_feasible_block, dp_min_increase, dp_start_masks
 from .reduction import rotated, standalone_crossing
 from .scaled import Scaled, from_int, int_text, rational_str, unscale
 
@@ -224,9 +232,10 @@ class _Scan:
     says that the lead's positions all carry value D.  part_firsts are the
     columns over a part's positions that start an always-aligned image, and
     the lead and part weights are the rows of high over the lead's and the
-    part's columns.  terms caches the lead's share of the high keys, row c
-    of _pack(U, V, D) @ lead_weights over the lead codes; it is None where
-    that table does not _fit.  Every table is read-only.
+    part's columns, in the always-aligned images' columns only (the
+    identity first).  terms caches the lead's share of those high keys,
+    row c of _pack(U, V, D) @ lead_weights over the lead codes; it is None
+    where that table does not _fit.  Every table is read-only.
     """
 
     def __init__(self, family: StructuredFamily) -> None:
@@ -273,8 +282,10 @@ class _Scan:
         self.parity = U.sum(axis=1) & 1
         self.value_d = (U + V == D).all(axis=1)
         self.part_firsts = [part.index(f) for f in firsts if f in part]
-        self.lead_weights, self.part_weights = self.high[lead], self.high[part]
-        self.terms = packed @ self.lead_weights if _fits((self.radix, len(images)), dtype) else None
+        self.lead_weights = self.high[lead][:, self.always]
+        self.part_weights = self.high[part][:, self.always]
+        terms = (self.radix, self.lead_weights.shape[1])
+        self.terms = packed @ self.lead_weights if _fits(terms, dtype) else None
         for table in vars(self).values():
             if isinstance(table, np.ndarray):
                 table.setflags(write=False)
@@ -309,15 +320,16 @@ class _Scan:
     def canonical(self, rows: _Rows) -> np.ndarray:
         """Row-wise "no aligned symmetry image is lexicographically smaller".
 
-        The rows pass the first-pair prefilter.  An image counts where it is
-        aligned: always-aligned images on every row, the others on rows
-        whose free positions all carry value D (their odd positions read
-        exactly the free positions).  A high key is its part's term,
-        computed once per part, plus its lead's, gathered by code from terms
-        (packed row by row where they are not kept), and value-D flags are
-        the part's and the code's; only rows where some counted image ties
-        the identity on the high key compare low keys.  The products are
-        int64 or Python ints, as the weights are.
+        An image counts where it is aligned: always-aligned images on every
+        row, the others on rows whose free positions all carry value D
+        (their odd positions read exactly the free positions).  The high
+        keys of the always-aligned images decide most rows: a key is its
+        part's term, computed once per part, plus its lead's, gathered by
+        code from terms (packed row by row where they are not kept), and a
+        row is canonical where every other key is above the identity's and
+        not where one is below.  Value-D rows, whose other images count too,
+        and rows where some key ties the identity's go to least.  Value-D
+        flags are the part's and the code's.
         """
         D = self.family.D
         keys = (_pack(rows.part_u, rows.part_v, D) @ self.part_weights).take(rows.part, axis=0)
@@ -327,22 +339,39 @@ class _Scan:
             keys += self.terms.take(rows.code, axis=0)
         value_d = (rows.part_u + rows.part_v == D).all(axis=1)[rows.part]
         value_d &= self.value_d[rows.code]
-        counted = self.always | value_d[:, None]
-        smaller = (keys < keys[:, :1]) & counted
-        tied = (keys == keys[:, :1]) & counted
-        tied[:, 0] = False
-        ties = np.flatnonzero(tied.any(axis=1))
-        keys = _pack(*self.pairs(rows.select(ties)), D) @ self.low
-        smaller[ties] |= (keys < keys[:, :1]) & tied[ties]
+        # The minimum over a transposed copy runs down whole columns; over
+        # axis 1 numpy would reduce each short row on its own, at twice the cost.
+        others = keys[:, 1:].T.copy().min(axis=0)
+        canonical = others > keys[:, 0]
+        slow = np.flatnonzero(value_d | (others == keys[:, 0]))
+        if slow.size:
+            canonical[slow] = self.least(*self.pairs(rows.select(slow)), value_d[slow])
+        return canonical
+
+    def least(self, U: np.ndarray, V: np.ndarray, value_d: np.ndarray) -> np.ndarray:
+        """canonical of whole (rows, m) arrays, comparing every counted image's keys.
+
+        value_d[r] says that row r's free positions all carry value D.  A
+        row's images are compared on their high keys, and those that tie
+        the identity there on their low keys.  The products are int64 or
+        Python ints, as the weights are.
+        """
+        packed = _pack(U, V, self.family.D)
+        tied = self.always | value_d[:, None]
+        smaller = np.zeros_like(tied)
+        for weights in (self.high, self.low):
+            keys = packed @ weights
+            smaller |= (keys < keys[:, :1]) & tied
+            tied &= keys == keys[:, :1]
         return ~smaller.any(axis=1)
 
     def lead_masks(self, t: int) -> np.ndarray | None:
         """exact.dp_start_masks of the leads, or None where it is or the table does not _fit.
 
-        The leads reach v = D - 1, the family's largest, so every part stays
-        within int64 where they do.  Only the latest t's table is kept,
-        read-only: a scan uses one t, and a process that sweeps t holds one
-        table per family.
+        The leads reach u and v = D - 1, the family's largest, so the parts'
+        exact.dp_end_masks stay within int64 where these do.  Only the
+        latest t's table is kept, read-only: a scan uses one t, and a
+        process that sweeps t holds one table per family.
         """
         if self._masks[0] != t:
             fits = _fits((self.radix, 2 * t + 1), np.int64)
@@ -355,14 +384,21 @@ class _Scan:
     def screen(self, rows: _Rows, t: int) -> np.ndarray:
         """Row-wise "some routing has increase at most t" (exact.dp_feasible_block).
 
-        Each row starts from its code's row of lead_masks(t) and runs its
-        part's levels only; without those masks the rows run from level 0.
+        A row is feasible where some end point's column of its code's
+        lead_masks(t) shares a point with the same column of its part's
+        exact.dp_end_masks, the points from which the part reaches that end
+        point: the lead and the part meet in the middle.  Without either
+        table (past 62 bits, or a lead table that does not _fit) the rows
+        run from level 0.  A block without rows, common at m=10 where
+        canonical rows are sparse, runs no level at all.
         """
+        if not len(rows.code):
+            return np.zeros(0, dtype=bool)
         masks = self.lead_masks(t)
-        if masks is None:
+        ends = None if masks is None else dp_end_masks(rows.part_u, rows.part_v, t)
+        if ends is None:
             return dp_feasible_block(*self.pairs(rows), t)
-        U, V = rows.part_u.take(rows.part, axis=0), rows.part_v.take(rows.part, axis=0)
-        return dp_feasible_block(U, V, t, start=(masks, rows.code))
+        return (masks.take(rows.code, axis=0) & ends.take(rows.part, axis=0)).any(axis=1)
 
 
 @cache
@@ -463,27 +499,43 @@ def hit_record(hit: SearchHit) -> str:
 def _resume(
     checkpoint: Path, scan: _Scan, threshold: int, start: int, stop: int
 ) -> tuple[list[SearchHit], int]:
-    """The kept hits and the next index; SchemaError if the shard did not save them."""
+    """The kept hits and the next index; SchemaError if the shard did not save them.
+
+    The records are checked as one block of rows: one canonical call, and
+    the screen at v - 1 and v once for the records of each value v.
+    """
+    family = scan.family
     try:
         *records, last = checkpoint.read_text().splitlines() or [str(start - 1)]
-        cursor, hits, previous = int(last), [], start - 1
+        cursor, hits, indices, values = int(last), [], [], []
         for line in records:
             *vu, value = map(int, re.findall(r"-?\d+", line))
             pairs = tuple(zip(vu[1::2], vu[::2]))
-            index = scan.family.encode(pairs)
+            indices.append(family.encode(pairs))
             hit = SearchHit(CanonicalForm(pairs), from_int(value))
-            rows = scan.candidates(index, index + 1)
-            if hit_record(hit) != line or not previous < index <= cursor or len(rows.code) != 1:
-                raise ValueError(line)
-            if not (scan.canonical(rows)[0] and threshold <= value <= 3 * scan.family.D // 2):
-                raise ValueError(line)
-            below, at = (dp_feasible_block(*scan.pairs(rows), t)[0] for t in (value - 1, value))
-            if below or not at:
+            if hit_record(hit) != line or not threshold <= value <= 3 * family.D // 2:
                 raise ValueError(line)
             hits.append(hit)
-            previous = index
+            values.append(value)
+        bounds = [start - 1, *indices, cursor + 1]
+        if any(a >= b for a, b in zip(bounds, bounds[1:])):
+            raise ValueError(checkpoint)  # records out of order or past the cursor
         if last != str(cursor) or not start - 1 <= cursor < stop:
             raise ValueError(last)
+        members = np.array([hit.form.pairs for hit in hits], dtype=np.int64)
+        members = members.reshape(len(hits), family.m, 2)
+        U, V = members[:, :, 0], members[:, :, 1]
+        width = scan.U.shape[1]
+        codes = np.array([index % scan.radix for index in indices], dtype=np.int64)
+        rows = _Rows(U[:, width:], V[:, width:], np.arange(len(hits)), codes)
+        if not ((U.sum(axis=1) & 1).all() and scan.canonical(rows).all()):
+            raise ValueError(checkpoint)  # an even total, or not canonical
+        values = np.array(values, dtype=np.int64)
+        for value in set(values.tolist()):
+            group = values == value
+            below, at = (dp_feasible_block(U[group], V[group], t) for t in (value - 1, value))
+            if below.any() or not at.all():
+                raise ValueError(checkpoint)  # not the minimum increase
     except (ValueError, IndexError, InfeasibleParams):  # a line no save of the shard writes
         raise SchemaError(f"{checkpoint}: not hit records of this run, then an index") from None
     return hits, cursor + 1

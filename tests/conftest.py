@@ -14,11 +14,27 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ringload import search
+from ringload.errors import LengthMismatch, NotParallel
 from ringload.exact import dp_min_increase
 from ringload.instances import random_crossing
-from ringload.model import CCW, CW, Demand, RingInstance, SplitRouting, UnsplitRouting
-from ringload.reduction import CrossingInstance, lift_solution, standalone_crossing
-from ringload.scaled import SCALE, exact_div, from_int
+from ringload.model import (
+    CCW,
+    CW,
+    Demand,
+    RingInstance,
+    SplitRouting,
+    UnsplitRouting,
+    validate_instance,
+)
+from ringload.patterns import Pattern
+from ringload.reduction import (
+    CrossingInstance,
+    _uncrossed_amounts,
+    demands_cross,
+    lift_solution,
+    standalone_crossing,
+)
+from ringload.scaled import SCALE, Scaled, exact_div, from_int
 
 
 def random_ring(rng: random.Random, max_n: int = 10, max_demands: int = 6,
@@ -190,6 +206,40 @@ def scalar_dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, int
             lo = mid + 1
     y, masks = scalar_feasible_any_y(pairs, lo)
     return scalar_solution(pairs, lo, y, masks), lo * g
+
+
+# Two steps that no code path of the package takes on its own, kept as
+# oracles: one uncrossing step (the reduction's sweep makes many at once)
+# and the pattern of a routing (the routes read routings off patterns).
+
+
+def uncross_pair(inst: RingInstance, split: SplitRouting, a: int, b: int) -> SplitRouting:
+    """Reroute a parallel pair so at least one demand becomes unsplittable.
+
+    Flow min{x_b1, x_b2} moves from the non-disjoint path pair onto the
+    edge-disjoint pair; no edge load increases.  A no-op when either
+    demand is already unsplittable.
+    """
+    validate_instance(inst, split)
+    dem_a, dem_b = inst.demands[a], inst.demands[b]
+    if demands_cross((dem_a.i, dem_a.j), (dem_b.i, dem_b.j)):
+        raise NotParallel(f"demands #{a} and #{b} cross")
+    cw_a, cw_b = split.cw[a], split.cw[b]
+    if cw_a in (0, dem_a.d) or cw_b in (0, dem_b.d):
+        return split
+    new_cw = list(split.cw)
+    new_cw[a], new_cw[b] = _uncrossed_amounts(dem_a, dem_b, cw_a, cw_b)
+    return SplitRouting(tuple(new_cw))
+
+
+def pattern_from_solution(cross: CrossingInstance, z: UnsplitRouting, x: Scaled = 0) -> Pattern:
+    """Prefix sums of the solution's steps, started at x."""
+    if len(z.dirs) != cross.m:
+        raise LengthMismatch(f"z has {len(z.dirs)} entries for m={cross.m}")
+    points = [x]
+    for (u, v), flag in zip(cross.pairs, z.dirs):
+        points.append(points[-1] + (v if flag == CW else -u))
+    return Pattern(cross, tuple(points))
 
 
 # The block path that search's part-wise scan replaced: decode every index

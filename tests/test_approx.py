@@ -5,10 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_small_big
+from conftest import pattern_from_solution, random_small_big
 from ringload.approx import (
     medium_demand_solve,
-    pattern_from_solution,
     small_big_solve,
     solution_from_pattern,
     solve_19_14,

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     criterion_8_crossings,
     decode_block,
+    pattern_from_solution,
     random_ring,
     scalar_dp_feasible,
     scalar_dp_min_increase,
@@ -21,7 +22,7 @@ from conftest import (
 )
 from ringload import exact
 from ringload.cli import main
-from ringload.approx import pattern_from_solution, solve_19_14, ssw_three_halves
+from ringload.approx import solve_19_14, ssw_three_halves
 from ringload.errors import TooLargeForDP, TooManyDemands
 from ringload.exact import (
     brute_force_min_increase,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import lifted_unsplit, random_ring, split_rings
+from conftest import lifted_unsplit, pattern_from_solution, random_ring, split_rings, uncross_pair
 from ringload.errors import LengthMismatch, NotParallel
 from ringload import reduction
 from ringload.instances import builtin, random_crossing
@@ -21,7 +21,6 @@ from ringload.model import (
     additive_increase,
     edge_loads,
 )
-from ringload.approx import pattern_from_solution
 from ringload.patterns import performance
 from ringload.reduction import (
     _crossing_split_loads,
@@ -32,7 +31,6 @@ from ringload.reduction import (
     reduce_to_crossing,
     rotated,
     standalone_crossing,
-    uncross_pair,
 )
 from ringload.scaled import SCALE, from_int
 

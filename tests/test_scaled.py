@@ -77,3 +77,41 @@ def test_no_module_imports_a_private_name_of_another():
                 found += [f"{path.name}:{node.lineno} {alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+# Functions that no code of the package calls, kept as its public calls:
+# the benchmark's per-layer replay (perfbench/spans.py) drives these.  The
+# CLI entry point and the calls the README documents have callers inside.
+PUBLIC_ONLY = {"dp_feasible", "CanonicalForm.of", "StructuredFamily.decode",
+               "additive_increase", "parse_rational"}
+
+
+def test_every_function_has_a_caller_in_the_package():
+    # A top-level function, or a method of a top-level class other than a
+    # dunder, is named somewhere in the package outside its own body, or it
+    # is on PUBLIC_ONLY.  Re-exports in __init__ are not callers.
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(ringload.__file__).parent.glob("*.py"))
+             if path.name != "__init__.py"]
+    defs = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs[node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                defs.update((f"{node.name}.{sub.name}", sub) for sub in node.body
+                            if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"))
+
+    def names(node, skip):
+        if node is not skip:
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            for child in ast.iter_child_nodes(node):
+                yield from names(child, skip)
+
+    uncalled = {qualified for qualified, node in defs.items()
+                if not any(node.name in names(tree, node) for tree in trees)}
+    assert uncalled <= PUBLIC_ONLY
+    assert PUBLIC_ONLY <= set(defs)

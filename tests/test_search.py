@@ -16,7 +16,13 @@ import pytest
 from conftest import Interrupted, canonical_mask, decode_block, fail_after, scalar_feasible_any_y
 from ringload import exact, search
 from ringload.errors import InfeasibleParams
-from ringload.exact import _level_masks, dp_feasible_block, dp_min_increase, dp_start_masks
+from ringload.exact import (
+    _level_masks,
+    dp_end_masks,
+    dp_feasible_block,
+    dp_min_increase,
+    dp_start_masks,
+)
 from ringload.instances import _FIG2_VU, _FIG6_VU
 from ringload.reduction import rotated, standalone_crossing
 from ringload.scaled import from_int, parse_rational, rational_str, unscale
@@ -155,6 +161,37 @@ def odd_rows(family, lo, hi):
     part, code = np.divmod(np.arange(hi - lo) + (lo - first * radix), radix)
     rows = search._Rows(part_u, part_v, part, code)
     return rows.select(np.flatnonzero(scan.pairs(rows)[0].sum(axis=1) & 1))
+
+
+def member_rows(family, indices):
+    """The members at indices as search rows of one part each, as a resume builds them."""
+    scan = search._scan(family.m, family.D)
+    U, V = decode_indices(family, indices)
+    width = scan.U.shape[1]
+    codes = np.array([index % scan.radix for index in indices], dtype=np.int64)
+    return search._Rows(U[:, width:], V[:, width:], np.arange(len(indices)), codes)
+
+
+def fallback_rows(scan, rows, monkeypatch):
+    """scan.canonical is the full comparison row for row; the number of rows it sent there.
+
+    The full comparison is _Scan.least over every row, and that is the
+    decode path's canonical_mask.
+    """
+    least = search._Scan.least
+    U, V = scan.pairs(rows)
+    expected = least(scan, U, V, (U + V == scan.family.D).all(axis=1)).tolist()
+    assert canonical_mask(U, V, scan.family.D).tolist() == expected
+    sent = []
+
+    def recorded(self, U, V, value_d):
+        sent.append(len(U))
+        return least(self, U, V, value_d)
+
+    monkeypatch.setattr(search._Scan, "least", recorded)
+    assert scan.canonical(rows).tolist() == expected
+    monkeypatch.setattr(search._Scan, "least", least)
+    return sum(sent)
 
 
 def prefix_masks(U, V, t):
@@ -452,13 +489,15 @@ def test_lead_screen_beyond_int64_masks(m, D, ts):
     assert outcomes == {True, False}
 
 
-def test_block_screen_continues_a_prefix_from_its_masks():
-    # Any split of any rows: the masks after the first k pairs, shared by
-    # code, and the remaining pairs decide as the whole rows do.  V up to
-    # 51 fills all 62 int64 mask bits at t = 10; odd u + v and zeros reach
-    # both parities and the edge cases of the first step.  Start masks
-    # past int64 are an error.
+def test_start_and_end_masks_meet_in_the_middle():
+    # Any split k of any rows: a column of the start masks of the first k
+    # pairs, shared by prefix, and the same column of the end masks of the
+    # rest, shared by suffix, have a common point exactly where the whole
+    # row is feasible from level 0.  U and V up to 51 fill all 62 int64 mask
+    # bits at t = 10 on both sides; odd u + v and zeros reach both parities
+    # and the edge cases of a step.  End masks past int64 are refused.
     rng = np.random.default_rng(93)
+    outcomes = set()
     for m in range(0, 7):
         for top in (7, 52):
             U = rng.integers(0, top, size=(40, m))
@@ -467,18 +506,23 @@ def test_block_screen_continues_a_prefix_from_its_masks():
             for k in range(m + 1):
                 heads, codes = np.unique(np.concatenate([U[:, :k], V[:, :k]], axis=1),
                                          axis=0, return_inverse=True)
+                tails, parts = np.unique(np.concatenate([U[:, k:], V[:, k:]], axis=1),
+                                         axis=0, return_inverse=True)
                 for t in (-1, 0, 3, 10):
-                    start = (prefix_masks(heads[:, :k], heads[:, k:], t), codes.ravel())
+                    start = dp_start_masks(heads[:, :k], heads[:, k:], t)
+                    end = dp_end_masks(tails[:, : m - k], tails[:, m - k :], t)
+                    joined = (start[codes.ravel()] & end[parts.ravel()]).any(axis=1).tolist()
                     expected = dp_feasible_block(U, V, t).tolist()
-                    assert dp_feasible_block(U[:, k:], V[:, k:], t, start).tolist() == expected
-    start = (prefix_masks(U[:, :1], V[:, :1], 10), np.arange(len(U)))
-    with pytest.raises(ValueError, match="int64"):
-        dp_feasible_block(U[:, 1:], V[:, 1:] + 52, 10, start)
+                    assert joined == expected
+                    outcomes.update(expected)
+    assert outcomes == {True, False}
+    assert dp_end_masks(U + 52, V, 10) is None  # t + 1 + max U > 62
+    assert dp_end_masks(U, V + 52, 10) is not None  # V is only stepped down from the end
 
 
 def test_lead_screen_in_column_chunks(monkeypatch):
     # A _MASK_BITS of 600 lets about one end point per chunk through at
-    # (4, 8), so each chunk takes its own columns of the lead table.
+    # (4, 8), so the parts' end masks are built in many column chunks.
     family = StructuredFamily(4, 8)
     scan = search._scan(4, 8)
     rows = odd_rows(family, 0, family.size)
@@ -619,7 +663,7 @@ def test_half_keys_of_m10_are_int64_up_to_d76(D, dtype):
 
 # D = 76 is the largest D whose half-keys are int64 at m = 10.
 @pytest.mark.parametrize("D", [8, 10, 76])
-def test_canonical_mask_on_m10_slices(D):
+def test_canonical_mask_on_m10_slices(monkeypatch, D):
     family = StructuredFamily(10, D)
     rng = random.Random(88 + D)
     for _ in range(3):
@@ -652,6 +696,7 @@ def test_canonical_mask_on_m10_slices(D):
         for pairs, images in ((pairs, smaller_aligned_images(pairs, D)) for pairs in tied)
     ]
     assert sum(decided_low) >= 5
+    fallback = 0
     for members in (value_d, tied):
         indices = [family.encode(pairs) for pairs in members]
         U, V = decode_indices(family, indices)
@@ -659,6 +704,8 @@ def test_canonical_mask_on_m10_slices(D):
         kept = [bool(assert_canonical_rows_match_decode_path(family, index, index + 1))
                 for index in indices if sum(family.decode(index)[k][0] for k in range(10)) % 2]
         assert set(kept) == {True, False}
+        fallback += fallback_rows(search._scan(10, D), member_rows(family, indices), monkeypatch)
+    assert fallback
 
 
 @pytest.mark.parametrize("m, D", [(8, 10), (18, 10), (4, 80), (4, 82)])
@@ -806,6 +853,33 @@ def test_an_interrupted_search_resumes_with_every_hit(tmp_path, monkeypatch, par
     assert len(resumed) == len(full) - kept
 
 
+def test_a_resume_checks_its_kept_records_as_one_block(tmp_path, monkeypatch):
+    # A finished shard whose 661 canonical members are all hits: its resume
+    # makes one canonical call, screens the records of each value at v - 1
+    # and v, and runs no full DP.
+    threshold = from_int(5)
+    full = search_lower_bound(4, 8, threshold, checkpoint_dir=tmp_path)
+    assert len(full) == 661
+    calls = {"canonical": 0, "screen": 0}
+    canonical, screen = search._Scan.canonical, search.dp_feasible_block
+
+    def counted_canonical(scan, rows):
+        calls["canonical"] += 1
+        return canonical(scan, rows)
+
+    def counted_screen(U, V, t):
+        calls["screen"] += 1
+        return screen(U, V, t)
+
+    monkeypatch.setattr(search._Scan, "canonical", counted_canonical)
+    monkeypatch.setattr(search, "dp_feasible_block", counted_screen)
+    fail_after(monkeypatch, 0)
+    assert search_lower_bound(4, 8, threshold, checkpoint_dir=tmp_path) == full
+    values = {hit.min_increase for hit in full}
+    assert calls["canonical"] == 1
+    assert 0 < calls["screen"] <= 2 * len(values)
+
+
 @pytest.mark.parametrize("m, D", SMALL_FAMILIES)
 def test_canonical_rows_match_the_decode_path_on_whole_families(m, D):
     family = StructuredFamily(m, D)
@@ -820,6 +894,20 @@ def test_canonical_rows_match_the_decode_path_on_whole_families(m, D):
         assert_canonical_rows_match_decode_path(family, lo, rng.randrange(lo, part + radix) + 1)
         lo = rng.randrange(family.size)
         assert_canonical_rows_match_decode_path(family, lo, rng.randrange(lo, family.size) + 1)
+
+
+@pytest.mark.parametrize("m, D", [(2, 4), (4, 8), (6, 6)])
+def test_two_stage_canonical_matches_the_full_comparison_on_whole_families(monkeypatch, m, D):
+    # Every odd-total member, through the prefilter or not.  The high keys
+    # of the always-aligned images decide all rows but the value-D ones and
+    # the ties, which go to the full comparison; the canonical rows are the
+    # orbits.  At m=2 every odd row is value-D or ties its half-turn.
+    family = StructuredFamily(m, D)
+    scan = search._scan(m, D)
+    rows = odd_rows(family, 0, family.size)
+    sent = fallback_rows(scan, rows, monkeypatch)
+    assert 0 < sent <= len(rows.code) and (m == 2 or sent < len(rows.code))
+    assert scan.canonical(rows).sum() == burnside_orbit_count(m, D)
 
 
 @pytest.mark.parametrize("m, D", [(18, 10), (20, 10), (12, 40), (10, 82), (4, 82)])
