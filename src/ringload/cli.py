@@ -167,7 +167,7 @@ def _cmd_extend(args) -> int:
     result = instances.equalize_extension(inst, split)
     sys.stdout.write(fileio.write_instance(result.instance, result.split).decode())
     print(
-        f"added {len(result.added)} demands; all within D: "
+        f"added {result.added} demands; all within D: "
         f"{'yes' if result.all_within_max_demand else 'NO'}",
         file=sys.stderr,
     )

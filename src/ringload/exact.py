@@ -210,24 +210,24 @@ def _enumerate_min(
     decreasing value, then for the lexicographically smallest routing
     that reaches it, in the original order.
     """
-    dems = [inst.demands[idx] for idx in active]
-    cols = sorted({0}.union(*((dem.i - 1, dem.j - 1) for dem in dems)))
-    total = sum(dem.d for dem in dems)
-    exact_in_int64 = 2 * max(abs(offset[c]) for c in cols) + 3 * total + 1 < 2**63
+    ends = [(inst.i[idx] - 1, inst.j[idx] - 1) for idx in active]
+    values = [inst.d[idx] for idx in active]
+    cols = sorted({0}.union(*ends))
+    exact_in_int64 = 2 * max(abs(offset[c]) for c in cols) + 3 * sum(values) + 1 < 2**63
     dtype = np.int64 if exact_in_int64 else object
-    d = np.array([dem.d for dem in dems], dtype=dtype)
+    d = np.array(values, dtype=dtype)
     inside = np.array(
-        [[dem.i - 1 <= c < dem.j - 1 for c in cols] for dem in dems], dtype=bool
-    ).reshape(len(dems), len(cols))
+        [[i <= c < j for c in cols] for i, j in ends], dtype=bool
+    ).reshape(len(ends), len(cols))
     root = np.array([-offset[c] for c in cols], dtype=dtype)
 
     value = None
-    if len(dems) > _CHUNK_BITS:
-        by_value = sorted(range(len(dems)), key=lambda p: -dems[p].d)
+    if len(values) > _CHUNK_BITS:
+        by_value = sorted(range(len(values)), key=lambda p: -values[p])
         all_cw = int((np.where(inside, d[:, None], 0).sum(axis=0) + root).max())
         value = _least_value(_Plan(by_value, d, inside), root, all_cw)
-    value, index = _first_at_most(_Plan(list(range(len(dems))), d, inside), root, value)
-    dirs = [CW] * len(inst.demands)
+    value, index = _first_at_most(_Plan(list(range(len(values))), d, inside), root, value)
+    dirs = [CW] * len(inst.d)
     for row, idx in enumerate(active):
         if (index >> (len(active) - 1 - row)) & 1:
             dirs[idx] = CCW
@@ -235,7 +235,7 @@ def _enumerate_min(
 
 
 def _active_demands(inst: RingInstance) -> list[int]:
-    active = [idx for idx, dem in enumerate(inst.demands) if dem.d > 0]
+    active = [idx for idx, d in enumerate(inst.d) if d > 0]
     cap = _brute_cap()
     if len(active) > cap:
         raise TooManyDemands(f"{len(active)} nonzero demands exceed the cap of {cap}")

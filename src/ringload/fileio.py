@@ -19,9 +19,15 @@ Routing report (produced, never parsed):
 All numeric report values are exact rational strings at any size; no
 floating point appears in any output.  Every report's loads are rendered
 by load_texts.  report_text renders any report the CLI emits in the
-layout of json.dumps(report, indent=1), in one pass.  A document's
-ring checks itself on construction; its split is checked once, where it
-enters (parse_instance, write_instance).
+layout of json.dumps(report, indent=1), in one pass.
+
+parse_instance reads the demands as columns (RingInstance.from_columns)
+and builds no record per demand; write_instance writes from the columns.
+A document's ring checks itself once, on construction; its split is
+checked once, where it enters (parse_instance, write_instance).  Errors
+keep one order: the first entry with a missing or ill-typed field (its
+'cw' included), then the count of 'cw' fields, then the ring (its size,
+then demand by demand), then the split.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quoted
 
 from .errors import InstanceSyntaxError, SchemaError
-from .model import Demand, RingInstance, SplitRouting, UnsplitRouting, validate_instance
+from .model import RingInstance, SplitRouting, UnsplitRouting, validate_instance
 from .scaled import SCALE, Scaled, from_int, int_text, rational_str, unscale
 
 
@@ -55,8 +61,11 @@ def _decimal(text: str) -> _Decimal:
     return _Decimal((int(whole + fraction), int(exponent or 0) - len(fraction)))
 
 
-def _scaled_half_integer(value: object, d: int, pos: int) -> Scaled:
-    """A 'cw' that is not a plain int: exact on the half-integer grid, or an error."""
+def _scaled_cw(value: object, d: int, pos: int) -> Scaled:
+    """An entry's 'cw', scaled: an integer or a number exact on the half-integer
+    grid, or an error; d is the entry's unscaled value."""
+    if type(value) is int:  # json.loads makes no int subclass but bool
+        return value * SCALE
     if not isinstance(value, _Decimal):
         raise SchemaError(f"demand #{pos}: field 'cw' must be a number")
     # Clamping the shift keeps the outcome without a power of ten as long
@@ -85,12 +94,26 @@ def _entry_ints(entry: object, pos: int) -> tuple[int, int, int]:
     )
 
 
+def _entry_columns(raw_demands: list) -> tuple[list, list, list, list]:
+    """The columns i, j, d (unscaled) and cw (scaled), read entry by entry,
+    so that the first entry at fault words the error."""
+    i, j, d, cw = [], [], [], []
+    for pos, entry in enumerate(raw_demands):
+        a, b, value = _entry_ints(entry, pos)
+        i.append(a)
+        j.append(b)
+        d.append(value)
+        if "cw" in entry:
+            cw.append(_scaled_cw(entry["cw"], value, pos))
+    return i, j, d, cw
+
+
 def parse_instance(data: bytes | str) -> tuple[RingInstance, SplitRouting | None]:
     """Parse and validate an instance document; the split section is optional.
 
-    An entry whose i, j and d are all integers, as they are in any legal
-    document, is read in one step; only one that is not goes through the
-    field-by-field checks that word the error.
+    The columns are read whole.  Where some i, j or d is not an integer,
+    or only some entries carry 'cw', the document is read again entry by
+    entry, so the first entry at fault words the error.
     """
     try:
         if isinstance(data, bytes):
@@ -109,25 +132,23 @@ def parse_instance(data: bytes | str) -> tuple[RingInstance, SplitRouting | None
     if not isinstance(raw_demands, list):
         raise SchemaError("instance: field 'demands' must be a list")
 
-    demands: list[Demand] = []
-    cw_amounts: list[Scaled] = []
-    for pos, entry in enumerate(raw_demands):
-        try:  # json.loads makes no int subclass but bool
-            i, j, d = entry["i"], entry["j"], entry["d"]
-            plain = type(i) is int and type(j) is int and type(d) is int
-        except (KeyError, TypeError):
-            plain = False
-        if not plain:
-            i, j, d = _entry_ints(entry, pos)
-        demands.append(Demand(i, j, d * SCALE))
-        if "cw" in entry:
-            cw = entry["cw"]
-            cw_amounts.append(cw * SCALE if type(cw) is int else _scaled_half_integer(cw, d, pos))
-    if len(cw_amounts) not in (0, len(demands)):
+    try:
+        i = [entry["i"] for entry in raw_demands]
+        j = [entry["j"] for entry in raw_demands]
+        d = [entry["d"] for entry in raw_demands]
+        cw = [entry["cw"] for entry in raw_demands if "cw" in entry]
+        plain = {*map(type, i), *map(type, j), *map(type, d)} <= {int}
+    except (KeyError, TypeError):
+        plain = False
+    if plain and len(cw) in (0, len(d)):
+        cw = [_scaled_cw(amount, value, pos) for pos, (amount, value) in enumerate(zip(cw, d))]
+    else:
+        i, j, d, cw = _entry_columns(raw_demands)
+    if len(cw) not in (0, len(d)):
         raise SchemaError("either every demand carries 'cw' or none does")
 
-    inst = RingInstance(n, tuple(demands))
-    split = SplitRouting(tuple(cw_amounts)) if cw_amounts or not demands else None
+    inst = RingInstance.from_columns(n, i, j, [value * SCALE for value in d])
+    split = SplitRouting(tuple(cw)) if cw or not d else None
     if split is not None:
         validate_instance(inst, split)
     return inst, split
@@ -147,9 +168,9 @@ def write_instance(inst: RingInstance, split: SplitRouting | None = None) -> byt
     if split is not None:
         validate_instance(inst, split)
     entries = []
-    for pos, dem in enumerate(inst.demands):
+    for pos, (i, j, d) in enumerate(zip(inst.i, inst.j, inst.d)):
         cw = "" if split is None else f',\n   "cw": {_cw_text(split.cw[pos])}'
-        fields = f'"i": {dem.i},\n   "j": {dem.j},\n   "d": {int_text(unscale(dem.d))}{cw}'
+        fields = f'"i": {i},\n   "j": {j},\n   "d": {int_text(unscale(d))}{cw}'
         entries.append(f"  {{\n   {fields}\n  }}")
     demands = "[\n" + ",\n".join(entries) + "\n ]" if entries else "[]"
     return f'{{\n "n": {inst.n},\n "demands": {demands}\n}}\n'.encode("utf-8")

@@ -30,7 +30,6 @@ from functools import lru_cache
 from .errors import InfeasibleParams, UnknownName
 from .exact import brute_force_min_increase
 from .model import (
-    Demand,
     RingInstance,
     SplitRouting,
     edge_loads,
@@ -63,9 +62,11 @@ BUILTIN_NAMES = ("fig1", "fig2", "fig5", "fig6", "fig7", "fig8")
 
 @dataclass(frozen=True)
 class ExtensionResult:
+    """The extended ring and split; its last `added` demands are the new ones."""
+
     instance: RingInstance
     split: SplitRouting
-    added: tuple[Demand, ...]
+    added: int
     all_within_max_demand: bool
 
 
@@ -80,27 +81,22 @@ def equalize_extension(inst: RingInstance, split: SplitRouting) -> ExtensionResu
     validate_instance(inst, split)
     loads = edge_loads(inst, split)
     peak = max(loads)
-    D = inst.max_demand
-    demands = list(inst.demands)
-    cw = list(split.cw)
-    added = []
-    for k in range(1, inst.n + 1):
-        deficit = peak - loads[k - 1]
-        if deficit == 0:
+    n = inst.n
+    i, j, d, cw = list(inst.i), list(inst.j), list(inst.d), list(split.cw)
+    for k, load in enumerate(loads, 1):
+        if load == peak:
             continue
-        if k < inst.n:
-            dem = Demand(k, k + 1, deficit)
-            cw.append(deficit)  # single clockwise edge
-        else:
-            dem = Demand(1, inst.n, deficit)
-            cw.append(0)  # edge {n, 1} is the counterclockwise arc of (1, n)
-        demands.append(dem)
-        added.append(dem)
+        # Edge k < n is the clockwise arc of (k, k + 1), edge n the
+        # counterclockwise arc of (1, n).
+        i.append(k if k < n else 1)
+        j.append(k + 1 if k < n else n)
+        d.append(peak - load)
+        cw.append(peak - load if k < n else 0)
     result = ExtensionResult(
-        RingInstance(inst.n, tuple(demands)),
+        RingInstance.from_columns(n, i, j, d),
         SplitRouting(tuple(cw)),
-        tuple(added),
-        all(dem.d <= D for dem in added),
+        len(d) - len(inst.d),
+        max(d[len(inst.d):], default=0) <= inst.max_demand,
     )
     assert len(set(edge_loads(result.instance, result.split))) == 1
     return result
@@ -115,12 +111,13 @@ def certify_split_optimal(inst: RingInstance, split: SplitRouting) -> Scaled | N
     does better.  None means no claim either way.
     """
     validate_instance(inst, split)
-    for dem, cw in zip(inst.demands, split.cw):
-        if dem.d == 0:
+    n = inst.n
+    for i, j, d, cw in zip(inst.i, inst.j, inst.d, split.cw):
+        if d == 0:
             continue
-        len_cw = dem.j - dem.i
-        len_ccw = inst.n - len_cw
-        if len_cw < len_ccw and cw != dem.d:
+        len_cw = j - i
+        len_ccw = n - len_cw
+        if len_cw < len_ccw and cw != d:
             return None
         if len_ccw < len_cw and cw != 0:
             return None
@@ -139,7 +136,7 @@ def _check(condition: bool, name: str, what: str) -> None:
 def builtin(name: str) -> tuple[RingInstance, SplitRouting]:
     """A built-in reference instance with its split routing, self-checked."""
     if name == "fig1":
-        inst = RingInstance(4, (Demand(1, 3, from_int(2)), Demand(2, 4, from_int(2))))
+        inst = RingInstance.from_columns(4, (1, 2), (3, 4), (from_int(2), from_int(2)))
         split = SplitRouting((from_int(1), from_int(1)))
         _check(set(edge_loads(inst, split)) == {from_int(2)}, name, "loads uniform 2")
         return inst, split
@@ -177,9 +174,9 @@ def builtin(name: str) -> tuple[RingInstance, SplitRouting]:
         _check(ext.all_within_max_demand, name, "added demands within D")
         return ext.instance, ext.split
     if name == "fig8":
-        demands = tuple(Demand(i, j, from_int(d)) for i, j, d, _ in _FIG8_DEMANDS)
-        inst = RingInstance(16, demands)
-        split = SplitRouting(tuple(from_int(cw) for *_, cw in _FIG8_DEMANDS))
+        i, j, d, cw = zip(*_FIG8_DEMANDS)
+        inst = RingInstance.from_columns(16, i, j, tuple(map(from_int, d)))
+        split = SplitRouting(tuple(map(from_int, cw)))
         _check(
             certify_split_optimal(inst, split) == from_int(39),
             name,

@@ -10,19 +10,27 @@ Conventions (used throughout the package):
     edges i..j-1; the counterclockwise path covers the complement.
   * All quantities are scaled integers on the 1/28 grid (see scaled.py).
 
+A ring stores its demands as three columns, tuples of Python ints: i, j
+and d, so values past int64 and past int()'s digit limit stay exact, and
+every stage reads the columns directly.  RingInstance.demands is a
+read-only view of Demand records, built from the columns on first access
+for callers that want one record per demand; nothing in the package reads
+it.
+
 All types are immutable; all operations are pure functions.  Rings check
-themselves on construction (3 <= n <= sys.maxsize; 1 <= i < j <= n and
-d >= 0 per demand); a split is checked once, by validate_instance, where
-it enters.
+themselves once, on construction (3 <= n <= sys.maxsize; then demand by
+demand 1 <= i < j <= n and d >= 0); a split is checked once, by
+validate_instance, where it enters.
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
-from operator import sub
+from operator import le, lt, sub
 
 from .errors import (
     IndexMismatch,
@@ -41,33 +49,74 @@ LoadVector = tuple[Scaled, ...]
 
 @dataclass(frozen=True)
 class Demand:
+    """One demand as a record; a ring stores its demands as columns instead."""
+
     i: int
     j: int
     d: Scaled  # scaled demand value, >= 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RingInstance:
-    n: int
-    demands: tuple[Demand, ...]
+    """A ring of n nodes whose demand k runs from node i[k] to node j[k]
+    with scaled value d[k]: three tuples of ints, checked on construction.
 
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise NodeOutOfRange(f"ring must have at least 3 nodes, got n={self.n}")
-        if self.n > sys.maxsize:  # edge loads are indexed by edge
+    RingInstance(n, demands) takes Demand records, from_columns the three
+    columns; equal columns make equal rings.
+    """
+
+    n: int
+    i: tuple[int, ...]
+    j: tuple[int, ...]
+    d: tuple[Scaled, ...]
+
+    def __init__(self, n: int, demands: Iterable[Demand]) -> None:
+        demands = tuple(demands)
+        self._init(
+            n,
+            tuple(dem.i for dem in demands),
+            tuple(dem.j for dem in demands),
+            tuple(dem.d for dem in demands),
+        )
+
+    @classmethod
+    def from_columns(
+        cls, n: int, i: Sequence[int], j: Sequence[int], d: Sequence[Scaled]
+    ) -> RingInstance:
+        """The ring whose demand k runs from node i[k] to node j[k] with value d[k]."""
+        inst = cls.__new__(cls)
+        inst._init(n, tuple(i), tuple(j), tuple(d))
+        return inst
+
+    def _init(self, n: int, i: tuple, j: tuple, d: tuple) -> None:
+        if n < 3:
+            raise NodeOutOfRange(f"ring must have at least 3 nodes, got n={n}")
+        if n > sys.maxsize:  # edge loads are indexed by edge
             raise NodeOutOfRange(f"ring must have at most sys.maxsize = {sys.maxsize} nodes")
-        for pos, dem in enumerate(self.demands):
-            if not (1 <= dem.i < dem.j <= self.n):
-                raise NodeOutOfRange(
-                    f"demand #{pos} endpoints ({dem.i},{dem.j}) violate 1 <= i < j <= {self.n}"
-                )
-            if dem.d < 0:
-                raise NegativeDemand(f"demand #{pos} has negative value")
+        if not len(i) == len(j) == len(d):
+            raise IndexMismatch(f"columns i, j and d have {len(i)}, {len(j)} and {len(d)} entries")
+        # Whole-column checks first; only a ring that fails them is walked
+        # demand by demand, to name the first demand at fault.
+        if d and not (min(i) >= 1 and max(j) <= n and all(map(lt, i, j)) and min(d) >= 0):
+            for pos, (a, b, value) in enumerate(zip(i, j, d)):
+                if not 1 <= a < b <= n:
+                    raise NodeOutOfRange(
+                        f"demand #{pos} endpoints ({a},{b}) violate 1 <= i < j <= {n}"
+                    )
+                if value < 0:
+                    raise NegativeDemand(f"demand #{pos} has negative value")
+        for name, value in (("n", n), ("i", i), ("j", j), ("d", d)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def demands(self) -> tuple[Demand, ...]:
+        """The demands as records, built from the columns on first access."""
+        return tuple(map(Demand, self.i, self.j, self.d))
 
     @property
     def max_demand(self) -> Scaled:
         """D, the maximum demand value (0 for an empty demand list)."""
-        return max((dem.d for dem in self.demands), default=0)
+        return max(self.d, default=0)
 
 
 @dataclass(frozen=True)
@@ -91,25 +140,31 @@ class UnsplitRouting:
 
 def validate_instance(inst: RingInstance, split: SplitRouting) -> None:
     """Check a caller's split (one amount in [0, d] per demand), once at entry."""
-    if len(split.cw) != len(inst.demands):
-        raise IndexMismatch(f"split has {len(split.cw)} entries for {len(inst.demands)} demands")
-    for pos, (dem, cw) in enumerate(zip(inst.demands, split.cw)):
-        if not (0 <= cw <= dem.d):
-            raise SplitExceedsDemand(f"demand #{pos}: clockwise amount outside [0, d]")
+    cw = split.cw
+    if len(cw) != len(inst.d):
+        raise IndexMismatch(f"split has {len(cw)} entries for {len(inst.d)} demands")
+    if cw and not (min(cw) >= 0 and all(map(le, cw, inst.d))):
+        for pos, (amount, value) in enumerate(zip(cw, inst.d)):
+            if not 0 <= amount <= value:
+                raise SplitExceedsDemand(f"demand #{pos}: clockwise amount outside [0, d]")
 
 
-def path_loads(n: int, paths: Iterable[tuple[int, int, Scaled, Scaled]]) -> LoadVector:
-    """Per-edge loads of (i, j, cw_amount, ccw_amount) paths on an n-node ring.
+def path_loads(
+    n: int, i: Sequence[int], j: Sequence[int], cw: Sequence[Scaled], ccw: Sequence[Scaled]
+) -> LoadVector:
+    """Per-edge loads on an n-node ring of paths given as columns.
 
-    cw_amount covers edges i..j-1 and ccw_amount the rest: every edge gets
-    ccw_amount, and edges i..j-1 get cw_amount - ccw_amount on top, through
-    a difference array and one running sum, O(n + len(paths)).
+    Path k carries cw[k] on its clockwise arc, edges i[k]..j[k]-1, and
+    ccw[k] on the rest: every edge gets the sum of ccw, and edges
+    i[k]..j[k]-1 get cw[k] - ccw[k] on top, through a difference array
+    and one running sum, O(n + len(i)).
     """
     diff = [0] * n
-    for i, j, cw, ccw in paths:
-        diff[0] += ccw
-        diff[i - 1] += cw - ccw
-        diff[j - 1] -= cw - ccw
+    if n:
+        diff[0] = sum(ccw)
+    for a, b, delta in zip(i, j, map(sub, cw, ccw)):
+        diff[a - 1] += delta
+        diff[b - 1] -= delta
     return tuple(accumulate(diff))
 
 
@@ -117,16 +172,10 @@ def edge_loads(inst: RingInstance, routing: SplitRouting | UnsplitRouting) -> Lo
     """Per-edge loads of a routing; split amounts are taken as given."""
     is_split = isinstance(routing, SplitRouting)
     entries = routing.cw if is_split else routing.dirs
-    if len(entries) != len(inst.demands):
-        raise IndexMismatch(f"routing has {len(entries)} entries for {len(inst.demands)} demands")
-    if is_split:
-        paths = ((dem.i, dem.j, cw, dem.d - cw) for dem, cw in zip(inst.demands, entries))
-    else:
-        paths = (
-            (dem.i, dem.j, dem.d, 0) if flag == CW else (dem.i, dem.j, 0, dem.d)
-            for dem, flag in zip(inst.demands, entries)
-        )
-    return path_loads(inst.n, paths)
+    if len(entries) != len(inst.d):
+        raise IndexMismatch(f"routing has {len(entries)} entries for {len(inst.d)} demands")
+    cw = entries if is_split else [d if flag == CW else 0 for d, flag in zip(inst.d, entries)]
+    return path_loads(inst.n, inst.i, inst.j, cw, list(map(sub, inst.d, cw)))
 
 
 def additive_increase(

@@ -13,6 +13,9 @@ split (u_k clockwise, v_k counterclockwise, both positive).  The reduction
      incident edges carry equal remaining load), and
   4. relabels nodes so demand k connects k and k+m.
 
+Every step reads the ring's columns (i, j, d) and the split's amounts
+directly; the split is checked once, on entry to reduce_to_crossing.
+
 The CrossingInstance remembers what lifting needs to take any
 crossing-form solution back to the original ring: the ring (origin), its
 post-uncrossing split (uncrossed) and the demand relabeling (demand_map).
@@ -28,12 +31,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 
 from .errors import InfeasibleParams, LengthMismatch, NotParallel
 from .model import (
     CCW,
     CW,
-    Demand,
     LoadVector,
     RingInstance,
     SplitRouting,
@@ -83,12 +87,11 @@ class CrossingInstance:
         """The crossing instance as a plain ring instance with its split."""
         if self.m < 2:
             raise InfeasibleParams("a ring needs at least 3 nodes; m must be >= 2")
-        demands = tuple(
-            Demand(k + 1, k + 1 + self.m, u + v) for k, (u, v) in enumerate(self.pairs)
+        m = self.m
+        ring = RingInstance.from_columns(
+            2 * m, range(1, m + 1), range(m + 1, 2 * m + 1), [u + v for u, v in self.pairs]
         )
-        return RingInstance(2 * self.m, demands), SplitRouting(
-            tuple(u for u, _ in self.pairs)
-        )
+        return ring, SplitRouting(tuple(u for u, _ in self.pairs))
 
 
 def standalone_crossing(pairs: tuple[tuple[Scaled, Scaled], ...], D: Scaled | None = None) -> CrossingInstance:
@@ -122,28 +125,28 @@ def demands_cross(first: tuple[int, int], second: tuple[int, int]) -> bool:
 
 
 def _uncrossed_amounts(
-    dem_a: Demand, dem_b: Demand, cw_a: Scaled, cw_b: Scaled
+    a: tuple[int, int, Scaled], b: tuple[int, int, Scaled], cw_a: Scaled, cw_b: Scaled
 ) -> tuple[Scaled, Scaled]:
-    """New clockwise amounts of a split parallel pair; no checks.
+    """New clockwise amounts of a split parallel pair of demands (i, j, d); no checks.
 
     Flow min{x_b1, x_b2} moves onto the first edge-disjoint path pair in
     the order cw/cw, cw_a/ccw_b, ccw_a/cw_b (a's clockwise arc first, for
     determinism); two counterclockwise arcs always share edge n.
     """
-    i, j, k, l = dem_a.i, dem_a.j, dem_b.i, dem_b.j
+    (i, j, d_a), (k, l, d_b) = a, b
     if j <= k or l <= i:
-        shift = min(dem_a.d - cw_a, dem_b.d - cw_b)
+        shift = min(d_a - cw_a, d_b - cw_b)
         return cw_a + shift, cw_b + shift
     if k <= i and j <= l:
-        shift = min(dem_a.d - cw_a, cw_b)
+        shift = min(d_a - cw_a, cw_b)
         return cw_a + shift, cw_b - shift
     if i <= k and l <= j:
-        shift = min(cw_a, dem_b.d - cw_b)
+        shift = min(cw_a, d_b - cw_b)
         return cw_a - shift, cw_b + shift
     raise NotParallel(f"demands ({i},{j}) and ({k},{l}) admit no edge-disjoint paths")
 
 
-def _crossing_suffix(demands: tuple[Demand, ...], cw: list[Scaled]) -> int:
+def _crossing_suffix(inst: RingInstance, cw: list[Scaled]) -> int:
     """Smallest s such that the demands split from index s on cross pairwise.
 
     Walks down from the last demand.  The endpoints of t pairwise-crossing
@@ -156,11 +159,11 @@ def _crossing_suffix(demands: tuple[Demand, ...], cw: list[Scaled]) -> int:
     """
     lows: list[int] = []
     highs: list[int] = []
-    for s in range(len(demands) - 1, -1, -1):
-        dem = demands[s]
-        if cw[s] == 0 or cw[s] == dem.d:
+    columns = (cw, inst.d, inst.i, inst.j)
+    for s, x, d, i, j in zip(range(len(cw) - 1, -1, -1), *map(reversed, columns)):
+        if x == 0 or x == d:
             continue
-        low, high, t = -dem.i, -dem.j, len(lows)
+        low, high, t = -i, -j, len(lows)
         above = bisect_left(lows, low)  # the i's above i
         if t and (
             above != bisect_left(highs, high)
@@ -182,21 +185,24 @@ def _uncross_all(inst: RingInstance, split: SplitRouting) -> SplitRouting:
     # the crossing suffix on are skipped too: a demand only goes from
     # split to unsplit, so at such a row every split b > a still belongs
     # to the pairwise-crossing suffix and crosses a.
-    demands = inst.demands
     cw = list(split.cw)
-    ends = [(dem.i, dem.j) for dem in demands]
-    values = [dem.d for dem in demands]
-    k = len(demands)
-    for a in range(_crossing_suffix(demands, cw)):
+    start = _crossing_suffix(inst, cw)
+    if not start:  # every split demand is in the crossing suffix
+        return split
+    values = inst.d
+    ends = list(zip(inst.i, inst.j))
+    rows = list(zip(inst.i, inst.j, values))
+    k = len(cw)
+    for a in range(start):
         x_a, d_a = cw[a], values[a]
         if x_a == 0 or x_a == d_a:
             continue
-        ends_a = ends[a]
+        ends_a, row_a = ends[a], rows[a]
         for b in range(a + 1, k):
             x_b = cw[b]
             if x_b == 0 or x_b == values[b] or demands_cross(ends_a, ends[b]):
                 continue
-            x_a, cw[b] = _uncrossed_amounts(demands[a], demands[b], x_a, x_b)
+            x_a, cw[b] = _uncrossed_amounts(row_a, rows[b], x_a, x_b)
             if x_a == 0 or x_a == d_a:
                 break
         cw[a] = x_a
@@ -214,35 +220,30 @@ def reduce_to_crossing(
     # that cross pairwise, sharing no endpoint, have endpoints running
     # i_0 < ... < i_{m-1} < j_0 < ... < j_{m-1}: the reduced ring's nodes
     # in clockwise order, demand k from node k to node k + m, cw still cw.
-    demands = inst.demands
+    cw, values = uncrossed.cw, inst.d
     demand_map = sorted(
-        (idx for idx, (dem, cw) in enumerate(zip(demands, uncrossed.cw)) if cw not in (0, dem.d)),
-        key=lambda idx: demands[idx].i,
+        (idx for idx, (x, d) in enumerate(zip(cw, values)) if x != 0 and x != d),
+        key=inst.i.__getitem__,
     )
     m = len(demand_map)
-    still_split = [demands[idx] for idx in demand_map]
-    nodes = [dem.i for dem in still_split] + [dem.j for dem in still_split]
+    lows = [inst.i[idx] for idx in demand_map]
+    highs = [inst.j[idx] for idx in demand_map]
+    nodes = lows + highs
     assert nodes == sorted(set(nodes)), "split demands must cross pairwise"
-    pairs = tuple(
-        (uncrossed.cw[idx], dem.d - uncrossed.cw[idx])
-        for idx, dem in zip(demand_map, still_split)
-    )
+    us = [cw[idx] for idx in demand_map]
+    vs = [values[idx] - cw[idx] for idx in demand_map]
+    pairs = tuple(zip(us, vs))
 
     # Contraction legality: original edge k, from node k to k + 1, carries
     # the split load of the reduced edge of the last node at or before k
-    # (the wrap edge 2m - 1, index -1, before the first node).  One merge
-    # walk over nodes follows that edge.
+    # (the wrap edge 2m - 1 before the first node).  That is, the edge of
+    # each node carries its reduced edge's load, and every other edge the
+    # load of the edge before it (edge n before edge 1).
     if m:
-        reduced = _crossing_split_loads(pairs)
-        loads = path_loads(
-            inst.n, ((dem.i, dem.j, u, v) for dem, (u, v) in zip(still_split, pairs))
-        )
-        edge, later = -1, iter(nodes)
-        node = next(later)
-        for k, load in enumerate(loads, 1):
-            if k == node:
-                edge, node = edge + 1, next(later, 0)
-            assert load == reduced[edge]
+        loads = path_loads(inst.n, lows, highs, us, vs)
+        steps = compress(range(1, inst.n + 1), map(ne, loads, loads[-1:] + loads[:-1]))
+        assert set(steps) <= set(nodes)
+        assert [loads[node - 1] for node in nodes] == list(_crossing_split_loads(pairs))
 
     return CrossingInstance(
         pairs=pairs,
@@ -250,13 +251,15 @@ def reduce_to_crossing(
         origin=inst,
         uncrossed=uncrossed,
         demand_map=tuple(demand_map),
-    ), SplitRouting(tuple(u for u, _ in pairs))
+    ), SplitRouting(tuple(us))
 
 
 def _crossing_split_loads(pairs: tuple[tuple[Scaled, Scaled], ...]) -> LoadVector:
     """Split-routing loads on the 2m reduced edges (edge p = {p+1, p+2})."""
     m = len(pairs)
-    return path_loads(2 * m, ((k + 1, k + 1 + m, u, v) for k, (u, v) in enumerate(pairs)))
+    us = [u for u, _ in pairs]
+    vs = [v for _, v in pairs]
+    return path_loads(2 * m, range(1, m + 1), range(m + 1, 2 * m + 1), us, vs)
 
 
 def lift_solution(cross: CrossingInstance, z: UnsplitRouting) -> UnsplitRouting:
@@ -266,7 +269,7 @@ def lift_solution(cross: CrossingInstance, z: UnsplitRouting) -> UnsplitRouting:
     if cross.origin is None:
         return z
     assert cross.uncrossed is not None and cross.demand_map is not None
-    dirs = [CW if cw == dem.d else CCW for dem, cw in zip(cross.origin.demands, cross.uncrossed.cw)]
+    dirs = [CW if cw == d else CCW for d, cw in zip(cross.origin.d, cross.uncrossed.cw)]
     for idx, flag in zip(cross.demand_map, z.dirs):
         dirs[idx] = flag
     return UnsplitRouting(tuple(dirs))

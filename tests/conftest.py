@@ -228,7 +228,9 @@ def uncross_pair(inst: RingInstance, split: SplitRouting, a: int, b: int) -> Spl
     if cw_a in (0, dem_a.d) or cw_b in (0, dem_b.d):
         return split
     new_cw = list(split.cw)
-    new_cw[a], new_cw[b] = _uncrossed_amounts(dem_a, dem_b, cw_a, cw_b)
+    new_cw[a], new_cw[b] = _uncrossed_amounts(
+        (dem_a.i, dem_a.j, dem_a.d), (dem_b.i, dem_b.j, dem_b.d), cw_a, cw_b
+    )
     return SplitRouting(tuple(new_cw))
 
 

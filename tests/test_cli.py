@@ -671,10 +671,9 @@ def test_solve_sums_all_demands_in_two_load_passes(capsys, tmp_path, monkeypatch
     path.write_bytes(write_instance(inst, split))
     counts = []
 
-    def counted(n, paths):
-        paths = list(paths)
-        counts.append(len(paths))
-        return path_loads(n, paths)
+    def counted(n, i, j, cw, ccw):
+        counts.append(len(i))
+        return path_loads(n, i, j, cw, ccw)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "ringload" and hasattr(module, "path_loads"):

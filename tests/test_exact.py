@@ -481,7 +481,10 @@ def table_oracle(inst, offset, low_bits=12):
     active = [p for p, dem in enumerate(inst.demands) if dem.d > 0]
     dems = [inst.demands[p] for p in active]
     cols = sorted({0}.union(*((dem.i - 1, dem.j - 1) for dem in dems)))
-    base = path_loads(inst.n, ((dem.i, dem.j, dem.d, 0) for dem in dems))
+    base = path_loads(
+        inst.n, [dem.i for dem in dems], [dem.j for dem in dems], [dem.d for dem in dems],
+        [0] * len(dems),
+    )
     rest = [base[c] - offset[c] for c in cols]
     delta = [[-dem.d if dem.i - 1 <= c < dem.j - 1 else dem.d for c in cols] for dem in dems]
     exact_in_int64 = max(map(abs, rest)) + sum(dem.d for dem in dems) < 2**63

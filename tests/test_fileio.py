@@ -7,10 +7,17 @@ import pytest
 from hypothesis import given
 
 from conftest import random_ring, split_rings
-from ringload.errors import InstanceSyntaxError, NodeOutOfRange, SchemaError
+from ringload.errors import (
+    IndexMismatch,
+    InstanceSyntaxError,
+    NegativeDemand,
+    NodeOutOfRange,
+    SchemaError,
+    SplitExceedsDemand,
+)
 from ringload.fileio import parse_instance, routing_report, write_instance
 from ringload.instances import builtin
-from ringload.model import Demand, RingInstance, SplitRouting, UnsplitRouting
+from ringload.model import Demand, RingInstance, SplitRouting, UnsplitRouting, edge_loads
 from ringload.scaled import from_int
 
 
@@ -105,6 +112,107 @@ def test_schema_errors(doc):
 def test_validation_errors_surface_from_parse():
     with pytest.raises(NodeOutOfRange):
         parse_instance(b'{"n": 4, "demands": [{"i":1,"j":5,"d":2}]}')
+
+
+def _ring(n, *entries):
+    return json.dumps({"n": n, "demands": list(entries)}).encode()
+
+
+@pytest.mark.parametrize(
+    ("doc", "error", "message"),
+    [
+        # A field error of an early entry wins over one of a later entry,
+        # whichever field it is.
+        (
+            _ring(4, {"i": 1, "j": 3, "d": 2, "cw": True}, {"j": 3, "d": 2, "cw": 1}),
+            SchemaError,
+            "demand #0: field 'cw' must be a number",
+        ),
+        (
+            _ring(4, {"i": 1, "j": 3, "d": 2, "cw": 0.1}, {"i": 1, "j": 3, "d": "2", "cw": 1}),
+            SchemaError,
+            "demand #0: 'cw' must be an integer or half-integer",
+        ),
+        (
+            _ring(4, [1, 3, 2], {"i": 1, "j": 3, "d": 2, "cw": 0.1}),
+            SchemaError,
+            "demand #0: must be an object",
+        ),
+        (
+            _ring(4, {"i": 1, "j": 3}, {"i": 1.5, "j": 3, "d": 2}),
+            SchemaError,
+            "demand #0: missing field 'd'",
+        ),
+        (
+            _ring(4, {"i": 1, "j": 3, "d": 2}, {"i": 1, "j": False, "d": 2}),
+            SchemaError,
+            "demand #1: field 'j' must be an integer",
+        ),
+        # Field errors come before ring errors, ring errors before split
+        # errors, and within the ring the first demand at fault wins.
+        (
+            _ring(4, {"i": 1, "j": 3, "d": 2, "cw": 3}, {"i": 1, "j": 5, "d": 2, "cw": 1},
+                  {"i": 1, "j": 2, "d": -1, "cw": 0}),
+            NodeOutOfRange,
+            "demand #1 endpoints (1,5) violate 1 <= i < j <= 4",
+        ),
+        (
+            _ring(4, {"i": 1, "j": 3, "d": 2, "cw": 3}, {"i": 1, "j": 2, "d": -1, "cw": 0},
+                  {"i": 1, "j": 5, "d": 2, "cw": 1}),
+            NegativeDemand,
+            "demand #1 has negative value",
+        ),
+        (
+            _ring(4, {"i": 3, "j": 3, "d": -1}),
+            NodeOutOfRange,
+            "demand #0 endpoints (3,3) violate 1 <= i < j <= 4",
+        ),
+        (
+            _ring(4, {"i": 1, "j": 3, "d": 2, "cw": 1}, {"i": 1, "j": 3, "d": 2, "cw": 2.5}),
+            SplitExceedsDemand,
+            "demand #1: clockwise amount outside [0, d]",
+        ),
+        # 'cw' on some entries only: a field error of any entry wins over
+        # the count, and the count over ring errors.
+        (
+            _ring(4, {"i": 1, "j": 3, "d": 2, "cw": 1}, {"i": 1, "j": 3.0, "d": 2}),
+            SchemaError,
+            "demand #1: field 'j' must be an integer",
+        ),
+        (
+            _ring(4, {"i": 1, "j": 3, "d": 2}, {"i": 1, "j": 9, "d": 2, "cw": 1}),
+            SchemaError,
+            "either every demand carries 'cw' or none does",
+        ),
+        # The ring's size is checked before any of its demands.
+        (
+            _ring(2, {"i": 1, "j": 5, "d": -1}),
+            NodeOutOfRange,
+            "ring must have at least 3 nodes, got n=2",
+        ),
+        (
+            _ring(2, {"i": 1, "j": 5, "d": None}),
+            SchemaError,
+            "demand #0: field 'd' must be an integer",
+        ),
+    ],
+)
+def test_the_first_error_wins(doc, error, message):
+    with pytest.raises(error) as caught:
+        parse_instance(doc)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+def test_a_short_routing_is_an_index_mismatch():
+    inst, split = builtin("fig1")
+    for routing, message in (
+        (SplitRouting(split.cw[:1]), "routing has 1 entries for 2 demands"),
+        (UnsplitRouting(("cw", "ccw", "cw")), "routing has 3 entries for 2 demands"),
+    ):
+        with pytest.raises(IndexMismatch) as caught:
+            edge_loads(inst, routing)
+        assert str(caught.value) == message
 
 
 def test_routing_report_is_exact_rational_only():

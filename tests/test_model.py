@@ -4,6 +4,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_ring
 from ringload.errors import (
@@ -11,6 +13,7 @@ from ringload.errors import (
     NegativeDemand,
     NodeOutOfRange,
     SplitExceedsDemand,
+    ValidationError,
 )
 from ringload.instances import builtin
 from ringload.model import (
@@ -54,6 +57,79 @@ def test_validate_rejects_unordered_endpoints():
 def test_validate_rejects_negative_demand():
     with pytest.raises(NegativeDemand, match="demand #0 has negative value"):
         RingInstance(4, (Demand(1, 2, -from_int(1)),))
+
+
+@st.composite
+def ring_inputs(draw):
+    """n and demand records: zero, duplicate and parallel chords, values
+    past 2^63, and in about half the draws one fault (n below 3, an
+    endpoint out of order or out of range, a negative value)."""
+    n = draw(st.integers(3, 12))
+    values = st.one_of(st.integers(0, 6).map(from_int), st.integers(2**63 - 1, 2**80))
+    demands = []
+    for _ in range(draw(st.integers(0, 8))):
+        if demands and draw(st.booleans()):
+            demands.append(draw(st.sampled_from(demands)))
+        else:
+            i = draw(st.integers(1, n - 1))
+            demands.append(Demand(i, draw(st.integers(i + 1, n)), draw(values)))
+    fault = draw(st.sampled_from(("none", "n", "ends", "value")))
+    if fault == "n":
+        n = draw(st.integers(-1, 2))
+    elif fault != "none" and demands:
+        pos = draw(st.integers(0, len(demands) - 1))
+        dem = demands[pos]
+        if fault == "ends":
+            ends = ((dem.j, dem.i), (0, dem.j), (dem.i, n + 1), (dem.i, dem.i))
+            i, j = draw(st.sampled_from(ends))
+            demands[pos] = Demand(i, j, dem.d)
+        else:
+            demands[pos] = Demand(dem.i, dem.j, -draw(st.integers(1, 2**70)))
+    return n, demands
+
+
+def first_fault(n, demands):
+    """The error a ring of these demands raises, checked record by record."""
+    if n < 3:
+        return NodeOutOfRange, f"ring must have at least 3 nodes, got n={n}"
+    for pos, dem in enumerate(demands):
+        if not 1 <= dem.i < dem.j <= n:
+            ends = f"({dem.i},{dem.j})"
+            return NodeOutOfRange, f"demand #{pos} endpoints {ends} violate 1 <= i < j <= {n}"
+        if dem.d < 0:
+            return NegativeDemand, f"demand #{pos} has negative value"
+    return None
+
+
+def built(make):
+    try:
+        return make()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+@given(ring_inputs())
+def test_records_and_columns_make_the_same_ring(case):
+    n, demands = case
+    by_records = built(lambda: RingInstance(n, demands))
+    by_columns = built(lambda: RingInstance.from_columns(
+        n, [dem.i for dem in demands], [dem.j for dem in demands], [dem.d for dem in demands]
+    ))
+    fault = first_fault(n, demands)
+    if fault is not None:
+        assert by_records == by_columns == fault
+        return
+    assert by_records == by_columns
+    assert hash(by_records) == hash(by_columns)
+    assert by_records.demands == by_columns.demands == tuple(demands)
+    assert by_records.max_demand == by_columns.max_demand == max(
+        (dem.d for dem in demands), default=0
+    )
+
+
+def test_columns_of_different_lengths_are_refused():
+    with pytest.raises(IndexMismatch, match="have 2, 1 and 1 entries"):
+        RingInstance.from_columns(4, (1, 2), (3,), (from_int(1),))
 
 
 def test_validate_rejects_split_exceeding_demand():

@@ -302,7 +302,9 @@ def sweep_uncross_all(inst, split):
             dem_b = demands[b]
             if cw[b] in (0, dem_b.d) or demands_cross((dem_a.i, dem_a.j), (dem_b.i, dem_b.j)):
                 continue
-            cw[a], cw[b] = reduction._uncrossed_amounts(dem_a, dem_b, cw[a], cw[b])
+            cw[a], cw[b] = reduction._uncrossed_amounts(
+                (dem_a.i, dem_a.j, dem_a.d), (dem_b.i, dem_b.j, dem_b.d), cw[a], cw[b]
+            )
     return SplitRouting(tuple(cw))
 
 
@@ -414,7 +416,7 @@ def test_uncross_all_matches_sweep_on_perturbed_crossing_rings():
         m = rng.randint(2, 300)
         inst, split = random_crossing(m, rng.randint(2, 20), seed=trial).to_ring()
         inst, split = with_extra_demands(inst, split, rng, trial % 4)
-        suffix_ended_early += _crossing_suffix(inst.demands, list(split.cw)) > 0
+        suffix_ended_early += _crossing_suffix(inst, list(split.cw)) > 0
         assert_reduction_matches_sweep(inst, split)
     assert suffix_ended_early >= 10
 
@@ -470,7 +472,7 @@ def test_crossing_suffix_matches_pairwise_definition():
         demands = tuple(Demand(i, j, from_int(2)) for i, j in chords)
         cw = [from_int(rng.choice((1, 1, 1, 0, 2))) for _ in chords]
         expected = pairwise_crossing_suffix(demands, cw)
-        assert _crossing_suffix(demands, cw) == expected
+        assert _crossing_suffix(RingInstance(n, demands), cw) == expected
         long_suffixes += len(chords) - expected >= 4
     assert long_suffixes >= 300
 
@@ -509,7 +511,7 @@ def test_a_parallel_demand_ends_the_crossing_suffix(monkeypatch):
     demands.insert(m // 2, Demand(1, 2, from_int(2)))
     cw.insert(m // 2, from_int(1))
     inst, split = RingInstance(inst.n, tuple(demands)), SplitRouting(tuple(cw))
-    assert _crossing_suffix(inst.demands, cw) == m // 2 + 1
+    assert _crossing_suffix(inst, cw) == m // 2 + 1
     calls = count_crossing_tests(monkeypatch)
     uncrossed = _uncross_all(inst, split)
     k = len(demands)

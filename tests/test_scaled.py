@@ -79,11 +79,34 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == []
 
 
+def test_only_model_names_the_demand_record():
+    # Rings hold their demands as columns; the one Demand record type lives
+    # in model, and __init__ only re-exports it.  No other module names it,
+    # so no stage builds or reads a record per demand.
+    found = []
+    for path in sorted(Path(ringload.__file__).parent.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+                named = any(alias.name == "Demand" for alias in node.names)
+            elif isinstance(node, ast.Name):
+                named = node.id == "Demand"
+            elif isinstance(node, ast.Attribute):
+                named = node.attr == "Demand"
+            else:
+                named = False
+            if named:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 # Functions that no code of the package calls, kept as its public calls:
-# the benchmark's per-layer replay (perfbench/spans.py) drives these.  The
-# CLI entry point and the calls the README documents have callers inside.
+# the benchmark's per-layer replay (perfbench/spans.py) drives these and
+# reads RingInstance.demands.  The CLI entry point and the calls the README
+# documents have callers inside.
 PUBLIC_ONLY = {"dp_feasible", "CanonicalForm.of", "StructuredFamily.decode",
-               "additive_increase", "parse_rational"}
+               "additive_increase", "parse_rational", "RingInstance.demands"}
 
 
 def test_every_function_has_a_caller_in_the_package():
