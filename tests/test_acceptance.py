@@ -34,8 +34,7 @@ from ringload.exact import (
     dp_min_increase,
 )
 from ringload.instances import (
-    _FIG2_VU,
-    _FIG6_VU,
+    _CROSSING_VU,
     builtin,
     certify_split_optimal,
     equalize_extension,
@@ -290,7 +289,7 @@ def test_criterion_10_noncyclic_triples_have_close_pair():
 
 def test_criterion_11_restricted_search_finds_fig6():
     family = StructuredFamily(8, 10)
-    fig6 = CanonicalForm.of(tuple((u, v) for v, u in _FIG6_VU), 10)
+    fig6 = CanonicalForm.of(tuple((u, v) for v, u in _CROSSING_VU["fig6"]), 10)
     index = family.encode(fig6.pairs)
     count = 20_000  # slices of ~128k indices
     shard = index * count // family.size
@@ -305,13 +304,13 @@ def test_criterion_11_restricted_search_finds_fig6():
 
 @pytest.mark.skipif(
     not os.environ.get("RINGLOAD_FULL_SEARCH"),
-    reason="full family scan of 2.56e9 members takes about a minute "
-    "(59-67 s in one process on a 2-vCPU AMD EPYC); set RINGLOAD_FULL_SEARCH=1",
+    reason="full family scan of 2.56e9 members takes about two minutes "
+    "(122 s in one process on a 2-vCPU Intel Xeon); set RINGLOAD_FULL_SEARCH=1",
 )
 def test_criterion_11_full_family_search_long_running():
     hits = search_lower_bound(8, 10, from_int(11))
     expected = {
-        CanonicalForm.of(tuple((u, v) for v, u in _FIG2_VU), 10),
-        CanonicalForm.of(tuple((u, v) for v, u in _FIG6_VU), 10),
+        CanonicalForm.of(tuple((u, v) for v, u in _CROSSING_VU["fig2"]), 10),
+        CanonicalForm.of(tuple((u, v) for v, u in _CROSSING_VU["fig6"]), 10),
     }
     assert {hit.form for hit in hits} == expected

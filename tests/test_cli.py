@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 from conftest import Interrupted, fail_after, random_ring
-from ringload import cli, search
+from ringload import cli, instances, search
 from ringload.cli import main
 from ringload.errors import InfeasibleParams
 from ringload.fileio import write_instance
@@ -299,6 +299,28 @@ def test_verify_fig6(capsys):
     report = json.loads(out)
     assert report["min_increase"] == "11"
     assert report["passes"] is True
+
+
+@pytest.mark.parametrize("name", ["fig6", "all"])
+def test_a_transcription_error_is_a_failed_check(capsys, monkeypatch, name):
+    # The built-ins are data; verify alone checks their recorded facts, so
+    # one wrong pair in fig6's table is a failed check, not a traceback.
+    pairs = list(instances._CROSSING_VU["fig6"])
+    pairs[1] = (3, 5)  # was (3, 7)
+    monkeypatch.setitem(instances._CROSSING_VU, "fig6", tuple(pairs))
+    builtin.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, "verify", name)
+    finally:
+        builtin.cache_clear()
+    report = json.loads(out)
+    if name == "all":
+        assert report["passes"] is False
+        report = report["reports"][instances.BUILTIN_NAMES.index("fig6")]
+    assert report["checks"]["min_increase"]["pass"] is False
+    assert report["passes"] is False
+    assert code == 1
+    assert err == "some checks FAILED\n"
 
 
 def test_verify_is_deterministic(capsys):

@@ -101,6 +101,19 @@ def test_only_model_names_the_demand_record():
     assert found == []
 
 
+def test_instances_imports_no_solver():
+    # Building or generating an instance needs no solver: the built-ins are
+    # data, and `ringload verify` alone checks their recorded facts.
+    tree = ast.parse((Path(ringload.__file__).parent / "instances.py").read_text())
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            named.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named.update(part for alias in node.names for part in alias.name.split("."))
+    assert named.isdisjoint({"exact", "search"})
+
+
 # Functions that no code of the package calls, kept as its public calls:
 # the benchmark's per-layer replay (perfbench/spans.py) drives these and
 # reads RingInstance.demands.  The CLI entry point and the calls the README

@@ -23,7 +23,7 @@ from ringload.exact import (
     dp_min_increase,
     dp_start_masks,
 )
-from ringload.instances import _FIG2_VU, _FIG6_VU
+from ringload.instances import _CROSSING_VU
 from ringload.reduction import rotated, standalone_crossing
 from ringload.scaled import from_int, parse_rational, rational_str, unscale
 from ringload.search import (
@@ -339,7 +339,7 @@ def test_threshold_above_universal_bound_is_empty():
 
 def test_search_finds_fig6_in_its_slice():
     family = StructuredFamily(8, 10)
-    fig6 = CanonicalForm.of(tuple((u, v) for v, u in _FIG6_VU), 10)
+    fig6 = CanonicalForm.of(tuple((u, v) for v, u in _CROSSING_VU["fig6"]), 10)
     index = family.encode(fig6.pairs)
     count = 40000  # slices of ~64k indices
     shard = next(
@@ -351,7 +351,7 @@ def test_search_finds_fig6_in_its_slice():
 
 
 def test_fig2_and_fig6_canonical_forms_hit_threshold_11():
-    for vu in (_FIG2_VU, _FIG6_VU):
+    for vu in (_CROSSING_VU["fig2"], _CROSSING_VU["fig6"]):
         pairs = tuple((u, v) for v, u in vu)
         assert dp_of(pairs, 10) == from_int(11)
         canonical = CanonicalForm.of(pairs, 10)
