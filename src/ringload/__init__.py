@@ -5,6 +5,10 @@ load increase of at most 19/14 times the maximum demand, compute exact
 optima by dynamic programming or branch and bound, and search the structured
 instance family for lower-bound examples.  All arithmetic is exact
 fixed-point on the 1/28 grid.
+
+Only the exact solvers and the search use numpy.  Their modules, `exact`
+and `search`, and the names re-exported from them resolve on first use
+(a module __getattr__), so importing ringload does not import numpy.
 """
 
 from .approx import (
@@ -14,12 +18,6 @@ from .approx import (
     solution_from_pattern,
     solve_19_14,
     ssw_three_halves,
-)
-from .exact import (
-    brute_force_min_increase,
-    brute_force_optimum_L,
-    dp_feasible,
-    dp_min_increase,
 )
 from .fileio import parse_instance, write_instance
 from .instances import (
@@ -58,6 +56,34 @@ from .reduction import (
     standalone_crossing,
 )
 from .scaled import SCALE, Scaled, rational_str
-from .search import CanonicalForm, SearchHit, StructuredFamily, search_lower_bound
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Name -> the module that defines it, imported on first access.
+_LAZY = {
+    "exact": "exact",
+    "brute_force_min_increase": "exact",
+    "brute_force_optimum_L": "exact",
+    "dp_feasible": "exact",
+    "dp_min_increase": "exact",
+    "search": "search",
+    "CanonicalForm": "search",
+    "SearchHit": "search",
+    "StructuredFamily": "search",
+    "search_lower_bound": "search",
+}
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | _LAZY.keys())
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f".{_LAZY[name]}", __name__)
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())

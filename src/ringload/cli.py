@@ -8,6 +8,11 @@ rational string.  The parser is built once per process (build_parser is
 cached), so callers that run main many times in one process, as the tests
 and the benchmark do, only parse their arguments.
 
+Only the exact solvers and the search use numpy, so their modules are
+imported inside the commands that run them: verify, optimum, search and
+solve --alg dp|brute.  solve on any other route, loads, gen and extend
+never load numpy.
+
 Commands:
 
   solve --alg {ssw|medium|smallbig|auto|dp|brute} -i FILE
@@ -27,7 +32,7 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from . import approx, exact, fileio, instances, model, reduction, search
+from . import approx, fileio, instances, model, reduction
 from .errors import InvalidSetting, RingLoadingError
 from .scaled import from_int, rational_str
 
@@ -50,11 +55,15 @@ def _cmd_solve(args) -> int:
     inst, split = _read_instance(args.instance, need_split=True)
     note = ""
     if args.alg == "brute":
+        from . import exact
+
         unsplit, _ = exact.brute_force_min_increase(inst, split)
         label, extra = "brute force", {"branch": "brute"}
     else:
         cross, _ = reduction.reduce_to_crossing(inst, split)
         if args.alg == "dp":
+            from . import exact
+
             z, value = exact.dp_min_increase(cross)
             label = "dp optimum"
             extra = {"branch": "dp", "crossing_performance": rational_str(value)}
@@ -88,6 +97,8 @@ def _cmd_loads(args) -> int:
 
 
 def _verify_one(name: str) -> dict:
+    from . import exact
+
     inst, split = instances.builtin(name)
     checks: dict[str, dict] = {}
 
@@ -193,6 +204,8 @@ def _positive_int(text: str) -> int:
 
 
 def _cmd_search(args) -> int:
+    from . import search
+
     if args.shard is not None and args.full:
         raise InvalidSetting("--shard and --full exclude each other; pass one of them")
     if args.shard is not None and args.jobs is not None:
@@ -214,6 +227,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_optimum(args) -> int:
+    from . import exact
+
     inst, _ = _read_instance(args.instance, need_split=False)
     unsplit, L = exact.brute_force_optimum_L(inst)
     loads = model.edge_loads(inst, unsplit)

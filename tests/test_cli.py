@@ -2,10 +2,14 @@
 
 import argparse
 import json
+import os
 import random
+import subprocess
 import sys
+import textwrap
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -818,3 +822,51 @@ def test_brute_cap_must_be_a_non_negative_integer(
         code, out, err = run_cli(capsys, *command, "-i", path)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "RINGLOAD_BRUTE_CAP" in err
+
+
+def _fresh_python(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=os.environ | {"PYTHONPATH": str(Path(cli.__file__).parents[1])})
+
+
+def test_only_the_exact_and_search_commands_load_numpy(tmp_path):
+    # solve on every approx route, loads, gen and extend are integer
+    # arithmetic; numpy comes in with the first command that needs exact,
+    # which solve --alg dp shows, so the first check cannot pass vacuously.
+    code = textwrap.dedent("""\
+    import contextlib, io, sys
+    import ringload
+    from ringload import approx, cli, fileio, instances
+
+    def run(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(list(argv)) == 0, argv
+        return out.getvalue()
+
+    fig1, fig6, ring = sys.argv[1:]
+    for name, path in (("fig1", fig1), ("fig6", fig6)):
+        with open(path, "wb") as handle:
+            handle.write(fileio.write_instance(*instances.builtin(name)))
+    with open(ring, "w") as handle:
+        handle.write(run("gen", "--m", "4", "--d", "6", "--seed", "1"))
+    for route in approx.ROUTES:
+        run("solve", "--alg", route, "-i", fig1 if route == "smallbig" else fig6)
+    run("loads", "-i", ring)
+    run("extend", "-i", ring)
+    print("numpy" in sys.modules)
+    run("solve", "--alg", "dp", "-i", ring)
+    print("numpy" in sys.modules)
+    """)
+    paths = [str(tmp_path / name) for name in ("fig1.json", "fig6.json", "ring.json")]
+    out = _fresh_python("-c", code, *paths)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.split() == ["False", "True"]
+
+
+def test_a_fresh_search_with_two_jobs_prints_what_one_job_prints():
+    # The pool's workers import the search module themselves.
+    argv = ("-m", "ringload", "search", "--m", "2", "--d", "4", "--threshold", "3", "--full")
+    one, two = (_fresh_python(*argv, "--jobs", jobs) for jobs in ("1", "2"))
+    assert (two.returncode, two.stdout, two.stderr) == (one.returncode, one.stdout, one.stderr)
+    assert one.returncode == 0 and len(one.stdout.splitlines()) == 2

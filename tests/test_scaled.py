@@ -101,17 +101,84 @@ def test_only_model_names_the_demand_record():
     assert found == []
 
 
-def test_instances_imports_no_solver():
-    # Building or generating an instance needs no solver: the built-ins are
-    # data, and `ringload verify` alone checks their recorded facts.
-    tree = ast.parse((Path(ringload.__file__).parent / "instances.py").read_text())
-    named = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            named.update((node.module or "").split("."))
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            named.update(part for alias in node.names for part in alias.name.split("."))
-    assert named.isdisjoint({"exact", "search"})
+def _imported(node: ast.AST) -> set[str]:
+    """Every dotted part of the modules and names an import statement names."""
+    parts = set()
+    if isinstance(node, ast.ImportFrom):
+        parts.update((node.module or "").split("."))
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        parts.update(part for alias in node.names for part in alias.name.split("."))
+    return parts
+
+
+def _module_level(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """What a file imports, and every name it uses, in code that runs when it
+    is imported: function bodies are left out, class bodies kept."""
+    imported, named = set(), set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        imported |= _imported(node)
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return imported, named | imported
+
+
+def test_numpy_stays_behind_exact_and_search():
+    # Only the exact solvers and the search use numpy, so importing ringload,
+    # or running a command that needs neither, must not load it.  At module
+    # level only exact and search import numpy, only search imports exact, and
+    # no module names exact or search otherwise: cli and __init__ reach them
+    # inside functions.  Building or generating an instance needs no solver,
+    # so instances imports neither anywhere.
+    imports, names = {}, {}
+    for path in sorted(Path(ringload.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imports[path.stem], names[path.stem] = _module_level(tree)
+        if path.stem == "instances":
+            anywhere = set().union(*map(_imported, ast.walk(tree)))
+            assert anywhere.isdisjoint({"exact", "search"})
+    assert {stem for stem, found in imports.items() if "numpy" in found} == {"exact", "search"}
+    assert {stem for stem, found in names.items() if "exact" in found} == {"search"}
+    assert {stem for stem, found in names.items() if "search" in found} == set()
+
+
+PUBLIC_NAMES = [
+    "BUILTIN_NAMES", "CCW", "CW", "CanonicalForm", "CrossingInstance", "Demand",
+    "ExtensionResult", "LoadVector", "Pattern", "RingInstance", "SCALE", "Scaled",
+    "SearchHit", "SolveReport", "SplitRouting", "StructuredFamily", "UnsplitRouting",
+    "additive_increase", "approx", "backward_greedy", "brute_force_min_increase",
+    "brute_force_optimum_L", "builtin", "certify_split_optimal", "crossover",
+    "demands_cross", "dp_feasible", "dp_min_increase", "edge_loads", "equalize_extension",
+    "errors", "exact", "fileio", "find_close", "forward_greedy", "instances",
+    "lift_solution", "medium_demand_solve", "model", "parse_instance", "patterns",
+    "performance", "random_crossing", "rational_str", "reduce_to_crossing", "reduction",
+    "scaled", "search", "search_lower_bound", "small_big_solve", "solution_from_pattern",
+    "solve_19_14", "ssw_three_halves", "standalone_crossing", "validate_instance",
+    "write_instance",
+]
+
+
+def test_the_public_names_resolve_whether_eager_or_lazy():
+    # The exact and search names resolve on first access, to the very
+    # objects their modules define; every other name is bound at import.
+    assert ringload.__all__ == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(ringload))
+    for name, module in ringload._LAZY.items():
+        value = getattr(ringload, name)
+        expected = getattr(ringload, module)
+        assert value is (expected if name == module else getattr(expected, name))
+    namespace = {}
+    exec("from ringload import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC_NAMES)
+    with pytest.raises(AttributeError, match="module 'ringload' has no attribute 'nope'"):
+        ringload.nope
+    assert not hasattr(ringload, "dp_start_masks")
 
 
 # Functions that no code of the package calls, kept as its public calls:
