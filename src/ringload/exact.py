@@ -28,33 +28,32 @@ pattern with p(0) = 0 and p(m) = y exists whose every point k >= 1
 satisfies (y-t)/2 <= p(k) <= (y+t)/2; this window condition is exactly
 max_k |2 p(k) - y| <= t, the additive performance for x = 0.  Two
 layouts of the same shift-or recurrence serve the callers.  Column-major,
-_level_masks runs, level by level, the reachable points of a block of
-rows (pairs sequences) and end points ys at once, one int64 bitmask over
-each integer window per (row, y), starting from p(0) = 0, which lies in
-the window whenever |y| <= t, and returns the last level's masks; p(m) = y
-is reachable exactly when bit y - lo of them is set, so no parity rule is
-needed.  Every row has its own steps, so each mask shifts on its own,
-within int64 while t + 1 + max v <= 62.  Position-major, _probe tests
-many end points of one row: points are array rows and end points are
-bits of uint64 words, and as all end points of one parity share the
-window width and every step, a level is two slice-ORs at any D.
-dp_feasible_block runs every y in [-t, t] for many rows column-major
-from level 0, and rows past 62 bits one at a time on _probe.  The search
-screen meets in the middle instead (Horowitz and Sahni, J. ACM 1974):
-dp_start_masks gives the points that a prefix of pairs (the search's
-lead) reaches, dp_end_masks the points from which a suffix (its part)
-reaches each end point, the same recurrence run backwards, and a row is
-feasible where the two share a point in some column.  dp_min_increase
-binary-searches t on one row with _probe (the window only grows with t);
-each probe after a feasible one tests only the end points found feasible
-there.  The routing (dp_feasible, dp_min_increase) is the walk back over
-one end point's masks, shifted in Python ints.
+_level_masks runs a block of rows (pairs sequences) for every end point
+y in [-t, t] at once, one int64 bitmask over each integer window per
+(row, y), each shifted by its row's own steps, within int64 while
+t + 1 + the largest up step is at most 62 bits.  Forward from p(0) = 0,
+which lies in the window whenever |y| <= t, it gives the points a prefix
+of pairs reaches (dp_start_masks); p(m) = y is reachable exactly when bit
+y - lo is set, so no parity rule is needed (dp_feasible_block).  Backward
+from y, over the reversed pairs, it gives the points from which a suffix
+reaches y (dp_end_masks).  The search screen meets in the middle
+(Horowitz and Sahni, J. ACM 1974): a row is feasible where its lead's
+start masks and its part's end masks share a point in some column.
+Position-major, _probe tests many end points of one row: points are
+array rows and end points are bits of uint64 words, and as all end
+points of one parity share the window width and every step, a level is
+two slice-ORs at any D; it runs the rows past 62 bits one at a time.
+dp_min_increase binary-searches t on one row with _probe (the window
+only grows with t); each probe after a feasible one tests only the end
+points found feasible there.  The routing (dp_feasible, dp_min_increase)
+is the walk back over one end point's masks, shifted in Python ints.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -74,9 +73,9 @@ from .scaled import SCALE, Scaled, exact_div, int_text
 
 DEFAULT_BRUTE_CAP = 26
 _CHUNK_BITS = 12
-# Bits in one array of DP masks, in either layout.  All 2t+1 end points of
-# a probe take about 2t^2 bits, gigabytes at D = 10^5, so wider probes run
-# in column chunks (of at least 64 end points in the position-major one).
+# Bits in one array of _probe's uint64 words.  All 2t+1 end points of a
+# probe take about 2t^2 bits, gigabytes at D = 10^5, so wider probes run in
+# column chunks of at least 64 end points.
 _MASK_BITS = 1 << 24
 # Bits of an int64 mask that a shifted window may reach, below the sign bit.
 _INT64_MASK_BITS = 62
@@ -95,7 +94,8 @@ def _brute_cap() -> int:
         raise InvalidSetting(
             f"RINGLOAD_BRUTE_CAP must be a non-negative integer, got {value!r}"
         )
-    return int(value)
+    digits = value.lstrip("0")  # a cap of 19 digits or more exceeds every demand count
+    return int(digits or "0") if len(digits) < 19 else sys.maxsize
 
 
 def _subset_sums(start: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -270,23 +270,27 @@ def _window(t, y):
 
 
 def _level_masks(
-    U: np.ndarray, V: np.ndarray, t: int, ys: np.ndarray, start: np.ndarray | None = None
-) -> np.ndarray:
-    """Reachable-point masks after one level per column of U, from the start level.
+    U: np.ndarray, V: np.ndarray, t: int, backward: bool = False
+) -> np.ndarray | None:
+    """Each row's masks after its pairs, for every end point y in [-t, t]; None past int64.
 
-    They are a (rows, len(ys)) int64 array.  Row r stands for the pairs
-    (U[r, k], V[r, k]) and column c for the end point y = ys[c], every
-    |y| <= t.  Points are confined to the window [lo, hi] of (t, y), which
-    holds p(0) = 0 whenever |y| <= t; bit b of a mask stands for point
-    lo + b.  A level steps up by V and down by U.  The start level is
-    level 0, the single point p(0) = 0, unless start gives other masks
-    over the same (t, ys) windows, one per column or per (row, column).
-    The caller keeps t + 1 + max V within _INT64_MASK_BITS.
+    A (rows, 2t + 1) int64 array: row r stands for the pairs (U[r, k],
+    V[r, k]), column y + t for the end point y, and bit b for the point
+    lo + b of the window [lo, hi] of (t, y).  A level steps up by V and
+    down by U.  Forward, from the point p(0) = 0, the masks hold the
+    points the pairs reach; backward, over the reversed columns with u
+    and v swapped, from the point y, those from which the pairs reach y.
+    Shifts stay within int64 while t + 1 + the largest up step is at
+    most _INT64_MASK_BITS.
     """
-    assert t + 1 + int(V.max(initial=0)) <= _INT64_MASK_BITS, "the masks would overflow int64"
+    if backward:
+        U, V = V[:, ::-1], U[:, ::-1]
+    if t + 1 + int(V.max(initial=0)) > _INT64_MASK_BITS:
+        return None
+    ys = np.arange(-t, t + 1)
     lo, hi = _window(t, ys)
     full = (1 << (hi - lo + 1)) - 1
-    mask = np.broadcast_to(1 << -lo, (len(U), len(ys))) if start is None else start
+    mask = np.broadcast_to(1 << ((ys if backward else 0) - lo), (len(U), len(ys)))
     for k in range(U.shape[1]):
         step = mask << V[:, k : k + 1]
         step |= mask >> U[:, k : k + 1]
@@ -372,26 +376,20 @@ def dp_feasible(cross: CrossingInstance, t: Scaled, y: Scaled) -> UnsplitRouting
 def dp_feasible_block(U: np.ndarray, V: np.ndarray, t: int) -> np.ndarray:
     """Row-wise "some routing has increase at most t" for (rows, m) arrays.
 
-    Row r stands for the pairs (U[r, k], V[r, k]); all end points y in
-    [-t, t] run as columns (none for t < 0), in chunks of at most
-    _MASK_BITS mask bits, every row from p(0) = 0.  Where the masks would
-    pass int64 (t + 1 + max V > 62) the rows run one at a time on _probe.
+    Row r stands for the pairs (U[r, k], V[r, k]), and is feasible where
+    some end point y in [-t, t] (none for t < 0) has bit y - lo set in its
+    dp_start_masks column.  Where those would pass int64 the rows run one
+    at a time on _probe.
     """
     ys = np.arange(-t, t + 1)
-    bits = t + 1 + int(V.max(initial=0))
-    if bits > _INT64_MASK_BITS:
+    masks = dp_start_masks(U, V, t)
+    if masks is None:
         return np.array(
             [_probe(list(zip(u, v)), t, ys).any() for u, v in zip(U.tolist(), V.tolist())],
             dtype=bool,
         )
-    chunk = max(1, _MASK_BITS // max(1, len(U) * bits))
-    feasible = np.zeros(len(U), dtype=bool)
-    for c in range(0, len(ys), chunk):
-        part = ys[c : c + chunk]
-        mask = _level_masks(U, V, t, part)
-        lo, _ = _window(t, part)
-        feasible |= (mask >> (part - lo) & 1).any(axis=1)
-    return feasible
+    lo, _ = _window(t, ys)
+    return (masks >> (ys - lo) & 1).any(axis=1)
 
 
 def dp_start_masks(U: np.ndarray, V: np.ndarray, t: int) -> np.ndarray | None:
@@ -401,9 +399,7 @@ def dp_start_masks(U: np.ndarray, V: np.ndarray, t: int) -> np.ndarray | None:
     [-t, t] after the row's last pair; the masks pass int64 where
     t + 1 + max V > 62.
     """
-    if t + 1 + int(V.max(initial=0)) > _INT64_MASK_BITS:
-        return None
-    return _level_masks(U, V, t, np.arange(-t, t + 1))
+    return _level_masks(U, V, t)
 
 
 def dp_end_masks(U: np.ndarray, V: np.ndarray, t: int) -> np.ndarray | None:
@@ -413,22 +409,10 @@ def dp_end_masks(U: np.ndarray, V: np.ndarray, t: int) -> np.ndarray | None:
     [-t, t] of the points p from which the row's pairs reach y with every
     point in the window.  So rows whose pairs follow a prefix are
     feasible at t exactly where some column of the prefix's
-    dp_start_masks shares a bit with the same column here.  It is
-    _level_masks run backwards, over the reversed columns with u and v
-    swapped, from bit y - lo, in column chunks of at most _MASK_BITS mask
-    bits; the masks pass int64 where t + 1 + max U > 62.
+    dp_start_masks shares a bit with the same column here.  The masks
+    pass int64 where t + 1 + max U > 62.
     """
-    ys = np.arange(-t, t + 1)
-    bits = t + 1 + int(U.max(initial=0))
-    if bits > _INT64_MASK_BITS:
-        return None
-    masks = np.empty((len(U), len(ys)), dtype=np.int64)
-    chunk = max(1, _MASK_BITS // max(1, len(U) * bits))
-    for c in range(0, len(ys), chunk):
-        part = ys[c : c + chunk]
-        lo, _ = _window(t, part)
-        masks[:, c : c + chunk] = _level_masks(V[:, ::-1], U[:, ::-1], t, part, 1 << (part - lo))
-    return masks
+    return _level_masks(U, V, t, backward=True)
 
 
 def dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, Scaled]:

@@ -61,16 +61,17 @@ a level of its own.  Only the survivors are assembled into whole pair
 sequences and get a full minimum-increase computation
 (exact.dp_min_increase).  A table is kept only if it is int64 and within
 _LEAD_TABLE_BYTES; past that (large D or m, masks past 62 bits at large
-t + D) the rows pack their own leads or screen from level 0
-(exact.dp_feasible_block), on exact._probe past 62 bits.  Half keys at
-(D+1)^m >= 2^63 are Python ints, and a block's first index is peeled as a
-Python int with int64 offsets from it, so the scan is exact at any
-index size.
+t + D) the rows pack their own leads or screen whole rows
+(exact.dp_feasible_block: the end point's bit of their start masks, or
+exact._probe past 62 bits).  Half keys at (D+1)^m >= 2^63 are Python
+ints, and a block's first index is peeled as a Python int with int64
+offsets from it, so the scan is exact at any index size.
 
 Given a directory, a shard keeps its hit records (hit_record) and then its
 last finished index in mM-dD-tT-shard-I-of-N.txt there, replaced atomically
 (fsync, then rename) as the scan goes on; a rerun checks the kept records
-as one block of rows, restores the hits and resumes after the index.
+as one block of rows, by the scan's own canonical and screen stages,
+restores the hits and resumes after the index.
 """
 
 from __future__ import annotations
@@ -502,7 +503,7 @@ def _resume(
     """The kept hits and the next index; SchemaError if the shard did not save them.
 
     The records are checked as one block of rows: one canonical call, and
-    the screen at v - 1 and v once for the records of each value v.
+    _Scan.screen at v - 1 and v once for the records of each value v.
     """
     family = scan.family
     try:
@@ -532,8 +533,8 @@ def _resume(
             raise ValueError(checkpoint)  # an even total, or not canonical
         values = np.array(values, dtype=np.int64)
         for value in set(values.tolist()):
-            group = values == value
-            below, at = (dp_feasible_block(U[group], V[group], t) for t in (value - 1, value))
+            group = rows.select(values == value)
+            below, at = (scan.screen(group, t) for t in (value - 1, value))
             if below.any() or not at.all():
                 raise ValueError(checkpoint)  # not the minimum increase
     except (ValueError, IndexError, InfeasibleParams):  # a line no save of the shard writes
@@ -576,7 +577,7 @@ def search_lower_bound(
         checkpoint.parent.mkdir(parents=True, exist_ok=True)
         if checkpoint.exists():
             hits, first = _resume(checkpoint, scan, threshold_int, start, stop)
-    t = min(threshold_int - 1, 3 * D // 2)  # 3D/2 bounds every minimum increase
+    t = max(min(threshold_int - 1, 3 * D // 2), -1)  # 3D/2 bounds every increase; t < 0 has no y
     for lo, hi in _blocks(first, stop, scan.radix):
         rows = scan.candidates(lo, hi)
         rows = rows.select(scan.canonical(rows))

@@ -126,8 +126,8 @@ def _reachable_parities(pairs) -> set[int]:
     return {base}
 
 
-def scalar_masks(pairs, t: int, y: int) -> list[int] | None:
-    """Reachable-point bitmasks per level, or None when p(m) = y is unreachable.
+def scalar_levels(pairs, t: int, y: int) -> list[int] | None:
+    """Reachable-point bitmasks per level, or None when the window is empty.
 
     Level k >= 1 points are confined to [ceil((y-t)/2), floor((y+t)/2)];
     bit b of masks[k] stands for point lo + b.  p(0) = 0 is unconstrained.
@@ -138,7 +138,7 @@ def scalar_masks(pairs, t: int, y: int) -> list[int] | None:
     full = (1 << (hi - lo + 1)) - 1
     masks = [0] * (len(pairs) + 1)
     if not pairs:
-        return masks if y == 0 else None
+        return masks
     u0, v0 = pairs[0]
     for cand in (v0, -u0):
         if lo <= cand <= hi:
@@ -146,9 +146,17 @@ def scalar_masks(pairs, t: int, y: int) -> list[int] | None:
     for k in range(1, len(pairs)):
         u, v = pairs[k]
         masks[k + 1] = ((masks[k] << v) | (masks[k] >> u)) & full
-    if not (masks[len(pairs)] >> (y - lo)) & 1:
-        return None
     return masks
+
+
+def scalar_masks(pairs, t: int, y: int) -> list[int] | None:
+    """scalar_levels, or None when p(m) = y is unreachable."""
+    masks = scalar_levels(pairs, t, y)
+    if masks is None:
+        return None
+    lo = -((t - y) // 2)
+    reached = (masks[-1] >> (y - lo)) & 1 if pairs else y == 0
+    return masks if reached else None
 
 
 def scalar_feasible_any_y(pairs, t: int) -> tuple[int, list[int]] | None:

@@ -725,6 +725,20 @@ def test_search_with_a_huge_threshold_finds_nothing_at_once(capsys):
     assert err.startswith("0 sequence(s)") and "Traceback" not in err
 
 
+def test_search_with_a_huge_negative_threshold_keeps_every_member(capsys, tmp_path, monkeypatch):
+    # Every t < 0 screens alike, so the output is that of threshold 1, and
+    # a rerun resumes the finished shard from its checkpoint, without a full DP.
+    _, expected, _ = run_cli(capsys, *SEARCH_2_4, "--shard", "0/1")
+    assert expected
+    low = ("search", "--m", "2", "--d", "4", "--threshold", "-99999999999999999999999")
+    assert run_cli(capsys, *low, "--shard", "0/1")[:2] == (0, expected)
+    shard = ("--shard", "0/1", "--checkpoint-dir", str(tmp_path))
+    assert run_cli(capsys, *low, *shard)[:2] == (0, expected)
+    fail_after(monkeypatch, 0)
+    assert run_cli(capsys, *low, *shard)[:2] == (0, expected)
+    assert len(list(tmp_path.iterdir())) == 1
+
+
 @pytest.mark.parametrize("argv", [
     *(("solve", "--alg", alg, "-i", ring)
       for alg in ("ssw", "medium", "smallbig", "auto", "dp", "brute")
@@ -822,6 +836,21 @@ def test_brute_cap_must_be_a_non_negative_integer(
         code, out, err = run_cli(capsys, *command, "-i", path)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "RINGLOAD_BRUTE_CAP" in err
+
+
+def test_brute_cap_of_any_length(capsys, monkeypatch, fig2_file):
+    # Leading zeros do not count, and a value past int()'s digit limit is
+    # larger than any ring's demand count.
+    monkeypatch.setenv("RINGLOAD_BRUTE_CAP", "0" * 4999 + "4")
+    code, out, err = run_cli(capsys, "solve", "--alg", "brute", "-i", fig2_file)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "TooManyDemands" in err
+    for command in (("solve", "--alg", "brute"), ("optimum",)):
+        monkeypatch.delenv("RINGLOAD_BRUTE_CAP")
+        expected = run_cli(capsys, *command, "-i", fig2_file)
+        monkeypatch.setenv("RINGLOAD_BRUTE_CAP", "1" + "0" * 4999)
+        code, out, _ = run_cli(capsys, *command, "-i", fig2_file)
+        assert code == 0 and out == expected[1]
 
 
 def _fresh_python(*args):

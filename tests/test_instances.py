@@ -109,6 +109,15 @@ def test_certify_fig1_tied_paths():
 def test_certify_rejects_long_way_flow():
     inst = RingInstance(4, (Demand(1, 2, 2 * S),))
     assert certify_split_optimal(inst, SplitRouting((S,))) is None
+    # 1 -> 4 is 3 edges clockwise and 1 counterclockwise.
+    inst = RingInstance(4, (Demand(1, 4, 2 * S),))
+    assert certify_split_optimal(inst, SplitRouting((S,))) is None
+
+
+def test_certify_skips_zero_demands():
+    inst, split = builtin("fig1")
+    inst = RingInstance(4, (*inst.demands, Demand(1, 2, 0)))
+    assert certify_split_optimal(inst, SplitRouting((*split.cw, 0))) == 2 * S
 
 
 def test_certify_rejects_nonuniform_loads():

@@ -229,6 +229,8 @@ def test_find_close_owner_mismatch():
     c2 = cross_of([(1, 1)], 4)
     with pytest.raises(OwnerMismatch):
         find_close(Pattern(c1, (0, S)), Pattern(c2, (0, S)), S)
+    with pytest.raises(OwnerMismatch):
+        crossover(Pattern(c1, (0, S)), Pattern(c2, (0, S)), 0)
 
 
 def test_crossover_example():

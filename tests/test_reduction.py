@@ -23,6 +23,7 @@ from ringload.model import (
 )
 from ringload.patterns import performance
 from ringload.reduction import (
+    CrossingInstance,
     _crossing_split_loads,
     _crossing_suffix,
     _uncross_all,
@@ -209,6 +210,25 @@ def test_lift_keeps_fixed_directions():
     assert len(fixed) == 14
     for idx, direction in fixed:
         assert lifted.dirs[idx] == direction
+
+
+def test_lift_standalone_crossing_is_the_identity():
+    # A standalone instance is its own original: its routing is the answer.
+    cross = standalone_crossing(((from_int(1), from_int(2)), (from_int(2), from_int(1))))
+    z = UnsplitRouting((CW, CCW))
+    assert lift_solution(cross, z) is z
+
+
+@pytest.mark.parametrize("pairs, D, message", [
+    (((0, 2),), 4, "#0: u and v must be positive"),
+    (((1, 1), (1, -1)), 4, "#1: u and v must be positive"),
+    (((1, 1), (2, 3)), 4, "#1: d exceeds D"),
+    ((), -1, "D must be nonnegative"),
+])
+def test_crossing_instance_rejects_bad_data(pairs, D, message):
+    scaled = tuple((from_int(u), from_int(v)) for u, v in pairs)
+    with pytest.raises(ValueError, match=message):
+        CrossingInstance(scaled, from_int(D))
 
 
 def test_lift_length_mismatch():

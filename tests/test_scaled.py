@@ -181,6 +181,27 @@ def test_the_public_names_resolve_whether_eager_or_lazy():
     assert not hasattr(ringload, "dp_start_masks")
 
 
+def test_each_dp_mask_limit_is_read_in_one_function():
+    # The int64 rule of the column-major masks is stated in exact._level_masks
+    # alone, and the bits of one position-major probe array in exact._probe
+    # alone; no other module reads either.
+    limits = {"_INT64_MASK_BITS": "_level_masks", "_MASK_BITS": "_probe"}
+    readers = {name: set() for name in limits}
+    for path in sorted(Path(ringload.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = (path.stem, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name in readers:
+                    readers[name].add(owner)
+    assert readers == {name: {("exact", function)} for name, function in limits.items()}
+
+
 # Functions that no code of the package calls, kept as its public calls:
 # the benchmark's per-layer replay (perfbench/spans.py) drives these and
 # reads RingInstance.demands.  The CLI entry point and the calls the README

@@ -13,16 +13,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import Interrupted, canonical_mask, decode_block, fail_after, scalar_feasible_any_y
+from conftest import (
+    Interrupted,
+    canonical_mask,
+    decode_block,
+    fail_after,
+    scalar_feasible_any_y,
+    scalar_levels,
+)
 from ringload import exact, search
 from ringload.errors import InfeasibleParams
-from ringload.exact import (
-    _level_masks,
-    dp_end_masks,
-    dp_feasible_block,
-    dp_min_increase,
-    dp_start_masks,
-)
+from ringload.exact import dp_end_masks, dp_feasible_block, dp_min_increase, dp_start_masks
 from ringload.instances import _CROSSING_VU
 from ringload.reduction import rotated, standalone_crossing
 from ringload.scaled import from_int, parse_rational, rational_str, unscale
@@ -194,9 +195,18 @@ def fallback_rows(scan, rows, monkeypatch):
     return sum(sent)
 
 
-def prefix_masks(U, V, t):
-    """_level_masks over every y in [-t, t]: the start masks after the pairs U, V."""
-    return _level_masks(U, V, t, np.arange(-t, t + 1))
+def without_int64_masks(monkeypatch):
+    """Asserts that every exact._level_masks call from now on returns None; the calls made."""
+    level_masks, calls = exact._level_masks, []
+
+    def refused(*args, **kwargs):
+        masks = level_masks(*args, **kwargs)
+        assert masks is None, "int64 masks past 62 bits"
+        calls.append(args[2])
+        return masks
+
+    monkeypatch.setattr(exact, "_level_masks", refused)
+    return calls
 
 
 def assert_lead_screen_matches_block_screen(rows, m, D, t, cached):
@@ -216,6 +226,12 @@ def test_symmetry_images_preserve_min_increase():
         reference = dp_of(pairs, family.D)
         for image in symmetry_orbit(pairs):
             assert dp_of(image, family.D) == reference
+
+
+def test_canonical_form_of_a_non_aligned_sequence_is_refused():
+    # Position 1 carries value 2, not D = 4.
+    with pytest.raises(InfeasibleParams, match="no value-D demand at odd positions"):
+        CanonicalForm.of(((1, 1), (1, 1)), 4)
 
 
 def test_canonicalization_is_idempotent_and_orbit_constant():
@@ -429,19 +445,20 @@ def test_block_screen_on_probes_when_the_shifts_overflow_int64(monkeypatch):
     family = StructuredFamily(4, 70)
     rng = random.Random(86)
     U, V = decode_indices(family, [rng.randrange(family.size) for _ in range(300)])
-    monkeypatch.setattr(exact, "_level_masks", None)
+    calls = without_int64_masks(monkeypatch)
     outcomes = set()
     for t in (20, 70, 100):
         assert t + 1 + V.max() > 62
         outcomes.update(assert_screen_matches_oracle(U, V, t))
     assert outcomes == {True, False}
+    assert calls == [20, 70, 100]
 
 
 def test_block_screen_past_62_bits_matches_scalar_oracle(monkeypatch):
     # V up to 70 puts every block past 62 mask bits, from t = -1 on; odd
     # u + v and zeros reach both parities and the edge cases of a step.
     rng = np.random.default_rng(95)
-    monkeypatch.setattr(exact, "_level_masks", None)
+    calls = without_int64_masks(monkeypatch)
     outcomes = set()
     for m in range(1, 6):
         U = rng.integers(0, 71, size=(30, m))
@@ -450,6 +467,7 @@ def test_block_screen_past_62_bits_matches_scalar_oracle(monkeypatch):
         for t in (-1, 0, 5, 40, 80):
             outcomes.update(assert_screen_matches_oracle(U, V, t))
     assert outcomes == {True, False}
+    assert len(calls) == 25
 
 
 @pytest.mark.parametrize("m, D", SMALL_FAMILIES)
@@ -520,31 +538,6 @@ def test_start_and_end_masks_meet_in_the_middle():
     assert dp_end_masks(U, V + 52, 10) is not None  # V is only stepped down from the end
 
 
-def test_lead_screen_in_column_chunks(monkeypatch):
-    # A _MASK_BITS of 600 lets about one end point per chunk through at
-    # (4, 8), so the parts' end masks are built in many column chunks.
-    family = StructuredFamily(4, 8)
-    scan = search._scan(4, 8)
-    rows = odd_rows(family, 0, family.size)
-    rows = rows.select(np.arange(0, len(rows.code), 97))
-    expected = {t: dp_feasible_block(*scan.pairs(rows), t).tolist() for t in (3, 5, 12)}
-    assert set(expected[3]) == set(expected[5]) == {True, False}
-    chunks = []
-    level_masks = exact._level_masks
-
-    def recorded(U, V, t, ys, start=None):
-        chunks.append(len(ys))
-        return level_masks(U, V, t, ys, start)
-
-    monkeypatch.setattr(exact, "_MASK_BITS", 600)
-    monkeypatch.setattr(exact, "_level_masks", recorded)
-    for t, feasible in expected.items():
-        scan.lead_masks(t)  # built before the screen's chunks are counted
-        chunks.clear()
-        assert scan.screen(rows, t).tolist() == feasible
-        assert len(chunks) > 1 and sum(chunks) == 2 * t + 1
-
-
 @pytest.mark.parametrize("m, D", [
     (2, 4), (8, 10), (10, 10), (10, 76), (12, 40), (20, 10), (4, 82), (10, 82),
 ])
@@ -609,8 +602,11 @@ def test_lead_masks_at_the_int64_edge():
         assert search._fits((scan.radix, 2 * t + 1), np.int64)
         masks = dp_start_masks(U, V, t)
         assert (masks is not None) == cached
-        if cached:
-            assert (masks == prefix_masks(U, V, t)).all()
+        if cached:  # every 13th lead against the scalar DP's last level
+            for code in range(0, scan.radix, 13):
+                pairs = tuple(zip(U[code].tolist(), V[code].tolist()))
+                expected = [scalar_levels(pairs, t, y)[-1] for y in range(-t, t + 1)]
+                assert masks[code].tolist() == expected
         assert_lead_screen_matches_block_screen(rows, 4, 30, t, cached)
 
 
@@ -861,18 +857,18 @@ def test_a_resume_checks_its_kept_records_as_one_block(tmp_path, monkeypatch):
     full = search_lower_bound(4, 8, threshold, checkpoint_dir=tmp_path)
     assert len(full) == 661
     calls = {"canonical": 0, "screen": 0}
-    canonical, screen = search._Scan.canonical, search.dp_feasible_block
+    canonical, screen = search._Scan.canonical, search._Scan.screen
 
     def counted_canonical(scan, rows):
         calls["canonical"] += 1
         return canonical(scan, rows)
 
-    def counted_screen(U, V, t):
+    def counted_screen(scan, rows, t):
         calls["screen"] += 1
-        return screen(U, V, t)
+        return screen(scan, rows, t)
 
     monkeypatch.setattr(search._Scan, "canonical", counted_canonical)
-    monkeypatch.setattr(search, "dp_feasible_block", counted_screen)
+    monkeypatch.setattr(search._Scan, "screen", counted_screen)
     fail_after(monkeypatch, 0)
     assert search_lower_bound(4, 8, threshold, checkpoint_dir=tmp_path) == full
     values = {hit.min_increase for hit in full}
