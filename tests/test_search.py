@@ -538,6 +538,33 @@ def test_start_and_end_masks_meet_in_the_middle():
     assert dp_end_masks(U, V + 52, 10) is not None  # V is only stepped down from the end
 
 
+def test_lead_screen_in_column_chunks(monkeypatch):
+    # A _MASK_BITS of 600 would split _probe's end points into many column
+    # chunks at (4, 8); the int64 end masks of the parts are not chunked:
+    # one backward exact._level_masks call covers all 2t + 1 end points.
+    family = StructuredFamily(4, 8)
+    scan = search._scan(4, 8)
+    rows = odd_rows(family, 0, family.size)
+    rows = rows.select(np.arange(0, len(rows.code), 97))
+    expected = {t: dp_feasible_block(*scan.pairs(rows), t).tolist() for t in (3, 5, 12)}
+    assert set(expected[3]) == set(expected[5]) == {True, False}
+    chunks = []
+    level_masks = exact._level_masks
+
+    def recorded(U, V, t, backward=False):
+        masks = level_masks(U, V, t, backward)
+        chunks.append((backward, masks.shape[1]))
+        return masks
+
+    monkeypatch.setattr(exact, "_MASK_BITS", 600)
+    monkeypatch.setattr(exact, "_level_masks", recorded)
+    for t, feasible in expected.items():
+        scan.lead_masks(t)  # built before the screen's calls are counted
+        chunks.clear()
+        assert scan.screen(rows, t).tolist() == feasible
+        assert chunks == [(True, 2 * t + 1)]
+
+
 @pytest.mark.parametrize("m, D", [
     (2, 4), (8, 10), (10, 10), (10, 76), (12, 40), (20, 10), (4, 82), (10, 82),
 ])
