@@ -422,8 +422,10 @@ def dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, Scaled]:
     points, so once a probe is feasible the smaller probes after it test
     only the end points found feasible there.  Probes run position-major
     (_probe): one row tests hundreds to thousands of end points, whose
-    windows pass 62 bits at moderate D.  The routing is the walk back from
-    the smallest feasible end point at the minimum t.
+    windows pass 62 bits at moderate D.  Some probe below the 3/2 * D start
+    is feasible, as every crossing instance has a routing of increase at
+    most 19/14 * D.  The routing is the walk back from the smallest
+    feasible end point at the minimum t.
     """
     g, pairs = _unit_pairs(cross)
     if not pairs:
@@ -442,8 +444,5 @@ def dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, Scaled]:
             hi, ys = mid, found
         else:
             lo = mid + 1
-    if ys is None:
-        ys = np.arange(-hi, hi + 1)
-        ys = ys[_probe(pairs, hi, ys)]
-        assert ys.size, "the 3/2 * D guarantee failed"
+    assert ys is not None, "no probe below 3/2 * D: the 19/14 * D guarantee failed"
     return _walk_back(pairs, lo, int(ys[0])), lo * g

@@ -21,13 +21,13 @@ floating point appears in any output.  Every report's loads are rendered
 by load_texts.  report_text renders any report the CLI emits in the
 layout of json.dumps(report, indent=1), in one pass.
 
-parse_instance reads the demands as columns (RingInstance.from_columns)
-and builds no record per demand; write_instance writes from the columns.
-A document's ring checks itself once, on construction; its split is
-checked once, where it enters (parse_instance, write_instance).  Errors
-keep one order: the first entry with a missing or ill-typed field (its
-'cw' included), then the count of 'cw' fields, then the ring (its size,
-then demand by demand), then the split.
+parse_instance reads the demands as columns (RingInstance.from_columns),
+builds no record per demand and walks the entries only to name a fault;
+write_instance writes from the columns.  A document's ring checks itself
+once, on construction; its split is checked once, where it enters
+(parse_instance, write_instance).  Errors keep one order: the first entry
+with a missing or ill-typed field (its 'cw' included), then the count of
+'cw' fields, then the ring (its size, then demand by demand), then the split.
 """
 
 from __future__ import annotations
@@ -82,38 +82,25 @@ def _scaled_cw(value: object, d: int, pos: int) -> Scaled:
     raise SchemaError(f"demand #{pos}: 'cw' must be an integer or half-integer")
 
 
-def _entry_ints(entry: object, pos: int) -> tuple[int, int, int]:
-    """The entry's i, j and d; words the error of the first one missing or wrong."""
-    where = f"demand #{pos}"
-    if not isinstance(entry, dict):
-        raise SchemaError(f"{where}: must be an object")
-    return (
-        _require_int(entry, "i", where),
-        _require_int(entry, "j", where),
-        _require_int(entry, "d", where),
-    )
-
-
-def _entry_columns(raw_demands: list) -> tuple[list, list, list, list]:
-    """The columns i, j, d (unscaled) and cw (scaled), read entry by entry,
-    so that the first entry at fault words the error."""
-    i, j, d, cw = [], [], [], []
+def _first_fault(raw_demands: list) -> None:
+    """Raise the first fault: entry by entry i, j, d and 'cw', then the 'cw' count."""
     for pos, entry in enumerate(raw_demands):
-        a, b, value = _entry_ints(entry, pos)
-        i.append(a)
-        j.append(b)
-        d.append(value)
+        where = f"demand #{pos}"
+        if not isinstance(entry, dict):
+            raise SchemaError(f"{where}: must be an object")
+        for key in ("i", "j", "d"):
+            _require_int(entry, key, where)
         if "cw" in entry:
-            cw.append(_scaled_cw(entry["cw"], value, pos))
-    return i, j, d, cw
+            _scaled_cw(entry["cw"], entry["d"], pos)
+    raise SchemaError("either every demand carries 'cw' or none does")
 
 
 def parse_instance(data: bytes | str) -> tuple[RingInstance, SplitRouting | None]:
     """Parse and validate an instance document; the split section is optional.
 
-    The columns are read whole.  Where some i, j or d is not an integer,
-    or only some entries carry 'cw', the document is read again entry by
-    entry, so the first entry at fault words the error.
+    The columns are read whole, and only they build the instance.  Where
+    some i, j or d is not an integer, or only some entries carry 'cw', the
+    entries are walked one by one only to name the first fault.
     """
     try:
         if isinstance(data, bytes):
@@ -140,12 +127,9 @@ def parse_instance(data: bytes | str) -> tuple[RingInstance, SplitRouting | None
         plain = {*map(type, i), *map(type, j), *map(type, d)} <= {int}
     except (KeyError, TypeError):
         plain = False
-    if plain and len(cw) in (0, len(d)):
-        cw = [_scaled_cw(amount, value, pos) for pos, (amount, value) in enumerate(zip(cw, d))]
-    else:
-        i, j, d, cw = _entry_columns(raw_demands)
-    if len(cw) not in (0, len(d)):
-        raise SchemaError("either every demand carries 'cw' or none does")
+    if not (plain and len(cw) in (0, len(d))):
+        _first_fault(raw_demands)
+    cw = [_scaled_cw(amount, value, pos) for pos, (amount, value) in enumerate(zip(cw, d))]
 
     inst = RingInstance.from_columns(n, i, j, [value * SCALE for value in d])
     split = SplitRouting(tuple(cw)) if cw or not d else None

@@ -449,14 +449,16 @@ class StructuredFamily:
         return (self.free_choices * self.pinned_choices) ** (self.m // 2)
 
     def decode(self, index: int) -> Pairs:
-        pairs = []
+        pairs, rest = [], index
         for pos in range(self.m):
             if pos % 2:
-                index, code = divmod(index, self.pinned_choices)
+                rest, code = divmod(rest, self.pinned_choices)
                 pairs.append((code + 1, self.D - code - 1))
             else:
-                index, code = divmod(index, self.free_choices)
+                rest, code = divmod(rest, self.free_choices)
                 pairs.append(_free_pair(code))
+        if rest:  # the index was negative or at least size
+            raise InfeasibleParams(f"the family has no member at index {int_text(index)}")
         return tuple(pairs)
 
     def encode(self, pairs: Pairs) -> int:

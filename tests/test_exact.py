@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from conftest import (
     criterion_8_crossings,
-    decode_block,
     pattern_from_solution,
     random_ring,
     scalar_dp_feasible,
@@ -379,14 +378,6 @@ def test_dp_in_column_chunks_matches_scalar_oracle(monkeypatch):
     for trial in range(40):
         cross = random_crossing(rng.randint(1, 8), rng.randint(2, 30), seed=trial)
         assert dp_min_increase(cross) == scalar_dp_min_increase(cross)
-    family = StructuredFamily(4, 8)
-    U, V = decode_block(family, 0, 500)
-    for t in range(-1, 13):
-        expected = [scalar_feasible_any_y(tuple(zip(u, v)), t) is not None
-                    for u, v in zip(U.tolist(), V.tolist())]
-        assert dp_feasible_block(U, V, t).tolist() == expected
-    empty = np.zeros((0, 4), dtype=np.int64)
-    assert dp_feasible_block(empty, empty, 3).tolist() == []
 
 
 def test_dp_memory_stays_bounded_at_large_d():

@@ -184,6 +184,16 @@ def _ring(n, *entries):
             SchemaError,
             "either every demand carries 'cw' or none does",
         ),
+        (
+            _ring(4, {"i": 1, "j": 3, "d": 2, "cw": 0.1}, {"i": 1, "j": 3, "d": 2}),
+            SchemaError,
+            "demand #0: 'cw' must be an integer or half-integer",
+        ),
+        (
+            _ring(4, {"i": 1, "j": 3, "d": 2}, {"i": 1, "j": 3, "d": 2, "cw": "x"}),
+            SchemaError,
+            "demand #1: field 'cw' must be a number",
+        ),
         # The ring's size is checked before any of its demands.
         (
             _ring(2, {"i": 1, "j": 5, "d": -1}),

@@ -324,6 +324,15 @@ def test_encode_rejects_sequences_of_another_length():
             family.encode(pairs)
 
 
+def test_decode_rejects_indices_outside_the_family():
+    family = StructuredFamily(2, 4)
+    for index in (-1, family.size, 10**6):
+        with pytest.raises(InfeasibleParams, match=f"no member at index {index}$"):
+            family.decode(index)
+    for index in (0, family.size - 1):
+        assert family.encode(family.decode(index)) == index
+
+
 def test_shard_range_partitions():
     total = StructuredFamily(4, 6).size
     pieces = [shard_range(total, (i, 7)) for i in range(7)]
@@ -438,6 +447,14 @@ def test_block_screen_matches_scalar_screen_off_the_family():
         V = rng.integers(0, 7, size=(60, m))
         for t in range(-1, 11):
             assert_screen_matches_oracle(U, V, t)
+
+
+def test_block_screen_matches_scalar_screen_on_the_first_m4_d8_members():
+    U, V = decode_block(StructuredFamily(4, 8), 0, 500)
+    for t in range(-1, 13):
+        assert_screen_matches_oracle(U, V, t)
+    empty = np.zeros((0, 4), dtype=np.int64)
+    assert dp_feasible_block(empty, empty, 3).tolist() == []
 
 
 def test_block_screen_on_probes_when_the_shifts_overflow_int64(monkeypatch):
