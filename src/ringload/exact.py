@@ -28,17 +28,17 @@ pattern with p(0) = 0 and p(m) = y exists whose every point k >= 1
 satisfies (y-t)/2 <= p(k) <= (y+t)/2; this window condition is exactly
 max_k |2 p(k) - y| <= t, the additive performance for x = 0.  Two
 layouts of the same shift-or recurrence serve the callers.  Column-major,
-_level_masks runs a block of rows (pairs sequences) for every end point
+level_masks runs a block of rows (pairs sequences) for every end point
 y in [-t, t] at once, one int64 bitmask over each integer window per
 (row, y), each shifted by its row's own steps, within int64 while
 t + 1 + the largest up step is at most 62 bits.  Forward from p(0) = 0,
 which lies in the window whenever |y| <= t, it gives the points a prefix
-of pairs reaches (dp_start_masks); p(m) = y is reachable exactly when bit
-y - lo is set, so no parity rule is needed (dp_feasible_block).  Backward
-from y, over the reversed pairs, it gives the points from which a suffix
-reaches y (dp_end_masks).  The search screen meets in the middle
-(Horowitz and Sahni, J. ACM 1974): a row is feasible where its lead's
-start masks and its part's end masks share a point in some column.
+of pairs reaches; p(m) = y is reachable exactly when bit y - lo is set,
+so no parity rule is needed (dp_feasible_block).  Backward from y, over
+the reversed pairs, it gives the points from which a suffix reaches y.
+The search screen meets in the middle (Horowitz and Sahni, J. ACM
+1974): a row is feasible where its lead's forward masks and its part's
+backward masks share a point in some column.
 Position-major, _probe tests many end points of one row: points are
 array rows and end points are bits of uint64 words, and as all end
 points of one parity share the window width and every step, a level is
@@ -269,7 +269,7 @@ def _window(t, y):
     return -((t - y) // 2), (y + t) // 2
 
 
-def _level_masks(
+def level_masks(
     U: np.ndarray, V: np.ndarray, t: int, backward: bool = False
 ) -> np.ndarray | None:
     """Each row's masks after its pairs, for every end point y in [-t, t]; None past int64.
@@ -280,8 +280,11 @@ def _level_masks(
     down by U.  Forward, from the point p(0) = 0, the masks hold the
     points the pairs reach; backward, over the reversed columns with u
     and v swapped, from the point y, those from which the pairs reach y.
-    Shifts stay within int64 while t + 1 + the largest up step is at
-    most _INT64_MASK_BITS.
+    So rows whose pairs are a prefix's followed by a suffix's are
+    feasible at t exactly where some column of the prefix's forward masks
+    shares a bit with the same column of the suffix's backward masks.
+    Shifts stay within int64 while t + 1 + the largest up step (max V
+    forward, max U backward) is at most _INT64_MASK_BITS.
     """
     if backward:
         U, V = V[:, ::-1], U[:, ::-1]
@@ -378,11 +381,11 @@ def dp_feasible_block(U: np.ndarray, V: np.ndarray, t: int) -> np.ndarray:
 
     Row r stands for the pairs (U[r, k], V[r, k]), and is feasible where
     some end point y in [-t, t] (none for t < 0) has bit y - lo set in its
-    dp_start_masks column.  Where those would pass int64 the rows run one
-    at a time on _probe.
+    column of the forward level_masks.  Where those would pass int64 the
+    rows run one at a time on _probe.
     """
     ys = np.arange(-t, t + 1)
-    masks = dp_start_masks(U, V, t)
+    masks = level_masks(U, V, t)
     if masks is None:
         return np.array(
             [_probe(list(zip(u, v)), t, ys).any() for u, v in zip(U.tolist(), V.tolist())],
@@ -390,29 +393,6 @@ def dp_feasible_block(U: np.ndarray, V: np.ndarray, t: int) -> np.ndarray:
         )
     lo, _ = _window(t, ys)
     return (masks >> (ys - lo) & 1).any(axis=1)
-
-
-def dp_start_masks(U: np.ndarray, V: np.ndarray, t: int) -> np.ndarray | None:
-    """The points that each row's pairs reach from p(0) = 0, or None past int64.
-
-    Row r, column y + t is the mask over the window of end point y in
-    [-t, t] after the row's last pair; the masks pass int64 where
-    t + 1 + max V > 62.
-    """
-    return _level_masks(U, V, t)
-
-
-def dp_end_masks(U: np.ndarray, V: np.ndarray, t: int) -> np.ndarray | None:
-    """The points from which each row's pairs reach their end point, or None past int64.
-
-    Row r, column y + t is the mask over the window of end point y in
-    [-t, t] of the points p from which the row's pairs reach y with every
-    point in the window.  So rows whose pairs follow a prefix are
-    feasible at t exactly where some column of the prefix's
-    dp_start_masks shares a bit with the same column here.  The masks
-    pass int64 where t + 1 + max U > 62.
-    """
-    return _level_masks(U, V, t, backward=True)
 
 
 def dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, Scaled]:

@@ -54,18 +54,19 @@ identity's (0.6% of the benchmark's m=8, D=10 rows) go through the full
 comparison of every counted image on both halves.  The DP screen drops
 every row with a routing of increase at most threshold - 1.  It meets in
 the middle: a row is feasible where, for some end point y, the points
-its lead reaches from p(0) = 0 (exact.dp_start_masks of every code, kept
-on the scan for the latest t) meet the points from which its part
-reaches y (exact.dp_end_masks, once per part of a block), so no row runs
-a level of its own.  Only the survivors are assembled into whole pair
-sequences and get a full minimum-increase computation
-(exact.dp_min_increase).  A table is kept only if it is int64 and within
-_LEAD_TABLE_BYTES; past that (large D or m, masks past 62 bits at large
-t + D) the rows pack their own leads or screen whole rows
-(exact.dp_feasible_block: the end point's bit of their start masks, or
-exact._probe past 62 bits).  Half keys at (D+1)^m >= 2^63 are Python
-ints, and a block's first index is peeled as a Python int with int64
-offsets from it, so the scan is exact at any index size.
+its lead reaches from p(0) = 0 (the forward exact.level_masks of its
+code) meet the points from which its part reaches y (the backward
+exact.level_masks, once per part of a block), so no row runs a level of
+its own.  Only the survivors are assembled into whole pair sequences and
+get a full minimum-increase computation (exact.dp_min_increase).  The
+lead tables are caches: a table is kept only if it is int64 and within
+_LEAD_TABLE_BYTES, and past that (large D or m) the rows compute their
+own lead's key terms and start masks from their codes, by the same
+algorithm.  Only masks past 62 bits (at large t + D) send the rows whole
+to exact.dp_feasible_block, and on to exact._probe.  Half keys at
+(D+1)^m >= 2^63 are Python ints, and a block's first index is peeled as
+a Python int with int64 offsets from it, so the scan is exact at any
+index size.
 
 Given a directory, a shard keeps its hit records (hit_record) and then its
 last finished index in mM-dD-tT-shard-I-of-N.txt there, replaced atomically
@@ -89,7 +90,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleParams, SchemaError
-from .exact import dp_end_masks, dp_feasible_block, dp_min_increase, dp_start_masks
+from .exact import dp_feasible_block, dp_min_increase, level_masks
 from .reduction import rotated, standalone_crossing
 from .scaled import Scaled, from_int, int_text, rational_str, unscale
 
@@ -101,7 +102,10 @@ Pairs = tuple[tuple[int, int], ...]  # plain-integer (u, v) sequences
 _BLOCK = 8192
 _SHARDS = 64  # of search_parallel; fixed, so checkpoint names do not depend on jobs
 _CHECKPOINT_STEP = 1 << 24  # indices between saves; a block that reaches one ends there
-_LEAD_TABLE_BYTES = 1 << 22  # most bytes of one cached table; larger ones are not built
+# Most bytes of one table that a scan keeps; a larger one is not built.  A
+# lead table is only a cache: without it the rows of each block compute
+# their own share, by the same algorithm.
+_LEAD_TABLE_BYTES = 1 << 22
 
 
 def _reflect(pairs: Pairs) -> Pairs:
@@ -367,16 +371,15 @@ class _Scan:
         return ~smaller.any(axis=1)
 
     def lead_masks(self, t: int) -> np.ndarray | None:
-        """exact.dp_start_masks of the leads, or None where it is or the table does not _fit.
+        """The forward exact.level_masks of every lead code, a cache; None where it is not kept.
 
-        The leads reach u and v = D - 1, the family's largest, so the parts'
-        exact.dp_end_masks stay within int64 where these do.  Only the
-        latest t's table is kept, read-only: a scan uses one t, and a
-        process that sweeps t holds one table per family.
+        It is not kept where the table does not _fit or the masks pass
+        int64.  Only the latest t's table is kept, read-only: a scan uses
+        one t, and a process that sweeps t holds one table per family.
         """
         if self._masks[0] != t:
             fits = _fits((self.radix, 2 * t + 1), np.int64)
-            masks = dp_start_masks(self.U[: self.radix], self.V[: self.radix], t) if fits else None
+            masks = level_masks(self.U[: self.radix], self.V[: self.radix], t) if fits else None
             if masks is not None:
                 masks.setflags(write=False)
             self._masks = (t, masks)
@@ -385,21 +388,28 @@ class _Scan:
     def screen(self, rows: _Rows, t: int) -> np.ndarray:
         """Row-wise "some routing has increase at most t" (exact.dp_feasible_block).
 
-        A row is feasible where some end point's column of its code's
-        lead_masks(t) shares a point with the same column of its part's
-        exact.dp_end_masks, the points from which the part reaches that end
-        point: the lead and the part meet in the middle.  Without either
-        table (past 62 bits, or a lead table that does not _fit) the rows
-        run from level 0.  A block without rows, common at m=10 where
-        canonical rows are sparse, runs no level at all.
+        The lead and the part meet in the middle: a row is feasible where
+        some end point's column of its lead's start masks, the points the
+        lead reaches from p(0) = 0, shares a point with the same column of
+        its part's end masks, the points from which the part reaches that
+        end point (exact.level_masks forward and backward).  The start
+        masks are gathered by code from lead_masks(t) where it is kept and
+        computed from the rows' codes where not; the end masks are computed
+        once per part of the block.  Only where either would pass int64 do
+        the rows go whole to exact.dp_feasible_block.  A block without rows,
+        common at m=10 where canonical rows are sparse, runs no level at all.
         """
         if not len(rows.code):
             return np.zeros(0, dtype=bool)
         masks = self.lead_masks(t)
-        ends = None if masks is None else dp_end_masks(rows.part_u, rows.part_v, t)
-        if ends is None:
+        if masks is None:
+            starts = level_masks(self.U[rows.code], self.V[rows.code], t)
+        else:
+            starts = masks.take(rows.code, axis=0)
+        ends = level_masks(rows.part_u, rows.part_v, t, backward=True)
+        if starts is None or ends is None:
             return dp_feasible_block(*self.pairs(rows), t)
-        return (masks.take(rows.code, axis=0) & ends.take(rows.part, axis=0)).any(axis=1)
+        return (starts & ends.take(rows.part, axis=0)).any(axis=1)
 
 
 @cache
@@ -509,7 +519,7 @@ def _resume(
     """
     family = scan.family
     try:
-        *records, last = checkpoint.read_text().splitlines() or [str(start - 1)]
+        *records, last = checkpoint.read_text().splitlines()
         cursor, hits, indices, values = int(last), [], [], []
         for line in records:
             *vu, value = map(int, re.findall(r"-?\d+", line))

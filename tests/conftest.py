@@ -109,9 +109,10 @@ def random_small_big(rng: random.Random, m: int, D: int) -> CrossingInstance:
 
 
 # The scalar DP: one end point y at a time, in plain Python ints, with
-# the parity filter on y.  It is the oracle that exact's block mask
-# recurrence (dp_feasible_block, dp_feasible, dp_min_increase) is compared
-# against.
+# the parity filter on y.  It is the oracle that exact's mask recurrences
+# (level_masks through dp_feasible_block, _probe through dp_feasible and
+# dp_min_increase) and the search screen that joins forward and backward
+# level_masks are compared against.
 
 
 def scalar_unit_pairs(cross: CrossingInstance) -> tuple[int, list[tuple[int, int]]]:

@@ -553,6 +553,18 @@ def test_search_corrupt_checkpoint_is_a_one_line_error(capsys, tmp_path, content
     assert checkpoint.read_bytes() == content
 
 
+def test_an_empty_checkpoint_is_a_one_line_error(capsys, tmp_path):
+    # Every save ends in an index, so an empty file is none of the shard's;
+    # it is not read as the shard's start, and it is left as it is.
+    checkpoint = tmp_path / "m2-d4-t3-shard-0-of-1.txt"
+    checkpoint.write_bytes(b"")
+    code, out, err = run_cli(capsys, "search", "--m", "2", "--d", "4", "--threshold", "3",
+                             "--shard", "0/1", "--checkpoint-dir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: SchemaError:")
+    assert checkpoint.read_bytes() == b""
+
+
 # Hit records of the m=4, D=8 family at threshold 5: the first two of shard 1/2
 # (indices 6272 and 6273, where the shard starts) and one of shard 0/2.
 FIRST = '{"pairs": [[1, 1], [7, 1], [1, 5], [4, 4]], "min_increase": "5"}'

@@ -178,14 +178,14 @@ def test_the_public_names_resolve_whether_eager_or_lazy():
     assert set(namespace) - {"__builtins__"} == set(PUBLIC_NAMES)
     with pytest.raises(AttributeError, match="module 'ringload' has no attribute 'nope'"):
         ringload.nope
-    assert not hasattr(ringload, "dp_start_masks")
+    assert not hasattr(ringload, "level_masks")
 
 
 def test_each_dp_mask_limit_is_read_in_one_function():
-    # The int64 rule of the column-major masks is stated in exact._level_masks
+    # The int64 rule of the column-major masks is stated in exact.level_masks
     # alone, and the bits of one position-major probe array in exact._probe
     # alone; no other module reads either.
-    limits = {"_INT64_MASK_BITS": "_level_masks", "_MASK_BITS": "_probe"}
+    limits = {"_INT64_MASK_BITS": "level_masks", "_MASK_BITS": "_probe"}
     readers = {name: set() for name in limits}
     for path in sorted(Path(ringload.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:

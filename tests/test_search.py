@@ -23,7 +23,7 @@ from conftest import (
 )
 from ringload import exact, search
 from ringload.errors import InfeasibleParams
-from ringload.exact import dp_end_masks, dp_feasible_block, dp_min_increase, dp_start_masks
+from ringload.exact import dp_feasible_block, dp_min_increase, level_masks
 from ringload.instances import _CROSSING_VU
 from ringload.reduction import rotated, standalone_crossing
 from ringload.scaled import from_int, parse_rational, rational_str, unscale
@@ -196,8 +196,12 @@ def fallback_rows(scan, rows, monkeypatch):
 
 
 def without_int64_masks(monkeypatch):
-    """Asserts that every exact._level_masks call from now on returns None; the calls made."""
-    level_masks, calls = exact._level_masks, []
+    """Asserts that every level_masks call from now on returns None; the calls made.
+
+    Both the module that defines level_masks and the search that imports
+    it are patched, so the screen's own calls are checked too.
+    """
+    calls = []
 
     def refused(*args, **kwargs):
         masks = level_masks(*args, **kwargs)
@@ -205,7 +209,8 @@ def without_int64_masks(monkeypatch):
         calls.append(args[2])
         return masks
 
-    monkeypatch.setattr(exact, "_level_masks", refused)
+    monkeypatch.setattr(exact, "level_masks", refused)
+    monkeypatch.setattr(search, "level_masks", refused)
     return calls
 
 
@@ -524,6 +529,36 @@ def test_lead_screen_beyond_int64_masks(m, D, ts):
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("m, D, t, past_int64", [
+    (4, 40, 21, False), (8, 34, 27, False), (4, 70, 35, True),
+])
+def test_the_screen_meets_in_the_middle_without_a_lead_table(monkeypatch, m, D, t, past_int64):
+    # The lead table would pass _LEAD_TABLE_BYTES at these t, so it is not
+    # kept; within int64 the rows compute their own leads' start masks and
+    # still meet their parts' end masks, and only past 62 bits do they go
+    # whole to dp_feasible_block.  Every 7th row is checked against the
+    # scalar DP.
+    family = StructuredFamily(m, D)
+    scan = search._scan(m, D)
+    assert scan.lead_masks(t) is None
+    assert not search._fits((scan.radix, 2 * t + 1), np.int64)
+    assert (t + D > 62) == past_int64  # t + 1 + the leads' largest v, D - 1
+    blocks = []
+
+    def recorded(U, V, t):
+        blocks.append(len(U))
+        return dp_feasible_block(U, V, t)
+
+    monkeypatch.setattr(search, "dp_feasible_block", recorded)
+    lo = random.Random(96 + D).randrange(family.size - 3000)
+    rows = odd_rows(family, lo, lo + 3000)
+    rows = rows.select(np.arange(0, len(rows.code), 7))
+    oracle = [scalar_feasible_any_y(pairs, t) is not None for pairs in rows_of(*scan.pairs(rows))]
+    assert scan.screen(rows, t).tolist() == oracle
+    assert set(oracle) == {True, False}
+    assert blocks == ([len(rows.code)] if past_int64 else [])
+
+
 def test_start_and_end_masks_meet_in_the_middle():
     # Any split k of any rows: a column of the start masks of the first k
     # pairs, shared by prefix, and the same column of the end masks of the
@@ -544,21 +579,21 @@ def test_start_and_end_masks_meet_in_the_middle():
                 tails, parts = np.unique(np.concatenate([U[:, k:], V[:, k:]], axis=1),
                                          axis=0, return_inverse=True)
                 for t in (-1, 0, 3, 10):
-                    start = dp_start_masks(heads[:, :k], heads[:, k:], t)
-                    end = dp_end_masks(tails[:, : m - k], tails[:, m - k :], t)
+                    start = level_masks(heads[:, :k], heads[:, k:], t)
+                    end = level_masks(tails[:, : m - k], tails[:, m - k :], t, backward=True)
                     joined = (start[codes.ravel()] & end[parts.ravel()]).any(axis=1).tolist()
                     expected = dp_feasible_block(U, V, t).tolist()
                     assert joined == expected
                     outcomes.update(expected)
     assert outcomes == {True, False}
-    assert dp_end_masks(U + 52, V, 10) is None  # t + 1 + max U > 62
-    assert dp_end_masks(U, V + 52, 10) is not None  # V is only stepped down from the end
+    assert level_masks(U + 52, V, 10, backward=True) is None  # t + 1 + max U > 62
+    assert level_masks(U, V + 52, 10, backward=True) is not None  # V only steps down from the end
 
 
 def test_lead_screen_in_column_chunks(monkeypatch):
     # A _MASK_BITS of 600 would split _probe's end points into many column
     # chunks at (4, 8); the int64 end masks of the parts are not chunked:
-    # one backward exact._level_masks call covers all 2t + 1 end points.
+    # one backward level_masks call covers all 2t + 1 end points.
     family = StructuredFamily(4, 8)
     scan = search._scan(4, 8)
     rows = odd_rows(family, 0, family.size)
@@ -566,7 +601,6 @@ def test_lead_screen_in_column_chunks(monkeypatch):
     expected = {t: dp_feasible_block(*scan.pairs(rows), t).tolist() for t in (3, 5, 12)}
     assert set(expected[3]) == set(expected[5]) == {True, False}
     chunks = []
-    level_masks = exact._level_masks
 
     def recorded(U, V, t, backward=False):
         masks = level_masks(U, V, t, backward)
@@ -574,7 +608,8 @@ def test_lead_screen_in_column_chunks(monkeypatch):
         return masks
 
     monkeypatch.setattr(exact, "_MASK_BITS", 600)
-    monkeypatch.setattr(exact, "_level_masks", recorded)
+    monkeypatch.setattr(exact, "level_masks", recorded)
+    monkeypatch.setattr(search, "level_masks", recorded)
     for t, feasible in expected.items():
         scan.lead_masks(t)  # built before the screen's calls are counted
         chunks.clear()
@@ -644,7 +679,7 @@ def test_lead_masks_at_the_int64_edge():
     rows = rows.select(np.arange(0, len(rows.code), 13))
     for t, cached in ((32, True), (33, False)):
         assert search._fits((scan.radix, 2 * t + 1), np.int64)
-        masks = dp_start_masks(U, V, t)
+        masks = level_masks(U, V, t)
         assert (masks is not None) == cached
         if cached:  # every 13th lead against the scalar DP's last level
             for code in range(0, scan.radix, 13):
@@ -657,8 +692,9 @@ def test_lead_masks_at_the_int64_edge():
 @pytest.mark.parametrize("m, D, threshold", [(2, 1000, 700), (10, 200, 150)])
 def test_the_scan_without_lead_tables_matches_the_decode_path(m, D, threshold):
     # Past _LEAD_TABLE_BYTES neither the key terms nor the lead masks are
-    # built; the rows pack their own leads and screen from level 0.  The
-    # shard of about 2000 indices holds a canonical form.
+    # built; the rows pack their own leads, and as their masks pass 62 bits
+    # they screen from level 0.  The shard of about 2000 indices holds a
+    # canonical form.
     t = threshold - 1
     scan = search._scan(m, D)
     assert scan.terms is None and scan.lead_masks(t) is None
