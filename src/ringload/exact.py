@@ -40,13 +40,18 @@ The search screen meets in the middle (Horowitz and Sahni, J. ACM
 1974): a row is feasible where its lead's forward masks and its part's
 backward masks share a point in some column.
 Position-major, _probe tests many end points of one row: points are
-array rows and end points are bits of uint64 words, and as all end
-points of one parity share the window width and every step, a level is
-two slice-ORs at any D; it runs the rows past 62 bits one at a time.
+rows and end points are lanes within a row, and as every step moves all
+lanes by the same number of rows, a level is one pair of row shifts at
+any D; it runs the rows past 62 bits one at a time.  Up to _PACKED_BITS
+lanes times rows, all rows are one Python int and a level is two shifts
+of it (_lane_levels); beyond that, where the fixed cost of numpy calls
+no longer dominates, each parity of end points, which shares the window
+width, is a uint64 array of rows and a level is two slice-ORs.
 dp_min_increase binary-searches t on one row with _probe (the window
 only grows with t); each probe after a feasible one tests only the end
-points found feasible there.  The routing (dp_feasible, dp_min_increase)
-is the walk back over one end point's masks, shifted in Python ints.
+points found feasible there, and none after the first tests below
+max_k min(u_k, v_k).  The routing (dp_feasible, dp_min_increase) is the walk
+back over the one-lane levels of its end point.
 """
 
 from __future__ import annotations
@@ -77,6 +82,10 @@ _CHUNK_BITS = 12
 # probe take about 2t^2 bits, gigabytes at D = 10^5, so wider probes run in
 # column chunks of at least 64 end points.
 _MASK_BITS = 1 << 24
+# Most lanes times window rows that _probe holds in one Python int.  Up to
+# here a level of shifts on one int beats the numpy calls of each level of
+# a chunk, whose fixed cost dominates a probe of few end points.
+_PACKED_BITS = 1 << 15
 # Bits of an int64 mask that a shifted window may reach, below the sign bit.
 _INT64_MASK_BITS = 62
 # Largest start bound t, in grid units, of dp_min_increase.  Its first
@@ -302,18 +311,48 @@ def level_masks(
     return mask
 
 
+def _lane_levels(pairs: list[tuple[int, int]], t: int, ys: list[int]) -> list[int]:
+    """The masks of the end points ys (each |y| <= t) before and after each pair.
+
+    One Python int per level holds every lane: with K = len(ys), bit
+    q*K + j says whether p can be at lo + q in the window [lo, hi] of
+    (t, ys[j]).  Rows q run over [0, t]; full clears row t in the lanes
+    whose window is t - 1 wide.  A level steps every lane up by v rows and
+    down by u rows at once.
+    """
+    K = len(ys)
+    start = narrow = 0
+    for j, y in enumerate(ys):
+        lo, hi = _window(t, y)
+        start |= 1 << (-lo * K + j)
+        if hi - lo < t:
+            narrow |= 1 << j
+    full = ((1 << K * (t + 1)) - 1) ^ (narrow << K * t)
+    levels = [start]
+    for u, v in pairs:
+        R = levels[-1]
+        levels.append((R << K * v | R >> K * u) & full)
+    return levels
+
+
 def _probe(pairs: list[tuple[int, int]], t: int, ys: np.ndarray) -> np.ndarray:
     """Booleans over ys (each |y| <= t): some pattern of pairs has p(m) = y and increase <= t.
 
-    Position-major: in window coordinates q = p - lo the columns of one
-    parity of y share the box [0, w], w = t or t - 1, and every step is
-    the same pair of shifts for all of them.  Row q of a (w + 1, words)
-    uint64 array holds, in bit j, whether column j can be at q, so a
-    level is two slice-ORs.  Columns run in chunks of at most _MASK_BITS
-    bits per array and at least 64 columns.
+    Position-major.  Up to _PACKED_BITS lanes times rows, all of ys run in
+    one Python int per level (_lane_levels).  Wider probes run in numpy:
+    in window coordinates q = p - lo the columns of one parity of y share
+    the box [0, w], w = t or t - 1, and every step is the same pair of
+    shifts for all of them.  Row q of a (w + 1, words) uint64 array holds,
+    in bit j, whether column j can be at q, so a level is two slice-ORs.
+    Columns run in chunks of at most _MASK_BITS bits per array and at
+    least 64 columns.
     """
-    found = np.zeros(len(ys), dtype=bool)
     lo, hi = _window(t, ys)
+    if len(ys) * (t + 1) <= _PACKED_BITS:
+        K, R = len(ys), _lane_levels(pairs, t, ys.tolist())[-1]
+        rows = (ys - lo).tolist()
+        return np.array([R >> (q * K + j) & 1 for j, q in enumerate(rows)], dtype=bool)
+    found = np.zeros(len(ys), dtype=bool)
     for w in (t, t - 1):
         group = np.flatnonzero(hi - lo == w)
         if not group.size:  # also w < 0, which no |y| <= t has
@@ -340,14 +379,10 @@ def _probe(pairs: list[tuple[int, int]], t: int, ys: np.ndarray) -> np.ndarray:
 def _walk_back(pairs: list[tuple[int, int]], t: int, y: int) -> UnsplitRouting | None:
     """The routing to p(m) = y with increase at most t, clockwise steps first, if any.
 
-    Needs |y| <= t.  Shift-ors the masks of the single end point y forward
-    in Python ints, then walks them backward.
+    Needs |y| <= t.  Walks the one-lane levels of y (_lane_levels) backward.
     """
     lo, hi = _window(t, y)
-    full = (1 << (hi - lo + 1)) - 1
-    masks = [1 << -lo]
-    for u, v in pairs:
-        masks.append((masks[-1] << v | masks[-1] >> u) & full)
+    masks = _lane_levels(pairs, t, [y])
 
     def reached(k: int, point: int) -> bool:
         return lo <= point <= hi and bool((masks[k] >> (point - lo)) & 1)
@@ -400,12 +435,17 @@ def dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, Scaled]:
 
     Feasibility only grows with t, and so does the set of feasible end
     points, so once a probe is feasible the smaller probes after it test
-    only the end points found feasible there.  Probes run position-major
-    (_probe): one row tests hundreds to thousands of end points, whose
-    windows pass 62 bits at moderate D.  Some probe below the 3/2 * D start
-    is feasible, as every crossing instance has a routing of increase at
-    most 19/14 * D.  The routing is the walk back from the smallest
-    feasible end point at the minimum t.
+    only the end points found feasible there.  Some probe below the
+    3/2 * D start is feasible, as every crossing instance has a routing of
+    increase at most 19/14 * D.  No t below b = max_k min(u_k, v_k) is:
+    at t, every point p(k) lies in the window of (t, y) (p(0) = 0 does
+    whenever |y| <= t), so |2 p(k) - y| <= t and |2 p(k-1) - y| <= t give
+    |2 p(k) - 2 p(k-1)| <= 2t, and the step p(k) - p(k-1) is v_k or -u_k,
+    so t >= min(u_k, v_k) for every k.  The first probe stays at half the
+    start: it tests all 2t + 1 end points, and starting the search at b
+    would move it to a larger t.  The probes after it never go below b.
+    The routing is the walk back from the smallest feasible end point at
+    the minimum t.
     """
     g, pairs = _unit_pairs(cross)
     if not pairs:
@@ -415,6 +455,7 @@ def dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, Scaled]:
         raise TooLargeForDP(
             f"the DP's start bound of {int_text(hi)} grid units exceeds its limit of {_MAX_DP_BOUND}"
         )
+    bound = max(min(u, v) for u, v in pairs)
     ys = None  # end points feasible at t = hi, once a probe has found some
     while lo < hi:
         mid = (lo + hi) // 2
@@ -424,5 +465,6 @@ def dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, Scaled]:
             hi, ys = mid, found
         else:
             lo = mid + 1
+        lo = max(lo, bound)
     assert ys is not None, "no probe below 3/2 * D: the 19/14 * D guarantee failed"
     return _walk_back(pairs, lo, int(ys[0])), lo * g

@@ -255,6 +255,38 @@ def test_dp_min_increase_matches_scalar_oracle_on_d1000_rings(monkeypatch):
         assert dp_min_increase(cross) == scalar_dp_min_increase(cross)
         assert probes[0] == (750, 2 * 750 + 1)
         assert any(width < 2 * t + 1 for t, width in probes[1:])
+        assert all(t >= step_bound(cross) for t, _ in probes[1:])
+
+
+def step_bound(cross):
+    """max_k min(u_k, v_k) in grid units: no increase below it is feasible."""
+    return max(min(u, v) for u, v in exact._unit_pairs(cross)[1])
+
+
+def test_the_step_bound_never_exceeds_the_optimum():
+    # On random integer, half-integer and structured rings, and tight for
+    # one pair, whose one step of v or u must fit in the window.
+    rng = random.Random(71)
+    crosses = [random_crossing(rng.randint(1, 9), rng.randint(2, 40), seed=trial)
+               for trial in range(60)]
+    crosses += [half_integer_crossing(rng, rng.randint(1, 9), rng.randint(1, 12))
+                for _ in range(60)]
+    family = StructuredFamily(6, 8)
+    for index in rng.sample(range(family.size), 60):
+        crosses.append(standalone_crossing(
+            tuple((from_int(u), from_int(v)) for u, v in family.decode(index)), from_int(8)
+        ))
+    tight = 0
+    for cross in crosses:
+        g = exact._unit_pairs(cross)[0]
+        value = scalar_dp_min_increase(cross)[1]
+        assert step_bound(cross) * g <= value, cross
+        tight += step_bound(cross) * g == value
+    assert 0 < tight < len(crosses)
+    for u, v in itertools.product(range(1, 8), repeat=2):
+        cross = standalone_crossing(((from_int(u), from_int(v)),), from_int(u + v))
+        assert dp_min_increase(cross)[1] == from_int(min(u, v))
+        assert step_bound(cross) * exact._unit_pairs(cross)[0] == from_int(min(u, v))
 
 
 def half_integer_crossing(rng, m, D):
@@ -316,33 +348,58 @@ def assert_probe_matches_scalar_oracle(cross, ts):
         assert exact._probe(pairs, t, ys).tolist() == expected, (cross, t)
 
 
-def test_probe_matches_scalar_oracle_per_end_point():
+# _PACKED_BITS at 0 sends every probe with an end point to the numpy
+# chunks, and at 1 << 40 every probe here to the one packed Python int.
+BOTH_PACKINGS = (0, 1 << 40)
+
+
+def test_probe_matches_scalar_oracle_per_end_point(monkeypatch):
     # Every t from 0 up to the 3/2 * D start bound, on integer and
-    # half-integer rings; t = 0 has the single end point 0.
+    # half-integer rings, in both packings; t = 0 has the single end point 0.
     rng = random.Random(68)
     crosses = [random_crossing(rng.randint(1, 9), rng.randint(2, 14), seed=trial)
                for trial in range(40)]
     crosses += [half_integer_crossing(rng, rng.randint(1, 9), rng.randint(1, 7))
                 for _ in range(40)]
-    for cross in crosses:
-        g, _ = exact._unit_pairs(cross)
-        assert_probe_matches_scalar_oracle(cross, range(3 * cross.D // g // 2 + 1))
+    for packed_bits in BOTH_PACKINGS:
+        monkeypatch.setattr(exact, "_PACKED_BITS", packed_bits)
+        for cross in crosses:
+            g, _ = exact._unit_pairs(cross)
+            assert_probe_matches_scalar_oracle(cross, range(3 * cross.D // g // 2 + 1))
 
 
-def test_probe_skips_steps_wider_than_the_window():
+def test_probe_skips_steps_wider_than_the_window(monkeypatch):
     # At t = 4 the windows are 4 or 3 wide: the steps of 5 and 6 fall
     # outside them in one direction, the steps of 9 in both.
-    cross = standalone_crossing(((S, 5 * S), (6 * S, S), (2 * S, 2 * S)), 7 * S)
-    assert_probe_matches_scalar_oracle(cross, range(10))
-    cross = standalone_crossing(((9 * S, 9 * S),), 18 * S)
-    assert_probe_matches_scalar_oracle(cross, range(10))
-    assert not exact._probe([(9, 9)], 4, np.arange(-4, 5)).any()
+    for packed_bits in BOTH_PACKINGS:
+        monkeypatch.setattr(exact, "_PACKED_BITS", packed_bits)
+        cross = standalone_crossing(((S, 5 * S), (6 * S, S), (2 * S, 2 * S)), 7 * S)
+        assert_probe_matches_scalar_oracle(cross, range(10))
+        cross = standalone_crossing(((9 * S, 9 * S),), 18 * S)
+        assert_probe_matches_scalar_oracle(cross, range(10))
+        assert not exact._probe([(9, 9)], 4, np.arange(-4, 5)).any()
+
+
+def test_probe_packings_agree_on_partial_end_point_sets(monkeypatch):
+    # The probes after a feasible one test a subset of [-t, t], with both
+    # parities mixed in any order; each packing must read each lane back.
+    rng = random.Random(72)
+    for trial in range(30):
+        cross = random_crossing(rng.randint(1, 12), rng.randint(2, 60), seed=trial)
+        g, pairs = exact._unit_pairs(cross)
+        t = rng.randint(0, 3 * cross.D // g // 2)
+        ys = np.array(rng.sample(range(-t, t + 1), rng.randint(1, 2 * t + 1)))
+        expected = [scalar_dp_feasible(cross, t * g, y * g) is not None for y in ys.tolist()]
+        for packed_bits in BOTH_PACKINGS:
+            monkeypatch.setattr(exact, "_PACKED_BITS", packed_bits)
+            assert exact._probe(pairs, t, ys).tolist() == expected, (cross, t, ys)
 
 
 def test_probe_in_column_chunks_matches_scalar_oracle(monkeypatch):
     # With _MASK_BITS below one row, every chunk holds 64 columns; at
     # t = 150 each parity group of about 150 columns takes three.
     monkeypatch.setattr(exact, "_MASK_BITS", 40)
+    monkeypatch.setattr(exact, "_PACKED_BITS", 0)
     for seed in range(3):
         cross = random_crossing(6, 200, seed)
         assert_probe_matches_scalar_oracle(cross, (63, 64, 129, 150))
@@ -374,6 +431,7 @@ def test_dp_screen_is_invariant_under_reversing_the_sequence(data):
 
 def test_dp_in_column_chunks_matches_scalar_oracle(monkeypatch):
     monkeypatch.setattr(exact, "_MASK_BITS", 40)
+    monkeypatch.setattr(exact, "_PACKED_BITS", 0)
     rng = random.Random(67)
     for trial in range(40):
         cross = random_crossing(rng.randint(1, 8), rng.randint(2, 30), seed=trial)
