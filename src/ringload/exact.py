@@ -29,29 +29,22 @@ satisfies (y-t)/2 <= p(k) <= (y+t)/2; this window condition is exactly
 max_k |2 p(k) - y| <= t, the additive performance for x = 0.  Two
 layouts of the same shift-or recurrence serve the callers.  Column-major,
 level_masks runs a block of rows (pairs sequences) for every end point
-y in [-t, t] at once, one int64 bitmask over each integer window per
-(row, y), each shifted by its row's own steps, within int64 while
-t + 1 + the largest up step is at most 62 bits.  Forward from p(0) = 0,
-which lies in the window whenever |y| <= t, it gives the points a prefix
-of pairs reaches; p(m) = y is reachable exactly when bit y - lo is set,
-so no parity rule is needed (dp_feasible_block).  Backward from y, over
-the reversed pairs, it gives the points from which a suffix reaches y.
-The search screen meets in the middle (Horowitz and Sahni, J. ACM
-1974): a row is feasible where its lead's forward masks and its part's
-backward masks share a point in some column.
-Position-major, _probe tests many end points of one row: points are
-rows and end points are lanes within a row, and as every step moves all
-lanes by the same number of rows, a level is one pair of row shifts at
-any D; it runs the rows past 62 bits one at a time.  Up to _PACKED_BITS
-lanes times rows, all rows are one Python int and a level is two shifts
-of it (_lane_levels); beyond that, where the fixed cost of numpy calls
-no longer dominates, each parity of end points, which shares the window
-width, is a uint64 array of rows and a level is two slice-ORs.
-dp_min_increase binary-searches t on one row with _probe (the window
-only grows with t); each probe after a feasible one tests only the end
-points found feasible there, and none after the first tests below
-max_k min(u_k, v_k).  The routing (dp_feasible, dp_min_increase) is the walk
-back over the one-lane levels of its end point.
+y in [-t, t] at once, one int64 bitmask over each window per (row, y),
+within int64 while t + 1 + the largest up step is at most 62 bits:
+forward from p(0) = 0 (p(m) = y is reached exactly when bit y - lo is
+set, so dp_feasible_block needs no parity rule), or backward from y, so
+that the search screen meets in the middle (Horowitz and Sahni, J. ACM
+1974).
+Position-major, points are rows and end points are lanes within a row;
+every step moves all lanes by the same number of rows, so a level is one
+pair of row shifts at any D.  Up to _PACKED_BITS lanes times rows, all
+rows are one Python int and a level is two shifts of it (_lane_levels,
+on the lanes that _lanes sets up once, for a _probe or for every row of
+a dp_feasible_block past 62 bits); beyond that _probe holds each parity
+of end points in a uint64 array of rows and a level is two slice-ORs.
+dp_min_increase binary-searches t on one row with _probe.  The routing
+(dp_feasible, dp_min_increase) is the walk back over the one-lane levels
+of its end point.
 """
 
 from __future__ import annotations
@@ -59,6 +52,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -311,23 +305,26 @@ def level_masks(
     return mask
 
 
-def _lane_levels(pairs: list[tuple[int, int]], t: int, ys: list[int]) -> list[int]:
-    """The masks of the end points ys (each |y| <= t) before and after each pair.
+def _lanes(t: int, ys: list[int]) -> tuple[int, int, int, int]:
+    """K = len(ys) and the start, full and target masks of the end points ys (each |y| <= t).
 
-    One Python int per level holds every lane: with K = len(ys), bit
-    q*K + j says whether p can be at lo + q in the window [lo, hi] of
-    (t, ys[j]).  Rows q run over [0, t]; full clears row t in the lanes
-    whose window is t - 1 wide.  A level steps every lane up by v rows and
-    down by u rows at once.
+    Bit q*K + j says whether p can be at lo + q (q in [0, t]) in the window
+    [lo, hi] of (t, ys[j]): start holds p(0) = 0 and target p(m) = ys[j] in
+    each lane j, and full clears row t in the lanes whose window is t - 1 wide.
     """
     K = len(ys)
-    start = narrow = 0
+    start = target = narrow = 0
     for j, y in enumerate(ys):
         lo, hi = _window(t, y)
         start |= 1 << (-lo * K + j)
-        if hi - lo < t:
-            narrow |= 1 << j
-    full = ((1 << K * (t + 1)) - 1) ^ (narrow << K * t)
+        target |= 1 << ((y - lo) * K + j)
+        narrow |= (hi - lo < t) << j
+    return K, start, ((1 << K * (t + 1)) - 1) ^ (narrow << K * t), target
+
+
+def _lane_levels(pairs: Iterable[tuple[int, int]], lanes: tuple[int, ...]) -> list[int]:
+    """The masks of the lanes (_lanes) before and after each pair (v rows up or u down)."""
+    K, start, full, _ = lanes
     levels = [start]
     for u, v in pairs:
         R = levels[-1]
@@ -338,20 +335,20 @@ def _lane_levels(pairs: list[tuple[int, int]], t: int, ys: list[int]) -> list[in
 def _probe(pairs: list[tuple[int, int]], t: int, ys: np.ndarray) -> np.ndarray:
     """Booleans over ys (each |y| <= t): some pattern of pairs has p(m) = y and increase <= t.
 
-    Position-major.  Up to _PACKED_BITS lanes times rows, all of ys run in
-    one Python int per level (_lane_levels).  Wider probes run in numpy:
-    in window coordinates q = p - lo the columns of one parity of y share
-    the box [0, w], w = t or t - 1, and every step is the same pair of
-    shifts for all of them.  Row q of a (w + 1, words) uint64 array holds,
-    in bit j, whether column j can be at q, so a level is two slice-ORs.
-    Columns run in chunks of at most _MASK_BITS bits per array and at
-    least 64 columns.
+    Up to _PACKED_BITS lanes times rows, the answers are the last packed
+    level (_lane_levels) ANDed with the lanes' target.  Wider probes run in
+    numpy: in window coordinates q = p - lo the columns of one parity of y
+    share the box [0, w], w = t or t - 1, and row q of a (w + 1, words)
+    uint64 array holds, in bit j, whether column j can be at q.  Columns
+    run in chunks of at most _MASK_BITS bits per array and at least 64.
     """
     lo, hi = _window(t, ys)
-    if len(ys) * (t + 1) <= _PACKED_BITS:
-        K, R = len(ys), _lane_levels(pairs, t, ys.tolist())[-1]
-        rows = (ys - lo).tolist()
-        return np.array([R >> (q * K + j) & 1 for j, q in enumerate(rows)], dtype=bool)
+    K = len(ys)
+    if K * (t + 1) <= _PACKED_BITS:
+        lanes = _lanes(t, ys.tolist())
+        last = (_lane_levels(pairs, lanes)[-1] & lanes[3]).to_bytes(K * (t + 1) // 8 + 1, "little")
+        bits = np.unpackbits(np.frombuffer(last, dtype=np.uint8), bitorder="little")
+        return bits[(ys - lo) * K + np.arange(K)].astype(bool)
     found = np.zeros(len(ys), dtype=bool)
     for w in (t, t - 1):
         group = np.flatnonzero(hi - lo == w)
@@ -382,7 +379,7 @@ def _walk_back(pairs: list[tuple[int, int]], t: int, y: int) -> UnsplitRouting |
     Needs |y| <= t.  Walks the one-lane levels of y (_lane_levels) backward.
     """
     lo, hi = _window(t, y)
-    masks = _lane_levels(pairs, t, [y])
+    masks = _lane_levels(pairs, _lanes(t, [y]))
 
     def reached(k: int, point: int) -> bool:
         return lo <= point <= hi and bool((masks[k] >> (point - lo)) & 1)
@@ -416,16 +413,18 @@ def dp_feasible_block(U: np.ndarray, V: np.ndarray, t: int) -> np.ndarray:
 
     Row r stands for the pairs (U[r, k], V[r, k]), and is feasible where
     some end point y in [-t, t] (none for t < 0) has bit y - lo set in its
-    column of the forward level_masks.  Where those would pass int64 the
-    rows run one at a time on _probe.
+    column of the forward level_masks.  Where those would pass int64, each
+    row runs _lane_levels on the lanes of all 2t + 1 end points, set up
+    once, or beyond _PACKED_BITS its own _probe.
     """
     ys = np.arange(-t, t + 1)
     masks = level_masks(U, V, t)
     if masks is None:
-        return np.array(
-            [_probe(list(zip(u, v)), t, ys).any() for u, v in zip(U.tolist(), V.tolist())],
-            dtype=bool,
-        )
+        rows = zip(U.tolist(), V.tolist())
+        if len(ys) * (t + 1) > _PACKED_BITS:
+            return np.array([_probe(list(zip(u, v)), t, ys).any() for u, v in rows], dtype=bool)
+        lanes = _lanes(t, ys.tolist())
+        return np.array([bool(_lane_levels(zip(u, v), lanes)[-1] & lanes[3]) for u, v in rows])
     lo, _ = _window(t, ys)
     return (masks >> (ys - lo) & 1).any(axis=1)
 

@@ -33,45 +33,33 @@ process, and the scan's stages are its methods.
 A shard is scanned in numpy blocks of whole parts.  An index splits into
 its lead, the lowest digit group (positions 0 and 1, or position 0 alone
 beyond D=80), and its part, the rest (index // the lead's radix).  Each
-part is decoded once, one % and one // and a table lookup per group, and
-only the leads that can pass two cheap tests are built: the part's
-clockwise total fixes the parity of the lead's, and the images that are
-aligned on every member start with an even position's pair, so the lead's
-first pair (u0, v0) needs u0 <= v0 and a key u0 (D+1) + v0 no larger than
-the part's smallest such pair key.  A lead is its code, its row of the
-decode tables; the scan holds the key, parity and value-D flag of every
-code, and one mask over parts x codes selects the rows of a block in
-index order; at m=8, D=10 about one index in ten becomes a row.
-_Scan.canonical then keeps the canonical rows by comparing packed
-lexicographic keys of the images, in two halves.  It takes the high keys
-of the always-aligned images first, the only ones that count on a row
-whose free positions do not all carry value D: a high key is the lead's
-term plus the part's.  The part's is computed once per part; the lead's
-is gathered by code from one table, since a key is a sum over positions.
-One minimum over the other images' keys decides a row against the
-identity's; only value-D rows and rows where some key ties the
-identity's (0.6% of the benchmark's m=8, D=10 rows) go through the full
-comparison of every counted image on both halves.  The DP screen drops
-every row with a routing of increase at most threshold - 1.  It meets in
-the middle: a row is feasible where, for some end point y, the points
-its lead reaches from p(0) = 0 (the forward exact.level_masks of its
-code) meet the points from which its part reaches y (the backward
-exact.level_masks, once per part of a block), so no row runs a level of
-its own.  Only the survivors are assembled into whole pair sequences and
-get a full minimum-increase computation (exact.dp_min_increase).  The
-lead tables are caches: a table is kept only if it is int64 and within
-_LEAD_TABLE_BYTES, and past that (large D or m) the rows compute their
-own lead's key terms and start masks from their codes, by the same
-algorithm.  Only masks past 62 bits (at large t + D) send the rows whole
-to exact.dp_feasible_block, and on to exact._probe.  Half keys at
-(D+1)^m >= 2^63 are Python ints, and a block's first index is peeled as
-a Python int with int64 offsets from it, so the scan is exact at any
-index size.
+part is decoded once, and _Scan.candidates builds only the leads, as
+codes (rows of the decode tables), that can pass the parity test and a
+first-pair prefilter: at m=8, D=10 about one index in ten becomes a row.
+_Scan.canonical keeps the canonical rows by packed lexicographic keys of
+the images, in two halves; one minimum over the high keys of the
+always-aligned images, each a part's term plus a lead's term gathered by
+code, decides all but the value-D rows and the ties (0.6% of the
+benchmark's m=8, D=10 rows), which compare every counted image.
+_Scan.screen drops every row with a routing of increase at most
+t = threshold - 1.  It meets in the middle: a row is feasible where, for
+some end point y, the points its lead reaches from p(0) = 0 (the forward
+exact.level_masks of its code) meet the points from which its part
+reaches y (the backward exact.level_masks, once per part of a block), so
+no row runs a level of its own.  The same screen values the survivors
+(_Scan.values), swept up over the odd numbers above t, the only values a
+minimum increase takes.  The lead tables are caches, kept only if int64
+and within _LEAD_TABLE_BYTES; past that (large D or m) the rows compute
+their own lead's share from their codes, by the same algorithm.  Only
+masks past 62 bits (at large t + D) send the rows whole to
+exact.dp_feasible_block.  Half keys at (D+1)^m >= 2^63 are Python ints,
+and a block's first index is peeled as a Python int with int64 offsets
+from it, so the scan is exact at any index size.
 
 Given a directory, a shard keeps its hit records (hit_record) and then its
 last finished index in mM-dD-tT-shard-I-of-N.txt there, replaced atomically
-(fsync, then rename) as the scan goes on; a rerun checks the kept records
-as one block of rows, by the scan's own canonical and screen stages,
+(fsync, rename, fsync of the directory) as the scan goes on; a rerun
+checks the kept records as one block of rows, by the scan's own stages,
 restores the hits and resumes after the index.
 """
 
@@ -90,8 +78,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleParams, SchemaError
-from .exact import dp_feasible_block, dp_min_increase, level_masks
-from .reduction import rotated, standalone_crossing
+from .exact import dp_feasible_block, level_masks
+from .reduction import rotated
 from .scaled import Scaled, from_int, int_text, rational_str, unscale
 
 Pairs = tuple[tuple[int, int], ...]  # plain-integer (u, v) sequences
@@ -374,8 +362,8 @@ class _Scan:
         """The forward exact.level_masks of every lead code, a cache; None where it is not kept.
 
         It is not kept where the table does not _fit or the masks pass
-        int64.  Only the latest t's table is kept, read-only: a scan uses
-        one t, and a process that sweeps t holds one table per family.
+        int64.  Only the latest t's table is kept, read-only: the values
+        sweep of a block with survivors rebuilds it at each t.
         """
         if self._masks[0] != t:
             fits = _fits((self.radix, 2 * t + 1), np.int64)
@@ -388,16 +376,12 @@ class _Scan:
     def screen(self, rows: _Rows, t: int) -> np.ndarray:
         """Row-wise "some routing has increase at most t" (exact.dp_feasible_block).
 
-        The lead and the part meet in the middle: a row is feasible where
-        some end point's column of its lead's start masks, the points the
-        lead reaches from p(0) = 0, shares a point with the same column of
-        its part's end masks, the points from which the part reaches that
-        end point (exact.level_masks forward and backward).  The start
-        masks are gathered by code from lead_masks(t) where it is kept and
-        computed from the rows' codes where not; the end masks are computed
-        once per part of the block.  Only where either would pass int64 do
-        the rows go whole to exact.dp_feasible_block.  A block without rows,
-        common at m=10 where canonical rows are sparse, runs no level at all.
+        The lead's start masks, gathered by code from lead_masks(t) where it
+        is kept and computed from the rows' codes where not, meet the part's
+        end masks, computed once per part of the block, in the middle.  Only
+        where either would pass int64 do the rows go whole to
+        exact.dp_feasible_block.  A block without rows, common at m=10 where
+        canonical rows are sparse, runs no level at all.
         """
         if not len(rows.code):
             return np.zeros(0, dtype=bool)
@@ -410,6 +394,26 @@ class _Scan:
         if starts is None or ends is None:
             return dp_feasible_block(*self.pairs(rows), t)
         return (starts & ends.take(rows.part, axis=0)).any(axis=1)
+
+    def values(self, rows: _Rows, t: int) -> np.ndarray:
+        """The minimum increase of each row, for rows without a routing of increase at most t.
+
+        A row not yet valued (0) takes the first odd number above t whose
+        screen it passes; as every crossing instance has a routing of
+        increase at most 19/14 D, each has one by 3D/2.  Every member's
+        minimum increase is odd: each u_k + v_k is even (a free pair's by
+        its range, a pinned one's as D is), so p(k) = u_0 + ... + u_(k-1)
+        (mod 2) whatever the routing; the clockwise total is odd, so y =
+        p(m) is odd, every |2 p(k) - y| is odd, and so is their maximum.
+        """
+        values = np.zeros(len(rows.code), dtype=np.int64)
+        for s in range(t + 1 + t % 2, 3 * self.family.D // 2 + 1, 2):
+            left = np.flatnonzero(values == 0)
+            if not left.size:
+                break
+            values[left] = np.where(self.screen(rows.select(left), s), s, 0)
+        assert values.all(), "none below 3/2 * D: the 19/14 * D guarantee failed"
+        return values
 
 
 @cache
@@ -510,12 +514,12 @@ def hit_record(hit: SearchHit) -> str:
 
 
 def _resume(
-    checkpoint: Path, scan: _Scan, threshold: int, start: int, stop: int
+    checkpoint: Path, scan: _Scan, t: int, start: int, stop: int
 ) -> tuple[list[SearchHit], int]:
     """The kept hits and the next index; SchemaError if the shard did not save them.
 
-    The records are checked as one block of rows: one canonical call, and
-    _Scan.screen at v - 1 and v once for the records of each value v.
+    t is the scan's.  The records are checked as one block of rows: one
+    canonical call, one _Scan.screen at t, and one _Scan.values sweep.
     """
     family = scan.family
     try:
@@ -526,7 +530,7 @@ def _resume(
             pairs = tuple(zip(vu[1::2], vu[::2]))
             indices.append(family.encode(pairs))
             hit = SearchHit(CanonicalForm(pairs), from_int(value))
-            if hit_record(hit) != line or not threshold <= value <= 3 * family.D // 2:
+            if hit_record(hit) != line or not t < value <= 3 * family.D // 2:
                 raise ValueError(line)
             hits.append(hit)
             values.append(value)
@@ -536,19 +540,14 @@ def _resume(
         if last != str(cursor) or not start - 1 <= cursor < stop:
             raise ValueError(last)
         members = np.array([hit.form.pairs for hit in hits], dtype=np.int64)
-        members = members.reshape(len(hits), family.m, 2)
-        U, V = members[:, :, 0], members[:, :, 1]
+        U, V = np.moveaxis(members.reshape(len(hits), family.m, 2), 2, 0)
         width = scan.U.shape[1]
         codes = np.array([index % scan.radix for index in indices], dtype=np.int64)
         rows = _Rows(U[:, width:], V[:, width:], np.arange(len(hits)), codes)
         if not ((U.sum(axis=1) & 1).all() and scan.canonical(rows).all()):
             raise ValueError(checkpoint)  # an even total, or not canonical
-        values = np.array(values, dtype=np.int64)
-        for value in set(values.tolist()):
-            group = rows.select(values == value)
-            below, at = (scan.screen(group, t) for t in (value - 1, value))
-            if below.any() or not at.all():
-                raise ValueError(checkpoint)  # not the minimum increase
+        if scan.screen(rows, t).any() or scan.values(rows, t).tolist() != values:
+            raise ValueError(checkpoint)  # not the minimum increase
     except (ValueError, IndexError, InfeasibleParams):  # a line no save of the shard writes
         raise SchemaError(f"{checkpoint}: not hit records of this run, then an index") from None
     return hits, cursor + 1
@@ -583,25 +582,20 @@ def search_lower_bound(
     threshold_int = unscale(threshold)
     start, stop = shard_range(scan.family.size, shard)
     hits, first, checkpoint = [], start, None
+    t = max(min(threshold_int - 1, 3 * D // 2), -1)  # 3D/2 bounds every increase; t < 0 has no y
     if checkpoint_dir is not None:
         name = f"m{m}-d{D}-t{threshold_int}-shard-{shard[0]}-of-{shard[1]}.txt"
         checkpoint = Path(checkpoint_dir) / name
         checkpoint.parent.mkdir(parents=True, exist_ok=True)
         if checkpoint.exists():
-            hits, first = _resume(checkpoint, scan, threshold_int, start, stop)
-    t = max(min(threshold_int - 1, 3 * D // 2), -1)  # 3D/2 bounds every increase; t < 0 has no y
+            hits, first = _resume(checkpoint, scan, t, start, stop)
     for lo, hi in _blocks(first, stop, scan.radix):
         rows = scan.candidates(lo, hi)
         rows = rows.select(scan.canonical(rows))
-        U, V = scan.pairs(rows.select(~scan.screen(rows, t)))
-        for u_row, v_row in zip(U.tolist(), V.tolist()):
-            pairs = tuple(zip(u_row, v_row))
-            cross = standalone_crossing(
-                tuple((from_int(u), from_int(v)) for u, v in pairs), from_int(D)
-            )
-            _, value = dp_min_increase(cross)
-            assert value >= threshold, f"the screen kept {pairs} of minimum increase {value}"
-            hits.append(SearchHit(CanonicalForm(pairs), value))
+        rows = rows.select(~scan.screen(rows, t))
+        U, V = scan.pairs(rows)
+        for u_row, v_row, value in zip(U.tolist(), V.tolist(), scan.values(rows, t).tolist()):
+            hits.append(SearchHit(CanonicalForm(tuple(zip(u_row, v_row))), from_int(value)))
         if checkpoint is not None and (hi == stop or (hi - first) % _CHECKPOINT_STEP == 0):
             temporary = checkpoint.with_name(name + ".partial")
             with temporary.open("w") as out:
@@ -609,6 +603,11 @@ def search_lower_bound(
                 out.flush()
                 os.fsync(out.fileno())  # on disk before the rename can be
             temporary.replace(checkpoint)  # atomic: a crash leaves the old file or the new
+            directory = os.open(checkpoint.parent, os.O_RDONLY)
+            try:
+                os.fsync(directory)  # the rename on disk, so a power loss cannot undo it
+            finally:
+                os.close(directory)
     return hits
 
 

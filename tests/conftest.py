@@ -6,6 +6,7 @@ so a plain `pytest` run always shows the per-criterion outcome.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 
 from ringload import search
 from ringload.errors import LengthMismatch, NotParallel
-from ringload.exact import dp_min_increase
 from ringload.instances import random_crossing
 from ringload.model import (
     CCW,
@@ -306,21 +306,31 @@ class Interrupted(Exception):
     """Stands for a crash in the middle of a search."""
 
 
-def fail_after(monkeypatch, calls: int) -> list:
-    """Make search's full DP raise Interrupted once it has run `calls` times.
+_VALUES = search._Scan.values  # unpatched, as fail_after may patch it again
 
-    Returns the list of the DP's successful calls.
+
+def fail_after(monkeypatch, rows: int) -> list:
+    """Make search's valuation raise Interrupted rather than value more than `rows` rows in all.
+
+    Returns the members that _Scan.values has valued, as pair tuples, in
+    the order of its calls.
     """
     done = []
 
-    def counted(cross):
-        if len(done) == calls:
+    def counted(scan, block, t):
+        if len(done) + len(block.code) > rows:
             raise Interrupted
-        done.append(cross)
-        return dp_min_increase(cross)
+        U, V = scan.pairs(block)
+        done.extend(tuple(zip(u, v)) for u, v in zip(U.tolist(), V.tolist()))
+        return _VALUES(scan, block, t)
 
-    monkeypatch.setattr(search, "dp_min_increase", counted)
+    monkeypatch.setattr(search._Scan, "values", counted)
     return done
+
+
+def record_pairs(out: str) -> list:
+    """The members of `ringload search`'s hit records, as pair tuples."""
+    return [tuple((u, v) for v, u in json.loads(line)["pairs"]) for line in out.splitlines()]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

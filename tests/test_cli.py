@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import Interrupted, fail_after, random_ring
+from conftest import Interrupted, fail_after, random_ring, record_pairs
 from ringload import cli, instances, search
 from ringload.cli import main
 from ringload.errors import InfeasibleParams
@@ -574,6 +574,8 @@ BELOW = FIRST.replace('"5"', '"4"')  # under the threshold
 ABOVE = OTHER.replace('"5"', '"12"')  # above its minimum increase, 5
 EVEN = '{"pairs": [[1, 1], [7, 1], [1, 1], [7, 1]], "min_increase": "7"}'  # not a member
 IMAGE = '{"pairs": [[3, 1], [1, 7], [2, 2], [3, 5]], "min_increase": "5"}'  # OTHER's, index 7489
+# Index 224 of shard 0/2, of minimum increase 3, recorded at the threshold.
+UNDER = '{"pairs": [[1, 1], [7, 1], [2, 2], [7, 1]], "min_increase": "5"}'
 
 
 @pytest.mark.parametrize("shard, content", [*(("1/2", content) for content in [
@@ -595,12 +597,13 @@ IMAGE = '{"pairs": [[3, 1], [1, 7], [2, 2], [3, 5]], "min_increase": "5"}'  # OT
     ("0/1", f"{IMAGE}\n7489\n"),
     ("0/2", f"{OTHER}\n{OTHER}\n257\n"),
     ("0/2", f"{ABOVE}\n257\n"),
+    ("0/2", f"{UNDER}\n257\n"),
 ], ids=["garbage", "no-spaces", "extra-pair", "short", "leading-zero", "odd-free-pair",
         "free-pair-past-D", "other-shard",
         "past-cursor", "below-threshold", "cursor-past-shard", "cursor-before-shard",
         "index-plus", "index-space", "index-leading-zero", "index-underscore",
         "index-underscores", "even-total", "noncanonical-image", "repeated-record",
-        "above-minimum"])
+        "above-minimum", "below-minimum"])
 def test_search_checkpoint_records_are_checked(capsys, tmp_path, shard, content):
     # Each content is one that no scan of the shard writes.
     search_args = ("search", "--m", "4", "--d", "8", "--threshold", "5", "--shard")
@@ -624,7 +627,7 @@ def test_an_interrupted_search_prints_every_hit_on_resume(capsys, tmp_path, monk
     search_args = ("search", "--m", "4", "--d", "8", "--threshold", "5", *scan)
     fresh = run_cli(capsys, *search_args)
     assert fresh[2].startswith("661 sequence(s)")
-    # Every full DP of this family is a hit; fail after half of them.
+    # Every valued row of this family is a hit; fail before passing half of them.
     monkeypatch.setattr(search, "_CHECKPOINT_STEP", 4096)
     fail_after(monkeypatch, 330)
     with pytest.raises(Interrupted):
@@ -634,7 +637,7 @@ def test_an_interrupted_search_prints_every_hit_on_resume(capsys, tmp_path, monk
     assert 0 < kept <= 330
     resumed = fail_after(monkeypatch, 661)
     assert run_cli(capsys, *search_args, "--checkpoint-dir", str(tmp_path)) == fresh
-    assert len(resumed) == 661 - kept
+    assert resumed == record_pairs(fresh[1])  # the kept by the resume, then the rest, once each
 
 
 def test_full_search_with_jobs_keeps_checkpoints(capsys, tmp_path):
@@ -739,15 +742,17 @@ def test_search_with_a_huge_threshold_finds_nothing_at_once(capsys):
 
 def test_search_with_a_huge_negative_threshold_keeps_every_member(capsys, tmp_path, monkeypatch):
     # Every t < 0 screens alike, so the output is that of threshold 1, and
-    # a rerun resumes the finished shard from its checkpoint, without a full DP.
+    # a rerun resumes the finished shard from its checkpoint, where it
+    # values only the kept records.
     _, expected, _ = run_cli(capsys, *SEARCH_2_4, "--shard", "0/1")
     assert expected
     low = ("search", "--m", "2", "--d", "4", "--threshold", "-99999999999999999999999")
     assert run_cli(capsys, *low, "--shard", "0/1")[:2] == (0, expected)
     shard = ("--shard", "0/1", "--checkpoint-dir", str(tmp_path))
     assert run_cli(capsys, *low, *shard)[:2] == (0, expected)
-    fail_after(monkeypatch, 0)
+    valued = fail_after(monkeypatch, len(expected.splitlines()))
     assert run_cli(capsys, *low, *shard)[:2] == (0, expected)
+    assert valued == record_pairs(expected)
     assert len(list(tmp_path.iterdir())) == 1
 
 

@@ -463,7 +463,7 @@ def test_block_screen_matches_scalar_screen_on_the_first_m4_d8_members():
 
 
 def test_block_screen_on_probes_when_the_shifts_overflow_int64(monkeypatch):
-    # Past 62 mask bits every row runs on exact._probe, never on int64 masks.
+    # Past 62 mask bits every row runs on packed lanes, never on int64 masks.
     family = StructuredFamily(4, 70)
     rng = random.Random(86)
     U, V = decode_indices(family, [rng.randrange(family.size) for _ in range(300)])
@@ -510,7 +510,7 @@ def test_lead_screen_matches_block_screen_on_whole_families(m, D):
 def test_lead_screen_beyond_int64_masks(m, D, ts):
     # The masks would pass int64 at these t, so no lead table is built, not
     # even where one would fit _LEAD_TABLE_BYTES (D = 82: 1681 leads of
-    # position 0 alone), and the rows run from level 0 on exact._probe.
+    # position 0 alone), and the rows run from level 0 on packed lanes.
     # Every 50th row is checked against the scalar DP too.
     family = StructuredFamily(m, D)
     rng = random.Random(92 + D)
@@ -837,6 +837,65 @@ def test_block_search_matches_scalar_search_on_m8_sub_shards(shard):
     assert hits == scalar_search(8, 10, threshold, shard=shard)
 
 
+@pytest.mark.parametrize("m, D", SMALL_FAMILIES)
+def test_values_match_the_dp_on_whole_families(m, D):
+    # At threshold 0 the scan screens at t = -1, so every canonical member
+    # is valued, each by a sweep of screens from t = 1.
+    family = StructuredFamily(m, D)
+    scan = search._scan(m, D)
+    rows = odd_rows(family, 0, family.size)
+    rows = rows.select(scan.canonical(rows))
+    values = scan.values(rows, -1).tolist()
+    assert values == [unscale(dp_of(pairs, D)) for pairs in rows_of(*scan.pairs(rows))]
+    assert values
+
+
+@pytest.mark.parametrize("m, D", SMALL_FAMILIES)
+def test_every_minimum_increase_is_odd_on_whole_families(m, D):
+    # The parity fact _Scan.values steps by: on every odd-total member,
+    # canonical or not, a screen at an even t answers as at t - 1, so no
+    # least feasible t is even.  The DP agrees on the canonical members.
+    family = StructuredFamily(m, D)
+    scan = search._scan(m, D)
+    rows = odd_rows(family, 0, family.size)
+    for t in range(0, 3 * D // 2 + 1, 2):
+        assert scan.screen(rows, t).tolist() == scan.screen(rows, t - 1).tolist()
+    canonical = rows_of(*scan.pairs(rows.select(scan.canonical(rows))))
+    assert all(unscale(dp_of(pairs, D)) % 2 for pairs in canonical)
+
+
+@pytest.mark.parametrize("m, D, t", [(12, 40, 21), (8, 34, 27), (16, 40, 24)])
+def test_values_match_the_dp_past_62_bits(monkeypatch, m, D, t):
+    # Canonical rows without a routing of increase at most t, from slices
+    # around random canonical forms; every 8th is checked.  The sweep starts
+    # at t + 1 for an even t and at t + 2 for an odd one; from there on the
+    # masks of rows with a pair (u, D - 1) take t + 1 + D - 1 bits, past
+    # int64's 62, so some of its screens run the rows whole in
+    # exact.dp_feasible_block.
+    blocks = []
+
+    def recorded(U, V, t):
+        blocks.append(t)
+        return dp_feasible_block(U, V, t)
+
+    family = StructuredFamily(m, D)
+    scan = search._scan(m, D)
+    rng = random.Random(97 + m)
+    samples = []
+    while sum(len(rows.code) for rows in samples) < 320:
+        pairs = family.decode(rng.randrange(family.size))
+        lo = family.encode(CanonicalForm.of(pairs, D).pairs) - rng.randrange(3000)
+        rows = scan.candidates(lo, lo + 3000)
+        rows = rows.select(scan.canonical(rows))
+        samples.append(rows.select(~scan.screen(rows, t)))
+    members = [pairs for rows in samples for pairs in rows_of(*scan.pairs(rows))][::8]
+    monkeypatch.setattr(search, "dp_feasible_block", recorded)
+    values = scan.values(member_rows(family, [family.encode(pairs) for pairs in members]), t)
+    assert values.tolist() == [unscale(dp_of(pairs, D)) for pairs in members]
+    assert values.min() > t and len(set(values.tolist())) > 1
+    assert blocks and t + 1 + t % 2 + D > 62  # past 62 bits from the sweep's first t on
+
+
 def test_block_search_matches_scalar_search_on_small_families():
     for m, D in SMALL_FAMILIES[:-1]:
         for threshold in range(0, 3 * D // 2 + 2):
@@ -862,7 +921,8 @@ def test_checkpoint_file_matches_scalar_scan(tmp_path, monkeypatch, step):
 
 
 def test_checkpoints_are_on_disk_before_they_replace_the_old(tmp_path, monkeypatch):
-    # Each save fsyncs the whole .partial file, then renames that same file.
+    # Each save fsyncs the whole .partial file, renames that same file, and
+    # then fsyncs the directory, so that the rename is on disk too.
     monkeypatch.setattr(search, "_CHECKPOINT_STEP", 4096)
     events = []
     fsync, replace = os.fsync, Path.replace
@@ -880,10 +940,11 @@ def test_checkpoints_are_on_disk_before_they_replace_the_old(tmp_path, monkeypat
     monkeypatch.setattr(os, "fsync", recorded_fsync)
     monkeypatch.setattr(Path, "replace", recorded_replace)
     search_lower_bound(4, 8, from_int(7), checkpoint_dir=tmp_path)
-    assert [event[0] for event in events] == ["fsync", "replace"] * 4  # 3 steps and the end
-    for synced, renamed in zip(events[::2], events[1::2]):
+    assert [event[0] for event in events] == ["fsync", "replace", "fsync"] * 4  # 3 steps, the end
+    for synced, renamed, directory in zip(events[::3], events[1::3], events[2::3]):
         assert synced[1:] == renamed[1:]
-    assert events[-1][2] == checkpoint_file(tmp_path, 4, 8, 7).stat().st_size
+        assert directory[1] == tmp_path.stat().st_ino
+    assert events[-2][2] == checkpoint_file(tmp_path, 4, 8, 7).stat().st_size
 
 
 # A whole scan of the 12544 members of (4, 8) ends its first block at EDGE,
@@ -908,7 +969,8 @@ def test_checkpoint_resume_from_the_middle_of_a_shard(tmp_path, resume_after):
 
 @pytest.mark.parametrize("parallel", [False, True])
 def test_an_interrupted_search_resumes_with_every_hit(tmp_path, monkeypatch, parallel):
-    # Every full DP of this family is a hit, so the DP fails after half of them.
+    # Every valued row of this family is a hit, so the valuation fails
+    # before it passes half of them.
     monkeypatch.setattr(search, "_CHECKPOINT_STEP", 4096)
     threshold = from_int(5)
 
@@ -926,13 +988,16 @@ def test_an_interrupted_search_resumes_with_every_hit(tmp_path, monkeypatch, par
     assert 0 < kept <= len(full) // 2
     resumed = fail_after(monkeypatch, len(full))
     assert scan() == full
-    assert len(resumed) == len(full) - kept
+    # Each member is valued once: the kept ones by their shard's resume,
+    # before that shard's scan values the rest.
+    assert resumed == [hit.form.pairs for hit in full]
 
 
 def test_a_resume_checks_its_kept_records_as_one_block(tmp_path, monkeypatch):
     # A finished shard whose 661 canonical members are all hits: its resume
-    # makes one canonical call, screens the records of each value at v - 1
-    # and v, and runs no full DP.
+    # makes one canonical call, screens the records at the scan's t = 4, and
+    # values them in one sweep, one screen call at each odd t from 5 to the
+    # largest value; the scan values nothing.
     threshold = from_int(5)
     full = search_lower_bound(4, 8, threshold, checkpoint_dir=tmp_path)
     assert len(full) == 661
@@ -949,11 +1014,12 @@ def test_a_resume_checks_its_kept_records_as_one_block(tmp_path, monkeypatch):
 
     monkeypatch.setattr(search._Scan, "canonical", counted_canonical)
     monkeypatch.setattr(search._Scan, "screen", counted_screen)
-    fail_after(monkeypatch, 0)
+    valued = fail_after(monkeypatch, len(full))
     assert search_lower_bound(4, 8, threshold, checkpoint_dir=tmp_path) == full
-    values = {hit.min_increase for hit in full}
+    assert valued == [hit.form.pairs for hit in full]
     assert calls["canonical"] == 1
-    assert 0 < calls["screen"] <= 2 * len(values)
+    largest = max(unscale(hit.min_increase) for hit in full)
+    assert calls["screen"] == 1 + len(range(5, largest + 1, 2))
 
 
 @pytest.mark.parametrize("m, D", SMALL_FAMILIES)
