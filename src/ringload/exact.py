@@ -5,9 +5,11 @@ demands by a depth-first branch and bound with subset-sum table leaves.
 Loads are kept per segment between consecutive demand endpoints (at
 most 2k+1 columns, whatever n is).  The search branches on all but the
 last _CHUNK_BITS demands of its order; a leaf holds the loads of every
-routing of those last demands as row sums of per-demand load deltas, so
-a ring of at most _CHUNK_BITS demands is one table.  Nodes are cut by
-the two-column cut bound: a demand that separates columns e and f loads
+routing of those last demands as column sums of per-demand load deltas
+(column x routes them by the bits of x; row c holds segment column c), so
+a ring of at most _CHUNK_BITS demands is one table.  A leaf's objective
+is an elementwise maximum down its rows.  Nodes are cut by the
+two-column cut bound: a demand that separates columns e and f loads
 exactly one of them whichever way it is routed, so with cur the loads
 placed so far, some column ends at ceil((cur_e + cur_f + R_ef) / 2) or
 more, where R_ef sums the unplaced demands separating e and f (the cut
@@ -18,8 +20,9 @@ stops at the first leaf that reaches that value.  Direction vectors are
 ordered lexicographically with demand 0 as the most significant
 position and clockwise before counterclockwise, so ties resolve to the
 lexicographically smallest vector.  The arithmetic is exact integer
-arithmetic: int64 while every bound sum stays below 2^63 (2 max|offset|
-+ 3 sum(d) + 1 < 2^63), numpy object arrays of Python ints otherwise.
+arithmetic in one type per search: the first of int16, int32 and int64
+whose maximum holds every bound sum (2 max|offset| + 3 sum(d) + 1), numpy
+object arrays of Python ints past int64.
 
 The DP runs in the grid unit g = gcd(SCALE, D, every u and v), in which
 all crossing data are integers (g = SCALE for integer splits, SCALE/2
@@ -102,11 +105,11 @@ def _brute_cap() -> int:
 
 
 def _subset_sums(start: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Row x is start plus the sum of rows[p] over the set bits len(rows)-1-p of x."""
-    table = np.empty((1 << len(rows), len(start)), dtype=rows.dtype)
-    table[0] = start
+    """Column x is start plus the sum of rows[p] over the set bits len(rows)-1-p of x."""
+    table = np.empty((len(start), 1 << len(rows)), dtype=rows.dtype)
+    table[:, 0] = start
     for bit, row in enumerate(rows[::-1]):
-        np.add(table[: 1 << bit], row, out=table[1 << bit : 2 << bit])
+        np.add(table[:, : 1 << bit], row[:, None], out=table[:, 1 << bit : 2 << bit])
     return table
 
 
@@ -129,10 +132,11 @@ class _Plan:
     The first len(order) - _CHUNK_BITS demands of order are branched on,
     choices[t] holding the column loads of the demand at position t routed
     clockwise (bit 0) and counterclockwise (bit 1).  The rest form the
-    leaf table, whose row x routes leaf demand r counterclockwise when bit
-    leaf_bits-1-r of x is set.  remaining[t] sums the separation matrices
-    of the demands from position t of order on; a plan without branching
-    needs none.
+    leaf table, whose column x routes leaf demand r counterclockwise when
+    bit leaf_bits-1-r of x is set.  remaining[t] sums the separation
+    matrices of the demands from position t of order on; a plan without
+    branching needs none.  Every table keeps the type of d (sums of small
+    ints would widen to int64 unless given it).
     """
 
     def __init__(self, order: list[int], d: np.ndarray, inside: np.ndarray):
@@ -142,11 +146,12 @@ class _Plan:
         ccw = d - cw
         self.choices = list(zip(cw[:depth], ccw[:depth]))
         self.leaf_bits = len(order) - depth
-        self.leaf = _subset_sums(cw[depth:].sum(axis=0), ccw[depth:] - cw[depth:])
+        start = cw[depth:].sum(axis=0, dtype=d.dtype)
+        self.leaf = _subset_sums(start, ccw[depth:] - cw[depth:])
         self.remaining = None
         if depth:
             sep = np.where(inside[:, :, None] != inside[:, None, :], d[:, :, None], 0)
-            suffix = np.cumsum(sep[::-1], axis=0)[::-1]
+            suffix = np.cumsum(sep[::-1], axis=0, dtype=d.dtype)[::-1]
             self.remaining = np.concatenate([suffix, np.zeros_like(sep[:1])])[: depth + 1]
 
 
@@ -157,12 +162,14 @@ def _least_value(plan: _Plan, cur: np.ndarray, best: int, t: int = 0) -> int:
     the root is t = 0.  Depth first, the child with the smaller bound
     first, so the first leaf reached is a greedy routing; a child is cut
     once its bound reaches the best value found so far (a child's bound is
-    never below its parent's, so the root needs no test of its own).  The
-    recursion is a module-level function, not a closure, so that no
-    reference cycle keeps the plan's tables alive after the search returns.
+    never below its parent's, so the root needs no test of its own).  At
+    a leaf, column x of the leaf table plus cur holds the loads of
+    routing x, and its objective is their maximum.  The recursion is a
+    module-level function, not a closure, so that no reference cycle
+    keeps the plan's tables alive after the search returns.
     """
     if t == len(plan.choices):
-        return min(best, int((plan.leaf + cur).max(axis=1).min()))
+        return min(best, int((plan.leaf + cur[:, None]).max(axis=0).min()))
     children = [(_cut_bound(child, plan.remaining[t + 1]), child)
                 for child in (cur + row for row in plan.choices[t])]
     if children[1][0] < children[0][0]:
@@ -183,11 +190,12 @@ def _first_at_most(
     node holds the demands before position t placed, by the flags of
     prefix; the root is t = 0, prefix = 0, and every routing is a
     completion of it.  Depth first, clockwise first, cutting nodes whose
-    bound exceeds value; within a leaf the first argmin wins.  value may
-    be None only when the root is the leaf.
+    bound exceeds value; within a leaf, whose column x plus cur holds the
+    loads of routing x, the first column of least maximum wins.  value
+    may be None only when the root is the leaf.
     """
     if t == len(plan.choices):
-        objective = (plan.leaf + cur).max(axis=1)
+        objective = (plan.leaf + cur[:, None]).max(axis=0)
         pos = int(np.argmin(objective))
         if value is None or objective[pos] <= value:
             return int(objective[pos]), prefix << plan.leaf_bits | pos
@@ -216,8 +224,9 @@ def _enumerate_min(
     ends = [(inst.i[idx] - 1, inst.j[idx] - 1) for idx in active]
     values = [inst.d[idx] for idx in active]
     cols = sorted({0}.union(*ends))
-    exact_in_int64 = 2 * max(abs(offset[c]) for c in cols) + 3 * sum(values) + 1 < 2**63
-    dtype = np.int64 if exact_in_int64 else object
+    bound = 2 * max(abs(offset[c]) for c in cols) + 3 * sum(values) + 1
+    dtype = next((kind for kind in (np.int16, np.int32, np.int64)
+                  if bound <= np.iinfo(kind).max), object)
     d = np.array(values, dtype=dtype)
     inside = np.array(
         [[i <= c < j for c in cols] for i, j in ends], dtype=bool

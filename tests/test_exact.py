@@ -518,6 +518,22 @@ def subset_sums(rows):
     return table
 
 
+@given(st.data())
+def test_subset_sums_columns_are_the_oracle_rows_plus_the_start(data):
+    # Column-major and in the rows' type, from no rows (one column, the
+    # start) to six; object rows hold Python ints past int64.
+    dtype = data.draw(st.sampled_from([np.int16, np.int32, np.int64, object]))
+    limit = 10**30 if dtype is object else np.iinfo(dtype).max // 7
+    k, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 5))
+    values = st.lists(st.integers(-limit, limit), min_size=cols, max_size=cols)
+    start = np.array(data.draw(values), dtype=dtype)
+    rows = np.array([data.draw(values) for _ in range(k)], dtype=dtype).reshape(k, cols)
+    table = exact._subset_sums(start, rows)
+    assert table.dtype == np.dtype(dtype)
+    assert table.shape == (cols, 1 << k)
+    assert np.array_equal(table, subset_sums(rows).T + start[:, None])
+
+
 def table_oracle(inst, offset, low_bits=12):
     """First minimizer of max(loads - offset) over all 2^k routings, one table row at a time.
 
@@ -628,8 +644,8 @@ def test_brute_force_beyond_the_cap_matches_dp(monkeypatch, m):
 
 
 @pytest.mark.parametrize("argv, ceiling", [
-    (("optimum", "-i", "fig7.json"), 160),  # 144 nodes
-    (("verify", "fig8"), 85),  # 75 nodes
+    (("optimum", "-i", "fig7.json"), 160),  # 143 nodes
+    (("verify", "fig8"), 85),  # 74 nodes
 ])
 def test_cut_bound_node_ceiling(monkeypatch, tmp_path, capsys, argv, ceiling):
     # Every search node is one call of the bound; a weaker bound visits
@@ -700,6 +716,51 @@ def test_bound_sums_beyond_int64_take_python_ints(monkeypatch):
     monkeypatch.setattr(exact, "_cut_bound", recorded)
     assert_brute_force_matches_oracle(inst, split)
     assert dtypes == {np.dtype(object)}
+
+
+@pytest.mark.parametrize("bound, dtype", [
+    (2**15 - 1, np.int16),
+    (2**15, np.int32),
+    (2**31 - 1, np.int32),
+    (2**31, np.int64),
+    (2**63 - 1, np.int64),
+    (2**63, object),
+], ids=["2^15-1", "2^15", "2^31-1", "2^31", "2^63-1", "2^63"])
+def test_the_search_runs_in_the_narrowest_type_that_holds_its_bound(monkeypatch, bound, dtype):
+    # 14 demands, so the search branches on 2 of them, and an offset whose
+    # largest magnitude puts 2 max|offset| + 3 sum(d) + 1 exactly at bound.
+    # The placed loads, the separation sums and the leaf tables all take
+    # the first of int16, int32 and int64 whose maximum holds it (cumsum
+    # and sum would widen small types on their own).
+    rng = random.Random(bound)
+    n, k = 7, 14
+    total = (bound - 1) // 4
+    total -= (total - bound + 1) % 2  # 3 sum(d) has the parity of bound - 1
+    peak = (bound - 1 - 3 * total) // 2
+    assert 2 * peak + 3 * total + 1 == bound and peak >= 0
+    cuts = sorted(rng.sample(range(1, total), k - 1))
+    demands = []
+    for low, high in zip([0] + cuts, cuts + [total]):
+        i = rng.randint(1, n - 1)
+        demands.append(Demand(i, rng.randint(i + 1, n), high - low))
+    inst = RingInstance(n, tuple(demands))
+    offset = (peak,) + tuple(rng.randint(-peak, peak) for _ in range(n - 1))
+    seen = set()
+    bound_fn, sums_fn = exact._cut_bound, exact._subset_sums
+
+    def recorded_bound(cur, sep):
+        seen.update({("cur", cur.dtype), ("sep", sep.dtype)})
+        return bound_fn(cur, sep)
+
+    def recorded_sums(start, rows):
+        table = sums_fn(start, rows)
+        seen.add(("leaf", table.dtype))
+        return table
+
+    monkeypatch.setattr(exact, "_cut_bound", recorded_bound)
+    monkeypatch.setattr(exact, "_subset_sums", recorded_sums)
+    assert exact._enumerate_min(inst, list(range(k)), offset) == table_oracle(inst, offset)
+    assert seen == {(name, np.dtype(dtype)) for name in ("cur", "sep", "leaf")}
 
 
 def test_brute_force_on_a_long_ring_keeps_one_column_per_segment():
