@@ -33,17 +33,16 @@ max_k |2 p(k) - y| <= t, the additive performance for x = 0.  Two
 layouts of the same shift-or recurrence serve the callers.  Column-major,
 level_masks runs a block of rows (pairs sequences) for every end point
 y in [-t, t] at once, one int64 bitmask over each window per (row, y),
-within int64 while t + 1 + the largest up step is at most 62 bits:
-forward from p(0) = 0 (p(m) = y is reached exactly when bit y - lo is
-set, so dp_feasible_block needs no parity rule), or backward from y, so
-that the search screen meets in the middle (Horowitz and Sahni, J. ACM
-1974).
+for every t <= 62, as a window holds at most t + 1 points: forward from
+p(0) = 0 (p(m) = y is reached exactly when bit y - lo is set, so
+dp_feasible_block needs no parity rule), or backward from y, so that the
+search screen meets in the middle (Horowitz and Sahni, J. ACM 1974).
 Position-major, points are rows and end points are lanes within a row;
 every step moves all lanes by the same number of rows, so a level is one
 pair of row shifts at any D.  Up to _PACKED_BITS lanes times rows, all
 rows are one Python int and a level is two shifts of it (_lane_levels,
 on the lanes that _lanes sets up once, for a _probe or for every row of
-a dp_feasible_block past 62 bits); beyond that _probe holds each parity
+a dp_feasible_block past t = 62); beyond that _probe holds each parity
 of end points in a uint64 array of rows and a level is two slice-ORs.
 dp_min_increase binary-searches t on one row with _probe.  The routing
 (dp_feasible, dp_min_increase) is the walk back over the one-lane levels
@@ -83,8 +82,8 @@ _MASK_BITS = 1 << 24
 # here a level of shifts on one int beats the numpy calls of each level of
 # a chunk, whose fixed cost dominates a probe of few end points.
 _PACKED_BITS = 1 << 15
-# Bits of an int64 mask that a shifted window may reach, below the sign bit.
-_INT64_MASK_BITS = 62
+# Bits of an int64 mask below the sign bit: the most points of a window.
+_INT64_MASK_BITS = 63
 # Largest start bound t, in grid units, of dp_min_increase.  Its first
 # probe has about 2t end points over windows of about t points, in uint64
 # words; D = 10^5 starts at t = 1.5 * 10^5, and at t = 1 << 24 a chunk of
@@ -295,23 +294,25 @@ def level_masks(
     So rows whose pairs are a prefix's followed by a suffix's are
     feasible at t exactly where some column of the prefix's forward masks
     shares a bit with the same column of the suffix's backward masks.
-    Shifts stay within int64 while t + 1 + the largest up step (max V
-    forward, max U backward) is at most _INT64_MASK_BITS.
+    A window holds at most t + 1 points, so the masks are int64 for every
+    t + 1 <= _INT64_MASK_BITS at any step: the uint64 shifts drop, or full
+    clears, every bit past a window (numpy shifts by 64 or more give 0).
     """
-    if backward:
-        U, V = V[:, ::-1], U[:, ::-1]
-    if t + 1 + int(V.max(initial=0)) > _INT64_MASK_BITS:
+    if t + 1 > _INT64_MASK_BITS:
         return None
+    U, V = (V[:, ::-1], U[:, ::-1]) if backward else (U, V)
+    U, V = U.astype(np.uint64), V.astype(np.uint64)
     ys = np.arange(-t, t + 1)
     lo, hi = _window(t, ys)
-    full = (1 << (hi - lo + 1)) - 1
-    mask = np.broadcast_to(1 << ((ys if backward else 0) - lo), (len(U), len(ys)))
+    full = (np.uint64(1) << (hi - lo + 1).astype(np.uint64)) - np.uint64(1)
+    start = np.uint64(1) << ((ys if backward else 0) - lo).astype(np.uint64)
+    mask = np.broadcast_to(start, (len(U), len(ys)))
     for k in range(U.shape[1]):
         step = mask << V[:, k : k + 1]
         step |= mask >> U[:, k : k + 1]
         step &= full
         mask = step
-    return mask
+    return mask.view(np.int64)
 
 
 def _lanes(t: int, ys: list[int]) -> tuple[int, int, int, int]:
@@ -422,9 +423,9 @@ def dp_feasible_block(U: np.ndarray, V: np.ndarray, t: int) -> np.ndarray:
 
     Row r stands for the pairs (U[r, k], V[r, k]), and is feasible where
     some end point y in [-t, t] (none for t < 0) has bit y - lo set in its
-    column of the forward level_masks.  Where those would pass int64, each
-    row runs _lane_levels on the lanes of all 2t + 1 end points, set up
-    once, or beyond _PACKED_BITS its own _probe.
+    column of the forward level_masks.  Past int64 (t > 62), each row runs
+    _lane_levels on the lanes of all 2t + 1 end points, set up once, or
+    beyond _PACKED_BITS its own _probe.
     """
     ys = np.arange(-t, t + 1)
     masks = level_masks(U, V, t)

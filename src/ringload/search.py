@@ -45,16 +45,16 @@ _Scan.screen drops every row with a routing of increase at most
 t = threshold - 1.  It meets in the middle: a row is feasible where, for
 some end point y, the points its lead reaches from p(0) = 0 (the forward
 exact.level_masks of its code) meet the points from which its part
-reaches y (the backward exact.level_masks, once per part of a block), so
-no row runs a level of its own.  The same screen values the survivors
-(_Scan.values), swept up over the odd numbers above t, the only values a
-minimum increase takes.  The lead tables are caches, kept only if int64
-and within _LEAD_TABLE_BYTES; past that (large D or m) the rows compute
-their own lead's share from their codes, by the same algorithm.  Only
-masks past 62 bits (at large t + D) send the rows whole to
-exact.dp_feasible_block.  Half keys at (D+1)^m >= 2^63 are Python ints,
-and a block's first index is peeled as a Python int with int64 offsets
-from it, so the scan is exact at any index size.
+reaches y (the backward exact.level_masks, once per part of a block).
+The same screen values the survivors (_Scan.values), swept up over the
+odd numbers above t, the only values a minimum increase takes.  The lead
+tables are caches, kept only if int64 and within _LEAD_TABLE_BYTES, and
+the start masks' table is built only by a block of at least radix rows;
+otherwise the rows compute their own lead's share from their codes.
+Only past t = 62 do the rows go whole to exact.dp_feasible_block.  Half
+keys at (D+1)^m >= 2^63 are Python ints, and a block's first index is
+peeled as a Python int with int64 offsets from it, so the scan is exact
+at any index size.
 
 Given a directory, a shard keeps its hit records (hit_record) and then its
 last finished index in mM-dD-tT-shard-I-of-N.txt there, replaced atomically
@@ -362,8 +362,7 @@ class _Scan:
         """The forward exact.level_masks of every lead code, a cache; None where it is not kept.
 
         It is not kept where the table does not _fit or the masks pass
-        int64.  Only the latest t's table is kept, read-only: the values
-        sweep of a block with survivors rebuilds it at each t.
+        int64 (t > 62).  Only the latest t's table is kept, read-only.
         """
         if self._masks[0] != t:
             fits = _fits((self.radix, 2 * t + 1), np.int64)
@@ -376,23 +375,23 @@ class _Scan:
     def screen(self, rows: _Rows, t: int) -> np.ndarray:
         """Row-wise "some routing has increase at most t" (exact.dp_feasible_block).
 
-        The lead's start masks, gathered by code from lead_masks(t) where it
-        is kept and computed from the rows' codes where not, meet the part's
-        end masks, computed once per part of the block, in the middle.  Only
-        where either would pass int64 do the rows go whole to
-        exact.dp_feasible_block.  A block without rows, common at m=10 where
-        canonical rows are sparse, runs no level at all.
+        The lead's start masks meet the part's end masks, computed once per
+        part of the block, in the middle.  A block gathers them by code from
+        lead_masks(t) if it is kept for t or the block has at least radix
+        rows (building it costs radix rows); else the rows compute their
+        own.  Past t = 62 the rows go whole to exact.dp_feasible_block.  A
+        block without rows (common at m=10) runs no level at all.
         """
         if not len(rows.code):
             return np.zeros(0, dtype=bool)
-        masks = self.lead_masks(t)
+        ends = level_masks(rows.part_u, rows.part_v, t, backward=True)
+        if ends is None:
+            return dp_feasible_block(*self.pairs(rows), t)
+        masks = self.lead_masks(t) if self._masks[0] == t or len(rows.code) >= self.radix else None
         if masks is None:
             starts = level_masks(self.U[rows.code], self.V[rows.code], t)
         else:
             starts = masks.take(rows.code, axis=0)
-        ends = level_masks(rows.part_u, rows.part_v, t, backward=True)
-        if starts is None or ends is None:
-            return dp_feasible_block(*self.pairs(rows), t)
         return (starts & ends.take(rows.part, axis=0)).any(axis=1)
 
     def values(self, rows: _Rows, t: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Command-line interface: reports, exit codes, output hygiene."""
 
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -411,6 +412,17 @@ def test_optimum_command(capsys, tmp_path):
     report = json.loads(out)
     assert report["optimum_load"] == "4"
     assert no_floats(report)
+
+
+def test_search_pins_the_hit_dense_band_shard(capsys):
+    # m=12, D=40 at threshold 21: about one index in a hundred is a hit, and
+    # each hit's value comes from a sweep of block screens over odd t.
+    code, out, _ = run_cli(capsys, "search", "--m", "12", "--d", "40", "--threshold", "21",
+                           "--shard", "5500000000000000000/7000000000000000000")
+    assert code == 0
+    assert out.count("\n") == 20419
+    digest = "2153fc5ce19e7f680b94047afabf3f45d6d29fce336fd9add07f617e7447d748"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_search_requires_full_or_shard(capsys):

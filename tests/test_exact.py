@@ -17,6 +17,7 @@ from conftest import (
     scalar_dp_feasible,
     scalar_dp_min_increase,
     scalar_feasible_any_y,
+    scalar_levels,
     split_rings,
 )
 from ringload import exact
@@ -29,6 +30,7 @@ from ringload.exact import (
     dp_feasible,
     dp_feasible_block,
     dp_min_increase,
+    level_masks,
 )
 from ringload.fileio import write_instance
 from ringload.instances import BUILTIN_NAMES, builtin, random_crossing
@@ -337,6 +339,45 @@ def test_dp_kernel_edge_cases():
             assert (routing is not None) == (t >= 0 and y == 0)
     cross = standalone_crossing(((S, S),), 2 * S)
     assert dp_feasible(cross, -S, 0) is None
+
+
+def test_level_masks_are_int64_for_every_t_up_to_62():
+    # A window holds at most t + 1 points, so the masks are int64 up to
+    # t = 62 at any step: a bit shifted past the window is dropped by the
+    # shift, numpy giving 0 for shifts of 64 or more, or cleared by the
+    # window's full mask.  Steps up to 1447 (a scan's largest D, less one)
+    # shift by that much; zeros and odd u + v reach both parities and the
+    # edge cases of a step.  Forward, column y + t is the scalar DP's last
+    # level at y; backward, it is that of the reversed pairs with u and v
+    # swapped at -y, whose window is the same one moved by -y.
+    shifts = np.arange(64, 101, dtype=np.uint64)
+    words = np.full((len(shifts), 5), 2**64 - 1, dtype=np.uint64)
+    for by in (shifts[0], shifts[:, None], np.repeat(shifts[:, None], 5, axis=1)):
+        assert not (words << by).any() and not (words >> by).any()
+    rng = np.random.default_rng(98)
+    outcomes = set()
+    for m in range(1, 5):
+        tops = rng.choice([8, 64, 1448], size=(24, 1))
+        U, V = rng.integers(0, tops, size=(24, m)), rng.integers(0, tops, size=(24, m))
+        U[0], V[1] = 0, 0
+        rows = [list(zip(u, v)) for u, v in zip(U.tolist(), V.tolist())]
+        for t in (0, 31, 61, 62):
+            forward, backward = level_masks(U, V, t), level_masks(U, V, t, backward=True)
+            assert forward.dtype == backward.dtype == np.int64
+            for r, pairs in enumerate(rows):
+                swapped = [(v, u) for u, v in reversed(pairs)]
+                ys = range(-t, t + 1)
+                assert forward[r].tolist() == [scalar_levels(pairs, t, y)[-1] for y in ys]
+                assert backward[r].tolist() == [scalar_levels(swapped, t, -y)[-1] for y in ys]
+            expected = [scalar_feasible_any_y(pairs, t) is not None for pairs in rows]
+            assert dp_feasible_block(U, V, t).tolist() == expected
+            for k in range(m + 1):
+                start = level_masks(U[:, :k], V[:, :k], t)
+                end = level_masks(U[:, k:], V[:, k:], t, backward=True)
+                assert (start & end).any(axis=1).tolist() == expected
+            outcomes.update(expected)
+        assert level_masks(U, V, 63) is None and level_masks(U, V, 63, backward=True) is None
+    assert outcomes == {True, False}
 
 
 def assert_probe_matches_scalar_oracle(cross, ts):

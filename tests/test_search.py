@@ -205,7 +205,7 @@ def without_int64_masks(monkeypatch):
 
     def refused(*args, **kwargs):
         masks = level_masks(*args, **kwargs)
-        assert masks is None, "int64 masks past 62 bits"
+        assert masks is None, "int64 masks past t = 62"
         calls.append(args[2])
         return masks
 
@@ -463,22 +463,22 @@ def test_block_screen_matches_scalar_screen_on_the_first_m4_d8_members():
 
 
 def test_block_screen_on_probes_when_the_shifts_overflow_int64(monkeypatch):
-    # Past 62 mask bits every row runs on packed lanes, never on int64 masks.
+    # Past t = 62 a window passes int64's 63 mask bits, so every row runs on
+    # packed lanes, never on int64 masks.
     family = StructuredFamily(4, 70)
     rng = random.Random(86)
     U, V = decode_indices(family, [rng.randrange(family.size) for _ in range(300)])
     calls = without_int64_masks(monkeypatch)
     outcomes = set()
-    for t in (20, 70, 100):
-        assert t + 1 + V.max() > 62
+    for t in (63, 70, 100):
         outcomes.update(assert_screen_matches_oracle(U, V, t))
     assert outcomes == {True, False}
-    assert calls == [20, 70, 100]
+    assert calls == [63, 70, 100]
 
 
 def test_block_screen_past_62_bits_matches_scalar_oracle(monkeypatch):
-    # V up to 70 puts every block past 62 mask bits, from t = -1 on; odd
-    # u + v and zeros reach both parities and the edge cases of a step.
+    # Every t from 63 on puts a block past int64's 63 mask bits; odd u + v
+    # and zeros reach both parities and the edge cases of a step.
     rng = np.random.default_rng(95)
     calls = without_int64_masks(monkeypatch)
     outcomes = set()
@@ -486,7 +486,7 @@ def test_block_screen_past_62_bits_matches_scalar_oracle(monkeypatch):
         U = rng.integers(0, 71, size=(30, m))
         V = rng.integers(0, 71, size=(30, m))
         V[0, 0] = 70
-        for t in (-1, 0, 5, 40, 80):
+        for t in (63, 64, 70, 80, 100):
             outcomes.update(assert_screen_matches_oracle(U, V, t))
     assert outcomes == {True, False}
     assert len(calls) == 25
@@ -504,8 +504,8 @@ def test_lead_screen_matches_block_screen_on_whole_families(m, D):
 
 
 @pytest.mark.parametrize("m, D, ts", [
-    (4, 82, (20, 30, 31, 59)),
-    (10, 76, (30, 59, 100)),
+    (4, 82, (63, 65, 91, 123)),
+    (10, 76, (63, 75, 100)),
 ])
 def test_lead_screen_beyond_int64_masks(m, D, ts):
     # The masks would pass int64 at these t, so no lead table is built, not
@@ -519,7 +519,7 @@ def test_lead_screen_beyond_int64_masks(m, D, ts):
         lo = rng.randrange(family.size - 1500)
         rows = odd_rows(family, lo, lo + 1500)
         for t in ts:
-            assert t + D > 62  # beyond int64 masks
+            assert t > 62  # beyond int64 masks
             expected = assert_lead_screen_matches_block_screen(rows, m, D, t, cached=False)
             sample = rows.select(np.arange(0, len(rows.code), 50))
             oracle = [scalar_feasible_any_y(pairs, t) is not None
@@ -530,19 +530,19 @@ def test_lead_screen_beyond_int64_masks(m, D, ts):
 
 
 @pytest.mark.parametrize("m, D, t, past_int64", [
-    (4, 40, 21, False), (8, 34, 27, False), (4, 70, 35, True),
+    (4, 40, 21, False), (8, 34, 27, False), (4, 70, 35, False), (4, 140, 63, True),
 ])
 def test_the_screen_meets_in_the_middle_without_a_lead_table(monkeypatch, m, D, t, past_int64):
     # The lead table would pass _LEAD_TABLE_BYTES at these t, so it is not
     # kept; within int64 the rows compute their own leads' start masks and
-    # still meet their parts' end masks, and only past 62 bits do they go
-    # whole to dp_feasible_block.  Every 7th row is checked against the
-    # scalar DP.
+    # still meet their parts' end masks, at any step size, and only past
+    # t = 62 do they go whole to dp_feasible_block.  Every 7th row is
+    # checked against the scalar DP.
     family = StructuredFamily(m, D)
     scan = search._scan(m, D)
     assert scan.lead_masks(t) is None
     assert not search._fits((scan.radix, 2 * t + 1), np.int64)
-    assert (t + D > 62) == past_int64  # t + 1 + the leads' largest v, D - 1
+    assert (t > 62) == past_int64
     blocks = []
 
     def recorded(U, V, t):
@@ -563,9 +563,10 @@ def test_start_and_end_masks_meet_in_the_middle():
     # Any split k of any rows: a column of the start masks of the first k
     # pairs, shared by prefix, and the same column of the end masks of the
     # rest, shared by suffix, have a common point exactly where the whole
-    # row is feasible from level 0.  U and V up to 51 fill all 62 int64 mask
-    # bits at t = 10 on both sides; odd u + v and zeros reach both parities
-    # and the edge cases of a step.  End masks past int64 are refused.
+    # row is feasible from level 0.  U and V up to 51 step past the window
+    # at t = 10 on both sides; odd u + v and zeros reach both parities and
+    # the edge cases of a step.  Masks are int64 up to t = 62 at any step,
+    # and refused from t = 63 on.
     rng = np.random.default_rng(93)
     outcomes = set()
     for m in range(0, 7):
@@ -586,8 +587,9 @@ def test_start_and_end_masks_meet_in_the_middle():
                     assert joined == expected
                     outcomes.update(expected)
     assert outcomes == {True, False}
-    assert level_masks(U + 52, V, 10, backward=True) is None  # t + 1 + max U > 62
-    assert level_masks(U, V + 52, 10, backward=True) is not None  # V only steps down from the end
+    for backward in (False, True):
+        assert level_masks(U + 1000, V + 1000, 62, backward).dtype == np.int64
+        assert level_masks(U, V, 63, backward) is None
 
 
 def test_lead_screen_in_column_chunks(monkeypatch):
@@ -667,17 +669,42 @@ def test_lead_masks_keep_the_latest_table_read_only():
     assert scan.lead_masks(10) is not masks
 
 
+def test_only_a_block_of_radix_rows_builds_the_lead_table():
+    # The scan's blocks keep the lead table of its t.  A values sweep over a
+    # few survivors computes their own lead masks at every other t, so the
+    # table it finds afterwards is the same one, and a block of fewer rows
+    # than lead codes builds none at all.  Row r passes the screen at s
+    # exactly where its minimum increase is at most s.
+    family = StructuredFamily(4, 8)
+    rows = odd_rows(family, 0, family.size)
+    scan = search._Scan(family)
+    t = 4
+    assert len(rows.code) >= scan.radix
+    survivors = np.flatnonzero(~scan.screen(rows, t))
+    kept, table = scan._masks
+    assert kept == t and table is not None
+    few = rows.select(survivors[:: len(survivors) // 20][:20])
+    values = scan.values(few, t).tolist()
+    assert values == [unscale(dp_of(pairs, 8)) for pairs in rows_of(*scan.pairs(few))]
+    assert len(set(values)) > 1
+    assert scan.lead_masks(t) is table
+    fresh = search._Scan(family)
+    assert fresh.screen(few, t + 3).tolist() == [value <= t + 3 for value in values]
+    assert fresh._masks == (None, None)
+
+
 def test_lead_masks_at_the_int64_edge():
-    # At m=4, D=30 the lead table fits _LEAD_TABLE_BYTES at t = 32 and 33,
-    # and the leads reach v = 29: their masks take t + 1 + 29 bits, 62 at
-    # t = 32 and one past int64's at t = 33, where rows screen from level 0.
-    family = StructuredFamily(4, 30)
-    scan = search._scan(4, 30)
+    # At m=4, D=82 the lead table of position 0 alone fits _LEAD_TABLE_BYTES
+    # at t = 62 and 63, and the leads reach v = 81, past the window: a
+    # window takes up to t + 1 bits, all 63 below int64's sign bit at t =
+    # 62 and one more at t = 63, where rows screen from level 0.
+    family = StructuredFamily(4, 82)
+    scan = search._scan(4, 82)
     U, V = scan.U[: scan.radix], scan.V[: scan.radix]
-    assert scan.radix == 6525 and V.max() == 29
+    assert scan.radix == 1681 and V.max() == 81
     rows = odd_rows(family, 2000 * scan.radix, 2001 * scan.radix)
     rows = rows.select(np.arange(0, len(rows.code), 13))
-    for t, cached in ((32, True), (33, False)):
+    for t, cached in ((62, True), (63, False)):
         assert search._fits((scan.radix, 2 * t + 1), np.int64)
         masks = level_masks(U, V, t)
         assert (masks is not None) == cached
@@ -686,7 +713,7 @@ def test_lead_masks_at_the_int64_edge():
                 pairs = tuple(zip(U[code].tolist(), V[code].tolist()))
                 expected = [scalar_levels(pairs, t, y)[-1] for y in range(-t, t + 1)]
                 assert masks[code].tolist() == expected
-        assert_lead_screen_matches_block_screen(rows, 4, 30, t, cached)
+        assert_lead_screen_matches_block_screen(rows, 4, 82, t, cached)
 
 
 @pytest.mark.parametrize("m, D, threshold", [(2, 1000, 700), (10, 200, 150)])
@@ -864,14 +891,13 @@ def test_every_minimum_increase_is_odd_on_whole_families(m, D):
     assert all(unscale(dp_of(pairs, D)) % 2 for pairs in canonical)
 
 
-@pytest.mark.parametrize("m, D, t", [(12, 40, 21), (8, 34, 27), (16, 40, 24)])
+@pytest.mark.parametrize("m, D, t", [(4, 70, 55), (4, 84, 55), (6, 76, 55)])
 def test_values_match_the_dp_past_62_bits(monkeypatch, m, D, t):
     # Canonical rows without a routing of increase at most t, from slices
     # around random canonical forms; every 8th is checked.  The sweep starts
-    # at t + 1 for an even t and at t + 2 for an odd one; from there on the
-    # masks of rows with a pair (u, D - 1) take t + 1 + D - 1 bits, past
-    # int64's 62, so some of its screens run the rows whole in
-    # exact.dp_feasible_block.
+    # at t + 1 for an even t and at t + 2 for an odd one and meets in the
+    # middle in int64 up to 62; from 63 on its screens run the rows still
+    # unvalued whole in exact.dp_feasible_block.
     blocks = []
 
     def recorded(U, V, t):
@@ -892,8 +918,8 @@ def test_values_match_the_dp_past_62_bits(monkeypatch, m, D, t):
     monkeypatch.setattr(search, "dp_feasible_block", recorded)
     values = scan.values(member_rows(family, [family.encode(pairs) for pairs in members]), t)
     assert values.tolist() == [unscale(dp_of(pairs, D)) for pairs in members]
-    assert values.min() > t and len(set(values.tolist())) > 1
-    assert blocks and t + 1 + t % 2 + D > 62  # past 62 bits from the sweep's first t on
+    assert t < values.min() < 63 < values.max()
+    assert blocks[0] == 63  # past int64 from t = 63 on, and only there
 
 
 def test_block_search_matches_scalar_search_on_small_families():
