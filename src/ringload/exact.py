@@ -32,21 +32,18 @@ satisfies (y-t)/2 <= p(k) <= (y+t)/2; this window condition is exactly
 max_k |2 p(k) - y| <= t, the additive performance for x = 0.  Two
 layouts of the same shift-or recurrence serve the callers.  Column-major,
 level_masks runs a block of rows (pairs sequences) for every end point
-y in [-t, t] at once, one int64 bitmask over each window per (row, y),
-for every t <= 62, as a window holds at most t + 1 points: forward from
-p(0) = 0 (p(m) = y is reached exactly when bit y - lo is set, so
-dp_feasible_block needs no parity rule), or backward from y, so that the
-search screen meets in the middle (Horowitz and Sahni, J. ACM 1974).
+y in [-t, t] at once, in uint64 words over each window per (row, y), at
+any t, forward from p(0) = 0 or backward from y, so that the search
+screen meets in the middle (Horowitz and Sahni, J. ACM 1974).
 Position-major, points are rows and end points are lanes within a row;
 every step moves all lanes by the same number of rows, so a level is one
 pair of row shifts at any D.  Up to _PACKED_BITS lanes times rows, all
 rows are one Python int and a level is two shifts of it (_lane_levels,
-on the lanes that _lanes sets up once, for a _probe or for every row of
-a dp_feasible_block past t = 62); beyond that _probe holds each parity
-of end points in a uint64 array of rows and a level is two slice-ORs.
-dp_min_increase binary-searches t on one row with _probe.  The routing
-(dp_feasible, dp_min_increase) is the walk back over the one-lane levels
-of its end point.
+on the lanes that _lanes sets up once); beyond that _probe holds each
+parity of end points in a uint64 array of rows and a level is two
+slice-ORs.  dp_min_increase binary-searches t on one row with _probe.
+The routing (dp_feasible, dp_min_increase) is the walk back over the
+one-lane levels of its end point.
 """
 
 from __future__ import annotations
@@ -55,6 +52,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,8 +80,6 @@ _MASK_BITS = 1 << 24
 # here a level of shifts on one int beats the numpy calls of each level of
 # a chunk, whose fixed cost dominates a probe of few end points.
 _PACKED_BITS = 1 << 15
-# Bits of an int64 mask below the sign bit: the most points of a window.
-_INT64_MASK_BITS = 63
 # Largest start bound t, in grid units, of dp_min_increase.  Its first
 # probe has about 2t end points over windows of about t points, in uint64
 # words; D = 10^5 starts at t = 1.5 * 10^5, and at t = 1 << 24 a chunk of
@@ -280,39 +276,63 @@ def _window(t, y):
     return -((t - y) // 2), (y + t) // 2
 
 
-def level_masks(
-    U: np.ndarray, V: np.ndarray, t: int, backward: bool = False
-) -> np.ndarray | None:
-    """Each row's masks after its pairs, for every end point y in [-t, t]; None past int64.
+def mask_columns(t: int) -> int:
+    """The columns of level_masks at t >= -1: t // 64 + 1 words per end point in [-t, t]."""
+    return (t // 64 + 1) * (2 * t + 1)
 
-    A (rows, 2t + 1) int64 array: row r stands for the pairs (U[r, k],
-    V[r, k]), column y + t for the end point y, and bit b for the point
-    lo + b of the window [lo, hi] of (t, y).  A level steps up by V and
-    down by U.  Forward, from the point p(0) = 0, the masks hold the
-    points the pairs reach; backward, over the reversed columns with u
-    and v swapped, from the point y, those from which the pairs reach y.
-    So rows whose pairs are a prefix's followed by a suffix's are
-    feasible at t exactly where some column of the prefix's forward masks
-    shares a bit with the same column of the suffix's backward masks.
-    A window holds at most t + 1 points, so the masks are int64 for every
-    t + 1 <= _INT64_MASK_BITS at any step: the uint64 shifts drop, or full
-    clears, every bit past a window (numpy shifts by 64 or more give 0).
-    """
-    if t + 1 > _INT64_MASK_BITS:
-        return None
-    U, V = (V[:, ::-1], U[:, ::-1]) if backward else (U, V)
-    U, V = U.astype(np.uint64), V.astype(np.uint64)
+
+@lru_cache(maxsize=16)
+def _window_masks(t: int, backward: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The start and full words of level_masks at t, read-only (W, 2t + 1) arrays."""
     ys = np.arange(-t, t + 1)
     lo, hi = _window(t, ys)
-    full = (np.uint64(1) << (hi - lo + 1).astype(np.uint64)) - np.uint64(1)
-    start = np.uint64(1) << ((ys if backward else 0) - lo).astype(np.uint64)
-    mask = np.broadcast_to(start, (len(U), len(ys)))
-    for k in range(U.shape[1]):
-        step = mask << V[:, k : k + 1]
-        step |= mask >> U[:, k : k + 1]
+    W, bit = t // 64 + 1, (ys if backward else 0) - lo
+    width = (hi - lo - np.arange(W)[:, None]) // W + 1  # bits of the window in word w, up to 64
+    full = (np.uint64(1) << width.astype(np.uint64)) - np.uint64(1)  # 0 - 1 is all ones
+    start = np.zeros_like(full)
+    start[bit % W, np.arange(len(ys))] = np.uint64(1) << (bit // W).astype(np.uint64)
+    for words in (start, full):
+        words.setflags(write=False)
+    return start, full
+
+
+def level_masks(U: np.ndarray, V: np.ndarray, t: int, backward: bool = False) -> np.ndarray:
+    """Each row's masks after its pairs, for every end point y in [-t, t].
+
+    A (rows, W (2t + 1)) uint64 array, W = t // 64 + 1 (a window holds at
+    most t + 1 points): row r stands for the pairs (U[r, k], V[r, k]), and
+    bit b // W of word w = b % W, in column w (2t + 1) + y + t, for the
+    point lo + b of the window [lo, hi] of (t, y).  A level steps up by V
+    and down by U.  Forward, from p(0) = 0, the masks hold the points the
+    pairs reach; backward (over the reversed columns, u and v swapped),
+    from y, those from which they reach y, so a prefix's forward and a
+    suffix's backward masks share a bit in some column exactly where the
+    row is feasible at t.  A step up by s fills word w from word (w - s)
+    mod W shifted left by s // W, or one more where w < s mod W; a step
+    down by u from word (w + u) mod W shifted right by u // W, or one more
+    where w + u mod W >= W.  The shifts drop, and full clears, every bit
+    past a window (numpy's uint64 shifts by 64 or more give 0).
+    """
+    U, V = (V[:, ::-1], U[:, ::-1]) if backward else (U, V)
+    start, full = _window_masks(t, backward)
+    (W, C), mask = start.shape, start  # the start is shared by every row up to the first level
+    if W <= 1:  # the row-gather of words is the identity at W = 1 (t = -1 has no words)
+        U, V = U.astype(np.uint64), V.astype(np.uint64)
+    for u, v in zip(U.T, V.T):
+        if W <= 1:
+            step = mask << v[:, None, None]
+            step |= mask >> u[:, None, None]
+        else:  # one row-gather of whole words per direction, then one shift per word
+            base = np.arange(len(U))[:, None] * W if mask.ndim == 3 else 0
+            (up, down), source = np.divmod(np.arange(W) + np.stack([-v, u])[..., None], W)
+            step = mask.reshape(-1, C).take(source[0] + base, axis=0)
+            step <<= (-up)[..., None].astype(np.uint64)
+            words = mask.reshape(-1, C).take(source[1] + base, axis=0)
+            words >>= down[..., None].astype(np.uint64)
+            step |= words
         step &= full
         mask = step
-    return mask.view(np.int64)
+    return np.broadcast_to(mask, (len(U), W, C)).reshape(len(U), full.size)
 
 
 def _lanes(t: int, ys: list[int]) -> tuple[int, int, int, int]:
@@ -416,27 +436,6 @@ def dp_feasible(cross: CrossingInstance, t: Scaled, y: Scaled) -> UnsplitRouting
     if abs(y_g) > t_g:
         return None
     return _walk_back(pairs, t_g, y_g)
-
-
-def dp_feasible_block(U: np.ndarray, V: np.ndarray, t: int) -> np.ndarray:
-    """Row-wise "some routing has increase at most t" for (rows, m) arrays.
-
-    Row r stands for the pairs (U[r, k], V[r, k]), and is feasible where
-    some end point y in [-t, t] (none for t < 0) has bit y - lo set in its
-    column of the forward level_masks.  Past int64 (t > 62), each row runs
-    _lane_levels on the lanes of all 2t + 1 end points, set up once, or
-    beyond _PACKED_BITS its own _probe.
-    """
-    ys = np.arange(-t, t + 1)
-    masks = level_masks(U, V, t)
-    if masks is None:
-        rows = zip(U.tolist(), V.tolist())
-        if len(ys) * (t + 1) > _PACKED_BITS:
-            return np.array([_probe(list(zip(u, v)), t, ys).any() for u, v in rows], dtype=bool)
-        lanes = _lanes(t, ys.tolist())
-        return np.array([bool(_lane_levels(zip(u, v), lanes)[-1] & lanes[3]) for u, v in rows])
-    lo, _ = _window(t, ys)
-    return (masks >> (ys - lo) & 1).any(axis=1)
 
 
 def dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, Scaled]:

@@ -45,16 +45,15 @@ _Scan.screen drops every row with a routing of increase at most
 t = threshold - 1.  It meets in the middle: a row is feasible where, for
 some end point y, the points its lead reaches from p(0) = 0 (the forward
 exact.level_masks of its code) meet the points from which its part
-reaches y (the backward exact.level_masks, once per part of a block).
+reaches y (the backward exact.level_masks, once per part of a slice).
 The same screen values the survivors (_Scan.values), swept up over the
 odd numbers above t, the only values a minimum increase takes.  The lead
-tables are caches, kept only if int64 and within _LEAD_TABLE_BYTES, and
-the start masks' table is built only by a block of at least radix rows;
-otherwise the rows compute their own lead's share from their codes.
-Only past t = 62 do the rows go whole to exact.dp_feasible_block.  Half
-keys at (D+1)^m >= 2^63 are Python ints, and a block's first index is
-peeled as a Python int with int64 offsets from it, so the scan is exact
-at any index size.
+tables are caches, kept only if within _LEAD_TABLE_BYTES (the key terms
+only if int64), and the start masks' table is built only by a block of
+at least radix rows; otherwise the rows compute their own lead's share
+from their codes, at any t.  Half keys at (D+1)^m >= 2^63 are Python
+ints, and a block's first index is peeled as a Python int with int64
+offsets from it, so the scan is exact at any index size.
 
 Given a directory, a shard keeps its hit records (hit_record) and then its
 last finished index in mM-dD-tT-shard-I-of-N.txt there, replaced atomically
@@ -78,7 +77,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleParams, SchemaError
-from .exact import dp_feasible_block, level_masks
+from .exact import level_masks, mask_columns
 from .reduction import rotated
 from .scaled import Scaled, from_int, int_text, rational_str, unscale
 
@@ -166,8 +165,8 @@ def _pack(U: np.ndarray, V: np.ndarray, D: int) -> np.ndarray:
 
 
 def _fits(shape: tuple[int, ...], dtype: type) -> bool:
-    """Whether a table of shape and dtype may be kept: int64, within _LEAD_TABLE_BYTES."""
-    return dtype == np.int64 and math.prod(shape) * 8 <= _LEAD_TABLE_BYTES
+    """Whether a table of shape and dtype may be kept: int64 or uint64, within _LEAD_TABLE_BYTES."""
+    return dtype in (np.int64, np.uint64) and math.prod(shape) * 8 <= _LEAD_TABLE_BYTES
 
 
 class _Rows(NamedTuple):
@@ -361,38 +360,40 @@ class _Scan:
     def lead_masks(self, t: int) -> np.ndarray | None:
         """The forward exact.level_masks of every lead code, a cache; None where it is not kept.
 
-        It is not kept where the table does not _fit or the masks pass
-        int64 (t > 62).  Only the latest t's table is kept, read-only.
+        Kept where the (radix, mask_columns(t)) table _fits, for the latest t only, read-only.
         """
         if self._masks[0] != t:
-            fits = _fits((self.radix, 2 * t + 1), np.int64)
-            masks = level_masks(self.U[: self.radix], self.V[: self.radix], t) if fits else None
-            if masks is not None:
+            masks = None
+            if _fits((self.radix, mask_columns(t)), np.uint64):
+                masks = level_masks(self.U[: self.radix], self.V[: self.radix], t)
                 masks.setflags(write=False)
             self._masks = (t, masks)
         return self._masks[1]
 
     def screen(self, rows: _Rows, t: int) -> np.ndarray:
-        """Row-wise "some routing has increase at most t" (exact.dp_feasible_block).
+        """Row-wise "some routing has increase at most t", by exact.level_masks.
 
-        The lead's start masks meet the part's end masks, computed once per
-        part of the block, in the middle.  A block gathers them by code from
-        lead_masks(t) if it is kept for t or the block has at least radix
-        rows (building it costs radix rows); else the rows compute their
-        own.  Past t = 62 the rows go whole to exact.dp_feasible_block.  A
-        block without rows (common at m=10) runs no level at all.
+        The lead's start masks meet the part's end masks in the middle,
+        gathered by code from lead_masks(t) if it is kept for t or the block
+        has at least radix rows (building it costs radix rows), else computed
+        by the rows.  Rows meet in slices whose masks fit _LEAD_TABLE_BYTES
+        four times (a level holds up to four such arrays); a block without
+        rows (common at m=10) runs no level at all.
         """
-        if not len(rows.code):
-            return np.zeros(0, dtype=bool)
-        ends = level_masks(rows.part_u, rows.part_v, t, backward=True)
-        if ends is None:
-            return dp_feasible_block(*self.pairs(rows), t)
         masks = self.lead_masks(t) if self._masks[0] == t or len(rows.code) >= self.radix else None
-        if masks is None:
-            starts = level_masks(self.U[rows.code], self.V[rows.code], t)
-        else:
-            starts = masks.take(rows.code, axis=0)
-        return (starts & ends.take(rows.part, axis=0)).any(axis=1)
+        found = np.zeros(len(rows.code), dtype=bool)
+        step = max(1, _LEAD_TABLE_BYTES // (32 * max(mask_columns(t), 1)))
+        for lo in range(0, len(found), step):
+            code, part = rows.code[lo : lo + step], rows.part[lo : lo + step]
+            first, last = part.min(), part.max() + 1
+            ends = level_masks(rows.part_u[first:last], rows.part_v[first:last], t, backward=True)
+            ends = ends.take(part - first, axis=0)
+            if masks is None:
+                ends &= level_masks(self.U[code], self.V[code], t)
+            else:
+                ends &= masks.take(code, axis=0)
+            found[lo : lo + step] = ends.any(axis=1)
+        return found
 
     def values(self, rows: _Rows, t: int) -> np.ndarray:
         """The minimum increase of each row, for rows without a routing of increase at most t.

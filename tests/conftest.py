@@ -14,7 +14,7 @@ import re
 import numpy as np
 from hypothesis import strategies as st
 
-from ringload import search
+from ringload import exact, search
 from ringload.errors import LengthMismatch, NotParallel
 from ringload.instances import random_crossing
 from ringload.model import (
@@ -110,9 +110,10 @@ def random_small_big(rng: random.Random, m: int, D: int) -> CrossingInstance:
 
 # The scalar DP: one end point y at a time, in plain Python ints, with
 # the parity filter on y.  It is the oracle that exact's mask recurrences
-# (level_masks through dp_feasible_block, _probe through dp_feasible and
-# dp_min_increase) and the search screen that joins forward and backward
-# level_masks are compared against.
+# (level_masks, its words joined by window_masks, and through
+# dp_feasible_block; _probe through dp_feasible and dp_min_increase) and
+# the search screen that joins forward and backward level_masks are
+# compared against.
 
 
 def scalar_unit_pairs(cross: CrossingInstance) -> tuple[int, list[tuple[int, int]]]:
@@ -215,6 +216,43 @@ def scalar_dp_min_increase(cross: CrossingInstance) -> tuple[UnsplitRouting, int
             lo = mid + 1
     y, masks = scalar_feasible_any_y(pairs, lo)
     return scalar_solution(pairs, lo, y, masks), lo * g
+
+
+# The block references: level_masks read by its layout rule, stated here
+# on its own.  At t the masks have W = t // 64 + 1 uint64 words for each
+# end point y in [-t, t], and bit b of the window of (t, y) is bit b // W
+# of word b % W, in column w (2t + 1) + y + t for word w.
+
+
+def window_masks(masks: np.ndarray, t: int) -> list[list[int]]:
+    """Each row's level_masks at t as one Python int per end point, bit b for the point lo + b."""
+    W, C = t // 64 + 1, 2 * t + 1
+    words = masks.reshape(len(masks), W, C).astype("<u8")
+    bits = np.unpackbits(words.view(np.uint8).reshape(*words.shape, 8), axis=-1, bitorder="little")
+    bits = bits.transpose(0, 2, 3, 1).reshape(len(masks), C, 64 * W)  # bit p of word w at p W + w
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    return [[int.from_bytes(column.tobytes(), "little") for column in row] for row in packed]
+
+
+def dp_feasible_block(U: np.ndarray, V: np.ndarray, t: int) -> np.ndarray:
+    """Row-wise "some routing has increase at most t" for (rows, m) arrays, forward.
+
+    Row r stands for the pairs (U[r, k], V[r, k]), and is feasible where
+    some end point y in [-t, t] (none for t < 0) has bit y - lo set in its
+    window of the forward level_masks.  Rows run in slices of about 4 MB
+    of masks, and level_masks is looked up on exact at each call, so that
+    a test that patches it sees these calls too.
+    """
+    ys = np.arange(-t, t + 1)
+    bit = ys + (t - ys) // 2  # y - lo, lo = ceil((y - t) / 2)
+    W = t // 64 + 1
+    found = np.zeros(len(U), dtype=bool)
+    step = 1 + (1 << 19) // max(W * len(ys), 1)
+    for lo in range(0, len(U), step):
+        words = exact.level_masks(U[lo : lo + step], V[lo : lo + step], t)
+        words = words[:, bit % W * len(ys) + ys + t]
+        found[lo : lo + step] = (words >> (bit // W).astype(np.uint64) & np.uint64(1)).any(axis=1)
+    return found
 
 
 # Two steps that no code path of the package takes on its own, kept as

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     criterion_8_crossings,
+    dp_feasible_block,
     pattern_from_solution,
     random_ring,
     scalar_dp_feasible,
@@ -19,6 +20,7 @@ from conftest import (
     scalar_feasible_any_y,
     scalar_levels,
     split_rings,
+    window_masks,
 )
 from ringload import exact
 from ringload.cli import main
@@ -28,7 +30,6 @@ from ringload.exact import (
     brute_force_min_increase,
     brute_force_optimum_L,
     dp_feasible,
-    dp_feasible_block,
     dp_min_increase,
     level_masks,
 )
@@ -342,14 +343,16 @@ def test_dp_kernel_edge_cases():
 
 
 def test_level_masks_are_int64_for_every_t_up_to_62():
-    # A window holds at most t + 1 points, so the masks are int64 up to
-    # t = 62 at any step: a bit shifted past the window is dropped by the
-    # shift, numpy giving 0 for shifts of 64 or more, or cleared by the
-    # window's full mask.  Steps up to 1447 (a scan's largest D, less one)
-    # shift by that much; zeros and odd u + v reach both parities and the
-    # edge cases of a step.  Forward, column y + t is the scalar DP's last
-    # level at y; backward, it is that of the reversed pairs with u and v
-    # swapped at -y, whose window is the same one moved by -y.
+    # A window holds at most t + 1 points, so up to t = 62 the masks are
+    # one uint64 word per end point, below int64's sign bit, at any step: a
+    # bit shifted past the window is dropped by the shift, numpy giving 0
+    # for shifts of 64 or more, or cleared by the window's full mask.  Steps
+    # up to 1447 (a scan's largest D, less one) shift by that much; zeros
+    # and odd u + v reach both parities and the edge cases of a step.
+    # Forward, column y + t is the scalar DP's last level at y; backward, it
+    # is that of the reversed pairs with u and v swapped at -y, whose window
+    # is the same one moved by -y.  At t = 63 a window takes all 64 bits of
+    # a word, and from t = 64 on the masks take more words.
     shifts = np.arange(64, 101, dtype=np.uint64)
     words = np.full((len(shifts), 5), 2**64 - 1, dtype=np.uint64)
     for by in (shifts[0], shifts[:, None], np.repeat(shifts[:, None], 5, axis=1)):
@@ -363,7 +366,9 @@ def test_level_masks_are_int64_for_every_t_up_to_62():
         rows = [list(zip(u, v)) for u, v in zip(U.tolist(), V.tolist())]
         for t in (0, 31, 61, 62):
             forward, backward = level_masks(U, V, t), level_masks(U, V, t, backward=True)
-            assert forward.dtype == backward.dtype == np.int64
+            assert forward.shape == backward.shape == (24, 2 * t + 1)
+            assert forward.dtype == backward.dtype == np.uint64
+            assert forward.max() < 2**63 and backward.max() < 2**63
             for r, pairs in enumerate(rows):
                 swapped = [(v, u) for u, v in reversed(pairs)]
                 ys = range(-t, t + 1)
@@ -376,7 +381,43 @@ def test_level_masks_are_int64_for_every_t_up_to_62():
                 end = level_masks(U[:, k:], V[:, k:], t, backward=True)
                 assert (start & end).any(axis=1).tolist() == expected
             outcomes.update(expected)
-        assert level_masks(U, V, 63) is None and level_masks(U, V, 63, backward=True) is None
+        for backward in (False, True):
+            assert level_masks(U, V, 64, backward).shape == (24, 2 * (2 * 64 + 1))
+    assert outcomes == {True, False}
+
+
+def test_level_masks_in_many_words_match_the_scalar_levels():
+    # W = t // 64 + 1 words per end point: one word of all 64 bits at t =
+    # 63, two from t = 64, three from 128, four at 200.  Joined by the
+    # layout rule (window_masks), forward and backward columns are the
+    # scalar DP's last levels as at one word, and every split of a row
+    # meets in the middle exactly where the scalar DP, and the block
+    # reference, find the row feasible.  Steps up to 1447 move bits across
+    # words and whole windows; zeros and odd u + v reach both parities and
+    # the edge cases of a step.
+    rng = np.random.default_rng(99)
+    outcomes = set()
+    for t in (63, 64, 127, 128, 129, 200):
+        for m in range(1, 5):
+            tops = rng.choice([8, 64, 300, 1448], size=(16, 1))
+            U, V = rng.integers(0, tops, size=(16, m)), rng.integers(0, tops, size=(16, m))
+            U[0], V[1] = 0, 0
+            rows = [list(zip(u, v)) for u, v in zip(U.tolist(), V.tolist())]
+            forward, backward = level_masks(U, V, t), level_masks(U, V, t, backward=True)
+            assert forward.shape == backward.shape == (16, (t // 64 + 1) * (2 * t + 1))
+            ys = range(-t, t + 1)
+            joined = zip(rows, window_masks(forward, t), window_masks(backward, t))
+            for pairs, ahead, behind in joined:
+                swapped = [(v, u) for u, v in reversed(pairs)]
+                assert ahead == [scalar_levels(pairs, t, y)[-1] for y in ys]
+                assert behind == [scalar_levels(swapped, t, -y)[-1] for y in ys]
+            expected = [scalar_feasible_any_y(pairs, t) is not None for pairs in rows]
+            assert dp_feasible_block(U, V, t).tolist() == expected
+            for k in range(m + 1):
+                start = level_masks(U[:, :k], V[:, :k], t)
+                end = level_masks(U[:, k:], V[:, k:], t, backward=True)
+                assert (start & end).any(axis=1).tolist() == expected
+            outcomes.update(expected)
     assert outcomes == {True, False}
 
 

@@ -17,13 +17,15 @@ from conftest import (
     Interrupted,
     canonical_mask,
     decode_block,
+    dp_feasible_block,
     fail_after,
     scalar_feasible_any_y,
     scalar_levels,
+    window_masks,
 )
 from ringload import exact, search
 from ringload.errors import InfeasibleParams
-from ringload.exact import dp_feasible_block, dp_min_increase, level_masks
+from ringload.exact import dp_min_increase, level_masks
 from ringload.instances import _CROSSING_VU
 from ringload.reduction import rotated, standalone_crossing
 from ringload.scaled import from_int, parse_rational, rational_str, unscale
@@ -195,22 +197,28 @@ def fallback_rows(scan, rows, monkeypatch):
     return sum(sent)
 
 
-def without_int64_masks(monkeypatch):
-    """Asserts that every level_masks call from now on returns None; the calls made.
+def only_level_masks(monkeypatch):
+    """Refuses exact's per-row DP kernels from now on; the (t, backward) of each level_masks call.
 
     Both the module that defines level_masks and the search that imports
-    it are patched, so the screen's own calls are checked too.
+    it are patched, so the screen's own calls are recorded too, and each
+    call's masks are checked to have t // 64 + 1 words per end point.
     """
     calls = []
 
-    def refused(*args, **kwargs):
-        masks = level_masks(*args, **kwargs)
-        assert masks is None, "int64 masks past t = 62"
-        calls.append(args[2])
+    def recorded(U, V, t, backward=False):
+        masks = level_masks(U, V, t, backward)
+        assert masks.shape == (len(U), (t // 64 + 1) * (2 * t + 1))
+        calls.append((t, backward))
         return masks
 
-    monkeypatch.setattr(exact, "level_masks", refused)
-    monkeypatch.setattr(search, "level_masks", refused)
+    def refused(*args):
+        raise AssertionError("a per-row DP kernel ran")
+
+    for kernel in ("_lanes", "_lane_levels", "_probe"):
+        monkeypatch.setattr(exact, kernel, refused)
+    monkeypatch.setattr(exact, "level_masks", recorded)
+    monkeypatch.setattr(search, "level_masks", recorded)
     return calls
 
 
@@ -458,29 +466,37 @@ def test_block_screen_matches_scalar_screen_on_the_first_m4_d8_members():
     U, V = decode_block(StructuredFamily(4, 8), 0, 500)
     for t in range(-1, 13):
         assert_screen_matches_oracle(U, V, t)
+    # A block without rows answers in bools, at one word per end point and
+    # at several; the scan's rows have parts but no codes.
     empty = np.zeros((0, 4), dtype=np.int64)
-    assert dp_feasible_block(empty, empty, 3).tolist() == []
+    none = odd_rows(StructuredFamily(4, 8), 0, 64).select(np.zeros(0, dtype=np.int64))
+    for t in (3, 63, 200):
+        for backward in (False, True):
+            assert level_masks(empty, empty, t, backward).shape == (0, (t // 64 + 1) * (2 * t + 1))
+        for found in (dp_feasible_block(empty, empty, t), search._scan(4, 8).screen(none, t)):
+            assert found.dtype == bool and found.shape == (0,)
 
 
 def test_block_screen_on_probes_when_the_shifts_overflow_int64(monkeypatch):
-    # Past t = 62 a window passes int64's 63 mask bits, so every row runs on
-    # packed lanes, never on int64 masks.
+    # Past t = 62 a window passes int64's 63 mask bits, and from t = 64 on
+    # it takes two words: every row still runs on level_masks, one call for
+    # the block at each t, never on packed lanes or probes.
     family = StructuredFamily(4, 70)
     rng = random.Random(86)
     U, V = decode_indices(family, [rng.randrange(family.size) for _ in range(300)])
-    calls = without_int64_masks(monkeypatch)
+    calls = only_level_masks(monkeypatch)
     outcomes = set()
     for t in (63, 70, 100):
         outcomes.update(assert_screen_matches_oracle(U, V, t))
     assert outcomes == {True, False}
-    assert calls == [63, 70, 100]
+    assert calls == [(63, False), (70, False), (100, False)]
 
 
 def test_block_screen_past_62_bits_matches_scalar_oracle(monkeypatch):
     # Every t from 63 on puts a block past int64's 63 mask bits; odd u + v
     # and zeros reach both parities and the edge cases of a step.
     rng = np.random.default_rng(95)
-    calls = without_int64_masks(monkeypatch)
+    calls = only_level_masks(monkeypatch)
     outcomes = set()
     for m in range(1, 6):
         U = rng.integers(0, 71, size=(30, m))
@@ -508,10 +524,11 @@ def test_lead_screen_matches_block_screen_on_whole_families(m, D):
     (10, 76, (63, 75, 100)),
 ])
 def test_lead_screen_beyond_int64_masks(m, D, ts):
-    # The masks would pass int64 at these t, so no lead table is built, not
-    # even where one would fit _LEAD_TABLE_BYTES (D = 82: 1681 leads of
-    # position 0 alone), and the rows run from level 0 on packed lanes.
-    # Every 50th row is checked against the scalar DP too.
+    # The masks pass int64 at these t and take more words from t = 64 on.
+    # A lead table is kept where it fits _LEAD_TABLE_BYTES: at D = 82 (1681
+    # leads of position 0 alone) up to t = 77, 2 x 155 words a lead, so at
+    # t = 63 and 65 and not at 91 or 123; at m = 10, D = 76 (108300 leads)
+    # never.  Every 50th row is checked against the scalar DP too.
     family = StructuredFamily(m, D)
     rng = random.Random(92 + D)
     outcomes = set()
@@ -520,7 +537,8 @@ def test_lead_screen_beyond_int64_masks(m, D, ts):
         rows = odd_rows(family, lo, lo + 1500)
         for t in ts:
             assert t > 62  # beyond int64 masks
-            expected = assert_lead_screen_matches_block_screen(rows, m, D, t, cached=False)
+            cached = D == 82 and t <= 77
+            expected = assert_lead_screen_matches_block_screen(rows, m, D, t, cached)
             sample = rows.select(np.arange(0, len(rows.code), 50))
             oracle = [scalar_feasible_any_y(pairs, t) is not None
                       for pairs in rows_of(*search._scan(m, D).pairs(sample))]
@@ -534,29 +552,23 @@ def test_lead_screen_beyond_int64_masks(m, D, ts):
 ])
 def test_the_screen_meets_in_the_middle_without_a_lead_table(monkeypatch, m, D, t, past_int64):
     # The lead table would pass _LEAD_TABLE_BYTES at these t, so it is not
-    # kept; within int64 the rows compute their own leads' start masks and
-    # still meet their parts' end masks, at any step size, and only past
-    # t = 62 do they go whole to dp_feasible_block.  Every 7th row is
-    # checked against the scalar DP.
+    # kept; the rows compute their own leads' start masks and still meet
+    # their parts' end masks, at any step size, within int64 and past it
+    # alike: one level_masks call each, and no per-row kernel.  Every 7th
+    # row is checked against the scalar DP.
     family = StructuredFamily(m, D)
     scan = search._scan(m, D)
     assert scan.lead_masks(t) is None
-    assert not search._fits((scan.radix, 2 * t + 1), np.int64)
+    assert not search._fits((scan.radix, exact.mask_columns(t)), np.uint64)
     assert (t > 62) == past_int64
-    blocks = []
-
-    def recorded(U, V, t):
-        blocks.append(len(U))
-        return dp_feasible_block(U, V, t)
-
-    monkeypatch.setattr(search, "dp_feasible_block", recorded)
     lo = random.Random(96 + D).randrange(family.size - 3000)
     rows = odd_rows(family, lo, lo + 3000)
     rows = rows.select(np.arange(0, len(rows.code), 7))
     oracle = [scalar_feasible_any_y(pairs, t) is not None for pairs in rows_of(*scan.pairs(rows))]
+    calls = only_level_masks(monkeypatch)
     assert scan.screen(rows, t).tolist() == oracle
     assert set(oracle) == {True, False}
-    assert blocks == ([len(rows.code)] if past_int64 else [])
+    assert calls == [(t, True), (t, False)]
 
 
 def test_start_and_end_masks_meet_in_the_middle():
@@ -565,8 +577,8 @@ def test_start_and_end_masks_meet_in_the_middle():
     # rest, shared by suffix, have a common point exactly where the whole
     # row is feasible from level 0.  U and V up to 51 step past the window
     # at t = 10 on both sides; odd u + v and zeros reach both parities and
-    # the edge cases of a step.  Masks are int64 up to t = 62 at any step,
-    # and refused from t = 63 on.
+    # the edge cases of a step.  Masks are one uint64 word per end point up
+    # to t = 63 at any step, and two from t = 64 on.
     rng = np.random.default_rng(93)
     outcomes = set()
     for m in range(0, 7):
@@ -588,13 +600,14 @@ def test_start_and_end_masks_meet_in_the_middle():
                     outcomes.update(expected)
     assert outcomes == {True, False}
     for backward in (False, True):
-        assert level_masks(U + 1000, V + 1000, 62, backward).dtype == np.int64
-        assert level_masks(U, V, 63, backward) is None
+        for t, words in ((62, 1), (63, 1), (64, 2)):
+            masks = level_masks(U + 1000, V + 1000, t, backward)
+            assert masks.dtype == np.uint64 and masks.shape == (40, words * (2 * t + 1))
 
 
 def test_lead_screen_in_column_chunks(monkeypatch):
     # A _MASK_BITS of 600 would split _probe's end points into many column
-    # chunks at (4, 8); the int64 end masks of the parts are not chunked:
+    # chunks at (4, 8); the end masks of the parts are not chunked:
     # one backward level_masks call covers all 2t + 1 end points.
     family = StructuredFamily(4, 8)
     scan = search._scan(4, 8)
@@ -695,33 +708,36 @@ def test_only_a_block_of_radix_rows_builds_the_lead_table():
 
 def test_lead_masks_at_the_int64_edge():
     # At m=4, D=82 the lead table of position 0 alone fits _LEAD_TABLE_BYTES
-    # at t = 62 and 63, and the leads reach v = 81, past the window: a
-    # window takes up to t + 1 bits, all 63 below int64's sign bit at t =
-    # 62 and one more at t = 63, where rows screen from level 0.
+    # at t = 62 to 64, and the leads reach v = 81, past the window: a window
+    # takes up to t + 1 bits, all 63 below int64's sign bit at t = 62, all
+    # 64 bits of a word at t = 63, and two words at t = 64.  The table is
+    # kept at each, and its rows screen as the scalar DP does.
     family = StructuredFamily(4, 82)
     scan = search._scan(4, 82)
     U, V = scan.U[: scan.radix], scan.V[: scan.radix]
     assert scan.radix == 1681 and V.max() == 81
-    rows = odd_rows(family, 2000 * scan.radix, 2001 * scan.radix)
+    rows = odd_rows(family, 10**6 * scan.radix, (10**6 + 1) * scan.radix)
     rows = rows.select(np.arange(0, len(rows.code), 13))
-    for t, cached in ((62, True), (63, False)):
-        assert search._fits((scan.radix, 2 * t + 1), np.int64)
-        masks = level_masks(U, V, t)
-        assert (masks is not None) == cached
-        if cached:  # every 13th lead against the scalar DP's last level
-            for code in range(0, scan.radix, 13):
-                pairs = tuple(zip(U[code].tolist(), V[code].tolist()))
-                expected = [scalar_levels(pairs, t, y)[-1] for y in range(-t, t + 1)]
-                assert masks[code].tolist() == expected
-        assert_lead_screen_matches_block_screen(rows, 4, 82, t, cached)
+    outcomes = set()
+    for t in (62, 63, 64):
+        assert search._fits((scan.radix, exact.mask_columns(t)), np.uint64)
+        masks = level_masks(U, V, t)  # every 13th lead against the scalar DP's last level
+        for code, joined in zip(range(0, scan.radix, 13), window_masks(masks[::13], t)):
+            pairs = tuple(zip(U[code].tolist(), V[code].tolist()))
+            assert joined == [scalar_levels(pairs, t, y)[-1] for y in range(-t, t + 1)]
+        expected = assert_lead_screen_matches_block_screen(rows, 4, 82, t, cached=True)
+        pairs = rows_of(*scan.pairs(rows))
+        assert expected == [scalar_feasible_any_y(row, t) is not None for row in pairs]
+        outcomes.update(expected)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("m, D, threshold", [(2, 1000, 700), (10, 200, 150)])
 def test_the_scan_without_lead_tables_matches_the_decode_path(m, D, threshold):
     # Past _LEAD_TABLE_BYTES neither the key terms nor the lead masks are
-    # built; the rows pack their own leads, and as their masks pass 62 bits
-    # they screen from level 0.  The shard of about 2000 indices holds a
-    # canonical form.
+    # built; the rows pack their own leads and compute their own start
+    # masks, of 11 and 3 words per end point.  The shard of about 2000
+    # indices holds a canonical form.
     t = threshold - 1
     scan = search._scan(m, D)
     assert scan.terms is None and scan.lead_masks(t) is None
@@ -733,6 +749,29 @@ def test_the_scan_without_lead_tables_matches_the_decode_path(m, D, threshold):
     hits = search_lower_bound(m, D, from_int(threshold), shard=shard)
     assert hits == decode_path_search(m, D, from_int(threshold), shard)
     assert 0 < len(hits) < len(kept)  # the screen keeps some rows and drops others
+
+
+def test_the_screen_meets_in_row_slices_that_bound_its_memory():
+    # At m=2, D=1000 and t = 699 a row's masks take 11 words for each of
+    # 1399 end points, 123 KB: the start masks of 2000 rows would take 246
+    # MB, and a level makes several arrays of that size.  The screen meets
+    # starts and ends in slices of rows whose masks fit _LEAD_TABLE_BYTES
+    # four times over.
+    family = StructuredFamily(2, 1000)
+    scan = search._scan(2, 1000)
+    t = 699
+    lo = random.Random(99).randrange(family.size - 4000)
+    rows = odd_rows(family, lo, lo + 4000)
+    expected = dp_feasible_block(*scan.pairs(rows), t).tolist()
+    tracemalloc.start()
+    try:
+        found = scan.screen(rows, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found.tolist() == expected
+    assert set(expected) == {True, False}
+    assert len(rows.code) > 1900 and peak < 16 * 2**20
 
 
 def test_canonical_mask_on_python_ints_when_the_keys_overflow_int64():
@@ -895,15 +934,9 @@ def test_every_minimum_increase_is_odd_on_whole_families(m, D):
 def test_values_match_the_dp_past_62_bits(monkeypatch, m, D, t):
     # Canonical rows without a routing of increase at most t, from slices
     # around random canonical forms; every 8th is checked.  The sweep starts
-    # at t + 1 for an even t and at t + 2 for an odd one and meets in the
-    # middle in int64 up to 62; from 63 on its screens run the rows still
-    # unvalued whole in exact.dp_feasible_block.
-    blocks = []
-
-    def recorded(U, V, t):
-        blocks.append(t)
-        return dp_feasible_block(U, V, t)
-
+    # at t + 1 for an even t and at t + 2 for an odd one, and meets in the
+    # middle by level_masks alone on both sides of t = 63, where a window
+    # first fills a word, never by a per-row kernel.
     family = StructuredFamily(m, D)
     scan = search._scan(m, D)
     rng = random.Random(97 + m)
@@ -915,11 +948,14 @@ def test_values_match_the_dp_past_62_bits(monkeypatch, m, D, t):
         rows = rows.select(scan.canonical(rows))
         samples.append(rows.select(~scan.screen(rows, t)))
     members = [pairs for rows in samples for pairs in rows_of(*scan.pairs(rows))][::8]
-    monkeypatch.setattr(search, "dp_feasible_block", recorded)
+    expected = [unscale(dp_of(pairs, D)) for pairs in members]
+    calls = only_level_masks(monkeypatch)
     values = scan.values(member_rows(family, [family.encode(pairs) for pairs in members]), t)
-    assert values.tolist() == [unscale(dp_of(pairs, D)) for pairs in members]
+    assert values.tolist() == expected
     assert t < values.min() < 63 < values.max()
-    assert blocks[0] == 63  # past int64 from t = 63 on, and only there
+    sweep = list(range(t + 2, values.max() + 1, 2))
+    assert [s for s, backward in calls if backward] == sweep  # one screen at each s
+    assert {s for s, _ in calls} == set(sweep)
 
 
 def test_block_search_matches_scalar_search_on_small_families():
