@@ -52,7 +52,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -281,16 +281,34 @@ def mask_columns(t: int) -> int:
     return (t // 64 + 1) * (2 * t + 1)
 
 
-@lru_cache(maxsize=16)
+@cache
+def _word_tables(W: int) -> tuple[np.ndarray, np.ndarray]:
+    """The start and full words of every window in W words, read-only.
+
+    Column d of start, (W, 128 W), sets bit d // 2; column n - 1 of full,
+    (W, 64 W), sets the n bits of a window of n points (0 - 1 is all ones).
+    """
+    bit = np.arange(128 * W) // 2
+    start = np.zeros((W, 128 * W), dtype=np.uint64)
+    start[bit % W, np.arange(128 * W)] = np.uint64(1) << (bit // W).astype(np.uint64)
+    width = (np.arange(64 * W) - np.arange(W)[:, None]) // W + 1  # bits in word w, up to 64
+    full = (np.uint64(1) << width.astype(np.uint64)) - np.uint64(1)
+    for words in (start, full):
+        words.setflags(write=False)
+    return start, full
+
+
+# Two entries: a screen's slices run at one t, each with a backward and a forward call.
+@lru_cache(maxsize=2)
 def _window_masks(t: int, backward: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The start and full words of level_masks at t, read-only (W, 2t + 1) arrays."""
-    ys = np.arange(-t, t + 1)
-    lo, hi = _window(t, ys)
-    W, bit = t // 64 + 1, (ys if backward else 0) - lo
-    width = (hi - lo - np.arange(W)[:, None]) // W + 1  # bits of the window in word w, up to 64
-    full = (np.uint64(1) << width.astype(np.uint64)) - np.uint64(1)  # 0 - 1 is all ones
-    start = np.zeros_like(full)
-    start[bit % W, np.arange(len(ys))] = np.uint64(1) << (bit // W).astype(np.uint64)
+    """The start and full words of level_masks at t, read-only (W, 2t + 1) arrays.
+
+    Column y + t starts at bit (t - y) // 2 forward, (t + y) // 2 backward,
+    in a window of t + 1 - (t + y) % 2 points (_word_tables).
+    """
+    start, full = _word_tables(t // 64 + 1)
+    start = np.ascontiguousarray(start[:, : 2 * t + 1] if backward else start[:, 2 * t :: -1])
+    full = full.take(t - np.arange(start.shape[1]) % 2, axis=1)
     for words in (start, full):
         words.setflags(write=False)
     return start, full

@@ -772,6 +772,11 @@ def test_the_screen_meets_in_row_slices_that_bound_its_memory():
     assert found.tolist() == expected
     assert set(expected) == {True, False}
     assert len(rows.code) > 1900 and peak < 16 * 2**20
+    # The block reference runs level_masks too: every 50th row against the scalar DP.
+    sample = rows.select(np.arange(0, len(rows.code), 50))
+    oracle = [scalar_feasible_any_y(pairs, t) is not None for pairs in rows_of(*scan.pairs(sample))]
+    assert oracle == expected[::50]
+    assert set(oracle) == {True, False}
 
 
 def test_canonical_mask_on_python_ints_when_the_keys_overflow_int64():
