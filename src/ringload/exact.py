@@ -37,11 +37,13 @@ any t, forward from p(0) = 0 or backward from y, so that the search
 screen meets in the middle (Horowitz and Sahni, J. ACM 1974).
 Position-major, points are rows and end points are lanes within a row;
 every step moves all lanes by the same number of rows, so a level is one
-pair of row shifts at any D.  Up to _PACKED_BITS lanes times rows, all
-rows are one Python int and a level is two shifts of it (_lane_levels,
-on the lanes that _lanes sets up once); beyond that _probe holds each
-parity of end points in a uint64 array of rows and a level is two
-slice-ORs.  dp_min_increase binary-searches t on one row with _probe.
+pair of row shifts at any D.  The t + 1 rows of every lane form one bit
+matrix, row t cleared in the lanes whose window is t - 1 wide.  Up to
+_PACKED_BITS lanes times rows the matrix is one Python int and a level
+is two shifts of it (_lane_levels, on the lanes that _lanes sets up
+once); beyond that _probe holds it in a (t + 1)-row uint64 array per
+column chunk and a level is two slice-ORs.  dp_min_increase
+binary-searches t on one row with _probe.
 The routing (dp_feasible, dp_min_increase) is the walk back over the
 one-lane levels of its end point.
 """
@@ -353,26 +355,26 @@ def level_masks(U: np.ndarray, V: np.ndarray, t: int, backward: bool = False) ->
     return np.broadcast_to(mask, (len(U), W, C)).reshape(len(U), full.size)
 
 
-def _lanes(t: int, ys: list[int]) -> tuple[int, int, int, int]:
-    """K = len(ys) and the start, full and target masks of the end points ys (each |y| <= t).
+def _lanes(t: int, ys: list[int]) -> tuple[int, int, int]:
+    """K = len(ys) and the start and full masks of the end points ys (each |y| <= t).
 
     Bit q*K + j says whether p can be at lo + q (q in [0, t]) in the window
-    [lo, hi] of (t, ys[j]): start holds p(0) = 0 and target p(m) = ys[j] in
-    each lane j, and full clears row t in the lanes whose window is t - 1 wide.
+    [lo, hi] of (t, ys[j]): start holds p(0) = 0 in each lane j, and full
+    clears row t in the narrow lanes (t + ys[j] odd), whose window is t - 1
+    wide.
     """
     K = len(ys)
-    start = target = narrow = 0
+    start = narrow = 0
     for j, y in enumerate(ys):
         lo, hi = _window(t, y)
         start |= 1 << (-lo * K + j)
-        target |= 1 << ((y - lo) * K + j)
         narrow |= (hi - lo < t) << j
-    return K, start, ((1 << K * (t + 1)) - 1) ^ (narrow << K * t), target
+    return K, start, ((1 << K * (t + 1)) - 1) ^ (narrow << K * t)
 
 
-def _lane_levels(pairs: Iterable[tuple[int, int]], lanes: tuple[int, ...]) -> list[int]:
+def _lane_levels(pairs: Iterable[tuple[int, int]], lanes: tuple[int, int, int]) -> list[int]:
     """The masks of the lanes (_lanes) before and after each pair (v rows up or u down)."""
-    K, start, full, _ = lanes
+    K, start, full = lanes
     levels = [start]
     for u, v in pairs:
         R = levels[-1]
@@ -383,41 +385,37 @@ def _lane_levels(pairs: Iterable[tuple[int, int]], lanes: tuple[int, ...]) -> li
 def _probe(pairs: list[tuple[int, int]], t: int, ys: np.ndarray) -> np.ndarray:
     """Booleans over ys (each |y| <= t): some pattern of pairs has p(m) = y and increase <= t.
 
-    Up to _PACKED_BITS lanes times rows, the answers are the last packed
-    level (_lane_levels) ANDed with the lanes' target.  Wider probes run in
-    numpy: in window coordinates q = p - lo the columns of one parity of y
-    share the box [0, w], w = t or t - 1, and row q of a (w + 1, words)
-    uint64 array holds, in bit j, whether column j can be at q.  Columns
-    run in chunks of at most _MASK_BITS bits per array and at least 64.
+    Lane j answers by its row y - lo of the bit matrix of _lanes, whose
+    row t every level clears in the narrow lanes: one Python int up to
+    _PACKED_BITS lanes times rows (_lane_levels), else bit j of a (t + 1,
+    words) uint64 array, in column chunks of at most _MASK_BITS bits per
+    array and at least 64 lanes.
     """
     lo, hi = _window(t, ys)
     K = len(ys)
     if K * (t + 1) <= _PACKED_BITS:
-        lanes = _lanes(t, ys.tolist())
-        last = (_lane_levels(pairs, lanes)[-1] & lanes[3]).to_bytes(K * (t + 1) // 8 + 1, "little")
+        last = _lane_levels(pairs, _lanes(t, ys.tolist()))[-1].to_bytes(K * (t + 1) // 8 + 1, "little")
         bits = np.unpackbits(np.frombuffer(last, dtype=np.uint8), bitorder="little")
         return bits[(ys - lo) * K + np.arange(K)].astype(bool)
-    found = np.zeros(len(ys), dtype=bool)
-    for w in (t, t - 1):
-        group = np.flatnonzero(hi - lo == w)
-        if not group.size:  # also w < 0, which no |y| <= t has
-            continue
-        chunk = max(64, _MASK_BITS // (w + 1) // 64 * 64)
-        for c in range(0, len(group), chunk):
-            cols = group[c : c + chunk]
-            word, shift = np.divmod(np.arange(len(cols)), 64)
-            bit = np.uint64(1) << shift.astype(np.uint64)
-            R = np.zeros((w + 1, -(-len(cols) // 64)), dtype=np.uint64)
-            R[-lo[cols], word] = bit  # the starts p(0) = 0 are distinct in a group
-            S = np.empty_like(R)
-            for u, v in pairs:
-                S[: min(v, w + 1)] = 0
-                if v <= w:
-                    S[v:] = R[: w + 1 - v]
-                if u <= w:
-                    S[: w + 1 - u] |= R[u:]
-                R, S = S, R
-            found[cols] = (R[(ys - lo)[cols], word] & bit) != 0
+    found = np.empty(K, dtype=bool)
+    chunk = max(64, _MASK_BITS // (t + 1) // 64 * 64)
+    for c in range(0, K, chunk):
+        cols = slice(c, c + chunk)
+        word, shift = np.divmod(np.arange(len(ys[cols])), 64)
+        bit = np.uint64(1) << shift.astype(np.uint64)
+        R = np.zeros((t + 1, word[-1] + 1), dtype=np.uint64)
+        np.bitwise_or.at(R, (-lo[cols], word), bit)  # lanes can share a start row and word
+        keep = np.bitwise_or.reduceat(bit * (hi - lo == t)[cols], np.arange(0, len(bit), 64))
+        S = np.empty_like(R)
+        for u, v in pairs:
+            S[: min(v, t + 1)] = 0
+            if v <= t:
+                S[v:] = R[: t + 1 - v]
+            if u <= t:
+                S[: t + 1 - u] |= R[u:]
+            S[t] &= keep  # the narrow lanes lose row t
+            R, S = S, R
+        found[cols] = (R[(ys - lo)[cols], word] & bit) != 0
     return found
 
 

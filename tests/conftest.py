@@ -111,7 +111,8 @@ def random_small_big(rng: random.Random, m: int, D: int) -> CrossingInstance:
 # The scalar DP: one end point y at a time, in plain Python ints, with
 # the parity filter on y.  It is the oracle that exact's mask recurrences
 # (level_masks, its words joined by window_masks, and through
-# dp_feasible_block; _probe through dp_feasible and dp_min_increase) and
+# dp_feasible_block; _probe through dp_min_increase; _walk_back through
+# dp_feasible and dp_min_increase) and
 # the search screen that joins forward and backward level_masks are
 # compared against.
 

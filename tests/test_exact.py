@@ -477,9 +477,25 @@ def test_probe_packings_agree_on_partial_end_point_sets(monkeypatch):
             assert exact._probe(pairs, t, ys).tolist() == expected, (cross, t, ys)
 
 
+def test_probe_lanes_share_start_rows_and_narrow_lanes_lose_row_t(monkeypatch):
+    # Both packings hold one (t + 1)-row box for all lanes.  Lanes of both
+    # parities can start in the same row (and word), so the starts are
+    # ORed in; row t lies outside the window of a narrow lane (t + y odd),
+    # so every level clears it there.
+    for packed_bits in BOTH_PACKINGS:
+        monkeypatch.setattr(exact, "_PACKED_BITS", packed_bits)
+        # y = 0 and y = -1 share start row 1.  The only route to y = 1
+        # passes point 2, one past its narrow window [0, 1].
+        found = exact._probe([(1, 2), (1, 1)], 2, np.array([1, 0, -1, 2, -2]))
+        assert found.tolist() == [False, True, False, False, True]
+        # y = -1 and y = 0 share start row 2.
+        found = exact._probe([(2, 3), (1, 2)], 4, np.array([-1, 0, 1]))
+        assert found.tolist() == [False, True, False]
+
+
 def test_probe_in_column_chunks_matches_scalar_oracle(monkeypatch):
     # With _MASK_BITS below one row, every chunk holds 64 columns; at
-    # t = 150 each parity group of about 150 columns takes three.
+    # t = 150 the 301 lanes take five.
     monkeypatch.setattr(exact, "_MASK_BITS", 40)
     monkeypatch.setattr(exact, "_PACKED_BITS", 0)
     for seed in range(3):
