@@ -50,7 +50,6 @@ from .patterns import (
 )
 from .reduction import (
     CrossingInstance,
-    demands_cross,
     lift_solution,
     reduce_to_crossing,
     standalone_crossing,

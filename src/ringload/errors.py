@@ -40,10 +40,6 @@ class SchemaError(RingLoadingError):
     search checkpoint is not hit records of its run followed by an index."""
 
 
-class NotParallel(RingLoadingError):
-    """Uncrossing was requested for a pair of crossing demands."""
-
-
 class LengthMismatch(RingLoadingError):
     """A routing vector does not match the instance it is applied to."""
 

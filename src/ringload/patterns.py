@@ -18,6 +18,7 @@ what the closeness guarantees of the small/big analysis rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .errors import (
     EndOutOfRange,
@@ -39,8 +40,8 @@ class Pattern:
         if len(self.points) != self.owner.m + 1:
             raise ValueError(f"pattern needs m+1 = {self.owner.m + 1} points")
         points = self.points
-        for k, (u, v) in enumerate(self.owner.pairs):
-            step = points[k + 1] - points[k]
+        for k, (u, v), here, there in zip(count(), self.owner.pairs, points, points[1:]):
+            step = there - here
             if step != v and step != -u:
                 raise ValueError(f"step #{k} is {step}, admissible: {v} or {-u}")
 

@@ -5,9 +5,10 @@ nodes k and k+m, every pair of demands crossing, and every demand strictly
 split (u_k clockwise, v_k counterclockwise, both positive).  The reduction
 
   1. uncrosses parallel demand pairs (rerouting flow so that one of the
-     two becomes unsplittable, never increasing any edge load; a suffix
-     of demands that already cross pairwise is skipped, since none of its
-     pairs can ever be uncrossed),
+     two becomes unsplittable, never increasing any edge load) in one
+     pair sweep, which stops at the suffix of demands that cross pairwise,
+     since none of its pairs can ever be uncrossed; the suffix grows as
+     the sweep leaves demands unsplit,
   2. fixes every unsplittably routed demand in its direction,
   3. contracts nodes that are no endpoint of a remaining demand (their two
      incident edges carry equal remaining load), and
@@ -31,10 +32,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
-from operator import ne
+from itertools import compress, count
+from operator import lt, ne
 
-from .errors import InfeasibleParams, LengthMismatch, NotParallel
+from .errors import InfeasibleParams, LengthMismatch
 from .model import (
     CCW,
     CW,
@@ -112,68 +113,49 @@ def rotated(pairs: tuple[tuple[int, int], ...], shift: int) -> tuple[tuple[int, 
     return tuple((v, u) for u, v in pairs[cut:]) + tuple(pairs[:cut])
 
 
-def demands_cross(first: tuple[int, int], second: tuple[int, int]) -> bool:
-    """True iff the two demands cross (no edge-disjoint path pair exists).
-
-    Demands sharing an endpoint are parallel: disjoint paths always exist.
-    """
-    i, j = first
-    k, l = second
-    if i == k or i == l or j == k or j == l:
-        return False
-    return (i < k < j) != (i < l < j)
-
-
-def _uncrossed_amounts(
-    a: tuple[int, int, Scaled], b: tuple[int, int, Scaled], cw_a: Scaled, cw_b: Scaled
-) -> tuple[Scaled, Scaled]:
-    """New clockwise amounts of a split parallel pair of demands (i, j, d); no checks.
-
-    Flow min{x_b1, x_b2} moves onto the first edge-disjoint path pair in
-    the order cw/cw, cw_a/ccw_b, ccw_a/cw_b (a's clockwise arc first, for
-    determinism); two counterclockwise arcs always share edge n.
-    """
-    (i, j, d_a), (k, l, d_b) = a, b
-    if j <= k or l <= i:
-        shift = min(d_a - cw_a, d_b - cw_b)
-        return cw_a + shift, cw_b + shift
-    if k <= i and j <= l:
-        shift = min(d_a - cw_a, cw_b)
-        return cw_a + shift, cw_b - shift
-    if i <= k and l <= j:
-        shift = min(cw_a, d_b - cw_b)
-        return cw_a - shift, cw_b + shift
-    raise NotParallel(f"demands ({i},{j}) and ({k},{l}) admit no edge-disjoint paths")
-
-
-def _crossing_suffix(inst: RingInstance, cw: list[Scaled]) -> int:
+def _crossing_suffix(
+    inst: RingInstance, cw: list[Scaled], start: int, lows: list[int], highs: list[int]
+) -> int:
     """Smallest s such that the demands split from index s on cross pairwise.
 
-    Walks down from the last demand.  The endpoints of t pairwise-crossing
-    chords, sorted by i, run i_1 < ... < i_t < j_1 < ... < j_t, so a new
-    chord (i, j) sharing no endpoint crosses them all exactly when it
-    takes the same place p among the i's as among the j's, with i < j_1
-    where p = t and j > i_t where p = 0.  lows and highs hold the -i and
-    the -j ascending: one bisect pair per chord finds its places, and the
-    usual new chord, below all found so far, is appended.
+    Walks down from start; a fresh walk starts at len(cw) with empty lists.
+    The endpoints of t pairwise-crossing chords, sorted by i, run i_1 < ...
+    < i_t < j_1 < ... < j_t, so a new chord (i, j) sharing no endpoint
+    crosses them all exactly when it takes the same place p among the i's
+    as among the j's, with i < j_1 where p = t and j > i_t where p = 0.
+    lows and highs hold the -i and the -j ascending, of the split demands
+    from start on; the walk extends them in place, so the sweep can resume
+    it.  One bisect pair per chord finds its places, but the usual new
+    chord, below all found so far, is appended after three comparisons: a
+    ring of split chords in ring order, as CrossingInstance.to_ring lists
+    them, takes one bisect, for its last chord.
     """
-    lows: list[int] = []
-    highs: list[int] = []
-    columns = (cw, inst.d, inst.i, inst.j)
-    for s, x, d, i, j in zip(range(len(cw) - 1, -1, -1), *map(reversed, columns)):
-        if x == 0 or x == d:
+    I, J, values = inst.i, inst.j, inst.d
+    low = high = top = 0  # the smallest i, smallest j and largest i found
+    if lows:
+        low, high, top = -lows[-1], -highs[-1], -lows[0]
+    for s in range(start - 1, -1, -1):
+        x = cw[s]
+        if x == 0 or x == values[s]:
             continue
-        low, high, t = -i, -j, len(lows)
-        above = bisect_left(lows, low)  # the i's above i
+        i, j = I[s], J[s]
+        if i < low and top < j < high:
+            lows.append(-i)
+            highs.append(-j)
+            low, high = i, j
+            continue
+        t = len(lows)
+        above = bisect_left(lows, -i)  # the i's above i
         if t and (
-            above != bisect_left(highs, high)
-            or (above < t and (lows[above] == low or highs[above] == high))
-            or (above == 0 and low <= highs[-1])
-            or (above == t and high >= lows[0])
+            above != bisect_left(highs, -j)
+            or (above < t and (lows[above] == -i or highs[above] == -j))
+            or (above == 0 and -i <= highs[-1])
+            or (above == t and -j >= lows[0])
         ):
             return s + 1
-        lows.insert(above, low)
-        highs.insert(above, high)
+        lows.insert(above, -i)
+        highs.insert(above, -j)
+        low, high, top = -lows[-1], -highs[-1], -lows[0]
     return 0
 
 
@@ -181,31 +163,60 @@ def _uncross_all(inst: RingInstance, split: SplitRouting) -> SplitRouting:
     # One lexicographic pair sweep.  Uncrossing (a, b) leaves a or b
     # unsplit, an unsplit demand is never touched again and crossing is
     # fixed, so every pair already skipped stays skipped: rescanning
-    # from the start after a change would find nothing new.  Rows from
-    # the crossing suffix on are skipped too: a demand only goes from
-    # split to unsplit, so at such a row every split b > a still belongs
-    # to the pairwise-crossing suffix and crosses a.
+    # from the start after a change would find nothing new.  The sweep
+    # ends at the crossing suffix: a demand only goes from split to
+    # unsplit, so at a row at or past its start every split b > a is a
+    # suffix member and crosses a.  The suffix only grows: after a row
+    # whose scan unsplits a member (it leaves lows and highs by one
+    # bisect) or the blocking row start - 1, the walk resumes there.
     cw = list(split.cw)
-    start = _crossing_suffix(inst, cw)
-    if not start:  # every split demand is in the crossing suffix
-        return split
-    values = inst.d
-    ends = list(zip(inst.i, inst.j))
-    rows = list(zip(inst.i, inst.j, values))
+    lows: list[int] = []
+    highs: list[int] = []
     k = len(cw)
-    for a in range(start):
+    start = _crossing_suffix(inst, cw, k, lows, highs)
+    I, J, values = inst.i, inst.j, inst.d
+    for a in range(k):
+        if a >= start:
+            break
         x_a, d_a = cw[a], values[a]
         if x_a == 0 or x_a == d_a:
             continue
-        ends_a, row_a = ends[a], rows[a]
+        i, j = I[a], J[a]
+        resume = False
         for b in range(a + 1, k):
-            x_b = cw[b]
-            if x_b == 0 or x_b == values[b] or demands_cross(ends_a, ends[b]):
+            x_b, d_b = cw[b], values[b]
+            if x_b == 0 or x_b == d_b:
                 continue
-            x_a, cw[b] = _uncrossed_amounts(row_a, rows[b], x_a, x_b)
+            p, q = I[b], J[b]
+            # Flow min{x_b1, x_b2} moves onto the first edge-disjoint path
+            # pair in the order cw/cw, cw_a/ccw_b, ccw_a/cw_b (a's clockwise
+            # arc first, for determinism); two counterclockwise arcs always
+            # share edge n, and crossing demands have no disjoint pair.
+            if j <= p or q <= i:
+                shift = min(d_a - x_a, d_b - x_b)
+                x_a += shift
+                x_b += shift
+            elif p <= i and j <= q:
+                shift = min(d_a - x_a, x_b)
+                x_a += shift
+                x_b -= shift
+            elif i <= p and q <= j:
+                shift = min(x_a, d_b - x_b)
+                x_a -= shift
+                x_b += shift
+            else:
+                continue
+            cw[b] = x_b
+            if (x_b == 0 or x_b == d_b) and b >= start - 1:
+                resume = True
+                if b >= start:
+                    at = bisect_left(lows, -p)
+                    del lows[at], highs[at]
             if x_a == 0 or x_a == d_a:
                 break
         cw[a] = x_a
+        if resume:
+            start = _crossing_suffix(inst, cw, start, lows, highs)
     return SplitRouting(tuple(cw))
 
 
@@ -221,15 +232,13 @@ def reduce_to_crossing(
     # i_0 < ... < i_{m-1} < j_0 < ... < j_{m-1}: the reduced ring's nodes
     # in clockwise order, demand k from node k to node k + m, cw still cw.
     cw, values = uncrossed.cw, inst.d
-    demand_map = sorted(
-        (idx for idx, (x, d) in enumerate(zip(cw, values)) if x != 0 and x != d),
-        key=inst.i.__getitem__,
-    )
+    still_split = [idx for idx, x, d in zip(count(), cw, values) if x and x != d]
+    demand_map = sorted(still_split, key=inst.i.__getitem__)
     m = len(demand_map)
     lows = [inst.i[idx] for idx in demand_map]
     highs = [inst.j[idx] for idx in demand_map]
     nodes = lows + highs
-    assert nodes == sorted(set(nodes)), "split demands must cross pairwise"
+    assert all(map(lt, nodes, nodes[1:])), "split demands must cross pairwise"
     us = [cw[idx] for idx in demand_map]
     vs = [values[idx] - cw[idx] for idx in demand_map]
     pairs = tuple(zip(us, vs))

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ringload import exact, search
-from ringload.errors import LengthMismatch, NotParallel
+from ringload.errors import LengthMismatch
 from ringload.instances import random_crossing
 from ringload.model import (
     CCW,
@@ -29,8 +29,7 @@ from ringload.model import (
 from ringload.patterns import Pattern
 from ringload.reduction import (
     CrossingInstance,
-    _uncrossed_amounts,
-    demands_cross,
+    _crossing_suffix,
     lift_solution,
     standalone_crossing,
 )
@@ -256,9 +255,49 @@ def dp_feasible_block(U: np.ndarray, V: np.ndarray, t: int) -> np.ndarray:
     return found
 
 
-# Two steps that no code path of the package takes on its own, kept as
-# oracles: one uncrossing step (the reduction's sweep makes many at once)
-# and the pattern of a routing (the routes read routings off patterns).
+# Steps that no code path of the package takes on its own, kept as
+# oracles: the crossing test and the flow move of one demand pair, one
+# uncrossing step (the reduction's sweep makes many at once, inline) and
+# the pattern of a routing (the routes read routings off patterns).
+
+
+def demands_cross(first: tuple[int, int], second: tuple[int, int]) -> bool:
+    """True iff the two demands cross (no edge-disjoint path pair exists).
+
+    Demands sharing an endpoint are parallel: disjoint paths always exist.
+    """
+    i, j = first
+    k, l = second
+    if i == k or i == l or j == k or j == l:
+        return False
+    return (i < k < j) != (i < l < j)
+
+
+def uncrossed_amounts(
+    a: tuple[int, int, Scaled], b: tuple[int, int, Scaled], cw_a: Scaled, cw_b: Scaled
+) -> tuple[Scaled, Scaled]:
+    """New clockwise amounts of a split parallel pair of demands (i, j, d); no checks.
+
+    Flow min{x_b1, x_b2} moves onto the first edge-disjoint path pair in
+    the order cw/cw, cw_a/ccw_b, ccw_a/cw_b (a's clockwise arc first, for
+    determinism); two counterclockwise arcs always share edge n.
+    """
+    (i, j, d_a), (k, l, d_b) = a, b
+    if j <= k or l <= i:
+        shift = min(d_a - cw_a, d_b - cw_b)
+        return cw_a + shift, cw_b + shift
+    if k <= i and j <= l:
+        shift = min(d_a - cw_a, cw_b)
+        return cw_a + shift, cw_b - shift
+    if i <= k and l <= j:
+        shift = min(cw_a, d_b - cw_b)
+        return cw_a - shift, cw_b + shift
+    raise ValueError(f"demands ({i},{j}) and ({k},{l}) admit no edge-disjoint paths")
+
+
+def crossing_suffix(inst: RingInstance, cw: list[Scaled]) -> int:
+    """Start of the pairwise-crossing suffix, by a fresh walk from the end."""
+    return _crossing_suffix(inst, cw, len(cw), [], [])
 
 
 def uncross_pair(inst: RingInstance, split: SplitRouting, a: int, b: int) -> SplitRouting:
@@ -271,12 +310,12 @@ def uncross_pair(inst: RingInstance, split: SplitRouting, a: int, b: int) -> Spl
     validate_instance(inst, split)
     dem_a, dem_b = inst.demands[a], inst.demands[b]
     if demands_cross((dem_a.i, dem_a.j), (dem_b.i, dem_b.j)):
-        raise NotParallel(f"demands #{a} and #{b} cross")
+        raise ValueError(f"demands #{a} and #{b} cross")
     cw_a, cw_b = split.cw[a], split.cw[b]
     if cw_a in (0, dem_a.d) or cw_b in (0, dem_b.d):
         return split
     new_cw = list(split.cw)
-    new_cw[a], new_cw[b] = _uncrossed_amounts(
+    new_cw[a], new_cw[b] = uncrossed_amounts(
         (dem_a.i, dem_a.j, dem_a.d), (dem_b.i, dem_b.j, dem_b.d), cw_a, cw_b
     )
     return SplitRouting(tuple(new_cw))

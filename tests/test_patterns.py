@@ -42,6 +42,16 @@ def test_pattern_validates_steps():
         Pattern(cross, (5 * S, 2 * S))
 
 
+@pytest.mark.parametrize("bad", [0, 1, 2])
+def test_pattern_names_its_first_bad_step(bad):
+    cross = cross_of([(3, 7), (6, 4), (1, 1)], 10)
+    points = [5 * S, 2 * S, 6 * S, 5 * S]
+    for k in range(bad + 1, 4):
+        points[k] += S  # step bad is one too long, the steps after it fit again
+    with pytest.raises(ValueError, match=f"^step #{bad} is "):
+        Pattern(cross, tuple(points))
+
+
 def test_performance_single_step():
     cross = cross_of([(1, 1)], 2)
     assert performance(Pattern(cross, (0, S))) == S

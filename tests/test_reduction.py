@@ -7,8 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import lifted_unsplit, pattern_from_solution, random_ring, split_rings, uncross_pair
-from ringload.errors import LengthMismatch, NotParallel
+from conftest import (
+    crossing_suffix,
+    demands_cross,
+    lifted_unsplit,
+    pattern_from_solution,
+    random_ring,
+    split_rings,
+    uncross_pair,
+    uncrossed_amounts,
+)
+from ringload.errors import LengthMismatch
 from ringload import reduction
 from ringload.instances import builtin, random_crossing
 from ringload.model import (
@@ -25,9 +34,7 @@ from ringload.patterns import performance
 from ringload.reduction import (
     CrossingInstance,
     _crossing_split_loads,
-    _crossing_suffix,
     _uncross_all,
-    demands_cross,
     lift_solution,
     reduce_to_crossing,
     rotated,
@@ -84,7 +91,7 @@ def test_uncross_pair_six_nodes():
 
 def test_uncross_pair_rejects_crossing_demands():
     inst, split = builtin("fig1")
-    with pytest.raises(NotParallel):
+    with pytest.raises(ValueError, match="cross"):
         uncross_pair(inst, split, 0, 1)
 
 
@@ -322,7 +329,7 @@ def sweep_uncross_all(inst, split):
             dem_b = demands[b]
             if cw[b] in (0, dem_b.d) or demands_cross((dem_a.i, dem_a.j), (dem_b.i, dem_b.j)):
                 continue
-            cw[a], cw[b] = reduction._uncrossed_amounts(
+            cw[a], cw[b] = uncrossed_amounts(
                 (dem_a.i, dem_a.j, dem_a.d), (dem_b.i, dem_b.j, dem_b.d), cw[a], cw[b]
             )
     return SplitRouting(tuple(cw))
@@ -429,6 +436,21 @@ def with_extra_demands(inst, split, rng, count):
     return RingInstance(inst.n, tuple(demands)), SplitRouting(tuple(cw))
 
 
+def with_short_chords(inst, split, rng, count, append):
+    """Add count split chords (a, a + 1), d = 2, cw = 1, appended or at random indices.
+
+    A short chord crosses no demand, so it blocks the crossing suffix of a
+    crossing ring until the sweep unsplits it.
+    """
+    i, j, d, cw = list(inst.i), list(inst.j), list(inst.d), list(split.cw)
+    for _ in range(count):
+        a = rng.randint(1, inst.n - 1)
+        pos = len(i) if append else rng.randint(0, len(i))
+        for column, value in ((i, a), (j, a + 1), (d, from_int(2)), (cw, from_int(1))):
+            column.insert(pos, value)
+    return RingInstance.from_columns(inst.n, i, j, d), SplitRouting(tuple(cw))
+
+
 def test_uncross_all_matches_sweep_on_perturbed_crossing_rings():
     rng = random.Random(37)
     suffix_ended_early = 0
@@ -436,7 +458,7 @@ def test_uncross_all_matches_sweep_on_perturbed_crossing_rings():
         m = rng.randint(2, 300)
         inst, split = random_crossing(m, rng.randint(2, 20), seed=trial).to_ring()
         inst, split = with_extra_demands(inst, split, rng, trial % 4)
-        suffix_ended_early += _crossing_suffix(inst, list(split.cw)) > 0
+        suffix_ended_early += crossing_suffix(inst, list(split.cw)) > 0
         assert_reduction_matches_sweep(inst, split)
     assert suffix_ended_early >= 10
 
@@ -466,6 +488,35 @@ def test_uncross_all_matches_sweep_on_random_half_integer_rings():
         assert _uncross_all(inst, split) == sweep_uncross_all(inst, split)
 
 
+def test_uncross_all_matches_sweep_as_the_suffix_grows():
+    # The sweep resumes the suffix walk after unsplitting its blocking row
+    # (the split row just below it) or one of its members.  Random rings,
+    # crossing rings with extra demands and crossing rings with 1-4 short
+    # chords anywhere; each trigger and the growth itself must be seen.
+    rng = random.Random(45)
+    grown = blocker_unsplit = member_unsplit = 0
+    for trial in range(3000):
+        if trial % 3 == 0:
+            inst, split = random_ring(rng, max_n=(6, 12, 40)[trial % 9 // 3], max_demands=30)
+        else:
+            inst, split = random_crossing(rng.randint(2, 40), rng.randint(2, 20), seed=trial).to_ring()
+            if trial % 3 == 1:
+                inst, split = with_extra_demands(inst, split, rng, rng.randint(1, 4))
+            else:
+                inst, split = with_short_chords(inst, split, rng, rng.randint(1, 4), append=False)
+        uncrossed = sweep_uncross_all(inst, split)
+        assert _uncross_all(inst, split) == uncrossed
+        start = crossing_suffix(inst, list(split.cw))
+        grown += crossing_suffix(inst, list(uncrossed.cw)) < start
+        unsplit = [x not in (0, d) and y in (0, d)
+                   for x, y, d in zip(split.cw, uncrossed.cw, inst.d)]
+        blocker_unsplit += start > 0 and unsplit[start - 1]
+        member_unsplit += any(unsplit[start:])
+    # Seen at this seed: 2332, 1894 and 779 of the 3000 rings; every ring
+    # with short chords grew its suffix.
+    assert grown >= 1500 and blocker_unsplit >= 1200 and member_unsplit >= 500
+
+
 def pairwise_crossing_suffix(demands, cw):
     """Smallest s such that every two demands split from index s on cross."""
     for s in range(len(demands) + 1):
@@ -492,29 +543,51 @@ def test_crossing_suffix_matches_pairwise_definition():
         demands = tuple(Demand(i, j, from_int(2)) for i, j in chords)
         cw = [from_int(rng.choice((1, 1, 1, 0, 2))) for _ in chords]
         expected = pairwise_crossing_suffix(demands, cw)
-        assert _crossing_suffix(RingInstance(n, demands), cw) == expected
+        assert crossing_suffix(RingInstance(n, demands), cw) == expected
         long_suffixes += len(chords) - expected >= 4
     assert long_suffixes >= 300
 
 
-def count_crossing_tests(monkeypatch):
-    calls = [0]
+def count_pair_visits(monkeypatch, inst):
+    """Count the reads of inst.j that _uncross_all makes outside its suffix walk.
 
-    def counted(*args):
-        calls[0] += 1
-        return demands_cross(*args)
+    The sweep reads j once for each split outer row it scans and once for
+    each split pair it visits.  Reads by _crossing_suffix and by the rest of
+    the reduction are not counted.  inst's j column becomes a counting tuple,
+    and calls must go through the module, reduction._uncross_all.
+    """
+    reads, counting = [0], [False]
 
-    monkeypatch.setattr(reduction, "demands_cross", counted)
-    return calls
+    class Column(tuple):
+        def __getitem__(self, key):
+            reads[0] += counting[0]
+            return super().__getitem__(key)
+
+    def count_within(name, on):
+        function = getattr(reduction, name)
+
+        def wrapper(*args):
+            before, counting[0] = counting[0], on
+            try:
+                return function(*args)
+            finally:
+                counting[0] = before
+
+        monkeypatch.setattr(reduction, name, wrapper)
+
+    count_within("_uncross_all", True)
+    count_within("_crossing_suffix", False)
+    object.__setattr__(inst, "j", Column(inst.j))
+    return reads
 
 
 @pytest.mark.parametrize("m", [1000, 20000])
 def test_reducing_a_crossing_ring_tests_no_pair(monkeypatch, m):
     direct = random_crossing(m, 20, seed=m)
     inst, split = direct.to_ring()
-    calls = count_crossing_tests(monkeypatch)
+    visits = count_pair_visits(monkeypatch, inst)
     cross, _ = reduce_to_crossing(inst, split)
-    assert calls[0] == 0
+    assert visits[0] == 0
     assert cross.pairs == direct.pairs
     assert cross.demand_map == tuple(range(m))
     # Every node is an endpoint and nothing is fixed, so the backmap is the
@@ -523,21 +596,36 @@ def test_reducing_a_crossing_ring_tests_no_pair(monkeypatch, m):
 
 
 def test_a_parallel_demand_ends_the_crossing_suffix(monkeypatch):
-    # A short chord inside the first arc crosses no demand; rows up to its
-    # index still scan, the rows after it do not.
+    # A short chord inside the first arc crosses no demand, so the suffix
+    # starts after it.  Row 0 shares node 1 with it, and the scan that
+    # unsplits the chord unblocks the suffix, which then reaches row 1.
     m = 1000
     inst, split = random_crossing(m, 20, seed=1).to_ring()
     demands, cw = list(inst.demands), list(split.cw)
     demands.insert(m // 2, Demand(1, 2, from_int(2)))
     cw.insert(m // 2, from_int(1))
     inst, split = RingInstance(inst.n, tuple(demands)), SplitRouting(tuple(cw))
-    assert _crossing_suffix(inst, cw) == m // 2 + 1
-    calls = count_crossing_tests(monkeypatch)
-    uncrossed = _uncross_all(inst, split)
+    assert crossing_suffix(inst, cw) == m // 2 + 1
+    visits = count_pair_visits(monkeypatch, inst)
+    uncrossed = reduction._uncross_all(inst, split)
     k = len(demands)
-    assert 0 < calls[0] < k * k // 2
+    assert 0 < visits[0] <= k
     monkeypatch.undo()
     assert uncrossed == sweep_uncross_all(inst, split)
+    assert crossing_suffix(inst, list(uncrossed.cw)) <= 1
+
+
+@pytest.mark.parametrize("count", [1, 10, 100])
+@pytest.mark.parametrize("append", [True, False])
+def test_short_chords_keep_the_sweep_near_linear(monkeypatch, count, append):
+    # A sweep whose suffix stays blocked by the chords visits about k^2 / 2
+    # pairs here; unblocking it as the chords are unsplit leaves row 0's scan.
+    base, base_split = random_crossing(1000, 1000, 1).to_ring()
+    inst, split = with_short_chords(base, base_split, random.Random(count), count, append)
+    expected = sweep_uncross_all(inst, split)
+    visits = count_pair_visits(monkeypatch, inst)
+    assert reduction._uncross_all(inst, split) == expected
+    assert visits[0] <= 2 * len(inst.d)
 
 
 @pytest.mark.parametrize("demands", [

@@ -154,7 +154,7 @@ PUBLIC_NAMES = [
     "SearchHit", "SolveReport", "SplitRouting", "StructuredFamily", "UnsplitRouting",
     "additive_increase", "approx", "backward_greedy", "brute_force_min_increase",
     "brute_force_optimum_L", "builtin", "certify_split_optimal", "crossover",
-    "demands_cross", "dp_feasible", "dp_min_increase", "edge_loads", "equalize_extension",
+    "dp_feasible", "dp_min_increase", "edge_loads", "equalize_extension",
     "errors", "exact", "fileio", "find_close", "forward_greedy", "instances",
     "lift_solution", "medium_demand_solve", "model", "parse_instance", "patterns",
     "performance", "random_crossing", "rational_str", "reduce_to_crossing", "reduction",
