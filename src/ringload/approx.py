@@ -45,7 +45,7 @@ from .patterns import (
     walk_points,
 )
 from .reduction import CrossingInstance, rotated
-from .scaled import Scaled, exact_div, halve
+from .scaled import Scaled, exact_div, halve, rational_str
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,8 @@ def _report(pattern: Pattern, bound: Scaled, branch: str) -> SolveReport:
     perf = performance(pattern)
     if perf > bound:
         raise InternalGuaranteeViolation(
-            f"branch {branch}: performance {perf} exceeds certified bound {bound}"
+            f"branch {branch}: performance {rational_str(perf)} exceeds "
+            f"certified bound {rational_str(bound)}"
         )
     return SolveReport(solution_from_pattern(pattern), perf, bound, branch, pattern)
 

@@ -33,7 +33,7 @@ from functools import cache
 from pathlib import Path
 
 from . import approx, fileio, instances, model, reduction
-from .errors import InvalidSetting, RingLoadingError
+from .errors import InternalGuaranteeViolation, InvalidSetting, RingLoadingError
 from .scaled import from_int, rational_str
 
 
@@ -57,19 +57,19 @@ def _cmd_solve(args) -> int:
     if args.alg == "brute":
         from . import exact
 
-        unsplit, _ = exact.brute_force_min_increase(inst, split)
+        unsplit, claim = exact.brute_force_min_increase(inst, split)
         label, extra = "brute force", {"branch": "brute"}
     else:
         cross, _ = reduction.reduce_to_crossing(inst, split)
         if args.alg == "dp":
             from . import exact
 
-            z, value = exact.dp_min_increase(cross)
-            label = "dp optimum"
-            extra = {"branch": "dp", "crossing_performance": rational_str(value)}
+            z, claim = exact.dp_min_increase(cross)
+            label = "dp crossing-form optimum"
+            extra = {"branch": "dp", "crossing_performance": rational_str(claim)}
         else:
             solved = approx.ROUTES[args.alg](cross)
-            z, label = solved.z, solved.branch
+            z, claim, label = solved.z, solved.perf, solved.branch
             extra = {
                 "branch": solved.branch,
                 "crossing_performance": rational_str(solved.perf),
@@ -79,7 +79,12 @@ def _cmd_solve(args) -> int:
         unsplit = reduction.lift_solution(cross, z)
     before = model.edge_loads(inst, split)
     after = model.edge_loads(inst, unsplit)
-    report = fileio.routing_report(unsplit, model.load_increase(before, after), after)
+    increase = model.load_increase(before, after)
+    if increase > claim:  # uncrossing never raises a load, so a lift never exceeds its claim
+        raise InternalGuaranteeViolation(
+            f"branch {extra['branch']}: increase {rational_str(increase)} "
+            f"exceeds its claimed {rational_str(claim)}")
+    report = fileio.routing_report(unsplit, increase, after)
     report.update(extra)
     _emit(report, f"{label}: max increase {report['max_increase']}{note}")
     return 0

@@ -2,8 +2,8 @@
 
 RingLoadingError is the common base; ValidationError covers everything a
 malformed instance or routing can trigger.  InternalGuaranteeViolation is
-special: it fires only if a certified bound of the approximation algorithm
-fails to hold, which indicates a bug in this package, never bad input.
+special: it fires only if a certified bound of the approximation algorithm,
+or a solver's claimed increase, fails to hold: a bug, never bad input.
 """
 
 
@@ -73,7 +73,7 @@ class MediumDemandPresent(RingLoadingError):
 
 
 class InternalGuaranteeViolation(RingLoadingError):
-    """A certified performance bound failed; this is a bug, not bad input."""
+    """A certified bound or a claimed increase failed; this is a bug, not bad input."""
 
 
 class TooManyDemands(RingLoadingError):

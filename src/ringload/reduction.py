@@ -25,25 +25,25 @@ demand takes its solution's direction.  Lifted solutions increase an
 original edge exactly as much as the crossing-form solution increases the
 reduced edge it was contracted into, measured against the post-uncrossing
 split; against the routing originally given the increase can only be
-smaller, since uncrossing never raises a load.
+smaller, since uncrossing never raises a load.  That contraction is legal
+is a lemma, not rechecked here; `ringload solve` checks each reported
+increase against the value its solver claims instead.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress, count
-from operator import lt, ne
+from itertools import count
+from operator import lt
 
 from .errors import InfeasibleParams, LengthMismatch
 from .model import (
     CCW,
     CW,
-    LoadVector,
     RingInstance,
     SplitRouting,
     UnsplitRouting,
-    path_loads,
     validate_instance,
 )
 from .scaled import Scaled
@@ -234,41 +234,17 @@ def reduce_to_crossing(
     cw, values = uncrossed.cw, inst.d
     still_split = [idx for idx, x, d in zip(count(), cw, values) if x and x != d]
     demand_map = sorted(still_split, key=inst.i.__getitem__)
-    m = len(demand_map)
-    lows = [inst.i[idx] for idx in demand_map]
-    highs = [inst.j[idx] for idx in demand_map]
-    nodes = lows + highs
+    nodes = [inst.i[idx] for idx in demand_map] + [inst.j[idx] for idx in demand_map]
     assert all(map(lt, nodes, nodes[1:])), "split demands must cross pairwise"
     us = [cw[idx] for idx in demand_map]
     vs = [values[idx] - cw[idx] for idx in demand_map]
-    pairs = tuple(zip(us, vs))
-
-    # Contraction legality: original edge k, from node k to k + 1, carries
-    # the split load of the reduced edge of the last node at or before k
-    # (the wrap edge 2m - 1 before the first node).  That is, the edge of
-    # each node carries its reduced edge's load, and every other edge the
-    # load of the edge before it (edge n before edge 1).
-    if m:
-        loads = path_loads(inst.n, lows, highs, us, vs)
-        steps = compress(range(1, inst.n + 1), map(ne, loads, loads[-1:] + loads[:-1]))
-        assert set(steps) <= set(nodes)
-        assert [loads[node - 1] for node in nodes] == list(_crossing_split_loads(pairs))
-
     return CrossingInstance(
-        pairs=pairs,
+        pairs=tuple(zip(us, vs)),
         D=inst.max_demand,
         origin=inst,
         uncrossed=uncrossed,
         demand_map=tuple(demand_map),
     ), SplitRouting(tuple(us))
-
-
-def _crossing_split_loads(pairs: tuple[tuple[Scaled, Scaled], ...]) -> LoadVector:
-    """Split-routing loads on the 2m reduced edges (edge p = {p+1, p+2})."""
-    m = len(pairs)
-    us = [u for u, _ in pairs]
-    vs = [v for _, v in pairs]
-    return path_loads(2 * m, range(1, m + 1), range(m + 1, 2 * m + 1), us, vs)
 
 
 def lift_solution(cross: CrossingInstance, z: UnsplitRouting) -> UnsplitRouting:

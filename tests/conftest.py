@@ -21,9 +21,11 @@ from ringload.model import (
     CCW,
     CW,
     Demand,
+    LoadVector,
     RingInstance,
     SplitRouting,
     UnsplitRouting,
+    path_loads,
     validate_instance,
 )
 from ringload.patterns import Pattern
@@ -257,8 +259,9 @@ def dp_feasible_block(U: np.ndarray, V: np.ndarray, t: int) -> np.ndarray:
 
 # Steps that no code path of the package takes on its own, kept as
 # oracles: the crossing test and the flow move of one demand pair, one
-# uncrossing step (the reduction's sweep makes many at once, inline) and
-# the pattern of a routing (the routes read routings off patterns).
+# uncrossing step (the reduction's sweep makes many at once, inline), the
+# contraction lemma (solve checks each reported increase instead) and the
+# pattern of a routing (the routes read routings off patterns).
 
 
 def demands_cross(first: tuple[int, int], second: tuple[int, int]) -> bool:
@@ -319,6 +322,37 @@ def uncross_pair(inst: RingInstance, split: SplitRouting, a: int, b: int) -> Spl
         (dem_a.i, dem_a.j, dem_a.d), (dem_b.i, dem_b.j, dem_b.d), cw_a, cw_b
     )
     return SplitRouting(tuple(new_cw))
+
+
+def crossing_split_loads(pairs: tuple[tuple[Scaled, Scaled], ...]) -> LoadVector:
+    """Split-routing loads on the 2m reduced edges (edge p = {p+1, p+2})."""
+    m = len(pairs)
+    us = [u for u, _ in pairs]
+    vs = [v for _, v in pairs]
+    return path_loads(2 * m, range(1, m + 1), range(m + 1, 2 * m + 1), us, vs)
+
+
+def assert_contraction(inst: RingInstance, cross: CrossingInstance) -> None:
+    """The contraction lemma, checked on one reduction of inst.
+
+    Under the uncrossed split, original edge k, from node k to k + 1,
+    carries the crossing demands' load of the reduced edge of the last of
+    their endpoints at or before k (the wrap edge 2m - 1 before the first
+    one).  That is, the edge of each endpoint carries its reduced edge's
+    load, and every other edge the load of the edge before it (edge n
+    before edge 1).
+    """
+    if not cross.m:
+        return
+    lows = [inst.i[idx] for idx in cross.demand_map]
+    highs = [inst.j[idx] for idx in cross.demand_map]
+    nodes = lows + highs
+    cw = [cross.uncrossed.cw[idx] for idx in cross.demand_map]
+    ccw = [inst.d[idx] - x for idx, x in zip(cross.demand_map, cw)]
+    loads = path_loads(inst.n, lows, highs, cw, ccw)
+    steps = {node for node in range(1, inst.n + 1) if loads[node - 1] != loads[node - 2]}
+    assert steps <= set(nodes)
+    assert [loads[node - 1] for node in nodes] == list(crossing_split_loads(cross.pairs))
 
 
 def pattern_from_solution(cross: CrossingInstance, z: UnsplitRouting, x: Scaled = 0) -> Pattern:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_ring
+from conftest import crossing_split_loads, random_ring
 from ringload.errors import (
     IndexMismatch,
     NegativeDemand,
@@ -27,7 +27,7 @@ from ringload.model import (
     edge_loads,
     validate_instance,
 )
-from ringload.reduction import _crossing_split_loads, reduce_to_crossing
+from ringload.reduction import reduce_to_crossing
 from ringload.scaled import from_int
 
 
@@ -276,6 +276,6 @@ def test_crossing_split_loads_match_the_ring_form():
     for _ in range(300):
         cross, _ = reduce_to_crossing(*random_ring(rng, max_n=12, max_demands=10))
         if cross.m >= 2:
-            assert _crossing_split_loads(cross.pairs) == edge_loads(*cross.to_ring())
+            assert crossing_split_loads(cross.pairs) == edge_loads(*cross.to_ring())
             checked += 1
     assert checked >= 20

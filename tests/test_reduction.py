@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_contraction,
+    crossing_split_loads,
     crossing_suffix,
     demands_cross,
     lifted_unsplit,
@@ -33,7 +35,6 @@ from ringload.model import (
 from ringload.patterns import performance
 from ringload.reduction import (
     CrossingInstance,
-    _crossing_split_loads,
     _uncross_all,
     lift_solution,
     reduce_to_crossing,
@@ -149,6 +150,8 @@ def test_reduce_fig7_recovers_fig2_crossing_form():
     cross7, _ = reduce_to_crossing(inst7, split7)
     cross2, _ = reduce_to_crossing(inst2, split2)
     assert cross7.pairs == cross2.pairs
+    assert_contraction(inst7, cross7)
+    assert_contraction(inst2, cross2)
     unsplit = lifted_unsplit(cross7)
     assert len(unsplit) == 14  # one per deficient edge
     assert {idx for idx, _ in unsplit} == set(range(8, 22))
@@ -162,6 +165,7 @@ def test_reduce_moves_unsplittable_demands_to_fixed():
     cross, _ = reduce_to_crossing(inst, split)
     assert lifted_unsplit(cross) == ((0, CW), (2, CW))
     assert cross.m == 1
+    assert_contraction(inst, cross)
     assert cross.D == from_int(4)  # D of the original instance
 
 
@@ -179,6 +183,7 @@ def test_reduction_output_is_canonical():
     for _ in range(200):
         inst, split = random_ring(rng)
         cross, _ = reduce_to_crossing(inst, split)
+        assert_contraction(inst, cross)
         assert all(u > 0 and v > 0 for u, v in cross.pairs)
         assert all(u + v <= cross.D for u, v in cross.pairs)
         if cross.m >= 2:
@@ -368,9 +373,11 @@ def reference_crossing_form(inst, uncrossed):
 
 
 def assert_loads_through_backmap(inst, cross, backmap):
-    """Each original edge carries its base load plus its reduced edge's split load."""
+    """Contraction is legal, and each original edge carries its base load
+    plus its reduced edge's split load."""
+    assert_contraction(inst, cross)
     loads = edge_loads(inst, cross.uncrossed)
-    reduced = _crossing_split_loads(cross.pairs)
+    reduced = crossing_split_loads(cross.pairs)
     for load, (edge, base) in zip(loads, backmap, strict=True):
         assert load == base + (reduced[edge] if edge >= 0 else 0)
 
@@ -592,7 +599,8 @@ def test_reducing_a_crossing_ring_tests_no_pair(monkeypatch, m):
     assert cross.demand_map == tuple(range(m))
     # Every node is an endpoint and nothing is fixed, so the backmap is the
     # identity with base 0 (the oracle's O(n m) walk is too slow here).
-    assert edge_loads(inst, cross.uncrossed) == _crossing_split_loads(cross.pairs)
+    assert edge_loads(inst, cross.uncrossed) == crossing_split_loads(cross.pairs)
+    assert_contraction(inst, cross)
 
 
 def test_a_parallel_demand_ends_the_crossing_suffix(monkeypatch):
@@ -613,6 +621,7 @@ def test_a_parallel_demand_ends_the_crossing_suffix(monkeypatch):
     monkeypatch.undo()
     assert uncrossed == sweep_uncross_all(inst, split)
     assert crossing_suffix(inst, list(uncrossed.cw)) <= 1
+    assert_contraction(inst, reduce_to_crossing(inst, split)[0])
 
 
 @pytest.mark.parametrize("count", [1, 10, 100])
@@ -626,6 +635,39 @@ def test_short_chords_keep_the_sweep_near_linear(monkeypatch, count, append):
     visits = count_pair_visits(monkeypatch, inst)
     assert reduction._uncross_all(inst, split) == expected
     assert visits[0] <= 2 * len(inst.d)
+    monkeypatch.undo()
+    assert_contraction(inst, reduce_to_crossing(inst, split)[0])
+
+
+def test_the_walk_resumes_after_a_member_is_unsplit_to_zero(monkeypatch):
+    # m crossing members, member t from node i_t to j_t, and two chords
+    # nested in member s's clockwise arc: R = (x, y) at row 0 and the
+    # blocker B = (x', y') at row m // 2, on four added nodes
+    # i_s < x < x' < i_{s+1} and j_{s-1} < y < y' < j_s.  Each crosses every
+    # member but s, and R crosses B, so only member s blocks B.  R's scan
+    # moves all of member s's clockwise flow onto R, which stays split;
+    # the walk then resumes, takes in B and every row below it, and the
+    # sweep ends.  A sweep that did not resume would scan each row up to B
+    # against all later ones, about 3 k^2 / 8 pairs.
+    m, s = 1000, 750
+    pairs = random_crossing(m, 20, seed=1).pairs
+    ends = [(t + 1 + 2 * (t > s), m + 3 + t + 2 * (t >= s)) for t in range(m)]
+    x_s = pairs[s][0]
+    rows = [((s + 2, m + 3 + s), x_s + from_int(2), from_int(1))]
+    rows += [(ends[t], u + v, u) for t, (u, v) in enumerate(pairs)]
+    rows.insert(m // 2, ((s + 3, m + 4 + s), from_int(2), from_int(1)))
+    inst = RingInstance.from_columns(
+        2 * m + 4, [i for (i, _), _, _ in rows], [j for (_, j), _, _ in rows], [d for _, d, _ in rows]
+    )
+    split = SplitRouting(tuple(cw for _, _, cw in rows))
+    assert crossing_suffix(inst, list(split.cw)) == m // 2 + 1
+    expected = sweep_uncross_all(inst, split)
+    assert (expected.cw[0], expected.cw[s + 2]) == (x_s + from_int(1), 0)
+    visits = count_pair_visits(monkeypatch, inst)
+    assert reduction._uncross_all(inst, split) == expected
+    assert visits[0] <= 2 * len(inst.d)
+    monkeypatch.undo()
+    assert_contraction(inst, reduce_to_crossing(inst, split)[0])
 
 
 @pytest.mark.parametrize("demands", [

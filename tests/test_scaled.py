@@ -239,3 +239,23 @@ def test_every_function_has_a_caller_in_the_package():
                 if not any(node.name in names(tree, node) for tree in trees)}
     assert uncalled <= PUBLIC_ONLY
     assert PUBLIC_ONLY <= set(defs)
+
+
+def test_every_module_level_import_is_used():
+    # Each name a module-level import binds in a package module other than
+    # __init__ is named elsewhere in that module; __future__ imports bind
+    # nothing.
+    unused = []
+    for path in sorted(Path(ringload.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [alias.asname or alias.name for alias in node.names]
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in bound if name not in named]
+    assert unused == []
