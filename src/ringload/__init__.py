@@ -6,71 +6,35 @@ optima by dynamic programming or branch and bound, and search the structured
 instance family for lower-bound examples.  All arithmetic is exact
 fixed-point on the 1/28 grid.
 
-Only the exact solvers and the search use numpy.  Their modules, `exact`
-and `search`, and the names re-exported from them resolve on first use
-(a module __getattr__), so importing ringload does not import numpy.
+Every public name and every submodule resolves on first use (a module
+__getattr__ reads _LAZY), so importing ringload imports none of its
+modules, and a command loads only the modules it runs.  Only the exact
+solvers and the search, `exact` and `search`, use numpy.
 """
 
-from .approx import (
-    SolveReport,
-    medium_demand_solve,
-    small_big_solve,
-    solution_from_pattern,
-    solve_19_14,
-    ssw_three_halves,
-)
-from .fileio import parse_instance, write_instance
-from .instances import (
-    BUILTIN_NAMES,
-    ExtensionResult,
-    builtin,
-    certify_split_optimal,
-    equalize_extension,
-    random_crossing,
-)
-from .model import (
-    CCW,
-    CW,
-    Demand,
-    LoadVector,
-    RingInstance,
-    SplitRouting,
-    UnsplitRouting,
-    additive_increase,
-    edge_loads,
-    validate_instance,
-)
-from .patterns import (
-    Pattern,
-    backward_greedy,
-    crossover,
-    find_close,
-    forward_greedy,
-    performance,
-)
-from .reduction import (
-    CrossingInstance,
-    lift_solution,
-    reduce_to_crossing,
-    standalone_crossing,
-)
-from .scaled import SCALE, Scaled, rational_str
-
-# Name -> the module that defines it, imported on first access.
+# Name -> the module that defines it, imported on first access; each module
+# also maps to itself.
 _LAZY = {
-    "exact": "exact",
-    "brute_force_min_increase": "exact",
-    "brute_force_optimum_L": "exact",
-    "dp_feasible": "exact",
-    "dp_min_increase": "exact",
-    "search": "search",
-    "CanonicalForm": "search",
-    "SearchHit": "search",
-    "StructuredFamily": "search",
-    "search_lower_bound": "search",
+    name: module
+    for module, names in (
+        ("approx", "SolveReport medium_demand_solve small_big_solve solution_from_pattern "
+                   "solve_19_14 ssw_three_halves"),
+        ("errors", ""),
+        ("exact", "brute_force_min_increase brute_force_optimum_L dp_feasible dp_min_increase"),
+        ("fileio", "parse_instance write_instance"),
+        ("instances", "BUILTIN_NAMES ExtensionResult builtin certify_split_optimal "
+                      "equalize_extension random_crossing"),
+        ("model", "CCW CW Demand LoadVector RingInstance SplitRouting UnsplitRouting "
+                  "additive_increase edge_loads validate_instance"),
+        ("patterns", "Pattern backward_greedy crossover find_close forward_greedy performance"),
+        ("reduction", "CrossingInstance lift_solution reduce_to_crossing standalone_crossing"),
+        ("scaled", "SCALE Scaled rational_str"),
+        ("search", "CanonicalForm SearchHit StructuredFamily search_lower_bound"),
+    )
+    for name in (module, *names.split())
 }
 
-__all__ = sorted({name for name in dir() if not name.startswith("_")} | _LAZY.keys())
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name: str):

@@ -26,7 +26,6 @@ InternalGuaranteeViolation (a bug, never an input problem).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import (
@@ -34,7 +33,7 @@ from .errors import (
     MediumDemandPresent,
     NotMedium,
 )
-from .model import CCW, CW, UnsplitRouting
+from .model import CCW, CW, Record, UnsplitRouting
 from .patterns import (
     Pattern,
     backward_greedy,
@@ -48,13 +47,17 @@ from .reduction import CrossingInstance, rotated
 from .scaled import Scaled, exact_div, halve, rational_str
 
 
-@dataclass(frozen=True)
-class SolveReport:
-    z: UnsplitRouting
-    perf: Scaled
-    bound: Scaled
-    branch: str
-    pattern: Pattern
+class SolveReport(Record):
+    __slots__ = ("z", "perf", "bound", "branch", "pattern")
+
+    def __init__(
+        self, z: UnsplitRouting, perf: Scaled, bound: Scaled, branch: str, pattern: Pattern
+    ) -> None:
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "perf", perf)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "pattern", pattern)
 
 
 def solution_from_pattern(pattern: Pattern) -> UnsplitRouting:

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InfeasibleParams, UnknownName
 from .model import (
+    Record,
     RingInstance,
     SplitRouting,
     edge_loads,
@@ -63,14 +63,18 @@ _FIG8_DEMANDS = (
 BUILTIN_NAMES = ("fig1", "fig2", "fig5", "fig6", "fig7", "fig8")
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
+class ExtensionResult(Record):
     """The extended ring and split; its last `added` demands are the new ones."""
 
-    instance: RingInstance
-    split: SplitRouting
-    added: int
-    all_within_max_demand: bool
+    __slots__ = ("instance", "split", "added", "all_within_max_demand")
+
+    def __init__(
+        self, instance: RingInstance, split: SplitRouting, added: int, all_within_max_demand: bool
+    ) -> None:
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "split", split)
+        object.__setattr__(self, "added", added)
+        object.__setattr__(self, "all_within_max_demand", all_within_max_demand)
 
 
 def equalize_extension(inst: RingInstance, split: SplitRouting) -> ExtensionResult:

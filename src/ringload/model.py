@@ -17,17 +17,18 @@ read-only view of Demand records, built from the columns on first access
 for callers that want one record per demand; nothing in the package reads
 it.
 
-All types are immutable; all operations are pure functions.  Rings check
-themselves once, on construction (3 <= n <= sys.maxsize; then demand by
-demand 1 <= i < j <= n and d >= 0); a split is checked once, by
-validate_instance, where it enters.
+The record types here and in the other modules are slotted subclasses of
+Record: immutable, compared and hashed by class and field values, and
+picklable; importing them generates no code.  All operations are pure
+functions.  Rings check themselves once, on construction (3 <= n <=
+sys.maxsize; then demand by demand 1 <= i < j <= n and d >= 0); a split
+is checked once, by validate_instance, where it enters.
 """
 
 from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from operator import le, lt, sub
@@ -47,17 +48,68 @@ CCW = "ccw"
 LoadVector = tuple[Scaled, ...]
 
 
-@dataclass(frozen=True)
-class Demand:
+class Record:
+    """An immutable record whose fields are its classes' __slots__, base first.
+
+    Records are equal when their classes are the same and their fields are
+    equal, hash by their field values, print as Name(field=value, ...) and
+    pickle by their field values.  Assigning or deleting an attribute raises
+    AttributeError; a subclass's __init__ sets its fields with
+    object.__setattr__.  A "__dict__" slot is not a field: it lets a class
+    cache derived views.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        own = (name for name in cls.__dict__.get("__slots__", ()) if name != "__dict__")
+        cls._fields = (*getattr(cls, "_fields", ()), *own)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: records are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: records are immutable")
+
+    def __reduce__(self) -> tuple:
+        return _rebuilt, (self.__class__, self._values())
+
+
+def _rebuilt(cls: type, values: tuple) -> Record:
+    """The record of class cls with these field values, as unpickled: unchecked."""
+    record = cls.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        object.__setattr__(record, name, value)
+    return record
+
+
+class Demand(Record):
     """One demand as a record; a ring stores its demands as columns instead."""
 
-    i: int
-    j: int
-    d: Scaled  # scaled demand value, >= 0
+    __slots__ = ("i", "j", "d")  # d: scaled demand value, >= 0
+
+    def __init__(self, i: int, j: int, d: Scaled) -> None:
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "d", d)
 
 
-@dataclass(frozen=True, init=False)
-class RingInstance:
+class RingInstance(Record):
     """A ring of n nodes whose demand k runs from node i[k] to node j[k]
     with scaled value d[k]: three tuples of ints, checked on construction.
 
@@ -65,10 +117,7 @@ class RingInstance:
     columns; equal columns make equal rings.
     """
 
-    n: int
-    i: tuple[int, ...]
-    j: tuple[int, ...]
-    d: tuple[Scaled, ...]
+    __slots__ = ("n", "i", "j", "d", "__dict__")  # __dict__ caches demands
 
     def __init__(self, n: int, demands: Iterable[Demand]) -> None:
         demands = tuple(demands)
@@ -105,8 +154,10 @@ class RingInstance:
                     )
                 if value < 0:
                     raise NegativeDemand(f"demand #{pos} has negative value")
-        for name, value in (("n", n), ("i", i), ("j", j), ("d", d)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "d", d)
 
     @cached_property
     def demands(self) -> tuple[Demand, ...]:
@@ -119,23 +170,25 @@ class RingInstance:
         return max(self.d, default=0)
 
 
-@dataclass(frozen=True)
-class SplitRouting:
+class SplitRouting(Record):
     """Clockwise amount per demand; the counterclockwise remainder is d - cw."""
 
-    cw: tuple[Scaled, ...]
+    __slots__ = ("cw",)
+
+    def __init__(self, cw: tuple[Scaled, ...]) -> None:
+        object.__setattr__(self, "cw", cw)
 
 
-@dataclass(frozen=True)
-class UnsplitRouting:
+class UnsplitRouting(Record):
     """Direction flag per demand, each CW or CCW."""
 
-    dirs: tuple[str, ...]
+    __slots__ = ("dirs",)
 
-    def __post_init__(self) -> None:
-        for flag in self.dirs:
+    def __init__(self, dirs: tuple[str, ...]) -> None:
+        for flag in dirs:
             if flag not in (CW, CCW):
                 raise ValueError(f"direction must be {CW!r} or {CCW!r}, got {flag!r}")
+        object.__setattr__(self, "dirs", dirs)
 
 
 def validate_instance(inst: RingInstance, split: SplitRouting) -> None:

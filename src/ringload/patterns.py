@@ -17,7 +17,6 @@ what the closeness guarantees of the small/big analysis rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 
 from .errors import (
@@ -27,23 +26,23 @@ from .errors import (
     OwnerMismatch,
     StartOutOfRange,
 )
+from .model import Record
 from .reduction import CrossingInstance
 from .scaled import Scaled, exact_div, halve
 
 
-@dataclass(frozen=True)
-class Pattern:
-    owner: CrossingInstance
-    points: tuple[Scaled, ...]
+class Pattern(Record):
+    __slots__ = ("owner", "points")
 
-    def __post_init__(self) -> None:
-        if len(self.points) != self.owner.m + 1:
-            raise ValueError(f"pattern needs m+1 = {self.owner.m + 1} points")
-        points = self.points
-        for k, (u, v), here, there in zip(count(), self.owner.pairs, points, points[1:]):
+    def __init__(self, owner: CrossingInstance, points: tuple[Scaled, ...]) -> None:
+        if len(points) != owner.m + 1:
+            raise ValueError(f"pattern needs m+1 = {owner.m + 1} points")
+        for k, (u, v), here, there in zip(count(), owner.pairs, points, points[1:]):
             step = there - here
             if step != v and step != -u:
                 raise ValueError(f"step #{k} is {step}, admissible: {v} or {-u}")
+        object.__setattr__(self, "owner", owner)
+        object.__setattr__(self, "points", points)
 
     @property
     def start(self) -> Scaled:

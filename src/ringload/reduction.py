@@ -33,7 +33,6 @@ increase against the value its solver claims instead.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import count
 from operator import lt
 
@@ -41,6 +40,7 @@ from .errors import InfeasibleParams, LengthMismatch
 from .model import (
     CCW,
     CW,
+    Record,
     RingInstance,
     SplitRouting,
     UnsplitRouting,
@@ -49,8 +49,7 @@ from .model import (
 from .scaled import Scaled
 
 
-@dataclass(frozen=True)
-class CrossingInstance:
+class CrossingInstance(Record):
     """Canonical reduced form; may also be built standalone (no origin).
 
     pairs[k] = (u_k, v_k), both positive scaled values, d_k = u_k + v_k <= D.
@@ -61,20 +60,28 @@ class CrossingInstance:
     demand, in order of its endpoint i.
     """
 
-    pairs: tuple[tuple[Scaled, Scaled], ...]
-    D: Scaled
-    origin: RingInstance | None = None
-    uncrossed: SplitRouting | None = None
-    demand_map: tuple[int, ...] | None = None
+    __slots__ = ("pairs", "D", "origin", "uncrossed", "demand_map")
 
-    def __post_init__(self) -> None:
-        for k, (u, v) in enumerate(self.pairs):
+    def __init__(
+        self,
+        pairs: tuple[tuple[Scaled, Scaled], ...],
+        D: Scaled,
+        origin: RingInstance | None = None,
+        uncrossed: SplitRouting | None = None,
+        demand_map: tuple[int, ...] | None = None,
+    ) -> None:
+        for k, (u, v) in enumerate(pairs):
             if u <= 0 or v <= 0:
                 raise ValueError(f"crossing demand #{k}: u and v must be positive")
-            if u + v > self.D:
+            if u + v > D:
                 raise ValueError(f"crossing demand #{k}: d exceeds D")
-        if self.D < 0:
+        if D < 0:
             raise ValueError("D must be nonnegative")
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "uncrossed", uncrossed)
+        object.__setattr__(self, "demand_map", demand_map)
 
     @property
     def m(self) -> int:

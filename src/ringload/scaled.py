@@ -12,13 +12,15 @@ algorithms produce stay exactly representable:
 
 28 = 2 * 14 covers all of these, so no operation ever rounds.  Violations
 raise instead of rounding; they indicate a bug, never a data problem.
+
+decimal and fractions are imported by the two rare calls that use them,
+int_text past int's str digit limit and parse_rational, so importing the
+package loads neither.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal
-from fractions import Fraction
 
 SCALE = 28
 
@@ -44,6 +46,8 @@ def int_text(value: int) -> str:
     try:
         return str(value)
     except ValueError:
+        from decimal import Decimal
+
         return str(Decimal(value))
 
 
@@ -57,6 +61,8 @@ def rational_str(scaled: Scaled) -> str:
 
 def parse_rational(text: str) -> Scaled:
     """Inverse of rational_str."""
+    from fractions import Fraction
+
     return from_fraction(Fraction(text))
 
 

@@ -68,16 +68,16 @@ import json
 import math
 import os
 import re
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InfeasibleParams, SchemaError
 from .exact import level_masks, mask_columns
+from .model import Record
 from .reduction import rotated
 from .scaled import Scaled, from_int, int_text, rational_str, unscale
 
@@ -118,9 +118,11 @@ def symmetry_orbit(pairs: Pairs) -> set[Pairs]:
     return images
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    pairs: Pairs
+class CanonicalForm(Record):
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: Pairs) -> None:
+        object.__setattr__(self, "pairs", pairs)
 
     @classmethod
     def of(cls, pairs: Pairs, D: int) -> "CanonicalForm":
@@ -169,18 +171,15 @@ def _fits(shape: tuple[int, ...], dtype: type) -> bool:
     return dtype in (np.int64, np.uint64) and math.prod(shape) * 8 <= _LEAD_TABLE_BYTES
 
 
-class _Rows(NamedTuple):
+class _Rows(namedtuple("_Rows", ("part_u", "part_v", "part", "code"))):
     """Family members as lead codes before the pairs of a part.
 
     Row r is row code[r] of a _Scan's tables U and V, the lead's pairs,
     followed by row part[r] of the arrays part_u and part_v, one row per
-    part.
+    part; all four are numpy arrays.
     """
 
-    part_u: np.ndarray
-    part_v: np.ndarray
-    part: np.ndarray
-    code: np.ndarray
+    __slots__ = ()
 
     def select(self, rows: np.ndarray) -> "_Rows":
         return _Rows(self.part_u, self.part_v, self.part[rows], self.code[rows])
@@ -422,8 +421,7 @@ def _scan(m: int, D: int) -> _Scan:
     return _Scan(StructuredFamily(m, D))
 
 
-@dataclass(frozen=True)
-class StructuredFamily:
+class StructuredFamily(Record):
     """The (m, D) family, checked once for all that a scan of it needs.
 
     Even m, D >= 2, and scan tables that _fit: the (2m, 4m) symmetry
@@ -432,11 +430,11 @@ class StructuredFamily:
     digits: every index and size prints.
     """
 
-    m: int
-    D: int
+    __slots__ = ("m", "D")
 
-    def __post_init__(self) -> None:
-        m, D = self.m, self.D
+    def __init__(self, m: int, D: int) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "D", D)
         if m < 2 or m % 2 or D < 2 or D % 2:
             raise InfeasibleParams("structured family needs even m >= 2 and even D >= 2")
         if not _fits((2 * m, 4 * m), np.int64):
@@ -494,10 +492,12 @@ class StructuredFamily:
         return index
 
 
-@dataclass(frozen=True)
-class SearchHit:
-    form: CanonicalForm
-    min_increase: Scaled
+class SearchHit(Record):
+    __slots__ = ("form", "min_increase")
+
+    def __init__(self, form: CanonicalForm, min_increase: Scaled) -> None:
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "min_increase", min_increase)
 
 
 def shard_range(total: int, shard: tuple[int, int]) -> tuple[int, int]:

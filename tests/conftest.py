@@ -52,6 +52,26 @@ def random_ring(rng: random.Random, max_n: int = 10, max_demands: int = 6,
     return RingInstance(n, tuple(demands)), SplitRouting(tuple(cw))
 
 
+def with_extra_demands(inst, split, rng, count):
+    """Insert count zero, unsplit or split demands at random indices.
+
+    Every node of a crossing ring is an endpoint, so each new demand shares
+    its endpoints with crossing demands.
+    """
+    demands, cw = list(inst.demands), list(split.cw)
+    for _ in range(count):
+        kind = rng.choice(("zero", "unsplit", "split"))
+        i = rng.randint(1, inst.n - 1)
+        j = rng.randint(i + 1, inst.n)
+        d = 0 if kind == "zero" else from_int(rng.randint(1, 6))
+        half_units = rng.randint(0, 2 * d // SCALE)
+        x = rng.choice((0, d)) if kind == "unsplit" else half_units * SCALE // 2
+        pos = rng.randint(0, len(demands))
+        demands.insert(pos, Demand(i, j, d))
+        cw.insert(pos, x)
+    return RingInstance(inst.n, tuple(demands)), SplitRouting(tuple(cw))
+
+
 @st.composite
 def split_rings(draw, max_demands=10):
     """Small rings: shared endpoints, identical and zero demands, half-integer splits."""

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import Interrupted, fail_after, random_ring, record_pairs
+from conftest import Interrupted, fail_after, random_ring, record_pairs, with_extra_demands
 from ringload import approx, cli, instances, reduction, search
 from ringload.cli import main
 from ringload.errors import InfeasibleParams
@@ -136,6 +136,29 @@ def test_solve_dp_equals_brute(capsys, fig2_file):
     assert dp == brute == "11"
 
 
+def _solve_every_way(capsys, path, inst, split) -> tuple[int, int]:
+    """Solve the ring with every route that applies, dp and brute; each
+    report's increase is at most its crossing performance and brute's is
+    the least.  Returns the reports that equal their claim and those checked."""
+    path.write_bytes(write_instance(inst, split))
+    increases, tight, checked = [], 0, 0
+    for alg in ("ssw", "medium", "smallbig", "auto", "dp", "brute"):
+        code, out, err = run_cli(capsys, "solve", "--alg", alg, "-i", str(path))
+        if code == 1 and alg == "smallbig":
+            assert "MediumDemandPresent" in err
+            continue
+        assert code == 0, err
+        report = json.loads(out)
+        increases.append(parse_rational(report["max_increase"]))
+        if alg != "brute":
+            performance = parse_rational(report["crossing_performance"])
+            assert increases[-1] <= performance
+            tight += increases[-1] == performance
+            checked += 1
+    assert increases[-1] == min(increases)
+    return tight, checked
+
+
 def test_no_report_exceeds_the_value_its_solver_claims(capsys, tmp_path):
     # Every route that applies, dp and brute on seeded random rings: each
     # report's increase is at most its crossing performance, and often
@@ -144,25 +167,22 @@ def test_no_report_exceeds_the_value_its_solver_claims(capsys, tmp_path):
     tight = checked = 0
     for k in range(500):
         inst, split = random_ring(rng, max_n=10, max_demands=8)
-        path = tmp_path / f"ring{k}.json"
-        path.write_bytes(write_instance(inst, split))
-        increases = []
-        for alg in ("ssw", "medium", "smallbig", "auto", "dp", "brute"):
-            code, out, err = run_cli(capsys, "solve", "--alg", alg, "-i", str(path))
-            if code == 1 and alg == "smallbig":
-                assert "MediumDemandPresent" in err
-                continue
-            assert code == 0, err
-            report = json.loads(out)
-            increases.append(parse_rational(report["max_increase"]))
-            if alg != "brute":
-                performance = parse_rational(report["crossing_performance"])
-                assert increases[-1] <= performance
-                tight += increases[-1] == performance
-                checked += 1
-        assert increases[-1] == min(increases)
+        ring_tight, ring_checked = _solve_every_way(capsys, tmp_path / f"ring{k}.json", inst, split)
+        tight += ring_tight
+        checked += ring_checked
     # Seen at this seed: 2080 of 2437 reports equal their claim.
     assert tight >= checked * 3 // 4
+    # Few random rings reduce to a crossing form of two demands or more;
+    # crossing rings with extra demands keep theirs.
+    rng = random.Random(6)
+    wide = 0
+    for k in range(200):
+        cross = random_crossing(rng.randint(4, 12), rng.choice((10, 28, 100)), rng.randrange(1 << 32))
+        inst, split = with_extra_demands(*cross.to_ring(), rng, rng.randint(1, 4))
+        wide += reduce_to_crossing(inst, split)[0].m >= 4
+        _solve_every_way(capsys, tmp_path / f"crossing{k}.json", inst, split)
+    # Seen at this seed: 193 of 200 reduce to m >= 4.
+    assert wide >= 180
 
 
 @pytest.mark.parametrize("alg, branch", [("auto", "medium"), ("dp", "dp")])
@@ -977,6 +997,70 @@ def test_only_the_exact_and_search_commands_load_numpy(tmp_path):
     out = _fresh_python("-c", code, *paths)
     assert (out.returncode, out.stderr) == (0, "")
     assert out.stdout.split() == ["False", "True"]
+
+
+# What the package never needs to load: dataclasses and inspect come with
+# records whose methods are generated, decimal and fractions with scaled's
+# two rare calls.  Each check is against the modules the interpreter had
+# loaded before, since site may load some of them (typing, through a .pth
+# file, say).
+_NEVER_LOADED = {"dataclasses", "inspect", "decimal", "fractions"}
+
+
+def test_importing_ringload_loads_none_of_its_modules():
+    # Every public name and submodule resolves on first use.
+    code = textwrap.dedent("""\
+    import sys
+    before = set(sys.modules)
+    import ringload
+    print(*sorted(set(sys.modules) - before))
+    """)
+    out = _fresh_python("-c", code)
+    assert (out.returncode, out.stderr) == (0, "")
+    added = set(out.stdout.split())
+    assert "ringload" in added
+    assert {name for name in added if name.startswith("ringload.")} == set()
+    assert added & (_NEVER_LOADED | {"typing"}) == set()
+
+
+def test_the_numpy_free_commands_load_only_what_they_run(tmp_path):
+    code = textwrap.dedent("""\
+    import sys
+    before = set(sys.modules)
+    import contextlib, io
+    from ringload import cli
+
+    def run(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(list(argv)) == 0, argv
+        return out.getvalue()
+
+    ring = sys.argv[1]
+    with open(ring, "w") as handle:
+        handle.write(run("gen", "--m", "6", "--d", "10", "--seed", "1"))
+    run("solve", "--alg", "auto", "-i", ring)
+    run("loads", "-i", ring)
+    run("extend", "-i", ring)
+    print(*sorted(set(sys.modules) - before))
+    """)
+    out = _fresh_python("-c", code, str(tmp_path / "ring.json"))
+    assert (out.returncode, out.stderr) == (0, "")
+    added = set(out.stdout.split())
+    assert {"ringload.approx", "ringload.fileio", "ringload.instances"} <= added
+    assert added & (_NEVER_LOADED | {"numpy", "ringload.exact", "ringload.search"}) == set()
+
+
+def test_reading_one_name_loads_its_module_alone():
+    code = textwrap.dedent("""\
+    import sys
+    import ringload
+    ringload.parse_instance
+    print("ringload.fileio" in sys.modules, "ringload.approx" in sys.modules)
+    """)
+    out = _fresh_python("-c", code)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.split() == ["True", "False"]
 
 
 def test_a_fresh_search_with_two_jobs_prints_what_one_job_prints():

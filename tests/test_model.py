@@ -1,5 +1,6 @@
 """Core types: validation, exact loads, additive increase."""
 
+import pickle
 import random
 import sys
 
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import crossing_split_loads, random_ring
+from ringload.approx import SolveReport
 from ringload.errors import (
     IndexMismatch,
     NegativeDemand,
@@ -15,7 +17,7 @@ from ringload.errors import (
     SplitExceedsDemand,
     ValidationError,
 )
-from ringload.instances import builtin
+from ringload.instances import ExtensionResult, builtin
 from ringload.model import (
     CCW,
     CW,
@@ -27,7 +29,9 @@ from ringload.model import (
     edge_loads,
     validate_instance,
 )
-from ringload.reduction import reduce_to_crossing
+from ringload.patterns import Pattern
+from ringload.reduction import CrossingInstance, reduce_to_crossing
+from ringload.search import CanonicalForm, SearchHit, StructuredFamily
 from ringload.scaled import from_int
 
 
@@ -279,3 +283,68 @@ def test_crossing_split_loads_match_the_ring_form():
             assert crossing_split_loads(cross.pairs) == edge_loads(*cross.to_ring())
             checked += 1
     assert checked >= 20
+
+
+RECORD_CLASSES = [Demand, RingInstance, SplitRouting, UnsplitRouting, CrossingInstance, Pattern,
+                  SolveReport, ExtensionResult, CanonicalForm, StructuredFamily, SearchHit]
+
+
+def _record_cases() -> dict:
+    """Per record class: its constructor's arguments by name, in order, and
+    the fields they give, in order."""
+    pairs = ((28, 28), (84, 56))
+    cross = CrossingInstance(pairs, 140)
+    ring, split = cross.to_ring()
+    z = UnsplitRouting((CW, CCW))
+    pattern = Pattern(cross, (0, 28, -56))
+    form = CanonicalForm(((1, 1), (2, 2)))
+    demands = (Demand(1, 3, 28), Demand(2, 4, 56))
+    cases = {
+        Demand: {"i": 1, "j": 3, "d": 28},
+        RingInstance: ({"n": 4, "demands": demands},
+                       {"n": 4, "i": (1, 2), "j": (3, 4), "d": (28, 56)}),
+        SplitRouting: {"cw": (14, 28)},
+        UnsplitRouting: {"dirs": (CW, CCW)},
+        CrossingInstance: ({"pairs": pairs, "D": 140},
+                           {"pairs": pairs, "D": 140, "origin": None, "uncrossed": None,
+                            "demand_map": None}),
+        Pattern: {"owner": cross, "points": (0, 28, -56)},
+        SolveReport: {"z": z, "perf": 28, "bound": 42, "branch": "ssw", "pattern": pattern},
+        ExtensionResult: {"instance": ring, "split": split, "added": 0,
+                          "all_within_max_demand": True},
+        CanonicalForm: {"pairs": ((1, 1), (2, 2))},
+        StructuredFamily: {"m": 2, "D": 4},
+        SearchHit: {"form": form, "min_increase": 28},
+    }
+    return {cls: case if isinstance(case, tuple) else (case, case) for cls, case in cases.items()}
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_records_keep_their_value_semantics(cls):
+    # Equal fields make equal records with equal hashes; a record of another
+    # class, a subclass with the same fields included, or a bare tuple of the
+    # fields is never equal; no field can be set or deleted; pickle
+    # round-trips; and repr lists the fields in order.
+    cases = _record_cases()
+    arguments, fields = cases[cls]
+    record, twin = cls(*arguments.values()), cls(**arguments)
+    assert record == twin and hash(record) == hash(twin)
+    assert [getattr(record, name) for name in fields] == list(fields.values())
+    other_cls = RECORD_CLASSES[(RECORD_CLASSES.index(cls) + 1) % len(RECORD_CLASSES)]
+    other = other_cls(**cases[other_cls][0])
+    assert record != other and not record == other
+    subclass = type(f"Other{cls.__name__}", (cls,), {"__slots__": ()})
+    same_fields = subclass(**arguments)
+    assert record != same_fields and not same_fields == record
+    assert [getattr(same_fields, name) for name in fields] == list(fields.values())
+    assert record != tuple(fields.values())
+    for name, value in [*fields.items(), ("extra", 1)]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert record == twin
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is cls and copy == record and hash(copy) == hash(record)
+    listed = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(record) == f"{cls.__name__}({listed})"

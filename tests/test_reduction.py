@@ -18,6 +18,7 @@ from conftest import (
     split_rings,
     uncross_pair,
     uncrossed_amounts,
+    with_extra_demands,
 )
 from ringload.errors import LengthMismatch
 from ringload import reduction
@@ -421,26 +422,6 @@ def assert_reduction_matches_sweep(inst, split):
     cross, _ = reduce_to_crossing(inst, split)
     assert cross.uncrossed == uncrossed
     assert_matches_crossing_form(inst, cross, uncrossed)
-
-
-def with_extra_demands(inst, split, rng, count):
-    """Insert count zero, unsplit or split demands at random indices.
-
-    Every node of a crossing ring is an endpoint, so each new demand shares
-    its endpoints with crossing demands.
-    """
-    demands, cw = list(inst.demands), list(split.cw)
-    for _ in range(count):
-        kind = rng.choice(("zero", "unsplit", "split"))
-        i = rng.randint(1, inst.n - 1)
-        j = rng.randint(i + 1, inst.n)
-        d = 0 if kind == "zero" else from_int(rng.randint(1, 6))
-        half_units = rng.randint(0, 2 * d // SCALE)
-        x = rng.choice((0, d)) if kind == "unsplit" else half_units * SCALE // 2
-        pos = rng.randint(0, len(demands))
-        demands.insert(pos, Demand(i, j, d))
-        cw.insert(pos, x)
-    return RingInstance(inst.n, tuple(demands)), SplitRouting(tuple(cw))
 
 
 def with_short_chords(inst, split, rng, count, append):

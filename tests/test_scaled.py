@@ -135,13 +135,15 @@ def test_numpy_stays_behind_exact_and_search():
     # level only exact and search import numpy, only search imports exact, and
     # no module names exact or search otherwise: cli and __init__ reach them
     # inside functions.  Building or generating an instance needs no solver,
-    # so instances imports neither anywhere.
+    # so instances imports neither anywhere.  Records subclass model.Record,
+    # so no module imports dataclasses or typing anywhere.
     imports, names = {}, {}
     for path in sorted(Path(ringload.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         imports[path.stem], names[path.stem] = _module_level(tree)
+        anywhere = set().union(*map(_imported, ast.walk(tree)))
+        assert anywhere.isdisjoint({"dataclasses", "typing"}), path.name
         if path.stem == "instances":
-            anywhere = set().union(*map(_imported, ast.walk(tree)))
             assert anywhere.isdisjoint({"exact", "search"})
     assert {stem for stem, found in imports.items() if "numpy" in found} == {"exact", "search"}
     assert {stem for stem, found in names.items() if "exact" in found} == {"search"}
@@ -165,8 +167,8 @@ PUBLIC_NAMES = [
 
 
 def test_the_public_names_resolve_whether_eager_or_lazy():
-    # The exact and search names resolve on first access, to the very
-    # objects their modules define; every other name is bound at import.
+    # Every name resolves on first access, to the very object its module
+    # defines; importing ringload binds none of them.
     assert ringload.__all__ == PUBLIC_NAMES
     assert set(PUBLIC_NAMES) <= set(dir(ringload))
     for name, module in ringload._LAZY.items():
