@@ -48,16 +48,9 @@ from .scaled import Scaled, exact_div, halve, rational_str
 
 
 class SolveReport(Record):
-    __slots__ = ("z", "perf", "bound", "branch", "pattern")
+    """SolveReport(z, perf, bound, branch, pattern): a solver's routing and its figures."""
 
-    def __init__(
-        self, z: UnsplitRouting, perf: Scaled, bound: Scaled, branch: str, pattern: Pattern
-    ) -> None:
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "perf", perf)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "pattern", pattern)
+    __slots__ = ("z", "perf", "bound", "branch", "pattern")
 
 
 def solution_from_pattern(pattern: Pattern) -> UnsplitRouting:

@@ -42,6 +42,7 @@ from .scaled import Scaled, from_int
 # Crossing-form transcriptions as (v_k, u_k) pairs in ring order; u_k is
 # the clockwise amount of demand k, which connects nodes k and k+m.
 _CROSSING_VU = {
+    "fig1": ((1, 1), (1, 1)),
     "fig2": ((3, 3), (4, 6), (4, 4), (6, 4), (3, 3), (6, 4), (3, 1), (6, 4)),
     "fig5": (
         (71, 23), (25, 75), (71, 21), (23, 77), (75, 21), (76, 24),
@@ -64,17 +65,10 @@ BUILTIN_NAMES = ("fig1", "fig2", "fig5", "fig6", "fig7", "fig8")
 
 
 class ExtensionResult(Record):
-    """The extended ring and split; its last `added` demands are the new ones."""
+    """ExtensionResult(instance, split, added, all_within_max_demand): the
+    extended ring and split; its last `added` demands are the new ones."""
 
     __slots__ = ("instance", "split", "added", "all_within_max_demand")
-
-    def __init__(
-        self, instance: RingInstance, split: SplitRouting, added: int, all_within_max_demand: bool
-    ) -> None:
-        object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "split", split)
-        object.__setattr__(self, "added", added)
-        object.__setattr__(self, "all_within_max_demand", all_within_max_demand)
 
 
 def equalize_extension(inst: RingInstance, split: SplitRouting) -> ExtensionResult:
@@ -141,9 +135,6 @@ def builtin(name: str) -> tuple[RingInstance, SplitRouting]:
         return standalone_crossing(
             tuple((from_int(u), from_int(v)) for v, u in _CROSSING_VU[name])
         ).to_ring()
-    if name == "fig1":
-        inst = RingInstance.from_columns(4, (1, 2), (3, 4), (from_int(2), from_int(2)))
-        return inst, SplitRouting((from_int(1), from_int(1)))
     if name == "fig7":
         ext = equalize_extension(*builtin("fig2"))
         return ext.instance, ext.split

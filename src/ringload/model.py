@@ -19,10 +19,12 @@ it.
 
 The record types here and in the other modules are slotted subclasses of
 Record: immutable, compared and hashed by class and field values, and
-picklable; importing them generates no code.  All operations are pure
-functions.  Rings check themselves once, on construction (3 <= n <=
-sys.maxsize; then demand by demand 1 <= i < j <= n and d >= 0); a split
-is checked once, by validate_instance, where it enters.
+picklable; importing them generates no code.  All but Demand and
+RingInstance are built and unpickled by Record's one constructor, which
+checks them.  All operations are pure functions.  Rings check themselves
+once, on construction (3 <= n <= sys.maxsize; then demand by demand
+1 <= i < j <= n and d >= 0); a split is checked once, by
+validate_instance, where it enters.
 """
 
 from __future__ import annotations
@@ -51,19 +53,49 @@ LoadVector = tuple[Scaled, ...]
 class Record:
     """An immutable record whose fields are its classes' __slots__, base first.
 
-    Records are equal when their classes are the same and their fields are
-    equal, hash by their field values, print as Name(field=value, ...) and
-    pickle by their field values.  Assigning or deleting an attribute raises
-    AttributeError; a subclass's __init__ sets its fields with
-    object.__setattr__.  A "__dict__" slot is not a field: it lets a class
-    cache derived views.
+    Record(*values, **named) takes the fields by position or by name, the
+    trailing ones left out from the class's _defaults, raises TypeError for
+    a missing, unknown, repeated or surplus field, then calls _check.
+    Records are equal when their classes and fields are equal, hash by their
+    field values, print as Name(field=value, ...) and are unpickled by their
+    constructor, so checked.  Assigning or deleting an attribute raises
+    AttributeError.  A "__dict__" slot is not a field: it lets a class cache
+    derived views.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls) -> None:
         own = (name for name in cls.__dict__.get("__slots__", ()) if name != "__dict__")
-        cls._fields = (*getattr(cls, "_fields", ()), *own)
+        cls._fields = (*cls._fields, *own)
+
+    def __init__(self, *values: object, **named: object) -> None:
+        if named or len(values) != len(self._fields):
+            values = self._arranged(values, named)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    def _arranged(self, values: tuple, named: dict) -> tuple:
+        """The fields in order: values by position, named by name, the rest from _defaults."""
+        fields, cls = self._fields, self.__class__.__qualname__
+        if len(values) > len(fields):
+            raise TypeError(f"{cls} takes {len(fields)} fields, got {len(values)}")
+        for name in named:
+            if name not in fields:
+                raise TypeError(f"{cls} has no field {name!r}")
+            if fields.index(name) < len(values):
+                raise TypeError(f"{cls} got field {name!r} by position and by name")
+        given = {**self._defaults, **dict(zip(fields, values)), **named}
+        missing = [name for name in fields if name not in given]
+        if missing:
+            raise TypeError(f"{cls} is missing field(s) {', '.join(missing)}")
+        return tuple(map(given.__getitem__, fields))
+
+    def _check(self) -> None:
+        """Raise if the fields, already set, do not make a valid record."""
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -87,15 +119,7 @@ class Record:
         raise AttributeError(f"cannot delete {name!r}: records are immutable")
 
     def __reduce__(self) -> tuple:
-        return _rebuilt, (self.__class__, self._values())
-
-
-def _rebuilt(cls: type, values: tuple) -> Record:
-    """The record of class cls with these field values, as unpickled: unchecked."""
-    record = cls.__new__(cls)
-    for name, value in zip(cls._fields, values):
-        object.__setattr__(record, name, value)
-    return record
+        return self.__class__, self._values()
 
 
 class Demand(Record):
@@ -159,6 +183,9 @@ class RingInstance(Record):
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "d", d)
 
+    def __reduce__(self) -> tuple:
+        return self.from_columns, self._values()
+
     @cached_property
     def demands(self) -> tuple[Demand, ...]:
         """The demands as records, built from the columns on first access."""
@@ -171,24 +198,20 @@ class RingInstance(Record):
 
 
 class SplitRouting(Record):
-    """Clockwise amount per demand; the counterclockwise remainder is d - cw."""
+    """SplitRouting(cw): the clockwise amount per demand; d - cw goes counterclockwise."""
 
     __slots__ = ("cw",)
 
-    def __init__(self, cw: tuple[Scaled, ...]) -> None:
-        object.__setattr__(self, "cw", cw)
-
 
 class UnsplitRouting(Record):
-    """Direction flag per demand, each CW or CCW."""
+    """UnsplitRouting(dirs): the direction flag per demand, each CW or CCW."""
 
     __slots__ = ("dirs",)
 
-    def __init__(self, dirs: tuple[str, ...]) -> None:
-        for flag in dirs:
+    def _check(self) -> None:
+        for flag in self.dirs:
             if flag not in (CW, CCW):
                 raise ValueError(f"direction must be {CW!r} or {CCW!r}, got {flag!r}")
-        object.__setattr__(self, "dirs", dirs)
 
 
 def validate_instance(inst: RingInstance, split: SplitRouting) -> None:

@@ -32,17 +32,18 @@ from .scaled import Scaled, exact_div, halve
 
 
 class Pattern(Record):
+    """Pattern(owner, points): a walk of owner.m + 1 points over a crossing instance."""
+
     __slots__ = ("owner", "points")
 
-    def __init__(self, owner: CrossingInstance, points: tuple[Scaled, ...]) -> None:
+    def _check(self) -> None:
+        owner, points = self.owner, self.points
         if len(points) != owner.m + 1:
             raise ValueError(f"pattern needs m+1 = {owner.m + 1} points")
         for k, (u, v), here, there in zip(count(), owner.pairs, points, points[1:]):
             step = there - here
             if step != v and step != -u:
                 raise ValueError(f"step #{k} is {step}, admissible: {v} or {-u}")
-        object.__setattr__(self, "owner", owner)
-        object.__setattr__(self, "points", points)
 
     @property
     def start(self) -> Scaled:

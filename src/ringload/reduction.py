@@ -50,7 +50,8 @@ from .scaled import Scaled
 
 
 class CrossingInstance(Record):
-    """Canonical reduced form; may also be built standalone (no origin).
+    """CrossingInstance(pairs, D, origin=None, uncrossed=None, demand_map=None):
+    the canonical reduced form; may also be built standalone (no origin).
 
     pairs[k] = (u_k, v_k), both positive scaled values, d_k = u_k + v_k <= D.
     D is the maximum demand of the *original* instance.  For reduced
@@ -61,27 +62,17 @@ class CrossingInstance(Record):
     """
 
     __slots__ = ("pairs", "D", "origin", "uncrossed", "demand_map")
+    _defaults = {"origin": None, "uncrossed": None, "demand_map": None}
 
-    def __init__(
-        self,
-        pairs: tuple[tuple[Scaled, Scaled], ...],
-        D: Scaled,
-        origin: RingInstance | None = None,
-        uncrossed: SplitRouting | None = None,
-        demand_map: tuple[int, ...] | None = None,
-    ) -> None:
-        for k, (u, v) in enumerate(pairs):
+    def _check(self) -> None:
+        D = self.D
+        for k, (u, v) in enumerate(self.pairs):
             if u <= 0 or v <= 0:
                 raise ValueError(f"crossing demand #{k}: u and v must be positive")
             if u + v > D:
                 raise ValueError(f"crossing demand #{k}: d exceeds D")
         if D < 0:
             raise ValueError("D must be nonnegative")
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "uncrossed", uncrossed)
-        object.__setattr__(self, "demand_map", demand_map)
 
     @property
     def m(self) -> int:

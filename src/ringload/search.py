@@ -119,10 +119,9 @@ def symmetry_orbit(pairs: Pairs) -> set[Pairs]:
 
 
 class CanonicalForm(Record):
-    __slots__ = ("pairs",)
+    """CanonicalForm(pairs): a member's pairs, least aligned image of its symmetry orbit."""
 
-    def __init__(self, pairs: Pairs) -> None:
-        object.__setattr__(self, "pairs", pairs)
+    __slots__ = ("pairs",)
 
     @classmethod
     def of(cls, pairs: Pairs, D: int) -> "CanonicalForm":
@@ -422,7 +421,7 @@ def _scan(m: int, D: int) -> _Scan:
 
 
 class StructuredFamily(Record):
-    """The (m, D) family, checked once for all that a scan of it needs.
+    """StructuredFamily(m, D): the family, checked once for all that a scan of it needs.
 
     Even m, D >= 2, and scan tables that _fit: the (2m, 4m) symmetry
     weights grow as m^2 at any D, the free-pair table as (D/2)^2.  So
@@ -432,9 +431,8 @@ class StructuredFamily(Record):
 
     __slots__ = ("m", "D")
 
-    def __init__(self, m: int, D: int) -> None:
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "D", D)
+    def _check(self) -> None:
+        m, D = self.m, self.D
         if m < 2 or m % 2 or D < 2 or D % 2:
             raise InfeasibleParams("structured family needs even m >= 2 and even D >= 2")
         if not _fits((2 * m, 4 * m), np.int64):
@@ -493,11 +491,9 @@ class StructuredFamily(Record):
 
 
 class SearchHit(Record):
-    __slots__ = ("form", "min_increase")
+    """SearchHit(form, min_increase): a member found and its least load increase."""
 
-    def __init__(self, form: CanonicalForm, min_increase: Scaled) -> None:
-        object.__setattr__(self, "form", form)
-        object.__setattr__(self, "min_increase", min_increase)
+    __slots__ = ("form", "min_increase")
 
 
 def shard_range(total: int, shard: tuple[int, int]) -> tuple[int, int]:

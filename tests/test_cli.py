@@ -14,10 +14,17 @@ from pathlib import Path
 
 import pytest
 
-from conftest import Interrupted, fail_after, random_ring, record_pairs, with_extra_demands
+from conftest import (
+    Interrupted,
+    fail_after,
+    random_ring,
+    random_small_big,
+    record_pairs,
+    with_extra_demands,
+)
 from ringload import approx, cli, instances, reduction, search
 from ringload.cli import main
-from ringload.errors import InfeasibleParams
+from ringload.errors import InfeasibleParams, InternalGuaranteeViolation, MediumDemandPresent
 from ringload.fileio import write_instance
 from ringload.instances import builtin, random_crossing
 from ringload.model import CCW, CW, Demand, RingInstance, SplitRouting, UnsplitRouting, path_loads
@@ -211,6 +218,28 @@ def test_a_broken_bound_is_caught_with_exact_values(capsys, monkeypatch, fig2_fi
     assert (code, out) == (1, "")
     assert err == ("error: InternalGuaranteeViolation: branch medium: performance 365/28 "
                    "exceeds certified bound 13\n")
+
+
+def test_three_walks_without_a_close_pair_are_caught(capsys, monkeypatch, tmp_path):
+    # A ring whose small/big route ends in a crossover of walk c, with
+    # find_close finding no pair: the route has no branch left and stops.
+    rng = random.Random(52)
+    for _ in range(20000):
+        inst, split = random_small_big(rng, rng.randint(2, 12), rng.choice([7, 14, 21, 28, 70])).to_ring()
+        cross, _ = reduce_to_crossing(inst, split)
+        try:
+            if approx.small_big_solve(cross).branch in ("smallbig-ca", "smallbig-cb"):
+                break
+        except MediumDemandPresent:  # the ring's D is its largest demand, not the draw's
+            continue
+    path = tmp_path / "ring.json"
+    path.write_bytes(write_instance(inst, split))
+    monkeypatch.setattr(approx, "find_close", lambda *walks: None)
+    with pytest.raises(InternalGuaranteeViolation, match="^no close pair among the three greedy walks$"):
+        approx.small_big_solve(cross)
+    code, out, err = run_cli(capsys, "solve", "--alg", "smallbig", "-i", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: InternalGuaranteeViolation: no close pair among the three greedy walks\n"
 
 
 @pytest.mark.parametrize("entry", ["5", '"abc"', "null"])

@@ -44,6 +44,12 @@ def test_builtin_shapes():
         assert (inst.n, len(inst.demands), inst.max_demand) == (n, k, D * S)
 
 
+def test_fig1_is_two_crossing_demands_split_half_half():
+    # fig1 is crossing-form data: demands 1-3 and 2-4 of value 2, half of each clockwise.
+    inst, split = builtin("fig1")
+    assert (inst.n, inst.i, inst.j, inst.d, split.cw) == (4, (1, 2), (3, 4), (56, 56), (28, 28))
+
+
 def test_fig5_transcription_properties():
     # All splits integral with even demand values, odd clockwise total,
     # and every other demand pinned to D = 100.

@@ -348,3 +348,52 @@ def test_records_keep_their_value_semantics(cls):
     assert type(copy) is cls and copy == record and hash(copy) == hash(record)
     listed = ", ".join(f"{name}={value!r}" for name, value in fields.items())
     assert repr(record) == f"{cls.__name__}({listed})"
+
+
+SHARED_CONSTRUCTOR = [cls for cls in RECORD_CLASSES if cls not in (Demand, RingInstance)]
+
+
+@pytest.mark.parametrize("cls", SHARED_CONSTRUCTOR, ids=lambda cls: cls.__name__)
+def test_records_take_each_field_once_by_position_or_name(cls):
+    # The shared constructor rejects a missing field, an unknown name, a
+    # field given by position and by name, and a value past the last field.
+    _, fields = _record_cases()[cls]
+    values = list(fields.values())
+    first, rest = next(iter(fields)), dict(list(fields.items())[1:])
+    assert cls(*values) == cls(**fields) == cls(values[0], **rest)
+    with pytest.raises(TypeError, match=f"missing field\\(s\\) {first}"):
+        cls(**rest)
+    with pytest.raises(TypeError, match="no field 'extra'"):
+        cls(*values, extra=1)
+    with pytest.raises(TypeError, match=f"field '{first}' by position and by name"):
+        cls(*values, **{first: values[0]})
+    with pytest.raises(TypeError, match=f"takes {len(values)} fields, got {len(values) + 1}"):
+        cls(*values, values[-1])
+
+
+def test_crossing_instance_fills_its_trailing_fields_with_none():
+    pairs = ((28, 28), (84, 56))
+    for cross in (CrossingInstance(pairs=pairs, D=140), CrossingInstance(pairs, 140)):
+        assert (cross.pairs, cross.D) == (pairs, 140)
+        assert cross.origin is cross.uncrossed is cross.demand_map is None
+
+
+@pytest.mark.parametrize("cls, bad", [(Pattern, ("points", (0, 1, 2))), (CrossingInstance, ("D", 0))],
+                         ids=["Pattern", "CrossingInstance"])
+def test_unpickling_checks_the_record(cls, bad, monkeypatch):
+    # A record is unpickled through its constructor: its check runs once,
+    # and a field it would refuse is refused on the way back in too.
+    _, fields = _record_cases()[cls]
+    data = pickle.dumps(cls(**fields))
+    checked = []
+    check = cls._check
+    monkeypatch.setattr(cls, "_check", lambda self: checked.append(self) or check(self))
+    copy = pickle.loads(data)
+    assert len(checked) == 1 and checked[0] is copy
+    forged = cls.__new__(cls)
+    for name, value in {**fields, bad[0]: bad[1]}.items():
+        object.__setattr__(forged, name, value)
+    data = pickle.dumps(forged)
+    with pytest.raises(ValueError):
+        pickle.loads(data)
+    assert len(checked) == 2
