@@ -28,11 +28,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .errors import (
-    InternalGuaranteeViolation,
-    MediumDemandPresent,
-    NotMedium,
-)
+from .errors import InternalGuaranteeViolation, MediumDemandPresent, ValidationError
 from .model import CCW, CW, Record, UnsplitRouting
 from .patterns import (
     Pattern,
@@ -44,7 +40,7 @@ from .patterns import (
     walk_points,
 )
 from .reduction import CrossingInstance, rotated
-from .scaled import Scaled, exact_div, halve, rational_str
+from .scaled import Scaled, exact_div, rational_str
 
 
 class SolveReport(Record):
@@ -72,8 +68,8 @@ def _report(pattern: Pattern, bound: Scaled, branch: str) -> SolveReport:
 
 def ssw_three_halves(cross: CrossingInstance) -> SolveReport:
     """Forward greedy from D/2; additive performance at most 3/2 * D."""
-    pattern = Pattern(cross, walk_points(cross.pairs, cross.D, halve(cross.D), True))
-    return _report(pattern, 3 * halve(cross.D), "ssw")
+    pattern = Pattern(cross, walk_points(cross.pairs, cross.D, exact_div(cross.D, 2), True))
+    return _report(pattern, 3 * exact_div(cross.D, 2), "ssw")
 
 
 def medium_demand_solve(
@@ -86,23 +82,23 @@ def medium_demand_solve(
     """
     D = cross.D
     if not 0 <= i < cross.m:
-        raise NotMedium(f"no demand #{i}")
+        raise ValidationError(f"no demand #{i}")
     if delta_d < 0:
-        raise NotMedium("the margin delta * D must be nonnegative")
+        raise ValidationError("the margin delta * D must be nonnegative")
     d_i = cross.demand_value(i)
     if not delta_d <= d_i <= D - delta_d:
-        raise NotMedium(f"demand #{i} value outside [delta*D, (1-delta)*D]")
+        raise ValidationError(f"demand #{i} value outside [delta*D, (1-delta)*D]")
 
     r = (cross.m - 1 - i) % cross.m
     pairs = rotated(cross.pairs, r)
     u_m, v_m = pairs[-1]
 
-    target = halve(D + d_i) - v_m
+    target = exact_div(D + d_i, 2) - v_m
     assert 0 <= target <= D, "d_i <= D and v_m <= d_i keep the target in [0, D]"
     points = walk_points(pairs[:-1], D, target, forward=False)
     last = target + v_m if 2 * points[0] <= D else target - u_m
     steps = [b - a for a, b in zip(points, points[1:])] + [last - target]
-    bound = 3 * halve(D) - halve(delta_d)
+    bound = 3 * exact_div(D, 2) - exact_div(delta_d, 2)
 
     # Undo the rotation: old demands 0..m-r-1 sit at positions r.., the
     # last r old demands at positions 0..r-1 with u and v swapped, so

@@ -1,9 +1,21 @@
 """Exception taxonomy.
 
-RingLoadingError is the common base; ValidationError covers everything a
-malformed instance or routing can trigger.  InternalGuaranteeViolation is
-special: it fires only if a certified bound of the approximation algorithm,
-or a solver's claimed increase, fails to hold: a bug, never bad input.
+RingLoadingError is the common base.  Every error falls in one of three
+kinds, and the CLI prints each as one `error: Class: message` line:
+
+  * a fault in the caller's data: ValidationError and its subclasses, a
+    malformed document, instance, routing, record or parameter, or a value
+    off the 1/28 grid.  ValidationError is also a ValueError.  Exit 1.
+  * a refusal by size or by setting: TooManyDemands and TooLargeForDP
+    (exit 1) decline work past their caps; InvalidSetting (exit 2, a usage
+    error) rejects an environment setting or a combination of options.
+  * a bug: InternalGuaranteeViolation fires only if a certified bound of the
+    approximation algorithm, or a solver's claimed increase, fails to hold;
+    never bad input.  Exit 1.
+
+The CLI raises RingLoadingError itself for a request its command cannot
+serve as given (exit 1).  A record built with missing, unknown or surplus
+fields raises TypeError, as a call with wrong arguments does.
 """
 
 
@@ -11,8 +23,8 @@ class RingLoadingError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ValidationError(RingLoadingError):
-    """An instance or routing violates a structural invariant."""
+class ValidationError(RingLoadingError, ValueError):
+    """The caller's data violates an invariant: an instance, routing, record or parameter."""
 
 
 class NodeOutOfRange(ValidationError):
@@ -28,52 +40,24 @@ class SplitExceedsDemand(ValidationError):
 
 
 class IndexMismatch(ValidationError):
-    pass
+    """Two sequences that must match entry by entry differ in length."""
 
 
-class InstanceSyntaxError(RingLoadingError):
+class InstanceSyntaxError(ValidationError):
     """The instance document is not well-formed JSON."""
 
 
-class SchemaError(RingLoadingError):
+class SchemaError(ValidationError):
     """An instance document has missing, ill-typed or overlong fields, or a
     search checkpoint is not hit records of its run followed by an index."""
 
 
-class LengthMismatch(RingLoadingError):
-    """A routing vector does not match the instance it is applied to."""
+class InfeasibleParams(ValidationError):
+    """Generator or search parameters admit no instance."""
 
 
-class StartOutOfRange(RingLoadingError):
-    """Forward greedy start point outside the admissible interval."""
-
-
-class EndOutOfRange(RingLoadingError):
-    """Backward greedy end point outside the admissible interval."""
-
-
-class OwnerMismatch(RingLoadingError):
-    """Two patterns of different instances were combined."""
-
-
-class OddEpsilon(RingLoadingError):
-    """A crossover shift of half an odd grid value is not representable."""
-
-
-class InvalidWitness(RingLoadingError):
-    """A closeness witness index lies outside the patterns."""
-
-
-class NotMedium(RingLoadingError):
-    """The selected demand is not of medium size for the given margin."""
-
-
-class MediumDemandPresent(RingLoadingError):
+class MediumDemandPresent(ValidationError):
     """The small/big algorithm was invoked on an instance with a medium demand."""
-
-
-class InternalGuaranteeViolation(RingLoadingError):
-    """A certified bound or a claimed increase failed; this is a bug, not bad input."""
 
 
 class TooManyDemands(RingLoadingError):
@@ -91,9 +75,5 @@ class InvalidSetting(RingLoadingError):
     """
 
 
-class UnknownName(RingLoadingError):
-    """No built-in instance with the requested name."""
-
-
-class InfeasibleParams(RingLoadingError):
-    """Generator or search parameters admit no instance."""
+class InternalGuaranteeViolation(RingLoadingError):
+    """A certified bound or a claimed increase failed; this is a bug, not bad input."""

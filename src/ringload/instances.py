@@ -28,7 +28,7 @@ import random
 import sys
 from functools import lru_cache
 
-from .errors import InfeasibleParams, UnknownName
+from .errors import InfeasibleParams, ValidationError
 from .model import (
     Record,
     RingInstance,
@@ -142,7 +142,7 @@ def builtin(name: str) -> tuple[RingInstance, SplitRouting]:
         i, j, d, cw = zip(*_FIG8_DEMANDS)
         inst = RingInstance.from_columns(16, i, j, tuple(map(from_int, d)))
         return inst, SplitRouting(tuple(map(from_int, cw)))
-    raise UnknownName(f"no built-in instance named {name!r}")
+    raise ValidationError(f"no built-in instance named {name!r}")
 
 
 def _pair_list(m: int) -> list[tuple[int, int]]:

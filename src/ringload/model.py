@@ -40,6 +40,7 @@ from .errors import (
     NegativeDemand,
     NodeOutOfRange,
     SplitExceedsDemand,
+    ValidationError,
 )
 from .scaled import Scaled
 
@@ -211,7 +212,7 @@ class UnsplitRouting(Record):
     def _check(self) -> None:
         for flag in self.dirs:
             if flag not in (CW, CCW):
-                raise ValueError(f"direction must be {CW!r} or {CCW!r}, got {flag!r}")
+                raise ValidationError(f"direction must be {CW!r} or {CCW!r}, got {flag!r}")
 
 
 def validate_instance(inst: RingInstance, split: SplitRouting) -> None:

@@ -19,16 +19,10 @@ from __future__ import annotations
 
 from itertools import count
 
-from .errors import (
-    EndOutOfRange,
-    InvalidWitness,
-    OddEpsilon,
-    OwnerMismatch,
-    StartOutOfRange,
-)
+from .errors import ValidationError
 from .model import Record
 from .reduction import CrossingInstance
-from .scaled import Scaled, exact_div, halve
+from .scaled import Scaled, exact_div
 
 
 class Pattern(Record):
@@ -39,11 +33,11 @@ class Pattern(Record):
     def _check(self) -> None:
         owner, points = self.owner, self.points
         if len(points) != owner.m + 1:
-            raise ValueError(f"pattern needs m+1 = {owner.m + 1} points")
+            raise ValidationError(f"pattern needs m+1 = {owner.m + 1} points")
         for k, (u, v), here, there in zip(count(), owner.pairs, points, points[1:]):
             step = there - here
             if step != v and step != -u:
-                raise ValueError(f"step #{k} is {step}, admissible: {v} or {-u}")
+                raise ValidationError(f"step #{k} is {step}, admissible: {v} or {-u}")
 
     @property
     def start(self) -> Scaled:
@@ -110,21 +104,21 @@ def walk_points(
 def forward_greedy(cross: CrossingInstance, x: Scaled) -> Pattern:
     lo, hi = margin_interval(cross.D)
     if not lo <= x <= hi:
-        raise StartOutOfRange(f"start must lie in [D/14, 13D/14] = [{lo}, {hi}]")
+        raise ValidationError(f"start must lie in [D/14, 13D/14] = [{lo}, {hi}]")
     return Pattern(cross, walk_points(cross.pairs, cross.D, x, True))
 
 
 def backward_greedy(cross: CrossingInstance, y: Scaled) -> Pattern:
     lo, hi = margin_interval(cross.D)
     if not lo <= y <= hi:
-        raise EndOutOfRange(f"end must lie in [D/14, 13D/14] = [{lo}, {hi}]")
+        raise ValidationError(f"end must lie in [D/14, 13D/14] = [{lo}, {hi}]")
     return Pattern(cross, walk_points(cross.pairs, cross.D, y, False))
 
 
 def find_close(p1: Pattern, p2: Pattern, eps: Scaled) -> int | None:
     """Smallest index k with |p1(k) - p2(k)| <= eps, the closeness witness, else None."""
     if p1.owner != p2.owner:
-        raise OwnerMismatch("patterns belong to different instances")
+        raise ValidationError("patterns belong to different instances")
     for k, (a, b) in enumerate(zip(p1.points, p2.points)):
         if abs(a - b) <= eps:
             return k
@@ -139,13 +133,11 @@ def crossover(p1: Pattern, p2: Pattern, k: int) -> Pattern:
     |eps'|/2]; its start plus end equals p1.start + p2.end exactly.
     """
     if p1.owner != p2.owner:
-        raise OwnerMismatch("patterns belong to different instances")
+        raise ValidationError("patterns belong to different instances")
     if not 0 <= k <= p1.owner.m:
-        raise InvalidWitness(f"witness index {k} out of range")
+        raise ValidationError(f"witness index {k} out of range")
     eps_prime = p1.points[k] - p2.points[k]
-    if eps_prime % 2:
-        raise OddEpsilon("half of an odd gap is not on the 1/28 grid")
-    shift = halve(eps_prime)
+    shift = exact_div(eps_prime, 2)
     points = tuple(p - shift for p in p1.points[: k + 1]) + tuple(
         p + shift for p in p2.points[k + 1 :]
     )

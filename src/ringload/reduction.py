@@ -36,7 +36,7 @@ from bisect import bisect_left
 from itertools import count
 from operator import lt
 
-from .errors import InfeasibleParams, LengthMismatch
+from .errors import IndexMismatch, InfeasibleParams, ValidationError
 from .model import (
     CCW,
     CW,
@@ -68,11 +68,11 @@ class CrossingInstance(Record):
         D = self.D
         for k, (u, v) in enumerate(self.pairs):
             if u <= 0 or v <= 0:
-                raise ValueError(f"crossing demand #{k}: u and v must be positive")
+                raise ValidationError(f"crossing demand #{k}: u and v must be positive")
             if u + v > D:
-                raise ValueError(f"crossing demand #{k}: d exceeds D")
+                raise ValidationError(f"crossing demand #{k}: d exceeds D")
         if D < 0:
-            raise ValueError("D must be nonnegative")
+            raise ValidationError("D must be nonnegative")
 
     @property
     def m(self) -> int:
@@ -248,7 +248,7 @@ def reduce_to_crossing(
 def lift_solution(cross: CrossingInstance, z: UnsplitRouting) -> UnsplitRouting:
     """Translate a crossing-form solution back to the original instance."""
     if len(z.dirs) != cross.m:
-        raise LengthMismatch(f"z has {len(z.dirs)} entries for m={cross.m}")
+        raise IndexMismatch(f"z has {len(z.dirs)} entries for m={cross.m}")
     if cross.origin is None:
         return z
     assert cross.uncrossed is not None and cross.demand_map is not None

@@ -10,8 +10,11 @@ algorithms produce stay exactly representable:
     (D/2, D/14, 5D/14, 3D/7, 11D/14, 19D/14, ...),
   * the crossover operation halves an even point difference.
 
-28 = 2 * 14 covers all of these, so no operation ever rounds.  Violations
-raise instead of rounding; they indicate a bug, never a data problem.
+28 = 2 * 14 covers all of these, so no operation ever rounds.  An
+off-grid value raises ValidationError instead of rounding: the package's
+own arithmetic stays on the grid, so such a value comes from a caller's
+data, such as a fraction off the grid or a D that a route cannot divide
+exactly.
 
 decimal and fractions are imported by the two rare calls that use them,
 int_text past int's str digit limit and parse_rational, so importing the
@@ -21,6 +24,8 @@ package loads neither.
 from __future__ import annotations
 
 import math
+
+from .errors import ValidationError
 
 SCALE = 28
 
@@ -37,7 +42,7 @@ def from_fraction(value: Fraction) -> Scaled:
     """Scale an exact rational; raises if it is not on the 1/28 grid."""
     scaled = value * SCALE
     if scaled.denominator != 1:
-        raise ValueError(f"{value} is not a multiple of 1/{SCALE}")
+        raise ValidationError(f"{value} is not a multiple of 1/{SCALE}")
     return int(scaled)
 
 
@@ -66,18 +71,11 @@ def parse_rational(text: str) -> Scaled:
     return from_fraction(Fraction(text))
 
 
-def halve(scaled: Scaled) -> Scaled:
-    """Exact division by two; the argument must be even."""
-    if scaled % 2:
-        raise ValueError(f"scaled value {scaled} is odd, cannot halve exactly")
-    return scaled // 2
-
-
 def exact_div(scaled: Scaled, divisor: int) -> Scaled:
     """Exact integer division; raises on any remainder."""
     q, r = divmod(scaled, divisor)
     if r:
-        raise ValueError(f"scaled value {scaled} is not divisible by {divisor}")
+        raise ValidationError(f"scaled value {scaled} is not divisible by {divisor}")
     return q
 
 

@@ -544,7 +544,7 @@ def _resume(
             raise ValueError(checkpoint)  # an even total, or not canonical
         if scan.screen(rows, t).any() or scan.values(rows, t).tolist() != values:
             raise ValueError(checkpoint)  # not the minimum increase
-    except (ValueError, IndexError, InfeasibleParams):  # a line no save of the shard writes
+    except (ValueError, IndexError):  # a line no save of the shard writes
         raise SchemaError(f"{checkpoint}: not hit records of this run, then an index") from None
     return hits, cursor + 1
 

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from ringload import exact, search
-from ringload.errors import LengthMismatch
+from ringload.errors import IndexMismatch
 from ringload.instances import random_crossing
 from ringload.model import (
     CCW,
@@ -378,7 +378,7 @@ def assert_contraction(inst: RingInstance, cross: CrossingInstance) -> None:
 def pattern_from_solution(cross: CrossingInstance, z: UnsplitRouting, x: Scaled = 0) -> Pattern:
     """Prefix sums of the solution's steps, started at x."""
     if len(z.dirs) != cross.m:
-        raise LengthMismatch(f"z has {len(z.dirs)} entries for m={cross.m}")
+        raise IndexMismatch(f"z has {len(z.dirs)} entries for m={cross.m}")
     points = [x]
     for (u, v), flag in zip(cross.pairs, z.dirs):
         points.append(points[-1] + (v if flag == CW else -u))

@@ -13,7 +13,7 @@ from ringload.approx import (
     solve_19_14,
     ssw_three_halves,
 )
-from ringload.errors import LengthMismatch, MediumDemandPresent, NotMedium
+from ringload.errors import IndexMismatch, MediumDemandPresent, ValidationError
 from ringload.instances import builtin, random_crossing
 from ringload.model import CCW, CW, UnsplitRouting, additive_increase
 from ringload.patterns import Pattern, performance
@@ -53,7 +53,7 @@ def test_pattern_solution_round_trip():
 
 def test_pattern_from_solution_length_check():
     cross = cross_of([(1, 1)], 2)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(IndexMismatch, match="^z has 2 entries for m=1$"):
         pattern_from_solution(cross, UnsplitRouting((CW, CW)), 0)
 
 
@@ -116,11 +116,11 @@ def test_medium_with_zero_margin_degenerates_to_ssw_bound():
 
 def test_medium_rejects_non_medium_demand():
     cross = cross_of([(1, 1), (5, 5)], 10)
-    with pytest.raises(NotMedium):
+    with pytest.raises(ValidationError, match=r"^demand #0 value outside \[delta\*D"):
         medium_demand_solve(cross, 0, 3 * S)
-    with pytest.raises(NotMedium):
+    with pytest.raises(ValidationError, match="^no demand #5$"):
         medium_demand_solve(cross, 5, 0)
-    with pytest.raises(NotMedium):
+    with pytest.raises(ValidationError, match="^the margin delta"):
         medium_demand_solve(cross, 1, -S)
 
 

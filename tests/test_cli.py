@@ -341,6 +341,59 @@ def test_outputs_past_the_digit_limit_are_exact(capsys, tmp_path, argv):
         assert f'"{twice}",\n  "{twice}",\n  "0",\n  "0"\n' in out
 
 
+def _ring(*demands):
+    """A 4-node ring document of (i, j, d) or (i, j, d, cw) entries."""
+    return json.dumps({"n": 4, "demands": [dict(zip(("i", "j", "d", "cw"), entry))
+                                           for entry in demands]})
+
+
+SEARCH_8 = ("search", "--m", "8", "--d", "10", "--threshold", "11")
+
+
+@pytest.mark.parametrize("doc, argv, cap, code, line", [
+    (_ring((1, 3, 2)), ("solve", "--alg", "auto"), None, 1,
+     "RingLoadingError: {path}: a split routing ('cw' fields) is required"),
+    (_ring((1, 3, -2, 1)), ("solve", "--alg", "auto"), None, 1,
+     "NegativeDemand: demand #0 has negative value"),
+    (_ring((1, 5, 2, 1)), ("solve", "--alg", "auto"), None, 1,
+     "NodeOutOfRange: demand #0 endpoints (1,5) violate 1 <= i < j <= 4"),
+    ('{"n": 4, "demands": [{"i": 1, "j": 3, "cw": 1}]}', ("solve", "--alg", "auto"), None, 1,
+     "SchemaError: demand #0: missing field 'd'"),
+    ('{"n": 4, "demands": [', ("solve", "--alg", "auto"), None, 1,
+     "InstanceSyntaxError: Expecting value: line 1 column 22 (char 21)"),
+    (_ring((1, 3, 2, 3)), ("solve", "--alg", "auto"), None, 1,
+     "SplitExceedsDemand: demand #0: clockwise amount outside [0, d]"),
+    (_ring((1, 3, 10, 5), (2, 4, 5, 2)), ("solve", "--alg", "smallbig"), None, 1,
+     "MediumDemandPresent: demand #1 is of medium size"),
+    (_ring((1, 3, 10**8, 10**8 // 2), (2, 4, 2, 1)), ("solve", "--alg", "dp"), None, 1,
+     "TooLargeForDP: the DP's start bound of 150000000 grid units exceeds its limit of 16777216"),
+    (None, ("gen", "--m", "1", "--d", "2", "--seed", "1"), None, 1,
+     "InfeasibleParams: a ring needs at least 3 nodes; m must be >= 2"),
+    (None, SEARCH_8, None, 1,
+     "RingLoadingError: the m=8, D=10 family has 2562890625 members; pass --full to scan "
+     "them all, or --shard I/N for one slice"),
+    (None, ("search", "--m", "7", "--d", "10", "--threshold", "11", "--shard", "0/1"), None, 1,
+     "InfeasibleParams: structured family needs even m >= 2 and even D >= 2"),
+    (None, (*SEARCH_8, "--shard", "0/1", "--full"), None, 2,
+     "InvalidSetting: --shard and --full exclude each other; pass one of them"),
+    (_ring((1, 3, 2), (2, 4, 2)), ("optimum",), "1", 1,
+     "TooManyDemands: 2 nonzero demands exceed the cap of 1"),
+], ids=["no-split", "negative-d", "j-beyond-n", "missing-d", "truncated-json", "cw-above-d",
+        "medium-demand", "dp-too-large", "gen-infeasible", "search-no-scan", "search-odd-m",
+        "search-shard-and-full", "brute-cap"])
+def test_every_error_is_one_exact_line(capsys, tmp_path, monkeypatch, doc, argv, cap, code,
+                                       line):
+    # Each fault the CLI reports is one stderr line naming the error's class,
+    # its exit code is 2 for a usage error and 1 otherwise, and stdout stays empty.
+    path = tmp_path / "ring.json"
+    if doc is not None:
+        path.write_text(doc)
+        argv = (*argv, "-i", str(path))
+    if cap is not None:
+        monkeypatch.setenv("RINGLOAD_BRUTE_CAP", cap)
+    assert run_cli(capsys, *argv) == (code, "", f"error: {line.format(path=path)}\n")
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["solve"])  # missing -i

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ringload.errors import InfeasibleParams, UnknownName
+from ringload.errors import InfeasibleParams, ValidationError
 from ringload.instances import (
     BUILTIN_NAMES,
     builtin,
@@ -26,7 +26,7 @@ def test_builtins_load_and_self_check(name):
 
 
 def test_builtin_unknown_name():
-    with pytest.raises(UnknownName):
+    with pytest.raises(ValidationError, match="^no built-in instance named 'fig3'$"):
         builtin("fig3")
 
 

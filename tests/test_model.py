@@ -1,19 +1,24 @@
 """Core types: validation, exact loads, additive increase."""
 
+import ast
 import pickle
 import random
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import crossing_split_loads, random_ring
-from ringload.approx import SolveReport
+from ringload import errors
+from ringload.approx import SolveReport, medium_demand_solve, small_big_solve
 from ringload.errors import (
     IndexMismatch,
     NegativeDemand,
     NodeOutOfRange,
+    RingLoadingError,
     SplitExceedsDemand,
     ValidationError,
 )
@@ -29,10 +34,10 @@ from ringload.model import (
     edge_loads,
     validate_instance,
 )
-from ringload.patterns import Pattern
-from ringload.reduction import CrossingInstance, reduce_to_crossing
+from ringload.patterns import Pattern, backward_greedy, crossover, find_close, forward_greedy
+from ringload.reduction import CrossingInstance, lift_solution, reduce_to_crossing
 from ringload.search import CanonicalForm, SearchHit, StructuredFamily
-from ringload.scaled import from_int
+from ringload.scaled import exact_div, from_fraction, from_int
 
 
 def test_validate_accepts_fig1():
@@ -397,3 +402,86 @@ def test_unpickling_checks_the_record(cls, bad, monkeypatch):
     with pytest.raises(ValueError):
         pickle.loads(data)
     assert len(checked) == 2
+
+
+
+S = from_int(1)
+MEDIUM = CrossingInstance(((S, S), (5 * S, 5 * S)), 10 * S)
+GREEDY = CrossingInstance(((2 * S, 2 * S),), 14 * S)
+
+
+def _two_walks():
+    """Two patterns of one crossing instance whose gap at index 0 is odd."""
+    cross = CrossingInstance(((S, 2 * S), (2 * S, S)), 3 * S)
+    return Pattern(cross, (0, 2 * S, 0)), Pattern(cross, (1, 2 * S + 1, 1))
+
+
+def _other_walk():
+    return Pattern(CrossingInstance(((S, S),), 4 * S), (0, S))
+
+
+RAISE_SITES = {
+    "direction flag": (lambda: UnsplitRouting(("up",)),
+                       "^direction must be 'cw' or 'ccw', got 'up'$"),
+    "crossing pair": (lambda: CrossingInstance(((0, 5),), 5),
+                      "^crossing demand #0: u and v must be positive$"),
+    "pattern step": (lambda: Pattern(GREEDY, (0, S)), "^step #0 is 28, admissible: 56 or -56$"),
+    "off-grid D": (lambda: small_big_solve(CrossingInstance(((1, 2),), 3)),
+                   "^scaled value 6 is not divisible by 7$"),
+    "short z": (lambda: lift_solution(MEDIUM, UnsplitRouting((CW,))), "^z has 1 entries for m=2$"),
+    "forward start": (lambda: forward_greedy(GREEDY, S - 1),
+                      r"^start must lie in \[D/14, 13D/14\] = \[28, 364\]$"),
+    "backward end": (lambda: backward_greedy(GREEDY, 13 * S + 1),
+                     r"^end must lie in \[D/14, 13D/14\] = \[28, 364\]$"),
+    "find_close owners": (lambda: find_close(_two_walks()[0], _other_walk(), S),
+                          "^patterns belong to different instances$"),
+    "crossover owners": (lambda: crossover(_two_walks()[0], _other_walk(), 0),
+                         "^patterns belong to different instances$"),
+    "witness index": (lambda: crossover(*_two_walks(), 3), "^witness index 3 out of range$"),
+    "odd gap": (lambda: crossover(*_two_walks(), 0), "^scaled value -1 is not divisible by 2$"),
+    "no demand": (lambda: medium_demand_solve(MEDIUM, 5, 0), "^no demand #5$"),
+    "negative margin": (lambda: medium_demand_solve(MEDIUM, 1, -S),
+                        r"^the margin delta \* D must be nonnegative$"),
+    "not medium": (lambda: medium_demand_solve(MEDIUM, 0, 3 * S),
+                   r"^demand #0 value outside \[delta\*D, \(1-delta\)\*D\]$"),
+    "builtin name": (lambda: builtin("nope"), "^no built-in instance named 'nope'$"),
+    "fraction": (lambda: from_fraction(Fraction(1, 3)), "^1/3 is not a multiple of 1/28$"),
+    "division": (lambda: exact_div(from_int(10), 3), "^scaled value 280 is not divisible by 3$"),
+}
+
+
+@pytest.mark.parametrize("site", RAISE_SITES)
+def test_a_fault_in_the_callers_data_is_a_validation_error(site):
+    # One `except ValidationError`, `except ValueError` or `except
+    # RingLoadingError` catches every fault a caller's data can trigger.
+    call, message = RAISE_SITES[site]
+    with pytest.raises(ValidationError, match=message) as raised:
+        call()
+    assert isinstance(raised.value, ValueError) and isinstance(raised.value, RingLoadingError)
+
+
+def test_the_package_raises_only_its_own_errors():
+    # Besides the classes of ringload.errors, the package raises TypeError
+    # and AttributeError (the record protocol and the package __getattr__),
+    # argparse's ArgumentTypeError, and ValueError only inside the try of
+    # search._resume, which catches it itself.
+    allowed = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, Exception)}
+    allowed |= {"TypeError", "AttributeError", "argparse.ArgumentTypeError"}
+    trees = {path.name: ast.parse(path.read_text())
+             for path in Path(errors.__file__).parent.glob("*.py")}
+    resume = next(node for node in ast.walk(trees["search.py"])
+                  if isinstance(node, ast.FunctionDef) and node.name == "_resume")
+    caught = {id(node) for block in ast.walk(resume) if isinstance(block, ast.Try)
+              if any("ValueError" in ast.unparse(handler.type) for handler in block.handlers)
+              for statement in block.body for node in ast.walk(statement)}
+    strays = []
+    for module, tree in sorted(trees.items()):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = ast.unparse(exc)
+                if name not in allowed and not (name == "ValueError" and id(node) in caught):
+                    strays.append(f"{module}:{node.lineno}: {name}")
+    assert caught
+    assert strays == []

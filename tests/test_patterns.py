@@ -5,13 +5,7 @@ import random
 import pytest
 
 from conftest import random_small_big
-from ringload.errors import (
-    EndOutOfRange,
-    InvalidWitness,
-    OddEpsilon,
-    OwnerMismatch,
-    StartOutOfRange,
-)
+from ringload.errors import ValidationError
 from ringload.instances import random_crossing
 from ringload.patterns import (
     Pattern,
@@ -128,9 +122,9 @@ def test_greedy_margin_enforced():
     assert lo == S and hi == 13 * S
     forward_greedy(cross, lo)
     forward_greedy(cross, hi)
-    with pytest.raises(StartOutOfRange):
+    with pytest.raises(ValidationError, match=r"^start must lie in \[D/14, 13D/14\]"):
         forward_greedy(cross, lo - 1)
-    with pytest.raises(EndOutOfRange):
+    with pytest.raises(ValidationError, match=r"^end must lie in \[D/14, 13D/14\]"):
         backward_greedy(cross, hi + 1)
 
 
@@ -237,9 +231,9 @@ def test_find_close_examples():
 def test_find_close_owner_mismatch():
     c1 = cross_of([(1, 1)], 2)
     c2 = cross_of([(1, 1)], 4)
-    with pytest.raises(OwnerMismatch):
+    with pytest.raises(ValidationError, match="^patterns belong to different instances$"):
         find_close(Pattern(c1, (0, S)), Pattern(c2, (0, S)), S)
-    with pytest.raises(OwnerMismatch):
+    with pytest.raises(ValidationError, match="^patterns belong to different instances$"):
         crossover(Pattern(c1, (0, S)), Pattern(c2, (0, S)), 0)
 
 
@@ -294,10 +288,10 @@ def test_crossover_rejects_odd_gap_and_bad_witness():
     p1 = Pattern(cross, (0, 2 * S, 0))
     p2 = Pattern(cross, (S, 3 * S, S))
     for index in (-1, 3):
-        with pytest.raises(InvalidWitness):
+        with pytest.raises(ValidationError, match=f"^witness index {index} out of range$"):
             crossover(p1, p2, index)
     odd = Pattern(cross, (1, 2 * S + 1, 1))
-    with pytest.raises(OddEpsilon):
+    with pytest.raises(ValidationError, match="^scaled value -1 is not divisible by 2$"):
         crossover(p1, odd, 0)
 
 

@@ -20,7 +20,7 @@ from conftest import (
     uncrossed_amounts,
     with_extra_demands,
 )
-from ringload.errors import LengthMismatch
+from ringload.errors import IndexMismatch
 from ringload import reduction
 from ringload.instances import builtin, random_crossing
 from ringload.model import (
@@ -247,7 +247,7 @@ def test_crossing_instance_rejects_bad_data(pairs, D, message):
 def test_lift_length_mismatch():
     inst, split = builtin("fig1")
     cross, _ = reduce_to_crossing(inst, split)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(IndexMismatch, match="^z has 1 entries for m=2$"):
         lift_solution(cross, UnsplitRouting((CW,)))
 
 

@@ -11,7 +11,6 @@ from ringload.scaled import (
     exact_div,
     from_fraction,
     from_int,
-    halve,
     parse_rational,
     rational_str,
     unscale,
@@ -34,7 +33,7 @@ def test_round_trips():
 def test_rational_str():
     assert rational_str(from_int(37)) == "37"
     assert rational_str(from_fraction(Fraction(19, 14))) == "19/14"
-    assert rational_str(halve(from_int(-3))) == "-3/2"
+    assert rational_str(exact_div(from_int(-3), 2)) == "-3/2"
     assert rational_str(0) == "0"
     for scaled in (*range(-3 * SCALE, 3 * SCALE + 1), 10**21 + 1, -(10**21) - 14):
         value = Fraction(scaled, SCALE)
@@ -46,7 +45,7 @@ def test_exactness_violations_raise():
     with pytest.raises(ValueError):
         from_fraction(Fraction(1, 3))
     with pytest.raises(ValueError):
-        halve(1)
+        exact_div(1, 2)
     with pytest.raises(ValueError):
         exact_div(from_int(10), 3)
     with pytest.raises(ValueError):
