@@ -52,7 +52,8 @@ class SolveReport(Record):
 def solution_from_pattern(pattern: Pattern) -> UnsplitRouting:
     """CW where the pattern steps up: a step is +v > 0 or -u < 0."""
     points = pattern.points
-    return UnsplitRouting(tuple(CW if b > a else CCW for a, b in zip(points, points[1:])))
+    dirs = tuple(CW if b > a else CCW for a, b in zip(points, points[1:]))
+    return UnsplitRouting._trusted(dirs)  # every flag is CW or CCW
 
 
 def _report(pattern: Pattern, bound: Scaled, branch: str) -> SolveReport:
@@ -68,7 +69,8 @@ def _report(pattern: Pattern, bound: Scaled, branch: str) -> SolveReport:
 
 def ssw_three_halves(cross: CrossingInstance) -> SolveReport:
     """Forward greedy from D/2; additive performance at most 3/2 * D."""
-    pattern = Pattern(cross, walk_points(cross.pairs, cross.D, exact_div(cross.D, 2), True))
+    points = walk_points(cross.pairs, cross.D, exact_div(cross.D, 2), True)
+    pattern = Pattern._trusted(cross, points)  # a greedy walk steps +v or -u
     return _report(pattern, 3 * exact_div(cross.D, 2), "ssw")
 
 
@@ -104,7 +106,7 @@ def medium_demand_solve(
     # last r old demands at positions 0..r-1 with u and v swapped, so
     # their steps change sign.
     steps = steps[r:] + [-step for step in steps[:r]]
-    pattern = Pattern(cross, tuple(accumulate(steps, initial=0)))
+    pattern = Pattern._trusted(cross, tuple(accumulate(steps, initial=0)))  # steps +v or -u
     return _report(pattern, bound, "medium")
 
 

@@ -77,8 +77,7 @@ def _cmd_solve(args) -> int:
             }
             note = f" (certified bound {extra['bound']})"
         unsplit = reduction.lift_solution(cross, z)
-    before = model.edge_loads(inst, split)
-    after = model.edge_loads(inst, unsplit)
+    before, after = model.split_and_unsplit_loads(inst, split, unsplit)
     increase = model.load_increase(before, after)
     if increase > claim:  # uncrossing never raises a load, so a lift never exceeds its claim
         raise InternalGuaranteeViolation(

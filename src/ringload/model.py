@@ -21,10 +21,12 @@ The record types here and in the other modules are slotted subclasses of
 Record: immutable, compared and hashed by class and field values, and
 picklable; importing them generates no code.  All but Demand and
 RingInstance are built and unpickled by Record's one constructor, which
-checks them.  All operations are pure functions.  Rings check themselves
-once, on construction (3 <= n <= sys.maxsize; then demand by demand
-1 <= i < j <= n and d >= 0); a split is checked once, by
-validate_instance, where it enters.
+checks them; Record._trusted skips the check, for the few sites that build
+a record from data already checked, each saying why it holds.  All
+operations are pure functions.  Rings check themselves once, on
+construction (3 <= n <= sys.maxsize; then demand by demand 1 <= i < j <= n
+and d >= 0); a split is checked once, by validate_instance, where it
+enters.
 """
 
 from __future__ import annotations
@@ -78,6 +80,15 @@ class Record:
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
         self._check()
+
+    @classmethod
+    def _trusted(cls, *values: object) -> Record:
+        """The record of these fields, all by position, without _check: only for
+        fields built from data already checked, each call saying why they hold."""
+        record = cls.__new__(cls)
+        for name, value in zip(cls._fields, values, strict=True):
+            object.__setattr__(record, name, value)
+        return record
 
     def _arranged(self, values: tuple, named: dict) -> tuple:
         """The fields in order: values by position, named by name, the rest from _defaults."""
@@ -255,11 +266,42 @@ def edge_loads(inst: RingInstance, routing: SplitRouting | UnsplitRouting) -> Lo
     return path_loads(inst.n, inst.i, inst.j, cw, list(map(sub, inst.d, cw)))
 
 
+def split_and_unsplit_loads(
+    inst: RingInstance, split: SplitRouting, unsplit: UnsplitRouting
+) -> tuple[LoadVector, LoadVector]:
+    """edge_loads of the split and of the unsplit routing, in one pass over the demands.
+
+    As in path_loads, but with one difference array per routing, indexed by
+    node: demand (i, j) adds its clockwise minus counterclockwise amount at
+    node i and takes it off at node j, and entry 0 holds the routing's
+    counterclockwise total, where each running sum starts.
+    """
+    values = inst.d
+    for entries in (split.cw, unsplit.dirs):
+        if len(entries) != len(values):
+            raise IndexMismatch(f"routing has {len(entries)} entries for {len(values)} demands")
+    before = [0] * (inst.n + 1)
+    after = before.copy()
+    ccw_total = 0
+    for a, b, d, x, flag in zip(inst.i, inst.j, values, split.cw, unsplit.dirs):
+        x += x - d  # clockwise minus counterclockwise
+        before[a] += x
+        before[b] -= x
+        if flag != CW:
+            ccw_total += d
+            d = -d
+        after[a] += d
+        after[b] -= d
+    before[0] = sum(values) - sum(split.cw)
+    after[0] = ccw_total
+    return tuple(accumulate(before))[1:], tuple(accumulate(after))[1:]
+
+
 def additive_increase(
     inst: RingInstance, split: SplitRouting, unsplit: UnsplitRouting
 ) -> Scaled:
     """Maximum over edges of (load under unsplit) - (load under split)."""
-    return load_increase(edge_loads(inst, split), edge_loads(inst, unsplit))
+    return load_increase(*split_and_unsplit_loads(inst, split, unsplit))
 
 
 def load_increase(before: LoadVector, after: LoadVector) -> Scaled:

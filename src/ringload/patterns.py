@@ -105,14 +105,14 @@ def forward_greedy(cross: CrossingInstance, x: Scaled) -> Pattern:
     lo, hi = margin_interval(cross.D)
     if not lo <= x <= hi:
         raise ValidationError(f"start must lie in [D/14, 13D/14] = [{lo}, {hi}]")
-    return Pattern(cross, walk_points(cross.pairs, cross.D, x, True))
+    return Pattern._trusted(cross, walk_points(cross.pairs, cross.D, x, True))  # steps +v or -u
 
 
 def backward_greedy(cross: CrossingInstance, y: Scaled) -> Pattern:
     lo, hi = margin_interval(cross.D)
     if not lo <= y <= hi:
         raise ValidationError(f"end must lie in [D/14, 13D/14] = [{lo}, {hi}]")
-    return Pattern(cross, walk_points(cross.pairs, cross.D, y, False))
+    return Pattern._trusted(cross, walk_points(cross.pairs, cross.D, y, False))  # steps +v or -u
 
 
 def find_close(p1: Pattern, p2: Pattern, eps: Scaled) -> int | None:
@@ -141,4 +141,6 @@ def crossover(p1: Pattern, p2: Pattern, k: int) -> Pattern:
     points = tuple(p - shift for p in p1.points[: k + 1]) + tuple(
         p + shift for p in p2.points[k + 1 :]
     )
-    return Pattern(p1.owner, points)
+    # Trusted: p1's steps to k, then p2's, as p2(k+1) + shift - (p1(k) - shift)
+    # = p2(k+1) - p2(k).
+    return Pattern._trusted(p1.owner, points)

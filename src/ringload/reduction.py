@@ -236,13 +236,12 @@ def reduce_to_crossing(
     assert all(map(lt, nodes, nodes[1:])), "split demands must cross pairwise"
     us = [cw[idx] for idx in demand_map]
     vs = [values[idx] - cw[idx] for idx in demand_map]
-    return CrossingInstance(
-        pairs=tuple(zip(us, vs)),
-        D=inst.max_demand,
-        origin=inst,
-        uncrossed=uncrossed,
-        demand_map=tuple(demand_map),
-    ), SplitRouting(tuple(us))
+    # Trusted: a demand still split has u = cw and v = d - cw positive, and
+    # u + v = d <= max d = D.
+    cross = CrossingInstance._trusted(
+        tuple(zip(us, vs)), inst.max_demand, inst, uncrossed, tuple(demand_map)
+    )
+    return cross, SplitRouting(tuple(us))
 
 
 def lift_solution(cross: CrossingInstance, z: UnsplitRouting) -> UnsplitRouting:
@@ -255,4 +254,4 @@ def lift_solution(cross: CrossingInstance, z: UnsplitRouting) -> UnsplitRouting:
     dirs = [CW if cw == d else CCW for d, cw in zip(cross.origin.d, cross.uncrossed.cw)]
     for idx, flag in zip(cross.demand_map, z.dirs):
         dirs[idx] = flag
-    return UnsplitRouting(tuple(dirs))
+    return UnsplitRouting._trusted(tuple(dirs))  # CW, CCW and z's flags, which z checked

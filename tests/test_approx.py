@@ -5,16 +5,22 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import pattern_from_solution, random_small_big
+from conftest import pattern_from_solution, random_ring, random_small_big
 from ringload.approx import (
+    ROUTES,
     medium_demand_solve,
     small_big_solve,
     solution_from_pattern,
     solve_19_14,
     ssw_three_halves,
 )
-from ringload.errors import IndexMismatch, MediumDemandPresent, ValidationError
-from ringload.instances import builtin, random_crossing
+from ringload.errors import (
+    IndexMismatch,
+    InternalGuaranteeViolation,
+    MediumDemandPresent,
+    ValidationError,
+)
+from ringload.instances import BUILTIN_NAMES, builtin, random_crossing
 from ringload.model import CCW, CW, UnsplitRouting, additive_increase
 from ringload.patterns import Pattern, performance
 from ringload.reduction import lift_solution, reduce_to_crossing, standalone_crossing
@@ -219,3 +225,87 @@ def test_lifted_guarantee_end_to_end():
         assert 14 * increase <= 19 * inst.max_demand
         assert cross.uncrossed is not None
         assert additive_increase(inst, cross.uncrossed, lifted) == report.perf
+
+
+AUTO_BRANCHES = {"medium", "smallbig-a", "smallbig-b", "smallbig-c",
+                 "smallbig-crossAB", "smallbig-ca", "smallbig-cb"}
+
+
+def _rebuilt(record):
+    """The record built again by its checked constructor, from its fields."""
+    return type(record)(*(getattr(record, name) for name in record._fields))
+
+
+def _ring_crossings():
+    """The crossing forms of the built-ins and of seeded random and crossing
+    rings, each equal to itself rebuilt."""
+    rng = random.Random(54)
+    rings = [builtin(name) for name in BUILTIN_NAMES]
+    for trial in range(300):
+        rings.append(random_ring(rng, max_n=12, max_demands=8))
+        rings.append(random_crossing(rng.randint(2, 12), rng.randint(2, 30), seed=trial).to_ring())
+    for inst, split in rings:
+        cross, _ = reduce_to_crossing(inst, split)
+        assert _rebuilt(cross) == cross
+        yield cross
+
+
+def _auto_small_big(rng, m, D):
+    """A crossing instance that auto sends the small/big way: every demand
+    below 2D/7 or above 5D/7 (random_small_big allows 2D/7 itself)."""
+    below = -(-2 * D // 7) - 1  # the largest d < 2D/7
+    pairs = []
+    for _ in range(m):
+        d = rng.randint(2, below) if rng.random() < 0.5 else rng.randint(D - below, D)
+        u = rng.randint(1, d - 1)
+        pairs.append((u * S, (d - u) * S))
+    return standalone_crossing(tuple(pairs), D * S)
+
+
+def _branch_of_checked_route(cross, alg):
+    """Run one route and rebuild its pattern, its routing and the lifted
+    routing; the branch, or None where the route refuses the instance."""
+    try:
+        report = ROUTES[alg](cross)
+    except MediumDemandPresent:  # the small/big route on a medium demand
+        assert alg == "smallbig"
+        return None
+    assert report.pattern.owner is cross
+    assert _rebuilt(report.pattern) == report.pattern
+    assert _rebuilt(report.z) == report.z
+    lifted = lift_solution(cross, report.z)
+    assert _rebuilt(lifted) == lifted
+    return report.branch
+
+
+def test_trusted_records_pass_their_checks():
+    # Each record the solve path builds without its check, the reduction's
+    # crossing instance, every route's pattern and routing and the lifted
+    # routing, is accepted by its checked constructor and equals the record
+    # it builds: on every route, then on small/big instances until auto has
+    # taken every branch, its crossovers about once in 5000.
+    seen = set()
+    for cross in _ring_crossings():
+        for alg in ROUTES:
+            branch = _branch_of_checked_route(cross, alg)
+            if alg == "auto":
+                seen.add(branch)
+    rng = random.Random(55)
+    for _ in range(30000):
+        if seen >= AUTO_BRANCHES:
+            break
+        cross = _auto_small_big(rng, rng.randint(1, 12), rng.choice([14, 21, 28, 70]))
+        seen.add(_branch_of_checked_route(cross, "auto"))
+    assert seen - {None} == AUTO_BRANCHES
+
+
+@pytest.mark.xfail(raises=InternalGuaranteeViolation, strict=True,
+                   reason="walk b's performance exceeds 19/14 D on this ring (open defect)")
+def test_small_big_bound_on_a_ring_of_d_25():
+    # Demands 25, 22, 5 and 24 are all small or big at D = 25, and the widest
+    # margin, 5, is below 2D/7, so auto takes the small/big route.  Walk a
+    # ends below 4D/14, walks a and b have no D/7-close pair, and walk b
+    # starts above 3D/14 at 692/28, but its strip [20/28, 692/28] ending at
+    # 6D/14 gives performance 34 > 19/14 D = 475/14; the optimum is 11.
+    cross = cross_of([(17, 8), (5, 17), (2, 3), (14, 10)], 25)
+    assert solve_19_14(cross).perf <= from_fraction(Fraction(475, 14))

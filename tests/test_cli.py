@@ -27,7 +27,16 @@ from ringload.cli import main
 from ringload.errors import InfeasibleParams, InternalGuaranteeViolation, MediumDemandPresent
 from ringload.fileio import write_instance
 from ringload.instances import builtin, random_crossing
-from ringload.model import CCW, CW, Demand, RingInstance, SplitRouting, UnsplitRouting, path_loads
+from ringload.model import (
+    CCW,
+    CW,
+    Demand,
+    RingInstance,
+    SplitRouting,
+    UnsplitRouting,
+    path_loads,
+    split_and_unsplit_loads,
+)
 from ringload.reduction import reduce_to_crossing
 from ringload.scaled import from_int, parse_rational
 
@@ -874,7 +883,7 @@ def test_a_command_checks_its_split_where_it_enters(capsys, tmp_path, monkeypatc
 
 
 def test_solve_sums_loads_only_for_its_report(capsys, tmp_path, monkeypatch):
-    # One pass over all k demands for each load vector of the report, the
+    # One pass over all k demands for both load vectors of the report, the
     # split's and the routing's, and no other: the reduction sums no loads,
     # though a demand is still split after uncrossing.
     inst, split = random_ring(random.Random(0))
@@ -884,16 +893,23 @@ def test_solve_sums_loads_only_for_its_report(capsys, tmp_path, monkeypatch):
     path.write_bytes(write_instance(inst, split))
     counts = []
 
-    def counted(n, i, j, cw, ccw):
+    def counted_paths(n, i, j, cw, ccw):
         counts.append(len(i))
         return path_loads(n, i, j, cw, ccw)
 
+    def counted_pass(ring, split, unsplit):
+        counts.append(len(ring.d))
+        return split_and_unsplit_loads(ring, split, unsplit)
+
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "ringload" and hasattr(module, "path_loads"):
-            monkeypatch.setattr(module, "path_loads", counted)
+        if name.split(".")[0] == "ringload":
+            for attr, counted in (("path_loads", counted_paths),
+                                  ("split_and_unsplit_loads", counted_pass)):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, counted)
     code, _, _ = run_cli(capsys, "solve", "--alg", "auto", "-i", str(path))
     assert code == 0
-    assert counts == [k, k]
+    assert counts == [k]
 
 
 def test_search_full_small_family(capsys):

@@ -32,6 +32,7 @@ from ringload.model import (
     UnsplitRouting,
     additive_increase,
     edge_loads,
+    split_and_unsplit_loads,
     validate_instance,
 )
 from ringload.patterns import Pattern, backward_greedy, crossover, find_close, forward_greedy
@@ -279,6 +280,31 @@ def test_edge_loads_match_per_edge_sums():
         assert edge_loads(inst, UnsplitRouting(dirs)) == per_edge_loads(inst, cws)
 
 
+def test_one_pass_gives_both_load_vectors():
+    # The fused pass equals two edge_loads, one per routing, on rings with
+    # zero amounts, unsplit and (1, n) demands; additive_increase reads it.
+    rng = random.Random(16)
+    for trial in range(300):
+        inst, split = random_ring(rng, max_n=12, max_demands=10)
+        if trial % 3 == 0:
+            n = inst.n
+            inst = RingInstance(n, inst.demands + (Demand(1, n, from_int(3)), Demand(1, n, 0)))
+            split = SplitRouting(split.cw + (rng.choice((0, 42, from_int(3))), 0))
+        unsplit = UnsplitRouting(tuple(rng.choice((CW, CCW)) for _ in inst.d))
+        before, after = edge_loads(inst, split), edge_loads(inst, unsplit)
+        assert split_and_unsplit_loads(inst, split, unsplit) == (before, after)
+        assert additive_increase(inst, split, unsplit) == max(map(int.__sub__, after, before))
+
+
+def test_one_pass_checks_both_lengths():
+    inst, split = builtin("fig1")
+    unsplit = UnsplitRouting((CW, CCW))
+    with pytest.raises(IndexMismatch, match="^routing has 1 entries for 2 demands$"):
+        split_and_unsplit_loads(inst, SplitRouting(split.cw[:1]), unsplit)
+    with pytest.raises(IndexMismatch, match="^routing has 3 entries for 2 demands$"):
+        split_and_unsplit_loads(inst, split, UnsplitRouting((CW, CCW, CW)))
+
+
 def test_crossing_split_loads_match_the_ring_form():
     rng = random.Random(15)
     checked = 0
@@ -423,6 +449,10 @@ def _other_walk():
 RAISE_SITES = {
     "direction flag": (lambda: UnsplitRouting(("up",)),
                        "^direction must be 'cw' or 'ccw', got 'up'$"),
+    "unhashable flag": (lambda: UnsplitRouting((["cw"],)),
+                        r"^direction must be 'cw' or 'ccw', got \['cw'\]$"),
+    "first bad flag": (lambda: UnsplitRouting((CW, CCW) * 500 + ("left", CW, "up")),
+                       "^direction must be 'cw' or 'ccw', got 'left'$"),
     "crossing pair": (lambda: CrossingInstance(((0, 5),), 5),
                       "^crossing demand #0: u and v must be positive$"),
     "pattern step": (lambda: Pattern(GREEDY, (0, S)), "^step #0 is 28, admissible: 56 or -56$"),
